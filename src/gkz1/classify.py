@@ -115,13 +115,16 @@ def _require_regime(config: LatticeConfig, beta):
 
 
 def is_mum(config: LatticeConfig, beta) -> Classification:
-    """Maximal unipotent monodromy test; needs Regular and nonresonant."""
+    """Maximal unipotent monodromy tests; needs Regular and nonresonant.
+
+    One classification answers both questions: `mum`, and `mum_holomorphic`
+    (MUM with only nonnegative shifts in the log coefficients), so
+    is_mum_holomorphic is this same function.
+    """
     return _classification(config, _require_regime(config, beta))
 
 
-def is_mum_holomorphic(config: LatticeConfig, beta) -> Classification:
-    """MUM with only nonnegative shifts in the log coefficients."""
-    return _classification(config, _require_regime(config, beta))
+is_mum_holomorphic = is_mum
 
 
 def classify(config: LatticeConfig, beta) -> Classification:

@@ -15,7 +15,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 
 from ._linalg import Vector, fracs
-from .coefficients import coefficient_M
+from .coefficients import coefficient_M, coefficient_run
 from .errors import (
     HypothesisViolated,
     MismatchDetected,
@@ -96,14 +96,31 @@ class LogSeries:
         )
 
 
-def _phi_coefficients(config, vec, lift, rho, verdict, window) -> dict[int, Fraction]:
+def _column_runs(config, vec, lift, window, verdicts, s_max: int) -> list[dict]:
+    """One coefficient run per column, covering every member z of the verdicts.
+
+    Column mu needs M(lift[mu] + z*relation[mu], s, vec[mu]) for s up to
+    s_max at each of those z, which is exactly what the blocks built from the
+    verdicts evaluate.
+    """
+    rel = config.relation
+    members = set()
+    for verdict in verdicts:
+        members.update(verdict.membership.clip(*window))
+    return [
+        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], s_max)
+        for mu in range(config.n)
+    ]
+
+
+def _phi_coefficients(config, lift, rho, verdict, window, runs) -> dict[int, Fraction]:
     """z -> coefficient of the log-free series for the multiset rho."""
     rel = config.relation
     out: dict[int, Fraction] = {}
     for z in verdict.membership.clip(*window):
         c = Fraction(1)
         for mu in range(config.n):
-            c *= coefficient_M(lift[mu] + z * rel[mu], rho.get(mu, 0), vec[mu])
+            c *= runs[mu][lift[mu] + z * rel[mu]][rho.get(mu, 0)]
         if c:
             out[z] = c
     return out
@@ -123,9 +140,10 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     verdict = support_verdict(config, vec, indices, lift)
     if not verdict.minimal:
         raise NotMinimalSupport(indices, lift)
+    runs = _column_runs(config, vec, lift, window, [verdict], max(rho.values(), default=0))
     terms = {
         (z, 0): c
-        for z, c in _phi_coefficients(config, vec, lift, rho, verdict, window).items()
+        for z, c in _phi_coefficients(config, lift, rho, verdict, window, runs).items()
     }
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries.make(base, config.relation, window, terms)
@@ -144,7 +162,7 @@ def _hypothesis_verdicts(config, vec, lift, r) -> dict[frozenset, SupportVerdict
     return verdicts
 
 
-def _assemble(config, vec, lift, r, window, verdicts, phi_cache) -> LogSeries:
+def _assemble(config, vec, lift, r, window, verdicts, runs, phi_cache) -> LogSeries:
     """Evaluate the degree-r log solution from its building blocks.
 
     The sum over length-s index sequences collapses to one over multisets
@@ -163,7 +181,7 @@ def _assemble(config, vec, lift, r, window, verdicts, phi_cache) -> LogSeries:
             key = tuple(sorted(q))
             if key not in phi_cache:
                 phi_cache[key] = _phi_coefficients(
-                    config, vec, lift, rho, verdicts[support], window
+                    config, lift, rho, verdicts[support], window, runs
                 )
             weight = 1
             for mu, m in rho.items():
@@ -194,7 +212,8 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
     ]
     if failing:
         raise HypothesisViolated(failing)
-    return _assemble(config, vec, lift, r, window, verdicts, {})
+    runs = _column_runs(config, vec, lift, window, verdicts.values(), r)
+    return _assemble(config, vec, lift, r, window, verdicts, runs, {})
 
 
 @dataclass(frozen=True)
@@ -262,9 +281,12 @@ def solution_bundle(
             if not verdict.minimal
         ]
         r_top = mv - 1 if not failing_sizes else min(failing_sizes) - 1
+        # the blocks of every degree share one run per column and one cache
+        used = [verdict for support, verdict in verdicts.items() if len(support) <= r_top]
+        runs = _column_runs(config, exp.vector, lift, window, used, max(r_top, 0))
         phi_cache: dict = {}
         solutions = tuple(
-            _assemble(config, exp.vector, lift, r, window, verdicts, phi_cache)
+            _assemble(config, exp.vector, lift, r, window, verdicts, runs, phi_cache)
             for r in range(r_top + 1)
         )
         failures = tuple(

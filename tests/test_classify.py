@@ -106,6 +106,12 @@ class TestClassify:
         beta = (F(-1, 2), F(-1, 3), F(1))
         assert classify(gauss, beta) == is_mum_holomorphic(gauss, beta)
 
+    def test_one_test_answers_both_questions(self, gauss):
+        beta = (F(-1, 2), F(-1, 3), F(1))
+        assert is_mum_holomorphic is is_mum
+        result = is_mum(gauss, beta)
+        assert result.mum is not None and result.mum_holomorphic is not None
+
 
 class TestEquivalences:
     def test_singleton_iff_lattice_conditions(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkz1 import coefficient_M, elementary_symmetric, f_coefficients, pochhammer
-from gkz1.coefficients import coefficient_M_reference, falling_factorial
+from gkz1.coefficients import coefficient_M_reference, coefficient_run, falling_factorial
 from gkz1.errors import DegreeTooLarge, ExcludedCase
 
 # sample values covering the regimes: nonnegative integers, positive and
@@ -27,6 +27,21 @@ def test_pochhammer_values():
 )
 def test_pochhammer_splits(v, a, b):
     assert pochhammer(v, a + b) == pochhammer(v, a) * pochhammer(v + a, b)
+
+
+def test_pochhammer_rejects_negative_length():
+    with pytest.raises(ValueError):
+        pochhammer(F(1, 2), -1)
+
+
+def test_elementary_symmetric_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        elementary_symmetric(-1, [1, 2])
+
+
+def test_f_coefficients_rejects_negative_log_power():
+    with pytest.raises(ValueError):
+        f_coefficients(F(1, 2), -1, 3)
 
 
 def test_elementary_symmetric():
@@ -133,3 +148,73 @@ def test_falling_factorial():
     assert falling_factorial(3, 0) == 1
     assert falling_factorial(3, 2) == 6
     assert falling_factorial(2, 3) == 0
+
+
+@st.composite
+def runs(draw):
+    """A coefficient run along a relation line: v, the requested l, s_max.
+
+    The l are lift + z*e over a window of z with some members dropped, kept
+    within |l| <= 12 so the reference sums stay cheap.  For a negative
+    integer v the lift may put the top l right below the excluded strip.
+    """
+    v = draw(
+        st.one_of(
+            st.integers(min_value=-8, max_value=8).map(F),
+            st.fractions(max_denominator=7, min_value=-8, max_value=8),
+        )
+    )
+    e = draw(st.integers(min_value=1, max_value=6)) * draw(st.sampled_from((1, -1)))
+    lo = draw(st.integers(min_value=-2, max_value=1))
+    zs = range(lo, lo + draw(st.integers(min_value=1, max_value=24 // abs(e))) + 1)
+    steps = [z * e for z in zs]
+    low, high = -12 - min(steps), 12 - max(steps)
+    edge = -v.numerator - 1 - max(steps)  # top l = -v - 1, below the strip
+    if v.denominator == 1 and v < 0 and low <= edge <= high and draw(st.booleans()):
+        lift = edge
+    else:
+        lift = draw(st.integers(min_value=low, max_value=high))
+    kept = [lift + t for t in steps if draw(st.booleans())] or [lift + steps[0]]
+    return v, kept, draw(st.integers(min_value=0, max_value=3))
+
+
+class TestCoefficientRun:
+    @settings(max_examples=150, deadline=None)
+    @given(case=runs())
+    def test_every_stored_value_matches_defining_sums(self, case):
+        v, ls, s_max = case
+        if v.denominator == 1 and v < 0 and max(ls) + v >= 0 and max(ls) > 0:
+            with pytest.raises(ExcludedCase):
+                coefficient_run(v, ls, s_max)
+            return
+        run = coefficient_run(v, ls, s_max)
+        assert sorted(run) == sorted(set(ls))
+        for l, row in run.items():
+            expected = tuple(coefficient_M_reference(l, s, v) for s in range(s_max + 1))
+            assert row == expected, (l, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=6),
+        above=st.integers(min_value=0, max_value=6),
+        below=st.integers(min_value=1, max_value=12),
+        s_max=st.integers(min_value=0, max_value=3),
+    )
+    def test_top_inside_excluded_strip_raises(self, m, above, below, s_max):
+        # v = -m excludes every l >= m; only the top of the run has to be there
+        top = m + above
+        with pytest.raises(ExcludedCase):
+            coefficient_run(-m, range(top - below, top + 1), s_max)
+
+    def test_zero_factor_and_gaps(self):
+        # v = 2: the factor v + k + x is x itself at k = -2, so M(l, 0, 2)
+        # vanishes for l <= -3; the walk crosses l = 0 and skips between stored l
+        run = coefficient_run(2, (4, 1, -2, -5), 2)
+        for l in (4, 1, -2, -5):
+            assert run[l] == tuple(coefficient_M_reference(l, s, 2) for s in range(3))
+        assert run[-5][0] == 0 and run[-5][1] != 0
+
+    def test_empty_and_invalid(self):
+        assert coefficient_run(F(1, 3), [], 2) == {}
+        with pytest.raises(ValueError):
+            coefficient_run(F(1, 3), [0], -1)

@@ -6,6 +6,8 @@ import pytest
 
 from gkz1 import (
     LogSeries,
+    build_config,
+    certify,
     exponent_set_prime,
     gauss_oracle,
     log_solution,
@@ -341,3 +343,41 @@ class TestSeriesStructure:
         assert {k: c for k, c in direct.items() if c} == {
             k: c for k, c in expanded.items() if c
         }
+
+
+QUINTIC = [
+    (1, 1, 0, 0, 0),
+    (1, 0, 1, 0, 0),
+    (1, 0, 0, 1, 0),
+    (1, 0, 0, 0, 1),
+    (1, -1, -1, -1, -1),
+    (1, 0, 0, 0, 0),
+]  # (1, 1, 1, 1, 1, -5): the quintic mirror
+
+
+class TestDeepWindows:
+    """Long windows checked against closed forms that share no series code."""
+
+    def test_quintic_periods(self):
+        config = build_config(QUINTIC)
+        report = solution_bundle(config, (-1, 0, 0, 0, 0), window=(0, 60))
+        (bundle,) = report.bundles
+        assert report.total_solutions == 5 and report.complete
+        solutions = bundle.solutions
+        assert solutions[0].terms == {
+            (z, 0): F((-1) ** z * factorial(5 * z), factorial(z) ** 5)
+            for z in range(61)
+        }
+        # -5 * 5! * (H_5 - H_1)
+        assert solutions[1].coefficient(1, 0) == -770
+        for series in solutions:
+            assert certify(config, bundle.parameter, series).passed
+
+    def test_triangle_polynomial(self, triangle):
+        report = solution_bundle(triangle, [10, 8], window=(0, 400))
+        (bundle,) = report.bundles
+        assert bundle.exponent.vector == (2, 0, 8)
+        assert report.total_solutions == 2 and report.complete
+        assert bundle.solutions[0].terms == {(z, 0): c for z, c in GOLDEN.items()}
+        for series in bundle.solutions:
+            assert certify(triangle, bundle.parameter, series).passed
