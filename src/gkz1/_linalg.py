@@ -82,15 +82,6 @@ def nullspace_columns(columns: Sequence[Sequence]) -> list[Vector]:
     return basis
 
 
-def rational_rank(columns: Sequence[Sequence]) -> int:
-    m = len(columns)
-    if m == 0:
-        return 0
-    d = len(columns[0])
-    rows = [[Fraction(columns[t][i]) for t in range(m)] for i in range(d)]
-    return len(_rref(rows, m))
-
-
 def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers (sign preserved)."""
     den = lcm(*(Fraction(x).denominator for x in vec)) if len(vec) > 1 else Fraction(vec[0]).denominator

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import _linalg
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     NotNonresonant,
 )
 from .exponents import exponent_set_prime
-from .lattice import LatticeConfig, is_nonresonant, parameter
+from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
 
 
 class SingularityType(Enum):
@@ -54,14 +53,7 @@ def _parameter_class_integral_on_positive(config, beta) -> bool:
     is whether some rational t makes every positive-side coordinate an
     integer, an intersection of arithmetic progressions in t.
     """
-    coeffs = _linalg.solve_columns(config.columns[:-1], beta.beta)
-    assert coeffs is not None
-    coeffs = list(coeffs) + [Fraction(0)]
-    progressions = [
-        (Fraction(-coeffs[mu], config.relation[mu]), Fraction(1, config.relation[mu]))
-        for mu in config.positive
-    ]
-    return _linalg.intersect_progressions(progressions) is not None
+    return RelationLine.of(config, beta.beta).integral_steps(config.positive) is not None
 
 
 def _parameter_in_negative_span(config, beta) -> bool:

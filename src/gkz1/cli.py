@@ -18,47 +18,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .classify import is_mum_holomorphic, singularity_type
-from .errors import (
-    BetaNotInSpan,
-    DegreeTooLarge,
-    DependentSubset,
-    GkzError,
-    HypothesisViolated,
-    IndexOutOfRange,
-    InputError,
-    InternalInvariantError,
-    IrregularSingularity,
-    KernelRankNotOne,
-    NotInLattice,
-    NotMinimalSupport,
-    NotNonresonant,
-    RNotLessThanMultiplicity,
-    SigmaIntegral,
-    ZeroRelationEntry,
-)
-from .exponents import exponent_set_prime, fake_exponents
+from .errors import HypothesisError, InputError, InternalInvariantError
+from .exponents import fake_exponents, normalized_set
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import log_solution, solution_bundle
 from .verify import certify
-
-_INPUT_ERRORS = (
-    InputError,
-    KernelRankNotOne,
-    DependentSubset,
-    ZeroRelationEntry,
-    BetaNotInSpan,
-    NotInLattice,
-    IndexOutOfRange,
-    DegreeTooLarge,
-)
-_HYPOTHESIS_ERRORS = (
-    NotNonresonant,
-    IrregularSingularity,
-    HypothesisViolated,
-    RNotLessThanMultiplicity,
-    NotMinimalSupport,
-    SigmaIntegral,
-)
 
 DEFAULT_WINDOW = (-10, 20)
 
@@ -214,7 +178,7 @@ def cmd_exponents(spec: ProblemSpec) -> dict:
     config = build_config(spec.points)
     beta = parameter(config, spec.beta)
     fakes = fake_exponents(config, beta)
-    primes = exponent_set_prime(config, beta)
+    primes = normalized_set(config, fakes)
     return {
         "beta": _rat_list(beta.beta),
         "fake_exponents": [_exponent_dict(e) for e in fakes],
@@ -260,13 +224,15 @@ def _solve_report(spec: ProblemSpec) -> tuple[dict, object, object]:
         out["bundles"].append(entry)
     if spec.r is not None:
         # explicit degree request: build it for every exponent, or fail loudly
-        config_series = []
-        for e in exponent_set_prime(config, beta).exponents:
-            lift = report.bundles[0].lift if report.bundles else (0,) * config.n
-            series = log_solution(config, e, lift, spec.r, spec.window)
-            config_series.append(
-                {"exponent": _exponent_dict(e), "series": series.to_json_dict()}
-            )
+        config_series = [
+            {
+                "exponent": _exponent_dict(bundle.exponent),
+                "series": log_solution(
+                    config, bundle.exponent, bundle.lift, spec.r, spec.window
+                ).to_json_dict(),
+            }
+            for bundle in report.bundles
+        ]
         out["requested_degree"] = {"r": spec.r, "solutions": config_series}
     return out, config, report
 
@@ -364,17 +330,14 @@ def main(argv=None) -> int:
     try:
         spec = _apply_overrides(load_problem(args.input), args)
         report = _COMMANDS[args.command](spec)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except _HYPOTHESIS_ERRORS as exc:
+    except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
     except (InternalInvariantError, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return 1
-    except GkzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "text":
         print(_render_text(report))

@@ -1,9 +1,13 @@
 """Exception hierarchy shared by the whole package.
 
-Construction-time errors (bad configurations, bad parameters) are distinct
-from hypothesis violations (valid data outside the regime a construction
-supports) and from internal invariant failures, because the CLI maps them to
-different exit codes.
+Every error derives from one of three base classes, and the CLI maps each
+base class to one exit code:
+
+    InputError              exit 2  invalid input: a bad file or rational,
+                                    a bad configuration or parameter;
+    HypothesisError         exit 3  valid data outside the regime a
+                                    construction supports;
+    InternalInvariantError  exit 1  a guaranteed identity failed: a bug.
 """
 
 
@@ -12,16 +16,24 @@ class GkzError(Exception):
 
 
 class InputError(GkzError):
-    """Malformed user input (bad file, unparsable rational, wrong shape)."""
+    """Invalid input; raised itself for a bad file, rational or shape."""
+
+
+class HypothesisError(GkzError):
+    """Valid data outside the regime a construction supports."""
+
+
+class InternalInvariantError(GkzError):
+    """A mathematically guaranteed identity failed: implementation bug."""
 
 
 # -- configuration construction -------------------------------------------
 
-class KernelRankNotOne(GkzError):
+class KernelRankNotOne(InputError):
     """The integer kernel of the point matrix does not have rank one."""
 
 
-class DependentSubset(GkzError):
+class DependentSubset(InputError):
     """Some subset of n-1 columns is linearly dependent."""
 
     def __init__(self, omitted: int):
@@ -31,25 +43,21 @@ class DependentSubset(GkzError):
         )
 
 
-class ZeroRelationEntry(GkzError):
-    """Defensive: a relation entry vanished (cannot occur for valid input)."""
-
-
-class IndexOutOfRange(GkzError):
+class IndexOutOfRange(InputError):
     """A facet-functional index pair is not of the positive/negative form."""
 
 
-class BetaNotInSpan(GkzError):
+class BetaNotInSpan(InputError):
     """The parameter vector is not a rational combination of the columns."""
 
 
-class NotInLattice(GkzError):
+class NotInLattice(InputError):
     """A shift vector u is not an integer combination of the columns."""
 
 
 # -- hypothesis violations --------------------------------------------------
 
-class NotNonresonant(GkzError):
+class NotNonresonant(HypothesisError):
     """An operation requiring a nonresonant parameter got a resonant one."""
 
     def __init__(self, witness=None):
@@ -61,11 +69,11 @@ class NotNonresonant(GkzError):
         super().__init__(msg)
 
 
-class IrregularSingularity(GkzError):
+class IrregularSingularity(HypothesisError):
     """x0 = 0 is an irregular singularity; the classification is undefined."""
 
 
-class NotMinimalSupport(GkzError):
+class NotMinimalSupport(HypothesisError):
     """The exponent fails minimal negative support for the required index set."""
 
     def __init__(self, indices, lift):
@@ -76,7 +84,7 @@ class NotMinimalSupport(GkzError):
         )
 
 
-class HypothesisViolated(GkzError):
+class HypothesisViolated(HypothesisError):
     """A log-solution hypothesis fails for at least one index set."""
 
     def __init__(self, failing_sets):
@@ -85,17 +93,17 @@ class HypothesisViolated(GkzError):
         super().__init__(f"minimal-support hypothesis fails for I in: {shown}")
 
 
-class RNotLessThanMultiplicity(GkzError):
+class RNotLessThanMultiplicity(HypothesisError):
     """Requested log degree r is not below the exponent multiplicity."""
 
 
-class SigmaIntegral(GkzError):
+class SigmaIntegral(HypothesisError):
     """The two-solution Gauss oracle needs a nonintegral third parameter."""
 
 
 # -- coefficient domain ------------------------------------------------------
 
-class ExcludedCase(GkzError):
+class ExcludedCase(InternalInvariantError):
     """M_{l,s}(v) requested in the regime where the closed form is invalid.
 
     Reaching this always indicates a precondition bug in the caller.
@@ -105,15 +113,11 @@ class ExcludedCase(GkzError):
         super().__init__(f"M_({l},{s})({v}) has no closed form here")
 
 
-class DegreeTooLarge(GkzError):
+class DegreeTooLarge(InputError):
     """Elementary symmetric polynomial degree exceeds the variable count."""
 
 
 # -- internal invariant failures ---------------------------------------------
-
-class InternalInvariantError(GkzError):
-    """A mathematically guaranteed identity failed: implementation bug."""
-
 
 class CountMismatch(InternalInvariantError):
     """The multiplicity tally does not match the relation-coefficient sum."""

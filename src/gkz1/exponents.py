@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from . import _linalg
 from ._linalg import Vector, fracs
 from .errors import CountMismatch, InternalInvariantError, NotInLattice, NotNonresonant
-from .lattice import LatticeConfig, is_nonresonant, parameter
+from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
 
 
 @dataclass(frozen=True)
@@ -77,21 +76,12 @@ def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
 
     Sorted lexicographically by coordinates, so output order is stable.
     """
-    beta = parameter(config, beta)
-    found: dict[Vector, None] = {}
-    for mu in config.positive:
-        column = config.columns[mu]
-        others = [s for s in range(config.n) if s != mu]
-        other_columns = [config.columns[s] for s in others]
-        for b in range(config.relation[mu]):
-            target = [bc - b * ac for bc, ac in zip(beta.beta, column)]
-            coeffs = _linalg.solve_columns(other_columns, target)
-            assert coeffs is not None, "beta was validated to lie in the span"
-            vec = [Fraction(0)] * config.n
-            vec[mu] = Fraction(b)
-            for s, c in zip(others, coeffs):
-                vec[s] = c
-            found[tuple(vec)] = None
+    line = RelationLine.of(config, parameter(config, beta).beta)
+    found = {
+        line.through(mu, b): None
+        for mu in config.positive
+        for b in range(config.relation[mu])
+    }
     return [_make_exponent(config, vec) for vec in sorted(found)]
 
 
@@ -111,8 +101,7 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     if not bounds:
         raise ValueError("not a fake exponent: no integral positive-side entry")
     z0 = max(bounds)
-    shifted = tuple(x + z0 * e for x, e in zip(vec, config.relation))
-    return _make_exponent(config, shifted), z0
+    return _make_exponent(config, RelationLine(vec, config.relation).at(z0)), z0
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,13 @@ class PrimeExponents:
 
 def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
     """Normalized exponent set; the multiplicity count law is enforced."""
+    return normalized_set(config, fake_exponents(config, beta))
+
+
+def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
+    """The normalized set of a parameter's fake exponents, count law enforced."""
     seen: dict[Vector, Exponent] = {}
-    for v in fake_exponents(config, beta):
+    for v in fakes:
         normalized, _ = normalize_to_e_prime(config, v)
         seen[normalized.vector] = normalized
     exponents = tuple(seen[key] for key in sorted(seen))
@@ -248,21 +242,16 @@ def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:
     u = fracs(u)
     if len(u) != config.dim:
         raise NotInLattice(f"u has length {len(u)}, expected {config.dim}")
-    partial = _linalg.solve_columns(config.columns[:-1], u)
-    if partial is None:
+    line = RelationLine.of(config, u)
+    if line is None:
         raise NotInLattice(f"{u} is not in the span of the columns")
-    coeffs = list(partial) + [Fraction(0)]
-    rel = config.relation
-    progressions = [
-        (Fraction(-c, e), Fraction(1, abs(e))) for c, e in zip(coeffs, rel)
-    ]
-    meet = _linalg.intersect_progressions(progressions)
-    if meet is None:
+    steps = line.integral_steps(range(config.n))
+    if steps is None:
         raise NotInLattice(f"{u} is not an integer combination of the columns")
-    t = meet[0]
-    lift = [c + t * e for c, e in zip(coeffs, rel)]
+    lift = line.at(steps[0])
     assert all(x.denominator == 1 for x in lift)
     lift = [int(x) for x in lift]
+    rel = config.relation
     shift = (lift[-1] % abs(rel[-1]) - lift[-1]) // rel[-1]
     return tuple(x + shift * e for x, e in zip(lift, rel))
 
@@ -277,8 +266,7 @@ def match_exponent(config: LatticeConfig, beta, u, v) -> tuple[Exponent, tuple[i
     resonance = is_nonresonant(config, beta)
     if not resonance:
         raise NotNonresonant(resonance.witness)
-    lift_of_u = integer_lift(config, u)  # validates u; value unused
-    del lift_of_u
+    integer_lift(config, u)  # validates u
     vec = exponent_vector(v)
     gamma = tuple(b + Fraction(x) for b, x in zip(beta.beta, u))
     primes = exponent_set_prime(config, gamma)

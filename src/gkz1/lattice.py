@@ -14,19 +14,13 @@ through ``perm``/``ell`` but is never imposed on inputs or outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import _linalg
-from ._linalg import Vector, fracs
-from .errors import (
-    BetaNotInSpan,
-    DependentSubset,
-    IndexOutOfRange,
-    KernelRankNotOne,
-    ZeroRelationEntry,
-)
+from ._linalg import Progression, Vector, fracs
+from .errors import BetaNotInSpan, DependentSubset, IndexOutOfRange, KernelRankNotOne
 
 
 @dataclass(frozen=True)
@@ -35,10 +29,14 @@ class PointConfig:
 
     Validates on construction that the points span exactly an
     (n-1)-dimensional space and that every subset of n-1 points is
-    linearly independent.
+    linearly independent, with one kernel computation: once the kernel is
+    the line through ``relation``, the columns without mu are independent
+    exactly when relation[mu] != 0.  ``relation`` is that kernel's
+    coprime integer generator, signed so that relation[0] > 0.
     """
 
     columns: tuple[tuple[int, ...], ...]
+    relation: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = tuple(tuple(int(x) for x in col) for col in self.columns)
@@ -49,14 +47,17 @@ class PointConfig:
         d = len(cols[0])
         if d < 1 or any(len(c) != d for c in cols):
             raise KernelRankNotOne("points must be nonempty and equal length")
-        if _linalg.rational_rank(cols) != n - 1:
+        kernel = _linalg.nullspace_columns(cols)
+        if len(kernel) != 1:
             raise KernelRankNotOne(
-                f"points span rank {_linalg.rational_rank(cols)}, expected {n - 1}"
+                f"points span rank {n - len(kernel)}, expected {n - 1}"
             )
-        for omit in range(n):
-            subset = cols[:omit] + cols[omit + 1:]
-            if _linalg.rational_rank(subset) != n - 1:
-                raise DependentSubset(omit)
+        relation = _linalg.primitive_integer_vector(kernel[0])
+        if 0 in relation:
+            raise DependentSubset(relation.index(0))
+        if relation[0] < 0:
+            relation = tuple(-e for e in relation)
+        object.__setattr__(self, "relation", relation)
 
     @property
     def n(self) -> int:
@@ -103,10 +104,6 @@ class LatticeConfig:
         return tuple(self.relation[p] for p in self.perm)
 
     @property
-    def x0_exponents(self) -> tuple[int, ...]:
-        return self.relation
-
-    @property
     def positive(self) -> tuple[int, ...]:
         return tuple(mu for mu in range(self.n) if self.relation[mu] > 0)
 
@@ -129,6 +126,46 @@ class LatticeConfig:
             sum((c * a for c, a in zip(coeffs, col)), Fraction(0))
             for col in zip(*self.columns)
         )
+
+
+@dataclass(frozen=True)
+class RelationLine:
+    """Every solution c of sum_mu c_mu a_mu = target: point + t*relation.
+
+    The relation lattice has rank one, so the solutions form one line over
+    the rationals, and every exponent, lift and integrality question about
+    a target is arithmetic on it.
+    """
+
+    point: Vector
+    relation: tuple[int, ...]
+
+    @classmethod
+    def of(cls, config: LatticeConfig, target) -> RelationLine | None:
+        """The line of solutions for the target, or None outside the span.
+
+        The last column is the one left out: the others are independent and
+        span the same space, so the solve is unique.
+        """
+        partial = _linalg.solve_columns(config.columns[:-1], target)
+        if partial is None:
+            return None
+        return cls(partial + (Fraction(0),), config.relation)
+
+    def at(self, t) -> Vector:
+        """The point at parameter t: point + t*relation."""
+        return tuple(c + t * e for c, e in zip(self.point, self.relation))
+
+    def through(self, mu: int, x) -> Vector:
+        """The unique point whose mu-th coordinate is x."""
+        return self.at((x - self.point[mu]) / self.relation[mu])
+
+    def integral_steps(self, indices) -> Progression | None:
+        """The progression of t making every listed coordinate an integer."""
+        return _linalg.intersect_progressions([
+            (-self.point[mu] / self.relation[mu], Fraction(1, abs(self.relation[mu])))
+            for mu in indices
+        ])
 
 
 @dataclass(frozen=True)
@@ -177,21 +214,12 @@ class Nonresonance:
 def build_config(points) -> LatticeConfig:
     """Construct the canonical LatticeConfig for a point configuration.
 
-    The relation generator is computed as the rational kernel of the point
-    matrix, scaled to coprime integers, with the sign fixed so that the
-    first entry is positive.
+    The relation generator is the one PointConfig computed while
+    validating the points.
     """
     if not isinstance(points, PointConfig):
         points = PointConfig(tuple(tuple(col) for col in points))
-    kernel = _linalg.nullspace_columns(points.columns)
-    if len(kernel) != 1:
-        raise KernelRankNotOne(f"kernel rank {len(kernel)}, expected 1")
-    relation = _linalg.primitive_integer_vector(kernel[0])
-    if any(e == 0 for e in relation):
-        # unreachable once the (n-1)-subset check passed
-        raise ZeroRelationEntry(f"relation {relation} has a zero entry")
-    if relation[0] < 0:
-        relation = tuple(-e for e in relation)
+    relation = points.relation
     perm = tuple(
         sorted(range(points.n), key=lambda mu: (relation[mu] < 0, mu))
     )

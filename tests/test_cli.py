@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from gkz1 import cli
 from gkz1.cli import main
+from gkz1.errors import GkzError
 from gkz1.series import LogSeries
 
 TRIANGLE_PROBLEM = {
@@ -179,3 +181,45 @@ class TestInvalidConfigs:
         path.write_text(json.dumps({"A": [[1, 0], [1, 0]], "beta": ["0", "1"]}))
         code, _, err = run(capsys, "analyze", "--input", str(path))
         assert code == 2
+
+
+# The exit code of every error class.  A class added without one of the three
+# base classes is missing here, so the walk below fails on it.
+EXIT_CODES = {
+    "InputError": 2,
+    "KernelRankNotOne": 2,
+    "DependentSubset": 2,
+    "IndexOutOfRange": 2,
+    "BetaNotInSpan": 2,
+    "NotInLattice": 2,
+    "DegreeTooLarge": 2,
+    "HypothesisError": 3,
+    "NotNonresonant": 3,
+    "IrregularSingularity": 3,
+    "NotMinimalSupport": 3,
+    "HypothesisViolated": 3,
+    "RNotLessThanMultiplicity": 3,
+    "SigmaIntegral": 3,
+    "InternalInvariantError": 1,
+    "ExcludedCase": 1,
+    "CountMismatch": 1,
+    "MismatchDetected": 1,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_its_exit_code(capsys, monkeypatch, triangle_file):
+    classes = {cls.__name__: cls for cls in _subclasses(GkzError)}
+    assert sorted(classes) == sorted(EXIT_CODES)
+    for name, cls in classes.items():
+        def fail(path, exc=cls.__new__(cls)):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_problem", fail)
+        code, _, _ = run(capsys, "analyze", "--input", triangle_file)
+        assert code == EXIT_CODES[name], name

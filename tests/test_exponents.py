@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkz1 import (
+    _linalg,
     build_config,
     exponent_set_prime,
     fake_exponents,
@@ -43,6 +46,32 @@ class TestFakeExponents:
         fakes = fake_exponents(gauss, (-theta1, -theta2, 0))
         assert len(fakes) == 1
         assert fakes[0].labels == ((0, 0), (1, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_fake_exponents_match_reference_solves(seed):
+    # reference: the point with mu-th coordinate b, by a row reduction on
+    # the other columns, once per (mu, b)
+    rng = random.Random(seed)
+    config = random_config(rng)
+    beta = random_nonresonant_beta(rng, config)
+    reference: dict = {}
+    for mu in config.positive:
+        others = [s for s in range(config.n) if s != mu]
+        for b in range(config.relation[mu]):
+            target = [x - b * a for x, a in zip(beta, config.columns[mu])]
+            coeffs = _linalg.solve_columns([config.columns[s] for s in others], target)
+            vec = [F(0)] * config.n
+            vec[mu] = F(b)
+            for s, c in zip(others, coeffs):
+                vec[s] = c
+            reference.setdefault(tuple(vec), []).append((mu, b))
+    fakes = fake_exponents(config, beta)
+    assert vectors(fakes) == sorted(reference)
+    for e in fakes:
+        assert e.labels == tuple(reference[e.vector])
+        assert config.column_combination(e.vector) == tuple(beta)
 
 
 class TestNormalize:

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkz1 import (
+    PointConfig,
+    _linalg,
     build_config,
     facet_functional,
     is_nonresonant,
@@ -16,7 +20,7 @@ from gkz1.errors import (
     IndexOutOfRange,
     KernelRankNotOne,
 )
-from gkz1.lattice import facet_pairs
+from gkz1.lattice import RelationLine, facet_pairs
 
 from conftest import random_config, random_nonresonant_beta
 
@@ -70,6 +74,78 @@ class TestBuildConfig:
         with pytest.raises(DependentSubset) as info:
             build_config([(1, 0), (-1, 0), (0, 1)])
         assert info.value.omitted == 2
+
+
+def _brute_force_verdict(columns):
+    """(error class, omitted index) from ranks of the set and its subsets."""
+    n = len(columns)
+    if n - len(_linalg.nullspace_columns(columns)) != n - 1:
+        return KernelRankNotOne, None
+    for omit in range(n):
+        if _linalg.nullspace_columns(columns[:omit] + columns[omit + 1:]):
+            return DependentSubset, omit
+    return None, None
+
+
+def _point_sets(n, d):
+    """Raw small points (often rank-deficient), or n-1 points plus a
+    combination of them whose zero weights give zero relation entries."""
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    raw = st.lists(point, min_size=n, max_size=n)
+
+    def with_combination(base_weights):
+        base, weights = base_weights
+        last = [sum(w * p[i] for w, p in zip(weights, base)) for i in range(d)]
+        return base + [last]
+
+    built = st.tuples(
+        st.lists(point, min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(-1, 2), min_size=n - 1, max_size=n - 1),
+    ).map(with_combination)
+    return st.one_of(raw, built)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.integers(2, 5).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda d: _point_sets(n, d))
+    )
+)
+@example(points=[[1, 0], [2, 0], [3, 0]])  # rank 1
+@example(points=[[1, 0], [0, 1]])  # rank 2 with two points
+@example(points=[[1, 0], [-1, 0], [0, 1]])  # relation (1, 1, 0)
+@example(points=[[1, 0], [1, 2], [1, 1]])  # valid
+def test_validation_matches_subset_ranks(points):
+    columns = tuple(tuple(p) for p in points)
+    error, omitted = _brute_force_verdict(columns)
+    if error is None:
+        relation = PointConfig(columns).relation
+        assert relation[0] > 0 and 0 not in relation
+        assert all(
+            sum(e * col[i] for e, col in zip(relation, columns)) == 0
+            for i in range(len(columns[0]))
+        )
+    else:
+        with pytest.raises(error) as info:
+            PointConfig(columns)
+        assert type(info.value) is error
+        if omitted is not None:
+            assert info.value.omitted == omitted
+
+
+class TestRelationLine:
+    def test_operations(self, triangle):
+        line = RelationLine.of(triangle, [10, 8])
+        assert triangle.column_combination(line.point) == (10, 8)
+        assert line.at(2) == tuple(c + 2 * e for c, e in zip(line.point, (1, 1, -2)))
+        assert line.through(1, 0) == (2, 0, 8)
+        offset, step = line.integral_steps(range(3))
+        assert step == 1 and all(x.denominator == 1 for x in line.at(offset))
+        assert RelationLine.of(triangle, [F(1, 2), 0]).integral_steps([0, 1]) is None
+
+    def test_outside_span(self):
+        flat = build_config([(1, 0), (1, 0)])
+        assert RelationLine.of(flat, [0, 1]) is None
 
 
 class TestVolumeCrosscheck:
