@@ -52,7 +52,6 @@ from .series import (
     BundleReport,
     LogSeries,
     SolutionBundle,
-    gauss_oracle,
     log_solution,
     phi_series,
     scalar_relation_check,
@@ -98,7 +97,6 @@ __all__ = [
     "f_coefficients",
     "facet_functional",
     "fake_exponents",
-    "gauss_oracle",
     "integer_lift",
     "is_mum",
     "is_mum_holomorphic",

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 internal invariant failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -123,7 +124,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
 
 
 def _rat_list(values) -> list[str]:
-    return [str(Fraction(v)) for v in values]
+    return [str(v) if type(v) in (Fraction, int) else str(Fraction(v)) for v in values]
 
 
 def _exponent_dict(exp) -> dict:
@@ -325,8 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first main call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = _apply_overrides(load_problem(args.input), args)
         report = _COMMANDS[args.command](spec)

@@ -31,7 +31,6 @@ bundle, so no cache outlives the bundle it serves.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 from .errors import DegreeTooLarge, ExcludedCase
@@ -139,46 +138,6 @@ def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[Fraction, ...]]:
         l = target
         out[l] = tuple(Fraction(a[s] * q**s, den) for s in range(s_max + 1))
     return out
-
-
-def coefficient_M_reference(l: int, s: int, v) -> Fraction:
-    """Literal multi-index / subset-sum evaluation of M(l, s, v).
-
-    Exponentially slower than coefficient_M; exists so tests can check the
-    product against the defining sums.
-    """
-    v = Fraction(v)
-    if _is_excluded(l, v):
-        raise ExcludedCase(l, s, v)
-    if l == 0:
-        return Fraction(1) if s == 0 else Fraction(0)
-    if l > 0:
-        total = Fraction(0)
-        for composition in _compositions(s, l):
-            term = Fraction(1)
-            for t, power in enumerate(composition, start=1):
-                term /= (v + t) ** power
-            total += term
-        return (-1) ** s / pochhammer(v + 1, l) * total
-    if s > -l:
-        return Fraction(0)
-    values = [v - t for t in range(-l)]
-    total = Fraction(0)
-    for subset in combinations(values, -l - s):
-        term = Fraction(1)
-        for x in subset:
-            term *= x
-        total += term
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def f_coefficients(v, r: int, l: int) -> dict[int, Fraction]:

@@ -101,6 +101,8 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     if not bounds:
         raise ValueError("not a fake exponent: no integral positive-side entry")
     z0 = max(bounds)
+    if z0 == 0 and isinstance(v, Exponent):
+        return v, 0  # already normalized: same vector, labels and m_support
     return _make_exponent(config, RelationLine(vec, config.relation).at(z0)), z0
 
 

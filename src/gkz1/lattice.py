@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import _linalg
@@ -103,11 +104,11 @@ class LatticeConfig:
         """The relation in canonical order: positive entries first."""
         return tuple(self.relation[p] for p in self.perm)
 
-    @property
+    @cached_property
     def positive(self) -> tuple[int, ...]:
         return tuple(mu for mu in range(self.n) if self.relation[mu] > 0)
 
-    @property
+    @cached_property
     def negative(self) -> tuple[int, ...]:
         return tuple(mu for mu in range(self.n) if self.relation[mu] < 0)
 

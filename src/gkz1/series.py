@@ -22,7 +22,6 @@ from .errors import (
     NotMinimalSupport,
     NotNonresonant,
     RNotLessThanMultiplicity,
-    SigmaIntegral,
 )
 from .exponents import (
     Exponent,
@@ -316,44 +315,6 @@ def solution_bundle(
         bundles=tuple(bundles),
         total_solutions=total,
         expected_total=config.positive_sum,
-    )
-
-
-def gauss_oracle(theta1, theta2, sigma, n_terms: int = 10) -> tuple[LogSeries, LogSeries]:
-    """Directly evaluated hypergeometric coefficient sequences, for oracle use.
-
-    Computes the two classical series attached to the four-point Gauss
-    configuration without touching the series machinery, so tests can
-    cross-validate phi_series against an independent route.  Needs a
-    nonintegral third parameter, otherwise only one series exists.
-    """
-    t1, t2, sg = Fraction(theta1), Fraction(theta2), Fraction(sigma)
-    if sg.denominator == 1:
-        raise SigmaIntegral(f"sigma={sg} is an integer")
-
-    def rising(a: Fraction, m: int) -> Fraction:
-        out = Fraction(1)
-        for i in range(m):
-            out *= a + i
-        return out
-
-    relation = (1, 1, -1, -1)
-    window = (0, n_terms)
-    first_base = (Fraction(0), sg - 1, -t1, -t2)
-    second_base = (1 - sg, Fraction(0), sg - t1 - 1, sg - t2 - 1)
-    first = {
-        (z, 0): rising(t1, z) * rising(t2, z) / (rising(sg, z) * factorial(z))
-        for z in range(n_terms + 1)
-    }
-    second = {
-        (z, 0): rising(t1 - sg + 1, z)
-        * rising(t2 - sg + 1, z)
-        / (rising(2 - sg, z) * factorial(z))
-        for z in range(n_terms + 1)
-    }
-    return (
-        LogSeries.make(first_base, relation, window, first),
-        LogSeries.make(second_base, relation, window, second),
     )
 
 

@@ -1,10 +1,28 @@
 """Machine verification: apply the defining operators to a truncated series.
 
-Derivatives act directly on the (z, log-degree) coefficient grid; the
+Operators act directly on the (z, log-degree) coefficient grid; the
 monomial x^(w0 + z*relation) is never expanded.  A report's safe window
 contains a shift z only when every source term the operator maps into z was
 present in the input window, so "passed" is meaningful despite truncation.
 Residual coefficients are exact rationals and "passed" means literal zero.
+
+The box operator d^ell+ - d^ell- is applied in closed form; no literal
+derivative pass remains.  Since log x0 = sum_mu rel[mu] log x_mu,
+
+    x^w log^r x0 = r! [eps^r] x^(w + eps*rel),
+
+and d/dx_mu lowers x_mu's exponent by one with the factor w_mu + eps*rel[mu].
+So one side's derivative product maps x^w(z) log^r x0, w(z) = w0 + z*rel, to
+
+    sum_{k <= r} (r!/k!) F_z[r-k] x^(w(z) - ell_side) log^k x0,
+    F_z(eps) = prod_{mu on the side} prod_{i < |rel[mu]|} (w_mu(z) - i + eps*rel[mu]),
+
+with F_z truncated at the series' top log degree.  F_z is built once per
+(shift, side) as integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu),
+and meets the coefficients only as one Fraction per (shift, log degree).
+
+This module reads series as data and imports none of the code that builds
+them, so a certificate does not depend on the construction it checks.
 """
 
 from __future__ import annotations
@@ -12,10 +30,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, perm
+from typing import TYPE_CHECKING
 
 from ._linalg import fracs
 from .lattice import LatticeConfig
-from .series import LogSeries
+
+if TYPE_CHECKING:
+    from .series import LogSeries
 
 
 @dataclass(frozen=True)
@@ -53,24 +75,42 @@ def _report(operator, window, safe, residual) -> OperatorReport:
     )
 
 
-def _derivative_step(terms, base, mu, relation):
-    """One application of d/dx_mu on the coefficient grid.
+def _side_image(config, series, side, shifts) -> dict[tuple[int, int], Fraction]:
+    """(z, k) -> coefficient of log^k x0 in d^ell_side of the series' column z.
 
-    d/dx_mu (x^w log^r x0) = w_mu x^(w-e_mu) log^r x0
-                             + r * relation[mu] * x^(w-e_mu) log^(r-1) x0.
+    Only the columns z in shifts are mapped.  The image of column z sits on
+    the monomial x^(w(z) - ell_side).
     """
-    step = relation[mu]
-    out: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    for (z, r), c in terms.items():
-        w = base[mu] + z * step
-        if w:
-            out[(z, r)] += w * c
-        if r:
-            out[(z, r - 1)] += r * step * c
-    new_base = tuple(
-        x - 1 if idx == mu else x for idx, x in enumerate(base)
-    )
-    return {k: v for k, v in out.items() if v}, new_base
+    rel = config.relation
+    top = series.max_log_degree
+    factors = []  # (p, q, rel[mu]) with w0_mu = p/q
+    den = 1
+    for mu in side:
+        w = Fraction(series.base_exponent[mu])
+        factors.append((w.numerator, w.denominator, rel[mu]))
+        den *= w.denominator ** abs(rel[mu])
+    columns: dict[int, dict[int, Fraction]] = defaultdict(dict)
+    for (z, r), c in series.terms.items():
+        if z in shifts:
+            columns[z][r] = c
+    out = {}
+    for z, column in columns.items():
+        # q * (w_mu(z) - i + eps*rel[mu]) = (p + q*(z*rel[mu] - i)) + eps*q*rel[mu]
+        f = [1] + [0] * top
+        for p, q, e in factors:
+            slope = q * e
+            for i in range(abs(e)):
+                c = p + q * (z * e - i)
+                for s in range(top, 0, -1):
+                    f[s] = f[s] * c + f[s - 1] * slope
+                f[0] *= c
+        common = lcm(*(c.denominator for c in column.values()))
+        nums = [(r, c.numerator * (common // c.denominator)) for r, c in column.items()]
+        for k in range(top + 1):
+            total = sum(a * perm(r, r - k) * f[r - k] for r, a in nums if r >= k)
+            if total:
+                out[(z, k)] = Fraction(total, common * den)
+    return out
 
 
 def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
@@ -81,30 +121,17 @@ def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
     matching grid points; the topmost input shift has no checkable partner
     and is excluded from the safe window.
     """
-    rel = config.relation
-    pos_terms, pos_base = dict(series.terms), series.base_exponent
-    for mu in config.positive:
-        for _ in range(rel[mu]):
-            pos_terms, pos_base = _derivative_step(pos_terms, pos_base, mu, rel)
-    neg_terms, neg_base = dict(series.terms), series.base_exponent
-    for mu in config.negative:
-        for _ in range(-rel[mu]):
-            neg_terms, neg_base = _derivative_step(neg_terms, neg_base, mu, rel)
-    assert all(
-        nb - pb == e for nb, pb, e in zip(neg_base, pos_base, rel)
-    ), "derivative products must land one relation step apart"
     lo, hi = series.window
     if hi - 1 < lo:
         return _report("box", series.window, None, {})
-    safe = (lo, hi - 1)
+    positive = _side_image(config, series, config.positive, range(lo + 1, hi + 1))
+    negative = _side_image(config, series, config.negative, range(lo, hi))
     residual: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    for (z, r), c in pos_terms.items():
-        if lo <= z - 1 <= hi - 1:
-            residual[(z - 1, r)] += c
-    for (z, r), c in neg_terms.items():
-        if lo <= z <= hi - 1:
-            residual[(z, r)] -= c
-    return _report("box", series.window, safe, residual)
+    for (z, k), c in positive.items():
+        residual[(z - 1, k)] += c
+    for (z, k), c in negative.items():
+        residual[(z, k)] -= c
+    return _report("box", series.window, (lo, hi - 1), residual)
 
 
 def apply_euler_row(

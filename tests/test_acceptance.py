@@ -12,7 +12,6 @@ from gkz1 import (
     build_config,
     certify,
     exponent_set_prime,
-    gauss_oracle,
     is_mum,
     is_mum_holomorphic,
     is_nonresonant,
@@ -27,6 +26,7 @@ from gkz1 import (
 from gkz1.classify import SingularityType
 
 from conftest import TRIANGLE, CORNER, GAUSS, INTERIOR, random_integral_beta
+from reference import gauss_oracle
 
 
 def _line(number: int, description: str, ok: bool, extra: str = ""):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +170,46 @@ class TestTextFormat:
         assert code == 0
         assert "relation: [1, 1, -2]" in out
         assert "vol: 2" in out
+
+
+class TestParserReuse:
+    def test_calls_match_fresh_parser_runs(self, capsys, monkeypatch, triangle_file):
+        calls = [
+            ("solve", "--input", triangle_file, "--window", "0:4", "--no-verify"),
+            ("solve", "--input", triangle_file, "--window"),  # argparse error
+            ("solve", "--input", triangle_file, "--window", "0:4"),
+            ("exponents", "--input", triangle_file, "--format", "text"),
+            ("bogus", "--input", triangle_file),  # argparse error
+            ("solve", "--input", triangle_file, "--r", "1", "--window", "0:3"),
+            ("analyze", "--input", triangle_file),
+            ("verify", "--input", triangle_file, "--window", "0:3"),
+        ]
+
+        def outcomes():
+            out = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        cached = outcomes()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+        assert cached == outcomes()
+        assert [code for code, _, _ in cached] == [0, ("exit", 2), 0, 0, ("exit", 2), 0, 0, 0]
+
+    def test_parser_not_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        probe = "import gkz1.cli as c; print(c._parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "0"
 
 
 class TestInvalidConfigs:

@@ -94,6 +94,18 @@ class TestNormalize:
         primes = exponent_set_prime(gauss, (-theta1, -theta2, sigma - 1))
         assert vectors(primes.exponents) == [normalized.vector]
 
+    def test_normalized_fake_comes_back_unchanged(self):
+        # a fake exponent already in the normalized set is returned as it is,
+        # equal to the exponent rebuilt from its bare vector
+        rng = random.Random(11)
+        for _ in range(25):
+            config = random_config(rng)
+            for fake in fake_exponents(config, random_integral_beta(rng, config)):
+                normalized, z0 = normalize_to_e_prime(config, fake)
+                rebuilt, z1 = normalize_to_e_prime(config, fake.vector)
+                assert (normalized, z0) == (rebuilt, z1)
+                assert (normalized is fake) == (z0 == 0)
+
     def test_uniqueness_of_shift(self):
         # exactly one shift of each fake exponent lands in the prime set
         rng = random.Random(7)

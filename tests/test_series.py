@@ -9,7 +9,6 @@ from gkz1 import (
     build_config,
     certify,
     exponent_set_prime,
-    gauss_oracle,
     log_solution,
     phi_series,
     scalar_relation_check,
@@ -25,6 +24,7 @@ from gkz1.errors import (
 )
 
 from conftest import random_config, random_nonresonant_beta
+from reference import gauss_oracle
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
 

@@ -1,5 +1,9 @@
 import random
 from fractions import Fraction as F
+from types import ModuleType
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkz1 import (
     LogSeries,
@@ -13,6 +17,7 @@ from gkz1 import (
 )
 
 from conftest import random_config, random_nonresonant_beta
+from reference import literal_box
 
 
 def corrupt(series: LogSeries, key, value) -> LogSeries:
@@ -153,3 +158,79 @@ class TestSafeWindowSoundness:
                 }
                 narrow = LogSeries.make(v, config.relation, (lo, hi), narrow_terms)
                 assert certify(config, beta, narrow).passed
+
+
+@st.composite
+def box_cases(draw):
+    """A random configuration and series on it, plus a once-perturbed copy.
+
+    Base entries mix integers in [0, |rel[mu]|) (where mu's falling factorial
+    vanishes), other integers, negative ones and fractions with q <= 7.  Log
+    degrees go up to 4; a few terms sit just outside the window, which
+    may have lo == hi, and the series may have no terms at all.
+    """
+    config = random_config(random.Random(draw(st.integers(0, 2**32 - 1))))
+
+    def entry(e):
+        return draw(
+            st.one_of(
+                st.integers(0, abs(e) - 1),
+                st.integers(-8, 8),
+                st.integers(-8, -1),
+                st.fractions(min_value=-8, max_value=8, max_denominator=7),
+            )
+        )
+
+    base = [F(entry(e)) for e in config.relation]
+    lo = draw(st.integers(-3, 3))
+    hi = lo + draw(st.integers(0, 4))
+    top = draw(st.integers(0, 4))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(lo - 1, hi + 1), st.integers(0, top)),
+            st.fractions(min_value=-6, max_value=6, max_denominator=9),
+            max_size=12,
+        )
+    )
+    series = LogSeries.make(base, config.relation, (lo, hi), terms)
+    key = (draw(st.integers(lo, hi)), draw(st.integers(0, top)))
+    bump = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    return config, series, corrupt(series, key, series.coefficient(*key) + bump)
+
+
+class TestClosedFormBox:
+    """The closed-form box against literal derivative passes, report for report."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=box_cases())
+    def test_reports_equal_literal_passes(self, case):
+        config, series, perturbed = case
+        for s in (series, perturbed):
+            report = apply_box(config, s)
+            assert report == literal_box(config, s)
+            assert report.passed == (not report.residual)
+
+    def test_bundles_and_corruptions_match(self, triangle, gauss):
+        rng = random.Random(4242)
+        cases = [(triangle, [10, 8], (0, 10)), (gauss, (F(-1, 2), F(-1, 3), F(1)), (-4, 8))]
+        for _ in range(12):
+            config = random_config(rng)
+            cases.append((config, random_nonresonant_beta(rng, config), (-3, 5)))
+        for config, beta, window in cases:
+            report = solution_bundle(config, beta, window=window)
+            for bundle in report.bundles:
+                for series in bundle.solutions:
+                    box = apply_box(config, series)
+                    assert box.passed and box == literal_box(config, series)
+                    key = (rng.randint(*window), rng.randint(0, series.max_log_degree))
+                    broken = corrupt(series, key, series.coefficient(*key) + F(1, 3))
+                    assert apply_box(config, broken) == literal_box(config, broken)
+
+
+def test_certificate_imports_no_builder():
+    # the certificate reads series as data; it shares no code with their builders
+    import gkz1.verify as verify
+
+    names = {getattr(value, "__module__", None) for value in vars(verify).values()}
+    names |= {value.__name__ for value in vars(verify).values() if isinstance(value, ModuleType)}
+    assert not names & {"gkz1.series", "gkz1.coefficients", "gkz1.exponents"}
