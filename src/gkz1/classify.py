@@ -20,7 +20,7 @@ from .errors import (
     NotNonresonant,
 )
 from .exponents import exponent_set_prime
-from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
+from .lattice import LatticeConfig, is_nonresonant, parameter
 
 
 class SingularityType(Enum):
@@ -53,7 +53,7 @@ def _parameter_class_integral_on_positive(config, beta) -> bool:
     is whether some rational t makes every positive-side coordinate an
     integer, an intersection of arithmetic progressions in t.
     """
-    return RelationLine.of(config, beta.beta).integral_steps(config.positive) is not None
+    return beta.line.integral_steps(config.positive) is not None
 
 
 def _parameter_in_negative_span(config, beta) -> bool:

@@ -6,6 +6,13 @@ cross the boundary as exact "p/q" strings; no floats enter anywhere.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 invalid input,
 3 hypothesis violation (e.g. a resonant parameter passed to classify).
+
+Output: the JSON report is exactly ``json.dumps(report, indent=2)``, byte for
+byte, but written by ``_json_text``, not by the standard library: with
+``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
+about one generator step per token.  Reports hold only dicts with str keys,
+lists, tuples, str, int, bool and None; a float or a non-str key is refused
+with TypeError.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .classify import is_mum_holomorphic, singularity_type
@@ -180,10 +188,15 @@ def cmd_exponents(spec: ProblemSpec) -> dict:
     beta = parameter(config, spec.beta)
     fakes = fake_exponents(config, beta)
     primes = normalized_set(config, fakes)
+    # the normalized set keeps every fake it does not shift, as the same
+    # object; such an exponent gets one dict, listed in both places
+    entries = {id(e): _exponent_dict(e) for e in fakes}
     return {
         "beta": _rat_list(beta.beta),
-        "fake_exponents": [_exponent_dict(e) for e in fakes],
-        "prime_exponents": [_exponent_dict(e) for e in primes.exponents],
+        "fake_exponents": list(entries.values()),
+        "prime_exponents": [
+            entries.get(id(e)) or _exponent_dict(e) for e in primes.exponents
+        ],
         "multiplicity_sum": primes.multiplicity_sum,
         "relation_sum": primes.relation_sum,
     }
@@ -302,6 +315,59 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _json_text(report) -> str:
+    """``json.dumps(report, indent=2)``, without the pure-Python encoder.
+
+    One recursive pass that returns each value's text.  The newline-plus-
+    indent string of each depth is made once per call, and a list of only
+    str or only int is one join over the C string encoder or ``int.__repr__``.
+    bool is tested before int, as ``json`` does.  Floats and non-str keys
+    raise TypeError: reports carry rationals as "p/q" strings.
+    """
+    newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
+
+    def text(value, depth: int) -> str:
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            if len(newlines) == depth + 1:
+                newlines.append(newlines[-1] + "  ")
+            parts = []
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                parts.append(_encode_str(key) + ": " + text(item, depth + 1))
+            inner = newlines[depth + 1]
+            return "{" + inner + ("," + inner).join(parts) + newlines[depth] + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            if len(newlines) == depth + 1:
+                newlines.append(newlines[-1] + "  ")
+            first = type(value[0])
+            if first is str and all(type(x) is str for x in value):
+                items = map(_encode_str, value)
+            elif first is int and all(type(x) is int for x in value):
+                items = map(int.__repr__, value)
+            else:
+                items = [text(x, depth + 1) for x in value]
+            inner = newlines[depth + 1]
+            return "[" + inner + ("," + inner).join(items) + newlines[depth] + "]"
+        if isinstance(value, str):
+            return _encode_str(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return text(report, 0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gkz1",
@@ -349,7 +415,7 @@ def main(argv=None) -> int:
     if args.format == "text":
         print(_render_text(report))
     else:
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     return 0
 
 

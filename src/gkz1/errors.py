@@ -55,6 +55,17 @@ class NotInLattice(InputError):
     """A shift vector u is not an integer combination of the columns."""
 
 
+# -- series requests ---------------------------------------------------------
+# Also ValueErrors, which the series functions raised for them before.
+
+class LiftMismatch(InputError, ValueError):
+    """An explicit integer lift has the wrong length or does not produce u."""
+
+
+class NegativeDegree(InputError, ValueError):
+    """A requested log degree r is negative."""
+
+
 # -- hypothesis violations --------------------------------------------------
 
 class NotNonresonant(HypothesisError):

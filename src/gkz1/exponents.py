@@ -6,13 +6,23 @@ combination equals the parameter.  These are the fake exponents.  Discarding
 those with a negative integer in a positive-side coordinate and deduplicating
 gives the normalized set, whose multiplicities (number of positive-side
 nonnegative-integer coordinates) always sum to the positive relation sum.
+
+Every fake exponent lies on the parameter's relation line w + t*relation,
+at t = (b - w[mu]) / relation[mu].  Coordinate 0 of the point at t is
+w[0] + t*relation[0], and relation[0] > 0, so it strictly increases with t:
+ordering the vectors lexicographically is ordering them by t, and two
+vectors are equal exactly when their t are.  With D the common denominator
+of w and L the lcm of the positive relation entries, every such t is an
+integer k over D*L, so the exponents are sorted, merged and normalized as
+integer keys k, and each coordinate (w[i]*D*L + k*relation[i]) / (D*L) is
+built once from its integer numerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from ._linalg import Vector, fracs
 from .errors import CountMismatch, InternalInvariantError, NotInLattice, NotNonresonant
@@ -56,19 +66,71 @@ def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     return frozenset(mu for mu in config.positive if _is_nonneg_int(vec[mu]))
 
 
-def _labels(config: LatticeConfig, vec: Vector) -> tuple[tuple[int, int], ...]:
-    out = []
-    for mu in config.positive:
-        x = vec[mu]
-        if x.denominator == 1 and 0 <= x < config.relation[mu]:
-            out.append((mu, int(x)))
-    return tuple(out)
+class _Grid:
+    """The points base + (k / den) * relation of a relation line, k an integer.
 
+    den = D*L, with D the common denominator of the base point and L the lcm
+    of the positive relation entries, and offsets holds the base point's
+    numerators over den.  The point whose positive-side coordinate mu is an
+    integer b lies at k = (b*den - offsets[mu]) / relation[mu], an integer
+    because relation[mu] divides L.  So every fake exponent of the line has
+    an integer key, and so does every shift of one by whole relation steps
+    (k + z*den).
+    """
 
-def _make_exponent(config: LatticeConfig, vec: Vector) -> Exponent:
-    return Exponent(
-        vector=vec, labels=_labels(config, vec), m_support=m_support(config, vec)
-    )
+    def __init__(self, config: LatticeConfig, base: Vector):
+        self.relation = config.relation
+        self.positive = config.positive
+        self.den = lcm(*(x.denominator for x in base)) * lcm(
+            *(self.relation[mu] for mu in self.positive)
+        )
+        self.offsets = tuple(x.numerator * (self.den // x.denominator) for x in base)
+
+    def keys(self) -> set[int]:
+        """The keys of the points (mu, b) for mu positive and 0 <= b < relation[mu]."""
+        out: set[int] = set()
+        for mu in self.positive:
+            e, a = self.relation[mu], self.offsets[mu]
+            out.update(range(-a // e, (e * self.den - a) // e, self.den // e))
+        return out
+
+    def key_of(self, vec: Vector) -> int:
+        """The key of a point of the line, read off its coordinate 0."""
+        x = vec[0]
+        scaled, r = divmod(x.numerator * self.den, x.denominator)
+        k, r2 = divmod(scaled - self.offsets[0], self.relation[0])
+        if r or r2:
+            raise ValueError(f"not a fake exponent of this line: {vec}")
+        return k
+
+    def shift(self, k: int) -> int:
+        """The least z making no positive-side coordinate at k + z*den a negative integer."""
+        bounds = []
+        for mu in self.positive:
+            q, r = divmod(self.offsets[mu] + k * self.relation[mu], self.den)
+            if not r:
+                bounds.append(-(q // self.relation[mu]))
+        if not bounds:
+            raise ValueError("not a fake exponent: no integral positive-side entry")
+        return max(bounds)
+
+    def exponent(self, k: int) -> Exponent:
+        """The point at key k, with its labels and m_support from the numerators."""
+        den, rel = self.den, self.relation
+        nums = [a + k * e for a, e in zip(self.offsets, rel)]
+        labels = []
+        support = []
+        for mu in self.positive:
+            q, r = divmod(nums[mu], den)
+            if not r and q >= 0:
+                support.append(mu)
+                if q < rel[mu]:
+                    labels.append((mu, q))
+        return Exponent(
+            vector=tuple(Fraction(x, den) for x in nums),
+            labels=tuple(labels),
+            m_support=frozenset(support),
+        )
 
 
 def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
@@ -76,13 +138,8 @@ def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
 
     Sorted lexicographically by coordinates, so output order is stable.
     """
-    line = RelationLine.of(config, parameter(config, beta).beta)
-    found = {
-        line.through(mu, b): None
-        for mu in config.positive
-        for b in range(config.relation[mu])
-    }
-    return [_make_exponent(config, vec) for vec in sorted(found)]
+    grid = _Grid(config, parameter(config, beta).line.point)
+    return [grid.exponent(k) for k in sorted(grid.keys())]
 
 
 def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
@@ -93,17 +150,11 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     integer.
     """
     vec = exponent_vector(v)
-    bounds = [
-        ceil(Fraction(-vec[mu], config.relation[mu]))
-        for mu in config.positive
-        if vec[mu].denominator == 1
-    ]
-    if not bounds:
-        raise ValueError("not a fake exponent: no integral positive-side entry")
-    z0 = max(bounds)
+    grid = _Grid(config, vec)
+    z0 = grid.shift(0)
     if z0 == 0 and isinstance(v, Exponent):
         return v, 0  # already normalized: same vector, labels and m_support
-    return _make_exponent(config, RelationLine(vec, config.relation).at(z0)), z0
+    return grid.exponent(z0 * grid.den), z0
 
 
 @dataclass(frozen=True)
@@ -121,12 +172,26 @@ def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
 
 
 def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
-    """The normalized set of a parameter's fake exponents, count law enforced."""
-    seen: dict[Vector, Exponent] = {}
+    """The normalized set of a parameter's fake exponents, count law enforced.
+
+    The fakes lie on one relation line; each is shifted by the z0 of
+    normalize_to_e_prime, and the results are merged and ordered by key.
+    """
+    grid = None
+    found: dict[int, Exponent] = {}
     for v in fakes:
-        normalized, _ = normalize_to_e_prime(config, v)
-        seen[normalized.vector] = normalized
-    exponents = tuple(seen[key] for key in sorted(seen))
+        vec = exponent_vector(v)
+        if grid is None:
+            grid = _Grid(config, vec)
+        k = grid.key_of(vec)
+        z0 = grid.shift(k)
+        if z0 == 0 and isinstance(v, Exponent):
+            found[k] = v
+        else:
+            k += z0 * grid.den
+            if k not in found:
+                found[k] = grid.exponent(k)
+    exponents = tuple(found[k] for k in sorted(found))
     total = sum(e.multiplicity for e in exponents)
     expected = config.positive_sum
     if total != expected:

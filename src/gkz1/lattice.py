@@ -171,9 +171,14 @@ class RelationLine:
 
 @dataclass(frozen=True)
 class Parameter:
-    """A rational parameter vector lying in the span of the columns."""
+    """A rational parameter vector lying in the span of the columns.
+
+    ``line`` is the relation line of its solutions, kept from the solve
+    that validated the parameter.
+    """
 
     beta: Vector
+    line: RelationLine = field(repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.beta)
@@ -296,15 +301,20 @@ def facet_functional(config: LatticeConfig, i: int, j: int) -> FacetFunctional:
 
 
 def parameter(config: LatticeConfig, beta) -> Parameter:
-    """Validate that beta is a rational combination of the columns."""
+    """Validate that beta is a rational combination of the columns.
+
+    One solve does it: the line of solutions exists exactly when beta is in
+    the span, and the parameter keeps it.
+    """
     if isinstance(beta, Parameter):
         return beta
     vec = fracs(beta)
     if len(vec) != config.dim:
         raise BetaNotInSpan(f"parameter has length {len(vec)}, expected {config.dim}")
-    if _linalg.solve_columns(config.columns, vec) is None:
+    line = RelationLine.of(config, vec)
+    if line is None:
         raise BetaNotInSpan(f"{vec} is not in the span of the columns")
-    return Parameter(beta=vec)
+    return Parameter(beta=vec, line=line)
 
 
 def facet_pairs(config: LatticeConfig):

@@ -18,7 +18,9 @@ from ._linalg import Vector, fracs
 from .coefficients import coefficient_M, coefficient_run
 from .errors import (
     HypothesisViolated,
+    LiftMismatch,
     MismatchDetected,
+    NegativeDegree,
     NotMinimalSupport,
     NotNonresonant,
     RNotLessThanMultiplicity,
@@ -191,6 +193,13 @@ def _assemble(config, vec, lift, r, window, verdicts, runs, phi_cache) -> LogSer
     return LogSeries.make(base, rel, window, acc)
 
 
+def _checked_lift(config: LatticeConfig, u_lift) -> tuple[int, ...]:
+    lift = tuple(int(x) for x in u_lift)
+    if len(lift) != config.n:
+        raise LiftMismatch(f"lift has length {len(lift)}, expected {config.n}")
+    return lift
+
+
 def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> LogSeries:
     """The formal log solution of degree r attached to a normalized exponent.
 
@@ -198,8 +207,10 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
     minimal negative support on every index set missing at most r columns;
     the failing sets are reported otherwise.
     """
+    if r < 0:
+        raise NegativeDegree(f"requested log degree r={r} is negative")
     vec = exponent_vector(v)
-    lift = tuple(int(x) for x in u_lift)
+    lift = _checked_lift(config, u_lift)
     mv = len(m_support(config, vec))
     if r >= mv:
         raise RNotLessThanMultiplicity(f"r={r} but multiplicity is {mv}")
@@ -258,10 +269,10 @@ def solution_bundle(
     """
     beta = parameter(config, beta)
     if u_lift is not None:
-        lift = tuple(int(x) for x in u_lift)
+        lift = _checked_lift(config, u_lift)
         u_vec = config.column_combination(lift)
         if u is not None and fracs(u) != u_vec:
-            raise ValueError("explicit lift does not produce the given u")
+            raise LiftMismatch("explicit lift does not produce the given u")
     elif u is not None:
         lift = integer_lift(config, u)
         u_vec = fracs(u)

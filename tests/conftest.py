@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -62,6 +63,27 @@ def random_config(rng, max_entry=4, max_n=5, max_d=4):
             return build_config(columns)
         except GkzError:
             continue
+
+
+def random_relation_config(rng, max_relation=30, max_n=5):
+    """Random valid configuration whose relation has entries up to max_relation.
+
+    Generated from the relation l: the rows l[j]*e_0 - l[0]*e_j are
+    orthogonal to l and independent, so the points they make have the
+    kernel spanned by l; a unimodular mix of the rows varies the points.
+    """
+    n = rng.randint(2, max_n)
+    while True:
+        rel = [rng.choice([-1, 1]) * rng.randint(1, max_relation) for _ in range(n)]
+        if gcd(*rel) == 1:
+            break
+    rows = [[rel[j] if t == 0 else -rel[0] if t == j else 0 for t in range(n)]
+            for j in range(1, n)]
+    for i in range(1, n - 1):
+        for k in range(i):
+            factor = rng.randint(-1, 1)
+            rows[i] = [a + factor * b for a, b in zip(rows[i], rows[k])]
+    return build_config([list(col) for col in zip(*rows)])
 
 
 def random_nonresonant_beta(rng, config):

@@ -8,7 +8,10 @@ arithmetic with the route it checks:
 - ``coefficient_M_reference`` evaluates M(l, s, v) by its multi-index and
   subset sums;
 - ``gauss_oracle`` evaluates the two classical Gauss series by rising
-  factorials.
+  factorials;
+- ``fake_exponents_reference`` and ``normalized_set_reference`` find the
+  exponents as whole ``Fraction`` vectors on the relation line, merged by
+  hashing and ordered by sorting the vectors.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import ceil, factorial
 
-from gkz1 import LogSeries, pochhammer
+from gkz1 import Exponent, LogSeries, pochhammer
 from gkz1.errors import ExcludedCase, SigmaIntegral
+from gkz1.lattice import RelationLine
 from gkz1.verify import OperatorReport
 
 
@@ -155,3 +159,41 @@ def gauss_oracle(theta1, theta2, sigma, n_terms: int = 10) -> tuple[LogSeries, L
         LogSeries.make(first_base, relation, window, first),
         LogSeries.make(second_base, relation, window, second),
     )
+
+
+def _exponent_reference(config, vec) -> Exponent:
+    """The exponent at a vector, labels and m_support read off its Fractions."""
+    integral = [
+        (mu, vec[mu]) for mu in config.positive
+        if vec[mu].denominator == 1 and vec[mu] >= 0
+    ]
+    return Exponent(
+        vector=vec,
+        labels=tuple((mu, int(x)) for mu, x in integral if x < config.relation[mu]),
+        m_support=frozenset(mu for mu, _ in integral),
+    )
+
+
+def fake_exponents_reference(config, beta) -> list[Exponent]:
+    """The point of the relation line through each (mu, b), sorted as vectors."""
+    line = RelationLine.of(config, [Fraction(x) for x in beta])
+    found = {
+        line.through(mu, b): None
+        for mu in config.positive
+        for b in range(config.relation[mu])
+    }
+    return [_exponent_reference(config, vec) for vec in sorted(found)]
+
+
+def normalized_set_reference(config, fakes) -> tuple[Exponent, ...]:
+    """Each fake shifted by its least admissible z0, merged and sorted as vectors."""
+    rel = config.relation
+    seen = {}
+    for fake in fakes:
+        vec = fake.vector
+        z0 = max(
+            ceil(-vec[mu] / rel[mu]) for mu in config.positive if vec[mu].denominator == 1
+        )
+        shifted = tuple(x + z0 * e for x, e in zip(vec, rel))
+        seen[shifted] = _exponent_reference(config, shifted)
+    return tuple(seen[key] for key in sorted(seen))

@@ -1,15 +1,22 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkz1 import cli
-from gkz1.cli import main
+from gkz1.cli import ProblemSpec, main
 from gkz1.errors import GkzError
 from gkz1.series import LogSeries
+
+from conftest import random_config, random_nonresonant_beta
 
 TRIANGLE_PROBLEM = {
     "A": [[1, 0], [1, 2], [1, 1]],
@@ -212,6 +219,28 @@ class TestParserReuse:
         assert result.stdout.strip() == "0"
 
 
+class TestBadSolveRequests:
+    # each once ended in a traceback with exit code 1
+    @pytest.mark.parametrize("flags", [
+        ["--r", "-1"],
+        ["--lift", "1,2"],
+        ["--u", "1,1", "--lift", "0,0,0"],
+    ])
+    def test_exit_code_2_with_one_line(self, tmp_path, flags):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8]}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "gkz1.cli", "solve", "--input", str(path), *flags],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("input error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
 class TestInvalidConfigs:
     def test_dependent_subset_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "dep.json"
@@ -237,6 +266,8 @@ EXIT_CODES = {
     "BetaNotInSpan": 2,
     "NotInLattice": 2,
     "DegreeTooLarge": 2,
+    "LiftMismatch": 2,
+    "NegativeDegree": 2,
     "HypothesisError": 3,
     "NotNonresonant": 3,
     "IrregularSingularity": 3,
@@ -267,3 +298,63 @@ def test_every_error_class_has_its_exit_code(capsys, monkeypatch, triangle_file)
         monkeypatch.setattr(cli, "load_problem", fail)
         code, _, _ = run(capsys, "analyze", "--input", triangle_file)
         assert code == EXIT_CODES[name], name
+
+
+# -- the JSON writer: exactly json.dumps(value, indent=2) ----------------------
+
+_CHARS = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\uffff\U0001f600\ud800'),
+    st.characters(),
+)
+_TEXT = st.text(alphabet=_CHARS, max_size=6)
+_INTS = st.integers() | st.integers(min_value=-10**80, max_value=10**80)
+_SCALARS = st.none() | st.booleans() | _INTS | _TEXT
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.lists(_INTS | st.booleans(), max_size=4)
+        | st.lists(_TEXT, max_size=4)
+        | st.lists(st.lists(_INTS, max_size=2) | st.just({}), max_size=3)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.recursive(_SCALARS, _containers, max_leaves=25))
+def test_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_writer_matches_json_dumps_on_every_report(seed):
+    rng = random.Random(seed)
+    config = random_config(rng)
+    spec = ProblemSpec(
+        points=[list(col) for col in config.columns],
+        beta=list(random_nonresonant_beta(rng, config)),
+        window=(-1, 3),
+        r=0,
+    )
+    for command in cli._COMMANDS.values():
+        try:
+            report = command(replace(spec))
+        except GkzError:
+            continue
+        assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5,
+    {"a": [0, 0.5]},
+    {1: "one"},
+    {"a": {None: 1}},
+    [{("a",): 1}],
+    Fraction(1, 2),
+])
+def test_writer_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

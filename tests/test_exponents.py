@@ -19,8 +19,15 @@ from gkz1 import (
     support_verdict,
 )
 from gkz1.errors import NotInLattice, NotNonresonant
+from gkz1.exponents import normalized_set
 
-from conftest import random_config, random_nonresonant_beta, random_integral_beta
+from conftest import (
+    random_config,
+    random_integral_beta,
+    random_nonresonant_beta,
+    random_relation_config,
+)
+from reference import fake_exponents_reference, normalized_set_reference
 
 
 def vectors(exponents):
@@ -72,6 +79,48 @@ def test_fake_exponents_match_reference_solves(seed):
     for e in fakes:
         assert e.labels == tuple(reference[e.vector])
         assert config.column_combination(e.vector) == tuple(beta)
+
+
+@st.composite
+def configs_and_parameters(draw):
+    """A configuration and a parameter in its span.
+
+    Half the configurations have relation entries up to 30.  The weights of
+    the parameter have denominators up to 10**6, except that half the time
+    the positive-side weights are integers, which puts integers at several
+    positive-side coordinates at once, so labels of different columns merge.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    config = random_relation_config(rng) if draw(st.booleans()) else random_config(rng)
+    integral_positive = draw(st.booleans())
+    weights = []
+    for mu in range(config.n):
+        if integral_positive and config.relation[mu] > 0:
+            weights.append(F(draw(st.integers(min_value=-40, max_value=40))))
+        else:
+            weights.append(F(
+                draw(st.integers(min_value=-10**7, max_value=10**7)),
+                draw(st.integers(min_value=1, max_value=10**6)),
+            ))
+    return config, config.column_combination(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=configs_and_parameters())
+def test_keyed_exponents_match_the_fraction_route(case):
+    # same exponents, in the same order, with the same vector, labels and
+    # m_support as the route through whole Fraction vectors
+    config, beta = case
+    fakes = fake_exponents(config, beta)
+    reference = fake_exponents_reference(config, beta)
+    assert fakes == reference
+    assert all(type(x) is F for e in fakes for x in e.vector)
+    assert normalized_set(config, fakes).exponents == normalized_set_reference(
+        config, reference
+    )
+    for fake in fakes:
+        normalized, _ = normalize_to_e_prime(config, fake.vector)
+        assert (normalized,) == normalized_set_reference(config, [fake])
 
 
 class TestNormalize:
