@@ -16,12 +16,7 @@ from .classify import (
     is_mum_holomorphic,
     singularity_type,
 )
-from .coefficients import (
-    coefficient_M,
-    elementary_symmetric,
-    f_coefficients,
-    pochhammer,
-)
+from .coefficients import coefficient_M
 from .exponents import (
     Exponent,
     IntervalSet,
@@ -92,9 +87,7 @@ __all__ = [
     "certify",
     "classify",
     "coefficient_M",
-    "elementary_symmetric",
     "exponent_set_prime",
-    "f_coefficients",
     "facet_functional",
     "fake_exponents",
     "integer_lift",
@@ -108,7 +101,6 @@ __all__ = [
     "normalize_to_e_prime",
     "parameter",
     "phi_series",
-    "pochhammer",
     "scalar_relation_check",
     "singularity_type",
     "solution_bundle",

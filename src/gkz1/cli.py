@@ -62,6 +62,12 @@ def _int(value, field: str) -> int:
     return value
 
 
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{field}: expected a list, got {value!r}")
+    return value
+
+
 def load_problem(path: str) -> ProblemSpec:
     file_path = Path(path)
     if not file_path.exists():
@@ -84,14 +90,19 @@ def load_problem(path: str) -> ProblemSpec:
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
     points = [
-        [_int(x, f"A[{i}]") for x in col] for i, col in enumerate(data["A"])
+        [_int(x, f"A[{i}]") for x in _list(col, f"A[{i}]")]
+        for i, col in enumerate(_list(data["A"], "A"))
     ]
-    beta = [_rational(x, f"beta[{i}]") for i, x in enumerate(data["beta"])]
+    beta = [
+        _rational(x, f"beta[{i}]") for i, x in enumerate(_list(data["beta"], "beta"))
+    ]
     spec = ProblemSpec(points=points, beta=beta)
     if "u" in data:
-        spec.u = [_rational(x, f"u[{i}]") for i, x in enumerate(data["u"])]
+        spec.u = [_rational(x, f"u[{i}]") for i, x in enumerate(_list(data["u"], "u"))]
     if "lift" in data:
-        spec.lift = [_int(x, f"lift[{i}]") for i, x in enumerate(data["lift"])]
+        spec.lift = [
+            _int(x, f"lift[{i}]") for i, x in enumerate(_list(data["lift"], "lift"))
+        ]
     if "window" in data:
         window = data["window"]
         if not (isinstance(window, (list, tuple)) and len(window) == 2):
@@ -399,7 +410,26 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the exit code.
+
+    Exact coefficients can have more digits than Python's limit on int-to-str
+    conversion allows.  Where that limit exists (sys.set_int_max_str_digits),
+    it is lifted while the command runs and writes its report, and restored
+    afterwards, so the output never depends on it.
+    """
     args = _parser().parse_args(argv)
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(args)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(args)
+    finally:
+        set_limit(limit)
+
+
+def _run(args) -> int:
     try:
         spec = _apply_overrides(load_problem(args.input), args)
         report = _COMMANDS[args.command](spec)

@@ -33,40 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegreeTooLarge, ExcludedCase
-
-
-def pochhammer(v, l: int) -> Fraction:
-    """Rising factorial v(v+1)...(v+l-1); empty product is 1."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    v = Fraction(v)
-    result = Fraction(1)
-    for t in range(l):
-        result *= v + t
-    return result
-
-
-def falling_factorial(r: int, s: int) -> int:
-    result = 1
-    for t in range(s):
-        result *= r - t
-    return result
-
-
-def elementary_symmetric(tau: int, values) -> Fraction:
-    """Degree-tau elementary symmetric polynomial of the given rationals."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    values = [Fraction(x) for x in values]
-    if tau > len(values):
-        raise DegreeTooLarge(f"degree {tau} in {len(values)} variables")
-    e = [Fraction(0)] * (tau + 1)
-    e[0] = Fraction(1)
-    for x in values:
-        for t in range(min(tau, len(values)), 0, -1):
-            e[t] += x * e[t - 1]
-    return e[tau]
+from .errors import ExcludedCase
 
 
 def _is_excluded(l: int, v: Fraction) -> bool:
@@ -138,17 +105,3 @@ def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[Fraction, ...]]:
         l = target
         out[l] = tuple(Fraction(a[s] * q**s, den) for s in range(s_max + 1))
     return out
-
-
-def f_coefficients(v, r: int, l: int) -> dict[int, Fraction]:
-    """Log-basis coefficients of the l-th iterate of t^v log^r t.
-
-    Entry s holds the coefficient of log^(r-s) t over the monomial t^(v+l),
-    namely M(l, s, v) * r(r-1)...(r-s+1).
-    """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    v = Fraction(v)
-    return {
-        s: coefficient_M(l, s, v) * falling_factorial(r, s) for s in range(r + 1)
-    }

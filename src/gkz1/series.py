@@ -8,11 +8,11 @@ coefficient is the exact value of the full series at that grid point, so a
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from itertools import combinations
+from math import lcm, perm
 
 from ._linalg import Vector, fracs
 from .coefficients import coefficient_M, coefficient_run
@@ -97,28 +97,32 @@ class LogSeries:
         )
 
 
-def _column_runs(config, vec, lift, window, verdicts, s_max: int) -> list[dict]:
-    """One coefficient run per column, covering every member z of the verdicts.
-
-    Column mu needs M(lift[mu] + z*relation[mu], s, vec[mu]) for s up to
-    s_max at each of those z, which is exactly what the blocks built from the
-    verdicts evaluate.
-    """
-    rel = config.relation
+def _members(verdicts, window) -> list[int]:
+    """Every shift inside the window that lies in some verdict's membership."""
     members = set()
     for verdict in verdicts:
         members.update(verdict.membership.clip(*window))
+    return sorted(members)
+
+
+def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:
+    """One coefficient run per column, covering every member z.
+
+    Column mu needs M(lift[mu] + z*relation[mu], s, vec[mu]) for s up to
+    s_max at each member z.
+    """
+    rel = config.relation
     return [
         coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], s_max)
         for mu in range(config.n)
     ]
 
 
-def _phi_coefficients(config, lift, rho, verdict, window, runs) -> dict[int, Fraction]:
+def _phi_coefficients(config, lift, rho, members, runs) -> dict[int, Fraction]:
     """z -> coefficient of the log-free series for the multiset rho."""
     rel = config.relation
     out: dict[int, Fraction] = {}
-    for z in verdict.membership.clip(*window):
+    for z in members:
         c = Fraction(1)
         for mu in range(config.n):
             c *= runs[mu][lift[mu] + z * rel[mu]][rho.get(mu, 0)]
@@ -141,10 +145,10 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     verdict = support_verdict(config, vec, indices, lift)
     if not verdict.minimal:
         raise NotMinimalSupport(indices, lift)
-    runs = _column_runs(config, vec, lift, window, [verdict], max(rho.values(), default=0))
+    members = verdict.membership.clip(*window)
+    runs = _column_runs(config, vec, lift, members, max(rho.values(), default=0))
     terms = {
-        (z, 0): c
-        for z, c in _phi_coefficients(config, lift, rho, verdict, window, runs).items()
+        (z, 0): c for z, c in _phi_coefficients(config, lift, rho, members, runs).items()
     }
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries.make(base, config.relation, window, terms)
@@ -163,34 +167,70 @@ def _hypothesis_verdicts(config, vec, lift, r) -> dict[frozenset, SupportVerdict
     return verdicts
 
 
-def _assemble(config, vec, lift, r, window, verdicts, runs, phi_cache) -> LogSeries:
-    """Evaluate the degree-r log solution from its building blocks.
+def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple[Fraction, ...]]:
+    """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
-    The sum over length-s index sequences collapses to one over multisets
-    with total weight r(r-1)...(r-s+1) times the product of signed relation
-    entries: expanding the product of iterated integrals, each slot that
-    sheds all its logs contributes a falling factorial of its multiplicity,
-    which exactly cancels the 1/multiplicity! of the multiset ordering count.
+    C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
+    with l_mu(z) = lift[mu] + z*rel[mu], the product of the Gamma ratios of
+    gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top.  Each factor
+    is one row of its column's run, put over its own common denominator, so
+    the product runs in integers and meets Fraction once per (z, s).
     """
     rel = config.relation
-    acc: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    runs = _column_runs(config, vec, lift, members, top)
+    powers = [[e**s for s in range(top + 1)] for e in rel]
+    out = {}
+    for z in members:
+        num = [1] + [0] * top
+        den = 1
+        for mu in range(config.n):
+            row = runs[mu][lift[mu] + z * rel[mu]]
+            d = lcm(*[c.denominator for c in row])
+            f = [c.numerator * (d // c.denominator) * p for c, p in zip(row, powers[mu])]
+            for s in range(top, -1, -1):
+                t = num[s] * f[0]
+                for i in range(s):
+                    t += num[i] * f[s - i]
+                num[s] = t
+            den *= d
+        out[z] = tuple(Fraction(c, den) for c in num)
+    return out
+
+
+def _assemble(config, vec, lift, r, window, products) -> LogSeries:
+    """Write the degree-r log solution from the eps-products of its bundle.
+
+    The paper's degree-r solution sums, over multisets rho of columns of size
+    s <= r, the product of iterated integrals of rho with total weight
+    r!/(r-s)! * prod_mu rel[mu]^rho[mu] on log^(r-s) x0.  Expanding
+    C(z, eps) = prod_mu P_mu(z, eps), with P_mu the rel[mu]-scaled Gamma
+    ratio of column mu, collects each multiset's product exactly once, so
+
+        c[(z, r-s)] = r!/(r-s)! * [eps^s] C(z, eps),
+
+    the Frobenius eps-derivative of the Gamma series: the solution is
+    r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), and x^(eps*rel) carries
+    log^k x0 / k! at eps^k.  products needs entries up to eps^r at the
+    members z of the bundle's verdicts.
+
+    The paper restricts each multiset rho, supported on S, to the shifts in
+    membership(S); the product here runs over every member z of the bundle
+    instead, and that changes no value.  Let w = v + l.  For z outside
+    membership(S) some column mu not in S, where rho[mu] = 0, either
+    (i) has v_mu a nonnegative integer and w_mu(z) < 0, so
+    M(l, 0, v) = prod_{k=l+1}^{0} (v+k) holds the factor k = -v_mu and
+    vanishes; or (ii) has v_mu a negative integer and w_mu(z) >= 0, so
+    l > 0 lies in the excluded strip, and building the run of column mu,
+    which covers every member z, has already raised ExcludedCase.
+    """
+    terms = {}
     for s in range(r + 1):
-        count = comb(r, s) * factorial(s)  # = r(r-1)...(r-s+1)
-        for q in combinations_with_replacement(range(config.n), s):
-            rho = Counter(q)
-            support = frozenset(rho)
-            key = tuple(sorted(q))
-            if key not in phi_cache:
-                phi_cache[key] = _phi_coefficients(
-                    config, lift, rho, verdicts[support], window, runs
-                )
-            weight = 1
-            for mu, m in rho.items():
-                weight *= rel[mu] ** m
-            for z, c in phi_cache[key].items():
-                acc[(z, r - s)] += count * weight * c
+        weight = perm(r, s)
+        for z, column in products.items():
+            if column[s]:
+                terms[(z, r - s)] = weight * column[s]
     base = tuple(x + l for x, l in zip(vec, lift))
-    return LogSeries.make(base, rel, window, acc)
+    return LogSeries.make(base, config.relation, window, terms)
 
 
 def _checked_lift(config: LatticeConfig, u_lift) -> tuple[int, ...]:
@@ -222,8 +262,8 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
     ]
     if failing:
         raise HypothesisViolated(failing)
-    runs = _column_runs(config, vec, lift, window, verdicts.values(), r)
-    return _assemble(config, vec, lift, r, window, verdicts, runs, {})
+    products = _epsilon_products(config, vec, lift, _members(verdicts.values(), window), r)
+    return _assemble(config, vec, lift, r, window, products)
 
 
 @dataclass(frozen=True)
@@ -291,12 +331,13 @@ def solution_bundle(
             if not verdict.minimal
         ]
         r_top = mv - 1 if not failing_sizes else min(failing_sizes) - 1
-        # the blocks of every degree share one run per column and one cache
+        # the solutions of every degree share one eps-product per shift
         used = [verdict for support, verdict in verdicts.items() if len(support) <= r_top]
-        runs = _column_runs(config, exp.vector, lift, window, used, max(r_top, 0))
-        phi_cache: dict = {}
+        products = _epsilon_products(
+            config, exp.vector, lift, _members(used, window), max(r_top, 0)
+        )
         solutions = tuple(
-            _assemble(config, exp.vector, lift, r, window, verdicts, runs, phi_cache)
+            _assemble(config, exp.vector, lift, r, window, products)
             for r in range(r_top + 1)
         )
         failures = tuple(

@@ -11,20 +11,74 @@ arithmetic with the route it checks:
   factorials;
 - ``fake_exponents_reference`` and ``normalized_set_reference`` find the
   exponents as whole ``Fraction`` vectors on the relation line, merged by
-  hashing and ordered by sorting the vectors.
+  hashing and ordered by sorting the vectors;
+- ``log_solution_reference`` sums the degree-r log solution over every
+  multiset of columns, each restricted to its own support's membership.
+
+The scalar helpers ``pochhammer``, ``falling_factorial``,
+``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
+by their textbook formulas; only tests use them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import ceil, factorial
 
-from gkz1 import Exponent, LogSeries, pochhammer
-from gkz1.errors import ExcludedCase, SigmaIntegral
+from gkz1 import Exponent, LogSeries, coefficient_M, support_verdict
+from gkz1.coefficients import coefficient_run
+from gkz1.errors import DegreeTooLarge, ExcludedCase, SigmaIntegral
 from gkz1.lattice import RelationLine
 from gkz1.verify import OperatorReport
+
+
+def pochhammer(v, l: int) -> Fraction:
+    """Rising factorial v(v+1)...(v+l-1); empty product is 1."""
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    v = Fraction(v)
+    result = Fraction(1)
+    for t in range(l):
+        result *= v + t
+    return result
+
+
+def falling_factorial(r: int, s: int) -> int:
+    result = 1
+    for t in range(s):
+        result *= r - t
+    return result
+
+
+def elementary_symmetric(tau: int, values) -> Fraction:
+    """Degree-tau elementary symmetric polynomial of the given rationals."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    values = [Fraction(x) for x in values]
+    if tau > len(values):
+        raise DegreeTooLarge(f"degree {tau} in {len(values)} variables")
+    e = [Fraction(0)] * (tau + 1)
+    e[0] = Fraction(1)
+    for x in values:
+        for t in range(min(tau, len(values)), 0, -1):
+            e[t] += x * e[t - 1]
+    return e[tau]
+
+
+def f_coefficients(v, r: int, l: int) -> dict[int, Fraction]:
+    """Log-basis coefficients of the l-th iterate of t^v log^r t.
+
+    Entry s holds the coefficient of log^(r-s) t over the monomial t^(v+l),
+    namely M(l, s, v) * r(r-1)...(r-s+1).
+    """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    v = Fraction(v)
+    return {
+        s: coefficient_M(l, s, v) * falling_factorial(r, s) for s in range(r + 1)
+    }
 
 
 def _derivative_step(terms, base, mu, relation):
@@ -197,3 +251,41 @@ def normalized_set_reference(config, fakes) -> tuple[Exponent, ...]:
         shifted = tuple(x + z0 * e for x, e in zip(vec, rel))
         seen[shifted] = _exponent_reference(config, shifted)
     return tuple(seen[key] for key in sorted(seen))
+
+
+def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
+    """The degree-r log solution as the literal sum over multisets of columns.
+
+    Each multiset rho of size s <= r, supported on S, contributes
+    r!/(r-s)! * prod_mu rel[mu]^rho[mu] * M(l_mu(z), rho[mu], v_mu) on
+    log^(r-s) x0 at every shift z in the membership of its own verdict, the
+    one for the index set missing S.  The M values come from one
+    coefficient run per column over all those shifts.
+    """
+    rel = config.relation
+    everything = frozenset(range(config.n))
+    memberships = {}
+    for size in range(r + 1):
+        for support in combinations(range(config.n), size):
+            verdict = support_verdict(config, vec, everything - frozenset(support), lift)
+            memberships[frozenset(support)] = verdict.membership.clip(*window)
+    members = sorted({z for zs in memberships.values() for z in zs})
+    runs = [
+        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], r)
+        for mu in range(config.n)
+    ]
+    acc: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for s in range(r + 1):
+        count = falling_factorial(r, s)
+        for q in combinations_with_replacement(range(config.n), s):
+            rho = Counter(q)
+            weight = count
+            for mu, m in rho.items():
+                weight *= rel[mu] ** m
+            for z in memberships[frozenset(rho)]:
+                c = Fraction(weight)
+                for mu in range(config.n):
+                    c *= runs[mu][lift[mu] + z * rel[mu]][rho.get(mu, 0)]
+                acc[(z, r - s)] += c
+    base = tuple(x + l for x, l in zip(vec, lift))
+    return LogSeries.make(base, rel, window, acc)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -239,6 +240,51 @@ class TestBadSolveRequests:
         assert result.stderr.startswith("input error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+
+class TestMalformedProblemFiles:
+    # each once raised TypeError in load_problem: exit 1 with a traceback
+    @pytest.mark.parametrize("data", [
+        {"A": 2, "beta": [10, 8]},
+        {"A": [1], "beta": [10, 8]},
+        {"A": [[1, 0], [1, 2], [1, 1]], "beta": 2},
+        {"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8], "lift": 1},
+        {"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8], "u": None},
+    ])
+    def test_exit_code_2_with_one_line(self, tmp_path, data):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "gkz1.cli", "solve", "--input", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("input error: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_output_does_not_depend_on_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"A": [[1], [300]], "beta": ["1/7"], "window": [-1, 1]}))
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        unlimited = run(capsys, "solve", "--input", str(path))
+        sys.set_int_max_str_digits(640)
+        limited = run(capsys, "solve", "--input", str(path))
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert limited == unlimited
+    assert unlimited[0] == 0
+    # the output holds an integer too long to print under the limit
+    assert max(len(x) for x in re.findall(r"\d+", unlimited[1])) > 640
 
 
 class TestInvalidConfigs:

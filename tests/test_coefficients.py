@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkz1 import coefficient_M, elementary_symmetric, f_coefficients, pochhammer
-from gkz1.coefficients import coefficient_run, falling_factorial
+from gkz1 import coefficient_M
+from gkz1.coefficients import coefficient_run
 from gkz1.errors import DegreeTooLarge, ExcludedCase
 
-from reference import coefficient_M_reference
+from reference import (
+    coefficient_M_reference,
+    elementary_symmetric,
+    f_coefficients,
+    falling_factorial,
+    pochhammer,
+)
 
 # sample values covering the regimes: nonnegative integers, positive and
 # negative rationals, and the sigma-1 style parameter from the worked cases

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gkz1 import (
     LogSeries,
@@ -23,8 +25,8 @@ from gkz1.errors import (
     SigmaIntegral,
 )
 
-from conftest import random_config, random_nonresonant_beta
-from reference import gauss_oracle
+from conftest import GAUSS, random_config, random_nonresonant_beta, random_relation_config
+from reference import gauss_oracle, log_solution_reference
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
 
@@ -291,7 +293,8 @@ class TestSeriesStructure:
         from itertools import product
 
         from gkz1 import build_config
-        from gkz1.coefficients import coefficient_M, falling_factorial
+        from gkz1.coefficients import coefficient_M
+        from reference import falling_factorial
 
         config = build_config([(2, -2, 1), (0, 1, -1), (-4, 3, -1)])
         rel = config.relation
@@ -381,3 +384,84 @@ class TestDeepWindows:
         assert bundle.solutions[0].terms == {(z, 0): c for z, c in GOLDEN.items()}
         for series in bundle.solutions:
             assert certify(triangle, bundle.parameter, series).passed
+
+
+def _assert_matches_multiset_sum(config, beta, window) -> int:
+    """Every built solution equals the literal multiset sum; returns the top degree.
+
+    Covers each solution of solution_bundle and log_solution at every degree
+    below the multiplicity.  log_solution and the reference cover the same
+    shifts, so they refuse the same degrees with ExcludedCase.
+    """
+    top = 0
+    for bundle in solution_bundle(config, beta, window=window).bundles:
+        vec, lift = bundle.exponent.vector, bundle.lift
+        for r, series in enumerate(bundle.solutions):
+            assert series.terms == log_solution_reference(config, vec, lift, r, window).terms
+            top = max(top, r)
+        for r in range(bundle.exponent.multiplicity):
+            try:
+                series = log_solution(config, bundle.exponent, lift, r, window)
+            except HypothesisViolated:
+                assert r >= len(bundle.solutions)
+                continue
+            except ExcludedCase:
+                with pytest.raises(ExcludedCase):
+                    log_solution_reference(config, vec, lift, r, window)
+                continue
+            assert series.terms == log_solution_reference(config, vec, lift, r, window).terms
+    return top
+
+
+@st.composite
+def bundle_cases(draw):
+    """A configuration, a parameter in its span and a window of width 0-8.
+
+    Half the configurations have relation entries up to 5.  Half the time
+    the positive-side weights of the parameter are small integers, which
+    puts integers at several coordinates of an exponent, so log towers of
+    degree 2 and more appear.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        config = random_relation_config(rng, max_relation=5)
+    else:
+        config = random_config(rng)
+    integral_positive = draw(st.booleans())
+    weights = []
+    for mu in range(config.n):
+        if integral_positive and config.relation[mu] > 0:
+            weights.append(F(draw(st.integers(min_value=-3, max_value=3))))
+        else:
+            weights.append(F(
+                draw(st.integers(min_value=-30, max_value=30)),
+                draw(st.sampled_from([1, 2, 3, 5, 7])),
+            ))
+    lo = draw(st.integers(min_value=-4, max_value=4))
+    window = (lo, lo + draw(st.integers(min_value=0, max_value=8)))
+    return config, config.column_combination(weights), window
+
+
+class TestEpsilonProducts:
+    """The eps-product assembly against the literal sum over multisets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=bundle_cases())
+    def test_matches_multiset_sum(self, case):
+        config, beta, window = case
+        try:
+            top = _assert_matches_multiset_sum(config, beta, window)
+        except ExcludedCase:
+            event("solution_bundle refused: ExcludedCase")
+            return
+        event(f"top log degree >= 2: {top >= 2}")
+
+    @pytest.mark.parametrize("points, beta, window, top", [
+        (QUINTIC, (-1, 0, 0, 0, 0), (0, 12), 4),
+        (QUINTIC, (-1, 0, 0, 0, 0), (-3, 4), 4),
+        # the Gauss branches: sigma = 2 (a log tower) and sigma = 1/5
+        (GAUSS, (F(-1, 2), F(-1, 3), 1), (-4, 12), 1),
+        (GAUSS, (F(-1, 2), F(-1, 3), F(-4, 5)), (-4, 12), 0),
+    ])
+    def test_named_cases(self, points, beta, window, top):
+        assert _assert_matches_multiset_sum(build_config(points), beta, window) == top
