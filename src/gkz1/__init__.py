@@ -32,13 +32,11 @@ from .exponents import (
     support_verdict,
 )
 from .lattice import (
-    FacetFunctional,
     LatticeConfig,
     Nonresonance,
     Parameter,
     PointConfig,
     build_config,
-    facet_functional,
     is_nonresonant,
     parameter,
     volume_crosscheck,
@@ -68,7 +66,6 @@ __all__ = [
     "Certificate",
     "Classification",
     "Exponent",
-    "FacetFunctional",
     "IntervalSet",
     "LatticeConfig",
     "LogSeries",
@@ -88,7 +85,6 @@ __all__ = [
     "classify",
     "coefficient_M",
     "exponent_set_prime",
-    "facet_functional",
     "fake_exponents",
     "integer_lift",
     "is_mum",

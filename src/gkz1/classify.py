@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import _linalg
 from .errors import (
     InternalInvariantError,
     IrregularSingularity,
@@ -57,8 +56,14 @@ def _parameter_class_integral_on_positive(config, beta) -> bool:
 
 
 def _parameter_in_negative_span(config, beta) -> bool:
-    negative_columns = [config.columns[j] for j in config.negative]
-    return _linalg.solve_columns(negative_columns, beta.beta) is not None
+    """Is beta a combination of the negative columns alone?
+
+    Exactly when some point c + t*relation of its line is zero at every
+    positive coordinate, that is, when -c[mu]/relation[mu] is one and the
+    same t for every positive mu.
+    """
+    c, rel = beta.line.point, config.relation
+    return len({-c[mu] / rel[mu] for mu in config.positive}) == 1
 
 
 def _classification(config: LatticeConfig, beta) -> Classification:

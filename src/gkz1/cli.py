@@ -248,12 +248,17 @@ def _solve_report(spec: ProblemSpec) -> tuple[dict, object, object]:
             entry["solutions"].append(solution)
         out["bundles"].append(entry)
     if spec.r is not None:
-        # explicit degree request: build it for every exponent, or fail loudly
+        # explicit degree request: the bundle's own solution of that degree;
+        # for a degree it lacks, log_solution raises the error that degree meets
         config_series = [
             {
                 "exponent": _exponent_dict(bundle.exponent),
-                "series": log_solution(
-                    config, bundle.exponent, bundle.lift, spec.r, spec.window
+                "series": (
+                    bundle.solutions[spec.r]
+                    if 0 <= spec.r < len(bundle.solutions)
+                    else log_solution(
+                        config, bundle.exponent, bundle.lift, spec.r, spec.window
+                    )
                 ).to_json_dict(),
             }
             for bundle in report.bundles

@@ -21,7 +21,7 @@ from math import gcd
 
 from . import _linalg
 from ._linalg import Progression, Vector, fracs
-from .errors import BetaNotInSpan, DependentSubset, IndexOutOfRange, KernelRankNotOne
+from .errors import BetaNotInSpan, DependentSubset, KernelRankNotOne
 
 
 @dataclass(frozen=True)
@@ -185,28 +185,6 @@ class Parameter:
 
 
 @dataclass(frozen=True)
-class FacetFunctional:
-    """Primitive integral functional vanishing on all columns but two.
-
-    ``coeffs`` is one rational representative of the functional on Q^d;
-    it is only meaningful on the span of the columns.  ``values`` holds the
-    integers taken on the n columns; exactly the entries at ``i`` (positive
-    side) and ``j`` (negative side) are nonzero, and they are coprime and
-    positive.
-    """
-
-    i: int
-    j: int
-    coeffs: Vector
-    values: tuple[int, ...]
-
-    def __call__(self, vector) -> Fraction:
-        return sum(
-            (c * Fraction(x) for c, x in zip(self.coeffs, vector)), Fraction(0)
-        )
-
-
-@dataclass(frozen=True)
 class Nonresonance:
     """Outcome of the resonance test, with a witness pair on failure."""
 
@@ -264,42 +242,6 @@ def volume_crosscheck(config: LatticeConfig) -> int:
     return total
 
 
-def facet_functional(config: LatticeConfig, i: int, j: int) -> FacetFunctional:
-    """The primitive functional h vanishing on every column except i and j.
-
-    Requires relation[i] > 0 and relation[j] < 0: only those pairs span
-    facets of the polytope through the origin.  Applying h to the relation
-    forces relation[i]*h(a_i) = -relation[j]*h(a_j), so the primitive values
-    are h(a_i) = |relation[j]|/g and h(a_j) = relation[i]/g with g their gcd;
-    primitivity on the column lattice is exactly coprimality of the values
-    on the columns, which generate it.
-    """
-    n = config.n
-    if not (0 <= i < n and 0 <= j < n) or config.relation[i] <= 0 or config.relation[j] >= 0:
-        raise IndexOutOfRange(
-            f"need a (positive, negative) relation pair, got ({i}, {j})"
-        )
-    li = config.relation[i]
-    lj = -config.relation[j]
-    g = gcd(li, lj)
-    others = [s for s in range(n) if s not in (i, j)]
-    rows = others + [i]
-    rhs = [Fraction(0)] * len(others) + [Fraction(lj, g)]
-    matrix_columns = [
-        [config.columns[s][t] for s in rows] for t in range(config.dim)
-    ]
-    coeffs = _linalg.solve_columns(matrix_columns, rhs)
-    assert coeffs is not None, "facet system must be solvable"
-    functional = FacetFunctional(i=i, j=j, coeffs=coeffs, values=())
-    raw_values = [functional(col) for col in config.columns]
-    assert all(v.denominator == 1 for v in raw_values)
-    values = tuple(int(v) for v in raw_values)
-    assert values[i] == lj // g and values[j] == li // g
-    assert li * values[i] == lj * values[j]
-    assert gcd(*values) == 1
-    return FacetFunctional(i=i, j=j, coeffs=coeffs, values=values)
-
-
 def parameter(config: LatticeConfig, beta) -> Parameter:
     """Validate that beta is a rational combination of the columns.
 
@@ -326,12 +268,21 @@ def facet_pairs(config: LatticeConfig):
 def is_nonresonant(config: LatticeConfig, beta) -> Nonresonance:
     """Check that no facet functional takes an integer value on beta.
 
-    Resonance only depends on beta modulo the column lattice, since the
-    functionals are integral on it.  Returns a witness pair on failure.
+    The primitive functional h_ij of a positive column i and a negative
+    column j is zero on every column but a_i and a_j, where it takes
+    |rel[j]|/g and rel[i]/g, with g = gcd(rel[i], rel[j]).  So on any point
+    c of beta's relation line
+
+        h_ij(beta) = (c[i]*|rel[j]| + c[j]*rel[i]) / g,
+
+    the same at every t, as h_ij(relation) = 0.  Resonance only depends on
+    beta modulo the column lattice, since the functionals are integral on
+    it.  Returns the first integral pair as the witness (i, j, value).
     """
     beta = parameter(config, beta)
+    c, rel = beta.line.point, config.relation
     for i, j in facet_pairs(config):
-        value = facet_functional(config, i, j)(beta.beta)
+        value = (c[i] * -rel[j] + c[j] * rel[i]) / gcd(rel[i], rel[j])
         if value.denominator == 1:
             return Nonresonance(False, (i, j, int(value)))
     return Nonresonance(True)

@@ -12,6 +12,14 @@ TRIANGLE = [(1, 0), (1, 2), (1, 1)]        # (1, 1, -2), volume 2
 CORNER = [(1, 0), (0, 1), (1, 1)]          # (1, 1, -1), volume 2
 GAUSS = [(1, 1, -1), (0, 0, 1), (1, 0, 0), (0, 1, 0)]  # (1, 1, -1, -1)
 INTERIOR = [(1, 0), (0, 1), (-1, -1)]      # (1, 1, 1), origin interior
+QUINTIC = [
+    (1, 1, 0, 0, 0),
+    (1, 0, 1, 0, 0),
+    (1, 0, 0, 1, 0),
+    (1, 0, 0, 0, 1),
+    (1, -1, -1, -1, -1),
+    (1, 0, 0, 0, 0),
+]  # (1, 1, 1, 1, 1, -5): the quintic mirror
 
 
 @pytest.fixture(scope="session")

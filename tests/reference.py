@@ -13,7 +13,10 @@ arithmetic with the route it checks:
   exponents as whole ``Fraction`` vectors on the relation line, merged by
   hashing and ordered by sorting the vectors;
 - ``log_solution_reference`` sums the degree-r log solution over every
-  multiset of columns, each restricted to its own support's membership.
+  multiset of columns, each restricted to its own support's membership;
+- ``facet_functional`` finds the primitive functional h_ij of a (positive,
+  negative) pair by a row reduction on the other columns, so
+  ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line.
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
@@ -23,13 +26,15 @@ by their textbook formulas; only tests use them.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import ceil, factorial
+from math import ceil, factorial, gcd
 
-from gkz1 import Exponent, LogSeries, coefficient_M, support_verdict
+from gkz1 import Exponent, LatticeConfig, LogSeries, _linalg, coefficient_M, support_verdict
+from gkz1._linalg import Vector
 from gkz1.coefficients import coefficient_run
-from gkz1.errors import DegreeTooLarge, ExcludedCase, SigmaIntegral
+from gkz1.errors import DegreeTooLarge, ExcludedCase, IndexOutOfRange, SigmaIntegral
 from gkz1.lattice import RelationLine
 from gkz1.verify import OperatorReport
 
@@ -289,3 +294,61 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
                 acc[(z, r - s)] += c
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries.make(base, rel, window, acc)
+
+
+@dataclass(frozen=True)
+class FacetFunctional:
+    """Primitive integral functional vanishing on all columns but two.
+
+    ``coeffs`` is one rational representative of the functional on Q^d;
+    it is only meaningful on the span of the columns.  ``values`` holds the
+    integers taken on the n columns; exactly the entries at ``i`` (positive
+    side) and ``j`` (negative side) are nonzero, and they are coprime and
+    positive.
+    """
+
+    i: int
+    j: int
+    coeffs: Vector
+    values: tuple[int, ...]
+
+    def __call__(self, vector) -> Fraction:
+        return sum(
+            (c * Fraction(x) for c, x in zip(self.coeffs, vector)), Fraction(0)
+        )
+
+
+def facet_functional(config: LatticeConfig, i: int, j: int) -> FacetFunctional:
+    """The primitive functional h vanishing on every column except i and j.
+
+    Requires relation[i] > 0 and relation[j] < 0: only those pairs span
+    facets of the polytope through the origin.  Applying h to the relation
+    forces relation[i]*h(a_i) = -relation[j]*h(a_j), so the primitive values
+    are h(a_i) = |relation[j]|/g and h(a_j) = relation[i]/g with g their gcd;
+    primitivity on the column lattice is exactly coprimality of the values
+    on the columns, which generate it.
+    """
+    n = config.n
+    if not (0 <= i < n and 0 <= j < n) or config.relation[i] <= 0 or config.relation[j] >= 0:
+        raise IndexOutOfRange(
+            f"need a (positive, negative) relation pair, got ({i}, {j})"
+        )
+    li = config.relation[i]
+    lj = -config.relation[j]
+    g = gcd(li, lj)
+    others = [s for s in range(n) if s not in (i, j)]
+    rows = others + [i]
+    rhs = [Fraction(0)] * len(others) + [Fraction(lj, g)]
+    matrix_columns = [
+        [config.columns[s][t] for s in rows] for t in range(config.dim)
+    ]
+    coeffs = _linalg.solve_columns(matrix_columns, rhs)
+    assert coeffs is not None, "facet system must be solvable"
+    functional = FacetFunctional(i=i, j=j, coeffs=coeffs, values=())
+    raw_values = [functional(col) for col in config.columns]
+    assert all(v.denominator == 1 for v in raw_values)
+    values = tuple(int(v) for v in raw_values)
+    assert values[i] == lj // g and values[j] == li // g
+    assert li * values[i] == lj * values[j]
+    assert gcd(*values) == 1
+    return FacetFunctional(i=i, j=j, coeffs=coeffs, values=values)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from gkz1 import (
     SingularityType,
     build_config,
+    certify,
     classify,
     exponent_set_prime,
     is_mum,
@@ -14,9 +16,10 @@ from gkz1 import (
     singularity_type,
     solution_bundle,
 )
+from gkz1.cli import main
 from gkz1.errors import IrregularSingularity, NotNonresonant
 
-from conftest import random_config, random_nonresonant_beta
+from conftest import QUINTIC, random_config, random_nonresonant_beta
 
 
 class TestSingularityType:
@@ -187,3 +190,39 @@ class TestEquivalences:
         res = is_nonresonant(corner, (0, 0))
         result = classify(corner, (0, 0))
         assert result.witness["resonance_witness"] == res.witness
+
+
+class TestResonanceBoundary:
+    """The quintic at beta = (-1, 0, 0, 0, 0): resonant, yet a full basis.
+
+    This is no contradiction.  Nonresonance suffices for the rank to equal
+    the volume, but it is not needed: the quintic's points have a unimodular
+    triangulation, so their toric ring is normal, hence Cohen-Macaulay, and
+    then the rank is the volume for every beta (Adolphson 1994;
+    Matusevich-Miller-Walther 2005 prove the converse).
+    """
+
+    BETA = (-1, 0, 0, 0, 0)
+
+    def test_witness(self):
+        result = is_nonresonant(build_config(QUINTIC), self.BETA)
+        assert not result
+        assert result.witness == (0, 5, -1)
+
+    def test_classify_refuses_with_the_pair(self, capsys, tmp_path):
+        path = tmp_path / "quintic.json"
+        path.write_text(json.dumps({"A": QUINTIC, "beta": list(self.BETA)}))
+        code = main(["classify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "facet pair (0,5) evaluates to integer -1" in captured.err
+
+    def test_volume_many_certified_solutions(self):
+        config = build_config(QUINTIC)
+        report = solution_bundle(config, self.BETA, window=(0, 6))
+        solutions = [(b, s) for b in report.bundles for s in b.solutions]
+        assert len(solutions) == report.total_solutions == config.volume == 5
+        assert report.complete
+        for bundle, series in solutions:
+            assert certify(config, bundle.parameter, series).passed

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -9,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import cli
@@ -138,6 +140,28 @@ class TestSolve:
         assert report["bundles"][0]["phi_empty"] is True
         assert report["complete"] is False
 
+    def test_requested_degree_read_from_the_bundle(self, capsys, monkeypatch, tmp_path):
+        # the Gauss log branch: solutions[1] exists, so nothing is rebuilt
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps({
+            "A": [[1, 1, -1], [0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            "beta": ["-1/2", "-1/3", "1"],
+            "window": [-4, 8],
+        }))
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--r", "1")
+        assert code == 0
+        report = json.loads(out)
+
+        def rebuilt(*args):
+            raise AssertionError("log_solution called for a degree the bundle holds")
+
+        monkeypatch.setattr(cli, "log_solution", rebuilt)
+        assert run(capsys, "solve", "--input", str(path), "--r", "1") == (code, out, "")
+        requested = report["requested_degree"]["solutions"]
+        assert [s["series"] for s in requested] == [
+            b["solutions"][1]["series"] for b in report["bundles"]
+        ]
+
     def test_requested_degree_too_big(self, capsys, triangle_file):
         code, _, err = run(capsys, "solve", "--input", triangle_file, "--r", "5")
         assert code == 3
@@ -264,6 +288,81 @@ class TestMalformedProblemFiles:
         assert result.stderr.startswith("input error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+
+# -- fuzzed problem files: every run ends with exit 0, 2 or 3 and one line ----
+
+_JUNK = st.sampled_from([None, True, 0.5, "x", "1/0", "", [], {}, [[1]], 7])
+_RATIONALS = st.integers(-4, 4) | st.builds(
+    "{}/{}".format, st.integers(-9, 9), st.integers(1, 7)
+)
+_BAD_RATIONALS = st.sampled_from(["1/0", "a/b", "1/2/3", "", 0.5, None, [1]])
+_FIELDS = ["A", "beta", "u", "lift", "r", "window", "verify"]
+
+
+@st.composite
+def _problems(draw):
+    """A problem file: half raw points, half small valid configurations.
+
+    Half the files give one field a value of the wrong type; vectors may
+    have the wrong length or a bad rational.
+    """
+    if draw(st.booleans()):
+        n, d = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+        point = st.lists(st.integers(-3, 3), min_size=d, max_size=d + 1)
+        columns = draw(st.lists(point, min_size=n, max_size=n))
+        config = None
+    else:
+        config = random_config(random.Random(draw(st.integers(0, 2**32 - 1))), max_entry=3)
+        columns = [list(col) for col in config.columns]
+        n, d = config.n, config.dim
+
+    def vector(integral):
+        # a column combination is in the span, and in the lattice if integral
+        if config is not None and draw(st.integers(0, 3)):
+            q = 1 if integral else draw(st.integers(1, 7))
+            weights = [Fraction(draw(st.integers(-3 * q, 3 * q)), q) for _ in range(n)]
+            return [str(x) for x in config.column_combination(weights)]
+        size = max(d + draw(st.integers(-1, 1)), 0)
+        entries = draw(st.lists(_RATIONALS, min_size=size, max_size=size))
+        if entries and not draw(st.integers(0, 3)):
+            entries[draw(st.integers(0, size - 1))] = draw(_BAD_RATIONALS)
+        return entries
+
+    problem = {"A": columns, "beta": vector(False)}
+    if draw(st.booleans()):
+        problem["u"] = vector(True)
+    if draw(st.booleans()):
+        problem["lift"] = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        problem["r"] = draw(st.integers(-1, 3))
+    lo = draw(st.integers(-3, 3))
+    problem["window"] = [lo, lo + draw(st.integers(-1, 6))]
+    if draw(st.booleans()):
+        problem["verify"] = draw(st.booleans())
+    broken = draw(st.sampled_from([None] * len(_FIELDS) + _FIELDS))
+    if broken is not None:
+        problem[broken] = draw(_JUNK)
+    return problem
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    problem=_problems(),
+    command=st.sampled_from(sorted(cli._COMMANDS)),
+    text=st.booleans(),
+)
+def test_fuzzed_problem_files_end_cleanly(tmp_path_factory, problem, command, text):
+    path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+    path.write_text(json.dumps(problem))
+    argv = [command, "--input", str(path)] + (["--format", "text"] if text else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert err.getvalue().count("\n") == (0 if code == 0 else 1)
+    assert "Traceback" not in err.getvalue()
+    event(f"{command} exit {code}")
 
 
 @pytest.mark.skipif(

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import (
+    Nonresonance,
     PointConfig,
     _linalg,
     build_config,
-    facet_functional,
     is_nonresonant,
     parameter,
     volume_crosscheck,
@@ -20,9 +20,11 @@ from gkz1.errors import (
     IndexOutOfRange,
     KernelRankNotOne,
 )
+from gkz1.classify import _parameter_in_negative_span
 from gkz1.lattice import RelationLine, facet_pairs
 
-from conftest import random_config, random_nonresonant_beta
+from conftest import random_config, random_nonresonant_beta, random_relation_config
+from reference import facet_functional
 
 
 class TestBuildConfig:
@@ -245,6 +247,38 @@ class TestNonresonance:
             config = random_config(rng)
             beta = random_nonresonant_beta(rng, config)
             assert is_nonresonant(config, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    relation_first=st.booleans(),
+    kind=st.sampled_from(["integral", "rational", "zero on positive"]),
+    data=st.data(),
+)
+def test_line_closed_forms_match_the_solves(seed, relation_first, kind, data):
+    # is_nonresonant and the negative-span test read beta's relation line;
+    # the oracles solve for each facet functional and on the negative columns
+    rng = random.Random(seed)
+    if relation_first:
+        config = random_relation_config(rng, max_relation=12)
+    else:
+        config = random_config(rng)
+    q = 1 if kind == "integral" else data.draw(st.integers(2, 7), label="q")
+    weights = [
+        F(0) if kind == "zero on positive" and config.relation[mu] > 0
+        else F(data.draw(st.integers(-3 * q, 3 * q)), q)
+        for mu in range(config.n)
+    ]
+    beta = parameter(config, config.column_combination(weights))
+    values = ((i, j, facet_functional(config, i, j)(beta.beta)) for i, j in facet_pairs(config))
+    witness = next(((i, j, int(v)) for i, j, v in values if v.denominator == 1), None)
+    assert is_nonresonant(config, beta) == Nonresonance(witness is None, witness)
+    negative_columns = [config.columns[j] for j in config.negative]
+    in_span = _linalg.solve_columns(negative_columns, beta.beta) is not None
+    assert _parameter_in_negative_span(config, beta) == in_span
+    event("resonant" if witness else "nonresonant")
+    event("in the negative span" if in_span else "outside the negative span")
 
 
 class TestParameter:

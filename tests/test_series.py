@@ -25,7 +25,7 @@ from gkz1.errors import (
     SigmaIntegral,
 )
 
-from conftest import GAUSS, random_config, random_nonresonant_beta, random_relation_config
+from conftest import GAUSS, QUINTIC, random_config, random_nonresonant_beta, random_relation_config
 from reference import gauss_oracle, log_solution_reference
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
@@ -346,16 +346,6 @@ class TestSeriesStructure:
         assert {k: c for k, c in direct.items() if c} == {
             k: c for k, c in expanded.items() if c
         }
-
-
-QUINTIC = [
-    (1, 1, 0, 0, 0),
-    (1, 0, 1, 0, 0),
-    (1, 0, 0, 1, 0),
-    (1, 0, 0, 0, 1),
-    (1, -1, -1, -1, -1),
-    (1, 0, 0, 0, 0),
-]  # (1, 1, 1, 1, 1, -5): the quintic mirror
 
 
 class TestDeepWindows:
