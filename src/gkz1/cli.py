@@ -12,7 +12,9 @@ byte, but written by ``_json_text``, not by the standard library: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
 about one generator step per token.  Reports hold only dicts with str keys,
 lists, tuples, str, int, bool and None; a float or a non-str key is refused
-with TypeError.
+with TypeError.  A dict the report holds in two places is written once: the
+``exponents`` report lists each unshifted exponent's entry, one dict object,
+in both ``fake_exponents`` and ``prime_exponents``.
 """
 
 from __future__ import annotations
@@ -146,11 +148,19 @@ def _rat_list(values) -> list[str]:
     return [str(v) if type(v) in (Fraction, int) else str(Fraction(v)) for v in values]
 
 
-def _exponent_dict(exp) -> dict:
+def _exponent_dict(exp, supports: dict) -> dict:
+    """The report entry of an exponent.
+
+    supports maps each m_support set to its sorted list, so the entries of
+    one report share one list per set instead of making one each.
+    """
+    support = supports.get(exp.m_support)
+    if support is None:
+        support = supports[exp.m_support] = sorted(exp.m_support)
     return {
         "vector": _rat_list(exp.vector),
         "labels": [list(label) for label in exp.labels],
-        "m_support": sorted(exp.m_support),
+        "m_support": support,
         "multiplicity": exp.multiplicity,
     }
 
@@ -201,29 +211,51 @@ def cmd_exponents(spec: ProblemSpec) -> dict:
     primes = normalized_set(config, fakes)
     # the normalized set keeps every fake it does not shift, as the same
     # object; such an exponent gets one dict, listed in both places
-    entries = {id(e): _exponent_dict(e) for e in fakes}
+    supports: dict = {}
+    entries = {id(e): _exponent_dict(e, supports) for e in fakes}
     return {
         "beta": _rat_list(beta.beta),
         "fake_exponents": list(entries.values()),
         "prime_exponents": [
-            entries.get(id(e)) or _exponent_dict(e) for e in primes.exponents
+            entries.get(id(e)) or _exponent_dict(e, supports) for e in primes.exponents
         ],
         "multiplicity_sum": primes.multiplicity_sum,
         "relation_sum": primes.relation_sum,
     }
 
 
-def _solve_report(spec: ProblemSpec) -> tuple[dict, object, object]:
+def _bundle_report(spec: ProblemSpec):
+    """The configuration, the parameter, the reported parameter and the bundles.
+
+    The reported parameter is the first bundle's, shifted by u, as "p/q"
+    strings; with no bundle it is the parameter itself.
+    """
     config = build_config(spec.points)
     beta = parameter(config, spec.beta)
     report = solution_bundle(
         config, beta, u=spec.u, u_lift=spec.lift, window=spec.window
     )
+    shifted = report.bundles[0].parameter if report.bundles else beta.beta
+    return config, beta, _rat_list(shifted), report
+
+
+def _requested_series(config, spec: ProblemSpec, bundle):
+    """The bundle's own solution of degree spec.r.
+
+    For a degree the bundle lacks, log_solution raises the error that
+    degree meets.
+    """
+    if 0 <= spec.r < len(bundle.solutions):
+        return bundle.solutions[spec.r]
+    return log_solution(config, bundle.exponent, bundle.lift, spec.r, spec.window)
+
+
+def cmd_solve(spec: ProblemSpec) -> dict:
+    config, beta, shifted, report = _bundle_report(spec)
+    supports: dict = {}
     out = {
         "beta": _rat_list(beta.beta),
-        "parameter": _rat_list(report.bundles[0].parameter)
-        if report.bundles
-        else _rat_list(beta.beta),
+        "parameter": shifted,
         "window": list(spec.window),
         "expected_total": report.expected_total,
         "total_solutions": report.total_solutions,
@@ -232,7 +264,7 @@ def _solve_report(spec: ProblemSpec) -> tuple[dict, object, object]:
     }
     for bundle in report.bundles:
         entry = {
-            "exponent": _exponent_dict(bundle.exponent),
+            "exponent": _exponent_dict(bundle.exponent, supports),
             "lift": list(bundle.lift),
             "phi_empty": bundle.phi_empty,
             "hypothesis_failures": [sorted(s) for s in bundle.hypothesis_failures],
@@ -248,46 +280,38 @@ def _solve_report(spec: ProblemSpec) -> tuple[dict, object, object]:
             entry["solutions"].append(solution)
         out["bundles"].append(entry)
     if spec.r is not None:
-        # explicit degree request: the bundle's own solution of that degree;
-        # for a degree it lacks, log_solution raises the error that degree meets
-        config_series = [
-            {
-                "exponent": _exponent_dict(bundle.exponent),
-                "series": (
-                    bundle.solutions[spec.r]
-                    if 0 <= spec.r < len(bundle.solutions)
-                    else log_solution(
-                        config, bundle.exponent, bundle.lift, spec.r, spec.window
-                    )
-                ).to_json_dict(),
-            }
-            for bundle in report.bundles
-        ]
-        out["requested_degree"] = {"r": spec.r, "solutions": config_series}
-    return out, config, report
-
-
-def cmd_solve(spec: ProblemSpec) -> dict:
-    out, _, _ = _solve_report(spec)
+        out["requested_degree"] = {
+            "r": spec.r,
+            "solutions": [
+                {
+                    "exponent": _exponent_dict(bundle.exponent, supports),
+                    "series": _requested_series(config, spec, bundle).to_json_dict(),
+                }
+                for bundle in report.bundles
+            ],
+        }
     return out
 
 
 def cmd_verify(spec: ProblemSpec) -> dict:
-    spec.verify = True
-    out, config, report = _solve_report(spec)
-    checks = []
-    for bundle_entry in out["bundles"]:
-        for solution in bundle_entry["solutions"]:
-            checks.append(
-                {
-                    "exponent": bundle_entry["exponent"]["vector"],
-                    "r": solution["r"],
-                    "verification": solution["verification"],
-                }
-            )
+    """The certificate of every solution of the bundles; no series is written."""
+    config, _, shifted, report = _bundle_report(spec)
+    checks = [
+        {
+            "exponent": _rat_list(bundle.exponent.vector),
+            "r": degree,
+            "verification": certify(config, bundle.parameter, series).to_json_dict(),
+        }
+        for bundle in report.bundles
+        for degree, series in enumerate(bundle.solutions)
+    ]
+    if spec.r is not None:
+        # a degree request fails here exactly as it fails in solve
+        for bundle in report.bundles:
+            _requested_series(config, spec, bundle)
     return {
-        "parameter": out["parameter"],
-        "window": out["window"],
+        "parameter": shifted,
+        "window": list(spec.window),
         "all_passed": all(c["verification"]["passed"] for c in checks),
         "checks": checks,
     }
@@ -334,54 +358,103 @@ def _render_text(report: dict, indent: int = 0) -> str:
 def _json_text(report) -> str:
     """``json.dumps(report, indent=2)``, without the pure-Python encoder.
 
-    One recursive pass that returns each value's text.  The newline-plus-
-    indent string of each depth is made once per call, and a list of only
-    str or only int is one join over the C string encoder or ``int.__repr__``.
-    bool is tested before int, as ``json`` does.  Floats and non-str keys
-    raise TypeError: reports carry rationals as "p/q" strings.
-    """
-    newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
+    One recursive pass appends the text of each value to one list, joined
+    once at the end.  The newline-plus-indent string of each depth is made
+    once per call.  A dict's str and int values are written inline, and a
+    list of only str or only int is one join over the C string encoder or
+    ``int.__repr__``.  bool is tested before int, as ``json`` does.
 
-    def text(value, depth: int) -> str:
+    A dict below the root is joined into one string and kept under its
+    ``id`` at its depth, so a dict the report holds twice (an exponent entry
+    of both ``fake_exponents`` and ``prime_exponents``) is written once.  The
+    report keeps every object alive while it is written, so the ids stay
+    distinct; the memo holds only ints and strs, which the cyclic collector
+    does not track.  Floats and non-str keys raise TypeError: reports carry
+    rationals as "p/q" strings.
+    """
+    out: list[str] = []
+    write = out.append
+    newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
+    memos: list[dict[int, str]] = [{}]  # memos[depth]: id of a dict -> its text
+
+    def put(value, depth: int) -> None:
         if isinstance(value, dict):
             if not value:
-                return "{}"
+                write("{}")
+                return
             if len(newlines) == depth + 1:
                 newlines.append(newlines[-1] + "  ")
-            parts = []
+                memos.append({})
+            memo = memos[depth]
+            known = memo.get(id(value))
+            if known is not None:
+                write(known)
+                return
+            start = len(out)
+            inner = newlines[depth + 1]
+            sep = "{" + inner
             for key, item in value.items():
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-                parts.append(_encode_str(key) + ": " + text(item, depth + 1))
-            inner = newlines[depth + 1]
-            return "{" + inner + ("," + inner).join(parts) + newlines[depth] + "}"
+                head = sep + _encode_str(key) + ": "
+                kind = type(item)
+                if kind is str:
+                    write(head + _encode_str(item))
+                elif kind is int:
+                    write(head + int.__repr__(item))
+                else:
+                    write(head)
+                    put(item, depth + 1)
+                sep = "," + inner
+            write(newlines[depth] + "}")
+            if depth:  # the root is written once anyway
+                memo[id(value)] = text = "".join(out[start:])
+                del out[start:]
+                write(text)
+            return
         if isinstance(value, (list, tuple)):
             if not value:
-                return "[]"
+                write("[]")
+                return
             if len(newlines) == depth + 1:
                 newlines.append(newlines[-1] + "  ")
+                memos.append({})
+            inner = newlines[depth + 1]
             first = type(value[0])
             if first is str and all(type(x) is str for x in value):
-                items = map(_encode_str, value)
+                items = ("," + inner).join(map(_encode_str, value))
             elif first is int and all(type(x) is int for x in value):
-                items = map(int.__repr__, value)
+                items = ("," + inner).join(map(int.__repr__, value))
             else:
-                items = [text(x, depth + 1) for x in value]
-            inner = newlines[depth + 1]
-            return "[" + inner + ("," + inner).join(items) + newlines[depth] + "]"
+                sep = "[" + inner
+                for item in value:
+                    write(sep)
+                    put(item, depth + 1)
+                    sep = "," + inner
+                write(newlines[depth] + "]")
+                return
+            write("[" + inner + items + newlines[depth] + "]")
+            return
         if isinstance(value, str):
-            return _encode_str(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            write(_encode_str(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        else:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
 
-    return text(report, 0)
+    try:
+        put(report, 0)
+        return "".join(out)
+    finally:
+        del put  # put refers to itself; free the memo now, not at a collection
 
 
 def build_parser() -> argparse.ArgumentParser:

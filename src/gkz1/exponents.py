@@ -16,6 +16,11 @@ of w and L the lcm of the positive relation entries, every such t is an
 integer k over D*L, so the exponents are sorted, merged and normalized as
 integer keys k, and each coordinate (w[i]*D*L + k*relation[i]) / (D*L) is
 built once from its integer numerator.
+
+A parameter has one exponent per unit of the positive relation sum, so the
+per-exponent objects are kept few: ``Exponent`` is a slotted dataclass, with
+no ``__dict__``, and the exponents of one line that share an m_support share
+one frozenset.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import CountMismatch, InternalInvariantError, NotInLattice, NotNonr
 from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exponent:
     """A fake exponent: rational vector v with sum_mu v_mu a_mu = beta.
 
@@ -85,6 +90,7 @@ class _Grid:
             *(self.relation[mu] for mu in self.positive)
         )
         self.offsets = tuple(x.numerator * (self.den // x.denominator) for x in base)
+        self.supports: dict[int, frozenset[int]] = {}  # bit mask -> its m_support
 
     def keys(self) -> set[int]:
         """The keys of the points (mu, b) for mu positive and 0 <= b < relation[mu]."""
@@ -119,18 +125,18 @@ class _Grid:
         den, rel = self.den, self.relation
         nums = [a + k * e for a, e in zip(self.offsets, rel)]
         labels = []
-        support = []
+        mask = 0
         for mu in self.positive:
             q, r = divmod(nums[mu], den)
             if not r and q >= 0:
-                support.append(mu)
+                mask |= 1 << mu
                 if q < rel[mu]:
                     labels.append((mu, q))
-        return Exponent(
-            vector=tuple(Fraction(x, den) for x in nums),
-            labels=tuple(labels),
-            m_support=frozenset(support),
-        )
+        support = self.supports.get(mask)
+        if support is None:
+            support = frozenset(mu for mu in self.positive if mask >> mu & 1)
+            self.supports[mask] = support
+        return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
 
 
 def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:

@@ -141,18 +141,23 @@ def apply_euler_row(
 
     x_j d/dx_j scales a grid term by w_j and drops a log degree with weight
     relation[j]; summed against the row of the point matrix, the log-drop
-    weight is the row applied to the relation, which is zero.  No shift in z
-    occurs, so the whole input window is safe.
+    weight is the row applied to the relation, which is zero.  So the term
+    at z is scaled by (row.w0 - beta_row) + z*(row.relation), and when both
+    parts are zero the residual is empty without reading a term.  No shift
+    in z occurs, so the whole input window is safe.
     """
     param = fracs(param)
     a_row = [config.columns[j][row] for j in range(config.n)]
     base_dot = sum(
         (Fraction(a) * w for a, w in zip(a_row, series.base_exponent)), Fraction(0)
     )
+    offset = base_dot - param[row]
     rel_dot = sum(a * e for a, e in zip(a_row, config.relation))
+    if not offset and not rel_dot:
+        return _report(f"euler[{row}]", series.window, series.window, {})
     residual: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
     for (z, r), c in series.terms.items():
-        value = base_dot + z * rel_dot - param[row]
+        value = offset + z * rel_dot
         if value:
             residual[(z, r)] += value * c
         if r and rel_dot:

@@ -14,6 +14,8 @@ arithmetic with the route it checks:
   hashing and ordered by sorting the vectors;
 - ``log_solution_reference`` sums the degree-r log solution over every
   multiset of columns, each restricted to its own support's membership;
+- ``apply_euler_row_reference`` applies one homogeneity row term by term,
+  even where every term's weight is zero;
 - ``facet_functional`` finds the primitive functional h_ij of a (positive,
   negative) pair by a row reduction on the other columns, so
   ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line.
@@ -136,6 +138,33 @@ def literal_box(config, series: LogSeries) -> OperatorReport:
         operator="box",
         input_window=series.window,
         safe_window=safe,
+        passed=not residual,
+        first_failure=(first[0], first[1], residual[first]) if first else None,
+        residual=residual,
+    )
+
+
+def apply_euler_row_reference(config, param, series: LogSeries, row: int) -> OperatorReport:
+    """One homogeneity row's report, read off every term of the series."""
+    param = [Fraction(x) for x in param]
+    a_row = [config.columns[j][row] for j in range(config.n)]
+    base_dot = sum(
+        (Fraction(a) * w for a, w in zip(a_row, series.base_exponent)), Fraction(0)
+    )
+    rel_dot = sum(a * e for a, e in zip(a_row, config.relation))
+    residual: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for (z, r), c in series.terms.items():
+        value = base_dot + z * rel_dot - param[row]
+        if value:
+            residual[(z, r)] += value * c
+        if r and rel_dot:
+            residual[(z, r - 1)] += r * rel_dot * c
+    residual = {key: value for key, value in residual.items() if value}
+    first = min(residual) if residual else None
+    return OperatorReport(
+        operator=f"euler[{row}]",
+        input_window=series.window,
+        safe_window=series.window,
         passed=not residual,
         first_failure=(first[0], first[1], residual[first]) if first else None,
         residual=residual,

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import OrderedDict, defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -194,6 +195,193 @@ class TestClassify:
         assert "resonant" in err
 
 
+# The full --format text output on the triangle at window 0:1.  The text
+# renderer prints Python reprs, so a list in a report turned into a tuple
+# would change these lines though the JSON stays the same.
+TRIANGLE_TEXT = {
+    "exponents": """\
+beta: ['10', '8']
+fake_exponents:
+  vector: ['0', '-2', '12']
+  labels: [[0, 0]]
+  m_support: [0]
+  multiplicity: 1
+  -
+  vector: ['2', '0', '8']
+  labels: [[1, 0]]
+  m_support: [0, 1]
+  multiplicity: 2
+  -
+prime_exponents:
+  vector: ['2', '0', '8']
+  labels: [[1, 0]]
+  m_support: [0, 1]
+  multiplicity: 2
+  -
+multiplicity_sum: 2
+relation_sum: 2
+""",
+    "solve": """\
+beta: ['10', '8']
+parameter: ['10', '8']
+window: [0, 1]
+expected_total: 2
+total_solutions: 2
+complete: True
+bundles:
+  exponent:
+    vector: ['2', '0', '8']
+    labels: [[1, 0]]
+    m_support: [0, 1]
+    multiplicity: 2
+  lift: [0, 0, 0]
+  phi_empty: False
+  hypothesis_failures: []
+  certificates:
+    indices: [0, 1, 2]
+    lift: [0, 0, 0]
+    minimal: True
+    membership: [[0, 4]]
+    -
+    indices: [1, 2]
+    lift: [0, 0, 0]
+    minimal: True
+    membership: [[0, 4]]
+    -
+    indices: [0, 2]
+    lift: [0, 0, 0]
+    minimal: True
+    membership: [[-2, 4]]
+    -
+    indices: [0, 1]
+    lift: [0, 0, 0]
+    minimal: True
+    membership: [[0, None]]
+    -
+  solutions:
+    r: 0
+    series:
+      base_exponent: ['2', '0', '8']
+      relation: [1, 1, -2]
+      window: [0, 1]
+      terms:
+        z: 0
+        r: 0
+        coeff: 1
+        -
+        z: 1
+        r: 0
+        coeff: 56/3
+        -
+    verification:
+      passed: True
+      box:
+        operator: box
+        safe_window: [0, 0]
+        passed: True
+        first_failure: None
+      euler:
+        operator: euler[0]
+        safe_window: [0, 1]
+        passed: True
+        first_failure: None
+        -
+        operator: euler[1]
+        safe_window: [0, 1]
+        passed: True
+        first_failure: None
+        -
+    -
+    r: 1
+    series:
+      base_exponent: ['2', '0', '8']
+      relation: [1, 1, -2]
+      window: [0, 1]
+      terms:
+        z: 0
+        r: 1
+        coeff: 1
+        -
+        z: 1
+        r: 0
+        coeff: -314/9
+        -
+        z: 1
+        r: 1
+        coeff: 56/3
+        -
+    verification:
+      passed: True
+      box:
+        operator: box
+        safe_window: [0, 0]
+        passed: True
+        first_failure: None
+      euler:
+        operator: euler[0]
+        safe_window: [0, 1]
+        passed: True
+        first_failure: None
+        -
+        operator: euler[1]
+        safe_window: [0, 1]
+        passed: True
+        first_failure: None
+        -
+    -
+  -
+""",
+    "verify": """\
+parameter: ['10', '8']
+window: [0, 1]
+all_passed: True
+checks:
+  exponent: ['2', '0', '8']
+  r: 0
+  verification:
+    passed: True
+    box:
+      operator: box
+      safe_window: [0, 0]
+      passed: True
+      first_failure: None
+    euler:
+      operator: euler[0]
+      safe_window: [0, 1]
+      passed: True
+      first_failure: None
+      -
+      operator: euler[1]
+      safe_window: [0, 1]
+      passed: True
+      first_failure: None
+      -
+  -
+  exponent: ['2', '0', '8']
+  r: 1
+  verification:
+    passed: True
+    box:
+      operator: box
+      safe_window: [0, 0]
+      passed: True
+      first_failure: None
+    euler:
+      operator: euler[0]
+      safe_window: [0, 1]
+      passed: True
+      first_failure: None
+      -
+      operator: euler[1]
+      safe_window: [0, 1]
+      passed: True
+      first_failure: None
+      -
+  -
+""",
+}
+
+
 class TestTextFormat:
     def test_renders_lines(self, capsys, triangle_file):
         code, out, _ = run(
@@ -202,6 +390,14 @@ class TestTextFormat:
         assert code == 0
         assert "relation: [1, 1, -2]" in out
         assert "vol: 2" in out
+
+    @pytest.mark.parametrize("command", sorted(TRIANGLE_TEXT))
+    def test_full_output_pinned(self, capsys, triangle_file, command):
+        code, out, _ = run(
+            capsys, command, "--input", triangle_file, "--window", "0:1", "--format", "text"
+        )
+        assert code == 0
+        assert out == TRIANGLE_TEXT[command]
 
 
 class TestParserReuse:
@@ -461,6 +657,8 @@ def _containers(children):
         st.lists(children, max_size=4)
         | st.lists(children, max_size=3).map(tuple)
         | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(_TEXT, children, max_size=3).map(OrderedDict)
+        | st.dictionaries(_TEXT, children, max_size=3).map(lambda d: defaultdict(list, d))
         | st.lists(_INTS | st.booleans(), max_size=4)
         | st.lists(_TEXT, max_size=4)
         | st.lists(st.lists(_INTS, max_size=2) | st.just({}), max_size=3)
@@ -470,6 +668,33 @@ def _containers(children):
 @settings(max_examples=400, deadline=None)
 @given(value=st.recursive(_SCALARS, _containers, max_leaves=25))
 def test_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def _shared_values(draw):
+    """A value that holds one dict or list object many times.
+
+    The object recurs at one depth (twice in the top list), at other depths
+    and inside tuples, and at random places of a random value around it.
+    """
+    leaves = _SCALARS | st.lists(_INTS, max_size=2) | st.just({})
+    entries = st.dictionaries(_TEXT, leaves, min_size=1, max_size=3)
+    shared = draw(
+        entries
+        | entries.map(OrderedDict)
+        | entries.map(lambda d: defaultdict(list, d))
+        | st.lists(leaves, min_size=1, max_size=3)
+    )
+    around = draw(st.recursive(st.just(shared) | _SCALARS, _containers, max_leaves=8))
+    return [shared, shared, {"under": [shared, (shared,)]}, (shared, [shared]), around]
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_shared_values())
+def test_writer_matches_json_dumps_with_shared_objects(value):
+    # the writer keeps a dict's text by id and depth: the same dict at
+    # another depth has another indent
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 

@@ -17,7 +17,7 @@ from gkz1 import (
 )
 
 from conftest import random_config, random_nonresonant_beta
-from reference import literal_box
+from reference import apply_euler_row_reference, literal_box
 
 
 def corrupt(series: LogSeries, key, value) -> LogSeries:
@@ -225,6 +225,27 @@ class TestClosedFormBox:
                     key = (rng.randint(*window), rng.randint(0, series.max_log_degree))
                     broken = corrupt(series, key, series.coefficient(*key) + F(1, 3))
                     assert apply_box(config, broken) == literal_box(config, broken)
+
+
+class TestEulerAgainstTermwise:
+    """Each homogeneity row against the term-by-term reference, report for report."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=box_cases(), data=st.data())
+    def test_reports_equal_termwise_reference(self, case, data):
+        config, series, _ = case
+        beta = config.column_combination(series.base_exponent)
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        wrong = [b + data.draw(small) for b in beta]
+        mu = data.draw(st.integers(0, config.n - 1))
+        base = list(series.base_exponent)
+        base[mu] += data.draw(small.filter(bool))
+        moved = LogSeries.make(base, series.relation, series.window, series.terms)
+        for param, s in [(beta, series), (wrong, series), (beta, moved)]:
+            for row in range(config.dim):
+                report = apply_euler_row(config, param, s, row)
+                assert report == apply_euler_row_reference(config, param, s, row)
+        assert all(apply_euler_row(config, beta, series, row).passed for row in range(config.dim))
 
 
 def test_certificate_imports_no_builder():
