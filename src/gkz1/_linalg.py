@@ -1,8 +1,12 @@
 """Internal exact linear algebra over Q and Z.
 
-Everything here works on plain Python ints and fractions.Fraction, so all
-results are exact.  Matrices are small (a handful of rows/columns), so the
-textbook algorithms are the right tool: no pivot-size tuning, no floats.
+Matrices are small (a handful of rows and columns), so one Gauss-Jordan
+elimination serves every solve, and it runs on Python ints only.  A row
+is eliminated by cross-multiplying it with the pivot row, then divided by
+its content, so every row stays a primitive integer vector and its entries
+stay near the size of the input's minors.  Rational right-hand sides are
+cleared of denominators once, before the elimination, and a solve builds
+one ``Fraction`` per pivot coordinate, at the end.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -18,11 +22,15 @@ def fracs(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduced row echelon form in place over the first `ncols` columns.
+def _rref(rows: list[list[int]], ncols: int) -> list[int]:
+    """Integer Gauss-Jordan elimination in place over the first `ncols` columns.
 
-    Returns the pivot column indices.  Any trailing columns (e.g. an
-    augmented right-hand side) are carried along but never pivoted on.
+    Returns the pivot column indices.  The pivot row of each column is the
+    first remaining row with a nonzero entry there, and every other row is
+    cleared in that column, so each row ends as a nonzero multiple of the
+    row that reduction over Q gives; the pivot entry is not scaled to 1.
+    Any trailing columns (e.g. an augmented right-hand side) are carried
+    along but never pivoted on.
     """
     pivots = []
     r = 0
@@ -31,12 +39,18 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        pivot = rows[r]
+        a = pivot[c]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(a, f)
+                a_g, f_g = a // g, f // g
+                row = [a_g * x - f_g * y for x, y in zip(rows[i], pivot)]
+                content = gcd(*row)
+                if content > 1:
+                    row = [x // content for x in row]
+                rows[i] = row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -44,52 +58,60 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def solve_columns(columns: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
+def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence) -> Optional[Vector]:
     """One exact solution c of  sum_t c_t * columns[t] = rhs,  or None.
 
-    Free coordinates are set to zero, which makes the answer deterministic.
+    The right-hand side holds ints or Fractions.  Free coordinates are set
+    to zero, which makes the answer deterministic.
     """
-    rhs = fracs(rhs)
     m = len(columns)
     d = len(rhs)
     if m == 0:
         return () if all(x == 0 for x in rhs) else None
-    rows = [[Fraction(columns[t][i]) for t in range(m)] + [rhs[i]] for i in range(d)]
+    den = lcm(*(x.denominator for x in rhs))
+    rows = [
+        [col[i] * den for col in columns] + [rhs[i].numerator * (den // rhs[i].denominator)]
+        for i in range(d)
+    ]
     pivots = _rref(rows, m)
     for i in range(len(pivots), d):
-        if rows[i][m] != 0:
+        if rows[i][m]:
             return None
     solution = [Fraction(0)] * m
     for r, c in enumerate(pivots):
-        solution[c] = rows[r][m]
+        solution[c] = Fraction(rows[r][m], rows[r][c])
     return tuple(solution)
 
 
-def nullspace_columns(columns: Sequence[Sequence]) -> list[Vector]:
-    """Basis of {c in Q^m : sum_t c_t * columns[t] = 0}."""
+def nullspace_columns(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Integer basis of {c in Q^m : sum_t c_t * columns[t] = 0}.
+
+    One vector per free coordinate f: the vector over Q with c_f = 1 and
+    the other free coordinates 0, times the lcm of the pivots, so every
+    entry is an integer and c_f is positive.
+    """
     m = len(columns)
     d = len(columns[0])
-    rows = [[Fraction(columns[t][i]) for t in range(m)] for i in range(d)]
+    rows = [[col[i] for col in columns] for i in range(d)]
     pivots = _rref(rows, m)
+    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * m
-        vec[f] = Fraction(1)
+        vec = [0] * m
+        vec[f] = scale
         for r, c in enumerate(pivots):
-            vec[c] = -rows[r][f]
+            vec[c] = -rows[r][f] * (scale // rows[r][c])
         basis.append(tuple(vec))
     return basis
 
 
-def primitive_integer_vector(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to coprime integers (sign preserved)."""
-    den = lcm(*(Fraction(x).denominator for x in vec)) if len(vec) > 1 else Fraction(vec[0]).denominator
-    ints = [int(Fraction(x) * den) for x in vec]
-    g = gcd(*ints) if len(ints) > 1 else abs(ints[0])
+def primitive_integer_vector(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide a nonzero integer vector by its content (sign preserved)."""
+    g = gcd(*vec)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in vec)
 
 
 # -- Smith normal form (diagonal only) ---------------------------------------

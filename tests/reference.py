@@ -16,6 +16,11 @@ arithmetic with the route it checks:
   multiset of columns, each restricted to its own support's membership;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
   even where every term's weight is zero;
+- ``solve_columns_reference`` and ``nullspace_columns_reference`` solve
+  and find kernels by reduced row echelon form over ``Fraction``, with the
+  pivot scaled to 1 at every step; ``relation_reference`` makes the
+  kernel's primitive generator from them.  They check ``_linalg``'s
+  integer elimination;
 - ``facet_functional`` finds the primitive functional h_ij of a (positive,
   negative) pair by a row reduction on the other columns, so
   ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line.
@@ -31,9 +36,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import ceil, factorial, gcd
+from math import ceil, factorial, gcd, lcm
 
-from gkz1 import Exponent, LatticeConfig, LogSeries, _linalg, coefficient_M, support_verdict
+from gkz1 import Exponent, LatticeConfig, LogSeries, coefficient_M, support_verdict
 from gkz1._linalg import Vector
 from gkz1.coefficients import coefficient_run
 from gkz1.errors import DegreeTooLarge, ExcludedCase, IndexOutOfRange, SigmaIntegral
@@ -325,6 +330,82 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
     return LogSeries.make(base, rel, window, acc)
 
 
+def _rref_reference(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduced row echelon form over Q in place; returns the pivot columns.
+
+    The pivot row of each column is the first remaining row with a nonzero
+    entry there, scaled to 1.  Trailing columns are carried, never pivoted.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def solve_columns_reference(columns, rhs) -> Vector | None:
+    """One solution c of sum_t c_t * columns[t] = rhs over Q, or None.
+
+    Free coordinates are zero.
+    """
+    rhs = [Fraction(x) for x in rhs]
+    m = len(columns)
+    d = len(rhs)
+    if m == 0:
+        return () if all(x == 0 for x in rhs) else None
+    rows = [[Fraction(columns[t][i]) for t in range(m)] + [rhs[i]] for i in range(d)]
+    pivots = _rref_reference(rows, m)
+    for i in range(len(pivots), d):
+        if rows[i][m] != 0:
+            return None
+    solution = [Fraction(0)] * m
+    for r, c in enumerate(pivots):
+        solution[c] = rows[r][m]
+    return tuple(solution)
+
+
+def nullspace_columns_reference(columns) -> list[Vector]:
+    """Basis of {c in Q^m : sum_t c_t * columns[t] = 0}, one vector per free
+    coordinate f, with c_f = 1 and the other free coordinates 0."""
+    m = len(columns)
+    d = len(columns[0])
+    rows = [[Fraction(columns[t][i]) for t in range(m)] for i in range(d)]
+    pivots = _rref_reference(rows, m)
+    free = [c for c in range(m) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * m
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def relation_reference(columns) -> tuple[int, ...]:
+    """The coprime integer generator of the columns' one-dimensional kernel,
+    signed so that its first entry is positive."""
+    (vec,) = nullspace_columns_reference(columns)
+    den = lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints)
+    sign = 1 if ints[0] > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
 @dataclass(frozen=True)
 class FacetFunctional:
     """Primitive integral functional vanishing on all columns but two.
@@ -371,7 +452,7 @@ def facet_functional(config: LatticeConfig, i: int, j: int) -> FacetFunctional:
     matrix_columns = [
         [config.columns[s][t] for s in rows] for t in range(config.dim)
     ]
-    coeffs = _linalg.solve_columns(matrix_columns, rhs)
+    coeffs = solve_columns_reference(matrix_columns, rhs)
     assert coeffs is not None, "facet system must be solvable"
     functional = FacetFunctional(i=i, j=j, coeffs=coeffs, values=())
     raw_values = [functional(col) for col in config.columns]

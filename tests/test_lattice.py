@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gkz1 import (
     Nonresonance,
     PointConfig,
-    _linalg,
     build_config,
     is_nonresonant,
     parameter,
@@ -24,7 +23,7 @@ from gkz1.classify import _parameter_in_negative_span
 from gkz1.lattice import RelationLine, facet_pairs
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
-from reference import facet_functional
+from reference import facet_functional, nullspace_columns_reference, solve_columns_reference
 
 
 class TestBuildConfig:
@@ -81,10 +80,10 @@ class TestBuildConfig:
 def _brute_force_verdict(columns):
     """(error class, omitted index) from ranks of the set and its subsets."""
     n = len(columns)
-    if n - len(_linalg.nullspace_columns(columns)) != n - 1:
+    if n - len(nullspace_columns_reference(columns)) != n - 1:
         return KernelRankNotOne, None
     for omit in range(n):
-        if _linalg.nullspace_columns(columns[:omit] + columns[omit + 1:]):
+        if nullspace_columns_reference(columns[:omit] + columns[omit + 1:]):
             return DependentSubset, omit
     return None, None
 
@@ -275,7 +274,7 @@ def test_line_closed_forms_match_the_solves(seed, relation_first, kind, data):
     witness = next(((i, j, int(v)) for i, j, v in values if v.denominator == 1), None)
     assert is_nonresonant(config, beta) == Nonresonance(witness is None, witness)
     negative_columns = [config.columns[j] for j in config.negative]
-    in_span = _linalg.solve_columns(negative_columns, beta.beta) is not None
+    in_span = solve_columns_reference(negative_columns, beta.beta) is not None
     assert _parameter_in_negative_span(config, beta) == in_span
     event("resonant" if witness else "nonresonant")
     event("in the negative span" if in_span else "outside the negative span")
