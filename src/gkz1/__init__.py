@@ -35,7 +35,6 @@ from .lattice import (
     LatticeConfig,
     Nonresonance,
     Parameter,
-    PointConfig,
     build_config,
     is_nonresonant,
     parameter,
@@ -72,7 +71,6 @@ __all__ = [
     "Nonresonance",
     "OperatorReport",
     "Parameter",
-    "PointConfig",
     "PrimeExponents",
     "SingularityType",
     "SolutionBundle",

@@ -114,13 +114,18 @@ def primitive_integer_vector(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vec)
 
 
-# -- Smith normal form (diagonal only) ---------------------------------------
+# -- lattice index ------------------------------------------------------------
 
-def smith_invariants(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Nonnegative invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
+def saturation_index(columns: Sequence[Sequence[int]]) -> int:
+    """Index of the lattice spanned by integer columns inside its saturation.
+
+    Equals the product of the Smith invariant factors, which is the product
+    of the diagonal that integer row and column operations reduce the
+    matrix to: those operations are unimodular, so any diagonal they reach
+    has the same product of nonzero entries, up to sign.
+    """
+    a = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    m, n = len(a), len(columns)
     s = 0
     while s < m and s < n:
         pivot = next(
@@ -160,25 +165,9 @@ def smith_invariants(mat: Sequence[Sequence[int]]) -> list[int]:
             if clear:
                 break
         s += 1
-    diag = [abs(a[t][t]) for t in range(s)]
-    # enforce the divisibility chain; diag(a, b) ~ diag(gcd, lcm)
-    for t in range(len(diag)):
-        for u in range(t + 1, len(diag)):
-            if diag[u] % diag[t]:
-                g = gcd(diag[t], diag[u])
-                diag[t], diag[u] = g, diag[t] * diag[u] // g
-    return diag
-
-
-def saturation_index(columns: Sequence[Sequence[int]]) -> int:
-    """Index of the lattice spanned by integer columns inside its saturation.
-
-    Equals the product of the Smith invariant factors.
-    """
-    transposed = [[col[i] for col in columns] for i in range(len(columns[0]))]
     product = 1
-    for d in smith_invariants(transposed):
-        product *= d
+    for t in range(s):
+        product *= abs(a[t][t])
     return product
 
 

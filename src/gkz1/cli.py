@@ -40,7 +40,7 @@ DEFAULT_WINDOW = (-10, 20)
 
 @dataclass
 class ProblemSpec:
-    points: list[list[int]]
+    columns: list[list[int]]
     beta: list[Fraction]
     u: list[Fraction] | None = None
     lift: list[int] | None = None
@@ -91,14 +91,14 @@ def load_problem(path: str) -> ProblemSpec:
         raise InputError("A: missing (list of integer points)")
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
-    points = [
+    columns = [
         [_int(x, f"A[{i}]") for x in _list(col, f"A[{i}]")]
         for i, col in enumerate(_list(data["A"], "A"))
     ]
     beta = [
         _rational(x, f"beta[{i}]") for i, x in enumerate(_list(data["beta"], "beta"))
     ]
-    spec = ProblemSpec(points=points, beta=beta)
+    spec = ProblemSpec(columns=columns, beta=beta)
     if "u" in data:
         spec.u = [_rational(x, f"u[{i}]") for i, x in enumerate(_list(data["u"], "u"))]
     if "lift" in data:
@@ -175,7 +175,7 @@ def _verdict_dict(verdict) -> dict:
 
 
 def cmd_analyze(spec: ProblemSpec) -> dict:
-    config = build_config(spec.points)
+    config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     resonance = is_nonresonant(config, beta)
     return {
@@ -205,7 +205,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
 
 
 def cmd_exponents(spec: ProblemSpec) -> dict:
-    config = build_config(spec.points)
+    config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     fakes = fake_exponents(config, beta)
     primes = normalized_set(config, fakes)
@@ -230,7 +230,7 @@ def _bundle_report(spec: ProblemSpec):
     The reported parameter is the first bundle's, shifted by u, as "p/q"
     strings; with no bundle it is the parameter itself.
     """
-    config = build_config(spec.points)
+    config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     report = solution_bundle(
         config, beta, u=spec.u, u_lift=spec.lift, window=spec.window
@@ -318,7 +318,7 @@ def cmd_verify(spec: ProblemSpec) -> dict:
 
 
 def cmd_classify(spec: ProblemSpec) -> dict:
-    config = build_config(spec.points)
+    config = build_config(spec.columns)
     classification = is_mum_holomorphic(config, spec.beta)
     return {
         "regular": classification.regular,
@@ -517,7 +517,7 @@ def _run(args) -> int:
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
-    except (InternalInvariantError, AssertionError) as exc:
+    except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 1
     if args.format == "text":

@@ -322,7 +322,8 @@ def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:
     if steps is None:
         raise NotInLattice(f"{u} is not an integer combination of the columns")
     lift = line.at(steps[0])
-    assert all(x.denominator == 1 for x in lift)
+    if any(x.denominator != 1 for x in lift):
+        raise InternalInvariantError(f"lift {lift} of {u} is not integral")
     lift = [int(x) for x in lift]
     rel = config.relation
     shift = (lift[-1] % abs(rel[-1]) - lift[-1]) // rel[-1]

@@ -7,6 +7,10 @@ vector, which fixes the distinguished monomial
 
     x0 = prod_{rel[mu] > 0} x_mu^rel[mu] / prod_{rel[mu] < 0} x_mu^(-rel[mu]).
 
+One type, ``LatticeConfig``, holds it: it stores the columns and the
+relation, found while validating the columns, and derives the rest (the
+sides of the relation, ``perm``, ``k`` and the volume) from those two.
+
 All column indices in this package are 0-based and refer to the caller's
 original column order; the canonical positives-first ordering is available
 through ``perm``/``ell`` but is never imposed on inputs or outputs.
@@ -21,19 +25,26 @@ from math import gcd
 
 from . import _linalg
 from ._linalg import Progression, Vector, fracs
-from .errors import BetaNotInSpan, DependentSubset, KernelRankNotOne
+from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
 
 @dataclass(frozen=True)
-class PointConfig:
-    """The raw input: n integer points (columns) in Z^d.
+class LatticeConfig:
+    """n integer points (columns) in Z^d with a rank-one relation lattice.
 
     Validates on construction that the points span exactly an
     (n-1)-dimensional space and that every subset of n-1 points is
     linearly independent, with one kernel computation: once the kernel is
     the line through ``relation``, the columns without mu are independent
-    exactly when relation[mu] != 0.  ``relation`` is that kernel's
-    coprime integer generator, signed so that relation[0] > 0.
+    exactly when relation[mu] != 0.  Only the columns and the relation are
+    stored; the rest is derived from the relation on first use:
+
+    relation  -- the kernel's coprime integer generator, in the caller's
+                 column order, signed so that relation[0] > 0;
+    perm      -- stable permutation listing positive-relation columns first;
+    k         -- number of positive relation entries;
+    volume    -- normalized volume of the polytope spanned by the points and
+                 the origin (the larger of the two signed coefficient sums).
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -68,36 +79,17 @@ class PointConfig:
     def dim(self) -> int:
         return len(self.columns[0])
 
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        return self.positive + self.negative
 
-@dataclass(frozen=True)
-class LatticeConfig:
-    """A validated configuration together with its relation data.
+    @cached_property
+    def k(self) -> int:
+        return len(self.positive)
 
-    relation  -- the signed coprime generator of the relation lattice, in the
-                 caller's column order, sign fixed so relation[0] > 0;
-    perm      -- stable permutation listing positive-relation columns first;
-    k         -- number of positive relation entries;
-    volume    -- normalized volume of the polytope spanned by the points and
-                 the origin (the larger of the two signed coefficient sums).
-    """
-
-    points: PointConfig
-    relation: tuple[int, ...]
-    perm: tuple[int, ...]
-    k: int
-    volume: int
-
-    @property
-    def n(self) -> int:
-        return self.points.n
-
-    @property
-    def dim(self) -> int:
-        return self.points.dim
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return self.points.columns
+    @cached_property
+    def volume(self) -> int:
+        return max(self.positive_sum, self.negative_sum)
 
     @property
     def ell(self) -> tuple[int, ...]:
@@ -157,10 +149,6 @@ class RelationLine:
         """The point at parameter t: point + t*relation."""
         return tuple(c + t * e for c, e in zip(self.point, self.relation))
 
-    def through(self, mu: int, x) -> Vector:
-        """The unique point whose mu-th coordinate is x."""
-        return self.at((x - self.point[mu]) / self.relation[mu])
-
     def integral_steps(self, indices) -> Progression | None:
         """The progression of t making every listed coordinate an integer."""
         return _linalg.intersect_progressions([
@@ -183,6 +171,9 @@ class Parameter:
     def __iter__(self):
         return iter(self.beta)
 
+    def __getitem__(self, index):
+        return self.beta[index]
+
 
 @dataclass(frozen=True)
 class Nonresonance:
@@ -196,27 +187,10 @@ class Nonresonance:
 
 
 def build_config(points) -> LatticeConfig:
-    """Construct the canonical LatticeConfig for a point configuration.
-
-    The relation generator is the one PointConfig computed while
-    validating the points.
-    """
-    if not isinstance(points, PointConfig):
-        points = PointConfig(tuple(tuple(col) for col in points))
-    relation = points.relation
-    perm = tuple(
-        sorted(range(points.n), key=lambda mu: (relation[mu] < 0, mu))
-    )
-    k = sum(1 for e in relation if e > 0)
-    pos_sum = sum(e for e in relation if e > 0)
-    neg_sum = -sum(e for e in relation if e < 0)
-    return LatticeConfig(
-        points=points,
-        relation=relation,
-        perm=perm,
-        k=k,
-        volume=max(pos_sum, neg_sum),
-    )
+    """The validated configuration of a point set; a LatticeConfig is returned as is."""
+    if isinstance(points, LatticeConfig):
+        return points
+    return LatticeConfig(points)
 
 
 def volume_crosscheck(config: LatticeConfig) -> int:
@@ -234,11 +208,13 @@ def volume_crosscheck(config: LatticeConfig) -> int:
         rest = config.columns[:mu] + config.columns[mu + 1:]
         sub = _linalg.saturation_index(rest)
         index, remainder = divmod(sub, full)
-        assert remainder == 0, "sublattice index must be integral"
+        if remainder:
+            raise InternalInvariantError("sublattice index must be integral")
         total += index
-    assert total == config.volume, (
-        f"volume mismatch: indices sum to {total}, relation gives {config.volume}"
-    )
+    if total != config.volume:
+        raise InternalInvariantError(
+            f"volume mismatch: indices sum to {total}, relation gives {config.volume}"
+        )
     return total
 
 

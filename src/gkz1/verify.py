@@ -33,7 +33,6 @@ from fractions import Fraction
 from math import lcm, perm
 from typing import TYPE_CHECKING
 
-from ._linalg import fracs
 from .lattice import LatticeConfig
 
 if TYPE_CHECKING:
@@ -146,12 +145,11 @@ def apply_euler_row(
     parts are zero the residual is empty without reading a term.  No shift
     in z occurs, so the whole input window is safe.
     """
-    param = fracs(param)
     a_row = [config.columns[j][row] for j in range(config.n)]
     base_dot = sum(
         (Fraction(a) * w for a, w in zip(a_row, series.base_exponent)), Fraction(0)
     )
-    offset = base_dot - param[row]
+    offset = base_dot - Fraction(param[row])
     rel_dot = sum(a * e for a, e in zip(a_row, config.relation))
     if not offset and not rel_dot:
         return _report(f"euler[{row}]", series.window, series.window, {})

@@ -10,8 +10,8 @@ arithmetic with the route it checks:
 - ``gauss_oracle`` evaluates the two classical Gauss series by rising
   factorials;
 - ``fake_exponents_reference`` and ``normalized_set_reference`` find the
-  exponents as whole ``Fraction`` vectors on the relation line, merged by
-  hashing and ordered by sorting the vectors;
+  exponents as whole ``Fraction`` vectors, one ``solve_columns_reference``
+  per (mu, b) point, merged by hashing and ordered by sorting the vectors;
 - ``log_solution_reference`` sums the degree-r log solution over every
   multiset of columns, each restricted to its own support's membership;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
@@ -21,6 +21,10 @@ arithmetic with the route it checks:
   pivot scaled to 1 at every step; ``relation_reference`` makes the
   kernel's primitive generator from them.  They check ``_linalg``'s
   integer elimination;
+- ``config_reference`` computes a configuration's relation, ``perm``, ``k``
+  and volume from that generator by sorting and summing its entries;
+- ``saturation_index_reference`` finds a lattice's index in its
+  saturation as a gcd of determinants, with no elimination at all;
 - ``facet_functional`` finds the primitive functional h_ij of a (positive,
   negative) pair by a row reduction on the other columns, so
   ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line.
@@ -42,7 +46,6 @@ from gkz1 import Exponent, LatticeConfig, LogSeries, coefficient_M, support_verd
 from gkz1._linalg import Vector
 from gkz1.coefficients import coefficient_run
 from gkz1.errors import DegreeTooLarge, ExcludedCase, IndexOutOfRange, SigmaIntegral
-from gkz1.lattice import RelationLine
 from gkz1.verify import OperatorReport
 
 
@@ -268,13 +271,16 @@ def _exponent_reference(config, vec) -> Exponent:
 
 
 def fake_exponents_reference(config, beta) -> list[Exponent]:
-    """The point of the relation line through each (mu, b), sorted as vectors."""
-    line = RelationLine.of(config, [Fraction(x) for x in beta])
-    found = {
-        line.through(mu, b): None
-        for mu in config.positive
-        for b in range(config.relation[mu])
-    }
+    """The solution with coordinate mu equal to b, for each (mu, b), sorted
+    as vectors: the other columns solved against beta - b*a_mu."""
+    beta = [Fraction(x) for x in beta]
+    found = set()
+    for mu in config.positive:
+        others = config.columns[:mu] + config.columns[mu + 1:]
+        for b in range(config.relation[mu]):
+            target = [x - b * a for x, a in zip(beta, config.columns[mu])]
+            rest = solve_columns_reference(others, target)
+            found.add(rest[:mu] + (Fraction(b),) + rest[mu:])
     return [_exponent_reference(config, vec) for vec in sorted(found)]
 
 
@@ -404,6 +410,46 @@ def relation_reference(columns) -> tuple[int, ...]:
     g = gcd(*ints)
     sign = 1 if ints[0] > 0 else -1
     return tuple(sign * x // g for x in ints)
+
+
+def config_reference(columns) -> tuple:
+    """(relation, perm, k, volume) of valid columns: perm sorts the columns
+    on (relation[mu] < 0, mu), k counts the positive relation entries and
+    the volume is the larger of the two signed sums."""
+    relation = relation_reference(columns)
+    perm = tuple(sorted(range(len(relation)), key=lambda mu: (relation[mu] < 0, mu)))
+    k = sum(1 for e in relation if e > 0)
+    volume = max(sum(e for e in relation if e > 0), -sum(e for e in relation if e < 0))
+    return relation, perm, k, volume
+
+
+def _determinant(rows) -> int:
+    """Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def saturation_index_reference(columns) -> int:
+    """Index of the lattice the integer columns span inside its saturation.
+
+    It is the gcd of the largest nonvanishing minors of the matrix with
+    these columns: for each size k from min(d, m) down, the gcd of every
+    k x k minor; the first nonzero one is the index, and 1 when all vanish.
+    """
+    rows = [[col[i] for col in columns] for i in range(len(columns[0]))]
+    for k in range(min(len(rows), len(columns)), 0, -1):
+        g = 0
+        for picked_rows in combinations(rows, k):
+            for picked in combinations(range(len(columns)), k):
+                g = gcd(g, _determinant([[row[j] for j in picked] for row in picked_rows]))
+        if g:
+            return g
+    return 1
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import cli
+from gkz1 import _linalg, cli
 from gkz1.cli import ProblemSpec, main
 from gkz1.errors import GkzError
 from gkz1.series import LogSeries
@@ -597,6 +597,15 @@ class TestInvalidConfigs:
         assert code == 2
 
 
+def test_failed_volume_crosscheck_exits_1(capsys, monkeypatch, triangle_file):
+    # analyze reports vol_crosscheck, so a wrong lattice index must refuse
+    true_index = _linalg.saturation_index
+    monkeypatch.setattr(_linalg, "saturation_index", lambda cols: len(cols) * true_index(cols))
+    code, out, err = run(capsys, "analyze", "--input", triangle_file)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal invariant failure: ") and err.count("\n") == 1
+
+
 # The exit code of every error class.  A class added without one of the three
 # base classes is missing here, so the walk below fails on it.
 EXIT_CODES = {
@@ -704,7 +713,7 @@ def test_writer_matches_json_dumps_on_every_report(seed):
     rng = random.Random(seed)
     config = random_config(rng)
     spec = ProblemSpec(
-        points=[list(col) for col in config.columns],
+        columns=[list(col) for col in config.columns],
         beta=list(random_nonresonant_beta(rng, config)),
         window=(-1, 3),
         r=0,

@@ -6,8 +6,9 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import (
+    LatticeConfig,
+    _linalg,
     Nonresonance,
-    PointConfig,
     build_config,
     is_nonresonant,
     parameter,
@@ -17,13 +18,19 @@ from gkz1.errors import (
     BetaNotInSpan,
     DependentSubset,
     IndexOutOfRange,
+    InternalInvariantError,
     KernelRankNotOne,
 )
 from gkz1.classify import _parameter_in_negative_span
 from gkz1.lattice import RelationLine, facet_pairs
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
-from reference import facet_functional, nullspace_columns_reference, solve_columns_reference
+from reference import (
+    config_reference,
+    facet_functional,
+    nullspace_columns_reference,
+    solve_columns_reference,
+)
 
 
 class TestBuildConfig:
@@ -120,7 +127,7 @@ def test_validation_matches_subset_ranks(points):
     columns = tuple(tuple(p) for p in points)
     error, omitted = _brute_force_verdict(columns)
     if error is None:
-        relation = PointConfig(columns).relation
+        relation = LatticeConfig(columns).relation
         assert relation[0] > 0 and 0 not in relation
         assert all(
             sum(e * col[i] for e, col in zip(relation, columns)) == 0
@@ -128,10 +135,48 @@ def test_validation_matches_subset_ranks(points):
         )
     else:
         with pytest.raises(error) as info:
-            PointConfig(columns)
+            LatticeConfig(columns)
         assert type(info.value) is error
         if omitted is not None:
             assert info.value.omitted == omitted
+
+
+def _configurations():
+    """Columns of random_config and random_relation_config, or raw point sets."""
+    seeded = st.builds(
+        lambda make, seed: [list(col) for col in make(random.Random(seed)).columns],
+        st.sampled_from([random_config, random_relation_config]),
+        st.integers(0, 2**32 - 1),
+    )
+    raw = st.integers(2, 5).flatmap(lambda n: st.integers(1, 4).flatmap(lambda d: _point_sets(n, d)))
+    return st.one_of(seeded, raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_configurations())
+def test_configuration_derives_relation_perm_k_and_volume(points):
+    columns = tuple(tuple(p) for p in points)
+    error, omitted = _brute_force_verdict(columns)
+    if error is not None:
+        with pytest.raises(error) as info:
+            build_config(points)
+        assert type(info.value) is error
+        if omitted is not None:
+            assert info.value.omitted == omitted
+        else:
+            rank = len(columns) - len(nullspace_columns_reference(columns))
+            assert str(info.value) == f"points span rank {rank}, expected {len(columns) - 1}"
+        event(error.__name__)
+        return
+    config = build_config(points)
+    assert config.columns == columns
+    assert (config.relation, config.perm, config.k, config.volume) == config_reference(columns)
+    assert build_config(config) is config
+    twin = LatticeConfig(columns)
+    assert twin is not config and twin == config and hash(twin) == hash(config)
+    assert twin.relation == config.relation
+    assert repr(twin) == f"LatticeConfig(columns={columns!r})"
+    event("valid")
 
 
 class TestRelationLine:
@@ -139,7 +184,6 @@ class TestRelationLine:
         line = RelationLine.of(triangle, [10, 8])
         assert triangle.column_combination(line.point) == (10, 8)
         assert line.at(2) == tuple(c + 2 * e for c, e in zip(line.point, (1, 1, -2)))
-        assert line.through(1, 0) == (2, 0, 8)
         offset, step = line.integral_steps(range(3))
         assert step == 1 and all(x.denominator == 1 for x in line.at(offset))
         assert RelationLine.of(triangle, [F(1, 2), 0]).integral_steps([0, 1]) is None
@@ -159,6 +203,23 @@ class TestVolumeCrosscheck:
         # ZA = 2Z inside Z, so the saturation index is nontrivial
         config = build_config([(2,), (2,)])
         assert volume_crosscheck(config) == config.volume == 1
+
+    def test_wrong_index_raises(self, triangle, monkeypatch):
+        true_index = _linalg.saturation_index
+        # the full lattice's index tripled: a sublattice index is not integral
+        monkeypatch.setattr(
+            _linalg, "saturation_index",
+            lambda cols: true_index(cols) * (3 if len(cols) == triangle.n else 1),
+        )
+        with pytest.raises(InternalInvariantError, match="must be integral"):
+            volume_crosscheck(triangle)
+        # every sublattice index doubled: the sum misses the volume
+        monkeypatch.setattr(
+            _linalg, "saturation_index",
+            lambda cols: true_index(cols) * (2 if len(cols) < triangle.n else 1),
+        )
+        with pytest.raises(InternalInvariantError, match="indices sum to 4, relation gives 2"):
+            volume_crosscheck(triangle)
 
     def test_random_corpus_sample(self):
         rng = random.Random(4)

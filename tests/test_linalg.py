@@ -7,10 +7,15 @@ from math import lcm
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import PointConfig, _linalg, build_config, parameter
+from gkz1 import LatticeConfig, _linalg, build_config, parameter
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
-from reference import nullspace_columns_reference, relation_reference, solve_columns_reference
+from reference import (
+    nullspace_columns_reference,
+    relation_reference,
+    saturation_index_reference,
+    solve_columns_reference,
+)
 
 BIG = 10**6
 entries = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
@@ -99,13 +104,45 @@ def test_integer_elimination_matches_the_fraction_oracle(system):
     assert _within_minor_bound([[col[i] for col in columns] for i in range(d)], m)
 
 
+@st.composite
+def small_matrices(draw):
+    """Columns of an integer matrix with up to 4 rows and 5 columns, entries
+    in -6..6, often rank-deficient, with zero rows or columns."""
+    m = draw(st.integers(1, 5), label="m")
+    d = draw(st.integers(1, 4), label="d")
+    columns = [draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        # one column a combination of the others
+        u = draw(st.integers(0, m - 1))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        columns[u] = [sum(w * col[i] for t, (w, col) in enumerate(zip(weights, columns)) if t != u)
+                      for i in range(d)]
+    for t in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        columns[t] = [0] * d
+    for i in draw(st.sets(st.integers(0, d - 1), max_size=2)):
+        for col in columns:
+            col[i] = 0
+    return [tuple(col) for col in columns]
+
+
+@settings(max_examples=400, deadline=None)
+@given(columns=small_matrices())
+@example(columns=[(0, 0), (0, 0)])
+@example(columns=[(2,), (4,)])
+@example(columns=[(2, 0), (0, 3), (2, 3)])
+def test_saturation_index_is_the_gcd_of_maximal_minors(columns):
+    expected = saturation_index_reference(columns)
+    assert _linalg.saturation_index(columns) == expected
+    event("index 1" if expected == 1 else "index > 1")
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), relation_first=st.booleans())
 def test_relation_and_line_point_match_the_fraction_route(seed, relation_first):
     rng = random.Random(seed)
     config = random_relation_config(rng) if relation_first else random_config(rng)
     beta = random_nonresonant_beta(rng, config)
-    assert PointConfig(config.columns).relation == relation_reference(config.columns)
+    assert LatticeConfig(config.columns).relation == relation_reference(config.columns)
     point = solve_columns_reference(config.columns[:-1], beta) + (F(0),)
     assert parameter(config, beta).line.point == point
 

@@ -12,6 +12,7 @@ from gkz1 import (
     apply_euler_row,
     certify,
     log_solution,
+    parameter,
     phi_series,
     solution_bundle,
 )
@@ -91,6 +92,13 @@ class TestEuler:
         phi = phi_series(gauss, v, (0,) * 4, (), (0, 8))
         for report in apply_euler(gauss, beta, phi):
             assert report.passed
+
+    def test_validated_parameter_reads_like_its_vector(self, triangle):
+        solution = log_solution(triangle, (F(2), F(0), F(8)), (0, 0, 0), 1, (0, 6))
+        wrong = [F(21, 2), 8]
+        reports = apply_euler(triangle, parameter(triangle, wrong), solution)
+        assert reports == apply_euler(triangle, wrong, solution)
+        assert not reports[0].passed
 
     def test_single_row(self, triangle):
         phi = phi_series(triangle, (F(2), F(0), F(8)), (0, 0, 0), (), (0, 5))
