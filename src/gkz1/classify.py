@@ -3,16 +3,19 @@
 The monodromy questions are combinatorial here: with a regular singular
 point and a nonresonant parameter, maximal unipotency is equivalent to the
 normalized exponent set being a singleton, which in turn is equivalent to a
-pair of lattice conditions on the parameter and the relation.  Both routes
-are computed and must agree; holomorphy of the log coefficients adds the
-requirement that the unique exponent vanishes on the positive side.
+pair of lattice conditions on the parameter and the relation.  The
+conditions are decided on the parameter's relation line; only when both
+hold is the exponent set built, with at most k exponents as every positive
+relation entry is then 1, and it must be a singleton.  Holomorphy of the
+log coefficients adds the requirement that the unique exponent vanishes on
+the positive side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import (
     InternalInvariantError,
     IrregularSingularity,
@@ -34,25 +37,14 @@ def singularity_type(config: LatticeConfig) -> SingularityType:
     return SingularityType.IRREGULAR
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Classification verdicts; None means outside the supported regime."""
 
-    regular: bool
-    nonresonant: bool
-    mum: bool | None
-    mum_holomorphic: bool | None
-    witness: dict
-
-
-def _parameter_class_integral_on_positive(config, beta) -> bool:
-    """Does beta admit a representation with integers on the positive side?
-
-    Solutions of the column system form a line c + t*relation; the question
-    is whether some rational t makes every positive-side coordinate an
-    integer, an intersection of arithmetic progressions in t.
-    """
-    return beta.line.integral_steps(config.positive) is not None
+    def __init__(self, regular, nonresonant, mum, mum_holomorphic, witness):
+        self.__dict__.update(
+            regular=regular, nonresonant=nonresonant, mum=mum,
+            mum_holomorphic=mum_holomorphic, witness=witness,
+        )
 
 
 def _parameter_in_negative_span(config, beta) -> bool:
@@ -67,20 +59,21 @@ def _parameter_in_negative_span(config, beta) -> bool:
 
 
 def _classification(config: LatticeConfig, beta) -> Classification:
-    primes = exponent_set_prime(config, beta)
-    singleton = len(primes.exponents) == 1
-    condition_a = _parameter_class_integral_on_positive(config, beta)
+    # (a): some point c + t*relation of beta's line is an integer at every
+    # positive coordinate, an intersection of arithmetic progressions in t
+    condition_a = beta.line.integral_steps(config.positive) is not None
     condition_b = all(config.relation[mu] == 1 for mu in config.positive)
-    if singleton != (condition_a and condition_b):
-        raise InternalInvariantError(
-            "singleton exponent set disagrees with the lattice conditions"
-        )
-    exponent = primes.exponents[0] if singleton else None
-    positive_entries_zero = singleton and all(
-        exponent.vector[mu] == 0 for mu in config.positive
-    )
+    singleton = condition_a and condition_b
+    exponent = None
+    if singleton:
+        primes = exponent_set_prime(config, beta)
+        if len(primes.exponents) != 1:
+            raise InternalInvariantError(
+                "the lattice conditions hold but the exponent set is no singleton"
+            )
+        exponent = primes.exponents[0]
     holomorphic_a = _parameter_in_negative_span(config, beta)
-    holomorphic = singleton and positive_entries_zero
+    holomorphic = singleton and all(exponent.vector[mu] == 0 for mu in config.positive)
     if holomorphic != (holomorphic_a and condition_b):
         raise InternalInvariantError(
             "holomorphic-MUM test disagrees with the span condition"
@@ -101,16 +94,6 @@ def _classification(config: LatticeConfig, beta) -> Classification:
     )
 
 
-def _require_regime(config: LatticeConfig, beta):
-    beta = parameter(config, beta)
-    if singularity_type(config) is not SingularityType.REGULAR:
-        raise IrregularSingularity("x0 = 0 is an irregular singularity")
-    resonance = is_nonresonant(config, beta)
-    if not resonance:
-        raise NotNonresonant(resonance.witness)
-    return beta
-
-
 def is_mum(config: LatticeConfig, beta) -> Classification:
     """Maximal unipotent monodromy tests; needs Regular and nonresonant.
 
@@ -118,7 +101,12 @@ def is_mum(config: LatticeConfig, beta) -> Classification:
     (MUM with only nonnegative shifts in the log coefficients), so
     is_mum_holomorphic is this same function.
     """
-    return _classification(config, _require_regime(config, beta))
+    result = classify(config, beta)
+    if not result.regular:
+        raise IrregularSingularity("x0 = 0 is an irregular singularity")
+    if not result.nonresonant:
+        raise NotNonresonant(result.witness["resonance_witness"])
+    return result
 
 
 is_mum_holomorphic = is_mum
@@ -130,9 +118,7 @@ def classify(config: LatticeConfig, beta) -> Classification:
     regular = singularity_type(config) is SingularityType.REGULAR
     resonance = is_nonresonant(config, beta)
     if not (regular and resonance):
-        witness = {}
-        if not resonance:
-            witness["resonance_witness"] = resonance.witness
+        witness = {} if resonance else {"resonance_witness": resonance.witness}
         return Classification(
             regular=regular,
             nonresonant=bool(resonance),

@@ -23,11 +23,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
+from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import HypothesisError, InputError, InternalInvariantError
 from .exponents import fake_exponents, normalized_set
@@ -38,15 +38,22 @@ from .verify import certify
 DEFAULT_WINDOW = (-10, 20)
 
 
-@dataclass
-class ProblemSpec:
-    columns: list[list[int]]
-    beta: list[Fraction]
-    u: list[Fraction] | None = None
-    lift: list[int] | None = None
-    window: tuple[int, int] = DEFAULT_WINDOW
-    r: int | None = None
-    verify: bool = True
+class ProblemSpec(Record):
+    # mutable, as load_problem and the command-line overrides assign to it
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, columns, beta, u=None, lift=None, window=DEFAULT_WINDOW, r=None, verify=True
+    ):
+        self.columns = columns
+        self.beta = beta
+        self.u = u
+        self.lift = lift
+        self.window = window
+        self.r = r
+        self.verify = verify
 
 
 def _rational(value, field: str) -> Fraction:
@@ -193,13 +200,7 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
         "beta": _rat_list(beta.beta),
         "nonresonant": bool(resonance),
         "resonance_witness": (
-            {
-                "i": resonance.witness[0],
-                "j": resonance.witness[1],
-                "value": resonance.witness[2],
-            }
-            if resonance.witness
-            else None
+            dict(zip(("i", "j", "value"), resonance.witness)) if resonance.witness else None
         ),
     }
 
@@ -320,13 +321,7 @@ def cmd_verify(spec: ProblemSpec) -> dict:
 def cmd_classify(spec: ProblemSpec) -> dict:
     config = build_config(spec.columns)
     classification = is_mum_holomorphic(config, spec.beta)
-    return {
-        "regular": classification.regular,
-        "nonresonant": classification.nonresonant,
-        "mum": classification.mum,
-        "mum_holomorphic": classification.mum_holomorphic,
-        "witness": classification.witness,
-    }
+    return {name: getattr(classification, name) for name in classification._fields}
 
 
 _COMMANDS = {

@@ -43,10 +43,6 @@ class DependentSubset(InputError):
         )
 
 
-class IndexOutOfRange(InputError):
-    """A facet-functional index pair is not of the positive/negative form."""
-
-
 class BetaNotInSpan(InputError):
     """The parameter vector is not a rational combination of the columns."""
 
@@ -108,10 +104,6 @@ class RNotLessThanMultiplicity(HypothesisError):
     """Requested log degree r is not below the exponent multiplicity."""
 
 
-class SigmaIntegral(HypothesisError):
-    """The two-solution Gauss oracle needs a nonintegral third parameter."""
-
-
 # -- coefficient domain ------------------------------------------------------
 
 class ExcludedCase(InternalInvariantError):
@@ -122,10 +114,6 @@ class ExcludedCase(InternalInvariantError):
 
     def __init__(self, l: int, s: int, v):
         super().__init__(f"M_({l},{s})({v}) has no closed form here")
-
-
-class DegreeTooLarge(InputError):
-    """Elementary symmetric polynomial degree exceeds the variable count."""
 
 
 # -- internal invariant failures ---------------------------------------------

@@ -18,24 +18,23 @@ integer keys k, and each coordinate (w[i]*D*L + k*relation[i]) / (D*L) is
 built once from its integer numerator.
 
 A parameter has one exponent per unit of the positive relation sum, so the
-per-exponent objects are kept few: ``Exponent`` is a slotted dataclass, with
-no ``__dict__``, and the exponents of one line that share an m_support share
-one frozenset.
+per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
+``__dict__``, whose fields are written through the slots' descriptors, and
+the exponents of one line that share an m_support share one frozenset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 
 from ._linalg import Vector, fracs
+from ._record import Record
 from .errors import CountMismatch, InternalInvariantError, NotInLattice, NotNonresonant
 from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
 
 
-@dataclass(frozen=True, slots=True)
-class Exponent:
+class Exponent(Record):
     """A fake exponent: rational vector v with sum_mu v_mu a_mu = beta.
 
     labels     -- the (column, offset) pairs that produce this vector;
@@ -43,13 +42,25 @@ class Exponent:
                   integer (nonempty for normalized exponents).
     """
 
-    vector: Vector
-    labels: tuple[tuple[int, int], ...]
-    m_support: frozenset[int]
+    __slots__ = ("vector", "labels", "m_support")
+
+    def __init__(self, vector, labels, m_support):
+        _set_vector(self, vector)
+        _set_labels(self, labels)
+        _set_m_support(self, m_support)
+
+    def __reduce__(self):
+        return Exponent, (self.vector, self.labels, self.m_support)
 
     @property
     def multiplicity(self) -> int:
         return len(self.m_support)
+
+
+# the slots' own setters, which Exponent.__setattr__ does not guard
+_set_vector, _set_labels, _set_m_support = (
+    getattr(Exponent, name).__set__ for name in Exponent._fields
+)
 
 
 def exponent_vector(v) -> Vector:
@@ -58,17 +69,11 @@ def exponent_vector(v) -> Vector:
     return fracs(v)
 
 
-def _is_nonneg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x >= 0
-
-
-def _is_neg_int(x: Fraction) -> bool:
-    return x.denominator == 1 and x < 0
-
-
 def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     vec = exponent_vector(vec)
-    return frozenset(mu for mu in config.positive if _is_nonneg_int(vec[mu]))
+    return frozenset(
+        mu for mu in config.positive if vec[mu].denominator == 1 and vec[mu] >= 0
+    )
 
 
 class _Grid:
@@ -163,13 +168,13 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     return grid.exponent(z0 * grid.den), z0
 
 
-@dataclass(frozen=True)
-class PrimeExponents:
+class PrimeExponents(Record):
     """The normalized exponents plus the multiplicity tally of both sides."""
 
-    exponents: tuple[Exponent, ...]
-    multiplicity_sum: int
-    relation_sum: int
+    def __init__(self, exponents, multiplicity_sum, relation_sum):
+        self.__dict__.update(
+            exponents=exponents, multiplicity_sum=multiplicity_sum, relation_sum=relation_sum
+        )
 
 
 def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
@@ -210,14 +215,14 @@ def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
 def negative_support(v, indices) -> frozenset[int]:
     """Indices in the given set whose coordinate is a negative integer."""
     vec = exponent_vector(v)
-    return frozenset(mu for mu in indices if _is_neg_int(vec[mu]))
+    return frozenset(mu for mu in indices if vec[mu].denominator == 1 and vec[mu] < 0)
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Record):
     """A finite union of integer intervals; None endpoints are unbounded."""
 
-    intervals: tuple[tuple[int | None, int | None], ...]
+    def __init__(self, intervals):
+        self.__dict__["intervals"] = intervals
 
     def __contains__(self, z: int) -> bool:
         return any(
@@ -245,8 +250,7 @@ def _interval(lo: int | None, hi: int | None) -> IntervalSet:
     return IntervalSet(((lo, hi),))
 
 
-@dataclass(frozen=True)
-class SupportVerdict:
+class SupportVerdict(Record):
     """Exact answer to the minimal negative-support question.
 
     membership collects the shifts z for which the negative support of
@@ -254,10 +258,10 @@ class SupportVerdict:
     says no shift produces a proper subset.
     """
 
-    indices: frozenset[int]
-    lift: tuple[int, ...]
-    minimal: bool
-    membership: IntervalSet
+    def __init__(self, indices, lift, minimal, membership):
+        self.__dict__.update(
+            indices=indices, lift=lift, minimal=minimal, membership=membership
+        )
 
 
 def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
@@ -300,7 +304,7 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
     return SupportVerdict(
         indices=indices,
         lift=lift,
-        minimal=equality == subset,
+        minimal=equality.intervals == subset.intervals,
         membership=equality,
     )
 

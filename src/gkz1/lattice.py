@@ -18,18 +18,17 @@ through ``perm``/``ell`` but is never imposed on inputs or outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
 from . import _linalg
 from ._linalg import Progression, Vector, fracs
+from ._record import Record
 from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
 
-@dataclass(frozen=True)
-class LatticeConfig:
+class LatticeConfig(Record):
     """n integer points (columns) in Z^d with a rank-one relation lattice.
 
     Validates on construction that the points span exactly an
@@ -47,12 +46,8 @@ class LatticeConfig:
                  the origin (the larger of the two signed coefficient sums).
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    relation: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cols = tuple(tuple(int(x) for x in col) for col in self.columns)
-        object.__setattr__(self, "columns", cols)
+    def __init__(self, columns):
+        cols = tuple(tuple(int(x) for x in col) for col in columns)
         n = len(cols)
         if n < 2:
             raise KernelRankNotOne(f"need at least 2 points, got {n}")
@@ -69,7 +64,7 @@ class LatticeConfig:
             raise DependentSubset(relation.index(0))
         if relation[0] < 0:
             relation = tuple(-e for e in relation)
-        object.__setattr__(self, "relation", relation)
+        self.__dict__.update(columns=cols, relation=relation)
 
     @property
     def n(self) -> int:
@@ -121,8 +116,7 @@ class LatticeConfig:
         )
 
 
-@dataclass(frozen=True)
-class RelationLine:
+class RelationLine(Record):
     """Every solution c of sum_mu c_mu a_mu = target: point + t*relation.
 
     The relation lattice has rank one, so the solutions form one line over
@@ -130,8 +124,8 @@ class RelationLine:
     a target is arithmetic on it.
     """
 
-    point: Vector
-    relation: tuple[int, ...]
+    def __init__(self, point, relation):
+        self.__dict__.update(point=point, relation=relation)
 
     @classmethod
     def of(cls, config: LatticeConfig, target) -> RelationLine | None:
@@ -157,16 +151,17 @@ class RelationLine:
         ])
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Record):
     """A rational parameter vector lying in the span of the columns.
 
     ``line`` is the relation line of its solutions, kept from the solve
-    that validated the parameter.
+    that validated the parameter; it is neither shown nor compared.
     """
 
-    beta: Vector
-    line: RelationLine = field(repr=False, compare=False)
+    _fields = ("beta",)
+
+    def __init__(self, beta, line):
+        self.__dict__.update(beta=beta, line=line)
 
     def __iter__(self):
         return iter(self.beta)
@@ -175,12 +170,11 @@ class Parameter:
         return self.beta[index]
 
 
-@dataclass(frozen=True)
-class Nonresonance:
-    """Outcome of the resonance test, with a witness pair on failure."""
+class Nonresonance(Record):
+    """Outcome of the resonance test, with a witness pair (i, j, value) on failure."""
 
-    nonresonant: bool
-    witness: tuple[int, int, int] | None = None  # (i, j, integer value)
+    def __init__(self, nonresonant, witness=None):
+        self.__dict__.update(nonresonant=nonresonant, witness=witness)
 
     def __bool__(self) -> bool:
         return self.nonresonant

@@ -9,12 +9,12 @@ coefficient is the exact value of the full series at that grid point, so a
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, perm
 
 from ._linalg import Vector, fracs
+from ._record import Record
 from .coefficients import coefficient_M, coefficient_run
 from .errors import (
     HypothesisViolated,
@@ -37,14 +37,13 @@ from .exponents import (
 from .lattice import LatticeConfig, is_nonresonant, parameter
 
 
-@dataclass(frozen=True, eq=True)
-class LogSeries:
+class LogSeries(Record):
     """Exact coefficients c[(z, r)] of x^(base + z*relation) * log^r x0."""
 
-    base_exponent: Vector
-    relation: tuple[int, ...]
-    window: tuple[int, int]
-    terms: dict[tuple[int, int], Fraction]
+    def __init__(self, base_exponent, relation, window, terms):
+        self.__dict__.update(
+            base_exponent=base_exponent, relation=relation, window=window, terms=terms
+        )
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
@@ -155,7 +154,7 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
 
 
 def _hypothesis_verdicts(config, vec, lift, r) -> dict[frozenset, SupportVerdict]:
-    """Verdicts keyed by multiset support S, for all |S| <= r."""
+    """Verdicts keyed by multiset support S, for all |S| <= r, in order of size."""
     verdicts = {}
     everything = frozenset(range(config.n))
     for size in range(r + 1):
@@ -266,8 +265,7 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
     return _assemble(config, vec, lift, r, window, products)
 
 
-@dataclass(frozen=True)
-class SolutionBundle:
+class SolutionBundle(Record):
     """All log solutions attached to one normalized exponent.
 
     solutions[r] has top log-degree r; its top-log coefficient equals the
@@ -276,20 +274,22 @@ class SolutionBundle:
     (the linear-independence hypothesis then fails).
     """
 
-    parameter: Vector
-    exponent: Exponent
-    lift: tuple[int, ...]
-    solutions: tuple[LogSeries, ...]
-    certificates: tuple[SupportVerdict, ...]
-    hypothesis_failures: tuple[frozenset, ...]
-    phi_empty: bool
+    def __init__(
+        self, parameter, exponent, lift, solutions, certificates, hypothesis_failures,
+        phi_empty,
+    ):
+        self.__dict__.update(
+            parameter=parameter, exponent=exponent, lift=lift, solutions=solutions,
+            certificates=certificates, hypothesis_failures=hypothesis_failures,
+            phi_empty=phi_empty,
+        )
 
 
-@dataclass(frozen=True)
-class BundleReport:
-    bundles: tuple[SolutionBundle, ...]
-    total_solutions: int
-    expected_total: int
+class BundleReport(Record):
+    def __init__(self, bundles, total_solutions, expected_total):
+        self.__dict__.update(
+            bundles=bundles, total_solutions=total_solutions, expected_total=expected_total
+        )
 
     @property
     def complete(self) -> bool:
@@ -340,17 +340,13 @@ def solution_bundle(
             _assemble(config, exp.vector, lift, r, window, products)
             for r in range(r_top + 1)
         )
+        # the verdicts are keyed by size, then lexicographically
         failures = tuple(
             frozenset(range(config.n)) - support
-            for support, verdict in sorted(
-                verdicts.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            )
+            for support, verdict in verdicts.items()
             if not verdict.minimal
         )
-        certificates = tuple(
-            verdicts[key]
-            for key in sorted(verdicts, key=lambda s: (len(s), sorted(s)))
-        )
+        certificates = tuple(verdicts.values())
         bundles.append(
             SolutionBundle(
                 parameter=gamma,

@@ -28,25 +28,25 @@ them, so a certificate does not depend on the construction it checks.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, perm
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .lattice import LatticeConfig
 
 if TYPE_CHECKING:
     from .series import LogSeries
 
 
-@dataclass(frozen=True)
-class OperatorReport:
-    operator: str
-    input_window: tuple[int, int]
-    safe_window: tuple[int, int] | None  # None: nothing checkable
-    passed: bool
-    first_failure: tuple[int, int, Fraction] | None
-    residual: dict[tuple[int, int], Fraction]
+class OperatorReport(Record):
+    """One operator's residual; safe_window is None when nothing is checkable."""
+
+    def __init__(self, operator, input_window, safe_window, passed, first_failure, residual):
+        self.__dict__.update(
+            operator=operator, input_window=input_window, safe_window=safe_window,
+            passed=passed, first_failure=first_failure, residual=residual,
+        )
 
     def to_json_dict(self) -> dict:
         failure = None
@@ -170,11 +170,9 @@ def apply_euler(config: LatticeConfig, param, series: LogSeries):
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    box: OperatorReport
-    euler: tuple[OperatorReport, ...]
-    passed: bool
+class Certificate(Record):
+    def __init__(self, box, euler, passed):
+        self.__dict__.update(box=box, euler=euler, passed=passed)
 
     def to_json_dict(self) -> dict:
         return {

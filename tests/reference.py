@@ -12,6 +12,9 @@ arithmetic with the route it checks:
 - ``fake_exponents_reference`` and ``normalized_set_reference`` find the
   exponents as whole ``Fraction`` vectors, one ``solve_columns_reference``
   per (mu, b) point, merged by hashing and ordered by sorting the vectors;
+- ``classification_reference`` decides maximal unipotency from the whole
+  normalized exponent set of that route, which the classifier builds only
+  when the lattice conditions already say it is a singleton;
 - ``log_solution_reference`` sums the degree-r log solution over every
   multiset of columns, each restricted to its own support's membership;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
@@ -31,7 +34,9 @@ arithmetic with the route it checks:
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
-by their textbook formulas; only tests use them.
+by their textbook formulas; only tests use them.  The errors below are
+raised only by these oracles, so no command of the CLI maps them to an exit
+code.
 """
 
 from __future__ import annotations
@@ -45,8 +50,20 @@ from math import ceil, factorial, gcd, lcm
 from gkz1 import Exponent, LatticeConfig, LogSeries, coefficient_M, support_verdict
 from gkz1._linalg import Vector
 from gkz1.coefficients import coefficient_run
-from gkz1.errors import DegreeTooLarge, ExcludedCase, IndexOutOfRange, SigmaIntegral
+from gkz1.errors import ExcludedCase
 from gkz1.verify import OperatorReport
+
+
+class DegreeTooLarge(ValueError):
+    """Elementary symmetric polynomial degree exceeds the variable count."""
+
+
+class IndexOutOfRange(ValueError):
+    """A facet-functional index pair is not of the positive/negative form."""
+
+
+class SigmaIntegral(ValueError):
+    """The two-solution Gauss oracle needs a nonintegral third parameter."""
 
 
 def pochhammer(v, l: int) -> Fraction:
@@ -296,6 +313,19 @@ def normalized_set_reference(config, fakes) -> tuple[Exponent, ...]:
         shifted = tuple(x + z0 * e for x, e in zip(vec, rel))
         seen[shifted] = _exponent_reference(config, shifted)
     return tuple(seen[key] for key in sorted(seen))
+
+
+def classification_reference(config, beta) -> tuple[bool, bool, Vector | None]:
+    """(mum, mum_holomorphic, the one exponent's vector or None) from the whole set.
+
+    Maximal unipotency is the normalized set being a singleton; holomorphy
+    is its one exponent being zero at every positive coordinate.
+    """
+    exponents = normalized_set_reference(config, fake_exponents_reference(config, beta))
+    if len(exponents) != 1:
+        return False, False, None
+    vec = exponents[0].vector
+    return True, all(vec[mu] == 0 for mu in config.positive), vec
 
 
 def log_solution_reference(config, vec, lift, r, window) -> LogSeries:

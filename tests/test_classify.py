@@ -1,8 +1,11 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gkz1 import (
     SingularityType,
@@ -19,7 +22,8 @@ from gkz1 import (
 from gkz1.cli import main
 from gkz1.errors import IrregularSingularity, NotNonresonant
 
-from conftest import QUINTIC, random_config, random_nonresonant_beta
+from conftest import QUINTIC, random_config, random_nonresonant_beta, random_relation_config
+from reference import classification_reference
 
 
 class TestSingularityType:
@@ -190,6 +194,65 @@ class TestEquivalences:
         res = is_nonresonant(corner, (0, 0))
         result = classify(corner, (0, 0))
         assert result.witness["resonance_witness"] == res.witness
+
+
+@st.composite
+def classify_cases(draw):
+    """A configuration and a parameter in its span.
+
+    Half the configurations have relation entries up to 3, so that every
+    positive entry is 1, condition (b), now and then.  Half the time the
+    positive-side weights of the parameter are integers, so that its class
+    is integral on the positive side, condition (a).
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        config = random_relation_config(rng, max_relation=3)
+    else:
+        config = random_config(rng)
+    integral_positive = draw(st.booleans())
+    weights = []
+    for mu in range(config.n):
+        if integral_positive and config.relation[mu] > 0:
+            weights.append(F(draw(st.integers(min_value=-6, max_value=6))))
+        else:
+            weights.append(F(
+                draw(st.integers(min_value=-60, max_value=60)),
+                draw(st.sampled_from([1, 2, 3, 5, 7])),
+            ))
+    return config, config.column_combination(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=classify_cases())
+def test_classification_matches_the_whole_exponent_set(case):
+    # the classifier builds the exponent set only when (a) and (b) hold;
+    # the oracle always builds it, by the Fraction route
+    config, beta = case
+    result = classify(config, beta)
+    if result.mum is None:
+        event("outside the regime")
+        return
+    mum, holomorphic, vector = classification_reference(config, beta)
+    assert (result.mum, result.mum_holomorphic) == (mum, holomorphic)
+    assert result.witness["singleton"] is mum
+    assert result.witness["exponent"] == (vector and [str(x) for x in vector])
+    event(f"mum {mum}, holomorphic {holomorphic}")
+
+
+def test_classify_without_the_exponent_set(capsys, tmp_path):
+    # relation (1000000, -1): one positive entry, and it is not 1, so the
+    # answer needs none of the million fake exponents
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"A": [[1], [1000000]], "beta": ["1/7"]}))
+    started = time.perf_counter()
+    code = main(["classify", "--input", str(path)])
+    elapsed = time.perf_counter() - started
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and (report["regular"], report["nonresonant"]) == (True, True)
+    assert report["mum"] is False and report["witness"]["exponent"] is None
+    assert report["witness"]["unit_positive_entries"] is False
+    assert elapsed < 0.5, f"took {elapsed:.3f}s"
 
 
 class TestResonanceBoundary:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -7,7 +8,6 @@ import re
 import subprocess
 import sys
 from collections import OrderedDict, defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -612,10 +612,8 @@ EXIT_CODES = {
     "InputError": 2,
     "KernelRankNotOne": 2,
     "DependentSubset": 2,
-    "IndexOutOfRange": 2,
     "BetaNotInSpan": 2,
     "NotInLattice": 2,
-    "DegreeTooLarge": 2,
     "LiftMismatch": 2,
     "NegativeDegree": 2,
     "HypothesisError": 3,
@@ -624,7 +622,6 @@ EXIT_CODES = {
     "NotMinimalSupport": 3,
     "HypothesisViolated": 3,
     "RNotLessThanMultiplicity": 3,
-    "SigmaIntegral": 3,
     "InternalInvariantError": 1,
     "ExcludedCase": 1,
     "CountMismatch": 1,
@@ -720,7 +717,7 @@ def test_writer_matches_json_dumps_on_every_report(seed):
     )
     for command in cli._COMMANDS.values():
         try:
-            report = command(replace(spec))
+            report = command(copy.copy(spec))
         except GkzError:
             continue
         assert cli._json_text(report) == json.dumps(report, indent=2)

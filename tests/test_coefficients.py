@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from gkz1 import coefficient_M
 from gkz1.coefficients import coefficient_run
-from gkz1.errors import DegreeTooLarge, ExcludedCase
+from gkz1.errors import ExcludedCase
 
 from reference import (
+    DegreeTooLarge,
     coefficient_M_reference,
     elementary_symmetric,
     f_coefficients,

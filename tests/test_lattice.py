@@ -17,7 +17,6 @@ from gkz1 import (
 from gkz1.errors import (
     BetaNotInSpan,
     DependentSubset,
-    IndexOutOfRange,
     InternalInvariantError,
     KernelRankNotOne,
 )
@@ -26,6 +25,7 @@ from gkz1.lattice import RelationLine, facet_pairs
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
 from reference import (
+    IndexOutOfRange,
     config_reference,
     facet_functional,
     nullspace_columns_reference,

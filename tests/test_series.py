@@ -22,11 +22,10 @@ from gkz1.errors import (
     MismatchDetected,
     NotMinimalSupport,
     RNotLessThanMultiplicity,
-    SigmaIntegral,
 )
 
 from conftest import GAUSS, QUINTIC, random_config, random_nonresonant_beta, random_relation_config
-from reference import gauss_oracle, log_solution_reference
+from reference import SigmaIntegral, gauss_oracle, log_solution_reference
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
 
