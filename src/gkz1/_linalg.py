@@ -170,35 +170,3 @@ def saturation_index(columns: Sequence[Sequence[int]]) -> int:
         product *= abs(a[t][t])
     return product
 
-
-# -- arithmetic progressions of rationals -------------------------------------
-
-Progression = tuple[Fraction, Fraction]  # (offset, step>0): {offset + step*m}
-
-
-def _merge_progressions(p: Progression, q: Progression) -> Optional[Progression]:
-    r1, s1 = p
-    r2, s2 = q
-    den = lcm(r1.denominator, s1.denominator, r2.denominator, s2.denominator)
-    R1, S1, R2, S2 = (int(x * den) for x in (r1, s1, r2, s2))
-    g = gcd(S1, S2)
-    if (R2 - R1) % g:
-        return None
-    s2g = S2 // g
-    x0 = ((R2 - R1) // g) * pow(S1 // g, -1, s2g) % s2g
-    step = Fraction(S1 * s2g, den)
-    offset = Fraction(R1 + S1 * x0, den) % step
-    return (offset, step)
-
-
-def intersect_progressions(progressions: Sequence[Progression]) -> Optional[Progression]:
-    """Intersection of arithmetic progressions {offset + step*Z}, or None."""
-    if not progressions:
-        raise ValueError("need at least one progression")
-    acc = (progressions[0][0] % progressions[0][1], progressions[0][1])
-    for p in progressions[1:]:
-        merged = _merge_progressions(acc, p)
-        if merged is None:
-            return None
-        acc = merged
-    return acc

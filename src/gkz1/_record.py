@@ -10,8 +10,9 @@ class Record:
 
     ``_fields``, by default the parameters of ``__init__``, are what the
     repr shows and what equality (within one class) and hashing compare.
-    Each ``__init__`` writes its fields into ``self.__dict__``, or through
-    the slots' descriptors: assigning or deleting one raises AttributeError.
+    Each ``__init__`` writes its fields into ``self.__dict__``, with
+    ``object.__setattr__`` or through the slots' descriptors: assigning or
+    deleting one raises AttributeError.
     """
 
     __slots__ = ()

@@ -52,15 +52,18 @@ def _parameter_in_negative_span(config, beta) -> bool:
 
     Exactly when some point c + t*relation of its line is zero at every
     positive coordinate, that is, when -c[mu]/relation[mu] is one and the
-    same t for every positive mu.
+    same t for every positive mu: in the line's integers,
+    offsets[mu]*relation[nu] = offsets[nu]*relation[mu] for all of them.
     """
-    c, rel = beta.line.point, config.relation
-    return len({-c[mu] / rel[mu] for mu in config.positive}) == 1
+    line = beta.line
+    a, rel = line.offsets, line.relation
+    first, *others = config.positive
+    return all(a[mu] * rel[first] == a[first] * rel[mu] for mu in others)
 
 
 def _classification(config: LatticeConfig, beta) -> Classification:
     # (a): some point c + t*relation of beta's line is an integer at every
-    # positive coordinate, an intersection of arithmetic progressions in t
+    # positive coordinate, one congruence per coordinate on the line's keys
     condition_a = beta.line.integral_steps(config.positive) is not None
     condition_b = all(config.relation[mu] == 1 for mu in config.positive)
     singleton = condition_a and condition_b

@@ -58,6 +58,8 @@ class ProblemSpec(Record):
 
 def _rational(value, field: str) -> Fraction:
     try:
+        if isinstance(value, bool):
+            raise InputError(f"{field}: expected a rational, got {value!r}")
         if isinstance(value, float):
             raise InputError(f"{field}: floats are not accepted, use 'p/q' strings")
         return Fraction(value)
@@ -457,6 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gkz1",
         description="Exact series solutions of codimension-one GKZ systems",
     )
+    # the options every command takes, declared once and copied into each
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--input", required=True, help="problem file (.json or .toml)")
+    common.add_argument("--window", help="z window as LO:HI")
+    common.add_argument("--u", help="parameter shift u as comma-separated rationals")
+    common.add_argument("--lift", help="integer lift as comma-separated integers")
+    common.add_argument("--r", type=int, help="requested log degree")
+    common.add_argument("--no-verify", action="store_true", dest="no_verify")
+    common.add_argument("--format", choices=["json", "text"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
         ("analyze", "configuration summary: relation, volume, resonance"),
@@ -465,14 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", "construct solutions and report operator certification"),
         ("classify", "regularity and maximal-unipotent-monodromy test"),
     ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help="problem file (.json or .toml)")
-        p.add_argument("--window", help="z window as LO:HI")
-        p.add_argument("--u", help="parameter shift u as comma-separated rationals")
-        p.add_argument("--lift", help="integer lift as comma-separated integers")
-        p.add_argument("--r", type=int, help="requested log degree")
-        p.add_argument("--no-verify", action="store_true", dest="no_verify")
-        p.add_argument("--format", choices=["json", "text"], default="json")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

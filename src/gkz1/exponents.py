@@ -7,15 +7,15 @@ those with a negative integer in a positive-side coordinate and deduplicating
 gives the normalized set, whose multiplicities (number of positive-side
 nonnegative-integer coordinates) always sum to the positive relation sum.
 
-Every fake exponent lies on the parameter's relation line w + t*relation,
-at t = (b - w[mu]) / relation[mu].  Coordinate 0 of the point at t is
-w[0] + t*relation[0], and relation[0] > 0, so it strictly increases with t:
-ordering the vectors lexicographically is ordering them by t, and two
-vectors are equal exactly when their t are.  With D the common denominator
-of w and L the lcm of the positive relation entries, every such t is an
-integer k over D*L, so the exponents are sorted, merged and normalized as
-integer keys k, and each coordinate (w[i]*D*L + k*relation[i]) / (D*L) is
-built once from its integer numerator.
+Every fake exponent lies on the parameter's ``RelationLine`` w + t*relation,
+at t = (b - w[mu]) / relation[mu], which is an integer key k over the
+line's ``den``.  Coordinate 0 of the point at t is w[0] + t*relation[0],
+and relation[0] > 0, so it strictly increases with t: ordering the vectors
+lexicographically is ordering them by t, and two vectors are equal exactly
+when their t are.  So the exponents are sorted, merged and normalized as
+integer keys, each coordinate (offsets[i] + k*relation[i]) / den built once
+from its numerator.  Matching an exponent v of beta to beta + u builds no
+exponent set: the match is the normalization of v + (the lift of u).
 
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
@@ -26,7 +26,7 @@ the exponents of one line that share an m_support share one frozenset.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from ._linalg import Vector, fracs
 from ._record import Record
@@ -76,72 +76,22 @@ def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     )
 
 
-class _Grid:
-    """The points base + (k / den) * relation of a relation line, k an integer.
-
-    den = D*L, with D the common denominator of the base point and L the lcm
-    of the positive relation entries, and offsets holds the base point's
-    numerators over den.  The point whose positive-side coordinate mu is an
-    integer b lies at k = (b*den - offsets[mu]) / relation[mu], an integer
-    because relation[mu] divides L.  So every fake exponent of the line has
-    an integer key, and so does every shift of one by whole relation steps
-    (k + z*den).
-    """
-
-    def __init__(self, config: LatticeConfig, base: Vector):
-        self.relation = config.relation
-        self.positive = config.positive
-        self.den = lcm(*(x.denominator for x in base)) * lcm(
-            *(self.relation[mu] for mu in self.positive)
-        )
-        self.offsets = tuple(x.numerator * (self.den // x.denominator) for x in base)
-        self.supports: dict[int, frozenset[int]] = {}  # bit mask -> its m_support
-
-    def keys(self) -> set[int]:
-        """The keys of the points (mu, b) for mu positive and 0 <= b < relation[mu]."""
-        out: set[int] = set()
-        for mu in self.positive:
-            e, a = self.relation[mu], self.offsets[mu]
-            out.update(range(-a // e, (e * self.den - a) // e, self.den // e))
-        return out
-
-    def key_of(self, vec: Vector) -> int:
-        """The key of a point of the line, read off its coordinate 0."""
-        x = vec[0]
-        scaled, r = divmod(x.numerator * self.den, x.denominator)
-        k, r2 = divmod(scaled - self.offsets[0], self.relation[0])
-        if r or r2:
-            raise ValueError(f"not a fake exponent of this line: {vec}")
-        return k
-
-    def shift(self, k: int) -> int:
-        """The least z making no positive-side coordinate at k + z*den a negative integer."""
-        bounds = []
-        for mu in self.positive:
-            q, r = divmod(self.offsets[mu] + k * self.relation[mu], self.den)
-            if not r:
-                bounds.append(-(q // self.relation[mu]))
-        if not bounds:
-            raise ValueError("not a fake exponent: no integral positive-side entry")
-        return max(bounds)
-
-    def exponent(self, k: int) -> Exponent:
-        """The point at key k, with its labels and m_support from the numerators."""
-        den, rel = self.den, self.relation
-        nums = [a + k * e for a, e in zip(self.offsets, rel)]
-        labels = []
-        mask = 0
-        for mu in self.positive:
-            q, r = divmod(nums[mu], den)
-            if not r and q >= 0:
-                mask |= 1 << mu
-                if q < rel[mu]:
-                    labels.append((mu, q))
-        support = self.supports.get(mask)
-        if support is None:
-            support = frozenset(mu for mu in self.positive if mask >> mu & 1)
-            self.supports[mask] = support
-        return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
+def _exponent(line: RelationLine, supports: dict, k: int) -> Exponent:
+    """The point of the line at key k, labels and m_support read off its numerators;
+    supports (bit mask -> m_support) shares one frozenset per m_support."""
+    den, rel, positive = line.den, line.relation, line.positive
+    nums = [a + k * e for a, e in zip(line.offsets, rel)]
+    labels, mask = [], 0
+    for mu in positive:
+        q, r = divmod(nums[mu], den)
+        if not r and q >= 0:
+            mask |= 1 << mu
+            if q < rel[mu]:
+                labels.append((mu, q))
+    support = supports.get(mask)
+    if support is None:
+        support = supports[mask] = frozenset(mu for mu in positive if mask >> mu & 1)
+    return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
 
 
 def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
@@ -149,8 +99,8 @@ def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
 
     Sorted lexicographically by coordinates, so output order is stable.
     """
-    grid = _Grid(config, parameter(config, beta).line.point)
-    return [grid.exponent(k) for k in sorted(grid.keys())]
+    line, supports = parameter(config, beta).line, {}
+    return [_exponent(line, supports, k) for k in sorted(line.keys())]
 
 
 def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
@@ -160,12 +110,11 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     such that no positive-side coordinate of v + z0*relation is a negative
     integer.
     """
-    vec = exponent_vector(v)
-    grid = _Grid(config, vec)
-    z0 = grid.shift(0)
+    line = RelationLine(exponent_vector(v), config.relation)
+    z0 = line.shift(0)
     if z0 == 0 and isinstance(v, Exponent):
         return v, 0  # already normalized: same vector, labels and m_support
-    return grid.exponent(z0 * grid.den), z0
+    return _exponent(line, {}, z0 * line.den), z0
 
 
 class PrimeExponents(Record):
@@ -188,27 +137,25 @@ def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
     The fakes lie on one relation line; each is shifted by the z0 of
     normalize_to_e_prime, and the results are merged and ordered by key.
     """
-    grid = None
+    line, supports = None, {}
     found: dict[int, Exponent] = {}
     for v in fakes:
         vec = exponent_vector(v)
-        if grid is None:
-            grid = _Grid(config, vec)
-        k = grid.key_of(vec)
-        z0 = grid.shift(k)
+        if line is None:
+            line = RelationLine(vec, config.relation)
+        k = line.key_of(vec)
+        z0 = line.shift(k)
         if z0 == 0 and isinstance(v, Exponent):
             found[k] = v
         else:
-            k += z0 * grid.den
+            k += z0 * line.den
             if k not in found:
-                found[k] = grid.exponent(k)
+                found[k] = _exponent(line, supports, k)
     exponents = tuple(found[k] for k in sorted(found))
     total = sum(e.multiplicity for e in exponents)
     expected = config.positive_sum
     if total != expected:
-        raise CountMismatch(
-            f"multiplicities sum to {total}, relation demands {expected}"
-        )
+        raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
     return PrimeExponents(exponents, total, expected)
 
 
@@ -325,40 +272,31 @@ def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:
     steps = line.integral_steps(range(config.n))
     if steps is None:
         raise NotInLattice(f"{u} is not an integer combination of the columns")
-    lift = line.at(steps[0])
+    # the integral points are t0 + Z, 0 <= t0 < 1, and coordinate -1 is
+    # t*relation[-1]: in range at t0, or at t0 - 1 if relation[-1] < 0 < t0
+    lift = line.at(steps[0] - (config.relation[-1] < 0 < steps[0]))
     if any(x.denominator != 1 for x in lift):
         raise InternalInvariantError(f"lift {lift} of {u} is not integral")
-    lift = [int(x) for x in lift]
-    rel = config.relation
-    shift = (lift[-1] % abs(rel[-1]) - lift[-1]) // rel[-1]
-    return tuple(x + shift * e for x, e in zip(lift, rel))
+    return tuple(int(x) for x in lift)
 
 
 def match_exponent(config: LatticeConfig, beta, u, v) -> tuple[Exponent, tuple[int, ...]]:
     """The unique normalized exponent for beta + u in v's integer class.
 
-    Requires a nonresonant parameter; the matched exponent has the same
-    positive-side integer support as v, which is asserted.
+    Requires a nonresonant parameter and an exponent v of it.  The class is
+    v + lift + Z*relation, with lift the integer lift of u, so the match is
+    its normalization; its positive-side integer support is v's, as checked.
     """
     beta = parameter(config, beta)
     resonance = is_nonresonant(config, beta)
     if not resonance:
         raise NotNonresonant(resonance.witness)
-    integer_lift(config, u)  # validates u
+    lift = integer_lift(config, u)
     vec = exponent_vector(v)
-    gamma = tuple(b + Fraction(x) for b, x in zip(beta.beta, u))
-    primes = exponent_set_prime(config, gamma)
-    matches = [
-        e
-        for e in primes.exponents
-        if all((a - b).denominator == 1 for a, b in zip(e.vector, vec))
-    ]
-    if len(matches) != 1:
-        raise InternalInvariantError(
-            f"expected exactly one integer-class match, found {len(matches)}"
-        )
-    matched = matches[0]
-    if matched.m_support != m_support(config, vec):
+    support = m_support(config, vec)
+    if not support or config.column_combination(vec) != beta.beta:
+        raise InternalInvariantError(f"{vec} is not an exponent of {beta.beta}")
+    matched, z0 = normalize_to_e_prime(config, tuple(x + y for x, y in zip(vec, lift)))
+    if matched.m_support != support:
         raise InternalInvariantError("integer support changed under matching")
-    u_lift = tuple(int(a - b) for a, b in zip(matched.vector, vec))
-    return matched, u_lift
+    return matched, tuple(x + z0 * e for x, e in zip(lift, config.relation))

@@ -11,6 +11,11 @@ One type, ``LatticeConfig``, holds it: it stores the columns and the
 relation, found while validating the columns, and derives the rest (the
 sides of the relation, ``perm``, ``k`` and the volume) from those two.
 
+The solutions of sum_mu c_mu a_mu = target form one line, w + t*relation,
+held by ``RelationLine`` in integers: a coordinate is an integer only at
+t = k/den for an integer key k, so exponents, normalization shifts, lifts,
+resonance and the negative-span test are integer congruences on keys.
+
 All column indices in this package are 0-based and refer to the caller's
 original column order; the canonical positives-first ordering is available
 through ``perm``/``ell`` but is never imposed on inputs or outputs.
@@ -20,10 +25,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from . import _linalg
-from ._linalg import Progression, Vector, fracs
+from ._linalg import Vector, fracs
 from ._record import Record
 from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
@@ -119,13 +124,22 @@ class LatticeConfig(Record):
 class RelationLine(Record):
     """Every solution c of sum_mu c_mu a_mu = target: point + t*relation.
 
-    The relation lattice has rank one, so the solutions form one line over
-    the rationals, and every exponent, lift and integrality question about
-    a target is arithmetic on it.
+    den = D*L, with D the common denominator of the point and L the lcm of
+    all |relation| entries; offsets are the point's numerators over den.
+    Coordinate mu is an integer b only at t = (b - point[mu])/relation[mu],
+    which is k/den for an integer key k, where offsets[mu] + k*relation[mu]
+    = 0 mod den; positive lists the mu with relation[mu] > 0.  Only point and
+    relation are fields; the attributes are set with object.__setattr__, as
+    CPython reads a real __dict__ slower.
     """
 
     def __init__(self, point, relation):
-        self.__dict__.update(point=point, relation=relation)
+        den = lcm(*(x.denominator for x in point)) * lcm(*relation)
+        offsets = tuple(x.numerator * (den // x.denominator) for x in point)
+        positive = tuple(mu for mu, e in enumerate(relation) if e > 0)
+        names = ("point", "relation", "den", "offsets", "positive")
+        for name, value in zip(names, (point, relation, den, offsets, positive)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, config: LatticeConfig, target) -> RelationLine | None:
@@ -143,12 +157,55 @@ class RelationLine(Record):
         """The point at parameter t: point + t*relation."""
         return tuple(c + t * e for c, e in zip(self.point, self.relation))
 
-    def integral_steps(self, indices) -> Progression | None:
-        """The progression of t making every listed coordinate an integer."""
-        return _linalg.intersect_progressions([
-            (-self.point[mu] / self.relation[mu], Fraction(1, abs(self.relation[mu])))
-            for mu in indices
-        ])
+    def keys(self) -> set[int]:
+        """The keys where coordinate mu is b, for relation[mu] > 0 and 0 <= b < relation[mu]."""
+        den, rel, offsets, out = self.den, self.relation, self.offsets, set()
+        for mu in self.positive:
+            e, a = rel[mu], offsets[mu]
+            out.update(range(-a // e, (e * den - a) // e, den // e))
+        return out
+
+    def key_of(self, vec: Vector) -> int:
+        """The key of a point of the line, read off its coordinate 0."""
+        x = vec[0]
+        scaled, r = divmod(x.numerator * self.den, x.denominator)
+        k, r2 = divmod(scaled - self.offsets[0], self.relation[0])
+        if r or r2:
+            raise ValueError(f"not a point of this line at an integer key: {vec}")
+        return k
+
+    def shift(self, k: int) -> int:
+        """The least z making no positive-side coordinate at k + z*den a negative integer."""
+        den, rel, offsets = self.den, self.relation, self.offsets
+        bounds = []
+        for mu in self.positive:
+            q, r = divmod(offsets[mu] + k * rel[mu], den)
+            if not r:
+                bounds.append(-(q // rel[mu]))
+        if not bounds:
+            raise ValueError("not a fake exponent: no integral positive-side entry")
+        return max(bounds)
+
+    def integral_steps(self, indices) -> tuple[Fraction, Fraction] | None:
+        """(t0, step), 0 <= t0 < step, with the listed coordinates integers
+        exactly at t0 + step*Z, or None.  Their congruences on the keys merge
+        by the Chinese remainder theorem into k = k0 mod m: t0 = k0/den and
+        step = m/den.
+        """
+        if not indices:
+            raise ValueError("need at least one index")
+        den = self.den
+        k0, m = 0, 1
+        for mu in indices:
+            # k = k0 + m*j: solve (e*m)*j = c mod den for j
+            e = self.relation[mu]
+            c, g = -self.offsets[mu] - e * k0, gcd(e * m, den)
+            if c % g:
+                return None
+            mod = den // g
+            k0 += m * (c // g * pow(e * m // g, -1, mod) % mod)
+            m *= mod
+        return Fraction(k0, den), Fraction(m, den)
 
 
 class Parameter(Record):
@@ -245,14 +302,15 @@ def is_nonresonant(config: LatticeConfig, beta) -> Nonresonance:
 
         h_ij(beta) = (c[i]*|rel[j]| + c[j]*rel[i]) / g,
 
-    the same at every t, as h_ij(relation) = 0.  Resonance only depends on
+    the same at every t, as h_ij(relation) = 0: at t = 0, one division of
+    offsets[i]*|rel[j]| + offsets[j]*rel[i] by g*den.  Resonance only depends on
     beta modulo the column lattice, since the functionals are integral on
     it.  Returns the first integral pair as the witness (i, j, value).
     """
-    beta = parameter(config, beta)
-    c, rel = beta.line.point, config.relation
+    line = parameter(config, beta).line
+    a, rel = line.offsets, line.relation
     for i, j in facet_pairs(config):
-        value = (c[i] * -rel[j] + c[j] * rel[i]) / gcd(rel[i], rel[j])
-        if value.denominator == 1:
-            return Nonresonance(False, (i, j, int(value)))
+        value, r = divmod(a[i] * -rel[j] + a[j] * rel[i], gcd(rel[i], rel[j]) * line.den)
+        if not r:
+            return Nonresonance(False, (i, j, value))
     return Nonresonance(True)

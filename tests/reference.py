@@ -15,6 +15,12 @@ arithmetic with the route it checks:
 - ``classification_reference`` decides maximal unipotency from the whole
   normalized exponent set of that route, which the classifier builds only
   when the lattice conditions already say it is a singleton;
+- ``integral_steps_reference`` finds the t making chosen coordinates of a
+  line integers by intersecting progressions of ``Fraction``s, where
+  ``RelationLine.integral_steps`` solves integer congruences on keys;
+- ``match_exponent_reference`` matches an exponent of beta to beta + u by
+  searching the whole normalized set of beta + u from those routes, where
+  ``match_exponent`` normalizes one vector;
 - ``log_solution_reference`` sums the degree-r log solution over every
   multiset of columns, each restricted to its own support's membership;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
@@ -326,6 +332,51 @@ def classification_reference(config, beta) -> tuple[bool, bool, Vector | None]:
         return False, False, None
     vec = exponents[0].vector
     return True, all(vec[mu] == 0 for mu in config.positive), vec
+
+
+def _merge_progressions(p, q):
+    r1, s1 = p
+    r2, s2 = q
+    den = lcm(r1.denominator, s1.denominator, r2.denominator, s2.denominator)
+    R1, S1, R2, S2 = (int(x * den) for x in (r1, s1, r2, s2))
+    g = gcd(S1, S2)
+    if (R2 - R1) % g:
+        return None
+    s2g = S2 // g
+    x0 = ((R2 - R1) // g) * pow(S1 // g, -1, s2g) % s2g
+    step = Fraction(S1 * s2g, den)
+    return (Fraction(R1 + S1 * x0, den) % step, step)
+
+
+def integral_steps_reference(point, relation, indices) -> tuple[Fraction, Fraction] | None:
+    """(t0, step), 0 <= t0 < step, with point + t*relation an integer at every
+    listed coordinate exactly for t in t0 + step*Z, or None.
+
+    Coordinate mu is an integer on the progression -point[mu]/relation[mu]
+    + Z/|relation[mu]| of rationals; the progressions are intersected pairwise,
+    each pair by the Chinese remainder theorem over a common denominator.
+    """
+    acc = None
+    for mu in indices:
+        step = Fraction(1, abs(relation[mu]))
+        progression = (-point[mu] / relation[mu] % step, step)
+        acc = progression if acc is None else _merge_progressions(acc, progression)
+        if acc is None:
+            return None
+    return acc
+
+
+def match_exponent_reference(config, beta, u, v) -> tuple[Exponent, tuple[int, ...]]:
+    """The exponent of beta + u's whole normalized set that differs from v by
+    an integer vector, found by searching the set; and that difference."""
+    gamma = [Fraction(b) + Fraction(x) for b, x in zip(beta, u)]
+    exponents = normalized_set_reference(config, fake_exponents_reference(config, gamma))
+    matches = [
+        e for e in exponents
+        if all((a - b).denominator == 1 for a, b in zip(e.vector, v.vector))
+    ]
+    assert len(matches) == 1, f"expected one integer-class match, found {len(matches)}"
+    return matches[0], tuple(int(a - b) for a, b in zip(matches[0].vector, v.vector))
 
 
 def log_solution_reference(config, vec, lift, r, window) -> LogSeries:

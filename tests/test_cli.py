@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -440,6 +441,89 @@ class TestParserReuse:
         assert result.stdout.strip() == "0"
 
 
+def _old_style_parser():
+    """The parser as it was declared before the shared options moved to one
+    parent parser: each subcommand declaring all seven options itself."""
+    parser = argparse.ArgumentParser(
+        prog="gkz1",
+        description="Exact series solutions of codimension-one GKZ systems",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text in [
+        ("analyze", "configuration summary: relation, volume, resonance"),
+        ("exponents", "fake and normalized exponents with multiplicities"),
+        ("solve", "construct the log series solutions"),
+        ("verify", "construct solutions and report operator certification"),
+        ("classify", "regularity and maximal-unipotent-monodromy test"),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True, help="problem file (.json or .toml)")
+        p.add_argument("--window", help="z window as LO:HI")
+        p.add_argument("--u", help="parameter shift u as comma-separated rationals")
+        p.add_argument("--lift", help="integer lift as comma-separated integers")
+        p.add_argument("--r", type=int, help="requested log degree")
+        p.add_argument("--no-verify", action="store_true", dest="no_verify")
+        p.add_argument("--format", choices=["json", "text"], default="json")
+    return parser
+
+
+def _help_texts(parser):
+    commands = parser._subparsers._group_actions[0].choices
+    return {"": parser.format_help()} | {
+        name: command.format_help() for name, command in commands.items()
+    }
+
+
+# the help of each subcommand, as argparse lays it out at 80 columns in
+# Python 3.11; the options list is the same for every subcommand
+_OPTIONS_HELP = """
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         problem file (.json or .toml)
+  --window WINDOW       z window as LO:HI
+  --u U                 parameter shift u as comma-separated rationals
+  --lift LIFT           integer lift as comma-separated integers
+  --r R                 requested log degree
+  --no-verify
+  --format {json,text}
+"""
+HELP_TEXTS = {
+    "analyze": """usage: gkz1 analyze [-h] --input INPUT [--window WINDOW] [--u U] [--lift LIFT]
+                    [--r R] [--no-verify] [--format {json,text}]
+""",
+    "exponents": """usage: gkz1 exponents [-h] --input INPUT [--window WINDOW] [--u U]
+                      [--lift LIFT] [--r R] [--no-verify]
+                      [--format {json,text}]
+""",
+    "solve": """usage: gkz1 solve [-h] --input INPUT [--window WINDOW] [--u U] [--lift LIFT]
+                  [--r R] [--no-verify] [--format {json,text}]
+""",
+    "verify": """usage: gkz1 verify [-h] --input INPUT [--window WINDOW] [--u U] [--lift LIFT]
+                   [--r R] [--no-verify] [--format {json,text}]
+""",
+    "classify": """usage: gkz1 classify [-h] --input INPUT [--window WINDOW] [--u U]
+                     [--lift LIFT] [--r R] [--no-verify]
+                     [--format {json,text}]
+""",
+}
+
+
+class TestHelp:
+    def test_same_as_options_declared_per_subcommand(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _help_texts(cli.build_parser()) == _help_texts(_old_style_parser())
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="argparse lays help out differently by version"
+    )
+    def test_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = _help_texts(cli.build_parser())
+        assert {name: texts[name] for name in HELP_TEXTS} == {
+            name: usage + _OPTIONS_HELP for name, usage in HELP_TEXTS.items()
+        }
+
+
 class TestBadSolveRequests:
     # each once ended in a traceback with exit code 1
     @pytest.mark.parametrize("flags", [
@@ -470,6 +554,8 @@ class TestMalformedProblemFiles:
         {"A": [[1, 0], [1, 2], [1, 1]], "beta": 2},
         {"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8], "lift": 1},
         {"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8], "u": None},
+        # once read as beta = (1, 8): a JSON true passed for the rational 1
+        {"A": [[1, 0], [1, 2], [1, 1]], "beta": [True, 8]},
     ])
     def test_exit_code_2_with_one_line(self, tmp_path, data):
         path = tmp_path / "malformed.json"
@@ -492,7 +578,7 @@ _JUNK = st.sampled_from([None, True, 0.5, "x", "1/0", "", [], {}, [[1]], 7])
 _RATIONALS = st.integers(-4, 4) | st.builds(
     "{}/{}".format, st.integers(-9, 9), st.integers(1, 7)
 )
-_BAD_RATIONALS = st.sampled_from(["1/0", "a/b", "1/2/3", "", 0.5, None, [1]])
+_BAD_RATIONALS = st.sampled_from(["1/0", "a/b", "1/2/3", "", 0.5, None, [1], True])
 _FIELDS = ["A", "beta", "u", "lift", "r", "window", "verify"]
 
 

@@ -17,7 +17,8 @@ from gkz1 import (
     normalize_to_e_prime,
     support_verdict,
 )
-from gkz1.errors import NotInLattice, NotNonresonant
+from gkz1 import exponents
+from gkz1.errors import InternalInvariantError, NotInLattice, NotNonresonant
 from gkz1.exponents import normalized_set
 
 from conftest import (
@@ -26,7 +27,12 @@ from conftest import (
     random_nonresonant_beta,
     random_relation_config,
 )
-from reference import fake_exponents_reference, normalized_set_reference, solve_columns_reference
+from reference import (
+    fake_exponents_reference,
+    match_exponent_reference,
+    normalized_set_reference,
+    solve_columns_reference,
+)
 
 
 def vectors(exponents):
@@ -317,6 +323,41 @@ class TestMatchExponent:
         v = exponent_set_prime(corner, [0, 0]).exponents[0]
         with pytest.raises(NotNonresonant):
             match_exponent(corner, [0, 0], (1, 0), v)
+
+    def test_refuses_what_is_not_an_exponent_of_beta(self, corner):
+        beta = (F(1, 2), F(1, 3))
+        v = exponent_set_prime(corner, beta).exponents[0].vector
+        # an exponent of beta + a_0, and a point of beta's line with no
+        # integral positive-side coordinate
+        for bad in (tuple(x + (mu == 0) for mu, x in enumerate(v)),
+                    tuple(x + F(1, 2) * e for x, e in zip(v, corner.relation))):
+            with pytest.raises(InternalInvariantError):
+                match_exponent(corner, beta, (1, 0), bad)
+
+    def test_builds_no_exponent_set(self, gauss, monkeypatch):
+        beta = (F(-1, 2), F(-1, 3), F(1, 5) - 1)
+        primes = exponent_set_prime(gauss, beta).exponents
+        expected = [match_exponent(gauss, beta, gauss.columns[2], v) for v in primes]
+
+        def refuse(*args):
+            raise AssertionError("match_exponent built a whole exponent set")
+
+        monkeypatch.setattr(exponents, "exponent_set_prime", refuse)
+        monkeypatch.setattr(exponents, "fake_exponents", refuse)
+        assert [match_exponent(gauss, beta, gauss.columns[2], v) for v in primes] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_match_exponent_matches_the_whole_set_search(seed):
+    rng = random.Random(seed)
+    config = random_config(rng)
+    beta = random_nonresonant_beta(rng, config)
+    u = config.column_combination([rng.randint(-3, 3) for _ in range(config.n)])
+    for v in exponent_set_prime(config, beta).exponents:
+        matched, lift = match_exponent(config, beta, u, v)
+        assert (matched, lift) == match_exponent_reference(config, beta, u, v)
+        assert config.column_combination(lift) == u
 
 
 class TestNonresonantStructure:

@@ -28,6 +28,7 @@ from reference import (
     IndexOutOfRange,
     config_reference,
     facet_functional,
+    integral_steps_reference,
     nullspace_columns_reference,
     solve_columns_reference,
 )
@@ -191,6 +192,55 @@ class TestRelationLine:
     def test_outside_span(self):
         flat = build_config([(1, 0), (1, 0)])
         assert RelationLine.of(flat, [0, 1]) is None
+
+    def test_integers_over_den(self, triangle):
+        line = RelationLine.of(triangle, [F(1, 2), F(1, 3)])
+        assert line.point == (F(1, 3), F(1, 6), F(0))
+        # den = 6 * lcm(1, 1, 2); coordinate mu at key k is (offsets[mu] + k*rel[mu])/den
+        assert (line.den, line.offsets) == (12, (4, 2, 0))
+        assert line.keys() == {-4, -2}  # coordinate 0 is 0, coordinate 1 is 0
+        assert [line.key_of(line.at(F(k, 12))) for k in (-4, 8, -16)] == [-4, 8, -16]
+        with pytest.raises(ValueError):
+            line.key_of(line.at(F(1, 24)))
+        assert [line.shift(k) for k in (-4, 8, -16, -2)] == [0, -1, 1, 0]
+        with pytest.raises(ValueError):
+            line.shift(0)  # no integral positive coordinate
+        assert line.integral_steps([0]) == (F(2, 3), 1)
+        assert line.integral_steps([2]) == (0, F(1, 2))
+        assert line.integral_steps([0, 1]) is None
+        with pytest.raises(ValueError):
+            line.integral_steps([])
+
+
+@st.composite
+def lines_and_indices(draw):
+    """A line through a target of denominator 1 to 7, and an index set: all
+    columns, the positive ones, or a single negative column."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        config = random_config(rng)
+    else:
+        config = random_relation_config(rng, max_relation=12, max_n=4)
+    q = draw(st.integers(1, 7))
+    weights = [F(draw(st.integers(-3 * q, 3 * q)), q) for _ in range(config.n)]
+    line = RelationLine.of(config, config.column_combination(weights))
+    choices = [tuple(range(config.n)), config.positive]
+    choices += [(mu,) for mu in config.negative]
+    indices = draw(st.sampled_from(choices))
+    return line, indices
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lines_and_indices())
+def test_integral_steps_match_the_progression_reference(case):
+    line, indices = case
+    steps = line.integral_steps(indices)
+    assert steps == integral_steps_reference(line.point, line.relation, indices)
+    event("integral" if steps else "none")
+    if steps is not None:
+        t0, step = steps
+        for t in (t0, t0 + step, t0 - 2 * step):
+            assert all(line.at(t)[mu].denominator == 1 for mu in indices)
 
 
 class TestVolumeCrosscheck:

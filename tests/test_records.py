@@ -72,6 +72,9 @@ RECORDS = {
 }
 # the fields left out of repr, equality and hashing
 LEFT_OUT = {"Parameter": {"line"}}
+# a changed value of each field, where __init__ derives from its fields and
+# so needs real ones; any other record takes object() as a changed value
+CHANGED = {"RelationLine": (BETA.line.at(1), (1, 1, -1))}
 
 
 def _hashable(values) -> bool:
@@ -110,7 +113,8 @@ def test_record_behaves_as_a_frozen_dataclass(name):
     if name == "LatticeConfig":
         return  # its one field is validated; see test_lattice_config_fields
     for i, p in enumerate(params):
-        changed = cls(*args[:i], object(), *args[i + 1:])
+        other = CHANGED[name][i] if name in CHANGED else object()
+        changed = cls(*args[:i], other, *args[i + 1:])
         assert (changed == record) is (p in LEFT_OUT.get(name, ()))
 
 
@@ -148,7 +152,8 @@ def test_equality_needs_the_same_class():
         pass
 
     assert Intervals(()) != IntervalSet(()) and IntervalSet(()) != Intervals(())
-    assert RelationLine(1, 2) != Nonresonance(1, 2)
+    line = BETA.line
+    assert line != Nonresonance(line.point, line.relation)
 
 
 def test_default_fields():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -454,3 +455,43 @@ class TestEpsilonProducts:
     ])
     def test_named_cases(self, points, beta, window, top):
         assert _assert_matches_multiset_sum(build_config(points), beta, window) == top
+
+
+class TestWindowsAndJson:
+    """The triangle checks of TestSeriesStructure, over random configurations."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=bundle_cases(), below=st.integers(0, 4), above=st.integers(0, 4))
+    def test_window_is_restriction(self, case, below, above):
+        # every stored coefficient is the full series' value, so a narrower
+        # window gives the same bundles with the terms restricted to it
+        config, beta, (lo, hi) = case
+        try:
+            wide = solution_bundle(config, beta, window=(lo - below, hi + above))
+        except ExcludedCase:  # the narrow window's shifts are among the wide one's
+            event("refused: ExcludedCase")
+            return
+        narrow = solution_bundle(config, beta, window=(lo, hi))
+        assert [b.exponent for b in narrow.bundles] == [b.exponent for b in wide.bundles]
+        for small, large in zip(narrow.bundles, wide.bundles):
+            assert len(small.solutions) == len(large.solutions)
+            for part, whole in zip(small.solutions, large.solutions):
+                assert part.window == (lo, hi)
+                assert part.terms == {
+                    (z, r): c for (z, r), c in whole.terms.items() if lo <= z <= hi
+                }
+        event(f"solutions: {narrow.total_solutions > 0}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=bundle_cases())
+    def test_json_round_trip(self, case):
+        config, beta, window = case
+        try:
+            report = solution_bundle(config, beta, window=window)
+        except ExcludedCase:
+            event("refused: ExcludedCase")
+            return
+        for bundle in report.bundles:
+            for series in bundle.solutions:
+                text = json.dumps(series.to_json_dict())
+                assert LogSeries.from_json_dict(json.loads(text)) == series
