@@ -17,7 +17,10 @@ homogeneous sums).  One step down in l multiplies by a single linear factor,
     P(l-1) = P(l) * (v+l+x),   truncated at the top degree in x,
 
 so coefficient_run walks a whole range of l downward from one seed, with
-multiplications only.
+multiplications only.  It hands each requested l back as integer numerators
+over one denominator, and builds no Fraction past its seed: the series
+multiply those integers, and a Fraction is built only where a series stores
+a coefficient.
 
 The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 (the antiderivative then picks up an extra log); requesting that regime is
@@ -31,7 +34,7 @@ bundle, so no cache outlives the bundle it serves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ExcludedCase
 
@@ -77,14 +80,16 @@ def coefficient_M(l: int, s: int, v) -> Fraction:
     return Fraction(c[s] * q ** (l + s), a[0] ** (s + 1))
 
 
-def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[Fraction, ...]]:
-    """l -> (M(l, 0, v), ..., M(l, s_max, v)) for every l in ls.
+def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[tuple[int, ...], int]]:
+    """l -> ((n_0, ..., n_s_max), d) with M(l, s, v) = n_s / d, for every l in ls.
 
     Seeds at the largest l with coefficient_M, which raises ExcludedCase if
     that l is excluded; no smaller l then is.  The walk down to the smallest
     l multiplies one linear factor per step, in integers over a power of the
     denominator of v, and crosses the gaps between requested l the same way.
-    A Fraction is built only at the requested l.
+    Each requested l gets its integer numerators over one denominator, with
+    their common factor removed: d is the lcm of the reduced denominators of
+    the row.  No Fraction is built past the seed.
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
@@ -97,11 +102,14 @@ def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[Fraction, ...]]:
     scaled = [coefficient_M(wanted[0], s, v) / q**s for s in range(s_max + 1)]
     den = lcm(*(c.denominator for c in scaled))
     a = [c.numerator * (den // c.denominator) for c in scaled]
+    q_powers = [q**s for s in range(s_max + 1)]
     out = {}
     l = wanted[0]
     for target in wanted:
         _times_factors(a, p, q, range(l, target, -1))
         den *= q ** (l - target)
         l = target
-        out[l] = tuple(Fraction(a[s] * q**s, den) for s in range(s_max + 1))
+        nums = [x * y for x, y in zip(a, q_powers)]
+        g = gcd(den, *nums)
+        out[l] = (tuple(x // g for x in nums), den // g)
     return out

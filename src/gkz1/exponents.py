@@ -25,12 +25,18 @@ the exponents of one line that share an m_support share one frozenset.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import ceil, floor
 
 from ._linalg import Vector, fracs
 from ._record import Record
-from .errors import CountMismatch, InternalInvariantError, NotInLattice, NotNonresonant
+from .errors import (
+    CountMismatch,
+    InputError,
+    InternalInvariantError,
+    NotInLattice,
+    NotNonresonant,
+)
 from .lattice import LatticeConfig, RelationLine, is_nonresonant, parameter
 
 
@@ -182,11 +188,20 @@ class IntervalSet(Record):
         return not self.intervals
 
     def clip(self, lo: int, hi: int) -> list[int]:
-        """All members inside [lo, hi], ascending."""
+        """All members inside [lo, hi], ascending.
+
+        Raises InputError when some interval keeps more members than a list
+        can index on this platform (sys.maxsize).
+        """
         out = []
         for a, b in self.intervals:
             start = lo if a is None else max(lo, a)
             stop = hi if b is None else min(hi, b)
+            if stop - start >= sys.maxsize:
+                raise InputError(
+                    f"window [{lo}, {hi}]: {stop - start + 1} shifts in one piece,"
+                    f" more than a list can index (at most {sys.maxsize})"
+                )
             out.extend(range(start, stop + 1))
         return sorted(set(out))
 
@@ -226,21 +241,22 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
     eq_lo = eq_hi = None
     sub_lo = sub_hi = None
     for mu in sorted(indices):
-        w = vec[mu] + lift[mu]
-        if w.denominator != 1:
+        x = vec[mu]
+        if x.denominator != 1:
             continue
+        w = x.numerator + lift[mu]
         e = config.relation[mu]
         if e > 0:
-            # negative integer exactly for z <= t
-            t = floor(Fraction(-1 - w, e))
+            # negative integer exactly for z <= t = floor((-1 - w) / e)
+            t = (-1 - w) // e
             if mu in baseline:
                 eq_hi = t if eq_hi is None else min(eq_hi, t)
             else:
                 eq_lo = t + 1 if eq_lo is None else max(eq_lo, t + 1)
                 sub_lo = t + 1 if sub_lo is None else max(sub_lo, t + 1)
         else:
-            # negative integer exactly for z >= s
-            s = ceil(Fraction(w + 1, -e))
+            # negative integer exactly for z >= s = ceil((w + 1) / -e)
+            s = -((w + 1) // e)
             if mu in baseline:
                 eq_lo = s if eq_lo is None else max(eq_lo, s)
             else:

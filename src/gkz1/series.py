@@ -4,6 +4,11 @@ A series lives on the grid of monomials x^(w0 + z*relation) times powers of
 log x0, with w0 the base exponent.  Windows restrict z; every stored
 coefficient is the exact value of the full series at that grid point, so a
 "truncation" is a restriction, never an approximation.
+
+Coefficients stay integers over one denominator from the coefficient runs
+through the eps-products; the products become one Fraction per nonzero
+(shift, eps degree), and the assembly stores those, times r!/(r-s)! where
+that weight is not 1, in a LogSeries it builds directly.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, perm
+from math import perm
 
 from ._linalg import Vector, fracs
 from ._record import Record
@@ -122,11 +127,13 @@ def _phi_coefficients(config, lift, rho, members, runs) -> dict[int, Fraction]:
     rel = config.relation
     out: dict[int, Fraction] = {}
     for z in members:
-        c = Fraction(1)
+        num = den = 1
         for mu in range(config.n):
-            c *= runs[mu][lift[mu] + z * rel[mu]][rho.get(mu, 0)]
-        if c:
-            out[z] = c
+            nums, d = runs[mu][lift[mu] + z * rel[mu]]
+            num *= nums[rho.get(mu, 0)]
+            den *= d
+        if num:
+            out[z] = Fraction(num, den)
     return out
 
 
@@ -166,14 +173,15 @@ def _hypothesis_verdicts(config, vec, lift, r) -> dict[frozenset, SupportVerdict
     return verdicts
 
 
-def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple[Fraction, ...]]:
+def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
     with l_mu(z) = lift[mu] + z*rel[mu], the product of the Gamma ratios of
     gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top.  Each factor
-    is one row of its column's run, put over its own common denominator, so
-    the product runs in integers and meets Fraction once per (z, s).
+    is one integer row of its column's run over that row's denominator, so
+    the product runs in integers and meets Fraction once per nonzero
+    (z, s); a zero entry is the int 0.
     """
     rel = config.relation
     runs = _column_runs(config, vec, lift, members, top)
@@ -183,16 +191,15 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple[Fracti
         num = [1] + [0] * top
         den = 1
         for mu in range(config.n):
-            row = runs[mu][lift[mu] + z * rel[mu]]
-            d = lcm(*[c.denominator for c in row])
-            f = [c.numerator * (d // c.denominator) * p for c, p in zip(row, powers[mu])]
+            row, d = runs[mu][lift[mu] + z * rel[mu]]
+            f = [c * p for c, p in zip(row, powers[mu])]
             for s in range(top, -1, -1):
                 t = num[s] * f[0]
                 for i in range(s):
                     t += num[i] * f[s - i]
                 num[s] = t
             den *= d
-        out[z] = tuple(Fraction(c, den) for c in num)
+        out[z] = tuple(Fraction(c, den) if c else 0 for c in num)
     return out
 
 
@@ -222,14 +229,18 @@ def _assemble(config, vec, lift, r, window, products) -> LogSeries:
     l > 0 lies in the excluded strip, and building the run of column mu,
     which covers every member z, has already raised ExcludedCase.
     """
+    lo, hi = int(window[0]), int(window[1])
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
     terms = {}
     for s in range(r + 1):
         weight = perm(r, s)
         for z, column in products.items():
-            if column[s]:
-                terms[(z, r - s)] = weight * column[s]
+            c = column[s]
+            if c:
+                terms[(z, r - s)] = c if weight == 1 else c * weight
     base = tuple(x + l for x, l in zip(vec, lift))
-    return LogSeries.make(base, config.relation, window, terms)
+    return LogSeries(base, config.relation, (lo, hi), terms)
 
 
 def _checked_lift(config: LatticeConfig, u_lift) -> tuple[int, ...]:

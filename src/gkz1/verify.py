@@ -19,7 +19,11 @@ So one side's derivative product maps x^w(z) log^r x0, w(z) = w0 + z*rel, to
 
 with F_z truncated at the series' top log degree.  F_z is built once per
 (shift, side) as integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu),
-and meets the coefficients only as one Fraction per (shift, log degree).
+and meets the coefficients, put over one denominator per shift, as one
+integer numerator and denominator per (shift, log degree).  The two sides'
+images are compared by cross-multiplication, and the Euler rows' offset
+row.w0 - beta_row is found in integers, so a Fraction is built only for a
+residual entry, which a passing certificate has none of.
 
 This module reads series as data and imports none of the code that builds
 them, so a certificate does not depend on the construction it checks.
@@ -74,18 +78,19 @@ def _report(operator, window, safe, residual) -> OperatorReport:
     )
 
 
-def _side_image(config, series, side, shifts) -> dict[tuple[int, int], Fraction]:
-    """(z, k) -> coefficient of log^k x0 in d^ell_side of the series' column z.
+def _side_image(config, series, side, shifts) -> dict[tuple[int, int], tuple[int, int]]:
+    """(z, k) -> (n, d): the coefficient n/d of log^k x0 in d^ell_side of the
+    series' column z, nonzero and left unreduced.
 
     Only the columns z in shifts are mapped.  The image of column z sits on
-    the monomial x^(w(z) - ell_side).
+    the monomial x^(w(z) - ell_side), and all its entries share one d.
     """
     rel = config.relation
     top = series.max_log_degree
     factors = []  # (p, q, rel[mu]) with w0_mu = p/q
     den = 1
     for mu in side:
-        w = Fraction(series.base_exponent[mu])
+        w = series.base_exponent[mu]
         factors.append((w.numerator, w.denominator, rel[mu]))
         den *= w.denominator ** abs(rel[mu])
     columns: dict[int, dict[int, Fraction]] = defaultdict(dict)
@@ -108,7 +113,7 @@ def _side_image(config, series, side, shifts) -> dict[tuple[int, int], Fraction]
         for k in range(top + 1):
             total = sum(a * perm(r, r - k) * f[r - k] for r, a in nums if r >= k)
             if total:
-                out[(z, k)] = Fraction(total, common * den)
+                out[(z, k)] = (total, common * den)
     return out
 
 
@@ -117,19 +122,29 @@ def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
 
     The positive-side derivative product lands one step lower on the common
     grid than the negative-side product, so the two images are compared at
-    matching grid points; the topmost input shift has no checkable partner
-    and is excluded from the safe window.
+    matching grid points, by cross-multiplying their integer numerators and
+    denominators; a Fraction is built only where they differ.  The topmost
+    input shift has no checkable partner and is excluded from the safe
+    window.
     """
     lo, hi = series.window
     if hi - 1 < lo:
         return _report("box", series.window, None, {})
     positive = _side_image(config, series, config.positive, range(lo + 1, hi + 1))
     negative = _side_image(config, series, config.negative, range(lo, hi))
-    residual: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-    for (z, k), c in positive.items():
-        residual[(z - 1, k)] += c
-    for (z, k), c in negative.items():
-        residual[(z, k)] -= c
+    residual: dict[tuple[int, int], Fraction] = {}
+    for (z, k), (a, da) in positive.items():
+        key = (z - 1, k)
+        other = negative.get(key)
+        if other is None:
+            residual[key] = Fraction(a, da)
+        else:
+            b, db = other
+            if a * db != b * da:
+                residual[key] = Fraction(a * db - b * da, da * db)
+    for (z, k), (b, db) in negative.items():
+        if (z + 1, k) not in positive:
+            residual[(z, k)] = Fraction(-b, db)
     return _report("box", series.window, (lo, hi - 1), residual)
 
 
@@ -142,17 +157,21 @@ def apply_euler_row(
     relation[j]; summed against the row of the point matrix, the log-drop
     weight is the row applied to the relation, which is zero.  So the term
     at z is scaled by (row.w0 - beta_row) + z*(row.relation), and when both
-    parts are zero the residual is empty without reading a term.  No shift
-    in z occurs, so the whole input window is safe.
+    parts are zero the residual is empty without reading a term.  The first
+    part is found in integers over the common denominator of w0 and
+    beta_row.  No shift in z occurs, so the whole input window is safe.
     """
     a_row = [config.columns[j][row] for j in range(config.n)]
-    base_dot = sum(
-        (Fraction(a) * w for a, w in zip(a_row, series.base_exponent)), Fraction(0)
-    )
-    offset = base_dot - Fraction(param[row])
+    base = series.base_exponent
+    b = Fraction(param[row])
+    den = lcm(b.denominator, *(w.denominator for w in base))
+    offset_num = sum(
+        a * w.numerator * (den // w.denominator) for a, w in zip(a_row, base)
+    ) - b.numerator * (den // b.denominator)
     rel_dot = sum(a * e for a, e in zip(a_row, config.relation))
-    if not offset and not rel_dot:
+    if not offset_num and not rel_dot:
         return _report(f"euler[{row}]", series.window, series.window, {})
+    offset = Fraction(offset_num, den)
     residual: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
     for (z, r), c in series.terms.items():
         value = offset + z * rel_dot

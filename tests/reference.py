@@ -21,8 +21,12 @@ arithmetic with the route it checks:
 - ``match_exponent_reference`` matches an exponent of beta to beta + u by
   searching the whole normalized set of beta + u from those routes, where
   ``match_exponent`` normalizes one vector;
+- ``support_verdict_reference`` finds the negative support at every shift
+  in a range that covers all the thresholds, where ``support_verdict``
+  solves for the thresholds by floor and ceiling division;
 - ``log_solution_reference`` sums the degree-r log solution over every
-  multiset of columns, each restricted to its own support's membership;
+  multiset of columns, each restricted to its own support's membership,
+  with every M value from ``coefficient_M_reference``;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
   even where every term's weight is zero;
 - ``solve_columns_reference`` and ``nullspace_columns_reference`` solve
@@ -53,9 +57,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import ceil, factorial, gcd, lcm
 
-from gkz1 import Exponent, LatticeConfig, LogSeries, coefficient_M, support_verdict
+from gkz1 import (
+    Exponent,
+    IntervalSet,
+    LatticeConfig,
+    LogSeries,
+    SupportVerdict,
+    coefficient_M,
+    support_verdict,
+)
 from gkz1._linalg import Vector
-from gkz1.coefficients import coefficient_run
 from gkz1.errors import ExcludedCase
 from gkz1.verify import OperatorReport
 
@@ -205,41 +216,57 @@ def apply_euler_row_reference(config, param, series: LogSeries, row: int) -> Ope
 def coefficient_M_reference(l: int, s: int, v) -> Fraction:
     """Literal multi-index / subset-sum evaluation of M(l, s, v).
 
-    Exponentially slower than coefficient_M; exists so tests can check the
-    product against the defining sums.
+    For l < 0, M is the x^s coefficient of prod_{t < -l} (v - t + x): the sum,
+    over the ways to take x from s of the factors, of the product of the
+    others.  For l > 0 it is (-1)^s / (v+1)_l times the sum, over the
+    compositions c of s into l parts, of prod_t (v+t)^(-c_t); a composition
+    is listed by the multiset of parts t it raises.  Each term is one
+    product, in integers over the powers of the denominator of v.  Much
+    slower than coefficient_M; exists so tests can check the product against
+    the defining sums.
     """
     v = Fraction(v)
     if v.denominator == 1 and v < 0 and l > 0 and v + l >= 0:
         raise ExcludedCase(l, s, v)
     if l == 0:
         return Fraction(1) if s == 0 else Fraction(0)
+    p, q = v.numerator, v.denominator
     if l > 0:
-        total = Fraction(0)
-        for composition in _compositions(s, l):
-            term = Fraction(1)
-            for t, power in enumerate(composition, start=1):
-                term /= (v + t) ** power
+        # q * (v + t) for t = 1..l; none is zero outside the excluded strip
+        factors = [p + q * t for t in range(1, l + 1)]
+        whole = 1
+        for y in factors:
+            whole *= y
+        # 1 / prod_{t in T} (v+t) = q^s * prod_{t in T} (whole / y_t) / whole^s
+        cofactors = [whole // y for y in factors]
+        total = 0
+        for raised in combinations_with_replacement(range(l), s):
+            term = 1
+            for t in raised:
+                term *= cofactors[t]
             total += term
-        return (-1) ** s / pochhammer(v + 1, l) * total
-    if s > -l:
+        # 1 / (v+1)_l = q^l / whole
+        return Fraction((-1) ** s * q ** (l + s) * total, whole ** (s + 1))
+    m = -l
+    if s > m:
         return Fraction(0)
-    values = [v - t for t in range(-l)]
-    total = Fraction(0)
-    for subset in combinations(values, -l - s):
-        term = Fraction(1)
-        for x in subset:
-            term *= x
-        total += term
-    return total
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    # q * (v - t); segment[i][j] is the product of those for i <= t < j
+    factors = [p - q * t for t in range(m)]
+    segment = []
+    for i in range(m + 1):
+        row, acc = [1], 1
+        for t in range(i, m):
+            acc *= factors[t]
+            row.append(acc)
+        segment.append(row)
+    total = 0
+    for chosen in combinations(range(m), s):
+        term, start = 1, 0
+        for t in chosen:
+            term *= segment[start][t - start]
+            start = t + 1
+        total += term * segment[start][m - start]
+    return Fraction(total, q ** (m - s))
 
 
 def gauss_oracle(theta1, theta2, sigma, n_terms: int = 10) -> tuple[LogSeries, LogSeries]:
@@ -379,14 +406,56 @@ def match_exponent_reference(config, beta, u, v) -> tuple[Exponent, tuple[int, .
     return matches[0], tuple(int(a - b) for a, b in zip(matches[0].vector, v.vector))
 
 
+def support_verdict_reference(config, v, indices, lift) -> SupportVerdict:
+    """The minimal negative-support verdict, by scanning every shift that can matter.
+
+    Finds the negative support of v + lift + z*relation on the given indices
+    for every z in [-bound, bound].  An integral coordinate w + z*e changes
+    sign between z and z + 1 only where |z| <= |w| + 1 < bound, so the scan
+    covers every threshold and the support at +-bound is the support at
+    +-infinity.  The membership is the runs of shifts whose support is v's
+    own, open-ended where a run reaches the end of the scan; minimal means no
+    shift gives a proper subset.  No floor or ceiling division is taken.
+    """
+    vec = [Fraction(x) for x in (v.vector if isinstance(v, Exponent) else v)]
+    lift = tuple(int(x) for x in lift)
+    indices = frozenset(indices)
+    rel = config.relation
+
+    def support(z):
+        return frozenset(
+            mu for mu in indices
+            if (w := vec[mu] + lift[mu] + z * rel[mu]).denominator == 1 and w < 0
+        )
+
+    baseline = frozenset(mu for mu in indices if vec[mu].denominator == 1 and vec[mu] < 0)
+    bound = 2 + max((int(abs(vec[mu] + lift[mu])) for mu in indices), default=0)
+    supports = {z: support(z) for z in range(-bound, bound + 1)}
+    runs: list[list[int]] = []
+    for z, found in supports.items():
+        if found == baseline:
+            if runs and runs[-1][1] == z - 1:
+                runs[-1][1] = z
+            else:
+                runs.append([z, z])
+    membership = IntervalSet(tuple(
+        (None if lo == -bound else lo, None if hi == bound else hi) for lo, hi in runs
+    ))
+    minimal = not any(found < baseline for found in supports.values())
+    return SupportVerdict(indices, lift, minimal, membership)
+
+
 def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
     """The degree-r log solution as the literal sum over multisets of columns.
 
     Each multiset rho of size s <= r, supported on S, contributes
     r!/(r-s)! * prod_mu rel[mu]^rho[mu] * M(l_mu(z), rho[mu], v_mu) on
     log^(r-s) x0 at every shift z in the membership of its own verdict, the
-    one for the index set missing S.  The M values come from one
-    coefficient run per column over all those shifts.
+    one for the index set missing S.  The M values come from
+    ``coefficient_M_reference``, the defining sums, so nothing here shares
+    the coefficient run or the eps-products of gkz1.series.  Like the
+    series route, it raises ExcludedCase when some column's l lies in the
+    excluded strip at any member z, whether or not a multiset reads it.
     """
     rel = config.relation
     everything = frozenset(range(config.n))
@@ -396,10 +465,17 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
             verdict = support_verdict(config, vec, everything - frozenset(support), lift)
             memberships[frozenset(support)] = verdict.membership.clip(*window)
     members = sorted({z for zs in memberships.values() for z in zs})
-    runs = [
-        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], r)
-        for mu in range(config.n)
-    ]
+    values: dict[tuple[int, int, int], Fraction] = {}
+
+    def m_value(mu, z, s):
+        key = (mu, z, s)
+        if key not in values:
+            values[key] = coefficient_M_reference(lift[mu] + z * rel[mu], s, vec[mu])
+        return values[key]
+
+    for mu in range(config.n):
+        for z in members:
+            m_value(mu, z, 0)
     acc: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
     for s in range(r + 1):
         count = falling_factorial(r, s)
@@ -411,7 +487,7 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
             for z in memberships[frozenset(rho)]:
                 c = Fraction(weight)
                 for mu in range(config.n):
-                    c *= runs[mu][lift[mu] + z * rel[mu]][rho.get(mu, 0)]
+                    c *= m_value(mu, z, rho.get(mu, 0))
                 acc[(z, r - s)] += c
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries.make(base, rel, window, acc)

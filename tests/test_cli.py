@@ -546,6 +546,35 @@ class TestBadSolveRequests:
         assert "Traceback" not in result.stderr
 
 
+class TestWindowTooWide:
+    # the shifts of [0, 10^20] overflowed a list index: exit 1 with a traceback
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_exit_code_2_with_one_line(self, tmp_path, command):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8]}))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "gkz1.cli", command, "--input", str(path),
+             "--window", "0:100000000000000000000"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("input error: window [0, 100000000000000000000]")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+    def test_wide_window_with_few_members_still_runs(self, capsys, tmp_path):
+        # the shifts of every verdict are bounded below, so few are built
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8]}))
+        code, out, err = run(
+            capsys, "verify", "--input", str(path), "--window=-100000000000000000000:4"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["window"] == [-100000000000000000000, 4]
+
+
 class TestMalformedProblemFiles:
     # each once raised TypeError in load_problem: exit 1 with a traceback
     @pytest.mark.parametrize("data", [

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -198,9 +199,13 @@ class TestCoefficientRun:
             return
         run = coefficient_run(v, ls, s_max)
         assert sorted(run) == sorted(set(ls))
-        for l, row in run.items():
+        for l, (nums, den) in run.items():
+            assert len(nums) == s_max + 1
+            assert all(type(n) is int for n in nums) and type(den) is int
+            # one denominator per row, the lcm of the reduced ones
+            assert den > 0 and gcd(den, *nums) == 1, (l, v)
             expected = tuple(coefficient_M_reference(l, s, v) for s in range(s_max + 1))
-            assert row == expected, (l, v)
+            assert tuple(F(n, den) for n in nums) == expected, (l, v)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,8 +225,13 @@ class TestCoefficientRun:
         # vanishes for l <= -3; the walk crosses l = 0 and skips between stored l
         run = coefficient_run(2, (4, 1, -2, -5), 2)
         for l in (4, 1, -2, -5):
-            assert run[l] == tuple(coefficient_M_reference(l, s, 2) for s in range(3))
-        assert run[-5][0] == 0 and run[-5][1] != 0
+            nums, den = run[l]
+            assert tuple(F(n, den) for n in nums) == tuple(
+                coefficient_M_reference(l, s, 2) for s in range(3)
+            )
+        assert run[-5][0][0] == 0 and run[-5][0][1] != 0
+        # the run starts above 0 with a denominator and walks down to integers
+        assert run[1][1] > 1 and run[-2][1] == 1
 
     def test_empty_and_invalid(self):
         assert coefficient_run(F(1, 3), [], 2) == {}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import (
@@ -32,6 +32,7 @@ from reference import (
     match_exponent_reference,
     normalized_set_reference,
     solve_columns_reference,
+    support_verdict_reference,
 )
 
 
@@ -270,6 +271,39 @@ class TestSupportVerdict:
             # the scan range is wide enough that any proper-subset shift
             # appears inside it
             assert verdict.minimal == (not subset)
+
+
+@st.composite
+def verdict_cases(draw):
+    """A configuration, a vector, a lift and an index set.
+
+    Coordinates are integers half the time, so thresholds appear; the
+    relation entries reach 30 and the lifts 40, so the floor and ceiling
+    divisions that place them are not exact.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    config = random_relation_config(rng) if draw(st.booleans()) else random_config(rng)
+    n = config.n
+    vec = tuple(
+        F(draw(st.integers(min_value=-60, max_value=60)))
+        if draw(st.booleans())
+        else F(draw(st.integers(min_value=-60, max_value=60)),
+               draw(st.integers(min_value=1, max_value=7)))
+        for _ in range(n)
+    )
+    lift = tuple(draw(st.integers(min_value=-40, max_value=40)) for _ in range(n))
+    indices = frozenset(mu for mu in range(n) if draw(st.booleans()))
+    return config, vec, lift, indices
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=verdict_cases())
+def test_support_verdict_matches_the_scan(case):
+    config, vec, lift, indices = case
+    verdict = support_verdict(config, vec, indices, lift)
+    assert verdict == support_verdict_reference(config, vec, indices, lift)
+    event(f"minimal: {verdict.minimal}")
+    event(f"bounded membership: {all(None not in i for i in verdict.membership.intervals)}")
 
 
 class TestIntegerLift:

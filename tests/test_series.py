@@ -495,3 +495,12 @@ class TestWindowsAndJson:
             for series in bundle.solutions:
                 text = json.dumps(series.to_json_dict())
                 assert LogSeries.from_json_dict(json.loads(text)) == series
+                # the assembly builds its LogSeries directly, with the types
+                # that from_json_dict's LogSeries.make gives
+                assert all(type(x) is F for x in series.base_exponent)
+                assert all(type(e) is int for e in series.relation)
+                assert all(type(x) is int for x in series.window)
+                assert all(
+                    type(z) is int and type(r) is int and type(c) is F and c
+                    for (z, r), c in series.terms.items()
+                )
