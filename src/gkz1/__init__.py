@@ -46,7 +46,6 @@ from .series import (
     SolutionBundle,
     log_solution,
     phi_series,
-    scalar_relation_check,
     solution_bundle,
 )
 from .verify import (
@@ -95,7 +94,6 @@ __all__ = [
     "normalize_to_e_prime",
     "parameter",
     "phi_series",
-    "scalar_relation_check",
     "singularity_type",
     "solution_bundle",
     "support_verdict",

@@ -7,6 +7,9 @@ cross the boundary as exact "p/q" strings; no floats enter anywhere.
 Exit codes: 0 success, 1 internal invariant failure, 2 invalid input,
 3 hypothesis violation (e.g. a resonant parameter passed to classify).
 
+solve and verify build one bundle per exponent; a requested degree (--r) is
+read off those bundles by SolutionBundle.solution, never built again.
+
 Output: the JSON report is exactly ``json.dumps(report, indent=2)``, byte for
 byte, but written by ``_json_text``, not by the standard library: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
@@ -32,7 +35,7 @@ from .classify import is_mum_holomorphic, singularity_type
 from .errors import HypothesisError, InputError, InternalInvariantError
 from .exponents import fake_exponents, normalized_set
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
-from .series import log_solution, solution_bundle
+from .series import solution_bundle
 from .verify import certify
 
 DEFAULT_WINDOW = (-10, 20)
@@ -242,17 +245,6 @@ def _bundle_report(spec: ProblemSpec):
     return config, beta, _rat_list(shifted), report
 
 
-def _requested_series(config, spec: ProblemSpec, bundle):
-    """The bundle's own solution of degree spec.r.
-
-    For a degree the bundle lacks, log_solution raises the error that
-    degree meets.
-    """
-    if 0 <= spec.r < len(bundle.solutions):
-        return bundle.solutions[spec.r]
-    return log_solution(config, bundle.exponent, bundle.lift, spec.r, spec.window)
-
-
 def cmd_solve(spec: ProblemSpec) -> dict:
     config, beta, shifted, report = _bundle_report(spec)
     supports: dict = {}
@@ -288,7 +280,7 @@ def cmd_solve(spec: ProblemSpec) -> dict:
             "solutions": [
                 {
                     "exponent": _exponent_dict(bundle.exponent, supports),
-                    "series": _requested_series(config, spec, bundle).to_json_dict(),
+                    "series": bundle.solution(spec.r).to_json_dict(),
                 }
                 for bundle in report.bundles
             ],
@@ -311,7 +303,7 @@ def cmd_verify(spec: ProblemSpec) -> dict:
     if spec.r is not None:
         # a degree request fails here exactly as it fails in solve
         for bundle in report.bundles:
-            _requested_series(config, spec, bundle)
+            bundle.solution(spec.r)
     return {
         "parameter": shifted,
         "window": list(spec.window),

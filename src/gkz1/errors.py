@@ -121,10 +121,3 @@ class ExcludedCase(InternalInvariantError):
 class CountMismatch(InternalInvariantError):
     """The multiplicity tally does not match the relation-coefficient sum."""
 
-
-class MismatchDetected(InternalInvariantError):
-    """Two series that must agree coefficientwise differ."""
-
-    def __init__(self, z, lhs, rhs):
-        self.z = z
-        super().__init__(f"series disagree at z={z}: {lhs} != {rhs}")

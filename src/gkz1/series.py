@@ -9,6 +9,11 @@ Coefficients stay integers over one denominator from the coefficient runs
 through the eps-products; the products become one Fraction per nonzero
 (shift, eps degree), and the assembly stores those, times r!/(r-s)! where
 that weight is not 1, in a LogSeries it builds directly.
+
+One builder, _build, makes the certificates and the solutions of an
+exponent.  solution_bundle builds each exponent up to its multiplicity, and
+a degree is read off the bundle by SolutionBundle.solution; log_solution
+builds up to the degree it is asked for and reads it off by the same rule.
 """
 
 from __future__ import annotations
@@ -18,28 +23,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import perm
 
-from ._linalg import Vector, fracs
+from ._linalg import fracs
 from ._record import Record
-from .coefficients import coefficient_M, coefficient_run
+from .coefficients import coefficient_run
 from .errors import (
     HypothesisViolated,
     LiftMismatch,
-    MismatchDetected,
     NegativeDegree,
     NotMinimalSupport,
-    NotNonresonant,
     RNotLessThanMultiplicity,
 )
 from .exponents import (
-    Exponent,
-    SupportVerdict,
     exponent_set_prime,
     exponent_vector,
     integer_lift,
     m_support,
     support_verdict,
 )
-from .lattice import LatticeConfig, is_nonresonant, parameter
+from .lattice import LatticeConfig, parameter
 
 
 class LogSeries(Record):
@@ -101,14 +102,6 @@ class LogSeries(Record):
         )
 
 
-def _members(verdicts, window) -> list[int]:
-    """Every shift inside the window that lies in some verdict's membership."""
-    members = set()
-    for verdict in verdicts:
-        members.update(verdict.membership.clip(*window))
-    return sorted(members)
-
-
 def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:
     """One coefficient run per column, covering every member z.
 
@@ -160,19 +153,6 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     return LogSeries.make(base, config.relation, window, terms)
 
 
-def _hypothesis_verdicts(config, vec, lift, r) -> dict[frozenset, SupportVerdict]:
-    """Verdicts keyed by multiset support S, for all |S| <= r, in order of size."""
-    verdicts = {}
-    everything = frozenset(range(config.n))
-    for size in range(r + 1):
-        for s_tuple in combinations(range(config.n), size):
-            support = frozenset(s_tuple)
-            verdicts[support] = support_verdict(
-                config, vec, everything - support, lift
-            )
-    return verdicts
-
-
 def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
@@ -203,7 +183,7 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     return out
 
 
-def _assemble(config, vec, lift, r, window, products) -> LogSeries:
+def _assemble(config, base, r, window, products) -> LogSeries:
     """Write the degree-r log solution from the eps-products of its bundle.
 
     The paper's degree-r solution sums, over multisets rho of columns of size
@@ -217,7 +197,8 @@ def _assemble(config, vec, lift, r, window, products) -> LogSeries:
     the Frobenius eps-derivative of the Gamma series: the solution is
     r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), and x^(eps*rel) carries
     log^k x0 / k! at eps^k.  products needs entries up to eps^r at the
-    members z of the bundle's verdicts.
+    members z of the bundle's verdicts; base is v + l and window the pair
+    of ints that _build has checked.
 
     The paper restricts each multiset rho, supported on S, to the shifts in
     membership(S); the product here runs over every member z of the bundle
@@ -229,9 +210,6 @@ def _assemble(config, vec, lift, r, window, products) -> LogSeries:
     l > 0 lies in the excluded strip, and building the run of column mu,
     which covers every member z, has already raised ExcludedCase.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
     terms = {}
     for s in range(r + 1):
         weight = perm(r, s)
@@ -239,8 +217,61 @@ def _assemble(config, vec, lift, r, window, products) -> LogSeries:
             c = column[s]
             if c:
                 terms[(z, r - s)] = c if weight == 1 else c * weight
+    return LogSeries(base, config.relation, window, terms)
+
+
+def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
+    """The certificates and the solutions of one exponent, for degrees below cap.
+
+    The certificates are the support verdicts of every index set missing
+    fewer than cap columns, ordered by the number of columns missing, then
+    lexicographically in them.  The solutions run from degree 0 up to the
+    last degree r for which every index set missing at most r columns keeps
+    minimal negative support; all of them read one eps-product per shift in
+    the memberships of those sets.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    everything = frozenset(range(config.n))
+    verdicts = {}  # missing columns -> the verdict on the other columns
+    for size in range(cap):
+        for missing in combinations(range(config.n), size):
+            verdicts[missing] = support_verdict(
+                config, vec, everything.difference(missing), lift
+            )
+    r_top = min((len(m) for m, v in verdicts.items() if not v.minimal), default=cap) - 1
+    members = set()
+    for missing, verdict in verdicts.items():
+        if len(missing) <= r_top:
+            members.update(verdict.membership.clip(lo, hi))
+    products = _epsilon_products(config, vec, lift, sorted(members), max(r_top, 0))
     base = tuple(x + l for x, l in zip(vec, lift))
-    return LogSeries(base, config.relation, (lo, hi), terms)
+    solutions = tuple(
+        _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
+    )
+    return tuple(verdicts.values()), solutions
+
+
+def _degree(r: int, multiplicity: int, certificates=(), solutions=()) -> LogSeries:
+    """solutions[r], or the error that degree r meets.
+
+    A degree below the multiplicity that the solutions lack fails minimal
+    negative support on some index set missing at most r columns; those
+    sets are reported, ordered by their sorted missing columns.
+    """
+    if 0 <= r < len(solutions):
+        return solutions[r]
+    if r < 0:
+        raise NegativeDegree(f"requested log degree r={r} is negative")
+    if r >= multiplicity:
+        raise RNotLessThanMultiplicity(f"r={r} but multiplicity is {multiplicity}")
+
+    def missing(verdict):
+        return sorted(set(range(len(verdict.lift))) - verdict.indices)
+
+    failing = [v for v in certificates if not v.minimal and len(missing(v)) <= r]
+    raise HypothesisViolated(v.indices for v in sorted(failing, key=missing))
 
 
 def _checked_lift(config: LatticeConfig, u_lift) -> tuple[int, ...]:
@@ -255,25 +286,19 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
 
     Valid for r below the exponent multiplicity, provided the exponent keeps
     minimal negative support on every index set missing at most r columns;
-    the failing sets are reported otherwise.
+    the failing sets are reported otherwise.  A negative r and an r at or
+    above the multiplicity are refused before anything is built; otherwise
+    the exponent's solutions below degree r + 1 are built and r is read off
+    them as SolutionBundle.solution reads it.
     """
     if r < 0:
-        raise NegativeDegree(f"requested log degree r={r} is negative")
+        _degree(r, 0)  # raises
     vec = exponent_vector(v)
     lift = _checked_lift(config, u_lift)
     mv = len(m_support(config, vec))
     if r >= mv:
-        raise RNotLessThanMultiplicity(f"r={r} but multiplicity is {mv}")
-    verdicts = _hypothesis_verdicts(config, vec, lift, r)
-    failing = [
-        frozenset(range(config.n)) - support
-        for support, verdict in sorted(verdicts.items(), key=lambda kv: sorted(kv[0]))
-        if not verdict.minimal
-    ]
-    if failing:
-        raise HypothesisViolated(failing)
-    products = _epsilon_products(config, vec, lift, _members(verdicts.values(), window), r)
-    return _assemble(config, vec, lift, r, window, products)
+        _degree(r, mv)  # raises
+    return _degree(r, mv, *_build(config, vec, lift, r + 1, window))
 
 
 class SolutionBundle(Record):
@@ -294,6 +319,14 @@ class SolutionBundle(Record):
             certificates=certificates, hypothesis_failures=hypothesis_failures,
             phi_empty=phi_empty,
         )
+
+    def solution(self, r: int) -> LogSeries:
+        """solutions[r]; for a degree the bundle lacks, the error it meets.
+
+        That is NegativeDegree, RNotLessThanMultiplicity or HypothesisViolated,
+        exactly as log_solution raises it, without building anything again.
+        """
+        return _degree(r, self.exponent.multiplicity, self.certificates, self.solutions)
 
 
 class BundleReport(Record):
@@ -334,30 +367,7 @@ def solution_bundle(
     primes = exponent_set_prime(config, beta)
     bundles = []
     for exp in primes.exponents:
-        mv = exp.multiplicity
-        verdicts = _hypothesis_verdicts(config, exp.vector, lift, mv - 1)
-        failing_sizes = [
-            len(support)
-            for support, verdict in verdicts.items()
-            if not verdict.minimal
-        ]
-        r_top = mv - 1 if not failing_sizes else min(failing_sizes) - 1
-        # the solutions of every degree share one eps-product per shift
-        used = [verdict for support, verdict in verdicts.items() if len(support) <= r_top]
-        products = _epsilon_products(
-            config, exp.vector, lift, _members(used, window), max(r_top, 0)
-        )
-        solutions = tuple(
-            _assemble(config, exp.vector, lift, r, window, products)
-            for r in range(r_top + 1)
-        )
-        # the verdicts are keyed by size, then lexicographically
-        failures = tuple(
-            frozenset(range(config.n)) - support
-            for support, verdict in verdicts.items()
-            if not verdict.minimal
-        )
-        certificates = tuple(verdicts.values())
+        certificates, solutions = _build(config, exp.vector, lift, exp.multiplicity, window)
         bundles.append(
             SolutionBundle(
                 parameter=gamma,
@@ -365,8 +375,11 @@ def solution_bundle(
                 lift=lift,
                 solutions=solutions,
                 certificates=certificates,
-                hypothesis_failures=failures,
-                phi_empty=verdicts[frozenset()].membership.empty,
+                hypothesis_failures=tuple(
+                    v.indices for v in certificates if not v.minimal
+                ),
+                # the first certificate is the one on every column
+                phi_empty=certificates[0].membership.empty,
             )
         )
     total = sum(len(b.solutions) for b in bundles)
@@ -375,44 +388,3 @@ def solution_bundle(
         total_solutions=total,
         expected_total=config.positive_sum,
     )
-
-
-def scalar_relation_check(
-    config: LatticeConfig, beta, u, v, v_prime, window=(0, 8)
-) -> Fraction:
-    """Verify the scalar relating the two log-free series for beta + u.
-
-    With lift = v' - v, the series built from v at shifted parameter equals
-    the product of the single-step M factors times the series built from v'
-    at its own parameter; both sides share the base exponent v', so the
-    comparison is coefficient-by-coefficient on the window.
-    """
-    beta = parameter(config, beta)
-    resonance = is_nonresonant(config, beta)
-    if not resonance:
-        raise NotNonresonant(resonance.witness)
-    vec = exponent_vector(v)
-    pvec = exponent_vector(v_prime)
-    deltas = [a - b for a, b in zip(pvec, vec)]
-    if any(x.denominator != 1 for x in deltas):
-        raise ValueError("v' - v must be an integer vector")
-    lift = tuple(int(x) for x in deltas)
-    if u is not None and config.column_combination(lift) != fracs(u):
-        raise ValueError("v' - v does not lift the given u")
-    scalar = Fraction(1)
-    for mu in range(config.n):
-        scalar *= coefficient_M(lift[mu], 0, vec[mu])
-    lhs = phi_series(config, vec, lift, (), window)
-    if scalar == 0:
-        # a vanishing factor forces the whole shifted series to vanish
-        for z in range(window[0], window[1] + 1):
-            if lhs.coefficient(z):
-                raise MismatchDetected(z, lhs.coefficient(z), Fraction(0))
-        return scalar
-    rhs = phi_series(config, pvec, (0,) * config.n, (), window)
-    for z in range(window[0], window[1] + 1):
-        left = lhs.coefficient(z)
-        right = scalar * rhs.coefficient(z)
-        if left != right:
-            raise MismatchDetected(z, left, right)
-    return scalar

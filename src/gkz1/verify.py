@@ -78,6 +78,20 @@ def _report(operator, window, safe, residual) -> OperatorReport:
     )
 
 
+def _check_grid(config, series) -> None:
+    """Refuse a series whose grid x^(w0 + z*relation) is not the operator's."""
+    relation = tuple(series.relation)
+    if relation != config.relation:
+        raise ValueError(
+            f"series relation {relation} is not the configuration's {config.relation}"
+        )
+    if len(series.base_exponent) != config.n:
+        raise ValueError(
+            f"series base exponent has {len(series.base_exponent)} entries,"
+            f" the configuration {config.n} columns"
+        )
+
+
 def _side_image(config, series, side, shifts) -> dict[tuple[int, int], tuple[int, int]]:
     """(z, k) -> (n, d): the coefficient n/d of log^k x0 in d^ell_side of the
     series' column z, nonzero and left unreduced.
@@ -125,8 +139,10 @@ def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
     matching grid points, by cross-multiplying their integer numerators and
     denominators; a Fraction is built only where they differ.  The topmost
     input shift has no checkable partner and is excluded from the safe
-    window.
+    window.  A series on another grid than the configuration's is refused
+    with ValueError.
     """
+    _check_grid(config, series)
     lo, hi = series.window
     if hi - 1 < lo:
         return _report("box", series.window, None, {})
@@ -160,7 +176,16 @@ def apply_euler_row(
     parts are zero the residual is empty without reading a term.  The first
     part is found in integers over the common denominator of w0 and
     beta_row.  No shift in z occurs, so the whole input window is safe.
+    A series on another grid than the configuration's, or a parameter with
+    another number of entries than the configuration has rows, is refused
+    with ValueError.
     """
+    _check_grid(config, series)
+    entries = len(tuple(param))  # a Parameter iterates but has no len
+    if entries != config.dim:
+        raise ValueError(
+            f"parameter has {entries} entries, the configuration {config.dim} rows"
+        )
     a_row = [config.columns[j][row] for j in range(config.n)]
     base = series.base_exponent
     b = Fraction(param[row])

@@ -27,6 +27,9 @@ arithmetic with the route it checks:
 - ``log_solution_reference`` sums the degree-r log solution over every
   multiset of columns, each restricted to its own support's membership,
   with every M value from ``coefficient_M_reference``;
+- ``scalar_relation_check`` compares the log-free series of v at beta + u
+  with the one of the matched exponent v' at its own parameter, through
+  the product of single-step M factors that relates them;
 - ``apply_euler_row_reference`` applies one homogeneity row term by term,
   even where every term's weight is zero;
 - ``solve_columns_reference`` and ``nullspace_columns_reference`` solve
@@ -64,10 +67,14 @@ from gkz1 import (
     LogSeries,
     SupportVerdict,
     coefficient_M,
+    is_nonresonant,
+    parameter,
+    phi_series,
     support_verdict,
 )
-from gkz1._linalg import Vector
-from gkz1.errors import ExcludedCase
+from gkz1._linalg import Vector, fracs
+from gkz1.errors import ExcludedCase, NotNonresonant
+from gkz1.exponents import exponent_vector
 from gkz1.verify import OperatorReport
 
 
@@ -81,6 +88,14 @@ class IndexOutOfRange(ValueError):
 
 class SigmaIntegral(ValueError):
     """The two-solution Gauss oracle needs a nonintegral third parameter."""
+
+
+class MismatchDetected(ValueError):
+    """Two series that must agree coefficientwise differ."""
+
+    def __init__(self, z, lhs, rhs):
+        self.z = z
+        super().__init__(f"series disagree at z={z}: {lhs} != {rhs}")
 
 
 def pochhammer(v, l: int) -> Fraction:
@@ -491,6 +506,47 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
                 acc[(z, r - s)] += c
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries.make(base, rel, window, acc)
+
+
+def scalar_relation_check(
+    config: LatticeConfig, beta, u, v, v_prime, window=(0, 8)
+) -> Fraction:
+    """Verify the scalar relating the two log-free series for beta + u.
+
+    With lift = v' - v, the series built from v at shifted parameter equals
+    the product of the single-step M factors times the series built from v'
+    at its own parameter; both sides share the base exponent v', so the
+    comparison is coefficient-by-coefficient on the window.
+    """
+    beta = parameter(config, beta)
+    resonance = is_nonresonant(config, beta)
+    if not resonance:
+        raise NotNonresonant(resonance.witness)
+    vec = exponent_vector(v)
+    pvec = exponent_vector(v_prime)
+    deltas = [a - b for a, b in zip(pvec, vec)]
+    if any(x.denominator != 1 for x in deltas):
+        raise ValueError("v' - v must be an integer vector")
+    lift = tuple(int(x) for x in deltas)
+    if u is not None and config.column_combination(lift) != fracs(u):
+        raise ValueError("v' - v does not lift the given u")
+    scalar = Fraction(1)
+    for mu in range(config.n):
+        scalar *= coefficient_M(lift[mu], 0, vec[mu])
+    lhs = phi_series(config, vec, lift, (), window)
+    if scalar == 0:
+        # a vanishing factor forces the whole shifted series to vanish
+        for z in range(window[0], window[1] + 1):
+            if lhs.coefficient(z):
+                raise MismatchDetected(z, lhs.coefficient(z), Fraction(0))
+        return scalar
+    rhs = phi_series(config, pvec, (0,) * config.n, (), window)
+    for z in range(window[0], window[1] + 1):
+        left = lhs.coefficient(z)
+        right = scalar * rhs.coefficient(z)
+        if left != right:
+            raise MismatchDetected(z, left, right)
+    return scalar
 
 
 def _rref_reference(rows: list[list[Fraction]], ncols: int) -> list[int]:

@@ -18,7 +18,6 @@ from gkz1 import (
     log_solution,
     match_exponent,
     phi_series,
-    scalar_relation_check,
     singularity_type,
     solution_bundle,
     volume_crosscheck,
@@ -26,7 +25,7 @@ from gkz1 import (
 from gkz1.classify import SingularityType
 
 from conftest import TRIANGLE, CORNER, GAUSS, INTERIOR, random_integral_beta
-from reference import gauss_oracle
+from reference import gauss_oracle, scalar_relation_check
 
 
 def _line(number: int, description: str, ok: bool, extra: str = ""):

@@ -14,19 +14,24 @@ from gkz1 import (
     exponent_set_prime,
     log_solution,
     phi_series,
-    scalar_relation_check,
     solution_bundle,
 )
 from gkz1.errors import (
     ExcludedCase,
     HypothesisViolated,
-    MismatchDetected,
+    NegativeDegree,
     NotMinimalSupport,
     RNotLessThanMultiplicity,
 )
 
 from conftest import GAUSS, QUINTIC, random_config, random_nonresonant_beta, random_relation_config
-from reference import SigmaIntegral, gauss_oracle, log_solution_reference
+from reference import (
+    MismatchDetected,
+    SigmaIntegral,
+    gauss_oracle,
+    log_solution_reference,
+    scalar_relation_check,
+)
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
 
@@ -169,6 +174,34 @@ class TestSolutionBundle:
         n = triangle.n
         assert frozenset(range(n)) in index_sets
         assert all(len(s) >= n - (bundle.exponent.multiplicity - 1) for s in index_sets)
+
+    def test_solution_reads_the_bundle(self, triangle, corner):
+        bundle = solution_bundle(triangle, [10, 8], window=(0, 6)).bundles[0]
+        assert [bundle.solution(r) for r in range(2)] == list(bundle.solutions)
+        assert bundle.solution(1) is bundle.solutions[1]
+        with pytest.raises(NegativeDegree, match="r=-1 is negative"):
+            bundle.solution(-1)
+        with pytest.raises(RNotLessThanMultiplicity, match="r=2 but multiplicity is 2"):
+            bundle.solution(2)
+        # corner at (1, -1): degree 1 is below the multiplicity but capped
+        capped = solution_bundle(corner, [1, -1], window=(0, 8)).bundles[0]
+        assert len(capped.solutions) == 1 < capped.exponent.multiplicity
+        with pytest.raises(HypothesisViolated) as built:
+            log_solution(corner, capped.exponent, capped.lift, 1, (0, 8))
+        with pytest.raises(HypothesisViolated) as read:
+            capped.solution(1)
+        assert read.value.failing_sets == built.value.failing_sets
+        assert str(read.value) == str(built.value)
+
+    def test_empty_window_refused(self, triangle):
+        v = (F(2), F(0), F(8))
+        with pytest.raises(ValueError, match=r"empty window \[3, 2\]"):
+            LogSeries.make(v, triangle.relation, (3, 2), {})
+        with pytest.raises(ValueError, match=r"empty window \[3, 2\]"):
+            solution_bundle(triangle, [10, 8], window=(3, 2))
+        for r in (0, 1):
+            with pytest.raises(ValueError, match=r"empty window \[3, 2\]"):
+                log_solution(triangle, v, (0, 0, 0), r, (3, 2))
 
 
 class TestGaussOracle:
@@ -455,6 +488,32 @@ class TestEpsilonProducts:
     ])
     def test_named_cases(self, points, beta, window, top):
         assert _assert_matches_multiset_sum(build_config(points), beta, window) == top
+
+
+def _outcome(build):
+    """The series a call returns, or its error's class, message and sets."""
+    try:
+        return build()
+    except (NegativeDegree, RNotLessThanMultiplicity, HypothesisViolated) as exc:
+        return type(exc), str(exc), getattr(exc, "failing_sets", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bundle_cases())
+def test_bundle_answers_every_degree_as_log_solution_does(case):
+    config, beta, window = case
+    try:
+        report = solution_bundle(config, beta, window=window)
+    except ExcludedCase:
+        event("refused: ExcludedCase")
+        return
+    for bundle in report.bundles:
+        for r in range(-1, bundle.exponent.multiplicity + 1):
+            read = _outcome(lambda: bundle.solution(r))
+            assert read == _outcome(
+                lambda: log_solution(config, bundle.exponent, bundle.lift, r, window)
+            )
+            event(f"outcome: {read[0].__name__ if type(read) is tuple else 'series'}")
 
 
 class TestWindowsAndJson:

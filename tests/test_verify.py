@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from types import ModuleType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +255,115 @@ class TestEulerAgainstTermwise:
                 report = apply_euler_row(config, param, s, row)
                 assert report == apply_euler_row_reference(config, param, s, row)
         assert all(apply_euler_row(config, beta, series, row).passed for row in range(config.dim))
+
+
+def _failure_dict(report):
+    """The first_failure entry to_json_dict() should give for a report."""
+    z, r, value = report.first_failure
+    return {"z": z, "r": r, "residual": str(value)}
+
+
+class TestFailureJson:
+    """to_json_dict() of failing reports, against the literal routes."""
+
+    def test_wrong_parameter(self, triangle, gauss):
+        cases = [
+            (triangle, [10, 8], [11, 8], (F(2), F(0), F(8)), 1, (-5, 10)),
+            (gauss, (F(-1, 2), F(-1, 3), F(1)), (F(-1, 2), F(1, 3), F(1)),
+             (F(0), F(1), F(-1, 2), F(-1, 3)), 1, (-4, 8)),
+        ]
+        for config, beta, wrong, v, r, window in cases:
+            solution = log_solution(config, v, (0,) * config.n, r, window)
+            data = certify(config, wrong, solution).to_json_dict()
+            assert data["passed"] is False and data["box"]["first_failure"] is None
+            failed = 0
+            for row, entry in enumerate(data["euler"]):
+                expected = apply_euler_row_reference(config, wrong, solution, row)
+                assert entry["passed"] is expected.passed
+                if expected.passed:
+                    assert entry["first_failure"] is None
+                else:
+                    failed += 1
+                    assert entry["first_failure"] == _failure_dict(expected)
+            assert failed
+
+    def test_perturbed_coefficient(self, triangle, gauss):
+        cases = [
+            (triangle, [10, 8], (F(2), F(0), F(8)), (-5, 10), (3, 1), F(1, 3)),
+            (gauss, (F(-1, 2), F(-1, 3), F(1)), (F(0), F(1), F(-1, 2), F(-1, 3)),
+             (-4, 8), (2, 0), F(-5, 7)),
+        ]
+        for config, beta, v, window, key, bump in cases:
+            solution = log_solution(config, v, (0,) * config.n, 1, window)
+            broken = corrupt(solution, key, solution.coefficient(*key) + bump)
+            data = certify(config, beta, broken).to_json_dict()
+            expected = literal_box(config, broken)
+            assert data["passed"] is False and expected.first_failure is not None
+            assert data["box"]["first_failure"] == _failure_dict(expected)
+            assert data["box"]["safe_window"] == list(expected.safe_window)
+            for row, entry in enumerate(data["euler"]):
+                reference = apply_euler_row_reference(config, beta, broken, row)
+                assert entry["passed"] is reference.passed is True
+                assert entry["first_failure"] is None
+
+
+class TestOtherGrid:
+    """A series, or a parameter, from another grid is refused, not certified."""
+
+    @pytest.fixture
+    def case(self, triangle):
+        bundle = solution_bundle(triangle, [10, 8], window=(-5, 10)).bundles[0]
+        return triangle, bundle.parameter, bundle.solutions[0]
+
+    def refused(self, config, param, series, *shapes):
+        checks = [
+            lambda: apply_box(config, series),
+            lambda: apply_euler_row(config, param, series, 0),
+            lambda: apply_euler(config, param, series),
+            lambda: certify(config, param, series),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError) as info:
+                check()
+            for shape in shapes:
+                assert shape in str(info.value)
+
+    def test_relation_negated_or_doubled(self, case):
+        config, param, series = case
+        for relation in [(-1, -1, 2), (2, 2, -4)]:
+            other = LogSeries(series.base_exponent, relation, series.window, series.terms)
+            self.refused(config, param, other, str(relation), str(config.relation))
+
+    def test_relation_negated_through_json(self, case):
+        config, param, series = case
+        data = series.to_json_dict()
+        data["relation"] = [-e for e in data["relation"]]
+        other = LogSeries.from_json_dict(data)
+        self.refused(config, param, other, "(-1, -1, 2)", "(1, 1, -2)")
+
+    def test_base_exponent_entry_added_or_missing(self, case):
+        config, param, series = case
+        for base in [series.base_exponent + (F(1),), series.base_exponent[:2]]:
+            other = LogSeries(base, series.relation, series.window, series.terms)
+            self.refused(config, param, other, f"{len(base)} entries", "3 columns")
+
+    def test_parameter_entry_added_or_missing(self, case):
+        config, param, series = case
+        assert apply_box(config, series).passed
+        for wrong in [tuple(param) + (F(1),), tuple(param[:1])]:
+            for check in [
+                lambda: apply_euler_row(config, wrong, series, 0),
+                lambda: apply_euler(config, wrong, series),
+                lambda: certify(config, wrong, series),
+            ]:
+                with pytest.raises(ValueError, match=f"{len(wrong)} entries.* 2 rows"):
+                    check()
+
+    def test_relation_as_a_list_still_runs(self, case):
+        config, param, series = case
+        listed = LogSeries(series.base_exponent, list(series.relation), series.window, series.terms)
+        assert certify(config, param, listed) == certify(config, param, series)
+        assert certify(config, param, listed).passed
 
 
 def test_certificate_imports_no_builder():
