@@ -15,11 +15,24 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .errors import InputError
+
 Vector = tuple[Fraction, ...]
 
 
+def rational(value, where: str) -> Fraction:
+    """value as a Fraction; a float, which holds a binary approximation, is refused."""
+    if isinstance(value, float):
+        raise InputError(f"{where}: {value!r} is a float, not an exact rational")
+    return Fraction(value)
+
+
 def fracs(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    """The entries as Fractions; a float goes to rational(), which refuses it."""
+    return tuple(
+        rational(e, f"entry {i}") if isinstance(e, float) else Fraction(e)
+        for i, e in enumerate(entries)
+    )
 
 
 def _rref(rows: list[list[int]], ncols: int) -> list[int]:

@@ -17,10 +17,12 @@ homogeneous sums).  One step down in l multiplies by a single linear factor,
     P(l-1) = P(l) * (v+l+x),   truncated at the top degree in x,
 
 so coefficient_run walks a whole range of l downward from one seed, with
-multiplications only.  It hands each requested l back as integer numerators
-over one denominator, and builds no Fraction past its seed: the series
-multiply those integers, and a Fraction is built only where a series stores
-a coefficient.
+multiplications only.  Truncated at x^0, a run of factors is the product of
+their constants, an arithmetic progression of integers once scaled by the
+denominator of v, multiplied in one math.prod over its range.  The run hands
+each requested l back as integer numerators over one denominator, and builds
+no Fraction past its seed: the series multiply those integers, and a
+Fraction is built only where a series stores a coefficient.
 
 The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 (the antiderivative then picks up an extra log); requesting that regime is
@@ -34,8 +36,9 @@ bundle, so no cache outlives the bundle it serves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
+from ._linalg import rational
 from .errors import ExcludedCase
 
 
@@ -43,13 +46,19 @@ def _is_excluded(l: int, v: Fraction) -> bool:
     return v.denominator == 1 and v < 0 and l > 0 and v + l >= 0
 
 
-def _times_factors(a: list[int], p: int, q: int, ks) -> None:
+def _times_factors(a: list[int], p: int, q: int, ks: range) -> None:
     """a(y) <- a(y) * prod_{k in ks} (y + p + q*k), truncated to len(a) terms.
 
     With v = p/q and y = q*x, each factor is q times v + k + x, so the
-    coefficients stay integers.
+    coefficients stay integers.  Truncated to one term, the product is that
+    of the factors' constants p + q*k, an arithmetic progression, taken in
+    one math.prod over its range; longer truncations multiply factor by
+    factor.
     """
     top = len(a) - 1
+    if not top:
+        a[0] *= prod(range(p + q * ks.start, p + q * ks.stop, q * ks.step))
+        return
     for k in ks:
         c = p + q * k
         for s in range(top, 0, -1):
@@ -62,7 +71,7 @@ def coefficient_M(l: int, s: int, v) -> Fraction:
 
     Raises ExcludedCase in the regime where the product has no inverse.
     """
-    v = Fraction(v)
+    v = rational(v, "v")
     if s < 0:
         raise ValueError("s must be nonnegative")
     if _is_excluded(l, v):
@@ -93,7 +102,7 @@ def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[tuple[int, ...], int]]
     """
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
-    v = Fraction(v)
+    v = rational(v, "v")
     wanted = sorted(set(ls), reverse=True)
     if not wanted:
         return {}

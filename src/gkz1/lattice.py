@@ -26,11 +26,26 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+import operator
 
 from . import _linalg
 from ._linalg import Vector, fracs
 from ._record import Record
-from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
+from .errors import (
+    BetaNotInSpan,
+    DependentSubset,
+    InputError,
+    InternalInvariantError,
+    KernelRankNotOne,
+)
+
+
+def _integer(x, i: int, j: int) -> int:
+    """Entry j of point i as an int; whatever operator.index refuses is refused."""
+    try:
+        return int(operator.index(x))
+    except TypeError:
+        raise InputError(f"point {i}, entry {j}: expected an integer, got {x!r}") from None
 
 
 class LatticeConfig(Record):
@@ -52,7 +67,10 @@ class LatticeConfig(Record):
     """
 
     def __init__(self, columns):
-        cols = tuple(tuple(int(x) for x in col) for col in columns)
+        cols = tuple(
+            tuple(_integer(x, i, j) for j, x in enumerate(col))
+            for i, col in enumerate(columns)
+        )
         n = len(cols)
         if n < 2:
             raise KernelRankNotOne(f"need at least 2 points, got {n}")
@@ -225,6 +243,9 @@ class Parameter(Record):
 
     def __getitem__(self, index):
         return self.beta[index]
+
+    def __len__(self):
+        return len(self.beta)
 
 
 class Nonresonance(Record):

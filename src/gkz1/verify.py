@@ -20,7 +20,10 @@ So one side's derivative product maps x^w(z) log^r x0, w(z) = w0 + z*rel, to
 with F_z truncated at the series' top log degree.  F_z is built once per
 (shift, side) as integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu),
 and meets the coefficients, put over one denominator per shift, as one
-integer numerator and denominator per (shift, log degree).  The two sides'
+integer numerator and denominator per (shift, log degree).  For a log-free
+series F_z is the constant F_z(0), and the scaled factors of one column,
+q_mu*(w_mu(z) - i) for i < |rel[mu]|, are an arithmetic progression of
+integers, multiplied in one math.prod over its range.  The two sides'
 images are compared by cross-multiplication, and the Euler rows' offset
 row.w0 - beta_row is found in integers, so a Fraction is built only for a
 residual entry, which a passing certificate has none of.
@@ -33,9 +36,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm, perm
+from math import lcm, perm, prod
 from typing import TYPE_CHECKING
 
+from ._linalg import rational
 from ._record import Record
 from .lattice import LatticeConfig
 
@@ -116,9 +120,13 @@ def _side_image(config, series, side, shifts) -> dict[tuple[int, int], tuple[int
         # q * (w_mu(z) - i + eps*rel[mu]) = (p + q*(z*rel[mu] - i)) + eps*q*rel[mu]
         f = [1] + [0] * top
         for p, q, e in factors:
+            start = p + q * z * e  # the factor's constant at i = 0
+            if not top:
+                f[0] *= prod(range(start, start - q * abs(e), -q))
+                continue
             slope = q * e
             for i in range(abs(e)):
-                c = p + q * (z * e - i)
+                c = start - q * i
                 for s in range(top, 0, -1):
                     f[s] = f[s] * c + f[s - 1] * slope
                 f[0] *= c
@@ -178,17 +186,17 @@ def apply_euler_row(
     beta_row.  No shift in z occurs, so the whole input window is safe.
     A series on another grid than the configuration's, or a parameter with
     another number of entries than the configuration has rows, is refused
-    with ValueError.
+    with ValueError; a float as the row's parameter entry, with InputError.
     """
     _check_grid(config, series)
-    entries = len(tuple(param))  # a Parameter iterates but has no len
+    entries = len(param)
     if entries != config.dim:
         raise ValueError(
             f"parameter has {entries} entries, the configuration {config.dim} rows"
         )
     a_row = [config.columns[j][row] for j in range(config.n)]
     base = series.base_exponent
-    b = Fraction(param[row])
+    b = rational(param[row], f"parameter entry {row}")
     den = lcm(b.denominator, *(w.denominator for w in base))
     offset_num = sum(
         a * w.numerator * (den // w.denominator) for a, w in zip(a_row, base)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gkz1 import coefficient_M
 from gkz1.coefficients import coefficient_run
-from gkz1.errors import ExcludedCase
+from gkz1.errors import ExcludedCase, InputError
 
 from reference import (
     DegreeTooLarge,
@@ -105,6 +105,19 @@ class TestCoefficientM:
                 expected = v.denominator == 1 and v >= 0 and l < 0 and v + l < 0
                 assert vanishes == expected
 
+    def test_long_products_match_defining_sums(self):
+        # l up to 300 either way: one-term truncations take their product in one step
+        for v in (F(1, 7), F(-3, 5), F(-151), F(40)):
+            for l in (-300, -151, 150, 299):
+                for s in (0, 1):
+                    if v.denominator == 1 and v < 0 and l > 0 and v + l >= 0:
+                        continue
+                    assert coefficient_M(l, s, v) == coefficient_M_reference(l, s, v), (l, s, v)
+
+    def test_float_refused(self):
+        with pytest.raises(InputError, match="0.1 is a float"):
+            coefficient_M(1, 0, 0.1)
+
     @settings(max_examples=100, deadline=None)
     @given(
         a=st.integers(min_value=-5, max_value=5),
@@ -188,7 +201,46 @@ def runs(draw):
     return v, kept, draw(st.integers(min_value=0, max_value=3))
 
 
+@st.composite
+def long_runs(draw):
+    """A run along a relation line with an entry of either sign up to 150 in
+    absolute value: v, the requested l (|l| <= 300, one of them requested
+    twice), s_max in {0, 1}.  Each walk step then crosses up to 150 factors.
+    """
+    v = draw(
+        st.one_of(
+            st.integers(min_value=-200, max_value=200).map(F),
+            st.fractions(max_denominator=9, min_value=-200, max_value=200),
+        )
+    )
+    e = draw(st.integers(min_value=1, max_value=150)) * draw(st.sampled_from((1, -1)))
+    lift = draw(st.integers(min_value=-150, max_value=150))
+    zs = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=3))
+    ls = [lift + z * e for z in zs]
+    ls.append(draw(st.sampled_from(ls)))
+    return v, ls, draw(st.sampled_from((0, 1)))
+
+
 class TestCoefficientRun:
+    @settings(max_examples=100, deadline=None)
+    @given(case=long_runs())
+    def test_long_runs_match_defining_sums(self, case):
+        v, ls, s_max = case
+        top = max(ls)
+        if v.denominator == 1 and v < 0 and top + v >= 0 and top > 0:
+            with pytest.raises(ExcludedCase):
+                coefficient_run(v, ls, s_max)
+            return
+        run = coefficient_run(v, ls, s_max)
+        assert sorted(run) == sorted(set(ls))
+        for l, (nums, den) in run.items():
+            expected = tuple(coefficient_M_reference(l, s, v) for s in range(s_max + 1))
+            assert tuple(F(n, den) for n in nums) == expected, (l, v)
+
+    def test_float_refused(self):
+        with pytest.raises(InputError, match="0.1 is a float"):
+            coefficient_run(0.1, [1, 0], 0)
+
     @settings(max_examples=150, deadline=None)
     @given(case=runs())
     def test_every_stored_value_matches_defining_sums(self, case):

@@ -17,6 +17,7 @@ from gkz1 import (
 from gkz1.errors import (
     BetaNotInSpan,
     DependentSubset,
+    InputError,
     InternalInvariantError,
     KernelRankNotOne,
 )
@@ -83,6 +84,17 @@ class TestBuildConfig:
         with pytest.raises(DependentSubset) as info:
             build_config([(1, 0), (-1, 0), (0, 1)])
         assert info.value.omitted == 2
+
+    @pytest.mark.parametrize("entry", [1.5, F(3, 2), F(1), 1.0, "1"])
+    def test_inexact_entries_refused(self, entry):
+        # the triangle, with its first entry replaced
+        with pytest.raises(InputError, match=r"point 0, entry 0: expected an integer"):
+            build_config([[entry, 0], [1, 2], [1, 1]])
+
+    def test_integer_entries_become_ints(self):
+        config = build_config([[True, 0], [1, 2], [1, 1]])
+        assert config.columns == ((1, 0), (1, 2), (1, 1))
+        assert all(type(x) is int for col in config.columns for x in col)
 
 
 def _brute_force_verdict(columns):
@@ -402,3 +414,11 @@ class TestParameter:
     def test_wrong_length(self, triangle):
         with pytest.raises(BetaNotInSpan):
             parameter(triangle, [1, 2, 3])
+
+    def test_length_is_the_dimension(self, triangle, gauss):
+        for config, beta in [(triangle, [10, 8]), (gauss, [F(-1, 2), F(-1, 3), 1])]:
+            assert len(parameter(config, beta)) == config.dim
+
+    def test_float_entry_refused(self, triangle):
+        with pytest.raises(InputError, match="entry 0: 0.1 is a float"):
+            parameter(triangle, [0.1, 8])

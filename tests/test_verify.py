@@ -11,12 +11,14 @@ from gkz1 import (
     apply_box,
     apply_euler,
     apply_euler_row,
+    build_config,
     certify,
     log_solution,
     parameter,
     phi_series,
     solution_bundle,
 )
+from gkz1.errors import InputError
 
 from conftest import random_config, random_nonresonant_beta
 from reference import apply_euler_row_reference, literal_box
@@ -100,6 +102,11 @@ class TestEuler:
         reports = apply_euler(triangle, parameter(triangle, wrong), solution)
         assert reports == apply_euler(triangle, wrong, solution)
         assert not reports[0].passed
+
+    def test_float_parameter_refused(self, triangle):
+        solution = log_solution(triangle, (F(2), F(0), F(8)), (0, 0, 0), 1, (0, 6))
+        with pytest.raises(InputError, match="parameter entry 1: 8.0 is a float"):
+            apply_euler_row(triangle, [10, 8.0], solution, 1)
 
     def test_single_row(self, triangle):
         phi = phi_series(triangle, (F(2), F(0), F(8)), (0, 0, 0), (), (0, 5))
@@ -225,6 +232,9 @@ class TestClosedFormBox:
         for _ in range(12):
             config = random_config(rng)
             cases.append((config, random_nonresonant_beta(rng, config), (-3, 5)))
+        # long runs of log-free factors: relations (60, -1) and (39, 1, -40)
+        cases.append((build_config([(1,), (60,)]), [F(1, 7)], (-2, 2)))
+        cases.append((build_config([(1, 0), (1, 40), (1, 1)]), [F(1, 3), F(2, 5)], (0, 3)))
         for config, beta, window in cases:
             report = solution_bundle(config, beta, window=window)
             for bundle in report.bundles:
