@@ -1,4 +1,8 @@
-"""Internal exact linear algebra over Q and Z.
+"""Internal exact linear algebra over Q and Z, and the one check of exact input.
+
+Every number entering the package passes rational() or integer(), or fracs() or
+integers() for a list: a float, what Fraction cannot parse or operator.index
+refuses, or a str for a list raises an InputError that names the entry.
 
 Matrices are small (a handful of rows and columns), so one Gauss-Jordan
 elimination serves every solve, and it runs on Python ints only.  A row
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
 from .errors import InputError
@@ -24,15 +29,56 @@ def rational(value, where: str) -> Fraction:
     """value as a Fraction; a float, which holds a binary approximation, is refused."""
     if isinstance(value, float):
         raise InputError(f"{where}: {value!r} is a float, not an exact rational")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError(f"{where}: cannot parse rational {value!r}: {exc}") from None
 
 
-def fracs(entries) -> Vector:
-    """The entries as Fractions; a float goes to rational(), which refuses it."""
-    return tuple(
-        rational(e, f"entry {i}") if isinstance(e, float) else Fraction(e)
-        for i, e in enumerate(entries)
-    )
+def integer(value, where: str, bound: Optional[int] = None) -> int:
+    """value as an int; refused where operator.index refuses it, or outside [0, bound)."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise InputError(f"{where}: expected an integer, got {value!r}") from None
+    if bound is not None and not 0 <= value < bound:
+        raise InputError(f"{where}: {value} is not an index in [0, {bound})")
+    return value
+
+
+def sequence(values, where: str) -> tuple:
+    """The entries of a list, tuple or other iterable; a str is refused whole."""
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise InputError(f"{where}: expected a list, got {values!r}")
+
+
+def fracs(values, where: str) -> Vector:
+    """The entries as Fractions, each refused as rational() refuses it; a tuple of
+    Fractions is returned as it is, and only a refused entry's name is built."""
+    values = sequence(values, where)
+    if all(type(e) is Fraction for e in values):
+        return values
+    try:
+        return tuple(rational(e, where) for e in values)
+    except InputError:
+        return tuple(rational(e, f"{where} entry {i}") for i, e in enumerate(values))
+
+
+def integers(values, where: str, bound: Optional[int] = None) -> tuple[int, ...]:
+    """The entries as ints, each refused as integer() refuses it, with the
+    same bound; names are built as in fracs()."""
+    values = sequence(values, where)
+    try:
+        out = tuple(map(index, values))
+        if bound is None or all(0 <= x < bound for x in out):
+            return out
+    except TypeError:
+        pass
+    return tuple(integer(x, f"{where} entry {i}", bound) for i, x in enumerate(values))
 
 
 def _rref(rows: list[list[int]], ncols: int) -> list[int]:
@@ -117,14 +163,6 @@ def nullspace_columns(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
             vec[c] = -rows[r][f] * (scale // rows[r][c])
         basis.append(tuple(vec))
     return basis
-
-
-def primitive_integer_vector(vec: Sequence[int]) -> tuple[int, ...]:
-    """Divide a nonzero integer vector by its content (sign preserved)."""
-    g = gcd(*vec)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in vec)
 
 
 # -- lattice index ------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Reads a problem description (JSON, or TOML by extension), runs the requested
 stage of the pipeline and prints a machine-readable report.  All rationals
-cross the boundary as exact "p/q" strings; no floats enter anywhere.
+cross the boundary as exact "p/q" strings; no floats enter anywhere.  Each
+number of the file passes the library's one check (gkz1._linalg), named by
+its field, such as beta[1]; the file adds only that a vector is a list and
+that a boolean is not a number.
 
-Exit codes: 0 success, 1 internal invariant failure, 2 invalid input,
+Exit codes: 0 success, else the exit_code of the error class, printed with its
+label on one stderr line: 1 internal invariant failure, 2 invalid input,
 3 hypothesis violation (e.g. a resonant parameter passed to classify).
 
 solve and verify build one bundle per exponent; a requested degree (--r) is
@@ -26,16 +30,16 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
+from ._linalg import integer, rational
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
-from .errors import HypothesisError, InputError, InternalInvariantError
+from .errors import GkzError, InputError
 from .exponents import fake_exponents, normalized_set
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
-from .series import solution_bundle
+from .series import solution_bundle, window_bounds
 from .verify import certify
 
 DEFAULT_WINDOW = (-10, 20)
@@ -50,36 +54,26 @@ class ProblemSpec(Record):
     def __init__(
         self, columns, beta, u=None, lift=None, window=DEFAULT_WINDOW, r=None, verify=True
     ):
-        self.columns = columns
-        self.beta = beta
-        self.u = u
-        self.lift = lift
-        self.window = window
-        self.r = r
-        self.verify = verify
-
-
-def _rational(value, field: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise InputError(f"{field}: expected a rational, got {value!r}")
-        if isinstance(value, float):
-            raise InputError(f"{field}: floats are not accepted, use 'p/q' strings")
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise InputError(f"{field}: cannot parse rational {value!r}: {exc}") from None
-
-
-def _int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{field}: expected an integer, got {value!r}")
-    return value
+        self.__dict__.update(
+            columns=columns, beta=beta, u=u, lift=lift, window=window, r=r, verify=verify
+        )
 
 
 def _list(value, field: str) -> list:
     if not isinstance(value, list):
         raise InputError(f"{field}: expected a list, got {value!r}")
     return value
+
+
+def _number(value, field: str, check):
+    """value through check (rational or integer); a boolean is not a number here."""
+    if isinstance(value, bool):
+        raise InputError(f"{field}: expected a number, got {value!r}")
+    return check(value, field)
+
+
+def _numbers(value, field: str, check) -> list:
+    return [_number(x, f"{field}[{i}]", check) for i, x in enumerate(_list(value, field))]
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -104,26 +98,14 @@ def load_problem(path: str) -> ProblemSpec:
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
     columns = [
-        [_int(x, f"A[{i}]") for x in _list(col, f"A[{i}]")]
-        for i, col in enumerate(_list(data["A"], "A"))
+        _numbers(col, f"A[{i}]", integer) for i, col in enumerate(_list(data["A"], "A"))
     ]
-    beta = [
-        _rational(x, f"beta[{i}]") for i, x in enumerate(_list(data["beta"], "beta"))
-    ]
-    spec = ProblemSpec(columns=columns, beta=beta)
-    if "u" in data:
-        spec.u = [_rational(x, f"u[{i}]") for i, x in enumerate(_list(data["u"], "u"))]
-    if "lift" in data:
-        spec.lift = [
-            _int(x, f"lift[{i}]") for i, x in enumerate(_list(data["lift"], "lift"))
-        ]
-    if "window" in data:
-        window = data["window"]
-        if not (isinstance(window, (list, tuple)) and len(window) == 2):
-            raise InputError("window: expected [lo, hi]")
-        spec.window = (_int(window[0], "window[0]"), _int(window[1], "window[1]"))
+    spec = ProblemSpec(columns=columns, beta=_numbers(data["beta"], "beta", rational))
+    for field, check in (("u", rational), ("lift", integer), ("window", integer)):
+        if field in data:
+            setattr(spec, field, _numbers(data[field], field, check))
     if "r" in data:
-        spec.r = _int(data["r"], "r")
+        spec.r = _number(data["r"], "r", integer)
     if "verify" in data:
         if not isinstance(data["verify"], bool):
             raise InputError("verify: expected a boolean")
@@ -139,9 +121,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
         except ValueError:
             raise InputError(f"--window: expected LO:HI, got {args.window!r}") from None
     if args.u is not None:
-        spec.u = [
-            _rational(x.strip(), "--u") for x in args.u.split(",") if x.strip() != ""
-        ]
+        spec.u = [rational(x, "--u") for x in args.u.split(",") if x.strip()]
     if args.lift is not None:
         try:
             spec.lift = [int(x) for x in args.lift.split(",")]
@@ -151,13 +131,15 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
         spec.r = args.r
     if getattr(args, "no_verify", False):
         spec.verify = False
-    if spec.window[0] > spec.window[1]:
-        raise InputError(f"window: lo > hi in {spec.window}")
+    try:
+        spec.window = window_bounds(spec.window)
+    except ValueError as exc:  # lo > hi, which the library refuses as a ValueError
+        raise InputError(f"window: {exc}") from None
     return spec
 
 
 def _rat_list(values) -> list[str]:
-    return [str(v) if type(v) in (Fraction, int) else str(Fraction(v)) for v in values]
+    return [str(v) for v in values]
 
 
 def _exponent_dict(exp, supports: dict) -> dict:
@@ -502,15 +484,9 @@ def _run(args) -> int:
     try:
         spec = _apply_overrides(load_problem(args.input), args)
         report = _COMMANDS[args.command](spec)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisError as exc:
-        print(f"hypothesis violation: {exc}", file=sys.stderr)
-        return 3
-    except InternalInvariantError as exc:
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
-        return 1
+    except GkzError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     if args.format == "text":
         print(_render_text(report))
     else:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from ._linalg import rational
+from ._linalg import integer, rational
 from .errors import ExcludedCase
 
 
@@ -71,7 +71,7 @@ def coefficient_M(l: int, s: int, v) -> Fraction:
 
     Raises ExcludedCase in the regime where the product has no inverse.
     """
-    v = rational(v, "v")
+    l, s, v = integer(l, "l"), integer(s, "s"), rational(v, "v")
     if s < 0:
         raise ValueError("s must be nonnegative")
     if _is_excluded(l, v):

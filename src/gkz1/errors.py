@@ -1,13 +1,9 @@
 """Exception hierarchy shared by the whole package.
 
-Every error derives from one of three base classes, and the CLI maps each
-base class to one exit code:
-
-    InputError              exit 2  invalid input: a bad file or rational,
-                                    a bad configuration or parameter;
-    HypothesisError         exit 3  valid data outside the regime a
-                                    construction supports;
-    InternalInvariantError  exit 1  a guaranteed identity failed: a bug.
+Every error derives from one of three base classes, and each base class
+carries the CLI's exit code and the label of its one stderr line, so the
+CLI maps no class by hand: InputError (exit 2), HypothesisError (exit 3)
+and InternalInvariantError (exit 1).
 """
 
 
@@ -16,15 +12,18 @@ class GkzError(Exception):
 
 
 class InputError(GkzError):
-    """Invalid input; raised itself for a bad file, rational or shape."""
+    """Invalid input; raised itself for a bad file, number or shape."""
+    exit_code, label = 2, "input error"
 
 
 class HypothesisError(GkzError):
     """Valid data outside the regime a construction supports."""
+    exit_code, label = 3, "hypothesis violation"
 
 
 class InternalInvariantError(GkzError):
     """A mathematically guaranteed identity failed: implementation bug."""
+    exit_code, label = 1, "internal invariant failure"
 
 
 # -- configuration construction -------------------------------------------

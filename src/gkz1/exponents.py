@@ -28,12 +28,13 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from ._linalg import Vector, fracs
+from ._linalg import Vector, fracs, integers
 from ._record import Record
 from .errors import (
     CountMismatch,
     InputError,
     InternalInvariantError,
+    LiftMismatch,
     NotInLattice,
     NotNonresonant,
 )
@@ -69,14 +70,26 @@ _set_vector, _set_labels, _set_m_support = (
 )
 
 
-def exponent_vector(v) -> Vector:
+def exponent_vector(v, n: int | None = None) -> Vector:
+    """An Exponent's vector, or v's entries as Fractions, n of them if n is given."""
     if isinstance(v, Exponent):
         return v.vector
-    return fracs(v)
+    vec = fracs(v, "v")
+    if n is not None and len(vec) != n:
+        raise InputError(f"v has {len(vec)} entries, expected {n}")
+    return vec
+
+
+def lift_vector(config: LatticeConfig, lift) -> tuple[int, ...]:
+    """An integer lift as ints; LiftMismatch when it has not n entries."""
+    lift = integers(lift, "lift")
+    if len(lift) != config.n:
+        raise LiftMismatch(f"lift has length {len(lift)}, expected {config.n}")
+    return lift
 
 
 def m_support(config: LatticeConfig, vec) -> frozenset[int]:
-    vec = exponent_vector(vec)
+    vec = exponent_vector(vec, config.n)
     return frozenset(
         mu for mu in config.positive if vec[mu].denominator == 1 and vec[mu] >= 0
     )
@@ -116,7 +129,7 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     such that no positive-side coordinate of v + z0*relation is a negative
     integer.
     """
-    line = RelationLine(exponent_vector(v), config.relation)
+    line = RelationLine(exponent_vector(v, config.n), config.relation)
     z0 = line.shift(0)
     if z0 == 0 and isinstance(v, Exponent):
         return v, 0  # already normalized: same vector, labels and m_support
@@ -146,7 +159,7 @@ def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
     line, supports = None, {}
     found: dict[int, Exponent] = {}
     for v in fakes:
-        vec = exponent_vector(v)
+        vec = exponent_vector(v, config.n)
         if line is None:
             line = RelationLine(vec, config.relation)
         k = line.key_of(vec)
@@ -168,6 +181,7 @@ def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
 def negative_support(v, indices) -> frozenset[int]:
     """Indices in the given set whose coordinate is a negative integer."""
     vec = exponent_vector(v)
+    indices = integers(indices, "indices", len(vec))
     return frozenset(mu for mu in indices if vec[mu].denominator == 1 and vec[mu] < 0)
 
 
@@ -232,12 +246,11 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
     Each coordinate with an integral shifted entry is a negative integer on
     a half-line in z (direction given by the relation sign), so both the
     equality set and the subset set are integer intervals; minimality is
-    their coincidence.
+    their coincidence.  A lift of the wrong length raises LiftMismatch.
     """
-    vec = exponent_vector(v)
-    lift = tuple(int(x) for x in lift)
-    indices = frozenset(indices)
-    baseline = negative_support(vec, indices)
+    vec = exponent_vector(v, config.n)
+    lift = lift_vector(config, lift)
+    indices = frozenset(integers(indices, "indices", config.n))
     eq_lo = eq_hi = None
     sub_lo = sub_hi = None
     for mu in sorted(indices):
@@ -249,7 +262,7 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
         if e > 0:
             # negative integer exactly for z <= t = floor((-1 - w) / e)
             t = (-1 - w) // e
-            if mu in baseline:
+            if x.numerator < 0:  # mu is in v's own negative support
                 eq_hi = t if eq_hi is None else min(eq_hi, t)
             else:
                 eq_lo = t + 1 if eq_lo is None else max(eq_lo, t + 1)
@@ -257,7 +270,7 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
         else:
             # negative integer exactly for z >= s = ceil((w + 1) / -e)
             s = -((w + 1) // e)
-            if mu in baseline:
+            if x.numerator < 0:  # mu is in v's own negative support
                 eq_lo = s if eq_lo is None else max(eq_lo, s)
             else:
                 eq_hi = s - 1 if eq_hi is None else min(eq_hi, s - 1)
@@ -279,7 +292,7 @@ def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:
     last coordinate lies in [0, |relation[-1]|).  Raises NotInLattice when
     u is not an integer combination of the columns.
     """
-    u = fracs(u)
+    u = fracs(u, "u")
     if len(u) != config.dim:
         raise NotInLattice(f"u has length {len(u)}, expected {config.dim}")
     line = RelationLine.of(config, u)
@@ -308,7 +321,7 @@ def match_exponent(config: LatticeConfig, beta, u, v) -> tuple[Exponent, tuple[i
     if not resonance:
         raise NotNonresonant(resonance.witness)
     lift = integer_lift(config, u)
-    vec = exponent_vector(v)
+    vec = exponent_vector(v, config.n)
     support = m_support(config, vec)
     if not support or config.column_combination(vec) != beta.beta:
         raise InternalInvariantError(f"{vec} is not an exponent of {beta.beta}")

@@ -26,26 +26,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-import operator
 
 from . import _linalg
-from ._linalg import Vector, fracs
+from ._linalg import Vector, fracs, integers, sequence
 from ._record import Record
 from .errors import (
     BetaNotInSpan,
     DependentSubset,
-    InputError,
     InternalInvariantError,
     KernelRankNotOne,
 )
-
-
-def _integer(x, i: int, j: int) -> int:
-    """Entry j of point i as an int; whatever operator.index refuses is refused."""
-    try:
-        return int(operator.index(x))
-    except TypeError:
-        raise InputError(f"point {i}, entry {j}: expected an integer, got {x!r}") from None
 
 
 class LatticeConfig(Record):
@@ -67,10 +57,7 @@ class LatticeConfig(Record):
     """
 
     def __init__(self, columns):
-        cols = tuple(
-            tuple(_integer(x, i, j) for j, x in enumerate(col))
-            for i, col in enumerate(columns)
-        )
+        cols = tuple(integers(p, f"point {i}") for i, p in enumerate(sequence(columns, "points")))
         n = len(cols)
         if n < 2:
             raise KernelRankNotOne(f"need at least 2 points, got {n}")
@@ -82,7 +69,8 @@ class LatticeConfig(Record):
             raise KernelRankNotOne(
                 f"points span rank {n - len(kernel)}, expected {n - 1}"
             )
-        relation = _linalg.primitive_integer_vector(kernel[0])
+        content = gcd(*kernel[0])
+        relation = tuple(x // content for x in kernel[0])
         if 0 in relation:
             raise DependentSubset(relation.index(0))
         if relation[0] < 0:
@@ -132,7 +120,7 @@ class LatticeConfig(Record):
 
     def column_combination(self, coefficients) -> Vector:
         """sum_mu coefficients[mu] * a_mu as a rational d-vector."""
-        coeffs = fracs(coefficients)
+        coeffs = fracs(coefficients, "coefficients")
         return tuple(
             sum((c * a for c, a in zip(coeffs, col)), Fraction(0))
             for col in zip(*self.columns)
@@ -298,7 +286,7 @@ def parameter(config: LatticeConfig, beta) -> Parameter:
     """
     if isinstance(beta, Parameter):
         return beta
-    vec = fracs(beta)
+    vec = fracs(beta, "beta")
     if len(vec) != config.dim:
         raise BetaNotInSpan(f"parameter has length {len(vec)}, expected {config.dim}")
     line = RelationLine.of(config, vec)

@@ -23,11 +23,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import perm
 
-from ._linalg import fracs
+from ._linalg import fracs, integer, integers, rational
 from ._record import Record
 from .coefficients import coefficient_run
 from .errors import (
     HypothesisViolated,
+    InputError,
     LiftMismatch,
     NegativeDegree,
     NotMinimalSupport,
@@ -37,10 +38,26 @@ from .exponents import (
     exponent_set_prime,
     exponent_vector,
     integer_lift,
+    lift_vector,
     m_support,
     support_verdict,
 )
 from .lattice import LatticeConfig, parameter
+
+
+def _pair(value, where: str) -> tuple[int, int]:
+    pair = integers(value, where)
+    if len(pair) != 2:
+        raise InputError(f"{where}: expected two integers, got {value!r}")
+    return pair
+
+
+def window_bounds(window) -> tuple[int, int]:
+    """(lo, hi) as two ints; InputError for another shape, ValueError if lo > hi."""
+    lo, hi = _pair(window, "window")
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    return lo, hi
 
 
 class LogSeries(Record):
@@ -53,15 +70,12 @@ class LogSeries(Record):
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
-        lo, hi = int(window[0]), int(window[1])
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
-        clean = {
-            (int(z), int(r)): Fraction(c)
-            for (z, r), c in terms.items()
-            if c != 0
-        }
-        return cls(fracs(base_exponent), tuple(int(e) for e in relation), (lo, hi), clean)
+        """A series from loose data, every number checked; zeros are dropped."""
+        window = window_bounds(window)
+        terms = {_pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
+        base = fracs(base_exponent, "base_exponent")
+        relation = integers(relation, "relation")
+        return cls(base, relation, window, {k: c for k, c in terms.items() if c})
 
     def coefficient(self, z: int, r: int = 0) -> Fraction:
         return self.terms.get((z, r), Fraction(0))
@@ -91,15 +105,8 @@ class LogSeries(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LogSeries":
-        return cls.make(
-            [Fraction(x) for x in data["base_exponent"]],
-            data["relation"],
-            tuple(data["window"]),
-            {
-                (term["z"], term["r"]): Fraction(term["coeff"])
-                for term in data["terms"]
-            },
-        )
+        terms = {(term["z"], term["r"]): term["coeff"] for term in data["terms"]}
+        return cls.make(data["base_exponent"], data["relation"], data["window"], terms)
 
 
 def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:
@@ -115,21 +122,6 @@ def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:
     ]
 
 
-def _phi_coefficients(config, lift, rho, members, runs) -> dict[int, Fraction]:
-    """z -> coefficient of the log-free series for the multiset rho."""
-    rel = config.relation
-    out: dict[int, Fraction] = {}
-    for z in members:
-        num = den = 1
-        for mu in range(config.n):
-            nums, d = runs[mu][lift[mu] + z * rel[mu]]
-            num *= nums[rho.get(mu, 0)]
-            den *= d
-        if num:
-            out[z] = Fraction(num, den)
-    return out
-
-
 def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogSeries:
     """The log-free building-block series for a multiset q of column indices.
 
@@ -137,20 +129,27 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     preserved; the exponent must have minimal negative support there, or the
     defining sum would depend on more than the multiset.
     """
-    vec = exponent_vector(v)
-    lift = tuple(int(x) for x in u_lift)
-    rho = Counter(int(i) for i in q)
+    vec = exponent_vector(v, config.n)
+    lift = lift_vector(config, u_lift)
+    rho = Counter(integers(q, "q", config.n))
+    lo, hi = window_bounds(window)
     indices = frozenset(range(config.n)) - frozenset(rho)
     verdict = support_verdict(config, vec, indices, lift)
     if not verdict.minimal:
         raise NotMinimalSupport(indices, lift)
-    members = verdict.membership.clip(*window)
+    members = verdict.membership.clip(lo, hi)
     runs = _column_runs(config, vec, lift, members, max(rho.values(), default=0))
-    terms = {
-        (z, 0): c for z, c in _phi_coefficients(config, lift, rho, members, runs).items()
-    }
+    rel, terms = config.relation, {}
+    for z in members:
+        num = den = 1
+        for mu in range(config.n):
+            nums, d = runs[mu][lift[mu] + z * rel[mu]]
+            num *= nums[rho[mu]]
+            den *= d
+        if num:
+            terms[(z, 0)] = Fraction(num, den)
     base = tuple(x + l for x, l in zip(vec, lift))
-    return LogSeries.make(base, config.relation, window, terms)
+    return LogSeries(base, rel, (lo, hi), terms)
 
 
 def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
@@ -230,9 +229,7 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
     minimal negative support; all of them read one eps-product per shift in
     the memberships of those sets.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
+    lo, hi = window_bounds(window)
     everything = frozenset(range(config.n))
     verdicts = {}  # missing columns -> the verdict on the other columns
     for size in range(cap):
@@ -274,13 +271,6 @@ def _degree(r: int, multiplicity: int, certificates=(), solutions=()) -> LogSeri
     raise HypothesisViolated(v.indices for v in sorted(failing, key=missing))
 
 
-def _checked_lift(config: LatticeConfig, u_lift) -> tuple[int, ...]:
-    lift = tuple(int(x) for x in u_lift)
-    if len(lift) != config.n:
-        raise LiftMismatch(f"lift has length {len(lift)}, expected {config.n}")
-    return lift
-
-
 def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> LogSeries:
     """The formal log solution of degree r attached to a normalized exponent.
 
@@ -291,12 +281,11 @@ def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> 
     the exponent's solutions below degree r + 1 are built and r is read off
     them as SolutionBundle.solution reads it.
     """
-    if r < 0:
-        _degree(r, 0)  # raises
-    vec = exponent_vector(v)
-    lift = _checked_lift(config, u_lift)
+    r = integer(r, "r")
+    vec = exponent_vector(v, config.n)
+    lift = lift_vector(config, u_lift)
     mv = len(m_support(config, vec))
-    if r >= mv:
+    if not 0 <= r < mv:
         _degree(r, mv)  # raises
     return _degree(r, mv, *_build(config, vec, lift, r + 1, window))
 
@@ -326,6 +315,7 @@ class SolutionBundle(Record):
         That is NegativeDegree, RNotLessThanMultiplicity or HypothesisViolated,
         exactly as log_solution raises it, without building anything again.
         """
+        r = integer(r, "r")
         return _degree(r, self.exponent.multiplicity, self.certificates, self.solutions)
 
 
@@ -352,17 +342,12 @@ def solution_bundle(
     collects diagnostics instead of failing when it caps out early.
     """
     beta = parameter(config, beta)
-    if u_lift is not None:
-        lift = _checked_lift(config, u_lift)
-        u_vec = config.column_combination(lift)
-        if u is not None and fracs(u) != u_vec:
-            raise LiftMismatch("explicit lift does not produce the given u")
-    elif u is not None:
-        lift = integer_lift(config, u)
-        u_vec = fracs(u)
-    else:
-        lift = (0,) * config.n
-        u_vec = (Fraction(0),) * config.dim
+    if u_lift is None:
+        u_lift = (0,) * config.n if u is None else integer_lift(config, u)
+    lift = lift_vector(config, u_lift)
+    u_vec = config.column_combination(lift)
+    if u is not None and fracs(u, "u") != u_vec:
+        raise LiftMismatch("explicit lift does not produce the given u")
     gamma = tuple(b + x for b, x in zip(beta.beta, u_vec))
     primes = exponent_set_prime(config, beta)
     bundles = []

@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import lcm, perm, prod
 from typing import TYPE_CHECKING
 
-from ._linalg import rational
+from ._linalg import fracs, integer
 from ._record import Record
 from .lattice import LatticeConfig
 
@@ -186,17 +186,18 @@ def apply_euler_row(
     beta_row.  No shift in z occurs, so the whole input window is safe.
     A series on another grid than the configuration's, or a parameter with
     another number of entries than the configuration has rows, is refused
-    with ValueError; a float as the row's parameter entry, with InputError.
+    with ValueError; an inexact parameter entry or a bad row, with InputError.
     """
     _check_grid(config, series)
-    entries = len(param)
-    if entries != config.dim:
+    param = fracs(param, "parameter")
+    if len(param) != config.dim:
         raise ValueError(
-            f"parameter has {entries} entries, the configuration {config.dim} rows"
+            f"parameter has {len(param)} entries, the configuration {config.dim} rows"
         )
+    row = integer(row, "row", config.dim)
     a_row = [config.columns[j][row] for j in range(config.n)]
     base = series.base_exponent
-    b = rational(param[row], f"parameter entry {row}")
+    b = param[row]
     den = lcm(b.denominator, *(w.denominator for w in base))
     offset_num = sum(
         a * w.numerator * (den // w.denominator) for a, w in zip(a_row, base)

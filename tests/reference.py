@@ -528,7 +528,7 @@ def scalar_relation_check(
     if any(x.denominator != 1 for x in deltas):
         raise ValueError("v' - v must be an integer vector")
     lift = tuple(int(x) for x in deltas)
-    if u is not None and config.column_combination(lift) != fracs(u):
+    if u is not None and config.column_combination(lift) != fracs(u, "u"):
         raise ValueError("v' - v does not lift the given u")
     scalar = Fraction(1)
     for mu in range(config.n):

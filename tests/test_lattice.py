@@ -88,7 +88,7 @@ class TestBuildConfig:
     @pytest.mark.parametrize("entry", [1.5, F(3, 2), F(1), 1.0, "1"])
     def test_inexact_entries_refused(self, entry):
         # the triangle, with its first entry replaced
-        with pytest.raises(InputError, match=r"point 0, entry 0: expected an integer"):
+        with pytest.raises(InputError, match=r"point 0 entry 0: expected an integer"):
             build_config([[entry, 0], [1, 2], [1, 1]])
 
     def test_integer_entries_become_ints(self):
