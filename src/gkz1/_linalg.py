@@ -69,8 +69,7 @@ def fracs(values, where: str) -> Vector:
 
 
 def integers(values, where: str, bound: Optional[int] = None) -> tuple[int, ...]:
-    """The entries as ints, each refused as integer() refuses it, with the
-    same bound; names are built as in fracs()."""
+    """fracs() for ints: each entry refused as integer() refuses it, with the same bound."""
     values = sequence(values, where)
     try:
         out = tuple(map(index, values))
@@ -79,6 +78,14 @@ def integers(values, where: str, bound: Optional[int] = None) -> tuple[int, ...]
     except TypeError:
         pass
     return tuple(integer(x, f"{where} entry {i}", bound) for i, x in enumerate(values))
+
+
+def pair(values, where: str) -> tuple[int, int]:
+    """Two integers, such as a window (lo, hi) or a grid key (z, r)."""
+    values = integers(values, where)
+    if len(values) != 2:
+        raise InputError(f"{where}: expected two integers, got {values!r}")
+    return values
 
 
 def _rref(rows: list[list[int]], ncols: int) -> list[int]:

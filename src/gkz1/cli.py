@@ -33,7 +33,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
-from ._linalg import integer, rational
+from ._linalg import integer, pair, rational
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
@@ -104,6 +104,8 @@ def load_problem(path: str) -> ProblemSpec:
     for field, check in (("u", rational), ("lift", integer), ("window", integer)):
         if field in data:
             setattr(spec, field, _numbers(data[field], field, check))
+    if "window" in data:  # two bounds, even where --window replaces them
+        pair(spec.window, "window")
     if "r" in data:
         spec.r = _number(data["r"], "r", integer)
     if "verify" in data:

@@ -1,9 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-Every error derives from one of three base classes, and each base class
-carries the CLI's exit code and the label of its one stderr line, so the
-CLI maps no class by hand: InputError (exit 2), HypothesisError (exit 3)
-and InternalInvariantError (exit 1).
+Every error derives from InputError (exit 2), HypothesisError (exit 3) or
+InternalInvariantError (exit 1); each of the three carries the CLI's exit
+code and the label of its one stderr line, so the CLI maps no class by hand.
 """
 
 

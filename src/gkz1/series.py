@@ -23,12 +23,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import perm
 
-from ._linalg import fracs, integer, integers, rational
+from ._linalg import fracs, integer, integers, pair, rational
 from ._record import Record
 from .coefficients import coefficient_run
 from .errors import (
     HypothesisViolated,
-    InputError,
     LiftMismatch,
     NegativeDegree,
     NotMinimalSupport,
@@ -45,16 +44,9 @@ from .exponents import (
 from .lattice import LatticeConfig, parameter
 
 
-def _pair(value, where: str) -> tuple[int, int]:
-    pair = integers(value, where)
-    if len(pair) != 2:
-        raise InputError(f"{where}: expected two integers, got {value!r}")
-    return pair
-
-
 def window_bounds(window) -> tuple[int, int]:
     """(lo, hi) as two ints; InputError for another shape, ValueError if lo > hi."""
-    lo, hi = _pair(window, "window")
+    lo, hi = pair(window, "window")
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
     return lo, hi
@@ -72,7 +64,7 @@ class LogSeries(Record):
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
         """A series from loose data, every number checked; zeros are dropped."""
         window = window_bounds(window)
-        terms = {_pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
+        terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
         base = fracs(base_exponent, "base_exponent")
         relation = integers(relation, "relation")
         return cls(base, relation, window, {k: c for k, c in terms.items() if c})

@@ -289,3 +289,13 @@ def test_cli_names_the_field(capsys, tmp_path, field, value, names):
     assert main(["solve", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {names}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("window, code", [([0, 1, 2], 2), ([], 2), ([0, 0.5], 2), ([3, 1], 0)])
+def test_file_window_is_checked_where_the_flag_replaces_it(capsys, tmp_path, window, code):
+    # the file's window must be two integers even under --window; only the
+    # window in force must have lo <= hi
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"A": POINTS, "beta": [10, 8], "window": window}))
+    assert main(["analyze", "--input", str(path), "--window", "0:3"]) == code
+    assert capsys.readouterr().err.startswith("input error: window" if code else "")
