@@ -19,9 +19,12 @@ byte, but written by ``_json_text``, not by the standard library: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
 about one generator step per token.  Reports hold only dicts with str keys,
 lists, tuples, str, int, bool and None; a float or a non-str key is refused
-with TypeError.  A dict the report holds in two places is written once: the
-``exponents`` report lists each unshifted exponent's entry, one dict object,
-in both ``fake_exponents`` and ``prime_exponents``.
+with TypeError.  Each exponent entry is an ``_Entry``, a dict to everything
+else, which the writer fills into one template per depth.  The exponents
+report builds its entries from the integer keys of the parameter's line,
+each coordinate a "p/q" string made from its numerator with one gcd; an
+exponent that needs no shift has one entry, listed in both
+``fake_exponents`` and ``prime_exponents`` and written once.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from math import gcd
 from pathlib import Path
 
 from ._linalg import integer, pair, rational
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
-from .exponents import fake_exponents, normalized_set
+from .exponents import exponent_keys
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import solution_bundle, window_bounds
 from .verify import certify
@@ -133,10 +137,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
         spec.r = args.r
     if getattr(args, "no_verify", False):
         spec.verify = False
-    try:
-        spec.window = window_bounds(spec.window)
-    except ValueError as exc:  # lo > hi, which the library refuses as a ValueError
-        raise InputError(f"window: {exc}") from None
+    spec.window = window_bounds(spec.window)
     return spec
 
 
@@ -144,21 +145,42 @@ def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _exponent_dict(exp, supports: dict) -> dict:
-    """The report entry of an exponent.
+class _Entry(dict):
+    """The report entry of an exponent: "vector" ("p/q" strings), "labels"
+    (lists of two ints), "m_support" (a list of ints) and "multiplicity" (an
+    int), in that order.  To json.dumps and _render_text it is a plain dict;
+    _json_text writes it from one template per depth."""
 
-    supports maps each m_support set to its sorted list, so the entries of
-    one report share one list per set instead of making one each.
-    """
-    support = supports.get(exp.m_support)
-    if support is None:
-        support = supports[exp.m_support] = sorted(exp.m_support)
-    return {
-        "vector": _rat_list(exp.vector),
-        "labels": [list(label) for label in exp.labels],
-        "m_support": support,
-        "multiplicity": exp.multiplicity,
-    }
+    __slots__ = ()
+
+
+def _entry(vector: list, labels, support: frozenset, lists: dict) -> _Entry:
+    """The entry of an exponent; lists maps each m_support set to its sorted
+    list, so the entries of one report share one list per set."""
+    listed = lists.get(support)
+    if listed is None:
+        listed = lists[support] = sorted(support)
+    return _Entry(
+        vector=vector,
+        labels=[list(label) for label in labels],
+        m_support=listed,
+        multiplicity=len(support),
+    )
+
+
+def _exponent_dict(exp, lists: dict) -> _Entry:
+    return _entry(_rat_list(exp.vector), exp.labels, exp.m_support, lists)
+
+
+def _key_entry(line, k: int, supports: dict, lists: dict) -> _Entry:
+    """The entry of the exponent at key k of the line, each coordinate written
+    as str(Fraction(numerator, den)) is, with one gcd and no Fraction."""
+    nums, labels, support = line.parts(k, supports)
+    den = line.den
+    vector = [
+        str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in nums
+    ]
+    return _entry(vector, labels, support, lists)
 
 
 def _verdict_dict(verdict) -> dict:
@@ -195,22 +217,26 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
 
 
 def cmd_exponents(spec: ProblemSpec) -> dict:
+    """Both exponent lists, built from the keys of the parameter's line.
+
+    Each normalized exponent is a fake one, so its entry is the fake's, the
+    same object, listed in both places.
+    """
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
-    fakes = fake_exponents(config, beta)
-    primes = normalized_set(config, fakes)
-    # the normalized set keeps every fake it does not shift, as the same
-    # object; such an exponent gets one dict, listed in both places
+    line = beta.line
+    fakes, primes = exponent_keys(line)
     supports: dict = {}
-    entries = {id(e): _exponent_dict(e, supports) for e in fakes}
+    lists: dict = {}
+    entries = {k: _key_entry(line, k, supports, lists) for k in fakes}
+    # exponent_keys has checked that the multiplicities sum to the relation's
+    total = config.positive_sum
     return {
         "beta": _rat_list(beta.beta),
         "fake_exponents": list(entries.values()),
-        "prime_exponents": [
-            entries.get(id(e)) or _exponent_dict(e, supports) for e in primes.exponents
-        ],
-        "multiplicity_sum": primes.multiplicity_sum,
-        "relation_sum": primes.relation_sum,
+        "prime_exponents": [entries[k] for k in primes],
+        "multiplicity_sum": total,
+        "relation_sum": total,
     }
 
 
@@ -328,6 +354,14 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
+def _list_text(texts, brackets: tuple[str, str, str]) -> str:
+    """A JSON list of the item texts, between and among the brackets' opening,
+    separator and closing; "[]" for none, as no item's text is empty."""
+    opening, sep, closing = brackets
+    body = sep.join(texts)
+    return opening + body + closing if body else "[]"
+
+
 def _json_text(report) -> str:
     """``json.dumps(report, indent=2)``, without the pure-Python encoder.
 
@@ -337,34 +371,57 @@ def _json_text(report) -> str:
     list of only str or only int is one join over the C string encoder or
     ``int.__repr__``.  bool is tested before int, as ``json`` does.
 
-    A dict below the root is joined into one string and kept under its
-    ``id`` at its depth, so a dict the report holds twice (an exponent entry
-    of both ``fake_exponents`` and ``prime_exponents``) is written once.  The
-    report keeps every object alive while it is written, so the ids stay
-    distinct; the memo holds only ints and strs, which the cyclic collector
-    does not track.  Floats and non-str keys raise TypeError: reports carry
-    rationals as "p/q" strings.
+    An exponent entry (_Entry) is written from one template per depth, its
+    three lists joined straight into it.  Its text is kept under its ``id``
+    at its depth, so an entry the report holds twice (in both
+    ``fake_exponents`` and ``prime_exponents``) is written once.  The report
+    keeps every entry alive while it is written, so the ids stay distinct;
+    the memo holds only ints and strs, which the cyclic collector does not
+    track.  Floats and non-str keys raise TypeError: reports carry rationals
+    as "p/q" strings.
     """
     out: list[str] = []
     write = out.append
     newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
-    memos: list[dict[int, str]] = [{}]  # memos[depth]: id of a dict -> its text
+    forms: dict[int, tuple] = {}  # depth -> (entry texts by id, template, list brackets)
+
+    def indents(depth: int) -> list[str]:
+        while len(newlines) <= depth:
+            newlines.append(newlines[-1] + "  ")
+        return newlines
+
+    def entry_text(entry: _Entry, depth: int) -> str:
+        form = forms.get(depth)
+        if form is None:
+            i0, i1, i2, i3 = indents(depth + 3)[depth:depth + 4]
+            form = forms[depth] = (
+                {},
+                "{" + i1 + '"vector": %s,' + i1 + '"labels": %s,' + i1
+                + '"m_support": %s,' + i1 + '"multiplicity": %s' + i0 + "}",
+                ("[" + i2, "," + i2, i1 + "]"),  # a list of the entry
+                ("[" + i3, "," + i3, i2 + "]"),  # a label, in the list of labels
+            )
+        memo, template, outer, inner = form
+        text = memo.get(id(entry))
+        if text is None:
+            labels = [_list_text(map(int.__repr__, pair), inner) for pair in entry["labels"]]
+            memo[id(entry)] = text = template % (
+                _list_text(map(_encode_str, entry["vector"]), outer),
+                _list_text(labels, outer),
+                _list_text(map(int.__repr__, entry["m_support"]), outer),
+                int.__repr__(entry["multiplicity"]),
+            )
+        return text
 
     def put(value, depth: int) -> None:
+        if type(value) is _Entry:
+            write(entry_text(value, depth))
+            return
         if isinstance(value, dict):
             if not value:
                 write("{}")
                 return
-            if len(newlines) == depth + 1:
-                newlines.append(newlines[-1] + "  ")
-                memos.append({})
-            memo = memos[depth]
-            known = memo.get(id(value))
-            if known is not None:
-                write(known)
-                return
-            start = len(out)
-            inner = newlines[depth + 1]
+            inner = indents(depth + 1)[depth + 1]
             sep = "{" + inner
             for key, item in value.items():
                 if not isinstance(key, str):
@@ -380,24 +437,19 @@ def _json_text(report) -> str:
                     put(item, depth + 1)
                 sep = "," + inner
             write(newlines[depth] + "}")
-            if depth:  # the root is written once anyway
-                memo[id(value)] = text = "".join(out[start:])
-                del out[start:]
-                write(text)
             return
         if isinstance(value, (list, tuple)):
             if not value:
                 write("[]")
                 return
-            if len(newlines) == depth + 1:
-                newlines.append(newlines[-1] + "  ")
-                memos.append({})
-            inner = newlines[depth + 1]
+            inner = indents(depth + 1)[depth + 1]
             first = type(value[0])
             if first is str and all(type(x) is str for x in value):
                 items = ("," + inner).join(map(_encode_str, value))
             elif first is int and all(type(x) is int for x in value):
                 items = ("," + inner).join(map(int.__repr__, value))
+            elif first is _Entry and all(type(x) is _Entry for x in value):
+                items = ("," + inner).join([entry_text(x, depth + 1) for x in value])
             else:
                 sep = "[" + inner
                 for item in value:

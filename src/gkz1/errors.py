@@ -60,6 +60,10 @@ class NegativeDegree(InputError, ValueError):
     """A requested log degree r is negative."""
 
 
+class EmptyWindow(InputError, ValueError):
+    """A window (lo, hi) with lo > hi."""
+
+
 # -- hypothesis violations --------------------------------------------------
 
 class NotNonresonant(HypothesisError):

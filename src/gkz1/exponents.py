@@ -13,9 +13,17 @@ line's ``den``.  Coordinate 0 of the point at t is w[0] + t*relation[0],
 and relation[0] > 0, so it strictly increases with t: ordering the vectors
 lexicographically is ordering them by t, and two vectors are equal exactly
 when their t are.  So the exponents are sorted, merged and normalized as
-integer keys, each coordinate (offsets[i] + k*relation[i]) / den built once
-from its numerator.  Matching an exponent v of beta to beta + u builds no
-exponent set: the match is the normalization of v + (the lift of u).
+integer keys: exponent_keys gives the sorted fake keys and, among them, the
+normalized keys, and checks the count law on them, and
+``RelationLine.parts`` reads a key's numerators (offsets[i] + k*relation[i])
+over den, labels and m_support.  A normalized key k + shift(k)*den is a fake
+key: the column that sets the shift ends at an entry b in [0, relation[mu]),
+a label.  So the normalized set is the fakes of shift 0, the same objects.  The
+library wraps a key into an ``Exponent``, each coordinate a Fraction built
+once from its numerator; the CLI's exponents report writes the numerators
+as "p/q" strings and builds no Exponent.  Matching an exponent v of beta to
+beta + u builds no exponent set: the match is the normalization of
+v + (the lift of u).
 
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
@@ -28,7 +36,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from ._linalg import Vector, fracs, integers
+from ._linalg import Vector, fracs, integers, pair
 from ._record import Record
 from .errors import (
     CountMismatch,
@@ -96,30 +104,46 @@ def m_support(config: LatticeConfig, vec) -> frozenset[int]:
 
 
 def _exponent(line: RelationLine, supports: dict, k: int) -> Exponent:
-    """The point of the line at key k, labels and m_support read off its numerators;
-    supports (bit mask -> m_support) shares one frozenset per m_support."""
-    den, rel, positive = line.den, line.relation, line.positive
-    nums = [a + k * e for a, e in zip(line.offsets, rel)]
-    labels, mask = [], 0
-    for mu in positive:
-        q, r = divmod(nums[mu], den)
-        if not r and q >= 0:
-            mask |= 1 << mu
-            if q < rel[mu]:
-                labels.append((mu, q))
-    support = supports.get(mask)
-    if support is None:
-        support = supports[mask] = frozenset(mu for mu in positive if mask >> mu & 1)
+    """The exponent at key k of the line, each coordinate built once from its numerator."""
+    nums, labels, support = line.parts(k, supports)
+    den = line.den
     return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
 
 
 def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
     """All fake exponents for the parameter, duplicates merged by label.
 
-    Sorted lexicographically by coordinates, so output order is stable.
+    Sorted lexicographically by coordinates, so output order is stable: one
+    exponent per key of exponent_keys, in the order of its keys.
     """
     line, supports = parameter(config, beta).line, {}
     return [_exponent(line, supports, k) for k in sorted(line.keys())]
+
+
+def exponent_keys(line: RelationLine) -> tuple[list[int], list[int]]:
+    """The sorted keys of the fake exponents and of the normalized set.
+
+    Fake key k normalizes to k + shift(k)*den, which is a fake key again: the
+    column whose bound sets the shift ends at an entry b in [0, relation[mu]),
+    a label.  So the normalized keys are the fake keys of shift 0.  A
+    normalized key's multiplicity is its number of positive-side coordinates
+    that are nonnegative integers, and the multiplicities must sum to the
+    positive relation sum (CountMismatch otherwise); a class of keys whose
+    normalization were no fake key would be missing from that sum.
+    """
+    den, rel, offsets, positive = line.den, line.relation, line.offsets, line.positive
+    fakes = sorted(line.keys())
+    primes = [k for k in fakes if not line.shift(k)]
+    total = 0
+    for k in primes:
+        for mu in positive:
+            x = offsets[mu] + k * rel[mu]
+            if x >= 0 and not x % den:
+                total += 1
+    expected = sum(rel[mu] for mu in positive)
+    if total != expected:
+        raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
+    return fakes, primes
 
 
 def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
@@ -146,36 +170,17 @@ class PrimeExponents(Record):
 
 
 def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
-    """Normalized exponent set; the multiplicity count law is enforced."""
-    return normalized_set(config, fake_exponents(config, beta))
+    """Normalized exponent set; the multiplicity count law is enforced.
 
-
-def normalized_set(config: LatticeConfig, fakes) -> PrimeExponents:
-    """The normalized set of a parameter's fake exponents, count law enforced.
-
-    The fakes lie on one relation line; each is shifted by the z0 of
-    normalize_to_e_prime, and the results are merged and ordered by key.
+    Each normalized exponent is a fake exponent, the same object.
     """
-    line, supports = None, {}
-    found: dict[int, Exponent] = {}
-    for v in fakes:
-        vec = exponent_vector(v, config.n)
-        if line is None:
-            line = RelationLine(vec, config.relation)
-        k = line.key_of(vec)
-        z0 = line.shift(k)
-        if z0 == 0 and isinstance(v, Exponent):
-            found[k] = v
-        else:
-            k += z0 * line.den
-            if k not in found:
-                found[k] = _exponent(line, supports, k)
-    exponents = tuple(found[k] for k in sorted(found))
-    total = sum(e.multiplicity for e in exponents)
-    expected = config.positive_sum
-    if total != expected:
-        raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
-    return PrimeExponents(exponents, total, expected)
+    beta = parameter(config, beta)
+    fakes = fake_exponents(config, beta)  # the module global, which tracing wraps
+    keys, primes = exponent_keys(beta.line)
+    found = dict(zip(keys, fakes))
+    exponents = tuple(found[k] for k in primes)
+    # exponent_keys has checked that the multiplicities sum to the relation's
+    return PrimeExponents(exponents, config.positive_sum, config.positive_sum)
 
 
 def negative_support(v, indices) -> frozenset[int]:
@@ -204,9 +209,11 @@ class IntervalSet(Record):
     def clip(self, lo: int, hi: int) -> list[int]:
         """All members inside [lo, hi], ascending.
 
-        Raises InputError when some interval keeps more members than a list
-        can index on this platform (sys.maxsize).
+        Raises InputError when a bound is not an integer, or when some
+        interval keeps more members than a list can index on this platform
+        (sys.maxsize).
         """
+        lo, hi = pair((lo, hi), "clip bounds")
         out = []
         for a, b in self.intervals:
             start = lo if a is None else max(lo, a)

@@ -171,14 +171,27 @@ class RelationLine(Record):
             out.update(range(-a // e, (e * den - a) // e, den // e))
         return out
 
-    def key_of(self, vec: Vector) -> int:
-        """The key of a point of the line, read off its coordinate 0."""
-        x = vec[0]
-        scaled, r = divmod(x.numerator * self.den, x.denominator)
-        k, r2 = divmod(scaled - self.offsets[0], self.relation[0])
-        if r or r2:
-            raise ValueError(f"not a point of this line at an integer key: {vec}")
-        return k
+    def parts(self, k: int, supports: dict) -> tuple[list[int], list, frozenset[int]]:
+        """The numerators of the point at key k, its labels and its m_support.
+
+        Coordinate mu is numerators[mu]/den.  The m_support holds the mu with
+        relation[mu] > 0 where it is an integer b >= 0, and the labels are the
+        pairs (mu, b) among them with b < relation[mu].  supports (bit mask ->
+        m_support) shares one frozenset per m_support among the calls given it.
+        """
+        den, rel, positive = self.den, self.relation, self.positive
+        nums = [a + k * e for a, e in zip(self.offsets, rel)]
+        labels, mask = [], 0
+        for mu in positive:
+            q, r = divmod(nums[mu], den)
+            if not r and q >= 0:
+                mask |= 1 << mu
+                if q < rel[mu]:
+                    labels.append((mu, q))
+        support = supports.get(mask)
+        if support is None:
+            support = supports[mask] = frozenset(mu for mu in positive if mask >> mu & 1)
+        return nums, labels, support
 
     def shift(self, k: int) -> int:
         """The least z making no positive-side coordinate at k + z*den a negative integer."""

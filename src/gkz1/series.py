@@ -23,11 +23,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import perm
 
-from ._linalg import fracs, integer, integers, pair, rational
+from ._linalg import fracs, integer, integers, pair, rational, sequence
 from ._record import Record
 from .coefficients import coefficient_run
 from .errors import (
+    EmptyWindow,
     HypothesisViolated,
+    InputError,
     LiftMismatch,
     NegativeDegree,
     NotMinimalSupport,
@@ -45,11 +47,22 @@ from .lattice import LatticeConfig, parameter
 
 
 def window_bounds(window) -> tuple[int, int]:
-    """(lo, hi) as two ints; InputError for another shape, ValueError if lo > hi."""
+    """(lo, hi) as two ints; InputError for another shape, EmptyWindow (also a
+    ValueError) if lo > hi."""
     lo, hi = pair(window, "window")
     if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
+        raise EmptyWindow(f"window: empty window [{lo}, {hi}]")
     return lo, hi
+
+
+def _fields(data, where: str, names: tuple) -> list:
+    """The values of the named fields of a JSON object, in that order."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: expected an object, got {data!r}")
+    for name in names:
+        if name not in data:
+            raise InputError(f"{where}: missing field {name!r}")
+    return [data[name] for name in names]
 
 
 class LogSeries(Record):
@@ -62,9 +75,17 @@ class LogSeries(Record):
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
-        """A series from loose data, every number checked; zeros are dropped."""
-        window = window_bounds(window)
+        """A series from loose data, every number checked; zeros are dropped.
+
+        Every key (z, r) must lie on the grid: lo <= z <= hi and r >= 0.
+        """
+        lo, hi = window = window_bounds(window)
         terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
+        for z, r in terms:
+            if r < 0 or not lo <= z <= hi:
+                raise InputError(
+                    f"term {(z, r)!r}: off the grid z in [{lo}, {hi}], r >= 0"
+                )
         base = fracs(base_exponent, "base_exponent")
         relation = integers(relation, "relation")
         return cls(base, relation, window, {k: c for k, c in terms.items() if c})
@@ -97,8 +118,13 @@ class LogSeries(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LogSeries":
-        terms = {(term["z"], term["r"]): term["coeff"] for term in data["terms"]}
-        return cls.make(data["base_exponent"], data["relation"], data["window"], terms)
+        """The series to_json_dict wrote; InputError names a missing or malformed field."""
+        *head, terms = _fields(data, "series", ("base_exponent", "relation", "window", "terms"))
+        keyed = {}
+        for i, term in enumerate(sequence(terms, "terms")):
+            z, r, coeff = _fields(term, f"terms[{i}]", ("z", "r", "coeff"))
+            keyed[pair((z, r), f"terms[{i}] (z, r)")] = coeff
+        return cls.make(*head, keyed)
 
 
 def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:

@@ -83,7 +83,8 @@ def _report(operator, window, safe, residual) -> OperatorReport:
 
 
 def _check_grid(config, series) -> None:
-    """Refuse a series whose grid x^(w0 + z*relation) is not the operator's."""
+    """Refuse a series whose grid x^(w0 + z*relation) is not the operator's,
+    or which holds a term off its own grid: z outside its window or r < 0."""
     relation = tuple(series.relation)
     if relation != config.relation:
         raise ValueError(
@@ -94,6 +95,10 @@ def _check_grid(config, series) -> None:
             f"series base exponent has {len(series.base_exponent)} entries,"
             f" the configuration {config.n} columns"
         )
+    lo, hi = series.window
+    off = next((key for key in series.terms if key[1] < 0 or not lo <= key[0] <= hi), None)
+    if off is not None:
+        raise ValueError(f"series term {off} is off its grid z in [{lo}, {hi}], r >= 0")
 
 
 def _side_image(config, series, side, shifts) -> dict[tuple[int, int], tuple[int, int]]:

@@ -21,7 +21,13 @@ from gkz1.cli import ProblemSpec, main
 from gkz1.errors import GkzError
 from gkz1.series import LogSeries
 
-from conftest import random_config, random_nonresonant_beta
+from conftest import (
+    random_config,
+    random_integral_beta,
+    random_nonresonant_beta,
+    random_relation_config,
+)
+from reference import fake_exponents_reference, normalized_set_reference
 
 TRIANGLE_PROBLEM = {
     "A": [[1, 0], [1, 2], [1, 1]],
@@ -101,6 +107,101 @@ class TestExponents:
         _, first, _ = run(capsys, "exponents", "--input", triangle_file)
         _, second, _ = run(capsys, "exponents", "--input", triangle_file)
         assert first == second
+
+    def test_builds_no_exponent(self, monkeypatch):
+        # the report is written from the line's integer keys; the library's
+        # Exponent records are not built on the way
+        from gkz1 import exponents
+
+        def refuse(*args):
+            raise AssertionError("an Exponent was built")
+
+        monkeypatch.setattr(exponents, "Exponent", refuse)
+        for problem in (TRIANGLE_PROBLEM, TWO_LABELS_PROBLEM):
+            spec = ProblemSpec(columns=problem["A"], beta=problem["beta"])
+            report = cli.cmd_exponents(spec)
+            assert report["multiplicity_sum"] == report["relation_sum"]
+
+
+def _reference_exponents_report(config, beta) -> dict:
+    """The exponents report from the Fraction-vector route of tests/reference.py."""
+    fakes = fake_exponents_reference(config, beta)
+    primes = normalized_set_reference(config, fakes)
+
+    def entry(e):
+        return {
+            "vector": [str(x) for x in e.vector],
+            "labels": [list(label) for label in e.labels],
+            "m_support": sorted(e.m_support),
+            "multiplicity": len(e.m_support),
+        }
+
+    return {
+        "beta": [str(x) for x in beta],
+        "fake_exponents": [entry(e) for e in fakes],
+        "prime_exponents": [entry(e) for e in primes],
+        "multiplicity_sum": sum(len(e.m_support) for e in primes),
+        "relation_sum": config.positive_sum,
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.integers(0, 3))
+def test_exponents_report_matches_the_reference(seed, kind):
+    # vectors as str(Fraction), labels, m_support and multiplicity equal the
+    # Fraction route's, on nonresonant and on integral parameters
+    rng = random.Random(seed)
+    config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
+    beta = random_integral_beta(rng, config) if kind > 1 else random_nonresonant_beta(rng, config)
+    report = cli.cmd_exponents(ProblemSpec(columns=config.columns, beta=list(beta)))
+    assert report == _reference_exponents_report(config, beta)
+    assert cli._json_text(report) == json.dumps(report, indent=2)
+    fakes = {id(entry) for entry in report["fake_exponents"]}
+    for entry in report["prime_exponents"]:
+        # a normalized exponent keeps a label, so it is a fake, one entry for both
+        assert entry["labels"] and id(entry) in fakes
+    if len(report["prime_exponents"]) < len(fakes):
+        event("a fake is shifted")
+    if any(len(entry["labels"]) > 1 for entry in report["fake_exponents"]):
+        event("a key with two labels")
+
+
+# A fake with two labels, (1, 0) and (2, 0), whose coordinate 0 is the negative
+# integer -4: it is shifted, onto the other fake.
+TWO_LABELS_PROBLEM = {"A": [[2, -1], [-2, 2], [0, -1]], "beta": ["-8", "4"]}
+TWO_LABELS_TEXT = """\
+beta: ['-8', '4']
+fake_exponents:
+  vector: ['-4', '0', '0']
+  labels: [[1, 0], [2, 0]]
+  m_support: [1, 2]
+  multiplicity: 2
+  -
+  vector: ['0', '4', '4']
+  labels: [[0, 0]]
+  m_support: [0, 1, 2]
+  multiplicity: 3
+  -
+prime_exponents:
+  vector: ['0', '4', '4']
+  labels: [[0, 0]]
+  m_support: [0, 1, 2]
+  multiplicity: 3
+  -
+multiplicity_sum: 3
+relation_sum: 3
+"""
+
+
+def test_two_labels_and_a_shift(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(TWO_LABELS_PROBLEM))
+    code, out, _ = run(capsys, "exponents", "--input", str(path), "--format", "text")
+    assert (code, out) == (0, TWO_LABELS_TEXT)
+    code, out, _ = run(capsys, "exponents", "--input", str(path))
+    report = json.loads(out)
+    assert report["fake_exponents"][0]["labels"] == [[1, 0], [2, 0]]
+    assert report["prime_exponents"] == report["fake_exponents"][1:]
 
 
 class TestSolve:
@@ -735,6 +836,7 @@ EXIT_CODES = {
     "NotInLattice": 2,
     "LiftMismatch": 2,
     "NegativeDegree": 2,
+    "EmptyWindow": 2,
     "HypothesisError": 3,
     "NotNonresonant": 3,
     "IrregularSingularity": 3,
@@ -839,6 +941,41 @@ def test_writer_matches_json_dumps_on_every_report(seed):
         except GkzError:
             continue
         assert cli._json_text(report) == json.dumps(report, indent=2)
+
+
+@st.composite
+def _exponent_entries(draw):
+    """A value holding exponent entries where solve and exponents put them.
+
+    One entry sits at depth 3 and 4 (a bundle's and a requested degree's
+    exponent, as in a solve report) and twice in each of two lists at depth
+    2 (as in an exponents report); others sit in a random value around them.
+    Vectors are any strings, and labels, m_support and vectors may be empty.
+    """
+    lists: dict = {}
+    entry = st.builds(
+        cli._entry,
+        st.lists(_TEXT, max_size=3),
+        st.lists(st.tuples(_INTS, _INTS), max_size=3),
+        st.frozensets(_INTS, max_size=3),
+        st.just(lists),
+    )
+    shared = draw(entry)
+    around = draw(st.recursive(entry | _SCALARS, _containers, max_leaves=8))
+    return {
+        "fake_exponents": [shared, draw(entry), shared],
+        "prime_exponents": [shared],
+        "bundles": [{"exponent": shared, "lift": [0]}],
+        "requested_degree": {"r": 0, "solutions": [{"exponent": shared}, around]},
+        "around": around,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_exponent_entries())
+def test_writer_matches_json_dumps_with_exponent_entries(value):
+    # an entry is written from its depth's template, and kept by id and depth
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 @pytest.mark.parametrize("value", [

@@ -19,7 +19,6 @@ from gkz1 import (
 )
 from gkz1 import exponents
 from gkz1.errors import InternalInvariantError, NotInLattice, NotNonresonant
-from gkz1.exponents import normalized_set
 
 from conftest import (
     random_config,
@@ -121,7 +120,7 @@ def test_keyed_exponents_match_the_fraction_route(case):
     reference = fake_exponents_reference(config, beta)
     assert fakes == reference
     assert all(type(x) is F for e in fakes for x in e.vector)
-    assert normalized_set(config, fakes).exponents == normalized_set_reference(
+    assert exponent_set_prime(config, beta).exponents == normalized_set_reference(
         config, reference
     )
     for fake in fakes:

@@ -43,7 +43,7 @@ from gkz1 import (
     support_verdict,
 )
 from gkz1.cli import main
-from gkz1.errors import GkzError, InputError, LiftMismatch
+from gkz1.errors import EmptyWindow, GkzError, InputError, LiftMismatch
 
 from conftest import TRIANGLE
 from test_cli import _JUNK
@@ -55,6 +55,14 @@ V_NONRESONANT = fake_exponents(T, NONRESONANT)[0]
 SERIES = log_solution(T, V, (0, 0, 0), 0, (0, 2))
 BUNDLE = solution_bundle(T, [10, 8], window=(0, 2)).bundles[0]
 POINTS = [list(p) for p in TRIANGLE]
+MEMBERSHIP = support_verdict(T, V, [0, 1, 2], (0, 0, 0)).membership  # [[0, 4]]
+SERIES_JSON = SERIES.to_json_dict()
+
+
+def _series_json(**changes):
+    """SERIES_JSON with fields replaced, and with those named None dropped."""
+    data = {**SERIES_JSON, **changes}
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def _with(points, i, j, x):
@@ -148,6 +156,29 @@ REFUSALS = [
      InputError, "term (0.5, 0)"),
     ("LogSeries", lambda: LogSeries.make([2, "x", 8], (1, 1, -2), (0, 1), {}), InputError,
      "base_exponent entry 1"),
+    ("LogSeries", lambda: LogSeries.make([2, 0, 8], (1, 1, -2), (0, 1), {(0, -1): 1}),
+     InputError, "term (0, -1): off the grid z in [0, 1], r >= 0"),
+    ("LogSeries", lambda: LogSeries.make([2, 0, 8], (1, 1, -2), (0, 1), {(5, 0): 2}),
+     InputError, "term (5, 0): off the grid"),
+    ("LogSeries", lambda: LogSeries.make([2, 0, 8], (1, 1, -2), (3, 2), {}), EmptyWindow,
+     "window: empty window [3, 2]"),
+    ("LogSeries", lambda: LogSeries.from_json_dict([SERIES_JSON]), InputError,
+     "series: expected an object"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(window=None)), InputError,
+     "series: missing field 'window'"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(terms={"z": 0})), InputError,
+     "terms[0]: expected an object, got 'z'"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(terms=5)), InputError,
+     "terms: expected a list"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(terms=[{"z": 0, "coeff": "1"}])),
+     InputError, "terms[0]: missing field 'r'"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(terms=[[0, 0, "1"]])),
+     InputError, "terms[0]: expected an object"),
+    ("LogSeries",
+     lambda: LogSeries.from_json_dict(_series_json(terms=[{"z": 0, "r": "0", "coeff": "1"}])),
+     InputError, "terms[0] (z, r) entry 1"),
+    ("IntervalSet", lambda: MEMBERSHIP.clip(0, 2.5), InputError, "clip bounds entry 1"),
+    ("IntervalSet", lambda: MEMBERSHIP.clip("0", 2), InputError, "clip bounds entry 0"),
     ("apply_euler_row", lambda: apply_euler_row(T, [10, 8.0], SERIES, 1), InputError,
      "parameter entry 1"),
     ("apply_euler_row", lambda: apply_euler_row(T, ["x", 8], SERIES, 0), InputError,
@@ -167,8 +198,8 @@ TAKES_NO_NUMBERS = {
     "SingularityType": "an enum of two names",
     # records: the functions that build them check every number first
     **dict.fromkeys(
-        ["BundleReport", "Certificate", "Classification", "Exponent", "IntervalSet",
-         "Nonresonance", "OperatorReport", "Parameter", "PrimeExponents", "SupportVerdict"],
+        ["BundleReport", "Certificate", "Classification", "Exponent", "Nonresonance",
+         "OperatorReport", "Parameter", "PrimeExponents", "SupportVerdict"],
         "a record of checked values",
     ),
 }
@@ -245,6 +276,14 @@ SLOTS = {
     "LogSeries.make coefficient": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {(0, 0): x}),
     "LogSeries.make key": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {_key(x): 1}),
     "LogSeries.make key entry": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {(_key(x), 0): 1}),
+    "LogSeries.from_json_dict": lambda x: LogSeries.from_json_dict(x),
+    "LogSeries.from_json_dict terms": lambda x: LogSeries.from_json_dict(_series_json(terms=x)),
+    "LogSeries.from_json_dict term": lambda x: LogSeries.from_json_dict(_series_json(terms=[x])),
+    "LogSeries.from_json_dict r": lambda x: LogSeries.from_json_dict(
+        _series_json(terms=[{"z": 0, "r": x, "coeff": "1"}])
+    ),
+    "IntervalSet.clip lo": lambda x: MEMBERSHIP.clip(x, 2),
+    "IntervalSet.clip hi": lambda x: MEMBERSHIP.clip(0, x),
     "apply_euler_row parameter": lambda x: apply_euler_row(T, x, SERIES, 0),
     "apply_euler_row row": lambda x: apply_euler_row(T, [10, 8], SERIES, x),
     "apply_euler": lambda x: apply_euler(T, [10, x], SERIES),
@@ -299,3 +338,15 @@ def test_file_window_is_checked_where_the_flag_replaces_it(capsys, tmp_path, win
     path.write_text(json.dumps({"A": POINTS, "beta": [10, 8], "window": window}))
     assert main(["analyze", "--input", str(path), "--window", "0:3"]) == code
     assert capsys.readouterr().err.startswith("input error: window" if code else "")
+
+
+def test_empty_window_is_an_input_error(capsys, tmp_path):
+    # the library's EmptyWindow is both an InputError and the ValueError it
+    # was before; the CLI prints it as it is, in one line, with exit 2
+    with pytest.raises(EmptyWindow, match=re.escape("window: empty window [3, 1]")) as info:
+        solution_bundle(T, [10, 8], window=(3, 1))
+    assert isinstance(info.value, InputError) and isinstance(info.value, ValueError)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"A": POINTS, "beta": [10, 8]}))
+    assert main(["solve", "--input", str(path), "--window", "3:1"]) == 2
+    assert capsys.readouterr().err == "input error: window: empty window [3, 1]\n"

@@ -211,9 +211,15 @@ class TestRelationLine:
         # den = 6 * lcm(1, 1, 2); coordinate mu at key k is (offsets[mu] + k*rel[mu])/den
         assert (line.den, line.offsets) == (12, (4, 2, 0))
         assert line.keys() == {-4, -2}  # coordinate 0 is 0, coordinate 1 is 0
-        assert [line.key_of(line.at(F(k, 12))) for k in (-4, 8, -16)] == [-4, 8, -16]
-        with pytest.raises(ValueError):
-            line.key_of(line.at(F(1, 24)))
+        supports = {}
+        parts = [line.parts(k, supports) for k in (-4, 8, -16, -2)]
+        assert [nums for nums, _, _ in parts] == [
+            [x * 12 for x in line.at(F(k, 12))] for k in (-4, 8, -16, -2)
+        ]
+        # coordinate 0 is 0, 1 and -1 at keys -4, 8 and -16; at 8 it is no label
+        assert [labels for _, labels, _ in parts] == [[(0, 0)], [], [], [(1, 0)]]
+        assert [support for _, _, support in parts] == [{0}, {0}, set(), {1}]
+        assert parts[0][2] is parts[1][2]  # one frozenset per m_support
         assert [line.shift(k) for k in (-4, 8, -16, -2)] == [0, -1, 1, 0]
         with pytest.raises(ValueError):
             line.shift(0)  # no integral positive coordinate

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from types import ModuleType
 
@@ -182,8 +183,9 @@ def box_cases(draw):
 
     Base entries mix integers in [0, |rel[mu]|) (where mu's falling factorial
     vanishes), other integers, negative ones and fractions with q <= 7.  Log
-    degrees go up to 4; a few terms sit just outside the window, which
-    may have lo == hi, and the series may have no terms at all.
+    degrees go up to 4; the window may have lo == hi, and the series may
+    have no terms at all.  Every term lies in the window, as make requires
+    (TestOtherGrid.test_terms_off_the_grid).
     """
     config = random_config(random.Random(draw(st.integers(0, 2**32 - 1))))
 
@@ -203,7 +205,7 @@ def box_cases(draw):
     top = draw(st.integers(0, 4))
     terms = draw(
         st.dictionaries(
-            st.tuples(st.integers(lo - 1, hi + 1), st.integers(0, top)),
+            st.tuples(st.integers(lo, hi), st.integers(0, top)),
             st.fractions(min_value=-6, max_value=6, max_denominator=9),
             max_size=12,
         )
@@ -368,6 +370,24 @@ class TestOtherGrid:
             ]:
                 with pytest.raises(ValueError, match=f"{len(wrong)} entries.* 2 rows"):
                     check()
+
+    def test_terms_off_the_grid(self, case, triangle):
+        # a negative log degree or a shift outside the window is no term of
+        # the series: make refuses it, and a certificate refuses it in a
+        # series built without make
+        config, param, series = case
+        for key in [(0, -1), (11, 0), (-6, 2)]:
+            with pytest.raises(InputError, match=re.escape(f"term {key}: off the grid")):
+                corrupt(series, key, 1)
+            terms = {**series.terms, key: F(2)}
+            other = LogSeries(series.base_exponent, series.relation, series.window, terms)
+            self.refused(config, param, other, f"series term {key} is off its grid")
+        off = {(0, -1): 1, (5, 0): 2}
+        with pytest.raises(InputError):
+            certify(triangle, [10, 8], LogSeries.make((2, 0, 8), (1, 1, -2), (0, 1), off))
+        plain = LogSeries((F(2), F(0), F(8)), (1, 1, -2), (0, 1), {k: F(c) for k, c in off.items()})
+        with pytest.raises(ValueError, match="off its grid"):
+            certify(triangle, [10, 8], plain)
 
     def test_relation_as_a_list_still_runs(self, case):
         config, param, series = case
