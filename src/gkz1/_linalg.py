@@ -1,8 +1,9 @@
 """Internal exact linear algebra over Q and Z, and the one check of exact input.
 
 Every number entering the package passes rational() or integer(), or fracs() or
-integers() for a list: a float, what Fraction cannot parse or operator.index
-refuses, or a str for a list raises an InputError that names the entry.
+integers() for a list: a float, a bool, what Fraction cannot parse or
+operator.index refuses, or a str for a list raises an InputError that names
+the entry.
 
 Matrices are small (a handful of rows and columns), so one Gauss-Jordan
 elimination serves every solve, and it runs on Python ints only.  A row
@@ -26,9 +27,12 @@ Vector = tuple[Fraction, ...]
 
 
 def rational(value, where: str) -> Fraction:
-    """value as a Fraction; a float, which holds a binary approximation, is refused."""
+    """value as a Fraction; a float, which holds a binary approximation, and a
+    bool, which is a truth value, are refused."""
     if isinstance(value, float):
         raise InputError(f"{where}: {value!r} is a float, not an exact rational")
+    if isinstance(value, bool):
+        raise InputError(f"{where}: expected a number, got {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -36,7 +40,10 @@ def rational(value, where: str) -> Fraction:
 
 
 def integer(value, where: str, bound: Optional[int] = None) -> int:
-    """value as an int; refused where operator.index refuses it, or outside [0, bound)."""
+    """value as an int; refused where operator.index refuses it, for a bool, or
+    outside [0, bound)."""
+    if isinstance(value, bool):
+        raise InputError(f"{where}: expected an integer, got {value!r}")
     try:
         value = index(value)
     except TypeError:
@@ -73,7 +80,9 @@ def integers(values, where: str, bound: Optional[int] = None) -> tuple[int, ...]
     values = sequence(values, where)
     try:
         out = tuple(map(index, values))
-        if bound is None or all(0 <= x < bound for x in out):
+        if bool not in map(type, values) and (
+            bound is None or all(0 <= x < bound for x in out)
+        ):
             return out
     except TypeError:
         pass

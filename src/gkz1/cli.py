@@ -4,8 +4,7 @@ Reads a problem description (JSON, or TOML by extension), runs the requested
 stage of the pipeline and prints a machine-readable report.  All rationals
 cross the boundary as exact "p/q" strings; no floats enter anywhere.  Each
 number of the file passes the library's one check (gkz1._linalg), named by
-its field, such as beta[1]; the file adds only that a vector is a list and
-that a boolean is not a number.
+its field, such as beta[1]; the file adds only that a vector is a list.
 
 Exit codes: 0 success, else the exit_code of the error class, printed with its
 label on one stderr line: 1 internal invariant failure, 2 invalid input,
@@ -69,15 +68,8 @@ def _list(value, field: str) -> list:
     return value
 
 
-def _number(value, field: str, check):
-    """value through check (rational or integer); a boolean is not a number here."""
-    if isinstance(value, bool):
-        raise InputError(f"{field}: expected a number, got {value!r}")
-    return check(value, field)
-
-
 def _numbers(value, field: str, check) -> list:
-    return [_number(x, f"{field}[{i}]", check) for i, x in enumerate(_list(value, field))]
+    return [check(x, f"{field}[{i}]") for i, x in enumerate(_list(value, field))]
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -111,7 +103,7 @@ def load_problem(path: str) -> ProblemSpec:
     if "window" in data:  # two bounds, even where --window replaces them
         pair(spec.window, "window")
     if "r" in data:
-        spec.r = _number(data["r"], "r", integer)
+        spec.r = integer(data["r"], "r")
     if "verify" in data:
         if not isinstance(data["verify"], bool):
             raise InputError("verify: expected a boolean")

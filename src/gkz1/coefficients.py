@@ -29,8 +29,10 @@ The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 always a caller bug and raises ExcludedCase.  This strip is closed upward in
 l, so a downward walk whose seed is outside it never enters it.
 
-Nothing here is cached across calls: series memoizes one run per column and
-bundle, so no cache outlives the bundle it serves.
+Nothing here is cached across calls.  The series builder asks for one row
+per column at the first shift of each run of member shifts, and steps from
+there by the two-term recurrence of gkz1.series; phi_series asks for one run
+per column over its members.
 """
 
 from __future__ import annotations

@@ -5,10 +5,14 @@ log x0, with w0 the base exponent.  Windows restrict z; every stored
 coefficient is the exact value of the full series at that grid point, so a
 "truncation" is a restriction, never an approximation.
 
-Coefficients stay integers over one denominator from the coefficient runs
-through the eps-products; the products become one Fraction per nonzero
-(shift, eps degree), and the assembly stores those, times r!/(r-s)! where
-that weight is not 1, in a LogSeries it builds directly.
+A bundle's eps-products C(z, eps) follow the two-term recurrence of the box
+operator, C(z) * F+_z = C(z-1) * F-_{z-1}: each run of consecutive shifts is
+seeded once, from one coefficient row per column, and every later shift is
+one step by small integer factors.  A log-free product is a Fraction, times
+one reduced ratio per step; a longer one stays integers over one running
+denominator and becomes one Fraction per nonzero (shift, eps degree).  The
+assembly stores those, times r!/(r-s)! where that weight is not 1, in a
+LogSeries it builds directly.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -21,13 +25,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import perm
+from math import gcd, perm, prod
 
 from ._linalg import fracs, integer, integers, pair, rational, sequence
 from ._record import Record
-from .coefficients import coefficient_run
+from .coefficients import _is_excluded, coefficient_run
 from .errors import (
     EmptyWindow,
+    ExcludedCase,
     HypothesisViolated,
     InputError,
     LiftMismatch,
@@ -127,19 +132,6 @@ class LogSeries(Record):
         return cls.make(*head, keyed)
 
 
-def _column_runs(config, vec, lift, members, s_max: int) -> list[dict]:
-    """One coefficient run per column, covering every member z.
-
-    Column mu needs M(lift[mu] + z*relation[mu], s, vec[mu]) for s up to
-    s_max at each member z.
-    """
-    rel = config.relation
-    return [
-        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], s_max)
-        for mu in range(config.n)
-    ]
-
-
 def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogSeries:
     """The log-free building-block series for a multiset q of column indices.
 
@@ -156,8 +148,12 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     if not verdict.minimal:
         raise NotMinimalSupport(indices, lift)
     members = verdict.membership.clip(lo, hi)
-    runs = _column_runs(config, vec, lift, members, max(rho.values(), default=0))
     rel, terms = config.relation, {}
+    s_max = max(rho.values(), default=0)
+    runs = [
+        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], s_max)
+        for mu in range(config.n)
+    ]
     for z in members:
         num = den = 1
         for mu in range(config.n):
@@ -170,33 +166,104 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     return LogSeries(base, rel, (lo, hi), terms)
 
 
+def _times(a: list[int], b: list[int]) -> None:
+    """a <- a * b as polynomials in eps, truncated to len(a) terms, in place."""
+    for s in range(len(a) - 1, -1, -1):
+        a[s] = sum(a[i] * b[s - i] for i in range(s + 1))
+
+
+def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
+    """C(z, eps) as integer numerators over one denominator: one row per column,
+    each from coefficient_run at l = lift[mu] + z*rel[mu], multiplied once."""
+    num, den = [1] + [0] * top, 1
+    for v, l0, e in zip(vec, lift, rel):
+        l = l0 + z * e
+        row, d = coefficient_run(v, [l], top)[l]
+        _times(num, [c * e**s for s, c in enumerate(row)])
+        den *= d
+    return num, den
+
+
+def _linear_factors(factors, z: int, top: int) -> list[int]:
+    """prod over (b, q, e) in factors and i < |e| of (b + z*q*e - q*i) + q*e*eps,
+    truncated at eps^top: q_mu times each factor w_mu(z) - i + e*eps of F_z."""
+    f = [1] + [0] * top
+    for b, q, e in factors:
+        start = b + z * q * e
+        if not top:
+            f[0] *= prod(range(start, start - q * abs(e), -q))
+            continue
+        for c in range(start, start - q * abs(e), -q):
+            for s in range(top, 0, -1):
+                f[s] = f[s] * c + f[s - 1] * q * e
+            f[0] *= c
+    return f
+
+
 def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
     with l_mu(z) = lift[mu] + z*rel[mu], the product of the Gamma ratios of
-    gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top.  Each factor
-    is one integer row of its column's run over that row's denominator, so
-    the product runs in integers and meets Fraction once per nonzero
-    (z, s); a zero entry is the int 0.
+    gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top.  With
+    w_mu(z) = v_mu + l_mu(z), the Gamma ratios give the two-term recurrence
+
+        C(z) * F+_z = C(z-1) * F-_{z-1},
+        F+_z = prod_{rel[mu] > 0} prod_{i < rel[mu]} (w_mu(z) - i + rel[mu]*eps),
+        F-_z = prod_{rel[mu] < 0} prod_{i < |rel[mu]|} (w_mu(z) - i + rel[mu]*eps).
+
+    C is seeded by _seed at the first shift of each run of consecutive
+    members, and again at a root, a shift where F+_z(0) = 0 and the
+    recurrence does not fix C(z).  Every other shift is one step from the
+    last, dividing by F+_z through its reciprocal series.  A log-free C
+    (top = 0) is a Fraction times one reduced ratio per step; otherwise it
+    is one integer row over a running denominator, reduced by one gcd per
+    step, and meets Fraction once per nonzero (z, s); a zero entry is the
+    int 0.  Before anything is built, each column is checked, in index
+    order, at its largest l over the members, so ExcludedCase is raised
+    exactly where a run of that column over every member would raise it.
     """
     rel = config.relation
-    runs = _column_runs(config, vec, lift, members, top)
-    powers = [[e**s for s in range(top + 1)] for e in rel]
+    if not members:
+        return {}
+    # (b, q, e) per column, q_mu * w_mu(z) = b + z*q*e with v_mu = p/q and
+    # b = p + q*lift[mu]; F+ = _linear_factors(plus) / scale, F- likewise
+    plus, minus, scale, unscale = [], [], 1, 1
+    for v, l0, e in zip(vec, lift, rel):
+        l = l0 + e * (members[-1] if e > 0 else members[0])
+        if _is_excluded(l, v):
+            raise ExcludedCase(l, 0, v)
+        q = v.denominator
+        if e > 0:
+            plus.append((v.numerator + q * l0, q, e))
+            scale *= q**e
+        elif e < 0:
+            minus.append((v.numerator + q * l0, q, e))
+            unscale *= q**-e
     out = {}
     for z in members:
-        num = [1] + [0] * top
-        den = 1
-        for mu in range(config.n):
-            row, d = runs[mu][lift[mu] + z * rel[mu]]
-            f = [c * p for c, p in zip(row, powers[mu])]
-            for s in range(top, -1, -1):
-                t = num[s] * f[0]
-                for i in range(s):
-                    t += num[i] * f[s - i]
-                num[s] = t
-            den *= d
-        out[z] = tuple(Fraction(c, den) if c else 0 for c in num)
+        a = _linear_factors(plus, z, top)  # scale * F+_z
+        if z - 1 not in out or not a[0]:
+            num, den = _seed(vec, lift, rel, z, top)
+            if not top:
+                c = Fraction(num[0], den)
+        elif not top:
+            c *= Fraction(_linear_factors(minus, z - 1, 0)[0] * scale, a[0] * unscale)
+        else:
+            # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
+            # with r'[n] = scale * a0^(top-n) * r[n]
+            a0 = a[0]
+            r = [1]
+            for n in range(1, top + 1):
+                r.append(-sum(a[i] * r[n - i] * a0 ** (i - 1) for i in range(1, n + 1)))
+            f = _linear_factors(minus, z - 1, top)  # unscale * F-_{z-1}
+            _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(r)])
+            _times(num, f)
+            den *= unscale * a0 ** (top + 1)
+            k = gcd(den, *num)
+            num = [x // k for x in num]
+            den //= k
+        out[z] = (c,) if not top else tuple(Fraction(x, den) if x else 0 for x in num)
     return out
 
 
@@ -224,8 +291,9 @@ def _assemble(config, base, r, window, products) -> LogSeries:
     (i) has v_mu a nonnegative integer and w_mu(z) < 0, so
     M(l, 0, v) = prod_{k=l+1}^{0} (v+k) holds the factor k = -v_mu and
     vanishes; or (ii) has v_mu a negative integer and w_mu(z) >= 0, so
-    l > 0 lies in the excluded strip, and building the run of column mu,
-    which covers every member z, has already raised ExcludedCase.
+    l > 0 lies in the excluded strip, and _epsilon_products, which checks
+    column mu at its largest l over every member z before it builds
+    anything, has already raised ExcludedCase.
     """
     terms = {}
     for s in range(r + 1):

@@ -156,6 +156,11 @@ def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
     with ValueError.
     """
     _check_grid(config, series)
+    return _box(config, series)
+
+
+def _box(config, series) -> OperatorReport:
+    """apply_box on a series whose grid is checked."""
     lo, hi = series.window
     if hi - 1 < lo:
         return _report("box", series.window, None, {})
@@ -194,12 +199,21 @@ def apply_euler_row(
     with ValueError; an inexact parameter entry or a bad row, with InputError.
     """
     _check_grid(config, series)
+    param = _parameter(config, param)
+    return _euler_row(config, param, series, integer(row, "row", config.dim))
+
+
+def _parameter(config, param) -> tuple[Fraction, ...]:
     param = fracs(param, "parameter")
     if len(param) != config.dim:
         raise ValueError(
             f"parameter has {len(param)} entries, the configuration {config.dim} rows"
         )
-    row = integer(row, "row", config.dim)
+    return param
+
+
+def _euler_row(config, param, series, row: int) -> OperatorReport:
+    """apply_euler_row on a checked series, parameter and row."""
     a_row = [config.columns[j][row] for j in range(config.n)]
     base = series.base_exponent
     b = param[row]
@@ -222,10 +236,11 @@ def apply_euler_row(
 
 
 def apply_euler(config: LatticeConfig, param, series: LogSeries):
-    """Reports for all homogeneity operator rows."""
-    return tuple(
-        apply_euler_row(config, param, series, row) for row in range(config.dim)
-    )
+    """Reports for all homogeneity operator rows; the series and the parameter
+    are checked once, as apply_euler_row checks them."""
+    _check_grid(config, series)
+    param = _parameter(config, param)
+    return tuple(_euler_row(config, param, series, row) for row in range(config.dim))
 
 
 class Certificate(Record):
@@ -241,9 +256,12 @@ class Certificate(Record):
 
 
 def certify(config: LatticeConfig, param, series: LogSeries) -> Certificate:
-    """Run all defining operators; passed means every residual is zero."""
-    box = apply_box(config, series)
+    """Run all defining operators; passed means every residual is zero.
+
+    apply_euler checks the series and the parameter, once for every operator.
+    """
     euler = apply_euler(config, param, series)
+    box = _box(config, series)
     return Certificate(
         box=box, euler=euler, passed=box.passed and all(r.passed for r in euler)
     )

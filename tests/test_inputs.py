@@ -188,6 +188,25 @@ REFUSALS = [
     ("apply_euler", lambda: apply_euler(T, [10, "1/0"], SERIES), InputError,
      "parameter entry 1"),
     ("certify", lambda: certify(T, [None, 8], SERIES), InputError, "parameter entry 0"),
+    # a bool is a truth value, not a number, in the library as in the CLI
+    ("build_config", lambda: build_config(_with(POINTS, 0, 0, True)), InputError,
+     "point 0 entry 0: expected an integer, got True"),
+    ("log_solution", lambda: log_solution(T, V, (0, 0, 0), True, (0, 3)), InputError,
+     "r: expected an integer, got True"),
+    ("log_solution", lambda: log_solution(T, (2, False, 8), (0, 0, 0), 0), InputError,
+     "v entry 1: expected a number, got False"),
+    ("solution_bundle", lambda: solution_bundle(T, [10, 8], window=(0, True)), InputError,
+     "window entry 1: expected an integer, got True"),
+    ("solution_bundle", lambda: solution_bundle(T, [10, 8], u_lift=[True, 0, 0]), InputError,
+     "lift entry 0: expected an integer, got True"),
+    ("parameter", lambda: parameter(T, [10, True]), InputError,
+     "beta entry 1: expected a number, got True"),
+    ("coefficient_M", lambda: coefficient_M(1, False, 1), InputError,
+     "s: expected an integer, got False"),
+    ("apply_euler_row", lambda: apply_euler_row(T, [10, 8], SERIES, True), InputError,
+     "row: expected an integer, got True"),
+    ("apply_euler_row", lambda: apply_euler_row(T, [True, 8], SERIES, 0), InputError,
+     "parameter entry 0: expected a number, got True"),
 ]
 
 # Callables of gkz1.__all__ that take no number of their own, with the reason.

@@ -92,7 +92,11 @@ class TestBuildConfig:
             build_config([[entry, 0], [1, 2], [1, 1]])
 
     def test_integer_entries_become_ints(self):
-        config = build_config([[True, 0], [1, 2], [1, 1]])
+        class One:  # an exact integer of another type, as numpy's are; a bool is refused
+            def __index__(self):
+                return 1
+
+        config = build_config([[One(), 0], [1, 2], [1, 1]])
         assert config.columns == ((1, 0), (1, 2), (1, 1))
         assert all(type(x) is int for col in config.columns for x in col)
 

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import gkz1.series
 from gkz1 import (
     LogSeries,
     build_config,
@@ -16,6 +17,7 @@ from gkz1 import (
     phi_series,
     solution_bundle,
 )
+from gkz1.coefficients import coefficient_run
 from gkz1.errors import (
     ExcludedCase,
     HypothesisViolated,
@@ -399,6 +401,16 @@ class TestDeepWindows:
         for series in solutions:
             assert certify(config, bundle.parameter, series).passed
 
+    def test_quintic_wide_window(self):
+        # 200 steps of the recurrence from one seed; an error in a step compounds
+        config = build_config(QUINTIC)
+        (bundle,) = solution_bundle(config, (-1, 0, 0, 0, 0), window=(0, 200)).bundles
+        assert bundle.solutions[0].terms == {
+            (z, 0): F((-1) ** z * factorial(5 * z), factorial(z) ** 5)
+            for z in range(201)
+        }
+        assert bundle.solutions[1].coefficient(1, 0) == -770
+
     def test_triangle_polynomial(self, triangle):
         report = solution_bundle(triangle, [10, 8], window=(0, 400))
         (bundle,) = report.bundles
@@ -409,15 +421,16 @@ class TestDeepWindows:
             assert certify(triangle, bundle.parameter, series).passed
 
 
-def _assert_matches_multiset_sum(config, beta, window) -> int:
+def _assert_matches_multiset_sum(config, beta, window, u_lift=None) -> int:
     """Every built solution equals the literal multiset sum; returns the top degree.
 
-    Covers each solution of solution_bundle and log_solution at every degree
-    below the multiplicity.  log_solution and the reference cover the same
-    shifts, so they refuse the same degrees with ExcludedCase.
+    Covers each solution of solution_bundle, with the lift if one is given,
+    and of log_solution at every degree below the multiplicity.  log_solution
+    and the reference cover the same shifts, so they refuse the same degrees
+    with ExcludedCase.
     """
     top = 0
-    for bundle in solution_bundle(config, beta, window=window).bundles:
+    for bundle in solution_bundle(config, beta, u_lift=u_lift, window=window).bundles:
         vec, lift = bundle.exponent.vector, bundle.lift
         for r, series in enumerate(bundle.solutions):
             assert series.terms == log_solution_reference(config, vec, lift, r, window).terms
@@ -437,8 +450,9 @@ def _assert_matches_multiset_sum(config, beta, window) -> int:
 
 
 @st.composite
-def bundle_cases(draw):
-    """A configuration, a parameter in its span and a window of width 0-8.
+def bundle_cases(draw, lifted=False):
+    """A configuration, a parameter in its span and a window of width 0-8,
+    and, if lifted, a lift with entries in [-3, 3] or None, half and half.
 
     Half the configurations have relation entries up to 5.  Half the time
     the positive-side weights of the parameter are small integers, which
@@ -462,18 +476,23 @@ def bundle_cases(draw):
             ))
     lo = draw(st.integers(min_value=-4, max_value=4))
     window = (lo, lo + draw(st.integers(min_value=0, max_value=8)))
-    return config, config.column_combination(weights), window
+    case = config, config.column_combination(weights), window
+    if not lifted:
+        return case
+    lifts = st.lists(st.integers(-3, 3), min_size=config.n, max_size=config.n)
+    return *case, draw(st.none() | lifts)
 
 
 class TestEpsilonProducts:
     """The eps-product assembly against the literal sum over multisets."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=bundle_cases())
+    @given(case=bundle_cases(lifted=True))
+    # a lift that puts a root of the recurrence at z = 0, inside a log tower
+    @example(case=(build_config(GAUSS), (F(-1, 2), F(-1, 3), 1), (-4, 6), (0, 1, -1, 0)))
     def test_matches_multiset_sum(self, case):
-        config, beta, window = case
         try:
-            top = _assert_matches_multiset_sum(config, beta, window)
+            top = _assert_matches_multiset_sum(*case)
         except ExcludedCase:
             event("solution_bundle refused: ExcludedCase")
             return
@@ -485,9 +504,40 @@ class TestEpsilonProducts:
         # the Gauss branches: sigma = 2 (a log tower) and sigma = 1/5
         (GAUSS, (F(-1, 2), F(-1, 3), 1), (-4, 12), 1),
         (GAUSS, (F(-1, 2), F(-1, 3), F(-4, 5)), (-4, 12), 0),
+        # F+_0(0) = 0: the recurrence does not fix C(0), so the walk seeds again
+        ([(-1,), (1,)], (-6,), (-3, 5), 1),
+        ([(-1, 1), (3, 3), (0, 3)], (1, 8), (-4, 2), 1),
     ])
     def test_named_cases(self, points, beta, window, top):
         assert _assert_matches_multiset_sum(build_config(points), beta, window) == top
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), top=st.integers(0, 3))
+    def test_refuses_as_the_column_runs_refuse(self, seed, top):
+        # a run of each column over every member, in index order, refuses at
+        # the first column whose l enters the excluded strip; the walk must
+        # raise that same ExcludedCase, or none where the runs raise none
+        rng = random.Random(seed)
+        config = random_config(rng)
+        vec = tuple(F(rng.randint(-4, 4)) for _ in range(config.n))
+        lift = tuple(rng.randint(-3, 3) for _ in range(config.n))
+        lo = rng.randint(-4, 4)
+        members = sorted(rng.sample(range(lo, lo + 9), rng.randint(1, 9)))
+
+        def refusal(build):
+            try:
+                build()
+            except ExcludedCase as exc:
+                return str(exc)
+
+        expected = refusal(lambda: [
+            coefficient_run(v, [l + z * e for z in members], top)
+            for v, l, e in zip(vec, lift, config.relation)
+        ])
+        assert refusal(
+            lambda: gkz1.series._epsilon_products(config, vec, lift, members, top)
+        ) == expected
+        event(f"refused: {expected is not None}")
 
 
 def _outcome(build):

@@ -21,7 +21,7 @@ from gkz1 import (
 )
 from gkz1.errors import InputError
 
-from conftest import random_config, random_nonresonant_beta
+from conftest import QUINTIC, random_config, random_nonresonant_beta
 from reference import apply_euler_row_reference, literal_box
 
 
@@ -150,6 +150,19 @@ class TestCertify:
         result = certify(triangle, [10, 8], broken)
         assert not result.passed
         assert not result.box.passed
+
+    def test_checks_the_series_once(self, monkeypatch):
+        # one grid check per certificate, not one per operator: 1 + 5 before
+        import gkz1.verify as verify
+
+        quintic = build_config(QUINTIC)
+        calls = []
+        check = verify._check_grid
+        monkeypatch.setattr(verify, "_check_grid", lambda *a: calls.append(a) or check(*a))
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 6)).bundles
+        for series in bundle.solutions:
+            assert certify(quintic, bundle.parameter, series).passed
+        assert len(calls) == len(bundle.solutions) == 5
 
     def test_json_shape(self, triangle):
         phi = phi_series(triangle, (F(2), F(0), F(8)), (0, 0, 0), (), (0, 10))
