@@ -10,9 +10,9 @@ class Record:
 
     ``_fields``, by default the parameters of ``__init__``, are what the
     repr shows and what equality (within one class) and hashing compare.
-    Each ``__init__`` writes its fields into ``self.__dict__``, with
-    ``object.__setattr__`` or through the slots' descriptors: assigning or
-    deleting one raises AttributeError.
+    Each ``__init__`` sets its fields, and any attributes derived from them,
+    once, through ``_set``; assigning or deleting one afterwards raises
+    AttributeError.
     """
 
     __slots__ = ()
@@ -33,6 +33,13 @@ class Record:
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def _set(self, **fields):
+        """Set each attribute with object.__setattr__, past the guard below:
+        through a slot's descriptor where there is one, and never through
+        ``__dict__``, which would make a real instance dict."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")

@@ -41,7 +41,7 @@ class Classification(Record):
     """Classification verdicts; None means outside the supported regime."""
 
     def __init__(self, regular, nonresonant, mum, mum_holomorphic, witness):
-        self.__dict__.update(
+        self._set(
             regular=regular, nonresonant=nonresonant, mum=mum,
             mum_holomorphic=mum_holomorphic, witness=witness,
         )

@@ -57,9 +57,7 @@ class ProblemSpec(Record):
     def __init__(
         self, columns, beta, u=None, lift=None, window=DEFAULT_WINDOW, r=None, verify=True
     ):
-        self.__dict__.update(
-            columns=columns, beta=beta, u=u, lift=lift, window=window, r=r, verify=verify
-        )
+        self._set(columns=columns, beta=beta, u=u, lift=lift, window=window, r=r, verify=verify)
 
 
 def _list(value, field: str) -> list:

@@ -27,8 +27,9 @@ v + (the lift of u).
 
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
-``__dict__``, whose fields are written through the slots' descriptors, and
-the exponents of one line that share an m_support share one frozenset.
+``__dict__`` (``Record._set`` writes its fields through the slots'
+descriptors), and the exponents of one line that share an m_support share
+one frozenset.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ class Exponent(Record):
     __slots__ = ("vector", "labels", "m_support")
 
     def __init__(self, vector, labels, m_support):
-        _set_vector(self, vector)
-        _set_labels(self, labels)
-        _set_m_support(self, m_support)
+        self._set(vector=vector, labels=labels, m_support=m_support)
 
     def __reduce__(self):
         return Exponent, (self.vector, self.labels, self.m_support)
@@ -72,17 +71,9 @@ class Exponent(Record):
         return len(self.m_support)
 
 
-# the slots' own setters, which Exponent.__setattr__ does not guard
-_set_vector, _set_labels, _set_m_support = (
-    getattr(Exponent, name).__set__ for name in Exponent._fields
-)
-
-
 def exponent_vector(v, n: int | None = None) -> Vector:
     """An Exponent's vector, or v's entries as Fractions, n of them if n is given."""
-    if isinstance(v, Exponent):
-        return v.vector
-    vec = fracs(v, "v")
+    vec = v.vector if isinstance(v, Exponent) else fracs(v, "v")
     if n is not None and len(vec) != n:
         raise InputError(f"v has {len(vec)} entries, expected {n}")
     return vec
@@ -164,7 +155,7 @@ class PrimeExponents(Record):
     """The normalized exponents plus the multiplicity tally of both sides."""
 
     def __init__(self, exponents, multiplicity_sum, relation_sum):
-        self.__dict__.update(
+        self._set(
             exponents=exponents, multiplicity_sum=multiplicity_sum, relation_sum=relation_sum
         )
 
@@ -194,7 +185,7 @@ class IntervalSet(Record):
     """A finite union of integer intervals; None endpoints are unbounded."""
 
     def __init__(self, intervals):
-        self.__dict__["intervals"] = intervals
+        self._set(intervals=intervals)
 
     def __contains__(self, z: int) -> bool:
         return any(
@@ -242,9 +233,7 @@ class SupportVerdict(Record):
     """
 
     def __init__(self, indices, lift, minimal, membership):
-        self.__dict__.update(
-            indices=indices, lift=lift, minimal=minimal, membership=membership
-        )
+        self._set(indices=indices, lift=lift, minimal=minimal, membership=membership)
 
 
 def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:

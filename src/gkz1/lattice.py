@@ -9,7 +9,8 @@ vector, which fixes the distinguished monomial
 
 One type, ``LatticeConfig``, holds it: it stores the columns and the
 relation, found while validating the columns, and derives the rest (the
-sides of the relation, ``perm``, ``k`` and the volume) from those two.
+sides of the relation, their sums, ``perm``, ``k`` and the volume) from the
+relation once, on construction.
 
 The solutions of sum_mu c_mu a_mu = target form one line, w + t*relation,
 held by ``RelationLine`` in integers: a coordinate is an integer only at
@@ -24,7 +25,6 @@ through ``perm``/``ell`` but is never imposed on inputs or outputs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from . import _linalg
@@ -45,11 +45,13 @@ class LatticeConfig(Record):
     (n-1)-dimensional space and that every subset of n-1 points is
     linearly independent, with one kernel computation: once the kernel is
     the line through ``relation``, the columns without mu are independent
-    exactly when relation[mu] != 0.  Only the columns and the relation are
-    stored; the rest is derived from the relation on first use:
+    exactly when relation[mu] != 0.  The columns are the one field; the
+    rest is derived from the relation once, on construction:
 
     relation  -- the kernel's coprime integer generator, in the caller's
                  column order, signed so that relation[0] > 0;
+    positive, negative -- the columns with relation[mu] > 0, and < 0;
+    positive_sum, negative_sum -- the sums of |relation[mu]| over each side;
     perm      -- stable permutation listing positive-relation columns first;
     k         -- number of positive relation entries;
     volume    -- normalized volume of the polytope spanned by the points and
@@ -75,7 +77,15 @@ class LatticeConfig(Record):
             raise DependentSubset(relation.index(0))
         if relation[0] < 0:
             relation = tuple(-e for e in relation)
-        self.__dict__.update(columns=cols, relation=relation)
+        positive = tuple(mu for mu, e in enumerate(relation) if e > 0)
+        negative = tuple(mu for mu, e in enumerate(relation) if e < 0)
+        positive_sum = sum(e for e in relation if e > 0)
+        negative_sum = -sum(e for e in relation if e < 0)
+        self._set(
+            columns=cols, relation=relation, positive=positive, negative=negative,
+            perm=positive + negative, k=len(positive), positive_sum=positive_sum,
+            negative_sum=negative_sum, volume=max(positive_sum, negative_sum),
+        )
 
     @property
     def n(self) -> int:
@@ -85,38 +95,10 @@ class LatticeConfig(Record):
     def dim(self) -> int:
         return len(self.columns[0])
 
-    @cached_property
-    def perm(self) -> tuple[int, ...]:
-        return self.positive + self.negative
-
-    @cached_property
-    def k(self) -> int:
-        return len(self.positive)
-
-    @cached_property
-    def volume(self) -> int:
-        return max(self.positive_sum, self.negative_sum)
-
     @property
     def ell(self) -> tuple[int, ...]:
         """The relation in canonical order: positive entries first."""
         return tuple(self.relation[p] for p in self.perm)
-
-    @cached_property
-    def positive(self) -> tuple[int, ...]:
-        return tuple(mu for mu in range(self.n) if self.relation[mu] > 0)
-
-    @cached_property
-    def negative(self) -> tuple[int, ...]:
-        return tuple(mu for mu in range(self.n) if self.relation[mu] < 0)
-
-    @property
-    def positive_sum(self) -> int:
-        return sum(self.relation[mu] for mu in self.positive)
-
-    @property
-    def negative_sum(self) -> int:
-        return -sum(self.relation[mu] for mu in self.negative)
 
     def column_combination(self, coefficients) -> Vector:
         """sum_mu coefficients[mu] * a_mu as a rational d-vector."""
@@ -135,17 +117,14 @@ class RelationLine(Record):
     Coordinate mu is an integer b only at t = (b - point[mu])/relation[mu],
     which is k/den for an integer key k, where offsets[mu] + k*relation[mu]
     = 0 mod den; positive lists the mu with relation[mu] > 0.  Only point and
-    relation are fields; the attributes are set with object.__setattr__, as
-    CPython reads a real __dict__ slower.
+    relation are fields; the rest is derived from them once, on construction.
     """
 
     def __init__(self, point, relation):
         den = lcm(*(x.denominator for x in point)) * lcm(*relation)
         offsets = tuple(x.numerator * (den // x.denominator) for x in point)
         positive = tuple(mu for mu, e in enumerate(relation) if e > 0)
-        names = ("point", "relation", "den", "offsets", "positive")
-        for name, value in zip(names, (point, relation, den, offsets, positive)):
-            object.__setattr__(self, name, value)
+        self._set(point=point, relation=relation, den=den, offsets=offsets, positive=positive)
 
     @classmethod
     def of(cls, config: LatticeConfig, target) -> RelationLine | None:
@@ -237,7 +216,7 @@ class Parameter(Record):
     _fields = ("beta",)
 
     def __init__(self, beta, line):
-        self.__dict__.update(beta=beta, line=line)
+        self._set(beta=beta, line=line)
 
     def __iter__(self):
         return iter(self.beta)
@@ -253,7 +232,7 @@ class Nonresonance(Record):
     """Outcome of the resonance test, with a witness pair (i, j, value) on failure."""
 
     def __init__(self, nonresonant, witness=None):
-        self.__dict__.update(nonresonant=nonresonant, witness=witness)
+        self._set(nonresonant=nonresonant, witness=witness)
 
     def __bool__(self) -> bool:
         return self.nonresonant
@@ -295,10 +274,24 @@ def parameter(config: LatticeConfig, beta) -> Parameter:
     """Validate that beta is a rational combination of the columns.
 
     One solve does it: the line of solutions exists exactly when beta is in
-    the span, and the parameter keeps it.
+    the span, and the parameter keeps it.  A Parameter is returned as is when
+    its line is one of this configuration's: at once when RelationLine.of
+    built it from this configuration (it holds the same relation object),
+    and otherwise when its relation is this one and sum_mu offsets[mu]*a_mu
+    = beta*den.  Any other Parameter raises BetaNotInSpan.
     """
     if isinstance(beta, Parameter):
-        return beta
+        line = beta.line
+        if line.relation is config.relation:
+            return beta
+        if len(beta.beta) == config.dim and line.relation == config.relation and all(
+            sum(a * x for a, x in zip(row, line.offsets)) * b.denominator
+            == b.numerator * line.den
+            for row, b in zip(zip(*config.columns), beta.beta)
+        ):
+            return beta
+        shown = ", ".join(map(str, beta.beta))
+        raise BetaNotInSpan(f"beta: the parameter ({shown}) belongs to other points")
     vec = fracs(beta, "beta")
     if len(vec) != config.dim:
         raise BetaNotInSpan(f"parameter has length {len(vec)}, expected {config.dim}")

@@ -74,9 +74,7 @@ class LogSeries(Record):
     """Exact coefficients c[(z, r)] of x^(base + z*relation) * log^r x0."""
 
     def __init__(self, base_exponent, relation, window, terms):
-        self.__dict__.update(
-            base_exponent=base_exponent, relation=relation, window=window, terms=terms
-        )
+        self._set(base_exponent=base_exponent, relation=relation, window=window, terms=terms)
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
@@ -389,7 +387,7 @@ class SolutionBundle(Record):
         self, parameter, exponent, lift, solutions, certificates, hypothesis_failures,
         phi_empty,
     ):
-        self.__dict__.update(
+        self._set(
             parameter=parameter, exponent=exponent, lift=lift, solutions=solutions,
             certificates=certificates, hypothesis_failures=hypothesis_failures,
             phi_empty=phi_empty,
@@ -407,9 +405,7 @@ class SolutionBundle(Record):
 
 class BundleReport(Record):
     def __init__(self, bundles, total_solutions, expected_total):
-        self.__dict__.update(
-            bundles=bundles, total_solutions=total_solutions, expected_total=expected_total
-        )
+        self._set(bundles=bundles, total_solutions=total_solutions, expected_total=expected_total)
 
     @property
     def complete(self) -> bool:

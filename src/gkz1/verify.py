@@ -51,7 +51,7 @@ class OperatorReport(Record):
     """One operator's residual; safe_window is None when nothing is checkable."""
 
     def __init__(self, operator, input_window, safe_window, passed, first_failure, residual):
-        self.__dict__.update(
+        self._set(
             operator=operator, input_window=input_window, safe_window=safe_window,
             passed=passed, first_failure=first_failure, residual=residual,
         )
@@ -245,7 +245,7 @@ def apply_euler(config: LatticeConfig, param, series: LogSeries):
 
 class Certificate(Record):
     def __init__(self, box, euler, passed):
-        self.__dict__.update(box=box, euler=euler, passed=passed)
+        self._set(box=box, euler=euler, passed=passed)
 
     def to_json_dict(self) -> dict:
         return {

@@ -43,9 +43,9 @@ from gkz1 import (
     support_verdict,
 )
 from gkz1.cli import main
-from gkz1.errors import EmptyWindow, GkzError, InputError, LiftMismatch
+from gkz1.errors import BetaNotInSpan, EmptyWindow, GkzError, InputError, LiftMismatch
 
-from conftest import TRIANGLE
+from conftest import QUINTIC, TRIANGLE
 from test_cli import _JUNK
 
 T = build_config(TRIANGLE)  # relation (1, 1, -2)
@@ -57,6 +57,12 @@ BUNDLE = solution_bundle(T, [10, 8], window=(0, 2)).bundles[0]
 POINTS = [list(p) for p in TRIANGLE]
 MEMBERSHIP = support_verdict(T, V, [0, 1, 2], (0, 0, 0)).membership  # [[0, 4]]
 SERIES_JSON = SERIES.to_json_dict()
+# a parameter and an exponent of other points: the quintic's, and those of
+# points with the triangle's relation (1, 1, -2)
+Q = build_config(QUINTIC)
+Q_PARAMETER = parameter(Q, (-1, 0, 0, 0, 0))
+Q_EXPONENT = fake_exponents(Q, Q_PARAMETER)[0]
+TWIN_PARAMETER = parameter(build_config([(1, 0), (1, 4), (1, 2)]), (10, 8))
 
 
 def _series_json(**changes):
@@ -105,6 +111,15 @@ REFUSALS = [
      "v has 2 entries"),
     ("m_support", lambda: m_support(T, ["x", 0, 8]), InputError, "v entry 0"),
     ("m_support", lambda: m_support(T, [2, 0]), InputError, "v has 2 entries"),
+    ("m_support", lambda: m_support(T, Q_EXPONENT), InputError, "v has 6 entries"),
+    ("normalize_to_e_prime", lambda: normalize_to_e_prime(T, Q_EXPONENT), InputError,
+     "v has 6 entries"),
+    ("support_verdict", lambda: support_verdict(T, Q_EXPONENT, [0, 1, 2], (0, 0, 0)),
+     InputError, "v has 6 entries"),
+    ("exponent_set_prime", lambda: exponent_set_prime(T, Q_PARAMETER), BetaNotInSpan,
+     "beta: the parameter (-1, 0, 0, 0, 0) belongs to other points"),
+    ("solution_bundle", lambda: solution_bundle(T, TWIN_PARAMETER, window=(0, 2)),
+     BetaNotInSpan, "beta: the parameter (10, 8) belongs to other points"),
     ("negative_support", lambda: negative_support(V, [0, 5]), InputError, "indices entry 1"),
     ("negative_support", lambda: negative_support(V, [F(1, 2)]), InputError,
      "indices entry 0"),

@@ -4,7 +4,8 @@ For every record type: positional and keyword construction agree; equality
 needs the same class and compares exactly the fields the repr shows, and
 hashing follows it (or raises TypeError where a field is a dict, as a
 dataclass's hash does); the repr is ``Name(field=value, ...)``; assigning
-or deleting an attribute raises AttributeError.  ``ProblemSpec`` is the one
+or deleting an attribute raises AttributeError; copy, deepcopy and pickle
+keep every attribute, derived ones too.  ``ProblemSpec`` is the one
 mutable record, and it is unhashable.  Importing the CLI loads no
 ``dataclasses``.
 """
@@ -127,7 +128,7 @@ def test_parameter_ignores_its_line():
 
 def test_lattice_config_fields():
     # the relation is derived: neither an argument, nor shown, nor compared;
-    # the derived properties are cached in the instance's __dict__
+    # the derived attributes are set on construction, beside the columns
     twin = LatticeConfig(list(map(list, TRIANGLE)))
     assert twin == CONFIG and hash(twin) == hash(CONFIG) and twin.relation == (1, 1, -2)
     assert repr(twin) == f"LatticeConfig(columns={tuple(TRIANGLE)!r})"
@@ -145,6 +146,24 @@ def test_exponent_is_slotted_and_copies():
     twins = copy.copy(exponent), copy.deepcopy(exponent), pickle.loads(pickle.dumps(exponent))
     for twin in twins:
         assert twin == exponent and twin is not exponent and type(twin) is Exponent
+
+
+def _attributes(record) -> dict:
+    """Every attribute a record holds, derived ones too: its dict or its slots."""
+    if hasattr(record, "__dict__"):
+        return dict(vars(record))
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_copies(name):
+    # copy, deepcopy and pickle keep the fields and what __init__ derived
+    # from them, such as LatticeConfig's sides, sums and volume
+    record = RECORDS[name][0]
+    attributes = _attributes(record)
+    for twin in copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)):
+        assert twin == record and twin is not record and type(twin) is type(record)
+        assert _attributes(twin) == attributes
 
 
 def test_equality_needs_the_same_class():
