@@ -42,10 +42,8 @@ from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
 from .exponents import exponent_keys
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
-from .series import solution_bundle, window_bounds
+from .series import DEFAULT_WINDOW, solution_bundle, window_bounds
 from .verify import certify
-
-DEFAULT_WINDOW = (-10, 20)
 
 
 class ProblemSpec(Record):

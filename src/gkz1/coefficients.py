@@ -29,10 +29,15 @@ The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 always a caller bug and raises ExcludedCase.  This strip is closed upward in
 l, so a downward walk whose seed is outside it never enters it.
 
+The truncated-row arithmetic is one kernel, kept here and imported by
+gkz1.series: _times_linear multiplies a row by a range of linear factors
+c + slope*x, _reciprocal gives the reciprocal series of a row in integers
+over powers of its constant term, and _times multiplies two rows.
+
 Nothing here is cached across calls.  The series builder asks for one row
 per column at the first shift of each run of member shifts, and steps from
-there by the two-term recurrence of gkz1.series; phi_series asks for one run
-per column over its members.
+there by the two-term recurrence of gkz1.series, built with the same kernel;
+phi_series asks for one run per column over its members.
 """
 
 from __future__ import annotations
@@ -48,24 +53,31 @@ def _is_excluded(l: int, v: Fraction) -> bool:
     return v.denominator == 1 and v < 0 and l > 0 and v + l >= 0
 
 
-def _times_factors(a: list[int], p: int, q: int, ks: range) -> None:
-    """a(y) <- a(y) * prod_{k in ks} (y + p + q*k), truncated to len(a) terms.
-
-    With v = p/q and y = q*x, each factor is q times v + k + x, so the
-    coefficients stay integers.  Truncated to one term, the product is that
-    of the factors' constants p + q*k, an arithmetic progression, taken in
-    one math.prod over its range; longer truncations multiply factor by
-    factor.
-    """
+def _times_linear(a: list[int], cs: range, slope: int) -> None:
+    """a(x) <- a(x) * prod_{c in cs} (c + slope*x), truncated to len(a) terms;
+    one term is the product of the constants, one math.prod over cs."""
     top = len(a) - 1
     if not top:
-        a[0] *= prod(range(p + q * ks.start, p + q * ks.stop, q * ks.step))
+        a[0] *= prod(cs)
         return
-    for k in ks:
-        c = p + q * k
+    for c in cs:
         for s in range(top, 0, -1):
-            a[s] = a[s] * c + a[s - 1]
+            a[s] = a[s] * c + a[s - 1] * slope
         a[0] *= c
+
+
+def _reciprocal(a: list[int]) -> list[int]:
+    """r with [x^n] 1/a(x) = r[n] / a[0]^(n+1) for n < len(a); a[0] is nonzero."""
+    r = [1]
+    for n in range(1, len(a)):
+        r.append(-sum(a[i] * r[n - i] * a[0] ** (i - 1) for i in range(1, n + 1)))
+    return r
+
+
+def _times(a: list[int], b: list[int]) -> None:
+    """a <- a * b as polynomials, truncated to len(a) terms, in place."""
+    for s in range(len(a) - 1, -1, -1):
+        a[s] = sum(a[i] * b[s - i] for i in range(s + 1))
 
 
 def coefficient_M(l: int, s: int, v) -> Fraction:
@@ -78,17 +90,15 @@ def coefficient_M(l: int, s: int, v) -> Fraction:
         raise ValueError("s must be nonnegative")
     if _is_excluded(l, v):
         raise ExcludedCase(l, s, v)
+    # with v = p/q and y = q*x, each factor q*(v + k + x) is y + p + q*k,
+    # so the row of y-coefficients stays integers
     p, q = v.numerator, v.denominator
     a = [1] + [0] * s
     if l <= 0:
-        _times_factors(a, p, q, range(l + 1, 1))
+        _times_linear(a, range(p + q * (l + 1), p + q, q), 1)
         return Fraction(a[s] * q**s, q**-l)
-    # reciprocal power series: c[n] / a[0]^(n+1) is the y^n coefficient of 1/a
-    _times_factors(a, p, q, range(1, l + 1))
-    c = [1]
-    for n in range(1, s + 1):
-        c.append(-sum(a[i] * c[n - i] * a[0] ** (i - 1) for i in range(1, n + 1)))
-    return Fraction(c[s] * q ** (l + s), a[0] ** (s + 1))
+    _times_linear(a, range(p + q, p + q * (l + 1), q), 1)
+    return Fraction(_reciprocal(a)[s] * q ** (l + s), a[0] ** (s + 1))
 
 
 def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[tuple[int, ...], int]]:
@@ -117,7 +127,7 @@ def coefficient_run(v, ls, s_max: int) -> dict[int, tuple[tuple[int, ...], int]]
     out = {}
     l = wanted[0]
     for target in wanted:
-        _times_factors(a, p, q, range(l, target, -1))
+        _times_linear(a, range(p + q * l, p + q * target, -q), 1)
         den *= q ** (l - target)
         l = target
         nums = [x * y for x, y in zip(a, q_powers)]

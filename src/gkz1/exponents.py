@@ -218,10 +218,9 @@ class IntervalSet(Record):
         return sorted(set(out))
 
 
-def _interval(lo: int | None, hi: int | None) -> IntervalSet:
-    if lo is not None and hi is not None and lo > hi:
-        return IntervalSet(())
-    return IntervalSet(((lo, hi),))
+def _interval(lo: int | None, hi: int | None) -> tuple | None:
+    """(lo, hi), or None when the interval is empty, whatever its bounds."""
+    return None if lo is not None and hi is not None and lo > hi else (lo, hi)
 
 
 class SupportVerdict(Record):
@@ -272,12 +271,11 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
                 eq_hi = s - 1 if eq_hi is None else min(eq_hi, s - 1)
                 sub_hi = s - 1 if sub_hi is None else min(sub_hi, s - 1)
     equality = _interval(eq_lo, eq_hi)
-    subset = _interval(sub_lo, sub_hi)
     return SupportVerdict(
         indices=indices,
         lift=lift,
-        minimal=equality.intervals == subset.intervals,
-        membership=equality,
+        minimal=equality == _interval(sub_lo, sub_hi),
+        membership=IntervalSet(() if equality is None else (equality,)),
     )
 
 

@@ -9,10 +9,12 @@ A bundle's eps-products C(z, eps) follow the two-term recurrence of the box
 operator, C(z) * F+_z = C(z-1) * F-_{z-1}: each run of consecutive shifts is
 seeded once, from one coefficient row per column, and every later shift is
 one step by small integer factors.  A log-free product is a Fraction, times
-one reduced ratio per step; a longer one stays integers over one running
-denominator and becomes one Fraction per nonzero (shift, eps degree).  The
-assembly stores those, times r!/(r-s)! where that weight is not 1, in a
-LogSeries it builds directly.
+one reduced ratio per step: it stays apart from the integer-row walk, which
+is slower on log-free bundles.  A longer one stays integers over one running
+denominator, stepped with the truncated-row kernel of gkz1.coefficients,
+and becomes one Fraction per nonzero (shift, eps degree).  The assembly
+stores those, times r!/(r-s)! where that weight is not 1, in a LogSeries it
+builds directly.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -25,11 +27,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, perm, prod
+from math import gcd, perm
 
 from ._linalg import fracs, integer, integers, pair, rational, sequence
 from ._record import Record
-from .coefficients import _is_excluded, coefficient_run
+from .coefficients import _is_excluded, _reciprocal, _times, _times_linear, coefficient_run
 from .errors import (
     EmptyWindow,
     ExcludedCase,
@@ -49,6 +51,9 @@ from .exponents import (
     support_verdict,
 )
 from .lattice import LatticeConfig, parameter
+
+# the shifts z that a series keeps when no window is given, ends included
+DEFAULT_WINDOW = (-10, 20)
 
 
 def window_bounds(window) -> tuple[int, int]:
@@ -130,7 +135,7 @@ class LogSeries(Record):
         return cls.make(*head, keyed)
 
 
-def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogSeries:
+def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) -> LogSeries:
     """The log-free building-block series for a multiset q of column indices.
 
     The sum runs over the shifts where the negative support away from q is
@@ -164,12 +169,6 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=(-10, 20)) -> LogS
     return LogSeries(base, rel, (lo, hi), terms)
 
 
-def _times(a: list[int], b: list[int]) -> None:
-    """a <- a * b as polynomials in eps, truncated to len(a) terms, in place."""
-    for s in range(len(a) - 1, -1, -1):
-        a[s] = sum(a[i] * b[s - i] for i in range(s + 1))
-
-
 def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     """C(z, eps) as integer numerators over one denominator: one row per column,
     each from coefficient_run at l = lift[mu] + z*rel[mu], multiplied once."""
@@ -188,13 +187,7 @@ def _linear_factors(factors, z: int, top: int) -> list[int]:
     f = [1] + [0] * top
     for b, q, e in factors:
         start = b + z * q * e
-        if not top:
-            f[0] *= prod(range(start, start - q * abs(e), -q))
-            continue
-        for c in range(start, start - q * abs(e), -q):
-            for s in range(top, 0, -1):
-                f[s] = f[s] * c + f[s - 1] * q * e
-            f[0] *= c
+        _times_linear(f, range(start, start - q * abs(e), -q), q * e)
     return f
 
 
@@ -213,13 +206,14 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     C is seeded by _seed at the first shift of each run of consecutive
     members, and again at a root, a shift where F+_z(0) = 0 and the
     recurrence does not fix C(z).  Every other shift is one step from the
-    last, dividing by F+_z through its reciprocal series.  A log-free C
-    (top = 0) is a Fraction times one reduced ratio per step; otherwise it
-    is one integer row over a running denominator, reduced by one gcd per
-    step, and meets Fraction once per nonzero (z, s); a zero entry is the
-    int 0.  Before anything is built, each column is checked, in index
-    order, at its largest l over the members, so ExcludedCase is raised
-    exactly where a run of that column over every member would raise it.
+    last, dividing by F+_z through its reciprocal series (_reciprocal of
+    gkz1.coefficients).  A log-free C (top = 0) is a Fraction times one
+    reduced ratio per step; otherwise it is one integer row over a running
+    denominator, reduced by one gcd per step, and meets Fraction once per
+    nonzero (z, s); a zero entry is the int 0.  Before anything is built,
+    each column is checked, in index order, at its largest l over the
+    members, so ExcludedCase is raised exactly where a run of that column
+    over every member would raise it.
     """
     rel = config.relation
     if not members:
@@ -251,11 +245,8 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
             # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
             # with r'[n] = scale * a0^(top-n) * r[n]
             a0 = a[0]
-            r = [1]
-            for n in range(1, top + 1):
-                r.append(-sum(a[i] * r[n - i] * a0 ** (i - 1) for i in range(1, n + 1)))
             f = _linear_factors(minus, z - 1, top)  # unscale * F-_{z-1}
-            _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(r)])
+            _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))])
             _times(num, f)
             den *= unscale * a0 ** (top + 1)
             k = gcd(den, *num)
@@ -355,7 +346,7 @@ def _degree(r: int, multiplicity: int, certificates=(), solutions=()) -> LogSeri
     raise HypothesisViolated(v.indices for v in sorted(failing, key=missing))
 
 
-def log_solution(config: LatticeConfig, v, u_lift, r: int, window=(-10, 20)) -> LogSeries:
+def log_solution(config: LatticeConfig, v, u_lift, r: int, window=DEFAULT_WINDOW) -> LogSeries:
     """The formal log solution of degree r attached to a normalized exponent.
 
     Valid for r below the exponent multiplicity, provided the exponent keeps
@@ -415,7 +406,7 @@ class BundleReport(Record):
 
 
 def solution_bundle(
-    config: LatticeConfig, beta, u=None, u_lift=None, window=(-10, 20)
+    config: LatticeConfig, beta, u=None, u_lift=None, window=DEFAULT_WINDOW
 ) -> BundleReport:
     """Construct every available log solution for the parameter beta + u.
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkz1 import coefficient_M
-from gkz1.coefficients import coefficient_run
+from gkz1.coefficients import _reciprocal, _times, _times_linear, coefficient_run
 from gkz1.errors import ExcludedCase, InputError
 
 from reference import (
@@ -289,3 +289,43 @@ class TestCoefficientRun:
         assert coefficient_run(F(1, 3), [], 2) == {}
         with pytest.raises(ValueError):
             coefficient_run(F(1, 3), [0], -1)
+
+
+class TestKernel:
+    """The truncated-row arithmetic that coefficients and series share."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        row=st.lists(st.integers(min_value=-50, max_value=50), min_size=2, max_size=4),
+        start=st.integers(min_value=-40, max_value=40),
+        step=st.sampled_from([-3, -1, 1, 2]),
+        count=st.integers(min_value=0, max_value=8),
+        slope=st.integers(min_value=-6, max_value=6),
+    )
+    def test_one_term_product_is_the_constant_term(self, row, start, step, count, slope):
+        # the one math.prod over the range is the multi-term walk at x^0
+        cs = range(start, start + step * count, step)
+        one, many = row[:1], list(row)
+        _times_linear(one, cs, slope)
+        _times_linear(many, cs, slope)
+        assert one == many[:1]
+        # and the walk multiplies by each factor c + slope*x in turn
+        expected = list(row)
+        for c in cs:
+            _times(expected, [c, slope] + [0] * len(row))
+        assert many == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=6)
+        .filter(lambda a: a[0] != 0)
+    )
+    def test_reciprocal_times_row_is_one(self, a):
+        # [x^n] 1/a = r[n] / a0^(n+1); scaled to one denominator a0^(top+1),
+        # the truncated product with a is a0^(top+1) * 1
+        top = len(a) - 1
+        r = _reciprocal(a)
+        assert len(r) == len(a)
+        scaled = [x * a[0] ** (top - n) for n, x in enumerate(r)]
+        _times(scaled, a)
+        assert [F(x, a[0] ** (top + 1)) for x in scaled] == [1] + [0] * top

@@ -242,6 +242,29 @@ class TestSupportVerdict:
         assert not verdict.minimal
         assert verdict.membership.intervals == ((0, None),)
 
+    def test_one_interval_set_per_call(self, triangle, corner, monkeypatch):
+        # a verdict builds the membership it keeps and no second set to
+        # compare it with: minimal, half-infinite, not minimal, empty
+        built = []
+        init = exponents.IntervalSet.__init__
+
+        def counting(self, intervals):
+            built.append(intervals)
+            init(self, intervals)
+
+        monkeypatch.setattr(exponents.IntervalSet, "__init__", counting)
+        cases = [
+            (triangle, (F(2), F(0), F(8)), {0, 1, 2}, (0, 0, 0)),
+            (triangle, (F(2), F(0), F(8)), {0, 1}, (0, 0, 0)),
+            (corner, (F(2), F(0), F(-1)), {0, 2}, (0, 0, 0)),
+            (triangle, (F(-2), F(-1), F(-1)), {0, 1, 2}, (0, 0, 1)),
+        ]
+        for config, vec, indices, lift in cases:
+            built.clear()
+            verdict = support_verdict(config, vec, indices, lift)
+            assert built == [verdict.membership.intervals]
+        assert verdict.membership.empty and not verdict.minimal
+
     def test_brute_force_cross_check(self):
         # oracle: scan the definition directly over a wide z range
         rng = random.Random(99)

@@ -49,3 +49,37 @@ def test_package_sets_fields_one_way():
         elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
             found.append(f"{name}:{node.lineno} .cached_property")
     assert not found, f"fields written past Record._set: {found}"
+
+
+BUILDER_MODULES = {"series", "coefficients", "exponents", "classify"}
+
+
+def _type_checking_block(node) -> bool:
+    return isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+
+
+def test_verify_imports_no_builder_code():
+    # the certificate checks a series against the operators on its own, so
+    # it may not share code with what built the series; an import under
+    # `if TYPE_CHECKING:` only names a type and never runs
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    skipped = {
+        id(inner)
+        for node in ast.walk(tree)
+        if _type_checking_block(node)
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        parts = {part for name in names for part in name.split(".")}
+        if parts & BUILDER_MODULES:
+            found.append(f"verify.py:{node.lineno}")
+    assert not found, f"builder code imported by the certificate: {found}"
