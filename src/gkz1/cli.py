@@ -18,12 +18,12 @@ byte, but written by ``_json_text``, not by the standard library: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
 about one generator step per token.  Reports hold only dicts with str keys,
 lists, tuples, str, int, bool and None; a float or a non-str key is refused
-with TypeError.  Each exponent entry is an ``_Entry``, a dict to everything
-else, which the writer fills into one template per depth.  The exponents
-report builds its entries from the integer keys of the parameter's line,
-each coordinate a "p/q" string made from its numerator with one gcd; an
-exponent that needs no shift has one entry, listed in both
-``fake_exponents`` and ``prime_exponents`` and written once.
+with TypeError.  The exponents report is no dict: cmd_exponents makes one
+pass over the integer keys of the parameter's line and fills one template
+per exponent, each coordinate a "p/q" string made from its numerator with
+one gcd.  The pass checks the count law after its last key, so a refusal
+prints nothing; then the entries are written one by one, and a normalized
+exponent's entry is its fake entry's text, written again.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from pathlib import Path
@@ -40,7 +41,7 @@ from ._linalg import integer, pair, rational
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
-from .exponents import exponent_keys
+from .exponents import exponent_rows
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import DEFAULT_WINDOW, solution_bundle, window_bounds
 from .verify import certify
@@ -133,42 +134,13 @@ def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
 
-class _Entry(dict):
-    """The report entry of an exponent: "vector" ("p/q" strings), "labels"
-    (lists of two ints), "m_support" (a list of ints) and "multiplicity" (an
-    int), in that order.  To json.dumps and _render_text it is a plain dict;
-    _json_text writes it from one template per depth."""
-
-    __slots__ = ()
-
-
-def _entry(vector: list, labels, support: frozenset, lists: dict) -> _Entry:
-    """The entry of an exponent; lists maps each m_support set to its sorted
-    list, so the entries of one report share one list per set."""
-    listed = lists.get(support)
-    if listed is None:
-        listed = lists[support] = sorted(support)
-    return _Entry(
-        vector=vector,
-        labels=[list(label) for label in labels],
-        m_support=listed,
-        multiplicity=len(support),
-    )
-
-
-def _exponent_dict(exp, lists: dict) -> _Entry:
-    return _entry(_rat_list(exp.vector), exp.labels, exp.m_support, lists)
-
-
-def _key_entry(line, k: int, supports: dict, lists: dict) -> _Entry:
-    """The entry of the exponent at key k of the line, each coordinate written
-    as str(Fraction(numerator, den)) is, with one gcd and no Fraction."""
-    nums, labels, support = line.parts(k, supports)
-    den = line.den
-    vector = [
-        str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in nums
-    ]
-    return _entry(vector, labels, support, lists)
+def _exponent_dict(exp) -> dict:
+    return {
+        "vector": _rat_list(exp.vector),
+        "labels": [list(label) for label in exp.labels],
+        "m_support": sorted(exp.m_support),
+        "multiplicity": len(exp.m_support),
+    }
 
 
 def _verdict_dict(verdict) -> dict:
@@ -204,28 +176,73 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     }
 
 
-def cmd_exponents(spec: ProblemSpec) -> dict:
-    """Both exponent lists, built from the keys of the parameter's line.
+# The two forms of an exponents entry, JSON and --format text: the template
+# of one entry (its vector, its labels, then its m_support and multiplicity),
+# the separator of the vector's strings, the template of one label and the
+# separator of labels.  Coordinates are "p/q" digit strings, which JSON and
+# repr quote as they are.  A JSON entry starts with the "," that follows
+# the entry before it.
+_JSON_FORM = (
+    ',\n    {\n      "vector": [\n        "%s"\n      ],\n      "labels": [\n        %s\n      ],'
+    '\n      "m_support": %s\n    }',
+    '",\n        "',
+    "[\n          %d,\n          %d\n        ]",
+    ",\n        ",
+)
+_TEXT_FORM = ("\n  vector: ['%s']\n  labels: [%s]\n  m_support: %s\n  -", "', '", "[%d, %d]", ", ")
 
-    Each normalized exponent is a fake one, so its entry is the fake's, the
-    same object, listed in both places.
+
+def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
+    """The exponents report in pieces: ``json.dumps(report, indent=2)``, or
+    the report's _render_text when text is set.
+
+    One pass over the fake keys of the parameter's line (exponent_rows)
+    fills one template per exponent, each coordinate the "p/q" string of
+    its numerator over den, reduced by one gcd as str(Fraction) writes it.
+    A normalized exponent is a fake one, so its entry is the fake's text.
+    The pass checks the count law after its last key, so a refusal comes
+    before any piece.  The pieces are written one by one, never joined.
     """
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
-    line = beta.line
-    fakes, primes = exponent_keys(line)
-    supports: dict = {}
-    lists: dict = {}
-    entries = {k: _key_entry(line, k, supports, lists) for k in fakes}
-    # exponent_keys has checked that the multiplicities sum to the relation's
-    total = config.positive_sum
-    return {
-        "beta": _rat_list(beta.beta),
-        "fake_exponents": list(entries.values()),
-        "prime_exponents": [entries[k] for k in primes],
-        "multiplicity_sum": total,
-        "relation_sum": total,
-    }
+    den = beta.line.den
+    entry, vector_sep, label, label_sep = _TEXT_FORM if text else _JSON_FORM
+    tails: dict = {}  # m_support -> its text, then the multiplicity's
+    fakes, primes = [], []
+    for nums, labels, support, normalized in exponent_rows(beta.line):
+        tail = tails.get(support)
+        if tail is None:
+            listed = sorted(support)
+            tail = tails[support] = (
+                f"{listed}\n  multiplicity: {len(listed)}" if text
+                else f'{_json_text(listed, 3)},\n      "multiplicity": {len(listed)}'
+            )
+        piece = entry % (
+            vector_sep.join([
+                str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+                for x in nums
+            ]),
+            label_sep.join([label % pair for pair in labels]),
+            tail,
+        )
+        fakes.append(piece)
+        if normalized:
+            primes.append(piece)
+    # exponent_rows has checked that the multiplicities sum to the relation's,
+    # so neither list is empty
+    total, shown = config.positive_sum, _rat_list(beta.beta)
+    if text:
+        return chain(
+            (f"beta: {shown}\nfake_exponents:",), fakes, ("\nprime_exponents:",), primes,
+            (f"\nmultiplicity_sum: {total}\nrelation_sum: {total}",),
+        )
+    return chain(
+        (f'{{\n  "beta": {_json_text(shown, 1)},\n  "fake_exponents": [', fakes[0][1:]),
+        islice(fakes, 1, None),
+        ('\n  ],\n  "prime_exponents": [', primes[0][1:]),
+        islice(primes, 1, None),
+        (f'\n  ],\n  "multiplicity_sum": {total},\n  "relation_sum": {total}\n}}',),
+    )
 
 
 def _bundle_report(spec: ProblemSpec):
@@ -245,7 +262,6 @@ def _bundle_report(spec: ProblemSpec):
 
 def cmd_solve(spec: ProblemSpec) -> dict:
     config, beta, shifted, report = _bundle_report(spec)
-    supports: dict = {}
     out = {
         "beta": _rat_list(beta.beta),
         "parameter": shifted,
@@ -257,7 +273,7 @@ def cmd_solve(spec: ProblemSpec) -> dict:
     }
     for bundle in report.bundles:
         entry = {
-            "exponent": _exponent_dict(bundle.exponent, supports),
+            "exponent": _exponent_dict(bundle.exponent),
             "lift": list(bundle.lift),
             "phi_empty": bundle.phi_empty,
             "hypothesis_failures": [sorted(s) for s in bundle.hypothesis_failures],
@@ -277,7 +293,7 @@ def cmd_solve(spec: ProblemSpec) -> dict:
             "r": spec.r,
             "solutions": [
                 {
-                    "exponent": _exponent_dict(bundle.exponent, supports),
+                    "exponent": _exponent_dict(bundle.exponent),
                     "series": bundle.solution(spec.r).to_json_dict(),
                 }
                 for bundle in report.bundles
@@ -316,9 +332,9 @@ def cmd_classify(spec: ProblemSpec) -> dict:
     return {name: getattr(classification, name) for name in classification._fields}
 
 
+# the commands whose report is a dict, written by _json_text or _render_text
 _COMMANDS = {
     "analyze": cmd_analyze,
-    "exponents": cmd_exponents,
     "solve": cmd_solve,
     "verify": cmd_verify,
     "classify": cmd_classify,
@@ -342,69 +358,28 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line)
 
 
-def _list_text(texts, brackets: tuple[str, str, str]) -> str:
-    """A JSON list of the item texts, between and among the brackets' opening,
-    separator and closing; "[]" for none, as no item's text is empty."""
-    opening, sep, closing = brackets
-    body = sep.join(texts)
-    return opening + body + closing if body else "[]"
-
-
-def _json_text(report) -> str:
-    """``json.dumps(report, indent=2)``, without the pure-Python encoder.
+def _json_text(report, depth: int = 0) -> str:
+    """``json.dumps(report, indent=2)``, without the pure-Python encoder; at a
+    depth above 0, the text of a value nested that deep in a report.
 
     One recursive pass appends the text of each value to one list, joined
     once at the end.  The newline-plus-indent string of each depth is made
     once per call.  A dict's str and int values are written inline, and a
     list of only str or only int is one join over the C string encoder or
-    ``int.__repr__``.  bool is tested before int, as ``json`` does.
-
-    An exponent entry (_Entry) is written from one template per depth, its
-    three lists joined straight into it.  Its text is kept under its ``id``
-    at its depth, so an entry the report holds twice (in both
-    ``fake_exponents`` and ``prime_exponents``) is written once.  The report
-    keeps every entry alive while it is written, so the ids stay distinct;
-    the memo holds only ints and strs, which the cyclic collector does not
-    track.  Floats and non-str keys raise TypeError: reports carry rationals
-    as "p/q" strings.
+    ``int.__repr__``.  bool is tested before int, as ``json`` does.  Floats
+    and non-str keys raise TypeError: reports carry rationals as "p/q"
+    strings.
     """
     out: list[str] = []
     write = out.append
     newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
-    forms: dict[int, tuple] = {}  # depth -> (entry texts by id, template, list brackets)
 
     def indents(depth: int) -> list[str]:
         while len(newlines) <= depth:
             newlines.append(newlines[-1] + "  ")
         return newlines
 
-    def entry_text(entry: _Entry, depth: int) -> str:
-        form = forms.get(depth)
-        if form is None:
-            i0, i1, i2, i3 = indents(depth + 3)[depth:depth + 4]
-            form = forms[depth] = (
-                {},
-                "{" + i1 + '"vector": %s,' + i1 + '"labels": %s,' + i1
-                + '"m_support": %s,' + i1 + '"multiplicity": %s' + i0 + "}",
-                ("[" + i2, "," + i2, i1 + "]"),  # a list of the entry
-                ("[" + i3, "," + i3, i2 + "]"),  # a label, in the list of labels
-            )
-        memo, template, outer, inner = form
-        text = memo.get(id(entry))
-        if text is None:
-            labels = [_list_text(map(int.__repr__, pair), inner) for pair in entry["labels"]]
-            memo[id(entry)] = text = template % (
-                _list_text(map(_encode_str, entry["vector"]), outer),
-                _list_text(labels, outer),
-                _list_text(map(int.__repr__, entry["m_support"]), outer),
-                int.__repr__(entry["multiplicity"]),
-            )
-        return text
-
     def put(value, depth: int) -> None:
-        if type(value) is _Entry:
-            write(entry_text(value, depth))
-            return
         if isinstance(value, dict):
             if not value:
                 write("{}")
@@ -436,8 +411,6 @@ def _json_text(report) -> str:
                 items = ("," + inner).join(map(_encode_str, value))
             elif first is int and all(type(x) is int for x in value):
                 items = ("," + inner).join(map(int.__repr__, value))
-            elif first is _Entry and all(type(x) is _Entry for x in value):
-                items = ("," + inner).join([entry_text(x, depth + 1) for x in value])
             else:
                 sep = "[" + inner
                 for item in value:
@@ -463,11 +436,12 @@ def _json_text(report) -> str:
                 f"Object of type {type(value).__name__} is not JSON serializable"
             )
 
+    indents(depth)
     try:
-        put(report, 0)
+        put(report, depth)
         return "".join(out)
     finally:
-        del put  # put refers to itself; free the memo now, not at a collection
+        del put  # put refers to itself; free it, and the list it fills, now
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,16 +497,21 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    text = args.format == "text"
     try:
         spec = _apply_overrides(load_problem(args.input), args)
-        report = _COMMANDS[args.command](spec)
+        if args.command == "exponents":
+            pieces = cmd_exponents(spec, text)
+        else:
+            report = _COMMANDS[args.command](spec)
+            pieces = (_render_text(report) if text else _json_text(report),)
     except GkzError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.format == "text":
-        print(_render_text(report))
-    else:
-        print(_json_text(report))
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
+    write("\n")
     return 0
 
 

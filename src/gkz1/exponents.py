@@ -13,17 +13,18 @@ line's ``den``.  Coordinate 0 of the point at t is w[0] + t*relation[0],
 and relation[0] > 0, so it strictly increases with t: ordering the vectors
 lexicographically is ordering them by t, and two vectors are equal exactly
 when their t are.  So the exponents are sorted, merged and normalized as
-integer keys: exponent_keys gives the sorted fake keys and, among them, the
-normalized keys, and checks the count law on them, and
-``RelationLine.parts`` reads a key's numerators (offsets[i] + k*relation[i])
-over den, labels and m_support.  A normalized key k + shift(k)*den is a fake
-key: the column that sets the shift ends at an entry b in [0, relation[mu]),
-a label.  So the normalized set is the fakes of shift 0, the same objects.  The
-library wraps a key into an ``Exponent``, each coordinate a Fraction built
-once from its numerator; the CLI's exponents report writes the numerators
-as "p/q" strings and builds no Exponent.  Matching an exponent v of beta to
-beta + u builds no exponent set: the match is the normalization of
-v + (the lift of u).
+integer keys, in one pass: exponent_rows walks the sorted fake keys and
+gives, per key, what ``RelationLine.parts`` reads off it (its numerators
+offsets[i] + k*relation[i] over den, its labels, its m_support and whether
+it is normalized), and it checks the count law after the last key.  A
+normalized key k + shift(k)*den is a fake key: the column that sets the
+shift ends at an entry b in [0, relation[mu]), a label.  So the normalized
+set is the fakes of shift 0, the same objects.  The library wraps each row
+into an ``Exponent``, each coordinate a Fraction built once from its
+numerator; the CLI's exponents report writes the numerators as "p/q"
+strings and builds no Exponent.  Matching an exponent v of beta to beta + u
+builds no exponent set: the match is the normalization of v + (the lift of
+u).
 
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
@@ -94,47 +95,46 @@ def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     )
 
 
-def _exponent(line: RelationLine, supports: dict, k: int) -> Exponent:
-    """The exponent at key k of the line, each coordinate built once from its numerator."""
-    nums, labels, support = line.parts(k, supports)
+def _exponent(line: RelationLine, nums: list[int], labels: list, support) -> Exponent:
+    """The exponent of numerators nums over the line's den, one Fraction per coordinate."""
     den = line.den
     return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
+
+
+def exponent_rows(line: RelationLine):
+    """One pass over the sorted fake keys of the line.
+
+    Yields RelationLine.parts of each key: its numerators over den, its
+    labels, its m_support and whether it is normalized.  A normalized key
+    k + shift(k)*den is a fake key again: the column whose bound sets the
+    shift ends at an entry b in [0, relation[mu]), a label.  So the
+    normalized keys are the fake keys of shift 0, and the pass sums their
+    multiplicities as it goes.  After the last key it raises CountMismatch
+    unless they sum to the positive relation sum; a class of keys whose
+    normalization were no fake key would be missing from that sum.  A
+    caller that writes nothing before the pass ends writes nothing on a
+    refusal.
+    """
+    parts, supports, total = line.parts, {}, 0
+    for k in sorted(line.keys()):
+        row = parts(k, supports)
+        if row[3]:
+            total += len(row[2])
+        yield row
+    expected = sum(line.relation[mu] for mu in line.positive)
+    if total != expected:
+        raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
 
 
 def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
     """All fake exponents for the parameter, duplicates merged by label.
 
     Sorted lexicographically by coordinates, so output order is stable: one
-    exponent per key of exponent_keys, in the order of its keys.
+    exponent per row of exponent_rows, in the order of its keys, and the
+    count law checked on the way.
     """
-    line, supports = parameter(config, beta).line, {}
-    return [_exponent(line, supports, k) for k in sorted(line.keys())]
-
-
-def exponent_keys(line: RelationLine) -> tuple[list[int], list[int]]:
-    """The sorted keys of the fake exponents and of the normalized set.
-
-    Fake key k normalizes to k + shift(k)*den, which is a fake key again: the
-    column whose bound sets the shift ends at an entry b in [0, relation[mu]),
-    a label.  So the normalized keys are the fake keys of shift 0.  A
-    normalized key's multiplicity is its number of positive-side coordinates
-    that are nonnegative integers, and the multiplicities must sum to the
-    positive relation sum (CountMismatch otherwise); a class of keys whose
-    normalization were no fake key would be missing from that sum.
-    """
-    den, rel, offsets, positive = line.den, line.relation, line.offsets, line.positive
-    fakes = sorted(line.keys())
-    primes = [k for k in fakes if not line.shift(k)]
-    total = 0
-    for k in primes:
-        for mu in positive:
-            x = offsets[mu] + k * rel[mu]
-            if x >= 0 and not x % den:
-                total += 1
-    expected = sum(rel[mu] for mu in positive)
-    if total != expected:
-        raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
-    return fakes, primes
+    line = parameter(config, beta).line
+    return [_exponent(line, *row[:3]) for row in exponent_rows(line)]
 
 
 def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
@@ -148,7 +148,7 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     z0 = line.shift(0)
     if z0 == 0 and isinstance(v, Exponent):
         return v, 0  # already normalized: same vector, labels and m_support
-    return _exponent(line, {}, z0 * line.den), z0
+    return _exponent(line, *line.parts(z0 * line.den, {})[:3]), z0
 
 
 class PrimeExponents(Record):
@@ -163,14 +163,16 @@ class PrimeExponents(Record):
 def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
     """Normalized exponent set; the multiplicity count law is enforced.
 
-    Each normalized exponent is a fake exponent, the same object.
+    Each normalized exponent is a fake exponent, the same object: one whose
+    integral positive-side coordinates are all in its m_support, so that
+    none is a negative integer (a fake always has a label).
     """
-    beta = parameter(config, beta)
-    fakes = fake_exponents(config, beta)  # the module global, which tracing wraps
-    keys, primes = exponent_keys(beta.line)
-    found = dict(zip(keys, fakes))
-    exponents = tuple(found[k] for k in primes)
-    # exponent_keys has checked that the multiplicities sum to the relation's
+    positive = config.positive
+    exponents = tuple(
+        e for e in fake_exponents(config, beta)  # the module global, which tracing wraps
+        if all(mu in e.m_support or e.vector[mu].denominator != 1 for mu in positive)
+    )
+    # exponent_rows has checked that the multiplicities sum to the relation's
     return PrimeExponents(exponents, config.positive_sum, config.positive_sum)
 
 

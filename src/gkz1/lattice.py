@@ -150,27 +150,34 @@ class RelationLine(Record):
             out.update(range(-a // e, (e * den - a) // e, den // e))
         return out
 
-    def parts(self, k: int, supports: dict) -> tuple[list[int], list, frozenset[int]]:
-        """The numerators of the point at key k, its labels and its m_support.
+    def parts(self, k: int, supports: dict) -> tuple[list[int], list, frozenset[int], bool]:
+        """The numerators of the point at key k, its labels, its m_support and
+        whether it is normalized.
 
         Coordinate mu is numerators[mu]/den.  The m_support holds the mu with
         relation[mu] > 0 where it is an integer b >= 0, and the labels are the
-        pairs (mu, b) among them with b < relation[mu].  supports (bit mask ->
+        pairs (mu, b) among them with b < relation[mu].  The point is
+        normalized, shift(k) == 0, when it has a label and no coordinate mu
+        with relation[mu] > 0 is a negative integer.  supports (bit mask ->
         m_support) shares one frozenset per m_support among the calls given it.
         """
         den, rel, positive = self.den, self.relation, self.positive
         nums = [a + k * e for a, e in zip(self.offsets, rel)]
-        labels, mask = [], 0
+        labels, mask, normalized = [], 0, True
         for mu in positive:
             q, r = divmod(nums[mu], den)
-            if not r and q >= 0:
+            if r:
+                continue
+            if q < 0:
+                normalized = False
+            else:
                 mask |= 1 << mu
                 if q < rel[mu]:
                     labels.append((mu, q))
         support = supports.get(mask)
         if support is None:
             support = supports[mask] = frozenset(mu for mu in positive if mask >> mu & 1)
-        return nums, labels, support
+        return nums, labels, support, normalized and bool(labels)
 
     def shift(self, k: int) -> int:
         """The least z making no positive-side coordinate at k + z*den a negative integer."""

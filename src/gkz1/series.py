@@ -12,9 +12,9 @@ one step by small integer factors.  A log-free product is a Fraction, times
 one reduced ratio per step: it stays apart from the integer-row walk, which
 is slower on log-free bundles.  A longer one stays integers over one running
 denominator, stepped with the truncated-row kernel of gkz1.coefficients,
-and becomes one Fraction per nonzero (shift, eps degree).  The assembly
-stores those, times r!/(r-s)! where that weight is not 1, in a LogSeries it
-builds directly.
+and becomes one Fraction per nonzero (shift, eps degree), whose gcd also
+gives the row's common factor.  The assembly stores those, times r!/(r-s)!
+where that weight is not 1, in a LogSeries it builds directly.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -209,11 +209,12 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     last, dividing by F+_z through its reciprocal series (_reciprocal of
     gkz1.coefficients).  A log-free C (top = 0) is a Fraction times one
     reduced ratio per step; otherwise it is one integer row over a running
-    denominator, reduced by one gcd per step, and meets Fraction once per
-    nonzero (z, s); a zero entry is the int 0.  Before anything is built,
-    each column is checked, in index order, at its largest l over the
-    members, so ExcludedCase is raised exactly where a run of that column
-    over every member would raise it.
+    denominator.  Each entry meets one gcd, as its Fraction is built, and
+    the row is divided by the common factor of those gcds, so it stays
+    reduced with no gcd of its own; a zero entry is the int 0.  Before
+    anything is built, each column is checked, in index order, at its
+    largest l over the members, so ExcludedCase is raised exactly where a
+    run of that column over every member would raise it.
     """
     rel = config.relation
     if not members:
@@ -249,10 +250,17 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
             _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))])
             _times(num, f)
             den *= unscale * a0 ** (top + 1)
-            k = gcd(den, *num)
+        if not top:
+            out[z] = (c,)
+            continue
+        row = [Fraction(x, den) if x else 0 for x in num]
+        # gcd(x, den) is den // denominator (den for a zero entry), so the
+        # row's common factor comes from the entries' own gcds
+        k = gcd(*[den // f.denominator for f in row])
+        if k > 1:
             num = [x // k for x in num]
             den //= k
-        out[z] = (c,) if not top else tuple(Fraction(x, den) if x else 0 for x in num)
+        out[z] = tuple(row)
     return out
 
 

@@ -43,7 +43,12 @@ arithmetic with the route it checks:
   saturation as a gcd of determinants, with no elimination at all;
 - ``facet_functional`` finds the primitive functional h_ij of a (positive,
   negative) pair by a row reduction on the other columns, so
-  ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line.
+  ``h(beta)`` checks ``is_nonresonant``'s closed form on the relation line;
+- ``mirror_map_and_instantons`` reads the mirror map and the instanton
+  numbers off the log-free parts of the solutions of log degree 0, 1 and 2,
+  with the exact power series helpers ``series_*``, so the builder's
+  degree-1 and degree-2 coefficients meet numbers known from enumerative
+  geometry.
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
@@ -721,3 +726,88 @@ def facet_functional(config: LatticeConfig, i: int, j: int) -> FacetFunctional:
     assert li * values[i] == lj * values[j]
     assert gcd(*values) == 1
     return FacetFunctional(i=i, j=j, coeffs=coeffs, values=values)
+
+
+def relation_points(relation):
+    """Points whose relation is the given primitive vector: the columns of
+    the rows relation[j]*e_0 - relation[0]*e_j, which are orthogonal to it."""
+    n = len(relation)
+    rows = [[relation[j] if t == 0 else -relation[0] if t == j else 0 for t in range(n)]
+            for j in range(1, n)]
+    return [tuple(col) for col in zip(*rows)]
+
+
+# -- exact power series: lists of Fractions, all of one length n, truncated at x^n
+
+
+def series_mul(a, b) -> list[Fraction]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def series_inverse(a) -> list[Fraction]:
+    """1/a, for a[0] != 0."""
+    out = [1 / Fraction(a[0])]
+    for k in range(1, len(a)):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) * out[0])
+    return out
+
+
+def series_exp(a) -> list[Fraction]:
+    """exp(a), for a[0] == 0, from k*e[k] = sum_i i*a[i]*e[k-i] (e' = a'e)."""
+    if a[0]:
+        raise ValueError("exp needs a zero constant term")
+    out = [Fraction(1)]
+    for k in range(1, len(a)):
+        out.append(sum(i * a[i] * out[k - i] for i in range(1, k + 1)) / k)
+    return out
+
+
+def series_compose(a, b) -> list[Fraction]:
+    """a(b(x)), for b[0] == 0, by Horner's rule."""
+    if b[0]:
+        raise ValueError("the inner series needs a zero constant term")
+    out = [Fraction(0)] * len(a)
+    for c in reversed(a):
+        out = series_mul(out, b)
+        out[0] += c
+    return out
+
+
+def series_revert(q) -> list[Fraction]:
+    """The t(q) with q(t(q)) = q, for q = t + q[2]*t^2 + ...: the fixed point of
+    t = q/u(t), u = q/t, reached after one step per coefficient."""
+    if q[0] or q[1] != 1:
+        raise ValueError("reversion needs q = t + O(t^2)")
+    n = len(q)
+    u = list(q[1:]) + [Fraction(0)]
+    t = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 2)
+    for _ in range(n):
+        t = [Fraction(0)] + series_inverse(series_compose(u, t))[:-1]
+    return t
+
+
+def series_theta(a) -> list[Fraction]:
+    """x d/dx of a."""
+    return [k * c for k, c in enumerate(a)]
+
+
+def mirror_map_and_instantons(f0, f1, f2, kappa) -> tuple[list[Fraction], list[Fraction]]:
+    """The mirror map and the instanton numbers of a point of maximal
+    unipotent monodromy, from the log-free parts f0, f1, f2 of its solutions
+    of log degree 0, 1 and 2, as series in x of one length n.
+
+    The mirror map is q = x*exp(f1/f0).  With h = f2/f0 - (f1/f0)^2 and x
+    written in q, the Yukawa coupling is Y = kappa*(1 + theta_q^2 h / 2) =
+    kappa + sum_d n_d d^3 q^d/(1 - q^d), so [q^m] Y is kappa*[m = 0] plus the
+    sum of n_d d^3 over the divisors d of m.  Returns the coefficients of
+    q/x, from x^0 up, and n_1, ..., n_(n-1).
+    """
+    ratio = series_inverse(f0)
+    g1, g2 = series_mul(f1, ratio), series_mul(f2, ratio)
+    q = [Fraction(0)] + series_exp(g1)[:-1]
+    h = [a - b for a, b in zip(g2, series_mul(g1, g1))]
+    y = [kappa * c / 2 for c in series_theta(series_theta(series_compose(h, series_revert(q))))]
+    n = {}
+    for m in range(1, len(f0)):
+        n[m] = (y[m] - sum(n[d] * d**3 for d in n if m % d == 0)) / m**3
+    return q[1:], list(n.values())

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from gkz1 import _linalg, cli, series
 from gkz1.cli import ProblemSpec, main
 from gkz1.errors import GkzError
+from gkz1.lattice import build_config
 from gkz1.series import LogSeries
 
 from conftest import (
@@ -108,7 +110,7 @@ class TestExponents:
         _, second, _ = run(capsys, "exponents", "--input", triangle_file)
         assert first == second
 
-    def test_builds_no_exponent(self, monkeypatch):
+    def test_builds_no_exponent(self, capsys, monkeypatch, tmp_path):
         # the report is written from the line's integer keys; the library's
         # Exponent records are not built on the way
         from gkz1 import exponents
@@ -118,9 +120,50 @@ class TestExponents:
 
         monkeypatch.setattr(exponents, "Exponent", refuse)
         for problem in (TRIANGLE_PROBLEM, TWO_LABELS_PROBLEM):
-            spec = ProblemSpec(columns=problem["A"], beta=problem["beta"])
-            report = cli.cmd_exponents(spec)
-            assert report["multiplicity_sum"] == report["relation_sum"]
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            code, out, _ = run(capsys, "exponents", "--input", str(path))
+            report = json.loads(out)
+            assert code == 0 and report["multiplicity_sum"] == report["relation_sum"]
+
+    @pytest.mark.parametrize("text", [False, True])
+    def test_count_law_failure_prints_nothing(self, capsys, monkeypatch, triangle_file, text):
+        # the count law is checked after the last key, before the first byte
+        from gkz1 import lattice
+
+        parts = lattice.RelationLine.parts
+
+        def never_normalized(self, k, supports):
+            return (*parts(self, k, supports)[:3], False)
+
+        monkeypatch.setattr(lattice.RelationLine, "parts", never_normalized)
+        argv = ["exponents", "--input", triangle_file] + (["--format", "text"] if text else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "internal invariant failure: multiplicities sum to 0, relation demands 2\n"
+
+    def test_peak_memory_stays_below_twice_the_output(self, monkeypatch, tmp_path):
+        # nothing is joined: the entries' texts and the line's keys are what
+        # is held when the writing starts, well under the output itself
+        class Counted(io.TextIOBase):
+            size = 0
+
+            def write(self, piece):
+                self.size += len(piece)
+                return len(piece)
+
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"A": [[1], [100000]], "beta": ["1/7"]}))
+        sink = Counted()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["exponents", "--input", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 40_000_000
+        assert peak < 2 * sink.size
 
 
 def _reference_exponents_report(config, beta) -> dict:
@@ -145,24 +188,33 @@ def _reference_exponents_report(config, beta) -> dict:
     }
 
 
+def _exponents_output(path, problem, *argv) -> tuple[int, str]:
+    """The exit code and stdout of gkz1 exponents on the problem, written to path."""
+    path.write_text(json.dumps(problem))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["exponents", "--input", str(path), *argv])
+    return code, out.getvalue()
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.integers(0, 3))
-def test_exponents_report_matches_the_reference(seed, kind):
-    # vectors as str(Fraction), labels, m_support and multiplicity equal the
-    # Fraction route's, on nonresonant and on integral parameters
+def test_exponents_report_matches_the_reference(tmp_path_factory, seed, kind):
+    # the bytes, in JSON and in --format text, are those of the Fraction
+    # route's report, on nonresonant and on integral parameters
     rng = random.Random(seed)
     config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
     beta = random_integral_beta(rng, config) if kind > 1 else random_nonresonant_beta(rng, config)
-    report = cli.cmd_exponents(ProblemSpec(columns=config.columns, beta=list(beta)))
-    assert report == _reference_exponents_report(config, beta)
-    assert cli._json_text(report) == json.dumps(report, indent=2)
-    fakes = {id(entry) for entry in report["fake_exponents"]}
-    for entry in report["prime_exponents"]:
-        # a normalized exponent keeps a label, so it is a fake, one entry for both
-        assert entry["labels"] and id(entry) in fakes
-    if len(report["prime_exponents"]) < len(fakes):
+    reference = _reference_exponents_report(config, beta)
+    path = tmp_path_factory.mktemp("exponents") / "problem.json"
+    problem = {"A": [list(c) for c in config.columns], "beta": [str(b) for b in beta]}
+    assert _exponents_output(path, problem) == (0, json.dumps(reference, indent=2) + "\n")
+    text = _exponents_output(path, problem, "--format", "text")
+    assert text == (0, cli._render_text(reference) + "\n")
+    fakes = reference["fake_exponents"]
+    if len(reference["prime_exponents"]) < len(fakes):
         event("a fake is shifted")
-    if any(len(entry["labels"]) > 1 for entry in report["fake_exponents"]):
+    if any(len(entry["labels"]) > 1 for entry in fakes):
         event("a key with two labels")
 
 
@@ -765,7 +817,7 @@ def _problems(draw):
 @settings(max_examples=1000, deadline=None)
 @given(
     problem=_problems(),
-    command=st.sampled_from(sorted(cli._COMMANDS)),
+    command=st.sampled_from(sorted([*cli._COMMANDS, "exponents"])),
     text=st.booleans(),
 )
 def test_fuzzed_problem_files_end_cleanly(tmp_path_factory, problem, command, text):
@@ -895,6 +947,8 @@ def _containers(children):
 @given(value=st.recursive(_SCALARS, _containers, max_leaves=25))
 def test_writer_matches_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+    # the text of the same value nested two levels deep
+    assert cli._json_text(value, 2) == json.dumps(value, indent=2).replace("\n", "\n    ")
 
 
 @st.composite
@@ -919,8 +973,7 @@ def _shared_values(draw):
 @settings(max_examples=150, deadline=None)
 @given(value=_shared_values())
 def test_writer_matches_json_dumps_with_shared_objects(value):
-    # the writer keeps a dict's text by id and depth: the same dict at
-    # another depth has another indent
+    # the same dict at another depth has another indent
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
@@ -943,39 +996,33 @@ def test_writer_matches_json_dumps_on_every_report(seed):
         assert cli._json_text(report) == json.dumps(report, indent=2)
 
 
-@st.composite
-def _exponent_entries(draw):
-    """A value holding exponent entries where solve and exponents put them.
-
-    One entry sits at depth 3 and 4 (a bundle's and a requested degree's
-    exponent, as in a solve report) and twice in each of two lists at depth
-    2 (as in an exponents report); others sit in a random value around them.
-    Vectors are any strings, and labels, m_support and vectors may be empty.
-    """
-    lists: dict = {}
-    entry = st.builds(
-        cli._entry,
-        st.lists(_TEXT, max_size=3),
-        st.lists(st.tuples(_INTS, _INTS), max_size=3),
-        st.frozensets(_INTS, max_size=3),
-        st.just(lists),
-    )
-    shared = draw(entry)
-    around = draw(st.recursive(entry | _SCALARS, _containers, max_leaves=8))
-    return {
-        "fake_exponents": [shared, draw(entry), shared],
-        "prime_exponents": [shared],
-        "bundles": [{"exponent": shared, "lift": [0]}],
-        "requested_degree": {"r": 0, "solutions": [{"exponent": shared}, around]},
-        "around": around,
-    }
-
-
-@settings(max_examples=150, deadline=None)
-@given(value=_exponent_entries())
-def test_writer_matches_json_dumps_with_exponent_entries(value):
-    # an entry is written from its depth's template, and kept by id and depth
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
+    # exponents writes its entries from its own templates; solve writes its
+    # exponent dicts, at depths 3 and 4, with the generic writer.  Both are
+    # json.dumps of the report, byte for byte: on two labels and a shift,
+    # integral and nonresonant parameters, shifted fakes, a requested degree
+    problems = [
+        TWO_LABELS_PROBLEM,
+        TRIANGLE_PROBLEM,
+        {"A": [[1, 1, -1], [0, 0, 1], [1, 0, 0], [0, 1, 0]], "beta": ["-1/2", "-1/3", "1"]},
+        {"A": [[1, 1, -1], [0, 0, 1], [1, 0, 0], [0, 1, 0]], "beta": ["0", "2", "-3"]},
+        {"A": [[1], [12]], "beta": ["-5/3"]},
+    ]
+    shifted = two_labels = 0
+    for problem in problems:
+        config = build_config(problem["A"])
+        beta = [Fraction(b) for b in problem["beta"]]
+        reference = _reference_exponents_report(config, beta)
+        output = _exponents_output(tmp_path / "problem.json", problem)
+        assert output == (0, json.dumps(reference, indent=2) + "\n")
+        fakes = reference["fake_exponents"]
+        shifted += len(reference["prime_exponents"]) < len(fakes)
+        two_labels += any(len(entry["labels"]) > 1 for entry in fakes)
+        spec = ProblemSpec(columns=problem["A"], beta=beta, window=(-1, 2), r=0)
+        report = cli.cmd_solve(spec)
+        assert report["requested_degree"]["solutions"]
+        assert cli._json_text(report) == json.dumps(report, indent=2)
+    assert shifted >= 2 and two_labels >= 1
 
 
 @pytest.mark.parametrize("value", [

@@ -217,14 +217,17 @@ class TestRelationLine:
         assert line.keys() == {-4, -2}  # coordinate 0 is 0, coordinate 1 is 0
         supports = {}
         parts = [line.parts(k, supports) for k in (-4, 8, -16, -2)]
-        assert [nums for nums, _, _ in parts] == [
+        assert [nums for nums, _, _, _ in parts] == [
             [x * 12 for x in line.at(F(k, 12))] for k in (-4, 8, -16, -2)
         ]
         # coordinate 0 is 0, 1 and -1 at keys -4, 8 and -16; at 8 it is no label
-        assert [labels for _, labels, _ in parts] == [[(0, 0)], [], [], [(1, 0)]]
-        assert [support for _, _, support in parts] == [{0}, {0}, set(), {1}]
+        assert [labels for _, labels, _, _ in parts] == [[(0, 0)], [], [], [(1, 0)]]
+        assert [support for _, _, support, _ in parts] == [{0}, {0}, set(), {1}]
         assert parts[0][2] is parts[1][2]  # one frozenset per m_support
         assert [line.shift(k) for k in (-4, 8, -16, -2)] == [0, -1, 1, 0]
+        # normalized exactly where the shift is 0: key 8 has no label and
+        # key -16 a negative integer
+        assert [normalized for _, _, _, normalized in parts] == [True, False, False, True]
         with pytest.raises(ValueError):
             line.shift(0)  # no integral positive coordinate
         assert line.integral_steps([0]) == (F(2, 3), 1)

@@ -12,6 +12,7 @@ from gkz1 import LatticeConfig, _linalg, build_config, parameter
 from conftest import random_config, random_nonresonant_beta, random_relation_config
 from reference import (
     nullspace_columns_reference,
+    relation_points,
     relation_reference,
     saturation_index_reference,
     solve_columns_reference,
@@ -147,22 +148,13 @@ def test_relation_and_line_point_match_the_fraction_route(seed, relation_first):
     assert parameter(config, beta).line.point == point
 
 
-def _relation_points(relation):
-    """Points whose relation is the given primitive vector: the columns of
-    the rows relation[j]*e_0 - relation[0]*e_j, which are orthogonal to it."""
-    n = len(relation)
-    rows = [[relation[j] if t == 0 else -relation[0] if t == j else 0 for t in range(n)]
-            for j in range(1, n)]
-    return [tuple(col) for col in zip(*rows)]
-
-
 class TestLargeEntries:
     """The relations and line points of configurations with large entries,
     pinned against the Fraction route, and the size of the eliminated rows."""
 
     CASES = [
         ([(1, 0), (1, BIG), (1, 1)], (999999, 1, -BIG), [F(1, 3), F(-2, 7)]),
-        (_relation_points((126, -57, 97, -27, -3)), (126, -57, 97, -27, -3),
+        (relation_points((126, -57, 97, -27, -3)), (126, -57, 97, -27, -3),
          [F(1, 2), F(-3, 5), F(7, 3), F(0)]),
     ]
 

@@ -32,6 +32,8 @@ from reference import (
     SigmaIntegral,
     gauss_oracle,
     log_solution_reference,
+    mirror_map_and_instantons,
+    relation_points,
     scalar_relation_check,
 )
 
@@ -613,3 +615,57 @@ class TestWindowsAndJson:
                     type(z) is int and type(r) is int and type(c) is F and c
                     for (z, r), c in series.terms.items()
                 )
+
+
+def _mirror(points, beta, kappa, n):
+    """The mirror map and instanton numbers of the bundle whose exponent is 0
+    at every positive column, from its solutions at window (0, n)."""
+    config = build_config(points)
+    bundle = next(
+        b for b in solution_bundle(config, beta, window=(0, n)).bundles
+        if all(b.exponent.vector[mu] == 0 for mu in config.positive)
+    )
+    f = [[bundle.solutions[r].coefficient(z, 0) for z in range(n + 1)] for r in range(3)]
+    # x = -t where that makes f0's coefficients positive
+    sign = 1 if f[0][1] > 0 else -1
+    f = [[c * sign**z for z, c in enumerate(part)] for part in f]
+    assert all(c > 0 for c in f[0])
+    return mirror_map_and_instantons(*f, kappa)
+
+
+class TestMirrorSymmetry:
+    """The log-degree 1 and 2 solutions at a point of maximal unipotent
+    monodromy give the mirror map and the instanton numbers, which
+    enumerative geometry knows and which must be integers: a wrong eps
+    coefficient of degree 1 or 2 shows as a wrong or fractional number."""
+
+    def test_quintic(self):
+        # Candelas, de la Ossa, Green and Parkes (1991); the mirror map is
+        # integral (Lian and Yau)
+        mirror_map, instantons = _mirror(QUINTIC, (-1, 0, 0, 0, 0), 5, 5)
+        assert mirror_map[:4] == [1, 770, 1014275, 1703916750]
+        assert instantons == [2875, 609250, 317206375, 242467530000, 229305888887625]
+        assert all(x.denominator == 1 for x in mirror_map + instantons)
+
+    # relation, kappa, n_1 and n_2 of the other one-parameter hypergeometric
+    # families (Klemm and Theisen 1993; Libgober and Teitelbaum 1993)
+    FAMILIES = [
+        ((1, 1, 1, 1, 2, -6), 3, 7884, 6028452),
+        ((1, 1, 1, 1, 4, -8), 2, 29504, 128834912),
+        ((1, 1, 1, 2, 5, -10), 1, 231200, 12215785600),
+        ((1,) * 6 + (-3, -3), 9, 1053, 52812),
+        ((1,) * 6 + (-2, -4), 8, 1280, 92288),
+        ((1,) * 7 + (-2, -2, -3), 12, 720, 22428),
+        ((1,) * 8 + (-2,) * 4, 16, 512, 9728),
+    ]
+
+    @pytest.mark.parametrize("relation, kappa, n1, n2", FAMILIES)
+    def test_other_families(self, relation, kappa, n1, n2):
+        points = relation_points(relation)
+        # beta is minus the sum of the negative columns
+        beta = [
+            -sum(p[i] for p, e in zip(points, relation) if e < 0) for i in range(len(points[0]))
+        ]
+        mirror_map, instantons = _mirror(points, beta, kappa, 2)
+        assert instantons == [n1, n2]
+        assert all(x.denominator == 1 for x in mirror_map + instantons)
