@@ -4,7 +4,9 @@ Reads a problem description (JSON, or TOML by extension), runs the requested
 stage of the pipeline and prints a machine-readable report.  All rationals
 cross the boundary as exact "p/q" strings; no floats enter anywhere.  Each
 number of the file passes the library's one check (gkz1._linalg), named by
-its field, such as beta[1]; the file adds only that a vector is a list.
+its field, such as beta[1]; the file adds only that a vector is a list.  A
+plain command line is read by _plain; any other, help and usage errors among
+them, goes to build_parser, which alone imports argparse.
 
 Exit codes: 0 success, else the exit_code of the error class, printed with its
 label on one stderr line: 1 internal invariant failure, 2 invalid input,
@@ -28,7 +30,6 @@ exponent's entry is its fake entry's text, written again.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
@@ -36,6 +37,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 from ._linalg import integer, pair, rational
 from ._record import Record
@@ -66,23 +68,30 @@ def _list(value, field: str) -> list:
 
 
 def _numbers(value, field: str, check) -> list:
-    return [check(x, f"{field}[{i}]") for i, x in enumerate(_list(value, field))]
+    values = _list(value, field)
+    try:
+        return [check(x, field) for x in values]
+    except InputError:  # as in _linalg.fracs, an entry is named once refused
+        return [check(x, f"{field}[{i}]") for i, x in enumerate(values)]
 
 
 def load_problem(path: str) -> ProblemSpec:
     file_path = Path(path)
-    if not file_path.exists():
-        raise InputError(f"input file not found: {path}")
     try:
+        with open(file_path) as file:
+            text = file.read()
         if file_path.suffix.lower() == ".toml":
             try:
                 import tomllib  # Python >= 3.11
             except ModuleNotFoundError:
                 import tomli as tomllib
-            data = tomllib.loads(file_path.read_text())
+            data = tomllib.loads(text)
         else:
-            data = json.loads(file_path.read_text())
+            data = json.loads(text)
     except Exception as exc:
+        # asked only once a read or parse fails, so a good file costs no stat
+        if not file_path.exists():
+            raise InputError(f"input file not found: {path}") from None
         raise InputError(f"cannot parse {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("problem file must contain a table/object at top level")
@@ -116,7 +125,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
         except ValueError:
             raise InputError(f"--window: expected LO:HI, got {args.window!r}") from None
     if args.u is not None:
-        spec.u = [rational(x, "--u") for x in args.u.split(",") if x.strip()]
+        spec.u = [rational(x, "--u") for x in args.u.split(",")]
     if args.lift is not None:
         try:
             spec.lift = [int(x) for x in args.lift.split(",")]
@@ -124,7 +133,7 @@ def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
             raise InputError(f"--lift: expected integers, got {args.lift!r}") from None
     if args.r is not None:
         spec.r = args.r
-    if getattr(args, "no_verify", False):
+    if args.no_verify:
         spec.verify = False
     spec.window = window_bounds(spec.window)
     return spec
@@ -444,7 +453,9 @@ def _json_text(report, depth: int = 0) -> str:
         del put  # put refers to itself; free it, and the list it fills, now
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse  # here, not with the module: only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="gkz1",
         description="Exact series solutions of codimension-one GKZ systems",
@@ -470,21 +481,71 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on the first main call, not at import."""
-    return build_parser()
+_parser = functools.cache(build_parser)  # the process's one parser, built when first needed
+
+
+_COMMAND_NAMES = frozenset(_COMMANDS) | {"exponents"}
+# the options that take a value, by spelling, and their namespace names
+_VALUED = {
+    "--input": "input", "--window": "window", "--u": "u", "--lift": "lift",
+    "--r": "r", "--format": "format",
+}
+
+
+def _plain(argv):
+    """The namespace that build_parser().parse_args(argv) returns, read
+    without argparse; None for a line that is not plain, which argparse reads.
+
+    A plain line is a command, then options spelled in full: --no-verify
+    alone, the others as "--opt=value" or as "--opt value" with a value not
+    starting with a dash, an int --r, a --format of json or text, and --input
+    given.  Help, abbreviations, "--" and malformed lines are argparse's.
+    """
+    if not argv or argv[0] not in _COMMAND_NAMES:
+        return None
+    args = {
+        "command": argv[0], "input": None, "window": None, "u": None,
+        "lift": None, "r": None, "no_verify": False, "format": "json",
+    }
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option == "--no-verify" and not eq:
+            args["no_verify"] = True
+            continue
+        name = _VALUED.get(option)
+        if name is None:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value is declined as a dash
+            if value[:1] == "-":
+                return None
+        elif value == "--":  # some argparse versions read "--opt=--" as no value
+            return None
+        # each occurrence is checked, as argparse checks it, even if a later one wins
+        if name == "r":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif name == "format" and value not in ("json", "text"):
+            return None
+        args[name] = value
+    if args["input"] is None:
+        return None
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    """Run one command; returns the exit code.
+    """Run one command line (sys.argv[1:] when argv is None); returns the exit code.
 
     Exact coefficients can have more digits than Python's limit on int-to-str
     conversion allows.  Where that limit exists (sys.set_int_max_str_digits),
     it is lifted while the command runs and writes its report, and restored
     afterwards, so the output never depends on it.
     """
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain(argv) or _parser().parse_args(argv)
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
         return _run(args)

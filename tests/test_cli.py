@@ -85,6 +85,32 @@ class TestAnalyze:
         assert code == 2
         assert "not found" in err
 
+    # an entry is checked under its field's name and named only once refused;
+    # the messages are pinned byte for byte
+    @pytest.mark.parametrize("fields, message", [
+        ({"A": [[1, 0], [1, "x"], [1, 1]]}, "A[1][1]: expected an integer, got 'x'"),
+        ({"beta": [10, "1/0"]}, "beta[1]: cannot parse rational '1/0': Fraction(1, 0)"),
+        ({"lift": [0, 0, True]}, "lift[2]: expected an integer, got True"),
+        ({"u": [1, 0.5]}, "u[1]: 0.5 is a float, not an exact rational"),
+        ({"window": [0, 0.5]}, "window[1]: expected an integer, got 0.5"),
+    ])
+    def test_refused_entry_named(self, capsys, tmp_path, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TRIANGLE_PROBLEM, **fields}))
+        assert run(capsys, "analyze", "--input", str(path)) == (2, "", f"input error: {message}\n")
+
+    def test_unreadable_paths(self, capsys, tmp_path):
+        # the file is opened once; whether it exists is asked only after that fails
+        through_a_file = tmp_path / "file.json" / "x.json"
+        (tmp_path / "file.json").write_text("{}")
+        assert run(capsys, "analyze", "--input", str(through_a_file)) == (
+            2, "", f"input error: input file not found: {through_a_file}\n"
+        )
+        code, out, err = run(capsys, "analyze", "--input", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: cannot parse {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_float_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(json.dumps({"A": [[1, 0], [1, 2], [1, 1]], "beta": [0.5, "8"]}))
@@ -702,6 +728,19 @@ class TestBadSolveRequests:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    # --u once skipped an empty entry, so "1,,1" ran with u = (1, 1); --lift
+    # refused the same entry
+    @pytest.mark.parametrize("u", ["--u=1,,1", "--u=1,1,", "--u="])
+    def test_empty_u_entry_is_refused(self, capsys, tmp_path, u):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8]}))
+        assert run(capsys, "solve", "--input", str(path), "--u=1,1")[0] == 0
+        code, out, err = run(capsys, "solve", "--input", str(path), u)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: --u: ")
+        assert err.count("\n") == 1
+
 
 class TestWindowTooWide:
     # the shifts of [0, 10^20] overflowed a list index: exit 1 with a traceback
@@ -756,6 +795,60 @@ class TestMalformedProblemFiles:
         assert result.stderr.startswith("input error: ")
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
+
+
+# -- the plain reader: the namespace argparse gives, or None ------------------
+
+_ARGV_OPTIONS = ["--input", "--window", "--u", "--lift", "--r", "--no-verify", "--format"]
+_ARGV_ABBREVIATIONS = ["--inp", "--fo", "--no"]
+_ARGV_VALUES = st.sampled_from(["-1", "", " 2", "1_0", "xml", "text", "json", "p.json", "0:3", "--"])
+_ARGV_SPELLED = st.sampled_from(_ARGV_OPTIONS + _ARGV_ABBREVIATIONS)
+# an option and its value, and "--opt=value", drawn more often spelled in
+# full, so that many lines are plain
+_ARGV_TOKENS = st.one_of(
+    *[st.tuples(st.sampled_from(_ARGV_OPTIONS), _ARGV_VALUES).map(list)] * 2,
+    *[st.builds("{}={}".format, st.sampled_from(_ARGV_OPTIONS), _ARGV_VALUES).map(
+        lambda token: [token]
+    )] * 2,
+    st.tuples(_ARGV_SPELLED, _ARGV_VALUES).map(list),
+    st.builds("{}={}".format, _ARGV_SPELLED, _ARGV_VALUES).map(lambda token: [token]),
+    # one option twice: argparse checks both values, though the last one wins
+    st.builds(
+        lambda option, first, last: [f"{option}={first}", option, last],
+        st.sampled_from(_ARGV_OPTIONS), _ARGV_VALUES, _ARGV_VALUES,
+    ),
+    st.sampled_from(_ARGV_OPTIONS + _ARGV_ABBREVIATIONS + ["-h", "--help", "--"]).map(
+        lambda token: [token]
+    ),
+    _ARGV_VALUES.map(lambda value: [value]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: a command (or a bogus one), most often first, and up
+    to four options, values, abbreviations, help requests or "--", repeats too."""
+    argv = ["--input", "p.json"] if draw(st.integers(0, 3)) else []
+    for tokens in draw(st.lists(_ARGV_TOKENS, max_size=4)):
+        argv += tokens
+    command = draw(st.sampled_from(["analyze", "exponents", "solve", "verify", "classify", "bogus"]))
+    argv.insert(0 if draw(st.integers(0, 3)) else draw(st.integers(0, len(argv))), command)
+    return argv
+
+
+@settings(max_examples=1500, deadline=None)
+@given(argv=_argvs())
+def test_plain_reader_agrees_with_argparse(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli._parser().parse_args(argv))
+    except SystemExit:
+        expected = None
+    plain = cli._plain(argv)
+    event("read plainly" if plain is not None else "left to argparse")
+    if plain is not None:
+        assert expected is not None, argv  # argparse exits where the reader read
+        assert vars(plain) == expected
 
 
 # -- fuzzed problem files: every run ends with exit 0, 2 or 3 and one line ----

@@ -7,10 +7,11 @@ dataclass's hash does); the repr is ``Name(field=value, ...)``; assigning
 or deleting an attribute raises AttributeError; copy, deepcopy and pickle
 keep every attribute, derived ones too.  ``ProblemSpec`` is the one
 mutable record, and it is unhashable.  Importing the CLI loads no
-``dataclasses``.
+``dataclasses``, and a plain command line loads no ``argparse``.
 """
 
 import copy
+import json
 import os
 import pickle
 import subprocess
@@ -220,3 +221,38 @@ def test_cli_imports_no_dataclasses():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+_ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import gkz1.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    code = cli.main(["analyze", "--input", sys.argv[1]])
+loaded = sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as help_text:
+    try:
+        cli.main(["solve", "-h"])
+    except SystemExit as exc:
+        help_code = exc.code
+solve = cli.build_parser()._subparsers._group_actions[0].choices["solve"]
+print(json.dumps({
+    "analyze": [code, json.loads(report.getvalue())["n"]],
+    "loaded": loaded,
+    "help": [help_code, help_text.getvalue() == solve.format_help()],
+}))
+"""
+
+
+def test_plain_cli_call_imports_no_argparse(tmp_path):
+    # a plain command line is read without argparse, which imports gettext
+    # and locale; a help request in the same process still gets its help
+    problem = tmp_path / "triangle.json"
+    problem.write_text('{"A": [[1, 0], [1, 2], [1, 1]], "beta": [10, 8]}')
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _ARGPARSE_PROBE, str(problem)],
+        env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == {"analyze": [0, 3], "loaded": [], "help": [0, True]}
