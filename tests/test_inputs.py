@@ -20,6 +20,7 @@ import gkz1
 from gkz1 import (
     LatticeConfig,
     LogSeries,
+    apply_box,
     apply_euler,
     apply_euler_row,
     build_config,
@@ -69,6 +70,15 @@ def _series_json(**changes):
     """SERIES_JSON with fields replaced, and with those named None dropped."""
     data = {**SERIES_JSON, **changes}
     return {key: value for key, value in data.items() if value is not None}
+
+
+def _loose(**changes):
+    """SERIES with fields replaced, built by the constructor, which checks nothing."""
+    fields = {
+        "base_exponent": SERIES.base_exponent, "relation": SERIES.relation,
+        "window": SERIES.window, "terms": SERIES.terms, **changes,
+    }
+    return LogSeries(**fields)
 
 
 def _with(points, i, j, x):
@@ -203,6 +213,23 @@ REFUSALS = [
     ("apply_euler", lambda: apply_euler(T, [10, "1/0"], SERIES), InputError,
      "parameter entry 1"),
     ("certify", lambda: certify(T, [None, 8], SERIES), InputError, "parameter entry 0"),
+    # a series built by its constructor: the certificate reads it as make would
+    ("apply_box", lambda: apply_box(T, _loose(window=(0.0, 2.0))), InputError,
+     "window entry 0: expected an integer, got 0.0"),
+    ("apply_euler", lambda: apply_euler(T, [10, 8], _loose(window=(0.0, 2.0))), InputError,
+     "window entry 0"),
+    ("certify", lambda: certify(T, [10, 8], _loose(window=(0, 2.0))), InputError,
+     "window entry 1"),
+    ("apply_box", lambda: apply_box(T, _loose(terms={(0, 0): 0.5})), InputError,
+     "term (0, 0): 0.5 is a float"),
+    ("certify", lambda: certify(T, [10, 8], _loose(terms={(1, 0): "abc"})), InputError,
+     "term (1, 0): cannot parse rational"),
+    ("certify", lambda: certify(T, [10, 8], _loose(terms={(0, True): F(1)})), InputError,
+     "term (0, True) entry 1"),
+    ("apply_euler_row", lambda: apply_euler_row(T, [10, 8], _loose(terms={(0.5, 0): F(1)}), 0),
+     InputError, "term (0.5, 0) entry 0"),
+    ("apply_box", lambda: apply_box(T, _loose(base_exponent=(2, "x", 8))), InputError,
+     "base_exponent entry 1"),
     # a bool is a truth value, not a number, in the library as in the CLI
     ("build_config", lambda: build_config(_with(POINTS, 0, 0, True)), InputError,
      "point 0 entry 0: expected an integer, got True"),
@@ -226,7 +253,6 @@ REFUSALS = [
 
 # Callables of gkz1.__all__ that take no number of their own, with the reason.
 TAKES_NO_NUMBERS = {
-    "apply_box": "a configuration and a series",
     "singularity_type": "a configuration",
     "volume_crosscheck": "a configuration",
     "SingularityType": "an enum of two names",
@@ -322,6 +348,11 @@ SLOTS = {
     "apply_euler_row row": lambda x: apply_euler_row(T, [10, 8], SERIES, x),
     "apply_euler": lambda x: apply_euler(T, [10, x], SERIES),
     "certify": lambda x: certify(T, x, SERIES),
+    # a series built by its constructor, with one junk field
+    "apply_box window": lambda x: apply_box(T, _loose(window=x)),
+    "apply_box base": lambda x: apply_box(T, _loose(base_exponent=x)),
+    "certify coefficient": lambda x: certify(T, [10, 8], _loose(terms={(0, 0): x})),
+    "certify key": lambda x: certify(T, [10, 8], _loose(terms={_key(x): F(1)})),
 }
 
 # The ValueErrors the entry points document, besides the InputErrors.

@@ -1,10 +1,11 @@
 import random
 import re
+import sys
 from fractions import Fraction as F
 from types import ModuleType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import (
@@ -21,7 +22,7 @@ from gkz1 import (
 )
 from gkz1.errors import InputError
 
-from conftest import QUINTIC, random_config, random_nonresonant_beta
+from conftest import GAUSS, QUINTIC, TRIANGLE, random_config, random_nonresonant_beta
 from reference import apply_euler_row_reference, literal_box
 
 
@@ -29,6 +30,25 @@ def corrupt(series: LogSeries, key, value) -> LogSeries:
     terms = dict(series.terms)
     terms[key] = value
     return LogSeries.make(series.base_exponent, series.relation, series.window, terms)
+
+
+def _fractions_built(call) -> int:
+    """How many Fractions call() builds: calls of Fraction.__new__, and of the
+    constructor that Fraction arithmetic uses instead on Python 3.12+."""
+    codes = {F.__new__.__code__, getattr(F, "_from_coprime_ints", F.__new__).__code__}
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        built += event == "call" and frame.f_code in codes
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return built
 
 
 class TestBox:
@@ -164,6 +184,21 @@ class TestCertify:
             assert certify(quintic, bundle.parameter, series).passed
         assert len(calls) == len(bundle.solutions) == 5
 
+    def test_passing_certificate_builds_no_fraction(self, gauss):
+        # integers throughout: a Fraction is built only for a residual entry
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 30)).bundles
+        cases = [(quintic, bundle.parameter, series) for series in bundle.solutions]
+        v = (F(0), F(1), F(-1, 2), F(-1, 3))
+        log_branch = log_solution(gauss, v, (0,) * 4, 1, (-4, 8))
+        cases.append((gauss, (F(-1, 2), F(-1, 3), F(1)), log_branch))
+        for config, beta, series in cases:
+            assert certify(config, beta, series).passed
+            assert _fractions_built(lambda: certify(config, beta, series)) == 0
+        # the count sees the Fractions of a residual
+        broken = corrupt(log_branch, (0, 0), log_branch.coefficient(0) + 1)
+        assert _fractions_built(lambda: certify(gauss, cases[-1][1], broken)) > 0
+
     def test_json_shape(self, triangle):
         phi = phi_series(triangle, (F(2), F(0), F(8)), (0, 0, 0), (), (0, 10))
         data = certify(triangle, [10, 8], phi).to_json_dict()
@@ -229,11 +264,31 @@ def box_cases(draw):
     return config, series, corrupt(series, key, series.coefficient(*key) + bump)
 
 
+def _box_case(points, base, window, terms, key, bump):
+    """A fixed box_cases draw: a series and its copy bumped at key."""
+    config = build_config(points)
+    series = LogSeries.make(base, config.relation, window, terms)
+    return config, series, corrupt(series, key, series.coefficient(*key) + bump)
+
+
 class TestClosedFormBox:
     """The closed-form box against literal derivative passes, report for report."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=box_cases())
+    # the edges of the shifts checked: a column at z = hi only (its bumped
+    # copy adds one at lo), a column at z = lo only, and lo == hi with terms
+    @example(case=_box_case(
+        TRIANGLE, (F(1, 2), F(-1, 3), F(5, 2)), (-1, 2), {(2, 0): F(3), (2, 1): F(-1, 2)},
+        (-1, 0), F(1, 3),
+    ))
+    @example(case=_box_case(
+        GAUSS, (F(0), F(1, 5), F(-1, 2), F(-1, 3)), (0, 3), {(0, 0): F(1), (0, 2): F(2, 3)},
+        (0, 1), F(-4, 5),
+    ))
+    @example(case=_box_case(
+        TRIANGLE, (F(2), F(0), F(8)), (1, 1), {(1, 0): F(1), (1, 1): F(-2)}, (1, 2), F(1),
+    ))
     def test_reports_equal_literal_passes(self, case):
         config, series, perturbed = case
         for s in (series, perturbed):
@@ -401,6 +456,20 @@ class TestOtherGrid:
         plain = LogSeries((F(2), F(0), F(8)), (1, 1, -2), (0, 1), {k: F(c) for k, c in off.items()})
         with pytest.raises(ValueError, match="off its grid"):
             certify(triangle, [10, 8], plain)
+
+    def test_loose_series_read_as_make_reads_it(self, case):
+        # a series built by its constructor, with strings for numbers and lists
+        # for tuples, is certified as the series make builds from the same data
+        config, param, series = case
+        key = (3, 1)
+        for terms in [series.terms, corrupt(series, key, F(1, 2)).terms]:
+            made = LogSeries.make(series.base_exponent, series.relation, series.window, terms)
+            loose = LogSeries(
+                [str(w) for w in series.base_exponent], list(series.relation),
+                list(series.window), {k: str(c) for k, c in terms.items()},
+            )
+            assert certify(config, param, loose) == certify(config, param, made)
+        assert not certify(config, param, loose).passed
 
     def test_relation_as_a_list_still_runs(self, case):
         config, param, series = case
