@@ -2,8 +2,9 @@
 
 Every number entering the package passes rational() or integer(), or fracs() or
 integers() for a list: a float, a bool, what Fraction cannot parse or
-operator.index refuses, or a str for a list raises an InputError that names
-the entry.
+operator.index refuses, or a str for a list raises an InputError that names the
+entry.  window_bounds() reads a window, grid_fields() a series for LogSeries.make
+and the certificate alike.
 
 Matrices are small (a handful of rows and columns), so one Gauss-Jordan
 elimination serves every solve, and it runs on Python ints only.  A row
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Optional, Sequence
 
-from .errors import InputError
+from .errors import EmptyWindow, InputError
 
 Vector = tuple[Fraction, ...]
 
@@ -95,6 +96,34 @@ def pair(values, where: str) -> tuple[int, int]:
     if len(values) != 2:
         raise InputError(f"{where}: expected two integers, got {values!r}")
     return values
+
+
+def window_bounds(window) -> tuple[int, int]:
+    """(lo, hi) as two ints; InputError for another shape, EmptyWindow (also a
+    ValueError) if lo > hi."""
+    lo, hi = pair(window, "window")
+    if lo > hi:
+        raise EmptyWindow(f"window: empty window [{lo}, {hi}]")
+    return lo, hi
+
+
+def grid_fields(base_exponent, relation, window, terms) -> tuple:
+    """(base, relation, (lo, hi), terms, off): a series' fields through fracs,
+    integers and window_bounds, each term's key through pair and coefficient
+    through rational, named term (z, r), and off the first key with r < 0 or z
+    outside [lo, hi], or None.  A dict of Fractions on int keys is kept as it
+    is; terms without .items() are refused."""
+    lo, hi = window = window_bounds(window)
+    if not hasattr(terms, "items"):
+        raise InputError(f"terms: expected a mapping of (z, r) keys, got {terms!r}")
+    try:  # a type test first, as in fracs
+        exact = all(type(c) is Fraction and type(z) is type(r) is int for (z, r), c in terms.items())
+    except (TypeError, ValueError):  # a key that is not a pair
+        exact = False
+    if not exact:
+        terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
+    off = next((key for key in terms if key[1] < 0 or not lo <= key[0] <= hi), None)
+    return fracs(base_exponent, "base_exponent"), integers(relation, "relation"), window, terms, off
 
 
 def _rref(rows: list[list[int]], ncols: int) -> list[int]:

@@ -39,13 +39,13 @@ from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
-from ._linalg import integer, pair, rational
+from ._linalg import integer, pair, rational, window_bounds
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
 from .exponents import exponent_rows
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
-from .series import DEFAULT_WINDOW, solution_bundle, window_bounds
+from .series import DEFAULT_WINDOW, solution_bundle
 from .verify import certify
 
 

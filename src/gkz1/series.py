@@ -29,11 +29,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, perm
 
-from ._linalg import fracs, integer, integers, pair, rational, sequence
+from ._linalg import fracs, grid_fields, integer, integers, pair, sequence, window_bounds
 from ._record import Record
 from .coefficients import _is_excluded, _reciprocal, _times, _times_linear, coefficient_run
 from .errors import (
-    EmptyWindow,
     ExcludedCase,
     HypothesisViolated,
     InputError,
@@ -56,15 +55,6 @@ from .lattice import LatticeConfig, parameter
 DEFAULT_WINDOW = (-10, 20)
 
 
-def window_bounds(window) -> tuple[int, int]:
-    """(lo, hi) as two ints; InputError for another shape, EmptyWindow (also a
-    ValueError) if lo > hi."""
-    lo, hi = pair(window, "window")
-    if lo > hi:
-        raise EmptyWindow(f"window: empty window [{lo}, {hi}]")
-    return lo, hi
-
-
 def _fields(data, where: str, names: tuple) -> list:
     """The values of the named fields of a JSON object, in that order."""
     if not isinstance(data, dict):
@@ -83,19 +73,13 @@ class LogSeries(Record):
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
-        """A series from loose data, every number checked; zeros are dropped.
+        """A series from loose data read by _linalg.grid_fields; zeros are dropped.
 
         Every key (z, r) must lie on the grid: lo <= z <= hi and r >= 0.
         """
-        lo, hi = window = window_bounds(window)
-        terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
-        for z, r in terms:
-            if r < 0 or not lo <= z <= hi:
-                raise InputError(
-                    f"term {(z, r)!r}: off the grid z in [{lo}, {hi}], r >= 0"
-                )
-        base = fracs(base_exponent, "base_exponent")
-        relation = integers(relation, "relation")
+        base, relation, window, terms, off = grid_fields(base_exponent, relation, window, terms)
+        if off is not None:
+            raise InputError(f"term {off!r}: off the grid z in {list(window)}, r >= 0")
         return cls(base, relation, window, {k: c for k, c in terms.items() if c})
 
     def coefficient(self, z: int, r: int = 0) -> Fraction:
@@ -126,12 +110,15 @@ class LogSeries(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LogSeries":
-        """The series to_json_dict wrote; InputError names a missing or malformed field."""
+        """The series to_json_dict wrote; InputError names a bad or repeated field."""
         *head, terms = _fields(data, "series", ("base_exponent", "relation", "window", "terms"))
         keyed = {}
         for i, term in enumerate(sequence(terms, "terms")):
             z, r, coeff = _fields(term, f"terms[{i}]", ("z", "r", "coeff"))
-            keyed[pair((z, r), f"terms[{i}] (z, r)")] = coeff
+            key = pair((z, r), f"terms[{i}] (z, r)")
+            if key in keyed:
+                raise InputError(f"terms[{i}]: repeats the term {key!r}")
+            keyed[key] = coeff
         return cls.make(*head, keyed)
 
 

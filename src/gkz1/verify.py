@@ -31,8 +31,8 @@ An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
 a passing certificate has none of.
 
-This module reads series as data and imports none of the code that builds
-them, so a certificate does not depend on the construction it checks.
+This module reads series through _linalg.grid_fields, as LogSeries.make does,
+and imports no builder, so a certificate does not depend on what it checks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm, perm, prod
 from typing import TYPE_CHECKING
 
-from ._linalg import fracs, integer, pair, rational
+from ._linalg import fracs, grid_fields, integer
 from ._record import Record
 from .lattice import LatticeConfig
 
@@ -85,37 +85,23 @@ def _report(operator, window, safe, residual) -> OperatorReport:
 
 
 def _check_grid(config, series) -> LogSeries:
-    """The series with its window, base exponent and terms read as exact numbers.
-
-    An inexact entry is refused with InputError, as LogSeries.make refuses it; a
-    series on another grid x^(w0 + z*relation) than the operator's, or with a
-    term off its own grid (z outside its window or r < 0), with ValueError.
-    """
-    relation = tuple(series.relation)
+    """The series read by _linalg.grid_fields, as LogSeries.make reads it, or
+    itself when nothing was re-read.  A series on another grid x^(w0 + z*relation)
+    than the operator's, or with a term off its own grid (z outside its window or
+    r < 0), is refused with ValueError."""
+    fields = series.base_exponent, series.relation, series.window, series.terms
+    base, relation, window, terms, off = grid_fields(*fields)
     if relation != config.relation:
         raise ValueError(
             f"series relation {relation} is not the configuration's {config.relation}"
         )
-    base = fracs(series.base_exponent, "base_exponent")
     if len(base) != config.n:
         raise ValueError(
             f"series base exponent has {len(base)} entries,"
             f" the configuration {config.n} columns"
         )
-    lo, hi = window = pair(series.window, "window")
-    terms = series.terms
-    # a type test first, as in fracs; a term that fails it is read as make reads it
-    try:
-        exact = all(
-            type(c) is Fraction and type(z) is type(r) is int for (z, r), c in terms.items()
-        )
-    except (TypeError, ValueError):  # a key that is not a pair
-        exact = False
-    if not exact:
-        terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
-    off = next((key for key in terms if key[1] < 0 or not lo <= key[0] <= hi), None)
     if off is not None:
-        raise ValueError(f"series term {off} is off its grid z in [{lo}, {hi}], r >= 0")
+        raise ValueError(f"series term {off} is off its grid z in {list(window)}, r >= 0")
     if terms is series.terms and base is series.base_exponent and window == series.window:
         return series
     return type(series)(base, relation, window, terms)

@@ -202,6 +202,13 @@ REFUSALS = [
     ("LogSeries",
      lambda: LogSeries.from_json_dict(_series_json(terms=[{"z": 0, "r": "0", "coeff": "1"}])),
      InputError, "terms[0] (z, r) entry 1"),
+    ("LogSeries", lambda: LogSeries.from_json_dict(_series_json(terms=[
+        {"z": 0, "r": 0, "coeff": "1"}, {"z": 0, "r": 0, "coeff": "2"},
+    ])), InputError, "terms[1]: repeats the term (0, 0)"),
+    ("LogSeries", lambda: LogSeries.make([2, 0, 8], (1, 1, -2), (0, 1), [((0, 0), 1)]),
+     InputError, "terms: expected a mapping of (z, r) keys, got [((0, 0), 1)]"),
+    ("LogSeries", lambda: LogSeries.make([2, 0, 8], (1, 1, -2), (0, 1), None), InputError,
+     "terms: expected a mapping of (z, r) keys, got None"),
     ("IntervalSet", lambda: MEMBERSHIP.clip(0, 2.5), InputError, "clip bounds entry 1"),
     ("IntervalSet", lambda: MEMBERSHIP.clip("0", 2), InputError, "clip bounds entry 0"),
     ("apply_euler_row", lambda: apply_euler_row(T, [10, 8.0], SERIES, 1), InputError,
@@ -230,6 +237,29 @@ REFUSALS = [
      InputError, "term (0.5, 0) entry 0"),
     ("apply_box", lambda: apply_box(T, _loose(base_exponent=(2, "x", 8))), InputError,
      "base_exponent entry 1"),
+    # ... and refuses what make refuses: a reversed window, a float relation,
+    # terms that are no mapping
+    ("apply_box", lambda: apply_box(T, _loose(window=(3, 1))), EmptyWindow,
+     "window: empty window [3, 1]"),
+    ("apply_euler", lambda: apply_euler(T, [10, 8], _loose(window=(3, 1))), EmptyWindow,
+     "window: empty window [3, 1]"),
+    ("apply_euler_row", lambda: apply_euler_row(T, [10, 8], _loose(window=(3, 1)), 0),
+     EmptyWindow, "window: empty window [3, 1]"),
+    ("certify", lambda: certify(T, [10, 8], _loose(window=(3, 1))), EmptyWindow,
+     "window: empty window [3, 1]"),
+    ("apply_box", lambda: apply_box(T, _loose(relation=(1.0, 1.0, -2.0))), InputError,
+     "relation entry 0"),
+    ("apply_euler", lambda: apply_euler(T, [10, 8], _loose(relation=(1.0, 1.0, -2.0))),
+     InputError, "relation entry 0"),
+    ("apply_euler_row",
+     lambda: apply_euler_row(T, [10, 8], _loose(relation=(1.0, 1.0, -2.0)), 1),
+     InputError, "relation entry 0"),
+    ("certify", lambda: certify(T, [10, 8], _loose(relation=(1.0, 1.0, -2.0))), InputError,
+     "relation entry 0"),
+    ("certify", lambda: certify(T, [10, 8], _loose(terms=[((0, 0), F(1))])), InputError,
+     "terms: expected a mapping of (z, r) keys, got [((0, 0), Fraction(1, 1))]"),
+    ("certify", lambda: certify(T, [10, 8], _loose(terms=None)), InputError,
+     "terms: expected a mapping of (z, r) keys, got None"),
     # a bool is a truth value, not a number, in the library as in the CLI
     ("build_config", lambda: build_config(_with(POINTS, 0, 0, True)), InputError,
      "point 0 entry 0: expected an integer, got True"),
@@ -336,6 +366,7 @@ SLOTS = {
     "LogSeries.make coefficient": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {(0, 0): x}),
     "LogSeries.make key": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {_key(x): 1}),
     "LogSeries.make key entry": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), {(_key(x), 0): 1}),
+    "LogSeries.make terms": lambda x: LogSeries.make(V, (1, 1, -2), (0, 1), x),
     "LogSeries.from_json_dict": lambda x: LogSeries.from_json_dict(x),
     "LogSeries.from_json_dict terms": lambda x: LogSeries.from_json_dict(_series_json(terms=x)),
     "LogSeries.from_json_dict term": lambda x: LogSeries.from_json_dict(_series_json(terms=[x])),
@@ -353,6 +384,7 @@ SLOTS = {
     "apply_box base": lambda x: apply_box(T, _loose(base_exponent=x)),
     "certify coefficient": lambda x: certify(T, [10, 8], _loose(terms={(0, 0): x})),
     "certify key": lambda x: certify(T, [10, 8], _loose(terms={_key(x): F(1)})),
+    "certify terms": lambda x: certify(T, [10, 8], _loose(terms=x)),
 }
 
 # The ValueErrors the entry points document, besides the InputErrors.

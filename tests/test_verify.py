@@ -199,6 +199,16 @@ class TestCertify:
         broken = corrupt(log_branch, (0, 0), log_branch.coefficient(0) + 1)
         assert _fractions_built(lambda: certify(gauss, cases[-1][1], broken)) > 0
 
+    def test_make_of_a_built_series_builds_no_fraction(self):
+        # make reads a series as the certificate does: a dict of Fractions on
+        # int keys is taken as it is, not rebuilt term by term
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 30)).bundles
+        for series in bundle.solutions:
+            fields = (series.base_exponent, series.relation, series.window, series.terms)
+            assert LogSeries.make(*fields) == series
+            assert _fractions_built(lambda: LogSeries.make(*fields)) == 0
+
     def test_json_shape(self, triangle):
         phi = phi_series(triangle, (F(2), F(0), F(8)), (0, 0, 0), (), (0, 10))
         data = certify(triangle, [10, 8], phi).to_json_dict()
