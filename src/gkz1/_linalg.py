@@ -28,8 +28,10 @@ Vector = tuple[Fraction, ...]
 
 
 def rational(value, where: str) -> Fraction:
-    """value as a Fraction; a float, which holds a binary approximation, and a
-    bool, which is a truth value, are refused."""
+    """value as a Fraction, a Fraction as it is; a float, which holds a binary
+    approximation, and a bool, which is a truth value, are refused."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise InputError(f"{where}: {value!r} is a float, not an exact rational")
     if isinstance(value, bool):

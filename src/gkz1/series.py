@@ -191,13 +191,13 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
         F-_z = prod_{rel[mu] < 0} prod_{i < |rel[mu]|} (w_mu(z) - i + rel[mu]*eps).
 
     C is seeded by _seed at the first shift of each run of consecutive
-    members, and again at a root, a shift where F+_z(0) = 0 and the
-    recurrence does not fix C(z).  Every other shift is one step from the
-    last, dividing by F+_z through its reciprocal series (_reciprocal of
-    gkz1.coefficients).  A log-free C (top = 0) is a Fraction times one
-    reduced ratio per step; otherwise it is one integer row over a running
-    denominator.  Each entry meets one gcd, as its Fraction is built, and
-    the row is divided by the common factor of those gcds, so it stays
+    members, where F+_z is not built, and again at a root, a shift where
+    F+_z(0) = 0 and the recurrence does not fix C(z).  Every other shift is
+    one step from the last, dividing by F+_z through its reciprocal series
+    (_reciprocal of gkz1.coefficients).  A log-free C (top = 0) is a Fraction
+    times one reduced ratio per step; otherwise it is one integer row over a
+    running denominator.  Each entry meets one gcd, as its Fraction is built,
+    and the row is divided by the common factor of those gcds, so it stays
     reduced with no gcd of its own; a zero entry is the int 0.  Before
     anything is built, each column is checked, in index order, at its
     largest l over the members, so ExcludedCase is raised exactly where a
@@ -222,8 +222,9 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
             unscale *= q**-e
     out = {}
     for z in members:
-        a = _linear_factors(plus, z, top)  # scale * F+_z
-        if z - 1 not in out or not a[0]:
+        # scale * F+_z, wanted only after a built z - 1; [0] asks for a seed
+        a = _linear_factors(plus, z, top) if z - 1 in out else [0]
+        if not a[0]:
             num, den = _seed(vec, lift, rel, z, top)
             if not top:
                 c = Fraction(num[0], den)

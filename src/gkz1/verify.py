@@ -25,7 +25,8 @@ Each image is one integer numerator per log degree over one denominator:
 F_z in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), and the
 column over the lcm of its denominators.  For a log-free series F_z is
 F_z(0), whose scaled factors q_mu*(w_mu(z) - i), i < |rel[mu]|, form an
-arithmetic progression of integers, multiplied in one math.prod.
+arithmetic progression of integers, multiplied in one math.prod; each
+column is one Fraction, read as it is, with no grouping.
 
 An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
@@ -113,10 +114,16 @@ def _factors(config, base, side) -> tuple[list[tuple[int, int, int]], int]:
     return factors, prod(q ** abs(e) for _, q, e in factors)
 
 
+def _constant(factors, z) -> int:
+    """F_z(0) times prod_mu q_mu^|rel[mu]|: the scaled factors q*(w_mu(z) - i),
+    i < |rel[mu]|, of a column form an arithmetic progression, one math.prod."""
+    return prod(prod(range(p + q * z * e, p + q * (z * e - abs(e)), -q)) for p, q, e in factors)
+
+
 def _image(factors, den, top, z, column) -> tuple[list[int], int]:
-    """d^ell_side of column z, given as ([(r, n_r)], common) for C(z)[r] = n_r/common:
-    ([m_0, ..., m_top], d) for sum_k (m_k/d) x^(w(z) - ell_side) log^k x0.
-    No column (None) maps to zeros."""
+    """d^ell_side of column z of a series with log terms (top > 0), given as
+    ([(r, n_r)], common) for C(z)[r] = n_r/common: ([m_0, ..., m_top], d) for
+    sum_k (m_k/d) x^(w(z) - ell_side) log^k x0.  No column (None) maps to zeros."""
     if column is None:
         return [0] * (top + 1), 1
     nums, common = column
@@ -124,9 +131,6 @@ def _image(factors, den, top, z, column) -> tuple[list[int], int]:
     f = [1] + [0] * top
     for p, q, e in factors:
         start = p + q * z * e  # the factor's constant at i = 0
-        if not top:
-            f[0] *= prod(range(start, start - q * abs(e), -q))
-            continue
         slope = q * e
         for i in range(abs(e)):
             c = start - q * i
@@ -152,23 +156,32 @@ def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
 
 
 def _box(config, series) -> OperatorReport:
-    """apply_box on a checked series."""
+    """apply_box on a checked series: columns with log terms through _image,
+    a log-free series straight from its Fractions."""
     lo, hi = series.window
     if hi - 1 < lo:
         return _report("box", series.window, None, {})
     base, top = series.base_exponent, series.max_log_degree
     positive = _factors(config, base, config.positive)
     negative = _factors(config, base, config.negative)
-    columns = {}
-    for (z, r), c in series.terms.items():
-        columns.setdefault(z, []).append((r, c))
-    for z, column in columns.items():  # each column over one denominator
-        d = lcm(*(c.denominator for _, c in column))
-        columns[z] = [(r, c.numerator * (d // c.denominator)) for r, c in column], d
+    if top:
+        columns = {}
+        for (z, r), c in series.terms.items():
+            columns.setdefault(z, []).append((r, c))
+        for z, column in columns.items():  # each column over one denominator
+            d = lcm(*(c.denominator for _, c in column))
+            columns[z] = [(r, c.numerator * (d // c.denominator)) for r, c in column], d
+    else:  # log-free: one Fraction per shift
+        columns = {z: c for (z, _), c in series.terms.items()}
     residual = {}
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
-        a, da = _image(*positive, top, z + 1, columns.get(z + 1))
-        b, db = _image(*negative, top, z, columns.get(z))
+        if top:
+            a, da = _image(*positive, top, z + 1, columns.get(z + 1))
+            b, db = _image(*negative, top, z, columns.get(z))
+        else:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0); a missing column is 0/1
+            c1, c0 = columns.get(z + 1, 0), columns.get(z, 0)
+            a, da = [c1.numerator * _constant(positive[0], z + 1)], c1.denominator * positive[1]
+            b, db = [c0.numerator * _constant(negative[0], z)], c0.denominator * negative[1]
         for k, (n, m) in enumerate(zip(a, b)):
             if n * db != m * da:
                 residual[(z, k)] = Fraction(n * db - m * da, da * db)

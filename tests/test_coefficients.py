@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import coefficient_M
@@ -17,6 +17,7 @@ from reference import (
     falling_factorial,
     pochhammer,
 )
+from test_verify import _fractions_built
 
 # sample values covering the regimes: nonnegative integers, positive and
 # negative rationals, and the sigma-1 style parameter from the worked cases
@@ -240,6 +241,33 @@ class TestCoefficientRun:
     def test_float_refused(self):
         with pytest.raises(InputError, match="0.1 is a float"):
             coefficient_run(0.1, [1, 0], 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.one_of(
+            st.integers(min_value=-12, max_value=12).map(F),
+            st.fractions(max_denominator=9, min_value=-12, max_value=12),
+        ),
+        l=st.integers(min_value=-40, max_value=40),
+    )
+    @example(v=F(-7, 3), l=1)  # l > 0 and a negative progression product, -4
+    @example(v=F(-7, 3), l=4)  # -4 * -1 * 2 * 5: positive again
+    @example(v=F(5), l=-3)  # an integral v: 3 * 4 * 5 over 1
+    @example(v=F(2), l=-4)  # a zero product: -1 * 0 * 1 * 2
+    @example(v=F(-3), l=5)  # the excluded strip
+    def test_log_free_seed_builds_no_fraction(self, v, l):
+        # a log-free row is a progression product over a power of q, in
+        # lowest terms as it stands: the reduced Fraction's numerator and
+        # denominator, with no Fraction built on the way
+        if v.denominator == 1 and v < 0 and l > 0 and v + l >= 0:
+            with pytest.raises(ExcludedCase):
+                coefficient_run(v, [l], 0)
+            return
+        expected = coefficient_M_reference(l, 0, v)
+        run = {}
+        assert _fractions_built(lambda: run.update(coefficient_run(v, [l], 0))) == 0
+        assert run == {l: ((expected.numerator,), expected.denominator)}
+        assert type(run[l][0][0]) is int and type(run[l][1]) is int
 
     @settings(max_examples=150, deadline=None)
     @given(case=runs())

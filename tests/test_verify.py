@@ -192,12 +192,16 @@ class TestCertify:
         v = (F(0), F(1), F(-1, 2), F(-1, 3))
         log_branch = log_solution(gauss, v, (0,) * 4, 1, (-4, 8))
         cases.append((gauss, (F(-1, 2), F(-1, 3), F(1)), log_branch))
+        # log-free series, checked from their Fractions: relation (15, -1)
+        pencil = build_config([(1,), (15,)])
+        for bundle in solution_bundle(pencil, [F(1, 7)], window=(-2, 2)).bundles:
+            cases += [(pencil, bundle.parameter, series) for series in bundle.solutions]
         for config, beta, series in cases:
             assert certify(config, beta, series).passed
             assert _fractions_built(lambda: certify(config, beta, series)) == 0
         # the count sees the Fractions of a residual
         broken = corrupt(log_branch, (0, 0), log_branch.coefficient(0) + 1)
-        assert _fractions_built(lambda: certify(gauss, cases[-1][1], broken)) > 0
+        assert _fractions_built(lambda: certify(gauss, (F(-1, 2), F(-1, 3), F(1)), broken)) > 0
 
     def test_make_of_a_built_series_builds_no_fraction(self):
         # make reads a series as the certificate does: a dict of Fractions on
@@ -298,6 +302,21 @@ class TestClosedFormBox:
     ))
     @example(case=_box_case(
         TRIANGLE, (F(2), F(0), F(8)), (1, 1), {(1, 0): F(1), (1, 1): F(-2)}, (1, 2), F(1),
+    ))
+    # the same edges for log-free series, which the box checks from their
+    # Fractions directly: a column at hi only, a column at lo only, and one
+    # coefficient of a solution bumped
+    @example(case=_box_case(
+        TRIANGLE, (F(1, 2), F(-1, 3), F(5, 2)), (-1, 2), {(2, 0): F(3)}, (2, 0), F(1, 3),
+    ))
+    @example(case=_box_case(
+        GAUSS, (F(0), F(1, 5), F(-1, 2), F(-1, 3)), (0, 3), {(0, 0): F(-2, 7)}, (0, 0), F(1),
+    ))
+    @example(case=_box_case(
+        TRIANGLE, (F(1, 2), F(-1, 3), F(5, 2)), (-1, 3),
+        {(-1, 0): F(-2, 189), (0, 0): F(1), (1, 0): F(15, 4), (2, 0): F(-9, 40),
+         (3, 0): F(-81, 896)},
+        (1, 0), F(1, 5),
     ))
     def test_reports_equal_literal_passes(self, case):
         config, series, perturbed = case
