@@ -55,6 +55,7 @@ from .verify import (
     apply_euler,
     apply_euler_row,
     certify,
+    certify_bundle,
 )
 
 __version__ = "0.1.0"
@@ -79,6 +80,7 @@ __all__ = [
     "apply_euler_row",
     "build_config",
     "certify",
+    "certify_bundle",
     "classify",
     "coefficient_M",
     "exponent_set_prime",

@@ -10,10 +10,14 @@ them, goes to build_parser, which alone imports argparse.
 
 Exit codes: 0 success, else the exit_code of the error class, printed with its
 label on one stderr line: 1 internal invariant failure, 2 invalid input,
-3 hypothesis violation (e.g. a resonant parameter passed to classify).
+3 hypothesis violation (e.g. a resonant parameter passed to classify).  A
+stdout closed by its reader (gkz1 ... | head) ends the output with exit 0
+and no traceback: the reader stopped it, and gkz1 did not fail.
 
 solve and verify build one bundle per exponent; a requested degree (--r) is
-read off those bundles by SolutionBundle.solution, never built again.
+read off those bundles by SolutionBundle.solution, never built again, and
+is checked against every bundle before any certificate is made.  Each
+bundle is certified by one verify.certify_bundle call.
 
 Output: the JSON report is exactly ``json.dumps(report, indent=2)``, byte for
 byte, but written by ``_json_text``, not by the standard library: with
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -46,7 +51,7 @@ from .errors import GkzError, InputError
 from .exponents import exponent_rows
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import DEFAULT_WINDOW, solution_bundle
-from .verify import certify
+from .verify import certify_bundle
 
 
 class ProblemSpec(Record):
@@ -269,8 +274,18 @@ def _bundle_report(spec: ProblemSpec):
     return config, beta, _rat_list(shifted), report
 
 
+def _requested(spec: ProblemSpec, report) -> list | None:
+    """The solution of degree spec.r of every bundle, or None when no degree
+    is requested; a degree a bundle lacks raises its error here, before any
+    certificate is made."""
+    if spec.r is None:
+        return None
+    return [bundle.solution(spec.r) for bundle in report.bundles]
+
+
 def cmd_solve(spec: ProblemSpec) -> dict:
     config, beta, shifted, report = _bundle_report(spec)
+    requested = _requested(spec, report)
     out = {
         "beta": _rat_list(beta.beta),
         "parameter": shifted,
@@ -289,44 +304,41 @@ def cmd_solve(spec: ProblemSpec) -> dict:
             "certificates": [_verdict_dict(v) for v in bundle.certificates],
             "solutions": [],
         }
+        if spec.verify:
+            certificates = certify_bundle(config, bundle.parameter, bundle.solutions)
         for degree, series in enumerate(bundle.solutions):
             solution = {"r": degree, "series": series.to_json_dict()}
             if spec.verify:
-                solution["verification"] = certify(
-                    config, bundle.parameter, series
-                ).to_json_dict()
+                solution["verification"] = certificates[degree].to_json_dict()
             entry["solutions"].append(solution)
         out["bundles"].append(entry)
-    if spec.r is not None:
+    if requested is not None:
         out["requested_degree"] = {
             "r": spec.r,
             "solutions": [
-                {
-                    "exponent": _exponent_dict(bundle.exponent),
-                    "series": bundle.solution(spec.r).to_json_dict(),
-                }
-                for bundle in report.bundles
+                {"exponent": _exponent_dict(bundle.exponent), "series": series.to_json_dict()}
+                for bundle, series in zip(report.bundles, requested)
             ],
         }
     return out
 
 
 def cmd_verify(spec: ProblemSpec) -> dict:
-    """The certificate of every solution of the bundles; no series is written."""
+    """The certificate of every solution of the bundles; no series is written.
+    A degree request (--r) fails here exactly as it fails in solve."""
     config, _, shifted, report = _bundle_report(spec)
+    _requested(spec, report)
     checks = [
         {
             "exponent": _rat_list(bundle.exponent.vector),
             "r": degree,
-            "verification": certify(config, bundle.parameter, series).to_json_dict(),
+            "verification": certificate.to_json_dict(),
         }
         for bundle in report.bundles
-        for degree, series in enumerate(bundle.solutions)
+        for degree, certificate in enumerate(
+            certify_bundle(config, bundle.parameter, bundle.solutions)
+        )
     ]
-    if spec.r is not None:
-        # a degree request fails here exactly as it fails in solve
-        for bundle in report.bundles:
-            bundle.solution(spec.r)
     return {
         "parameter": shifted,
         "window": list(spec.window),
@@ -569,10 +581,19 @@ def _run(args) -> int:
     except GkzError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    write = sys.stdout.write
-    for piece in pieces:
-        write(piece)
-    write("\n")
+    try:
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
+        write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (gkz1 ... | head): the reader ended the
+        # output, not an error of gkz1's.  As the signal module's docs advise,
+        # fd 1 goes to devnull, so the flush at exit fails no more.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -32,12 +32,21 @@ An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
 a passing certificate has none of.
 
+certify_bundle certifies a bundle's solutions together.  Solution r is
+r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its term at (z, k) is the
+top solution T's at (z, T-r+k) times r!(T-r+k)!/(k! T!), and so is its box
+residual; its Euler offsets are T's.  Where T passes, each lower solution is
+checked to be that truncation of T, term by term in integers, and then has
+T's certificate; certify runs on T alone.  The weights come from the log
+degrees of the terms and the solutions' places in the bundle.
+
 This module reads series through _linalg.grid_fields, as LogSeries.make does,
 and imports no builder, so a certificate does not depend on what it checks.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm, perm, prod
 from typing import TYPE_CHECKING
@@ -263,3 +272,73 @@ def certify(config: LatticeConfig, param, series: LogSeries) -> Certificate:
     return Certificate(
         box=box, euler=euler, passed=box.passed and all(r.passed for r in euler)
     )
+
+
+def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate, ...]:
+    """The certificates of a bundle's solutions, solutions[r] of log degree r:
+    equal to certify on each, but where the top solution T passes, certify
+    runs on it alone.
+
+    Solution r is r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its term
+    at (z, k) is T's at (z, T-r+k) times r!(T-r+k)!/(k! T!), and its box
+    residual at (z, k) is T's at (z, T-r+k) times the same weight; its Euler
+    offsets are T's.  Where T passes, a solution r < T that has T's base
+    exponent, relation and window (_same), and exactly those terms
+    (_truncation), passes with the same reports, and gets T's certificate.
+    Any other solution, and every solution of a bundle whose top fails, goes
+    through certify itself, so a failure reads as certify reports it.  A
+    one-solution bundle is one certify call.
+    """
+    if len(solutions) == 1:
+        return (certify(config, param, solutions[0]),)
+    if not solutions:
+        return ()
+    t, top = len(solutions) - 1, solutions[-1]
+    certificate = certify(config, param, top)
+    passed = certificate.passed and type(top.terms) is dict
+    degrees = Counter(j for _, j in top.terms) if passed else {}
+    certificates = []
+    for r, series in enumerate(solutions[:t]):
+        if passed and _same(series.base_exponent, top.base_exponent) and _same(
+            series.relation, top.relation
+        ) and _same(series.window, top.window) and _truncation(
+            top.terms, series.terms, t, r, sum(n for j, n in degrees.items() if j >= t - r)
+        ):
+            certificates.append(certificate)
+        else:
+            certificates.append(certify(config, param, series))
+    certificates.append(certificate)
+    return tuple(certificates)
+
+
+def _same(a, b) -> bool:
+    """Whether a field of a series reads as another, certified, one does: the
+    same object, or an equal tuple with entries of the same types (so that
+    an entry 1.0, which the reader refuses, is not taken for 1)."""
+    return a is b or (
+        type(a) is type(b) is tuple and a == b and [*map(type, a)] == [*map(type, b)]
+    )
+
+
+def _truncation(top, terms, t, r, size) -> bool:
+    """Whether terms, those of solution r, are c[(z, k)] = top[(z, t-r+k)] *
+    r!(t-r+k)!/(k! t!) on int keys with k >= 0, with Fraction values, and no
+    others: size is how many terms of top have log degree >= t - r.  The
+    weight is perm(t-r+k, t-r)/perm(t, t-r), cross-multiplied in integers.
+    """
+    if type(terms) is not dict or len(terms) != size:
+        return False
+    d = t - r
+    scale = perm(t, d)
+    for key, c in terms.items():
+        if type(key) is not tuple or len(key) != 2:
+            return False
+        z, k = key
+        if type(z) is not int or type(k) is not int or k < 0 or type(c) is not Fraction:
+            return False
+        a = top.get((z, d + k))
+        if type(a) is not Fraction or (
+            c.numerator * a.denominator * scale != a.numerator * c.denominator * perm(d + k, d)
+        ):
+            return False
+    return True

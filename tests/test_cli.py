@@ -24,6 +24,7 @@ from gkz1.lattice import build_config
 from gkz1.series import LogSeries
 
 from conftest import (
+    QUINTIC,
     random_config,
     random_integral_beta,
     random_nonresonant_beta,
@@ -351,6 +352,15 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--input", triangle_file, "--r", "5")
         assert code == 3
         assert "multiplicity" in err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_refused_degree_certifies_nothing(self, capsys, monkeypatch, triangle_file, command):
+        # the degree is checked against every bundle before any certificate
+        calls = []
+        monkeypatch.setattr(cli, "certify_bundle", lambda *args: calls.append(args))
+        code, out, err = run(capsys, command, "--input", triangle_file, "--r", "5")
+        assert (code, out, calls) == (3, "", [])
+        assert "multiplicity" in err and err.count("\n") == 1
 
 
 class TestVerifyCommand:
@@ -769,6 +779,29 @@ class TestWindowTooWide:
         )
         assert code == 0 and err == ""
         assert json.loads(out)["window"] == [-100000000000000000000, 4]
+
+
+class TestClosedStdout:
+    # a reader that stops early (gkz1 ... | head -c 1) once met a
+    # BrokenPipeError traceback and exit code 1, which means an internal fault
+    @pytest.mark.parametrize("command, problem", [
+        ("exponents", {"A": [[1], [20000]], "beta": ["1/7"]}),  # 8.9 MB of entries
+        ("solve", {"A": [list(p) for p in QUINTIC], "beta": [-1, 0, 0, 0, 0], "window": [0, 100]}),
+    ])
+    def test_exit_code_0_and_no_traceback(self, tmp_path, command, problem):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "gkz1.cli", command, "--input", str(path)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert process.stdout.read(1) == b"{"
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert (process.wait(timeout=120), err) == (0, b"")
 
 
 class TestMalformedProblemFiles:

@@ -25,6 +25,7 @@ from gkz1 import (
     apply_euler_row,
     build_config,
     certify,
+    certify_bundle,
     classify,
     coefficient_M,
     exponent_set_prime,
@@ -232,6 +233,8 @@ REFUSALS = [
     ("apply_euler", lambda: apply_euler(T, [10, "1/0"], SERIES), InputError,
      "parameter entry 1"),
     ("certify", lambda: certify(T, [None, 8], SERIES), InputError, "parameter entry 0"),
+    ("certify_bundle", lambda: certify_bundle(T, [10, 0.5], BUNDLE.solutions), InputError,
+     "parameter entry 1"),
     # a series built by its constructor: the certificate reads it as make would
     ("apply_box", lambda: apply_box(T, _loose(window=(0.0, 2.0))), InputError,
      "window entry 0: expected an integer, got 0.0"),

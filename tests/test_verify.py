@@ -15,6 +15,7 @@ from gkz1 import (
     apply_euler_row,
     build_config,
     certify,
+    certify_bundle,
     log_solution,
     parameter,
     phi_series,
@@ -219,6 +220,173 @@ class TestCertify:
         assert data["passed"] is True
         assert data["box"]["first_failure"] is None
         assert {r["operator"] for r in data["euler"]} == {"euler[0]", "euler[1]"}
+
+
+@st.composite
+def bundle_cases(draw):
+    """A random configuration, a nonresonant parameter and one bundle of its
+    solutions on a window of up to 7 shifts; shrinking goes to the bundle
+    with the most solutions."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    config = random_config(rng)
+    beta = random_nonresonant_beta(rng, config)
+    lo = draw(st.integers(-4, 2))
+    report = solution_bundle(config, beta, window=(lo, lo + draw(st.integers(0, 6))))
+    ranked = sorted(report.bundles, key=lambda b: -len(b.solutions))
+    bundle = draw(st.sampled_from(ranked))
+    return config, bundle.parameter, bundle.solutions
+
+
+def _assert_as_certify(config, param, solutions):
+    """certify_bundle gives, solution by solution, what certify gives."""
+    got = certify_bundle(config, param, solutions)
+    expected = [certify(config, param, s) for s in solutions]
+    assert [c.to_json_dict() for c in got] == [c.to_json_dict() for c in expected]
+    assert [(c.box.residual, [e.residual for e in c.euler]) for c in got] == [
+        (c.box.residual, [e.residual for e in c.euler]) for c in expected
+    ]
+    assert list(got) == expected
+    return got
+
+
+def _corrupted(solutions, r, kind, key=None):
+    """The bundle with solution r changed: a term bumped, dropped or added
+    at key, the window widened, or the base exponent's first entry moved."""
+    s = solutions[r]
+    base, window, terms = s.base_exponent, s.window, dict(s.terms)
+    if kind == "bump":
+        terms[key] = terms.get(key, F(0)) + F(1, 3)
+    elif kind == "drop":
+        del terms[key]
+    elif kind == "add":
+        terms[key] = F(-2, 5)
+    elif kind == "window":
+        window = (window[0], window[1] + 1)
+    else:
+        base = (base[0] + 1, *base[1:])
+    changed = LogSeries(base, s.relation, window, terms)
+    return solutions[:r] + (changed,) + solutions[r + 1:]
+
+
+CORRUPTIONS = ["bump", "drop", "add", "window", "base"]
+
+
+class TestCertifyBundle:
+    @settings(max_examples=120, deadline=None)
+    @given(case=bundle_cases())
+    def test_equals_certify_per_solution(self, case):
+        config, param, solutions = case
+        got = _assert_as_certify(config, param, solutions)
+        assert all(c.passed for c in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=bundle_cases(), data=st.data())
+    def test_corrupted_bundle_equals_certify_per_solution(self, case, data):
+        # a corruption of the top makes every solution go through certify
+        config, param, solutions = case
+        r = data.draw(st.integers(0, len(solutions) - 1), label="r")
+        kind = data.draw(st.sampled_from(CORRUPTIONS), label="kind")
+        terms = solutions[r].terms
+        if kind in ("bump", "drop") and not terms:
+            kind = "add"
+        if kind in ("bump", "drop"):
+            key = data.draw(st.sampled_from(sorted(terms)), label="key")
+        else:
+            lo, hi = solutions[r].window
+            key = data.draw(st.tuples(st.integers(lo, hi), st.integers(0, r + 1)), label="key")
+        if kind == "add" and key in terms:
+            kind = "bump"
+        # a corruption need not fail (a window of one shift checks no box);
+        # the reports must be certify's either way
+        _assert_as_certify(config, param, _corrupted(solutions, r, kind, key))
+
+    def test_every_corruption_of_the_quintic_bundle(self):
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 6)).bundles
+        solutions, top = bundle.solutions, len(bundle.solutions) - 1
+        _assert_as_certify(quintic, bundle.parameter, solutions)
+        for r in range(top + 1):
+            keys = sorted(solutions[r].terms)
+            cases = [("bump", keys[0]), ("bump", keys[-1]), ("drop", keys[0]),
+                     ("drop", keys[-1]), ("add", (6, r + 1)), ("window", None), ("base", None)]
+            for kind, key in cases:
+                broken = _corrupted(solutions, r, kind, key)
+                got = _assert_as_certify(quintic, bundle.parameter, broken)
+                assert sum(not c.passed for c in got) == 1
+
+    def test_lower_solution_read_otherwise(self):
+        # a lower solution whose fields equal the top's but read otherwise,
+        # or are no longer Fractions on int keys, goes through certify
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 4)).bundles
+        s = bundle.solutions[0]
+        variants = [
+            LogSeries(s.base_exponent, list(s.relation), list(s.window), s.terms),
+            LogSeries(s.base_exponent, s.relation, s.window,
+                      {key: str(c) for key, c in s.terms.items()}),
+            LogSeries(s.base_exponent, s.relation, s.window,
+                      {key: int(c) if c.denominator == 1 else c for key, c in s.terms.items()}),
+        ]
+        for variant in variants:
+            _assert_as_certify(quintic, bundle.parameter, (variant, *bundle.solutions[1:]))
+        floats = LogSeries(s.base_exponent, s.relation, (0.0, 4.0), s.terms)
+        with pytest.raises(InputError):
+            certify_bundle(quintic, bundle.parameter, (floats, *bundle.solutions[1:]))
+        # a zero off the grid, at log degree -1, in place of a term: the top's
+        # term at (1, 3) times the weight there, 0, would match it
+        terms = dict(s.terms)
+        del terms[(1, 0)]
+        terms[(1, -1)] = F(0)
+        off = LogSeries(s.base_exponent, s.relation, s.window, terms)
+        for call in (certify, lambda *a: certify_bundle(*a[:2], (a[2], *bundle.solutions[1:]))):
+            with pytest.raises(ValueError, match="off its grid"):
+                call(quintic, bundle.parameter, off)
+
+    def test_box_runs_once_on_a_passing_bundle(self, monkeypatch):
+        import gkz1.verify as verify
+
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 30)).bundles
+        calls = {"_box": 0, "_check_grid": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(verify, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(verify, name, counted)
+        certificates = certify_bundle(quintic, bundle.parameter, bundle.solutions)
+        assert len(certificates) == 5 and all(c.passed for c in certificates)
+        assert calls == {"_box": 1, "_check_grid": 1}
+        # series read back from JSON share no field with each other, but
+        # their fields are equal tuples of the same types
+        read = tuple(LogSeries.from_json_dict(s.to_json_dict()) for s in bundle.solutions)
+        assert certify_bundle(quintic, bundle.parameter, read) == certificates
+        assert calls == {"_box": 2, "_check_grid": 2}
+
+    def test_one_solution_bundle_is_one_certify(self, monkeypatch):
+        import gkz1.verify as verify
+
+        pencil = build_config([(1,), (15,)])
+        (bundle, *_) = solution_bundle(pencil, [F(1, 7)], window=(-2, 2)).bundles
+        calls = []
+        check = verify._check_grid
+        monkeypatch.setattr(verify, "_check_grid", lambda *a: calls.append(a) or check(*a))
+        certify_ = verify.certify
+        monkeypatch.setattr(verify, "certify", lambda *a: calls.append(a) or certify_(*a))
+        (certificate,) = certify_bundle(pencil, bundle.parameter, bundle.solutions)
+        assert certificate.passed and len(calls) == 2
+        assert certify_bundle(pencil, bundle.parameter, ()) == ()
+
+    def test_passing_bundle_builds_no_fraction(self, gauss):
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 30)).bundles
+        cases = [(quintic, bundle.parameter, bundle.solutions)]
+        beta = (F(-1, 2), F(-1, 3), F(1))  # sigma = 2: a bundle of two solutions
+        cases += [(gauss, b.parameter, b.solutions)
+                  for b in solution_bundle(gauss, beta, window=(-4, 8)).bundles]
+        assert max(len(solutions) for _, _, solutions in cases[1:]) == 2
+        for config, param, solutions in cases:
+            assert all(c.passed for c in certify_bundle(config, param, solutions))
+            assert _fractions_built(lambda: certify_bundle(config, param, solutions)) == 0
 
 
 class TestSafeWindowSoundness:
