@@ -20,16 +20,20 @@ is checked against every bundle before any certificate is made.  Each
 bundle is certified by one verify.certify_bundle call.
 
 Output: the JSON report is exactly ``json.dumps(report, indent=2)``, byte for
-byte, but written by ``_json_text``, not by the standard library: with
+byte, and --format text is its _render_text, the same report's lines.  analyze and classify
+build a dict, written by ``_json_text``, not by the standard library: with
 ``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
-about one generator step per token.  Reports hold only dicts with str keys,
-lists, tuples, str, int, bool and None; a float or a non-str key is refused
-with TypeError.  The exponents report is no dict: cmd_exponents makes one
-pass over the integer keys of the parameter's line and fills one template
-per exponent, each coordinate a "p/q" string made from its numerator with
-one gcd.  The pass checks the count law after its last key, so a refusal
-prints nothing; then the entries are written one by one, and a normalized
-exponent's entry is its fake entry's text, written again.
+about one generator step per token.  The other reports are no dict.  Each
+record kind, from the bundle report down to a series term and an operator
+report, has one JSON template and one text template in _FORMS, filled with
+%; the record's place in the report only shifts its lines.  cmd_exponents
+makes one pass over the integer keys of the parameter's line and fills one
+exponent template per exponent, each coordinate a "p/q" string made from its
+numerator with one gcd; the pass checks the count law after its last key.
+cmd_solve and cmd_verify build every bundle and check --r first; then solve
+certifies, writes and drops one bundle at a time, and verify, whose
+all_passed comes first, certifies every bundle and writes one piece per
+bundle.  So a refusal prints nothing, and no report is held whole.
 """
 
 from __future__ import annotations
@@ -148,24 +152,6 @@ def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def _exponent_dict(exp) -> dict:
-    return {
-        "vector": _rat_list(exp.vector),
-        "labels": [list(label) for label in exp.labels],
-        "m_support": sorted(exp.m_support),
-        "multiplicity": len(exp.m_support),
-    }
-
-
-def _verdict_dict(verdict) -> dict:
-    return {
-        "indices": sorted(verdict.indices),
-        "lift": list(verdict.lift),
-        "minimal": verdict.minimal,
-        "membership": [list(iv) for iv in verdict.membership.intervals],
-    }
-
-
 def cmd_analyze(spec: ProblemSpec) -> dict:
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
@@ -190,20 +176,190 @@ def cmd_analyze(spec: ProblemSpec) -> dict:
     }
 
 
-# The two forms of an exponents entry, JSON and --format text: the template
-# of one entry (its vector, its labels, then its m_support and multiplicity),
-# the separator of the vector's strings, the template of one label and the
-# separator of labels.  Coordinates are "p/q" digit strings, which JSON and
-# repr quote as they are.  A JSON entry starts with the "," that follows
-# the entry before it.
-_JSON_FORM = (
-    ',\n    {\n      "vector": [\n        "%s"\n      ],\n      "labels": [\n        %s\n      ],'
-    '\n      "m_support": %s\n    }',
-    '",\n        "',
-    "[\n          %d,\n          %d\n        ]",
-    ",\n        ",
-)
-_TEXT_FORM = ("\n  vector: ['%s']\n  labels: [%s]\n  m_support: %s\n  -", "', '", "[%d, %d]", ", ")
+# The solve, verify and exponents reports are written from the records, one
+# template per record kind: its JSON text at depth 0, then its --format text
+# lines at indent 0, each line after its newline.  _form moves a template to
+# a record's place, shifting each line by the record's pad; a record's pad
+# grows by two spaces for a field's value and by _STEP for a list's item.
+_FORMS = {
+    "solve": (
+        '{\n  "beta": %s,\n  "parameter": %s,\n  "window": %s,\n  "expected_total": %d,'
+        '\n  "total_solutions": %d,\n  "complete": %s,\n  "bundles": ',
+        "beta: %s\nparameter: %s\nwindow: %s\nexpected_total: %d\ntotal_solutions: %d"
+        "\ncomplete: %s\nbundles:",
+    ),
+    "requested": (
+        ',\n  "requested_degree": {\n    "r": %d,\n    "solutions": ',
+        "\nrequested_degree:\n  r: %d\n  solutions:",
+    ),
+    "verify": (
+        '{\n  "parameter": %s,\n  "window": %s,\n  "all_passed": %s,\n  "checks": ',
+        "parameter: %s\nwindow: %s\nall_passed: %s\nchecks:",
+    ),
+    "bundle": (
+        '{\n  "exponent": %s,\n  "lift": %s,\n  "phi_empty": %s,\n  "hypothesis_failures": %s,'
+        '\n  "certificates": %s,\n  "solutions": %s\n}',
+        "\nexponent:%s\nlift: %s\nphi_empty: %s\nhypothesis_failures: %s\ncertificates:%s"
+        "\nsolutions:%s",
+    ),
+    # an exponent's vector, labels, then its m_support and multiplicity
+    # (support); the separator of the vector's "p/q" strings, one label and
+    # the separator of labels
+    "exponent": (
+        '{\n  "vector": [\n    "%s"\n  ],\n  "labels": [\n    %s\n  ],\n  "m_support": %s\n}',
+        "\nvector: ['%s']\nlabels: [%s]\nm_support: %s",
+    ),
+    "support": ('%s,\n  "multiplicity": %d', "%s\nmultiplicity: %d"),
+    "vector": ('",\n    "', "', '"),
+    "label": ("[\n      %d,\n      %d\n    ]", "[%d, %d]"),
+    "labels": (",\n    ", ", "),
+    "verdict": (
+        '{\n  "indices": %s,\n  "lift": %s,\n  "minimal": %s,\n  "membership": %s\n}',
+        "\nindices: %s\nlift: %s\nminimal: %s\nmembership: %s",
+    ),
+    # a solution's degree and series, then its verification if it has one
+    "solution": ('{\n  "r": %d,\n  "series": %s%s\n}', "\nr: %d\nseries:%s%s"),
+    "verification": (',\n  "verification": %s', "\nverification:%s"),
+    "requested solution": ('{\n  "exponent": %s,\n  "series": %s\n}', "\nexponent:%s\nseries:%s"),
+    "check": (
+        '{\n  "exponent": %s,\n  "r": %d,\n  "verification": %s\n}',
+        "\nexponent: %s\nr: %d\nverification:%s",
+    ),
+    "series": (
+        '{\n  "base_exponent": %s,\n  "relation": %s,\n  "window": %s,\n  "terms": %s\n}',
+        "\nbase_exponent: %s\nrelation: %s\nwindow: %s\nterms:%s",
+    ),
+    "term": ('{\n  "z": %d,\n  "r": %d,\n  "coeff": "%s"\n}', "\nz: %d\nr: %d\ncoeff: %s"),
+    "certificate": (
+        '{\n  "passed": %s,\n  "box": %s,\n  "euler": %s\n}', "\npassed: %s\nbox:%s\neuler:%s"
+    ),
+    "operator": (
+        '{\n  "operator": "%s",\n  "safe_window": %s,\n  "passed": %s,\n  "first_failure": %s\n}',
+        "\noperator: %s\nsafe_window: %s\npassed: %s\nfirst_failure:%s",
+    ),
+    "failure": ('{\n  "z": %d,\n  "r": %d,\n  "residual": "%s"\n}', "\nz: %d\nr: %d\nresidual: %s"),
+    "null": ("null", " None"),
+    "end": ("\n}", ""),
+    "requested end": ("\n  }\n}", ""),
+    "exponents": ('{\n  "beta": %s,\n  "fake_exponents": [', "beta: %s\nfake_exponents:"),
+    "prime exponents": ('\n  ],\n  "prime_exponents": [', "\nprime_exponents:"),
+    "exponents end": (
+        '\n  ],\n  "multiplicity_sum": %d,\n  "relation_sum": %d\n}',
+        "\nmultiplicity_sum: %d\nrelation_sum: %d",
+    ),
+}
+
+
+_STEP = ("    ", "  ")  # what a list's item adds to its record's pad: JSON nests it
+_BOOLS = (("false", "true"), ("False", "True"))
+
+
+def _form(kind: str, pad: str, text: bool) -> str:
+    return _FORMS[kind][text].replace("\n", "\n" + pad)
+
+
+def _leaf(value, pad: str, text: bool) -> str:
+    """A field's value that holds no record, in a record at pad: None, or a
+    list of ints, None and "p/q" strings, or of such lists.  In text, its
+    repr; in JSON, a flat list is its repr with one entry per line, double
+    quotes and null, as no entry is a string holding a quote, ", " or None."""
+    if text:
+        return str(value)
+    if not value:
+        return "null" if value is None else "[]"
+    sep = "\n" + pad + "    "
+    if type(value[0]) is list:
+        items = ("," + sep).join([_leaf(x, pad + "  ", text) for x in value])
+    else:
+        items = str(value)[1:-1].replace(", ", "," + sep).replace("'", '"').replace("None", "null")
+    return "[" + sep + items + "\n" + pad + "  ]"
+
+
+def _pieces(head: str, groups, pad: str, text: bool, tail: str):
+    """head, then the records' texts of each group as one piece, then tail:
+    the items of a list field of a record at pad, each at pad + _STEP[text],
+    in JSON brackets or each followed by a "-" line.  A group is made only
+    when its piece is asked for."""
+    inner = "\n" + pad + ("  -" if text else "    ")
+    if text:
+        first, sep, close = "", inner, inner
+    else:
+        first, sep, close = "[" + inner, "," + inner, "\n" + pad + "  ]"
+    yield head
+    lead = first
+    for texts in groups:
+        if texts:
+            yield lead + sep.join(texts)
+            lead = sep
+    yield (close if lead is sep else " []" if text else "[]") + tail
+
+
+def _items(texts: list, pad: str, text: bool) -> str:
+    return "".join(_pieces("", (texts,), pad, text, ""))
+
+
+def _exponent(exp, pad: str, text: bool) -> str:
+    return _form("exponent", pad, text) % (
+        _form("vector", pad, text).join(map(str, exp.vector)),
+        _form("labels", pad, text).join(map(_form("label", pad, text).__mod__, exp.labels)),
+        _form("support", pad, text) % (_leaf(sorted(exp.m_support), pad, text), len(exp.m_support)),
+    )
+
+
+def _series(series, pad: str, text: bool) -> str:
+    term = _form("term", pad + _STEP[text], text)
+    return _form("series", pad, text) % (
+        _leaf(_rat_list(series.base_exponent), pad, text),
+        _leaf(list(series.relation), pad, text),
+        _leaf(list(series.window), pad, text),
+        _items([term % (z, r, c) for (z, r), c in sorted(series.terms.items())], pad, text),
+    )
+
+
+def _certificate(certificate, pad: str, text: bool) -> str:
+    def operator(report, pad):
+        failure = report.first_failure
+        return _form("operator", pad, text) % (
+            report.operator,
+            _leaf(list(report.safe_window) if report.safe_window else None, pad, text),
+            _BOOLS[text][report.passed],
+            _form("failure", pad + "  ", text) % failure if failure else _FORMS["null"][text],
+        )
+
+    return _form("certificate", pad, text) % (
+        _BOOLS[text][certificate.passed],
+        operator(certificate.box, pad + "  "),
+        _items([operator(row, pad + _STEP[text]) for row in certificate.euler], pad, text),
+    )
+
+
+def _bundle(bundle, certificates, pad: str, text: bool) -> str:
+    """A bundle's entry; certificates is None where nothing is verified."""
+    inner = pad + _STEP[text]
+    verdict, solution = _form("verdict", inner, text), _form("solution", inner, text)
+    verification = _form("verification", inner, text)
+    return _form("bundle", pad, text) % (
+        _exponent(bundle.exponent, pad + "  ", text),
+        _leaf(list(bundle.lift), pad, text),
+        _BOOLS[text][bundle.phi_empty],
+        _leaf(list(map(sorted, bundle.hypothesis_failures)), pad, text),
+        _items([
+            verdict % (
+                _leaf(sorted(v.indices), inner, text), _leaf(list(v.lift), inner, text),
+                _BOOLS[text][v.minimal],
+                _leaf(list(map(list, v.membership.intervals)), inner, text),
+            )
+            for v in bundle.certificates
+        ], pad, text),
+        _items([
+            solution % (
+                r, _series(series, inner + "  ", text),
+                "" if certificates is None
+                else verification % _certificate(certificates[r], inner + "  ", text),
+            )
+            for r, series in enumerate(bundle.solutions)
+        ], pad, text),
+    )
 
 
 def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
@@ -211,51 +367,51 @@ def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
     the report's _render_text when text is set.
 
     One pass over the fake keys of the parameter's line (exponent_rows)
-    fills one template per exponent, each coordinate the "p/q" string of
-    its numerator over den, reduced by one gcd as str(Fraction) writes it.
-    A normalized exponent is a fake one, so its entry is the fake's text.
-    The pass checks the count law after its last key, so a refusal comes
-    before any piece.  The pieces are written one by one, never joined.
+    fills one exponent template per exponent, each coordinate the "p/q"
+    string of its numerator over den, reduced by one gcd as str(Fraction)
+    writes it.  A normalized exponent is a fake one, so its entry is the
+    fake's text.  The pass checks the count law after its last key, so a
+    refusal comes before any piece.  The pieces are written one by one,
+    never joined.
     """
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     den = beta.line.den
-    entry, vector_sep, label, label_sep = _TEXT_FORM if text else _JSON_FORM
-    tails: dict = {}  # m_support -> its text, then the multiplicity's
+    pad = _STEP[text]  # the entries are items of a list field of the report
+    form, support_form, vector_sep, label, label_sep = (
+        _form(kind, pad, text) for kind in ("exponent", "support", "vector", "label", "labels")
+    )
+    # JSON entries open with the comma after the entry before; text ones end
+    # with their "-" line
+    form = form + "\n  -" if text else ",\n    " + form
+    supports: dict = {}  # m_support -> its text, and the multiplicity's
     fakes, primes = [], []
     for nums, labels, support, normalized in exponent_rows(beta.line):
-        tail = tails.get(support)
-        if tail is None:
-            listed = sorted(support)
-            tail = tails[support] = (
-                f"{listed}\n  multiplicity: {len(listed)}" if text
-                else f'{_json_text(listed, 3)},\n      "multiplicity": {len(listed)}'
+        shown = supports.get(support)
+        if shown is None:
+            shown = supports[support] = support_form % (
+                _leaf(sorted(support), pad, text), len(support)
             )
-        piece = entry % (
+        piece = form % (
             vector_sep.join([
                 str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
                 for x in nums
             ]),
             label_sep.join([label % pair for pair in labels]),
-            tail,
+            shown,
         )
         fakes.append(piece)
         if normalized:
             primes.append(piece)
     # exponent_rows has checked that the multiplicities sum to the relation's,
-    # so neither list is empty
-    total, shown = config.positive_sum, _rat_list(beta.beta)
-    if text:
-        return chain(
-            (f"beta: {shown}\nfake_exponents:",), fakes, ("\nprime_exponents:",), primes,
-            (f"\nmultiplicity_sum: {total}\nrelation_sum: {total}",),
-        )
+    # so neither list is empty; the first JSON entry drops its comma
+    total, first = config.positive_sum, not text
     return chain(
-        (f'{{\n  "beta": {_json_text(shown, 1)},\n  "fake_exponents": [', fakes[0][1:]),
+        (_FORMS["exponents"][text] % _leaf(_rat_list(beta.beta), "", text), fakes[0][first:]),
         islice(fakes, 1, None),
-        ('\n  ],\n  "prime_exponents": [', primes[0][1:]),
+        (_FORMS["prime exponents"][text], primes[0][first:]),
         islice(primes, 1, None),
-        (f'\n  ],\n  "multiplicity_sum": {total},\n  "relation_sum": {total}\n}}',),
+        (_FORMS["exponents end"][text] % (total, total),),
     )
 
 
@@ -283,68 +439,65 @@ def _requested(spec: ProblemSpec, report) -> list | None:
     return [bundle.solution(spec.r) for bundle in report.bundles]
 
 
-def cmd_solve(spec: ProblemSpec) -> dict:
+def cmd_solve(spec: ProblemSpec, text: bool):
+    """The solve report in pieces, one per bundle, each bundle certified as
+    its piece is made.  Every bundle is built, and a requested degree read
+    off each, before the first piece."""
     config, beta, shifted, report = _bundle_report(spec)
     requested = _requested(spec, report)
-    out = {
-        "beta": _rat_list(beta.beta),
-        "parameter": shifted,
-        "window": list(spec.window),
-        "expected_total": report.expected_total,
-        "total_solutions": report.total_solutions,
-        "complete": report.complete,
-        "bundles": [],
-    }
-    for bundle in report.bundles:
-        entry = {
-            "exponent": _exponent_dict(bundle.exponent),
-            "lift": list(bundle.lift),
-            "phi_empty": bundle.phi_empty,
-            "hypothesis_failures": [sorted(s) for s in bundle.hypothesis_failures],
-            "certificates": [_verdict_dict(v) for v in bundle.certificates],
-            "solutions": [],
-        }
-        if spec.verify:
-            certificates = certify_bundle(config, bundle.parameter, bundle.solutions)
-        for degree, series in enumerate(bundle.solutions):
-            solution = {"r": degree, "series": series.to_json_dict()}
-            if spec.verify:
-                solution["verification"] = certificates[degree].to_json_dict()
-            entry["solutions"].append(solution)
-        out["bundles"].append(entry)
-    if requested is not None:
-        out["requested_degree"] = {
-            "r": spec.r,
-            "solutions": [
-                {"exponent": _exponent_dict(bundle.exponent), "series": series.to_json_dict()}
-                for bundle, series in zip(report.bundles, requested)
-            ],
-        }
-    return out
+    pad = _STEP[text]
+    head = _form("solve", "", text) % (
+        _leaf(_rat_list(beta.beta), "", text), _leaf(shifted, "", text),
+        _leaf(list(spec.window), "", text), report.expected_total, report.total_solutions,
+        _BOOLS[text][report.complete],
+    )
+    bundles = (
+        [_bundle(
+            b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None, pad, text
+        )]
+        for b in report.bundles
+    )
+    if requested is None:
+        return _pieces(head, bundles, "", text, _FORMS["end"][text])
+    item = "  " + pad  # a requested solution, in the requested_degree record
+    solution = _form("requested solution", item, text)
+    return chain(_pieces(head, bundles, "", text, ""), _pieces(
+        _form("requested", "", text) % spec.r,
+        (
+            [solution % (_exponent(b.exponent, item + "  ", text), _series(s, item + "  ", text))]
+            for b, s in zip(report.bundles, requested)
+        ),
+        "  ", text, _FORMS["requested end"][text],
+    ))
 
 
-def cmd_verify(spec: ProblemSpec) -> dict:
-    """The certificate of every solution of the bundles; no series is written.
-    A degree request (--r) fails here exactly as it fails in solve."""
+def cmd_verify(spec: ProblemSpec, text: bool):
+    """The certificate of every solution of the bundles, in pieces, one per
+    bundle; no series is written.  all_passed comes first, so every bundle is
+    certified before the first piece.  A degree request (--r) fails here
+    exactly as it fails in solve."""
     config, _, shifted, report = _bundle_report(spec)
     _requested(spec, report)
-    checks = [
-        {
-            "exponent": _rat_list(bundle.exponent.vector),
-            "r": degree,
-            "verification": certificate.to_json_dict(),
-        }
+    certified = [
+        (bundle, certify_bundle(config, bundle.parameter, bundle.solutions))
         for bundle in report.bundles
-        for degree, certificate in enumerate(
-            certify_bundle(config, bundle.parameter, bundle.solutions)
-        )
     ]
-    return {
-        "parameter": shifted,
-        "window": list(spec.window),
-        "all_passed": all(c["verification"]["passed"] for c in checks),
-        "checks": checks,
-    }
+    pad = _STEP[text]
+    check = _form("check", pad, text)
+    head = _form("verify", "", text) % (
+        _leaf(shifted, "", text), _leaf(list(spec.window), "", text),
+        _BOOLS[text][all(c.passed for _, certificates in certified for c in certificates)],
+    )
+    return _pieces(head, (
+        [
+            check % (
+                _leaf(_rat_list(bundle.exponent.vector), pad, text), r,
+                _certificate(c, pad + "  ", text),
+            )
+            for r, c in enumerate(certificates)
+        ]
+        for bundle, certificates in certified
+    ), "", text, _FORMS["end"][text])
 
 
 def cmd_classify(spec: ProblemSpec) -> dict:
@@ -354,12 +507,9 @@ def cmd_classify(spec: ProblemSpec) -> dict:
 
 
 # the commands whose report is a dict, written by _json_text or _render_text
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "classify": cmd_classify,
-}
+_COMMANDS = {"analyze": cmd_analyze, "classify": cmd_classify}
+# the commands that write their report in pieces, from its records
+_WRITERS = {"exponents": cmd_exponents, "solve": cmd_solve, "verify": cmd_verify}
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -383,86 +533,48 @@ def _json_text(report, depth: int = 0) -> str:
     """``json.dumps(report, indent=2)``, without the pure-Python encoder; at a
     depth above 0, the text of a value nested that deep in a report.
 
-    One recursive pass appends the text of each value to one list, joined
-    once at the end.  The newline-plus-indent string of each depth is made
-    once per call.  A dict's str and int values are written inline, and a
-    list of only str or only int is one join over the C string encoder or
-    ``int.__repr__``.  bool is tested before int, as ``json`` does.  Floats
-    and non-str keys raise TypeError: reports carry rationals as "p/q"
-    strings.
+    A dict's str and int values, and a list of only str or only int, are
+    written by the C string encoder or ``int.__repr__`` with no call of
+    their own.  bool is tested before int, as ``json`` does.  Floats and
+    non-str keys raise TypeError: reports carry rationals as "p/q" strings.
     """
-    out: list[str] = []
-    write = out.append
-    newlines = ["\n"]  # newlines[depth]: a line break, then the depth's indent
+    return _json_value(report, "\n" + "  " * depth)
 
-    def indents(depth: int) -> list[str]:
-        while len(newlines) <= depth:
-            newlines.append(newlines[-1] + "  ")
-        return newlines
 
-    def put(value, depth: int) -> None:
-        if isinstance(value, dict):
-            if not value:
-                write("{}")
-                return
-            inner = indents(depth + 1)[depth + 1]
-            sep = "{" + inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                head = sep + _encode_str(key) + ": "
-                kind = type(item)
-                if kind is str:
-                    write(head + _encode_str(item))
-                elif kind is int:
-                    write(head + int.__repr__(item))
-                else:
-                    write(head)
-                    put(item, depth + 1)
-                sep = "," + inner
-            write(newlines[depth] + "}")
-            return
-        if isinstance(value, (list, tuple)):
-            if not value:
-                write("[]")
-                return
-            inner = indents(depth + 1)[depth + 1]
-            first = type(value[0])
-            if first is str and all(type(x) is str for x in value):
-                items = ("," + inner).join(map(_encode_str, value))
-            elif first is int and all(type(x) is int for x in value):
-                items = ("," + inner).join(map(int.__repr__, value))
-            else:
-                sep = "[" + inner
-                for item in value:
-                    write(sep)
-                    put(item, depth + 1)
-                    sep = "," + inner
-                write(newlines[depth] + "]")
-                return
-            write("[" + inner + items + newlines[depth] + "]")
-            return
-        if isinstance(value, str):
-            write(_encode_str(value))
-        elif value is None:
-            write("null")
-        elif value is True:
-            write("true")
-        elif value is False:
-            write("false")
-        elif isinstance(value, int):
-            write(int.__repr__(value))
+def _json_value(value, nl: str) -> str:
+    """The JSON text of value, nested where nl, a newline, then its indent."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            kind = type(item)
+            items.append(_encode_str(key) + ": " + (
+                _encode_str(item) if kind is str
+                else int.__repr__(item) if kind is int else _json_value(item, inner)
+            ))
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        first = type(value[0])
+        if first is str and all(type(x) is str for x in value):
+            items = map(_encode_str, value)
+        elif first is int and all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
         else:
-            raise TypeError(
-                f"Object of type {type(value).__name__} is not JSON serializable"
-            )
-
-    indents(depth)
-    try:
-        put(report, depth)
-        return "".join(out)
-    finally:
-        del put  # put refers to itself; free it, and the list it fills, now
+            items = [_json_value(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def build_parser():
@@ -496,7 +608,7 @@ def build_parser():
 _parser = functools.cache(build_parser)  # the process's one parser, built when first needed
 
 
-_COMMAND_NAMES = frozenset(_COMMANDS) | {"exponents"}
+_COMMAND_NAMES = frozenset(_COMMANDS) | frozenset(_WRITERS)
 # the options that take a value, by spelling, and their namespace names
 _VALUED = {
     "--input": "input", "--window": "window", "--u": "u", "--lift": "lift",
@@ -573,8 +685,8 @@ def _run(args) -> int:
     text = args.format == "text"
     try:
         spec = _apply_overrides(load_problem(args.input), args)
-        if args.command == "exponents":
-            pieces = cmd_exponents(spec, text)
+        if args.command in _WRITERS:
+            pieces = _WRITERS[args.command](spec, text)
         else:
             report = _COMMANDS[args.command](spec)
             pieces = (_render_text(report) if text else _json_text(report),)

@@ -48,7 +48,16 @@ arithmetic with the route it checks:
   numbers off the log-free parts of the solutions of log degree 0, 1 and 2,
   with the exact power series helpers ``series_*``, so the builder's
   degree-1 and degree-2 coefficients meet numbers known from enumerative
-  geometry.
+  geometry;
+- ``indicial_classes_reference`` finds the roots of the indicial polynomial
+  of the relation line, from a point of the line that a row reduction finds,
+  and counts them by class mod Z; ``line_class`` reads an exponent's class
+  on that line.  With neither the exponent code's keys nor its labels, they
+  check the bundles that ``exponent_set_prime`` makes;
+- ``solve_report_reference`` and ``verify_report_reference`` build the
+  ``gkz1 solve`` and ``gkz1 verify`` reports as dicts, from the records'
+  ``to_json_dict`` and one ``certify`` per solution, where the CLI fills one
+  template per record and certifies a bundle at once.
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
@@ -80,7 +89,7 @@ from gkz1 import (
 from gkz1._linalg import Vector, fracs
 from gkz1.errors import ExcludedCase, NotNonresonant
 from gkz1.exponents import exponent_vector
-from gkz1.verify import OperatorReport
+from gkz1.verify import OperatorReport, certify
 
 
 class DegreeTooLarge(ValueError):
@@ -811,3 +820,124 @@ def mirror_map_and_instantons(f0, f1, f2, kappa) -> tuple[list[Fraction], list[F
     for m in range(1, len(f0)):
         n[m] = (y[m] - sum(n[d] * d**3 for d in n if m % d == 0)) / m**3
     return q[1:], list(n.values())
+
+
+# -- the solve and verify reports, as dicts built from the records' to_json_dict
+
+
+def _exponent_dict(exp) -> dict:
+    return {
+        "vector": [str(x) for x in exp.vector],
+        "labels": [list(label) for label in exp.labels],
+        "m_support": sorted(exp.m_support),
+        "multiplicity": len(exp.m_support),
+    }
+
+
+def _verdict_dict(verdict) -> dict:
+    return {
+        "indices": sorted(verdict.indices),
+        "lift": list(verdict.lift),
+        "minimal": verdict.minimal,
+        "membership": [list(iv) for iv in verdict.membership.intervals],
+    }
+
+
+def _reported_parameter(beta, report) -> list[str]:
+    shifted = report.bundles[0].parameter if report.bundles else beta
+    return [str(x) for x in shifted]
+
+
+def solve_report_reference(config, beta, report, window, r=None, verify=True) -> dict:
+    """What ``gkz1 solve`` prints for the BundleReport report of the parameter
+    beta (Fractions), as the dict whose ``json.dumps(..., indent=2)`` and
+    ``cli._render_text`` are its two formats.  Each solution is certified by
+    ``certify`` on its own, and a requested degree r read by
+    ``SolutionBundle.solution``, which raises where the command refuses."""
+    out = {
+        "beta": [str(x) for x in beta],
+        "parameter": _reported_parameter(beta, report),
+        "window": list(window),
+        "expected_total": report.expected_total,
+        "total_solutions": report.total_solutions,
+        "complete": report.complete,
+        "bundles": [],
+    }
+    for bundle in report.bundles:
+        solutions = []
+        for degree, series in enumerate(bundle.solutions):
+            solution = {"r": degree, "series": series.to_json_dict()}
+            if verify:
+                certificate = certify(config, bundle.parameter, series)
+                solution["verification"] = certificate.to_json_dict()
+            solutions.append(solution)
+        out["bundles"].append({
+            "exponent": _exponent_dict(bundle.exponent),
+            "lift": list(bundle.lift),
+            "phi_empty": bundle.phi_empty,
+            "hypothesis_failures": [sorted(s) for s in bundle.hypothesis_failures],
+            "certificates": [_verdict_dict(v) for v in bundle.certificates],
+            "solutions": solutions,
+        })
+    if r is not None:
+        out["requested_degree"] = {
+            "r": r,
+            "solutions": [
+                {"exponent": _exponent_dict(b.exponent), "series": b.solution(r).to_json_dict()}
+                for b in report.bundles
+            ],
+        }
+    return out
+
+
+def verify_report_reference(config, beta, report, window, r=None) -> dict:
+    """What ``gkz1 verify`` prints, as solve_report_reference builds it; a
+    requested degree r is read off every bundle, and written nowhere."""
+    if r is not None:
+        for bundle in report.bundles:
+            bundle.solution(r)
+    checks = [
+        {
+            "exponent": [str(x) for x in bundle.exponent.vector],
+            "r": degree,
+            "verification": certify(config, bundle.parameter, series).to_json_dict(),
+        }
+        for bundle in report.bundles
+        for degree, series in enumerate(bundle.solutions)
+    ]
+    return {
+        "parameter": _reported_parameter(beta, report),
+        "window": list(window),
+        "all_passed": all(c["verification"]["passed"] for c in checks),
+        "checks": checks,
+    }
+
+
+# -- the indicial polynomial of the relation line
+
+
+def indicial_classes_reference(config, beta) -> tuple[tuple, dict[Fraction, int]]:
+    """A point w0 with sum_mu w0_mu a_mu = beta, and the roots of the
+    indicial polynomial P(t) = prod_{rel[mu] > 0} prod_{i < rel[mu]}
+    (w0_mu + rel[mu]*t - i), t = (i - w0_mu)/rel[mu], counted by their class
+    mod Z: the class's representative in [0, 1) -> its number of roots.
+
+    w0 comes from a row reduction over Fractions, not from the exponent code,
+    so the classes check the bundles that exponent code makes."""
+    w0 = solve_columns_reference(config.columns, beta)
+    classes = Counter(
+        ((i - w0[mu]) / e) % 1
+        for mu, e in enumerate(config.relation) if e > 0
+        for i in range(e)
+    )
+    return w0, dict(classes)
+
+
+def line_class(config, w0, vector) -> Fraction:
+    """The class mod Z of the t with vector = w0 + t*relation; ValueError when
+    vector is off w0's line."""
+    rel = config.relation
+    t = next((x - w) / e for x, w, e in zip(vector, w0, rel) if e)
+    if any(x != w + t * e for x, w, e in zip(vector, w0, rel)):
+        raise ValueError(f"{vector} is not on the line of {w0}")
+    return t % 1

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from gkz1 import _linalg, cli, series
 from gkz1.cli import ProblemSpec, main
-from gkz1.errors import GkzError
-from gkz1.lattice import build_config
+from gkz1._linalg import window_bounds
+from gkz1.errors import ExcludedCase, GkzError
+from gkz1.lattice import build_config, parameter
 from gkz1.series import LogSeries
 
 from conftest import (
@@ -30,7 +31,12 @@ from conftest import (
     random_nonresonant_beta,
     random_relation_config,
 )
-from reference import fake_exponents_reference, normalized_set_reference
+from reference import (
+    fake_exponents_reference,
+    normalized_set_reference,
+    solve_report_reference,
+    verify_report_reference,
+)
 
 TRIANGLE_PROBLEM = {
     "A": [[1, 0], [1, 2], [1, 1]],
@@ -222,6 +228,190 @@ def _exponents_output(path, problem, *argv) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main(["exponents", "--input", str(path), *argv])
     return code, out.getvalue()
+
+
+def _reference_output(problem, command, r=None, verify=True, text=False):
+    """The exit code and stdout that gkz1 solve or verify must give on the
+    problem (its A, beta, window and lift), from the reference report of
+    tests/reference.py, and the BundleReport it was made from (None for a
+    refusal, which prints nothing)."""
+    config = build_config(problem["A"])
+    try:
+        window = window_bounds(problem.get("window", series.DEFAULT_WINDOW))
+        beta = parameter(config, problem["beta"]).beta
+        report = series.solution_bundle(config, beta, u_lift=problem.get("lift"), window=window)
+        if command == "solve":
+            reference = solve_report_reference(config, beta, report, window, r, verify)
+        else:
+            reference = verify_report_reference(config, beta, report, window, r)
+    except GkzError as exc:
+        return exc.exit_code, "", None
+    out = cli._render_text(reference) if text else json.dumps(reference, indent=2)
+    return 0, out + "\n", report
+
+
+def _cli_output(path, problem, *argv) -> tuple[int, str]:
+    """The exit code and stdout of gkz1 on the problem, written to path."""
+    path.write_text(json.dumps(problem))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.integers(0, 3),
+    command=st.sampled_from(["solve", "verify"]),
+    text=st.booleans(),
+    r=st.none() | st.integers(-1, 3),
+    verify=st.booleans(),
+    window=st.tuples(st.integers(-3, 3), st.integers(-1, 5)),
+    lifted=st.booleans(),
+)
+def test_solve_and_verify_match_the_reference(
+    tmp_path_factory, seed, kind, command, text, r, verify, window, lifted
+):
+    # every template branch against the reference's json.dumps and
+    # _render_text: requested degrees, --no-verify, many bundles, empty
+    # series and empty check lists, lifts, refusals (which print nothing)
+    rng = random.Random(seed)
+    config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
+    beta = random_integral_beta(rng, config) if kind > 1 else random_nonresonant_beta(rng, config)
+    problem = {
+        "A": [list(c) for c in config.columns],
+        "beta": [str(b) for b in beta],
+        "window": [window[0], window[0] + window[1]],
+    }
+    if lifted:
+        problem["lift"] = [rng.randint(-2, 2) for _ in range(config.n)]
+    argv = [command] + (["--format", "text"] if text else [])
+    argv += ([] if r is None else [f"--r={r}"]) + ([] if verify else ["--no-verify"])
+    code, out, report = _reference_output(problem, command, r, verify, text)
+    path = tmp_path_factory.mktemp("report") / "problem.json"
+    assert _cli_output(path, problem, *argv) == (code, out)
+    event(f"{command} exit {code}")
+    if report is not None:
+        if len(report.bundles) > 3:
+            event("more than three bundles")
+        if any(s.is_zero for b in report.bundles for s in b.solutions):
+            event("a series with no terms")
+        if not any(b.solutions for b in report.bundles):
+            event("no solution at all")
+        if r is not None:
+            event("a requested degree")
+        if command == "solve" and not verify:
+            event("solve --no-verify")
+
+
+# One bundle, whose lift fails minimal negative support on every column:
+# no solution, so solve writes an empty solutions list and verify no check.
+NO_SOLUTION_PROBLEM = {
+    "A": [[2, 1, 1, 0], [0, 0, -2, 2], [2, 1, 3, -2]],
+    "beta": ["2", "1", "5", "-4"],
+    "lift": [-1, 2, 1],
+    "window": [0, 2],
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("text", [False, True])
+def test_no_solution_matches_the_reference(tmp_path, command, text):
+    code, out, report = _reference_output(NO_SOLUTION_PROBLEM, command, text=text)
+    assert code == 0 and [len(b.solutions) for b in report.bundles] == [0]
+    argv = [command] + (["--format", "text"] if text else [])
+    assert _cli_output(tmp_path / "problem.json", NO_SOLUTION_PROBLEM, *argv) == (0, out)
+    key = "solutions" if command == "solve" else "checks"
+    assert (f"{key}: []" if text else f'"{key}": []') in out
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("text", [False, True])
+def test_failing_certificate_matches_the_reference(monkeypatch, tmp_path, command, text):
+    # a top coefficient changed after the build fails the box operator, so
+    # the bundle is certified solution by solution: a first failure, and
+    # passing certificates beside it, are written as to_json_dict reads them
+    build = series.solution_bundle
+
+    def tampered(*args, **kwargs):
+        report = build(*args, **kwargs)
+        bundle = report.bundles[-1]
+        top = bundle.solutions[-1]
+        key = max(top.terms)
+        changed = LogSeries(
+            top.base_exponent, top.relation, top.window, {**top.terms, key: top.terms[key] + 1}
+        )
+        fields = {name: getattr(bundle, name) for name in bundle._fields}
+        fields["solutions"] = bundle.solutions[:-1] + (changed,)
+        return series.BundleReport(
+            report.bundles[:-1] + (series.SolutionBundle(**fields),),
+            report.total_solutions, report.expected_total,
+        )
+
+    monkeypatch.setattr(series, "solution_bundle", tampered)
+    monkeypatch.setattr(cli, "solution_bundle", tampered)
+    problem = {**TRIANGLE_PROBLEM, "window": [0, 3]}
+    code, out, _ = _reference_output(problem, command, text=text)
+    argv = [command] + (["--format", "text"] if text else [])
+    assert _cli_output(tmp_path / "problem.json", problem, *argv) == (0, out)
+    assert code == 0 and ("first_failure:\n" if text else '"first_failure": {') in out
+    assert ("passed: True" if text else '"passed": true') in out
+
+
+def test_solve_peak_memory_is_bounded_by_a_bundle(monkeypatch, tmp_path):
+    # every bundle is built before the first byte, and each is then
+    # certified, written and dropped: the peak is the built bundles plus
+    # about one bundle's text, where a joined report held several copies of
+    # the whole output
+    class Counted(io.TextIOBase):
+        size = largest = 0
+
+        def write(self, piece):
+            self.size += len(piece)
+            self.largest = max(self.largest, len(piece))
+            return len(piece)
+
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"A": [[1], [150]], "beta": ["1/7"], "window": [-2, 2]}))
+    spec = cli._apply_overrides(cli.load_problem(str(path)), cli._plain(["solve", "--input", "x"]))
+    sink = Counted()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        cli._bundle_report(spec)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        code = main(["solve", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.size > 400_000
+    assert sink.largest < sink.size / 100  # one piece per bundle
+    assert peak < built + sink.size / 3
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("text", [False, True])
+def test_excluded_case_prints_nothing(capsys, monkeypatch, tmp_path, command, text):
+    # ExcludedCase is raised while a bundle is built, and every bundle is
+    # built before the first byte: here the last of five bundles raises it
+    builds = []
+
+    def excluded(config, vec, lift, cap, window):
+        builds.append(vec)
+        if len(builds) == 5:
+            raise ExcludedCase(1, 0, vec[0])
+        return build(config, vec, lift, cap, window)
+
+    build = series._build
+    monkeypatch.setattr(series, "_build", excluded)
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"A": [[1], [5]], "beta": ["1/7"], "window": [-2, 2]}))
+    argv = [command, "--input", str(path)] + (["--format", "text"] if text else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, len(builds)) == (1, "", 5)
+    assert err.startswith("internal invariant failure: M_(1,0)") and err.count("\n") == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -943,7 +1133,7 @@ def _problems(draw):
 @settings(max_examples=1000, deadline=None)
 @given(
     problem=_problems(),
-    command=st.sampled_from(sorted([*cli._COMMANDS, "exponents"])),
+    command=st.sampled_from(sorted(cli._COMMAND_NAMES)),
     text=st.booleans(),
 )
 def test_fuzzed_problem_files_end_cleanly(tmp_path_factory, problem, command, text):
@@ -1105,7 +1295,10 @@ def test_writer_matches_json_dumps_with_shared_objects(value):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_writer_matches_json_dumps_on_every_report(seed):
+def test_writer_matches_json_dumps_on_every_report(tmp_path_factory, seed):
+    # analyze and classify are dicts, written by _json_text; solve and verify
+    # are written from their records' templates, and must print the bytes of
+    # the reference report's json.dumps
     rng = random.Random(seed)
     config = random_config(rng)
     spec = ProblemSpec(
@@ -1120,13 +1313,18 @@ def test_writer_matches_json_dumps_on_every_report(seed):
         except GkzError:
             continue
         assert cli._json_text(report) == json.dumps(report, indent=2)
+    path = tmp_path_factory.mktemp("reports") / "problem.json"
+    problem = {"A": spec.columns, "beta": [str(b) for b in spec.beta], "window": [-1, 3]}
+    for command in ("solve", "verify"):
+        expected = _reference_output(problem, command, r=0)
+        assert _cli_output(path, problem, command, "--r", "0") == expected[:2]
 
 
 def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
-    # exponents writes its entries from its own templates; solve writes its
-    # exponent dicts, at depths 3 and 4, with the generic writer.  Both are
-    # json.dumps of the report, byte for byte: on two labels and a shift,
-    # integral and nonresonant parameters, shifted fakes, a requested degree
+    # exponents and solve fill one exponent template, at depths 2, 3 and 4,
+    # in JSON and in text; each prints the reference report's bytes: on two
+    # labels and a shift, integral and nonresonant parameters, shifted
+    # fakes, a requested degree
     problems = [
         TWO_LABELS_PROBLEM,
         TRIANGLE_PROBLEM,
@@ -1144,10 +1342,13 @@ def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
         fakes = reference["fake_exponents"]
         shifted += len(reference["prime_exponents"]) < len(fakes)
         two_labels += any(len(entry["labels"]) > 1 for entry in fakes)
-        spec = ProblemSpec(columns=problem["A"], beta=beta, window=(-1, 2), r=0)
-        report = cli.cmd_solve(spec)
-        assert report["requested_degree"]["solutions"]
-        assert cli._json_text(report) == json.dumps(report, indent=2)
+        problem = {**problem, "window": [-1, 2]}
+        for text in ([], ["--format", "text"]):
+            code, out, report = _reference_output(problem, "solve", r=0, text=bool(text))
+            assert code == 0 and report.bundles
+            assert _cli_output(tmp_path / "solve.json", problem, "solve", "--r", "0", *text) == (
+                code, out
+            )
     assert shifted >= 2 and two_labels >= 1
 
 

@@ -31,6 +31,8 @@ from reference import (
     MismatchDetected,
     SigmaIntegral,
     gauss_oracle,
+    indicial_classes_reference,
+    line_class,
     log_solution_reference,
     mirror_map_and_instantons,
     relation_points,
@@ -617,6 +619,15 @@ class TestWindowsAndJson:
                 )
 
 
+def _family(relation):
+    """The points of a relation, and beta minus the sum of its negative columns."""
+    points = relation_points(relation)
+    beta = [
+        -sum(p[i] for p, e in zip(points, relation) if e < 0) for i in range(len(points[0]))
+    ]
+    return points, beta
+
+
 def _mirror(points, beta, kappa, n):
     """The mirror map and instanton numbers of the bundle whose exponent is 0
     at every positive column, from its solutions at window (0, n)."""
@@ -642,9 +653,11 @@ class TestMirrorSymmetry:
     def test_quintic(self):
         # Candelas, de la Ossa, Green and Parkes (1991); the mirror map is
         # integral (Lian and Yau)
-        mirror_map, instantons = _mirror(QUINTIC, (-1, 0, 0, 0, 0), 5, 5)
+        mirror_map, instantons = _mirror(QUINTIC, (-1, 0, 0, 0, 0), 5, 6)
         assert mirror_map[:4] == [1, 770, 1014275, 1703916750]
-        assert instantons == [2875, 609250, 317206375, 242467530000, 229305888887625]
+        assert instantons == [
+            2875, 609250, 317206375, 242467530000, 229305888887625, 248249742118022000
+        ]
         assert all(x.denominator == 1 for x in mirror_map + instantons)
 
     # relation, kappa, n_1 and n_2 of the other one-parameter hypergeometric
@@ -661,11 +674,57 @@ class TestMirrorSymmetry:
 
     @pytest.mark.parametrize("relation, kappa, n1, n2", FAMILIES)
     def test_other_families(self, relation, kappa, n1, n2):
-        points = relation_points(relation)
-        # beta is minus the sum of the negative columns
-        beta = [
-            -sum(p[i] for p, e in zip(points, relation) if e < 0) for i in range(len(points[0]))
-        ]
-        mirror_map, instantons = _mirror(points, beta, kappa, 2)
+        mirror_map, instantons = _mirror(*_family(relation), kappa, 2)
         assert instantons == [n1, n2]
         assert all(x.denominator == 1 for x in mirror_map + instantons)
+
+
+def _indicial_bundle_sizes(points, beta, window=(0, 2)) -> list[int]:
+    """The multiplicities of the bundles of solution_bundle, checked against
+    the roots of the indicial polynomial (tests/reference.py), which shares no
+    code with gkz1.exponents: one bundle per root class mod Z, its
+    multiplicity the class's number of roots, and its solutions of log
+    degree exactly 0, ..., multiplicity - 1."""
+    config = build_config(points)
+    w0, classes = indicial_classes_reference(config, beta)
+    bundles = solution_bundle(config, beta, window=window).bundles
+    found = [line_class(config, w0, b.exponent.vector) for b in bundles]
+    assert sorted(found) == sorted(classes)
+    for root_class, bundle in zip(found, bundles):
+        multiplicity = bundle.exponent.multiplicity
+        assert classes[root_class] == multiplicity
+        assert [s.max_log_degree for s in bundle.solutions] == list(range(multiplicity))
+    return sorted((b.exponent.multiplicity for b in bundles), reverse=True)
+
+
+class TestIndicialPolynomial:
+    """P(t) = prod_{rel[mu] > 0} prod_{i < rel[mu]} (w0_mu + rel[mu]*t - i), with
+    roots t = (i - w0_mu)/rel[mu], against the exponents and bundles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), large=st.booleans())
+    def test_random_nonresonant(self, seed, large):
+        rng = random.Random(seed)
+        config = random_relation_config(rng, 12) if large else random_config(rng)
+        beta = random_nonresonant_beta(rng, config)
+        sizes = _indicial_bundle_sizes(config.columns, beta)
+        assert sum(sizes) == config.positive_sum
+        if len(sizes) > 1:
+            event("more than one class")
+        if sizes[0] > 1:
+            event("a class with logarithms")
+
+    # the eight families of TestMirrorSymmetry at their resonant beta: the
+    # class of 0 holds five roots or more, each other class one
+    @pytest.mark.parametrize("relation, sizes", [
+        ((1, 1, 1, 1, 1, -5), [5]),
+        ((1, 1, 1, 1, 2, -6), [5, 1]),
+        ((1, 1, 1, 1, 4, -8), [5, 1, 1, 1]),
+        ((1, 1, 1, 2, 5, -10), [5, 1, 1, 1, 1, 1]),
+        ((1,) * 6 + (-3, -3), [6]),
+        ((1,) * 6 + (-2, -4), [6]),
+        ((1,) * 7 + (-2, -2, -3), [7]),
+        ((1,) * 8 + (-2,) * 4, [8]),
+    ])
+    def test_mirror_families(self, relation, sizes):
+        assert _indicial_bundle_sizes(*_family(relation)) == sizes
