@@ -19,14 +19,13 @@ read off those bundles by SolutionBundle.solution, never built again, and
 is checked against every bundle before any certificate is made.  Each
 bundle is certified by one verify.certify_bundle call.
 
-Output: the JSON report is exactly ``json.dumps(report, indent=2)``, byte for
-byte, and --format text is its _render_text, the same report's lines.  analyze and classify
-build a dict, written by ``_json_text``, not by the standard library: with
-``indent`` set, ``json`` falls back to its pure-Python encoder, which costs
-about one generator step per token.  The other reports are no dict.  Each
-record kind, from the bundle report down to a series term and an operator
-report, has one JSON template and one text template in _FORMS, filled with
-%; the record's place in the report only shifts its lines.  cmd_exponents
+Output: the JSON report is exactly ``json.dumps(report, indent=2)`` of the
+report as a dict, byte for byte, and --format text is one "key: value" line
+per field, a nested record's lines two spaces deeper.  No report is built as
+a dict.  Each record kind, from the analyze report down to a series term and
+an operator report, has one JSON template and one text template in _FORMS,
+filled with %; the record's place in the report only shifts its lines, and
+every command returns its report as pieces for _run to write.  cmd_exponents
 makes one pass over the integer keys of the parameter's line and fills one
 exponent template per exponent, each coordinate a "p/q" string made from its
 numerator with one gcd; the pass checks the count law after its last key.
@@ -43,7 +42,6 @@ import json
 import os
 import sys
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii as _encode_str
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -152,36 +150,53 @@ def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def cmd_analyze(spec: ProblemSpec) -> dict:
+def cmd_analyze(spec: ProblemSpec, text: bool) -> tuple:
+    """The analyze report in one piece: the configuration's relation, volume
+    and singularity type, and the parameter's resonance witness."""
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     resonance = is_nonresonant(config, beta)
-    return {
-        "n": config.n,
-        "dim": config.dim,
-        "columns": [list(c) for c in config.columns],
-        "relation": list(config.relation),
-        "k": config.k,
-        "perm": list(config.perm),
-        "vol": config.volume,
-        "vol_crosscheck": volume_crosscheck(config),
-        "positive_sum": config.positive_sum,
-        "negative_sum": config.negative_sum,
-        "singularity": singularity_type(config).value,
-        "beta": _rat_list(beta.beta),
-        "nonresonant": bool(resonance),
-        "resonance_witness": (
-            dict(zip(("i", "j", "value"), resonance.witness)) if resonance.witness else None
-        ),
-    }
+    return (_FORMS["analyze"][text] % (
+        config.n, config.dim, _leaf(list(map(list, config.columns)), "", text),
+        _leaf(list(config.relation), "", text), config.k, _leaf(list(config.perm), "", text),
+        config.volume, volume_crosscheck(config), config.positive_sum, config.negative_sum,
+        singularity_type(config).value, _leaf(_rat_list(beta.beta), "", text),
+        _BOOLS[text][bool(resonance)],
+        _form("resonance_witness", "  ", text) % resonance.witness if resonance.witness
+        else _FORMS["null"][text],
+    ),)
 
 
-# The solve, verify and exponents reports are written from the records, one
-# template per record kind: its JSON text at depth 0, then its --format text
-# lines at indent 0, each line after its newline.  _form moves a template to
-# a record's place, shifting each line by the record's pad; a record's pad
-# grows by two spaces for a field's value and by _STEP for a list's item.
+# Every report is written from its records, one template per record kind:
+# its JSON text at depth 0, then its --format text lines at indent 0, each
+# line after its newline.  _form moves a template to a record's place,
+# shifting each line by the record's pad; a record's pad grows by two spaces
+# for a field's value and by _STEP for a list's item.
 _FORMS = {
+    "analyze": (
+        '{\n  "n": %d,\n  "dim": %d,\n  "columns": %s,\n  "relation": %s,\n  "k": %d,'
+        '\n  "perm": %s,\n  "vol": %d,\n  "vol_crosscheck": %d,\n  "positive_sum": %d,'
+        '\n  "negative_sum": %d,\n  "singularity": "%s",\n  "beta": %s,\n  "nonresonant": %s,'
+        '\n  "resonance_witness": %s\n}',
+        "n: %d\ndim: %d\ncolumns: %s\nrelation: %s\nk: %d\nperm: %s\nvol: %d"
+        "\nvol_crosscheck: %d\npositive_sum: %d\nnegative_sum: %d\nsingularity: %s\nbeta: %s"
+        "\nnonresonant: %s\nresonance_witness:%s",
+    ),
+    "resonance_witness": (
+        '{\n  "i": %d,\n  "j": %d,\n  "value": %d\n}', "\ni: %d\nj: %d\nvalue: %d"
+    ),
+    "classify": (
+        '{\n  "regular": %s,\n  "nonresonant": %s,\n  "mum": %s,\n  "mum_holomorphic": %s,'
+        '\n  "witness": %s\n}',
+        "regular: %s\nnonresonant: %s\nmum: %s\nmum_holomorphic: %s\nwitness:%s",
+    ),
+    # the lattice conditions of a classification, and its one exponent
+    "witness": (
+        '{\n  "singleton": %s,\n  "integer_class_on_positive": %s,'
+        '\n  "unit_positive_entries": %s,\n  "negative_span": %s,\n  "exponent": %s\n}',
+        "\nsingleton: %s\ninteger_class_on_positive: %s\nunit_positive_entries: %s"
+        "\nnegative_span: %s\nexponent: %s",
+    ),
     "solve": (
         '{\n  "beta": %s,\n  "parameter": %s,\n  "window": %s,\n  "expected_total": %d,'
         '\n  "total_solutions": %d,\n  "complete": %s,\n  "bundles": ',
@@ -363,8 +378,8 @@ def _bundle(bundle, certificates, pad: str, text: bool) -> str:
 
 
 def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
-    """The exponents report in pieces: ``json.dumps(report, indent=2)``, or
-    the report's _render_text when text is set.
+    """The exponents report in pieces, in JSON or, when text is set, in
+    --format text.
 
     One pass over the fake keys of the parameter's line (exponent_rows)
     fills one exponent template per exponent, each coordinate the "p/q"
@@ -500,81 +515,26 @@ def cmd_verify(spec: ProblemSpec, text: bool):
     ), "", text, _FORMS["end"][text])
 
 
-def cmd_classify(spec: ProblemSpec) -> dict:
-    config = build_config(spec.columns)
-    classification = is_mum_holomorphic(config, spec.beta)
-    return {name: getattr(classification, name) for name in classification._fields}
+def cmd_classify(spec: ProblemSpec, text: bool) -> tuple:
+    """The classify report in one piece: the MUM verdicts and their witness."""
+    result = is_mum_holomorphic(build_config(spec.columns), spec.beta)
+    bools, witness = _BOOLS[text], result.witness
+    return (_FORMS["classify"][text] % (
+        bools[result.regular], bools[result.nonresonant], bools[result.mum],
+        bools[result.mum_holomorphic],
+        _form("witness", "  ", text) % (
+            bools[witness["singleton"]], bools[witness["integer_class_on_positive"]],
+            bools[witness["unit_positive_entries"]], bools[witness["negative_span"]],
+            _leaf(witness["exponent"], "  ", text),
+        ),
+    ),)
 
 
-# the commands whose report is a dict, written by _json_text or _render_text
-_COMMANDS = {"analyze": cmd_analyze, "classify": cmd_classify}
-# the commands that write their report in pieces, from its records
-_WRITERS = {"exponents": cmd_exponents, "solve": cmd_solve, "verify": cmd_verify}
-
-
-def _render_text(report: dict, indent: int = 0) -> str:
-    lines = []
-    pad = "  " * indent
-    for key, value in report.items():
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
-            lines.append(f"{pad}{key}:")
-            for item in value:
-                lines.append(_render_text(item, indent + 1))
-                lines.append(f"{pad}  -")
-        else:
-            lines.append(f"{pad}{key}: {value}")
-    return "\n".join(line for line in lines if line)
-
-
-def _json_text(report, depth: int = 0) -> str:
-    """``json.dumps(report, indent=2)``, without the pure-Python encoder; at a
-    depth above 0, the text of a value nested that deep in a report.
-
-    A dict's str and int values, and a list of only str or only int, are
-    written by the C string encoder or ``int.__repr__`` with no call of
-    their own.  bool is tested before int, as ``json`` does.  Floats and
-    non-str keys raise TypeError: reports carry rationals as "p/q" strings.
-    """
-    return _json_value(report, "\n" + "  " * depth)
-
-
-def _json_value(value, nl: str) -> str:
-    """The JSON text of value, nested where nl, a newline, then its indent."""
-    inner = nl + "  "
-    if isinstance(value, dict):
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            kind = type(item)
-            items.append(_encode_str(key) + ": " + (
-                _encode_str(item) if kind is str
-                else int.__repr__(item) if kind is int else _json_value(item, inner)
-            ))
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        first = type(value[0])
-        if first is str and all(type(x) is str for x in value):
-            items = map(_encode_str, value)
-        elif first is int and all(type(x) is int for x in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_json_value(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# each command returns its report's pieces, in JSON or in --format text
+_COMMANDS = {
+    "analyze": cmd_analyze, "exponents": cmd_exponents, "solve": cmd_solve,
+    "verify": cmd_verify, "classify": cmd_classify,
+}
 
 
 def build_parser():
@@ -608,7 +568,6 @@ def build_parser():
 _parser = functools.cache(build_parser)  # the process's one parser, built when first needed
 
 
-_COMMAND_NAMES = frozenset(_COMMANDS) | frozenset(_WRITERS)
 # the options that take a value, by spelling, and their namespace names
 _VALUED = {
     "--input": "input", "--window": "window", "--u": "u", "--lift": "lift",
@@ -625,7 +584,7 @@ def _plain(argv):
     starting with a dash, an int --r, a --format of json or text, and --input
     given.  Help, abbreviations, "--" and malformed lines are argparse's.
     """
-    if not argv or argv[0] not in _COMMAND_NAMES:
+    if not argv or argv[0] not in _COMMANDS:
         return None
     args = {
         "command": argv[0], "input": None, "window": None, "u": None,
@@ -685,11 +644,7 @@ def _run(args) -> int:
     text = args.format == "text"
     try:
         spec = _apply_overrides(load_problem(args.input), args)
-        if args.command in _WRITERS:
-            pieces = _WRITERS[args.command](spec, text)
-        else:
-            report = _COMMANDS[args.command](spec)
-            pieces = (_render_text(report) if text else _json_text(report),)
+        pieces = _COMMANDS[args.command](spec, text)
     except GkzError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

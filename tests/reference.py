@@ -57,7 +57,13 @@ arithmetic with the route it checks:
 - ``solve_report_reference`` and ``verify_report_reference`` build the
   ``gkz1 solve`` and ``gkz1 verify`` reports as dicts, from the records'
   ``to_json_dict`` and one ``certify`` per solution, where the CLI fills one
-  template per record and certifies a bundle at once.
+  template per record and certifies a bundle at once;
+  ``analyze_report_reference`` and ``classify_report_reference`` build the
+  ``gkz1 analyze`` and ``gkz1 classify`` reports as dicts, from the
+  library's calls and the classification's fields;
+- ``render_text_reference`` writes such a report dict as ``--format text``,
+  key by key and nested dict by nested dict, where the CLI fills the text
+  template of each record.
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants
@@ -81,10 +87,13 @@ from gkz1 import (
     LogSeries,
     SupportVerdict,
     coefficient_M,
+    is_mum_holomorphic,
     is_nonresonant,
     parameter,
     phi_series,
+    singularity_type,
     support_verdict,
+    volume_crosscheck,
 )
 from gkz1._linalg import Vector, fracs
 from gkz1.errors import ExcludedCase, NotNonresonant
@@ -851,7 +860,7 @@ def _reported_parameter(beta, report) -> list[str]:
 def solve_report_reference(config, beta, report, window, r=None, verify=True) -> dict:
     """What ``gkz1 solve`` prints for the BundleReport report of the parameter
     beta (Fractions), as the dict whose ``json.dumps(..., indent=2)`` and
-    ``cli._render_text`` are its two formats.  Each solution is certified by
+    ``render_text_reference`` are its two formats.  Each solution is certified by
     ``certify`` on its own, and a requested degree r read by
     ``SolutionBundle.solution``, which raises where the command refuses."""
     out = {
@@ -911,6 +920,59 @@ def verify_report_reference(config, beta, report, window, r=None) -> dict:
         "all_passed": all(c["verification"]["passed"] for c in checks),
         "checks": checks,
     }
+
+
+def analyze_report_reference(config, beta) -> dict:
+    """What ``gkz1 analyze`` prints for the parameter beta, as a dict whose
+    ``json.dumps(..., indent=2)`` and ``render_text_reference`` are its two
+    formats; raises where the command refuses."""
+    beta = parameter(config, beta)
+    resonance = is_nonresonant(config, beta)
+    return {
+        "n": config.n,
+        "dim": config.dim,
+        "columns": [list(c) for c in config.columns],
+        "relation": list(config.relation),
+        "k": config.k,
+        "perm": list(config.perm),
+        "vol": config.volume,
+        "vol_crosscheck": volume_crosscheck(config),
+        "positive_sum": config.positive_sum,
+        "negative_sum": config.negative_sum,
+        "singularity": singularity_type(config).value,
+        "beta": [str(x) for x in beta.beta],
+        "nonresonant": bool(resonance),
+        "resonance_witness": (
+            dict(zip(("i", "j", "value"), resonance.witness)) if resonance.witness else None
+        ),
+    }
+
+
+def classify_report_reference(config, beta) -> dict:
+    """What ``gkz1 classify`` prints for the parameter beta, as
+    analyze_report_reference builds it: the classification's fields."""
+    classification = is_mum_holomorphic(config, beta)
+    return {name: getattr(classification, name) for name in classification._fields}
+
+
+def render_text_reference(report: dict, indent: int = 0) -> str:
+    """A report dict as ``--format text``: one "key: value" line per field,
+    a value's repr; a nested dict, and each dict of a list followed by a
+    "-" line, two spaces deeper under its "key:" line."""
+    lines = []
+    pad = "  " * indent
+    for key, value in report.items():
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            lines.append(render_text_reference(value, indent + 1))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                lines.append(render_text_reference(item, indent + 1))
+                lines.append(f"{pad}  -")
+        else:
+            lines.append(f"{pad}{key}: {value}")
+    return "\n".join(line for line in lines if line)
 
 
 # -- the indicial polynomial of the relation line

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import copy
 import io
 import json
 import os
@@ -9,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +16,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gkz1 import _linalg, cli, series
-from gkz1.cli import ProblemSpec, main
+from gkz1.cli import main
 from gkz1._linalg import window_bounds
 from gkz1.errors import ExcludedCase, GkzError
-from gkz1.lattice import build_config, parameter
+from gkz1.lattice import build_config, is_nonresonant, parameter
 from gkz1.series import LogSeries
 
 from conftest import (
@@ -32,8 +30,11 @@ from conftest import (
     random_relation_config,
 )
 from reference import (
+    analyze_report_reference,
+    classify_report_reference,
     fake_exponents_reference,
     normalized_set_reference,
+    render_text_reference,
     solve_report_reference,
     verify_report_reference,
 )
@@ -246,7 +247,7 @@ def _reference_output(problem, command, r=None, verify=True, text=False):
             reference = verify_report_reference(config, beta, report, window, r)
     except GkzError as exc:
         return exc.exit_code, "", None
-    out = cli._render_text(reference) if text else json.dumps(reference, indent=2)
+    out = render_text_reference(reference) if text else json.dumps(reference, indent=2)
     return 0, out + "\n", report
 
 
@@ -274,7 +275,7 @@ def test_solve_and_verify_match_the_reference(
     tmp_path_factory, seed, kind, command, text, r, verify, window, lifted
 ):
     # every template branch against the reference's json.dumps and
-    # _render_text: requested degrees, --no-verify, many bundles, empty
+    # render_text_reference: requested degrees, --no-verify, many bundles, empty
     # series and empty check lists, lifts, refusals (which print nothing)
     rng = random.Random(seed)
     config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
@@ -427,7 +428,7 @@ def test_exponents_report_matches_the_reference(tmp_path_factory, seed, kind):
     problem = {"A": [list(c) for c in config.columns], "beta": [str(b) for b in beta]}
     assert _exponents_output(path, problem) == (0, json.dumps(reference, indent=2) + "\n")
     text = _exponents_output(path, problem, "--format", "text")
-    assert text == (0, cli._render_text(reference) + "\n")
+    assert text == (0, render_text_reference(reference) + "\n")
     fakes = reference["fake_exponents"]
     if len(reference["prime_exponents"]) < len(fakes):
         event("a fake is shifted")
@@ -765,8 +766,72 @@ checks:
 """,
 }
 
+_TRIANGLE_ANALYZE_HEAD = """\
+n: 3
+dim: 2
+columns: [[1, 0], [1, 2], [1, 1]]
+relation: [1, 1, -2]
+k: 2
+perm: [0, 1, 2]
+vol: 2
+vol_crosscheck: 2
+positive_sum: 2
+negative_sum: 2
+singularity: regular
+"""
+
+# The full --format text output of analyze and classify on the triangle's
+# points, by command and beta: a nested resonance witness and a None one, a
+# MUM exponent written as a list and a None one.
+COMBINATORIAL_TEXT = {
+    ("analyze", "10", "8"): _TRIANGLE_ANALYZE_HEAD + """\
+beta: ['10', '8']
+nonresonant: False
+resonance_witness:
+  i: 0
+  j: 2
+  value: 12
+""",
+    ("analyze", "1/2", "1/3"): _TRIANGLE_ANALYZE_HEAD + """\
+beta: ['1/2', '1/3']
+nonresonant: True
+resonance_witness: None
+""",
+    ("classify", "1/3", "1/3"): """\
+regular: True
+nonresonant: True
+mum: True
+mum_holomorphic: True
+witness:
+  singleton: True
+  integer_class_on_positive: True
+  unit_positive_entries: True
+  negative_span: True
+  exponent: ['0', '0', '1/3']
+""",
+    ("classify", "1/2", "1/3"): """\
+regular: True
+nonresonant: True
+mum: False
+mum_holomorphic: False
+witness:
+  singleton: False
+  integer_class_on_positive: False
+  unit_positive_entries: True
+  negative_span: False
+  exponent: None
+""",
+}
+
 
 class TestTextFormat:
+    @pytest.mark.parametrize("command, beta0, beta1", sorted(COMBINATORIAL_TEXT))
+    def test_analyze_and_classify_pinned(self, capsys, tmp_path, command, beta0, beta1):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({**TRIANGLE_PROBLEM, "beta": [beta0, beta1]}))
+        code, out, _ = run(capsys, command, "--input", str(path), "--format", "text")
+        assert (code, out) == (0, COMBINATORIAL_TEXT[(command, beta0, beta1)])
+
     def test_renders_lines(self, capsys, triangle_file):
         code, out, _ = run(
             capsys, "analyze", "--input", triangle_file, "--format", "text"
@@ -1133,7 +1198,7 @@ def _problems(draw):
 @settings(max_examples=1000, deadline=None)
 @given(
     problem=_problems(),
-    command=st.sampled_from(sorted(cli._COMMAND_NAMES)),
+    command=st.sampled_from(sorted(cli._COMMANDS)),
     text=st.booleans(),
 )
 def test_fuzzed_problem_files_end_cleanly(tmp_path_factory, problem, command, text):
@@ -1153,21 +1218,27 @@ def test_fuzzed_problem_files_end_cleanly(tmp_path_factory, problem, command, te
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 def test_output_does_not_depend_on_the_digit_limit(capsys, tmp_path):
-    path = tmp_path / "pencil.json"
-    path.write_text(json.dumps({"A": [[1], [300]], "beta": ["1/7"], "window": [-1, 1]}))
-    previous = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(0)
-        unlimited = run(capsys, "solve", "--input", str(path))
-        sys.set_int_max_str_digits(640)
-        limited = run(capsys, "solve", "--input", str(path))
-        assert sys.get_int_max_str_digits() == 640
-    finally:
-        sys.set_int_max_str_digits(previous)
-    assert limited == unlimited
-    assert unlimited[0] == 0
-    # the output holds an integer too long to print under the limit
-    assert max(len(x) for x in re.findall(r"\d+", unlimited[1])) > 640
+    # solve writes coefficients of more than 640 digits; analyze fills the
+    # relation entry 10**700 + 1 into its %d fields, and reads it from the file
+    path = tmp_path / "problem.json"
+    for command, problem in [
+        ("solve", {"A": [[1], [300]], "beta": ["1/7"], "window": [-1, 1]}),
+        ("analyze", {"A": [[1], [10**700 + 1]], "beta": ["1/7"]}),
+    ]:
+        path.write_text(json.dumps(problem))
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            unlimited = run(capsys, command, "--input", str(path))
+            sys.set_int_max_str_digits(640)
+            limited = run(capsys, command, "--input", str(path))
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert limited == unlimited
+        assert unlimited[0] == 0
+        # the output holds an integer too long to print under the limit
+        assert max(len(x) for x in re.findall(r"\d+", unlimited[1])) > 640
 
 
 class TestInvalidConfigs:
@@ -1235,89 +1306,88 @@ def test_every_error_class_has_its_exit_code(capsys, monkeypatch, triangle_file)
         assert code == EXIT_CODES[name], name
 
 
-# -- the JSON writer: exactly json.dumps(value, indent=2) ----------------------
+# -- every report: the reference dict's json.dumps and render_text_reference --
 
-_CHARS = st.one_of(
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\uffff\U0001f600\ud800'),
-    st.characters(),
+
+def _combinatorial_output(config, beta, command, text) -> tuple[int, str]:
+    """The exit code and stdout that gkz1 analyze or classify must give on the
+    configuration and beta, from the reference report of tests/reference.py;
+    a refusal prints nothing."""
+    reference = analyze_report_reference if command == "analyze" else classify_report_reference
+    try:
+        report = reference(config, beta)
+    except GkzError as exc:
+        return exc.exit_code, ""
+    return 0, (render_text_reference(report) if text else json.dumps(report, indent=2)) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.integers(0, 3),
+    command=st.sampled_from(["analyze", "classify"]),
+    text=st.booleans(),
 )
-_TEXT = st.text(alphabet=_CHARS, max_size=6)
-_INTS = st.integers() | st.integers(min_value=-10**80, max_value=10**80)
-_SCALARS = st.none() | st.booleans() | _INTS | _TEXT
+def test_analyze_and_classify_match_the_reference(tmp_path_factory, seed, kind, command, text):
+    # every field of both templates against the reference's json.dumps and
+    # render_text_reference: resonant and nonresonant parameters, irregular
+    # points, and classify's refusals (exit 3), which print nothing
+    rng = random.Random(seed)
+    config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
+    beta = random_integral_beta(rng, config) if kind > 1 else random_nonresonant_beta(rng, config)
+    problem = {"A": [list(c) for c in config.columns], "beta": [str(b) for b in beta]}
+    expected = _combinatorial_output(config, beta, command, text)
+    path = tmp_path_factory.mktemp("report") / "problem.json"
+    argv = [command] + (["--format", "text"] if text else [])
+    assert _cli_output(path, problem, *argv) == expected
+    event(f"{command} exit {expected[0]}")
+    event("nonresonant" if is_nonresonant(config, beta) else "resonant")
 
 
-def _containers(children):
-    return (
-        st.lists(children, max_size=4)
-        | st.lists(children, max_size=3).map(tuple)
-        | st.dictionaries(_TEXT, children, max_size=4)
-        | st.dictionaries(_TEXT, children, max_size=3).map(OrderedDict)
-        | st.dictionaries(_TEXT, children, max_size=3).map(lambda d: defaultdict(list, d))
-        | st.lists(_INTS | st.booleans(), max_size=4)
-        | st.lists(_TEXT, max_size=4)
-        | st.lists(st.lists(_INTS, max_size=2) | st.just({}), max_size=3)
-    )
+# MUM and holomorphic MUM (a list in witness.exponent), MUM that is not
+# holomorphic, and neither, on named points; and a resonant and an irregular
+# parameter, which analyze reports and classify refuses
+NAMED_COMBINATORIAL_PROBLEMS = [
+    ([[1, 0], [1, 2], [1, 1]], ["1/3", "1/3"]),
+    ([[1, 0], [1, 2], [1, 1]], ["1/2", "1/3"]),
+    ([[1, 0], [1, 2], [1, 1]], ["10", "8"]),
+    ([[1, 0], [0, 1], [-1, -1]], ["0", "0"]),
+    ([[1, 1, -1], [0, 0, 1], [1, 0, 0], [0, 1, 0]], ["-1/2", "-1/3", "1"]),
+    ([[1, 1, -1], [0, 0, 1], [1, 0, 0], [0, 1, 0]], ["-1/2", "-1/3", "2"]),
+    ([[1, 1], [1, 0], [0, 1]], ["1/2", "1/3"]),
+]
 
 
-@settings(max_examples=400, deadline=None)
-@given(value=st.recursive(_SCALARS, _containers, max_leaves=25))
-def test_writer_matches_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2)
-    # the text of the same value nested two levels deep
-    assert cli._json_text(value, 2) == json.dumps(value, indent=2).replace("\n", "\n    ")
-
-
-@st.composite
-def _shared_values(draw):
-    """A value that holds one dict or list object many times.
-
-    The object recurs at one depth (twice in the top list), at other depths
-    and inside tuples, and at random places of a random value around it.
-    """
-    leaves = _SCALARS | st.lists(_INTS, max_size=2) | st.just({})
-    entries = st.dictionaries(_TEXT, leaves, min_size=1, max_size=3)
-    shared = draw(
-        entries
-        | entries.map(OrderedDict)
-        | entries.map(lambda d: defaultdict(list, d))
-        | st.lists(leaves, min_size=1, max_size=3)
-    )
-    around = draw(st.recursive(st.just(shared) | _SCALARS, _containers, max_leaves=8))
-    return [shared, shared, {"under": [shared, (shared,)]}, (shared, [shared]), around]
-
-
-@settings(max_examples=150, deadline=None)
-@given(value=_shared_values())
-def test_writer_matches_json_dumps_with_shared_objects(value):
-    # the same dict at another depth has another indent
-    assert cli._json_text(value) == json.dumps(value, indent=2)
+@pytest.mark.parametrize("columns, beta", NAMED_COMBINATORIAL_PROBLEMS)
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+@pytest.mark.parametrize("text", [False, True])
+def test_analyze_and_classify_match_the_reference_on_named_points(
+    tmp_path, columns, beta, command, text
+):
+    expected = _combinatorial_output(build_config(columns), beta, command, text)
+    argv = [command] + (["--format", "text"] if text else [])
+    assert _cli_output(tmp_path / "problem.json", {"A": columns, "beta": beta}, *argv) == expected
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_writer_matches_json_dumps_on_every_report(tmp_path_factory, seed):
-    # analyze and classify are dicts, written by _json_text; solve and verify
-    # are written from their records' templates, and must print the bytes of
-    # the reference report's json.dumps
+    # the five commands on one problem: each prints the bytes of its
+    # reference report's json.dumps, or nothing where it refuses
     rng = random.Random(seed)
     config = random_config(rng)
-    spec = ProblemSpec(
-        columns=[list(col) for col in config.columns],
-        beta=list(random_nonresonant_beta(rng, config)),
-        window=(-1, 3),
-        r=0,
-    )
-    for command in cli._COMMANDS.values():
-        try:
-            report = command(copy.copy(spec))
-        except GkzError:
-            continue
-        assert cli._json_text(report) == json.dumps(report, indent=2)
+    beta = random_nonresonant_beta(rng, config)
     path = tmp_path_factory.mktemp("reports") / "problem.json"
-    problem = {"A": spec.columns, "beta": [str(b) for b in spec.beta], "window": [-1, 3]}
+    problem = {"A": [list(c) for c in config.columns], "beta": [str(b) for b in beta]}
+    for command in ("analyze", "classify"):
+        expected = _combinatorial_output(config, beta, command, False)
+        assert _cli_output(path, problem, command) == expected
+    problem["window"] = [-1, 3]
     for command in ("solve", "verify"):
         expected = _reference_output(problem, command, r=0)
         assert _cli_output(path, problem, command, "--r", "0") == expected[:2]
+    exponents = json.dumps(_reference_exponents_report(config, beta), indent=2) + "\n"
+    assert _cli_output(path, problem, "exponents") == (0, exponents)
 
 
 def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
@@ -1350,16 +1420,3 @@ def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
                 code, out
             )
     assert shifted >= 2 and two_labels >= 1
-
-
-@pytest.mark.parametrize("value", [
-    1.5,
-    {"a": [0, 0.5]},
-    {1: "one"},
-    {"a": {None: 1}},
-    [{("a",): 1}],
-    Fraction(1, 2),
-])
-def test_writer_refuses_floats_and_non_str_keys(value):
-    with pytest.raises(TypeError):
-        cli._json_text(value)
