@@ -10,9 +10,11 @@ class Record:
 
     ``_fields``, by default the parameters of ``__init__``, are what the
     repr shows and what equality (within one class) and hashing compare.
-    Each ``__init__`` sets its fields, and any attributes derived from them,
-    once, through ``_set``; assigning or deleting one afterwards raises
-    AttributeError.
+    Each ``__init__`` takes only inputs, never a value it can work out from
+    the others, and sets them, and the attributes derived from them, once,
+    through ``_set``; a derived attribute is no field, so it cannot
+    contradict the inputs.  Assigning or deleting any attribute afterwards
+    raises AttributeError, and no subclass overrides that or the hash.
     """
 
     __slots__ = ()

@@ -57,10 +57,7 @@ from .verify import certify_bundle
 
 
 class ProblemSpec(Record):
-    # mutable, as load_problem and the command-line overrides assign to it
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    """One command line's problem: the file's fields, the options over them."""
 
     def __init__(
         self, columns, beta, u=None, lift=None, window=DEFAULT_WINDOW, r=None, verify=True
@@ -82,7 +79,9 @@ def _numbers(value, field: str, check) -> list:
         return [check(x, f"{field}[{i}]") for i, x in enumerate(values)]
 
 
-def load_problem(path: str) -> ProblemSpec:
+def load_problem(path: str) -> dict:
+    """The problem file's fields, each checked, by their ProblemSpec names;
+    _apply_overrides builds the spec from them."""
     file_path = Path(path)
     try:
         with open(file_path) as file:
@@ -106,44 +105,49 @@ def load_problem(path: str) -> ProblemSpec:
         raise InputError("A: missing (list of integer points)")
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
-    columns = [
-        _numbers(col, f"A[{i}]", integer) for i, col in enumerate(_list(data["A"], "A"))
-    ]
-    spec = ProblemSpec(columns=columns, beta=_numbers(data["beta"], "beta", rational))
+    fields = {
+        "columns": [
+            _numbers(col, f"A[{i}]", integer) for i, col in enumerate(_list(data["A"], "A"))
+        ],
+        "beta": _numbers(data["beta"], "beta", rational),
+    }
     for field, check in (("u", rational), ("lift", integer), ("window", integer)):
         if field in data:
-            setattr(spec, field, _numbers(data[field], field, check))
+            fields[field] = _numbers(data[field], field, check)
     if "window" in data:  # two bounds, even where --window replaces them
-        pair(spec.window, "window")
+        pair(fields["window"], "window")
     if "r" in data:
-        spec.r = integer(data["r"], "r")
+        fields["r"] = integer(data["r"], "r")
     if "verify" in data:
         if not isinstance(data["verify"], bool):
             raise InputError("verify: expected a boolean")
-        spec.verify = data["verify"]
-    return spec
+        fields["verify"] = data["verify"]
+    return fields
 
 
-def _apply_overrides(spec: ProblemSpec, args) -> ProblemSpec:
+def _apply_overrides(fields: dict, args) -> ProblemSpec:
+    """The spec of one command line: load_problem's fields, each replaced
+    by its option where the line gives one."""
+    fields = dict(fields)
     if args.window is not None:
         try:
             lo, _, hi = args.window.partition(":")
-            spec.window = (int(lo), int(hi))
+            fields["window"] = (int(lo), int(hi))
         except ValueError:
             raise InputError(f"--window: expected LO:HI, got {args.window!r}") from None
     if args.u is not None:
-        spec.u = [rational(x, "--u") for x in args.u.split(",")]
+        fields["u"] = [rational(x, "--u") for x in args.u.split(",")]
     if args.lift is not None:
         try:
-            spec.lift = [int(x) for x in args.lift.split(",")]
+            fields["lift"] = [int(x) for x in args.lift.split(",")]
         except ValueError:
             raise InputError(f"--lift: expected integers, got {args.lift!r}") from None
     if args.r is not None:
-        spec.r = args.r
+        fields["r"] = args.r
     if args.no_verify:
-        spec.verify = False
-    spec.window = window_bounds(spec.window)
-    return spec
+        fields["verify"] = False
+    fields["window"] = window_bounds(fields.get("window", DEFAULT_WINDOW))
+    return ProblemSpec(**fields)
 
 
 def _rat_list(values) -> list[str]:

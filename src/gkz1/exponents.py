@@ -152,11 +152,14 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
 
 
 class PrimeExponents(Record):
-    """The normalized exponents plus the multiplicity tally of both sides."""
+    """The normalized exponents and the positive relation sum, which the
+    count law says their multiplicities sum to; multiplicity_sum is that
+    sum, tallied from the exponents."""
 
-    def __init__(self, exponents, multiplicity_sum, relation_sum):
+    def __init__(self, exponents, relation_sum):
         self._set(
-            exponents=exponents, multiplicity_sum=multiplicity_sum, relation_sum=relation_sum
+            exponents=exponents, relation_sum=relation_sum,
+            multiplicity_sum=sum(e.multiplicity for e in exponents),
         )
 
 
@@ -173,7 +176,7 @@ def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
         if all(mu in e.m_support or e.vector[mu].denominator != 1 for mu in positive)
     )
     # exponent_rows has checked that the multiplicities sum to the relation's
-    return PrimeExponents(exponents, config.positive_sum, config.positive_sum)
+    return PrimeExponents(exponents, config.positive_sum)
 
 
 def negative_support(v, indices) -> frozenset[int]:

@@ -365,19 +365,21 @@ class SolutionBundle(Record):
     """All log solutions attached to one normalized exponent.
 
     solutions[r] has top log-degree r; its top-log coefficient equals the
-    log-free series.  hypothesis_failures lists the index sets that capped
-    the achievable degree; phi_empty records a vanishing log-free series
-    (the linear-independence hypothesis then fails).
+    log-free series.  certificates are the support verdicts that _build
+    orders, the first on every column.  Derived from them:
+    hypothesis_failures, the index sets without minimal negative support,
+    in certificate order, which capped the achievable degree; and
+    phi_empty, whether the first verdict's membership is empty, so that
+    the log-free series vanishes (the linear-independence hypothesis then
+    fails).
     """
 
-    def __init__(
-        self, parameter, exponent, lift, solutions, certificates, hypothesis_failures,
-        phi_empty,
-    ):
+    def __init__(self, parameter, exponent, lift, solutions, certificates):
         self._set(
             parameter=parameter, exponent=exponent, lift=lift, solutions=solutions,
-            certificates=certificates, hypothesis_failures=hypothesis_failures,
-            phi_empty=phi_empty,
+            certificates=certificates,
+            hypothesis_failures=tuple(v.indices for v in certificates if not v.minimal),
+            phi_empty=certificates[0].membership.empty,
         )
 
     def solution(self, r: int) -> LogSeries:
@@ -391,8 +393,13 @@ class SolutionBundle(Record):
 
 
 class BundleReport(Record):
-    def __init__(self, bundles, total_solutions, expected_total):
-        self._set(bundles=bundles, total_solutions=total_solutions, expected_total=expected_total)
+    """The bundles of a parameter; total_solutions counts their solutions."""
+
+    def __init__(self, bundles, expected_total):
+        self._set(
+            bundles=bundles, expected_total=expected_total,
+            total_solutions=sum(len(b.solutions) for b in bundles),
+        )
 
     @property
     def complete(self) -> bool:
@@ -422,23 +429,5 @@ def solution_bundle(
     bundles = []
     for exp in primes.exponents:
         certificates, solutions = _build(config, exp.vector, lift, exp.multiplicity, window)
-        bundles.append(
-            SolutionBundle(
-                parameter=gamma,
-                exponent=exp,
-                lift=lift,
-                solutions=solutions,
-                certificates=certificates,
-                hypothesis_failures=tuple(
-                    v.indices for v in certificates if not v.minimal
-                ),
-                # the first certificate is the one on every column
-                phi_empty=certificates[0].membership.empty,
-            )
-        )
-    total = sum(len(b.solutions) for b in bundles)
-    return BundleReport(
-        bundles=tuple(bundles),
-        total_solutions=total,
-        expected_total=config.positive_sum,
-    )
+        bundles.append(SolutionBundle(gamma, exp, lift, solutions, certificates))
+    return BundleReport(tuple(bundles), config.positive_sum)

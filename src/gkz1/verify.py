@@ -60,12 +60,18 @@ if TYPE_CHECKING:
 
 
 class OperatorReport(Record):
-    """One operator's residual; safe_window is None when nothing is checkable."""
+    """One operator's residual over its safe window, None when nothing is
+    checkable.  The residual keeps only its nonzero entries {(z, r): value};
+    passed holds exactly when none is left, and first_failure is
+    (z, r, value) at the least key, or None."""
 
-    def __init__(self, operator, input_window, safe_window, passed, first_failure, residual):
+    def __init__(self, operator, safe_window, residual):
+        residual = {key: value for key, value in residual.items() if value}
+        first = min(residual, default=None)
         self._set(
-            operator=operator, input_window=input_window, safe_window=safe_window,
-            passed=passed, first_failure=first_failure, residual=residual,
+            operator=operator, safe_window=safe_window, residual=residual,
+            passed=first is None,
+            first_failure=None if first is None else (*first, residual[first]),
         )
 
     def to_json_dict(self) -> dict:
@@ -79,19 +85,6 @@ class OperatorReport(Record):
             "passed": self.passed,
             "first_failure": failure,
         }
-
-
-def _report(operator, window, safe, residual) -> OperatorReport:
-    residual = {key: value for key, value in residual.items() if value}
-    first = min(residual) if residual else None
-    return OperatorReport(
-        operator=operator,
-        input_window=window,
-        safe_window=safe,
-        passed=not residual,
-        first_failure=(first[0], first[1], residual[first]) if first else None,
-        residual=residual,
-    )
 
 
 def _check_grid(config, series) -> LogSeries:
@@ -169,7 +162,7 @@ def _box(config, series) -> OperatorReport:
     a log-free series straight from its Fractions."""
     lo, hi = series.window
     if hi - 1 < lo:
-        return _report("box", series.window, None, {})
+        return OperatorReport("box", None, {})
     base, top = series.base_exponent, series.max_log_degree
     positive = _factors(config, base, config.positive)
     negative = _factors(config, base, config.negative)
@@ -194,7 +187,7 @@ def _box(config, series) -> OperatorReport:
         for k, (n, m) in enumerate(zip(a, b)):
             if n * db != m * da:
                 residual[(z, k)] = Fraction(n * db - m * da, da * db)
-    return _report("box", series.window, (lo, hi - 1), residual)
+    return OperatorReport("box", (lo, hi - 1), residual)
 
 
 def apply_euler_row(config: LatticeConfig, param, series: LogSeries, row: int) -> OperatorReport:
@@ -234,7 +227,7 @@ def _euler_row(config, param, series, row: int) -> OperatorReport:
     if offset:
         offset = Fraction(offset, den)
         residual = {key: offset * c for key, c in series.terms.items()}
-    return _report(f"euler[{row}]", series.window, series.window, residual)
+    return OperatorReport(f"euler[{row}]", series.window, residual)
 
 
 def _euler(config, param, series):
@@ -250,8 +243,11 @@ def apply_euler(config: LatticeConfig, param, series: LogSeries):
 
 
 class Certificate(Record):
-    def __init__(self, box, euler, passed):
-        self._set(box=box, euler=euler, passed=passed)
+    """The reports of the box operator and of each Euler row; passed holds
+    exactly when every one of them passed."""
+
+    def __init__(self, box, euler):
+        self._set(box=box, euler=euler, passed=box.passed and all(r.passed for r in euler))
 
     def to_json_dict(self) -> dict:
         return {
@@ -268,10 +264,7 @@ def certify(config: LatticeConfig, param, series: LogSeries) -> Certificate:
     """
     series = _check_grid(config, series)
     euler = _euler(config, param, series)
-    box = _box(config, series)
-    return Certificate(
-        box=box, euler=euler, passed=box.passed and all(r.passed for r in euler)
-    )
+    return Certificate(_box(config, series), euler)
 
 
 def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate, ...]:

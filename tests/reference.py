@@ -212,16 +212,7 @@ def literal_box(config, series: LogSeries) -> OperatorReport:
         for (z, r), c in neg_terms.items():
             if lo <= z <= hi - 1:
                 residual[(z, r)] -= c
-    residual = {key: value for key, value in residual.items() if value}
-    first = min(residual) if residual else None
-    return OperatorReport(
-        operator="box",
-        input_window=series.window,
-        safe_window=safe,
-        passed=not residual,
-        first_failure=(first[0], first[1], residual[first]) if first else None,
-        residual=residual,
-    )
+    return OperatorReport("box", safe, residual)
 
 
 def apply_euler_row_reference(config, param, series: LogSeries, row: int) -> OperatorReport:
@@ -239,16 +230,7 @@ def apply_euler_row_reference(config, param, series: LogSeries, row: int) -> Ope
             residual[(z, r)] += value * c
         if r and rel_dot:
             residual[(z, r - 1)] += r * rel_dot * c
-    residual = {key: value for key, value in residual.items() if value}
-    first = min(residual) if residual else None
-    return OperatorReport(
-        operator=f"euler[{row}]",
-        input_window=series.window,
-        safe_window=series.window,
-        passed=not residual,
-        first_failure=(first[0], first[1], residual[first]) if first else None,
-        residual=residual,
-    )
+    return OperatorReport(f"euler[{row}]", series.window, residual)
 
 
 def coefficient_M_reference(l: int, s: int, v) -> Fraction:

@@ -270,13 +270,16 @@ def _cli_output(path, problem, *argv) -> tuple[int, str]:
     verify=st.booleans(),
     window=st.tuples(st.integers(-3, 3), st.integers(-1, 5)),
     lifted=st.booleans(),
+    on_line=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
 )
 def test_solve_and_verify_match_the_reference(
-    tmp_path_factory, seed, kind, command, text, r, verify, window, lifted
+    tmp_path_factory, seed, kind, command, text, r, verify, window, lifted, on_line
 ):
     # every template branch against the reference's json.dumps and
     # render_text_reference: requested degrees, --no-verify, many bundles, empty
-    # series and empty check lists, lifts, refusals (which print nothing)
+    # series and empty check lists, lifts, refusals (which print nothing).
+    # Each of window, lift, r and verify goes in the problem file or, where
+    # on_line says so, on the command line, which builds the same spec
     rng = random.Random(seed)
     config = random_relation_config(rng, 12) if kind % 2 else random_config(rng)
     beta = random_integral_beta(rng, config) if kind > 1 else random_nonresonant_beta(rng, config)
@@ -288,10 +291,26 @@ def test_solve_and_verify_match_the_reference(
     if lifted:
         problem["lift"] = [rng.randint(-2, 2) for _ in range(config.n)]
     argv = [command] + (["--format", "text"] if text else [])
-    argv += ([] if r is None else [f"--r={r}"]) + ([] if verify else ["--no-verify"])
+    written = dict(problem)
+    window_on_line, lift_on_line, r_on_line, verify_on_line = on_line
+    if window_on_line:
+        del written["window"]
+        argv.append("--window=%d:%d" % tuple(problem["window"]))
+    if lifted and lift_on_line:
+        argv.append("--lift=" + ",".join(map(str, written.pop("lift"))))
+    if r is not None:
+        if r_on_line:
+            argv.append(f"--r={r}")
+        else:
+            written["r"] = r
+    if not verify:
+        if verify_on_line:
+            argv.append("--no-verify")
+        else:
+            written["verify"] = False
     code, out, report = _reference_output(problem, command, r, verify, text)
     path = tmp_path_factory.mktemp("report") / "problem.json"
-    assert _cli_output(path, problem, *argv) == (code, out)
+    assert _cli_output(path, written, *argv) == (code, out)
     event(f"{command} exit {code}")
     if report is not None:
         if len(report.bundles) > 3:
@@ -346,8 +365,7 @@ def test_failing_certificate_matches_the_reference(monkeypatch, tmp_path, comman
         fields = {name: getattr(bundle, name) for name in bundle._fields}
         fields["solutions"] = bundle.solutions[:-1] + (changed,)
         return series.BundleReport(
-            report.bundles[:-1] + (series.SolutionBundle(**fields),),
-            report.total_solutions, report.expected_total,
+            report.bundles[:-1] + (series.SolutionBundle(**fields),), report.expected_total
         )
 
     monkeypatch.setattr(series, "solution_bundle", tampered)

@@ -5,15 +5,17 @@ needs the same class and compares exactly the fields the repr shows, and
 hashing follows it (or raises TypeError where a field is a dict, as a
 dataclass's hash does); the repr is ``Name(field=value, ...)``; assigning
 or deleting an attribute raises AttributeError; copy, deepcopy and pickle
-keep every attribute, derived ones too.  ``ProblemSpec`` is the one
-mutable record, and it is unhashable.  Importing the CLI loads no
-``dataclasses``, and a plain command line loads no ``argparse``.
+keep every attribute, derived ones too.  ``ProblemSpec`` is frozen as
+well.  A record that derives a verdict or a tally from its inputs derives
+it right.  Importing the CLI loads no ``dataclasses``, and a plain command
+line loads no ``argparse``.
 """
 
 import copy
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -22,11 +24,17 @@ from pathlib import Path
 import pytest
 
 from gkz1 import (
+    BundleReport,
+    Certificate,
     Exponent,
     IntervalSet,
     LatticeConfig,
     Nonresonance,
+    OperatorReport,
     Parameter,
+    PrimeExponents,
+    SolutionBundle,
+    SupportVerdict,
     certify,
     classify,
     exponent_set_prime,
@@ -36,9 +44,10 @@ from gkz1 import (
     solution_bundle,
 )
 from gkz1.cli import ProblemSpec
+from gkz1.errors import RNotLessThanMultiplicity
 from gkz1.lattice import RelationLine
 
-from conftest import TRIANGLE
+from conftest import TRIANGLE, random_config, random_integral_beta, random_nonresonant_beta
 
 CONFIG = LatticeConfig(TRIANGLE)
 BETA = parameter(CONFIG, (10, 8))
@@ -53,21 +62,14 @@ RECORDS = {
     "Parameter": (BETA, ("beta", "line")),
     "Nonresonance": (is_nonresonant(CONFIG, BETA), ("nonresonant", "witness")),
     "Exponent": (fake_exponents(CONFIG, BETA)[0], ("vector", "labels", "m_support")),
-    "PrimeExponents": (
-        exponent_set_prime(CONFIG, BETA), ("exponents", "multiplicity_sum", "relation_sum")
-    ),
+    "PrimeExponents": (exponent_set_prime(CONFIG, BETA), ("exponents", "relation_sum")),
     "IntervalSet": (IntervalSet(((0, None), (-3, -1))), ("intervals",)),
     "SupportVerdict": (BUNDLE.certificates[0], ("indices", "lift", "minimal", "membership")),
     "LogSeries": (BUNDLE.solutions[0], ("base_exponent", "relation", "window", "terms")),
-    "SolutionBundle": (BUNDLE, (
-        "parameter", "exponent", "lift", "solutions", "certificates",
-        "hypothesis_failures", "phi_empty",
-    )),
-    "BundleReport": (REPORT, ("bundles", "total_solutions", "expected_total")),
-    "OperatorReport": (CERTIFICATE.box, (
-        "operator", "input_window", "safe_window", "passed", "first_failure", "residual",
-    )),
-    "Certificate": (CERTIFICATE, ("box", "euler", "passed")),
+    "SolutionBundle": (BUNDLE, ("parameter", "exponent", "lift", "solutions", "certificates")),
+    "BundleReport": (REPORT, ("bundles", "expected_total")),
+    "OperatorReport": (CERTIFICATE.box, ("operator", "safe_window", "residual")),
+    "Certificate": (CERTIFICATE, ("box", "euler")),
     "Classification": (classify(CONFIG, BETA), (
         "regular", "nonresonant", "mum", "mum_holomorphic", "witness",
     )),
@@ -76,7 +78,14 @@ RECORDS = {
 LEFT_OUT = {"Parameter": {"line"}}
 # a changed value of each field, where __init__ derives from its fields and
 # so needs real ones; any other record takes object() as a changed value
-CHANGED = {"RelationLine": (BETA.line.at(1), (1, 1, -1))}
+CHANGED = {
+    "RelationLine": (BETA.line.at(1), (1, 1, -1)),
+    "PrimeExponents": ((), 3),
+    "SolutionBundle": (object(), object(), object(), object(), BUNDLE.certificates[::-1]),
+    "BundleReport": ((), object()),
+    "OperatorReport": (object(), object(), {(0, 0): F(1)}),
+    "Certificate": (CERTIFICATE.euler[0], CERTIFICATE.euler[:1]),
+}
 
 
 def _hashable(values) -> bool:
@@ -182,7 +191,7 @@ def test_default_fields():
     assert repr(IntervalSet(())) == "IntervalSet(intervals=())"
 
 
-def test_problem_spec_is_mutable_and_unhashable():
+def test_problem_spec_is_frozen():
     spec = ProblemSpec([[1], [2]], [F(1, 7)])
     assert spec == ProblemSpec(
         columns=[[1], [2]], beta=[F(1, 7)], u=None, lift=None, window=(-10, 20), r=None,
@@ -192,12 +201,69 @@ def test_problem_spec_is_mutable_and_unhashable():
         "ProblemSpec(columns=[[1], [2]], beta=[Fraction(1, 7)], u=None, lift=None, "
         "window=(-10, 20), r=None, verify=True)"
     )
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError):  # list fields, as in a frozen dataclass
         hash(spec)
-    twin = copy.copy(spec)
-    twin.window, twin.r = (0, 3), 1
-    assert (twin.window, twin.r) == ((0, 3), 1) and twin != spec
+    for name in ("window", "r", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, None)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
     assert (spec.window, spec.r) == ((-10, 20), None)
+
+
+def test_operator_report_derives_its_verdict():
+    # the least key (1, 0) holds a zero, so the first failure is (1, 1)
+    residual = {(2, 0): F(0), (1, 1): F(-2), (1, 0): F(0), (2, 1): F(5)}
+    report = OperatorReport("box", (0, 3), residual)
+    assert report.residual == {(1, 1): F(-2), (2, 1): F(5)}
+    assert report.first_failure == (1, 1, F(-2)) and not report.passed
+    clean = OperatorReport("box", (0, 3), {(0, 0): F(0)})
+    assert clean.residual == {} and clean.passed and clean.first_failure is None
+    assert clean == OperatorReport("box", (0, 3), {})
+
+
+def test_certificate_fails_with_one_euler_row():
+    box = OperatorReport("box", (0, 1), {})
+    rows = (
+        OperatorReport("euler[0]", (0, 2), {}),
+        OperatorReport("euler[1]", (0, 2), {(0, 0): F(1)}),
+    )
+    assert box.passed and not Certificate(box, rows).passed
+    assert Certificate(box, rows[:1]).passed
+
+
+def test_solution_bundle_derives_its_failures():
+    fields = {name: getattr(BUNDLE, name) for name in BUNDLE._fields}
+    first, second, third, fourth = BUNDLE.certificates
+    assert BUNDLE.hypothesis_failures == () and not BUNDLE.phi_empty
+
+    def failing(v):
+        return SupportVerdict(v.indices, v.lift, False, v.membership)
+
+    certificates = (first, failing(fourth), third, failing(second))
+    bundle = SolutionBundle(**{**fields, "certificates": certificates})
+    assert bundle.hypothesis_failures == (fourth.indices, second.indices)
+    assert not bundle.phi_empty
+    empty = SupportVerdict(first.indices, first.lift, first.minimal, IntervalSet(()))
+    bundle = SolutionBundle(**{**fields, "certificates": (empty, second, third, fourth)})
+    assert bundle.phi_empty and bundle.hypothesis_failures == ()
+
+
+def test_bundle_report_counts_the_solutions():
+    assert BundleReport((BUNDLE, BUNDLE), 4).total_solutions == 2 * len(BUNDLE.solutions) == 4
+    assert BundleReport((), 2).total_solutions == 0 and not BundleReport((), 2).complete
+
+
+def test_prime_exponents_tally_their_multiplicities():
+    rng = random.Random(29)
+    for _ in range(20):
+        config = random_config(rng)
+        for beta in (random_integral_beta(rng, config), random_nonresonant_beta(rng, config)):
+            primes = exponent_set_prime(config, beta)
+            total = sum(e.multiplicity for e in primes.exponents)
+            assert primes.multiplicity_sum == total == primes.relation_sum
+    first = primes.exponents[0]
+    assert PrimeExponents((first,), 99).multiplicity_sum == first.multiplicity
 
 
 def test_every_record_type_is_covered():
@@ -256,3 +322,17 @@ def test_plain_cli_call_imports_no_argparse(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert json.loads(out.stdout) == {"analyze": [0, 3], "loaded": [], "help": [0, True]}
+
+
+def test_readme_quick_start_runs():
+    # the python block of README's "Library quick start", whose last line
+    # documents that it raises RNotLessThanMultiplicity
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = block.strip().splitlines()
+    assert "raises RNotLessThanMultiplicity" in last
+    namespace = {}
+    exec("\n".join(body), namespace)
+    with pytest.raises(RNotLessThanMultiplicity):
+        exec(last, namespace)

@@ -83,3 +83,28 @@ def test_verify_imports_no_builder_code():
         if parts & BUILDER_MODULES:
             found.append(f"verify.py:{node.lineno}")
     assert not found, f"builder code imported by the certificate: {found}"
+
+
+FROZEN = {"__setattr__", "__delattr__", "__hash__"}
+
+
+def test_only_record_guards_its_attributes():
+    # every record is frozen and hashed by its fields through Record alone:
+    # a class that defines or assigns one of these would unfreeze a record
+    # or change what its hash compares
+    found = []
+    for name, node in _nodes():
+        if not isinstance(node, ast.ClassDef) or (name, node.name) == ("_record.py", "Record"):
+            continue
+        for statement in node.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                names = [
+                    n.id for n in ast.walk(statement)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            found += [f"{name}:{statement.lineno} {node.name}.{n}" for n in names if n in FROZEN]
+    assert not found, f"attribute guards past Record: {found}"
