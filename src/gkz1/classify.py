@@ -38,11 +38,14 @@ def singularity_type(config: LatticeConfig) -> SingularityType:
 
 
 class Classification(Record):
-    """Classification verdicts; None means outside the supported regime."""
+    """Classification verdicts; None means outside the supported regime.
 
-    def __init__(self, regular, nonresonant, mum, mum_holomorphic, witness):
+    mum is the witness's "singleton" entry, which only a classification
+    inside the regime has."""
+
+    def __init__(self, regular, nonresonant, mum_holomorphic, witness):
         self._set(
-            regular=regular, nonresonant=nonresonant, mum=mum,
+            regular=regular, nonresonant=nonresonant, mum=witness.get("singleton"),
             mum_holomorphic=mum_holomorphic, witness=witness,
         )
 
@@ -91,7 +94,6 @@ def _classification(config: LatticeConfig, beta) -> Classification:
     return Classification(
         regular=True,
         nonresonant=True,
-        mum=singleton,
         mum_holomorphic=holomorphic,
         witness=witness,
     )
@@ -125,7 +127,6 @@ def classify(config: LatticeConfig, beta) -> Classification:
         return Classification(
             regular=regular,
             nonresonant=bool(resonance),
-            mum=None,
             mum_holomorphic=None,
             witness=witness,
         )

@@ -357,6 +357,14 @@ def _bundle(bundle, certificates, pad: str, text: bool) -> str:
     inner = pad + _STEP[text]
     verdict, solution = _form("verdict", inner, text), _form("solution", inner, text)
     verification = _form("verification", inner, text)
+    # the verdicts share their lift and most of their memberships: each
+    # distinct one is written once
+    verdicts = bundle.certificates
+    lifts = {x: _leaf(list(x), inner, text) for x in {v.lift for v in verdicts}}
+    memberships = {
+        x: _leaf(list(map(list, x)), inner, text)
+        for x in {v.membership.intervals for v in verdicts}
+    }
     return _form("bundle", pad, text) % (
         _exponent(bundle.exponent, pad + "  ", text),
         _leaf(list(bundle.lift), pad, text),
@@ -364,11 +372,10 @@ def _bundle(bundle, certificates, pad: str, text: bool) -> str:
         _leaf(list(map(sorted, bundle.hypothesis_failures)), pad, text),
         _items([
             verdict % (
-                _leaf(sorted(v.indices), inner, text), _leaf(list(v.lift), inner, text),
-                _BOOLS[text][v.minimal],
-                _leaf(list(map(list, v.membership.intervals)), inner, text),
+                _leaf(sorted(v.indices), inner, text), lifts[v.lift],
+                _BOOLS[text][v.minimal], memberships[v.membership.intervals],
             )
-            for v in bundle.certificates
+            for v in verdicts
         ], pad, text),
         _items([
             solution % (

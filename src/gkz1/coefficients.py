@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from ._linalg import integer, rational, sequence
 from .errors import ExcludedCase
@@ -70,17 +71,25 @@ def _times_linear(a: list[int], cs: range, slope: int) -> None:
 
 
 def _reciprocal(a: list[int]) -> list[int]:
-    """r with [x^n] 1/a(x) = r[n] / a[0]^(n+1) for n < len(a); a[0] is nonzero."""
+    """r with [x^n] 1/a(x) = r[n] / a[0]^(n+1) for n < len(a); a[0] is nonzero.
+
+    r[n] = -sum_{i=1}^{n} a[i] * a[0]^(i-1) * r[n-i], with the products
+    a[i] * a[0]^(i-1) taken once, from one running power of a[0]."""
+    a0, power, scaled = a[0], 1, []
+    for c in a[1:]:
+        scaled.append(c * power)
+        power *= a0
     r = [1]
-    for n in range(1, len(a)):
-        r.append(-sum(a[i] * r[n - i] * a[0] ** (i - 1) for i in range(1, n + 1)))
+    for _ in scaled:
+        r.append(-sum(map(mul, scaled, reversed(r))))
     return r
 
 
 def _times(a: list[int], b: list[int]) -> None:
-    """a <- a * b as polynomials, truncated to len(a) terms, in place."""
+    """a <- a * b as polynomials, truncated to len(a) terms, in place; b has
+    at least len(a) terms.  Each a[s] reads a[0..s] before any is replaced."""
     for s in range(len(a) - 1, -1, -1):
-        a[s] = sum(a[i] * b[s - i] for i in range(s + 1))
+        a[s] = sum(map(mul, a, b[s::-1]))
 
 
 def coefficient_M(l: int, s: int, v) -> Fraction:

@@ -251,37 +251,70 @@ def support_verdict(config: LatticeConfig, v, indices, lift) -> SupportVerdict:
     vec = exponent_vector(v, config.n)
     lift = lift_vector(config, lift)
     indices = frozenset(integers(indices, "indices", config.n))
-    eq_lo = eq_hi = None
-    sub_lo = sub_hi = None
-    for mu in sorted(indices):
-        x = vec[mu]
+    return _support_verdicts(config, vec, lift, (indices,))[0]
+
+
+def _extreme(bounds, indices):
+    """The first bound of (bound, column) pairs whose column is in indices, or None."""
+    for bound, mu in bounds:
+        if mu in indices:
+            return bound
+    return None
+
+
+def _support_verdicts(config, vec, lift, index_sets) -> list[SupportVerdict]:
+    """support_verdict of each index set, for a checked vector and lift.
+
+    Each column's half-line is read once.  Column mu, with w = v_mu + lift_mu
+    an integer, is a negative integer at shift z exactly for z <= t =
+    floor((-1 - w) / e) when e = relation[mu] > 0, and for z >= s =
+    ceil((w + 1) / -e) when e < 0.  If mu is in v's own negative support it
+    bounds the equality interval only, from above for e > 0 and from below
+    for e < 0; otherwise it bounds both the equality and the subset
+    interval, from below (at t + 1) for e > 0 and from above (at s - 1) for
+    e < 0.  Each of those four kinds keeps its bounds most extreme first,
+    so an index set's verdict reads the first bound of each kind whose
+    column it keeps: its intervals are the max of the lower and the min of
+    the upper bounds over its columns.  Equal memberships share one
+    IntervalSet.
+    """
+    own_lo, own_hi, lo, hi = [], [], [], []
+    for mu, (x, l, e) in enumerate(zip(vec, lift, config.relation)):
         if x.denominator != 1:
             continue
-        w = x.numerator + lift[mu]
-        e = config.relation[mu]
+        w = x.numerator + l
         if e > 0:
-            # negative integer exactly for z <= t = floor((-1 - w) / e)
             t = (-1 - w) // e
             if x.numerator < 0:  # mu is in v's own negative support
-                eq_hi = t if eq_hi is None else min(eq_hi, t)
+                own_hi.append((t, mu))
             else:
-                eq_lo = t + 1 if eq_lo is None else max(eq_lo, t + 1)
-                sub_lo = t + 1 if sub_lo is None else max(sub_lo, t + 1)
+                lo.append((t + 1, mu))
         else:
-            # negative integer exactly for z >= s = ceil((w + 1) / -e)
             s = -((w + 1) // e)
-            if x.numerator < 0:  # mu is in v's own negative support
-                eq_lo = s if eq_lo is None else max(eq_lo, s)
+            if x.numerator < 0:
+                own_lo.append((s, mu))
             else:
-                eq_hi = s - 1 if eq_hi is None else min(eq_hi, s - 1)
-                sub_hi = s - 1 if sub_hi is None else min(sub_hi, s - 1)
-    equality = _interval(eq_lo, eq_hi)
-    return SupportVerdict(
-        indices=indices,
-        lift=lift,
-        minimal=equality == _interval(sub_lo, sub_hi),
-        membership=IntervalSet(() if equality is None else (equality,)),
-    )
+                hi.append((s - 1, mu))
+    own_lo.sort(reverse=True)
+    lo.sort(reverse=True)
+    own_hi.sort()
+    hi.sort()
+    shared, out = {}, []
+    for indices in index_sets:
+        sub_lo, sub_hi = _extreme(lo, indices), _extreme(hi, indices)
+        eq_lo, eq_hi = _extreme(own_lo, indices), _extreme(own_hi, indices)
+        if eq_lo is None or sub_lo is not None and sub_lo > eq_lo:
+            eq_lo = sub_lo
+        if eq_hi is None or sub_hi is not None and sub_hi < eq_hi:
+            eq_hi = sub_hi
+        equality = _interval(eq_lo, eq_hi)
+        membership = shared.get(equality)
+        if membership is None:
+            membership = shared[equality] = IntervalSet(() if equality is None else (equality,))
+        out.append(SupportVerdict(
+            indices, lift, equality == _interval(sub_lo, sub_hi), membership
+        ))
+    return out
 
 
 def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:

@@ -236,10 +236,11 @@ class Parameter(Record):
 
 
 class Nonresonance(Record):
-    """Outcome of the resonance test, with a witness pair (i, j, value) on failure."""
+    """Outcome of the resonance test: a witness pair (i, j, value) on failure,
+    None otherwise; nonresonant is whether there is no witness."""
 
-    def __init__(self, nonresonant, witness=None):
-        self._set(nonresonant=nonresonant, witness=witness)
+    def __init__(self, witness=None):
+        self._set(witness=witness, nonresonant=witness is None)
 
     def __bool__(self) -> bool:
         return self.nonresonant
@@ -334,5 +335,5 @@ def is_nonresonant(config: LatticeConfig, beta) -> Nonresonance:
     for i, j in facet_pairs(config):
         value, r = divmod(a[i] * -rel[j] + a[j] * rel[i], gcd(rel[i], rel[j]) * line.den)
         if not r:
-            return Nonresonance(False, (i, j, value))
-    return Nonresonance(True)
+            return Nonresonance((i, j, value))
+    return Nonresonance()

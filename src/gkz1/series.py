@@ -42,6 +42,7 @@ from .errors import (
     RNotLessThanMultiplicity,
 )
 from .exponents import (
+    _support_verdicts,
     exponent_set_prime,
     exponent_vector,
     integer_lift,
@@ -295,30 +296,32 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
 
     The certificates are the support verdicts of every index set missing
     fewer than cap columns, ordered by the number of columns missing, then
-    lexicographically in them.  The solutions run from degree 0 up to the
-    last degree r for which every index set missing at most r columns keeps
-    minimal negative support; all of them read one eps-product per shift in
-    the memberships of those sets.
+    lexicographically in them, all read off the columns' half-lines in one
+    pass (exponents._support_verdicts).  The solutions run from degree 0 up
+    to the last degree r for which every index set missing at most r
+    columns keeps minimal negative support; all of them read one
+    eps-product per shift in the memberships of those sets, each distinct
+    membership clipped to the window once.
     """
     lo, hi = window_bounds(window)
-    everything = frozenset(range(config.n))
-    verdicts = {}  # missing columns -> the verdict on the other columns
-    for size in range(cap):
-        for missing in combinations(range(config.n), size):
-            verdicts[missing] = support_verdict(
-                config, vec, everything.difference(missing), lift
-            )
-    r_top = min((len(m) for m, v in verdicts.items() if not v.minimal), default=cap) - 1
+    n = config.n
+    everything = frozenset(range(n))
+    verdicts = _support_verdicts(config, vec, lift, [
+        everything.difference(missing)
+        for size in range(cap) for missing in combinations(range(n), size)
+    ])
+    r_top = next((n - len(v.indices) for v in verdicts if not v.minimal), cap) - 1
     members = set()
-    for missing, verdict in verdicts.items():
-        if len(missing) <= r_top:
-            members.update(verdict.membership.clip(lo, hi))
+    # each distinct membership once (equal ones are one IntervalSet), in
+    # certificate order, so that clip names the first one too wide for a list
+    for membership in dict.fromkeys(v.membership for v in verdicts if n - len(v.indices) <= r_top):
+        members.update(membership.clip(lo, hi))
     products = _epsilon_products(config, vec, lift, sorted(members), max(r_top, 0))
     base = tuple(x + l for x, l in zip(vec, lift))
     solutions = tuple(
         _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
     )
-    return tuple(verdicts.values()), solutions
+    return tuple(verdicts), solutions
 
 
 def _degree(r: int, multiplicity: int, certificates=(), solutions=()) -> LogSeries:

@@ -122,10 +122,13 @@ def _constant(factors, z) -> int:
     return prod(prod(range(p + q * z * e, p + q * (z * e - abs(e)), -q)) for p, q, e in factors)
 
 
-def _image(factors, den, top, z, column) -> tuple[list[int], int]:
-    """d^ell_side of column z of a series with log terms (top > 0), given as
+def _image(factors, den, weights, z, column) -> tuple[list[int], int]:
+    """d^ell_side of column z of a series with log terms, given as
     ([(r, n_r)], common) for C(z)[r] = n_r/common: ([m_0, ..., m_top], d) for
-    sum_k (m_k/d) x^(w(z) - ell_side) log^k x0.  No column (None) maps to zeros."""
+    sum_k (m_k/d) x^(w(z) - ell_side) log^k x0, top > 0 the series' top log
+    degree and weights[r][k] = r!/k! for k <= r <= top.  No column (None)
+    maps to zeros."""
+    top = len(weights) - 1
     if column is None:
         return [0] * (top + 1), 1
     nums, common = column
@@ -139,9 +142,11 @@ def _image(factors, den, top, z, column) -> tuple[list[int], int]:
             for s in range(top, 0, -1):
                 f[s] = f[s] * c + f[s - 1] * slope
             f[0] *= c
-    return [
-        sum(a * perm(r, r - k) * f[r - k] for r, a in nums if r >= k) for k in range(top + 1)
-    ], common * den
+    out = [0] * (top + 1)
+    for r, a in nums:
+        for k, w in enumerate(weights[r]):
+            out[k] += a * w * f[r - k]
+    return out, common * den
 
 
 def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
@@ -176,10 +181,11 @@ def _box(config, series) -> OperatorReport:
     else:  # log-free: one Fraction per shift
         columns = {z: c for (z, _), c in series.terms.items()}
     residual = {}
+    weights = [[perm(r, r - k) for k in range(r + 1)] for r in range(top + 1)]
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
         if top:
-            a, da = _image(*positive, top, z + 1, columns.get(z + 1))
-            b, db = _image(*negative, top, z, columns.get(z))
+            a, da = _image(*positive, weights, z + 1, columns.get(z + 1))
+            b, db = _image(*negative, weights, z, columns.get(z))
         else:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0); a missing column is 0/1
             c1, c0 = columns.get(z + 1, 0), columns.get(z, 0)
             a, da = [c1.numerator * _constant(positive[0], z + 1)], c1.denominator * positive[1]
@@ -315,23 +321,27 @@ def _same(a, b) -> bool:
 
 def _truncation(top, terms, t, r, size) -> bool:
     """Whether terms, those of solution r, are c[(z, k)] = top[(z, t-r+k)] *
-    r!(t-r+k)!/(k! t!) on int keys with k >= 0, with Fraction values, and no
-    others: size is how many terms of top have log degree >= t - r.  The
-    weight is perm(t-r+k, t-r)/perm(t, t-r), cross-multiplied in integers.
+    r!(t-r+k)!/(k! t!) on int keys with 0 <= k <= r, with Fraction values,
+    and no others: size is how many terms of top have log degree >= t - r.
+    The weight is perm(t-r+k, t-r)/perm(t, t-r), cross-multiplied in
+    integers, its numerator read from one table of the r + 1 degrees k.
     """
     if type(terms) is not dict or len(terms) != size:
         return False
     d = t - r
     scale = perm(t, d)
+    weights = [perm(d + k, d) for k in range(r + 1)]
     for key, c in terms.items():
         if type(key) is not tuple or len(key) != 2:
             return False
         z, k = key
-        if type(z) is not int or type(k) is not int or k < 0 or type(c) is not Fraction:
+        if type(z) is not int or type(k) is not int or type(c) is not Fraction:
+            return False
+        if not 0 <= k <= r:
             return False
         a = top.get((z, d + k))
         if type(a) is not Fraction or (
-            c.numerator * a.denominator * scale != a.numerator * c.denominator * perm(d + k, d)
+            c.numerator * a.denominator * scale != a.numerator * c.denominator * weights[k]
         ):
             return False
     return True

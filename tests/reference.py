@@ -932,9 +932,11 @@ def analyze_report_reference(config, beta) -> dict:
 
 def classify_report_reference(config, beta) -> dict:
     """What ``gkz1 classify`` prints for the parameter beta, as
-    analyze_report_reference builds it: the classification's fields."""
+    analyze_report_reference builds it: the classification's verdicts, mum
+    among them, and its witness."""
     classification = is_mum_holomorphic(config, beta)
-    return {name: getattr(classification, name) for name in classification._fields}
+    names = ("regular", "nonresonant", "mum", "mum_holomorphic", "witness")
+    return {name: getattr(classification, name) for name in names}
 
 
 def render_text_reference(report: dict, indent: int = 0) -> str:

@@ -408,7 +408,8 @@ def test_line_closed_forms_match_the_solves(seed, relation_first, kind, data):
     beta = parameter(config, config.column_combination(weights))
     values = ((i, j, facet_functional(config, i, j)(beta.beta)) for i, j in facet_pairs(config))
     witness = next(((i, j, int(v)) for i, j, v in values if v.denominator == 1), None)
-    assert is_nonresonant(config, beta) == Nonresonance(witness is None, witness)
+    result = is_nonresonant(config, beta)
+    assert result == Nonresonance(witness) and result.nonresonant is (witness is None)
     negative_columns = [config.columns[j] for j in config.negative]
     in_span = solve_columns_reference(negative_columns, beta.beta) is not None
     assert _parameter_in_negative_span(config, beta) == in_span

@@ -26,6 +26,7 @@ import pytest
 from gkz1 import (
     BundleReport,
     Certificate,
+    Classification,
     Exponent,
     IntervalSet,
     LatticeConfig,
@@ -60,7 +61,7 @@ RECORDS = {
     "LatticeConfig": (CONFIG, ("columns",)),
     "RelationLine": (BETA.line, ("point", "relation")),
     "Parameter": (BETA, ("beta", "line")),
-    "Nonresonance": (is_nonresonant(CONFIG, BETA), ("nonresonant", "witness")),
+    "Nonresonance": (is_nonresonant(CONFIG, BETA), ("witness",)),
     "Exponent": (fake_exponents(CONFIG, BETA)[0], ("vector", "labels", "m_support")),
     "PrimeExponents": (exponent_set_prime(CONFIG, BETA), ("exponents", "relation_sum")),
     "IntervalSet": (IntervalSet(((0, None), (-3, -1))), ("intervals",)),
@@ -71,7 +72,7 @@ RECORDS = {
     "OperatorReport": (CERTIFICATE.box, ("operator", "safe_window", "residual")),
     "Certificate": (CERTIFICATE, ("box", "euler")),
     "Classification": (classify(CONFIG, BETA), (
-        "regular", "nonresonant", "mum", "mum_holomorphic", "witness",
+        "regular", "nonresonant", "mum_holomorphic", "witness",
     )),
 }
 # the fields left out of repr, equality and hashing
@@ -85,6 +86,7 @@ CHANGED = {
     "BundleReport": ((), object()),
     "OperatorReport": (object(), object(), {(0, 0): F(1)}),
     "Certificate": (CERTIFICATE.euler[0], CERTIFICATE.euler[:1]),
+    "Classification": (object(), object(), object(), {}),
 }
 
 
@@ -182,12 +184,12 @@ def test_equality_needs_the_same_class():
 
     assert Intervals(()) != IntervalSet(()) and IntervalSet(()) != Intervals(())
     line = BETA.line
-    assert line != Nonresonance(line.point, line.relation)
+    assert line != Nonresonance((line.point, line.relation))
 
 
 def test_default_fields():
-    assert Nonresonance(True) == Nonresonance(True, None)
-    assert repr(Nonresonance(True)) == "Nonresonance(nonresonant=True, witness=None)"
+    assert Nonresonance() == Nonresonance(None)
+    assert repr(Nonresonance()) == "Nonresonance(witness=None)"
     assert repr(IntervalSet(())) == "IntervalSet(intervals=())"
 
 
@@ -247,6 +249,20 @@ def test_solution_bundle_derives_its_failures():
     empty = SupportVerdict(first.indices, first.lift, first.minimal, IntervalSet(()))
     bundle = SolutionBundle(**{**fields, "certificates": (empty, second, third, fourth)})
     assert bundle.phi_empty and bundle.hypothesis_failures == ()
+
+
+def test_verdicts_follow_their_witness():
+    # a resonance witness makes the parameter resonant, and its absence
+    # nonresonant; MUM is the classification witness's singleton entry, and
+    # None outside the regime, where the witness has none
+    assert Nonresonance().nonresonant and bool(Nonresonance())
+    resonant = Nonresonance((0, 2, 12))
+    assert not resonant.nonresonant and not resonant
+    inside = classify(CONFIG, (F(1, 3), F(1, 3)))
+    assert inside.mum is True is inside.witness["singleton"]
+    assert Classification(True, True, False, {**inside.witness, "singleton": False}).mum is False
+    outside = classify(CONFIG, BETA)
+    assert outside.witness == {"resonance_witness": (0, 2, 12)} and outside.mum is None
 
 
 def test_bundle_report_counts_the_solutions():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import gkz1.series
+from gkz1.exponents import _support_verdicts
 from gkz1 import (
     LogSeries,
     build_config,
@@ -16,17 +18,26 @@ from gkz1 import (
     log_solution,
     phi_series,
     solution_bundle,
+    support_verdict,
 )
 from gkz1.coefficients import coefficient_run
 from gkz1.errors import (
     ExcludedCase,
     HypothesisViolated,
+    InputError,
     NegativeDegree,
     NotMinimalSupport,
     RNotLessThanMultiplicity,
 )
 
-from conftest import GAUSS, QUINTIC, random_config, random_nonresonant_beta, random_relation_config
+from conftest import (
+    GAUSS,
+    QUINTIC,
+    random_config,
+    random_integral_beta,
+    random_nonresonant_beta,
+    random_relation_config,
+)
 from reference import (
     MismatchDetected,
     SigmaIntegral,
@@ -37,6 +48,7 @@ from reference import (
     mirror_map_and_instantons,
     relation_points,
     scalar_relation_check,
+    support_verdict_reference,
 )
 
 GOLDEN = {0: F(1), 1: F(56, 3), 2: F(70), 3: F(56), 4: F(14, 3)}
@@ -568,6 +580,94 @@ def test_bundle_answers_every_degree_as_log_solution_does(case):
                 lambda: log_solution(config, bundle.exponent, bundle.lift, r, window)
             )
             event(f"outcome: {read[0].__name__ if type(read) is tuple else 'series'}")
+
+
+def _kept_sets(n: int, cap: int) -> list[frozenset]:
+    """The index sets missing fewer than cap of n columns, in _build's order:
+    by the number of columns missing, then lexicographically in them."""
+    everything = frozenset(range(n))
+    return [
+        everything.difference(missing)
+        for size in range(cap) for missing in combinations(range(n), size)
+    ]
+
+
+@st.composite
+def verdict_pass_cases(draw):
+    """An exponent of a nonresonant or an integral parameter, a zero or a
+    random lift, and a cap from the exponent's multiplicity up to n + 1."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    config = random_relation_config(rng) if draw(st.booleans()) else random_config(rng)
+    if draw(st.booleans()):
+        beta = random_nonresonant_beta(rng, config)
+    else:
+        beta = random_integral_beta(rng, config)
+    exponent = draw(st.sampled_from(exponent_set_prime(config, beta).exponents))
+    n = config.n
+    if draw(st.booleans()):
+        lift = (0,) * n
+    else:
+        lift = tuple(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)))
+    return config, exponent.vector, lift, draw(st.integers(exponent.multiplicity, n + 1))
+
+
+class TestVerdictPass:
+    """Every support verdict of a bundle is read off the columns' half-lines
+    in one pass; it must be the verdict of each index set on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=verdict_pass_cases())
+    # sets missing two, and three, columns fail: the top degree is below the cap
+    @example(case=(
+        build_config([(-1, 2, 0), (-1, -1, -1), (-3, 3, -1)]), (F(8), F(0), F(-4)), (0, 0, -1), 4
+    ))
+    @example(case=(
+        build_config([(-1, 1, 1, -1), (0, 1, 1, 2), (0, -2, -1, 1), (2, 1, 0, 3)]),
+        (F(1), F(-4), F(0), F(0)), (2, -1, -2, 1), 5,
+    ))
+    def test_pass_is_the_per_set_verdict_and_the_scan(self, case):
+        config, vec, lift, cap = case
+        kept = _kept_sets(config.n, cap)
+        verdicts = _support_verdicts(config, vec, lift, kept)
+        assert verdicts == [support_verdict(config, vec, indices, lift) for indices in kept]
+        assert verdicts == [
+            support_verdict_reference(config, vec, indices, lift) for indices in kept
+        ]
+        failing = [config.n - len(v.indices) for v in verdicts if not v.minimal]
+        r_top = min(failing, default=cap) - 1
+        members = set()
+        for v in verdicts:
+            if config.n - len(v.indices) <= r_top:
+                members.update(v.membership.clip(-6, 8))
+        try:
+            certificates, solutions = gkz1.series._build(config, vec, lift, cap, (-6, 8))
+        except ExcludedCase:
+            event("refused: ExcludedCase")
+            return
+        assert certificates == tuple(verdicts) and len(solutions) == r_top + 1
+        assert {z for series in solutions for z, _ in series.terms} <= members
+        event(f"non-minimal sets: {bool(failing)}")
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_fermat_families_against_the_scan(self, k):
+        # (1^k, -k): one bundle of multiplicity k, so sum_{j<k} C(k+1, j)
+        # verdicts, 2,036 at k = 10, all minimal
+        points, beta = _family((1,) * k + (-k,))
+        config = build_config(points)
+        (bundle,) = solution_bundle(config, beta, window=(0, 4)).bundles
+        kept = _kept_sets(config.n, k)
+        vec = bundle.exponent.vector
+        assert len(bundle.certificates) == 2 ** (k + 1) - k - 2
+        assert list(bundle.certificates) == [
+            support_verdict_reference(config, vec, indices, bundle.lift) for indices in kept
+        ]
+        assert len(bundle.solutions) == k
+
+    def test_too_wide_a_shared_membership_is_refused(self):
+        # the quintic's 57 verdicts share memberships unbounded above; the
+        # one clip of each still refuses a window no list can index
+        with pytest.raises(InputError, match=r"window \[0, 100000000000000000000\]"):
+            solution_bundle(build_config(QUINTIC), (-1, 0, 0, 0, 0), window=(0, 10**20))
 
 
 class TestWindowsAndJson:
