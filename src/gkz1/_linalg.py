@@ -6,21 +6,21 @@ operator.index refuses, or a str for a list raises an InputError that names the
 entry.  window_bounds() reads a window, grid_fields() a series for LogSeries.make
 and the certificate alike.
 
-Matrices are small (a handful of rows and columns), so one Gauss-Jordan
-elimination serves every solve, and it runs on Python ints only.  A row
-is eliminated by cross-multiplying it with the pivot row, then divided by
-its content, so every row stays a primitive integer vector and its entries
-stay near the size of the input's minors.  Rational right-hand sides are
-cleared of denominators once, before the elimination, and a solve builds
-one ``Fraction`` per pivot coordinate, at the end.  No floats anywhere.
+Matrices are small, so one Gauss-Jordan elimination per configuration, in
+Python ints only, is kept and serves its kernel and every solve: reduction()
+takes [A | I] to [R | E], E*A = R, and solve() back-substitutes a target
+through E.  A row is eliminated by cross-multiplying it with the pivot row,
+then divided by its content, so every row stays a primitive integer vector
+and its entries stay near the size of the input's minors.  A target is
+cleared of denominators once, and a solve builds one ``Fraction`` per pivot
+coordinate, at the end.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import index
-from typing import Optional, Sequence
+from operator import index, mul
 
 from .errors import EmptyWindow, InputError
 
@@ -29,7 +29,8 @@ Vector = tuple[Fraction, ...]
 
 def rational(value, where: str) -> Fraction:
     """value as a Fraction, a Fraction as it is; a float, which holds a binary
-    approximation, and a bool, which is a truth value, are refused."""
+    approximation, and a bool, which is a truth value, are refused.  A str "p" or
+    "p/q" of an optional "-" and ASCII digits is read by int, any other by Fraction."""
     if type(value) is Fraction:
         return value
     if isinstance(value, float):
@@ -37,12 +38,16 @@ def rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a number, got {value!r}")
     try:
+        if type(value) is str and value.isascii():
+            p, slash, q = value.partition("/")
+            if p.removeprefix("-").isdigit() and (not slash or q.isdigit() and q.strip("0")):
+                return Fraction(int(p), int(q) if slash else 1)
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"{where}: cannot parse rational {value!r}: {exc}") from None
 
 
-def integer(value, where: str, bound: Optional[int] = None) -> int:
+def integer(value, where: str, bound: int | None = None) -> int:
     """value as an int; refused where operator.index refuses it, for a bool, or
     outside [0, bound)."""
     if isinstance(value, bool):
@@ -78,7 +83,7 @@ def fracs(values, where: str) -> Vector:
         return tuple(rational(e, f"{where} entry {i}") for i, e in enumerate(values))
 
 
-def integers(values, where: str, bound: Optional[int] = None) -> tuple[int, ...]:
+def integers(values, where: str, bound: int | None = None) -> tuple[int, ...]:
     """fracs() for ints: each entry refused as integer() refuses it, with the same bound."""
     values = sequence(values, where)
     try:
@@ -135,75 +140,76 @@ def _rref(rows: list[list[int]], ncols: int) -> list[int]:
     first remaining row with a nonzero entry there, and every other row is
     cleared in that column, so each row ends as a nonzero multiple of the
     row that reduction over Q gives; the pivot entry is not scaled to 1.
-    Any trailing columns (e.g. an augmented right-hand side) are carried
+    Any trailing columns (the identity of [A | I] in reduction) are carried
     along but never pivoted on.
     """
     pivots = []
-    r = 0
+    r, nrows = 0, len(rows)
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for p in range(r, nrows):
+            if rows[p][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
+        pivot = rows[p]
+        rows[r], rows[p] = pivot, rows[r]
         a = pivot[c]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
                 g = gcd(a, f)
                 a_g, f_g = a // g, f // g
-                row = [a_g * x - f_g * y for x, y in zip(rows[i], pivot)]
+                row = [a_g * x - f_g * y for x, y in zip(row, pivot)]
                 content = gcd(*row)
                 if content > 1:
                     row = [x // content for x in row]
                 rows[i] = row
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return pivots
 
 
-def solve_columns(columns: Sequence[Sequence[int]], rhs: Sequence) -> Optional[Vector]:
-    """One exact solution c of  sum_t c_t * columns[t] = rhs,  or None.
+def reduction(columns, d: int) -> tuple:
+    """(rows, pivots, m): the m columns of length d reduced, [A | I] to [R | E].
 
-    The right-hand side holds ints or Fractions.  Free coordinates are set
-    to zero, which makes the answer deterministic.
+    Row operations keep E*A = R, so the target b reduces to E*b: R's pivot
+    rows fix the pivot coordinates and the other rows of E*b must vanish.
     """
     m = len(columns)
-    d = len(rhs)
-    if m == 0:
-        return () if all(x == 0 for x in rhs) else None
-    den = lcm(*(x.denominator for x in rhs))
-    rows = [
-        [col[i] * den for col in columns] + [rhs[i].numerator * (den // rhs[i].denominator)]
-        for i in range(d)
-    ]
+    rows = [[col[i] for col in columns] + [0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
     pivots = _rref(rows, m)
-    for i in range(len(pivots), d):
-        if rows[i][m]:
-            return None
+    return tuple(map(tuple, rows)), tuple(pivots), m
+
+
+def solve(reduced: tuple, rhs) -> Vector | None:
+    """The solution c of  sum_t c_t * columns[t] = rhs  whose free coordinates
+    are zero, or None: rhs, of ints or Fractions, back-substituted through
+    the reduction's E, cleared of its denominators first."""
+    rows, pivots, m = reduced
+    den = lcm(*(x.denominator for x in rhs))
+    b = [x.numerator * (den // x.denominator) for x in rhs]
+    eb = [sum(map(mul, row[m:], b)) for row in rows]
+    if any(eb[len(pivots):]):
+        return None
     solution = [Fraction(0)] * m
     for r, c in enumerate(pivots):
-        solution[c] = Fraction(rows[r][m], rows[r][c])
+        solution[c] = Fraction(eb[r], rows[r][c] * den)
     return tuple(solution)
 
 
-def nullspace_columns(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def nullspace(reduced: tuple) -> list[tuple[int, ...]]:
     """Integer basis of {c in Q^m : sum_t c_t * columns[t] = 0}.
 
     One vector per free coordinate f: the vector over Q with c_f = 1 and
     the other free coordinates 0, times the lcm of the pivots, so every
     entry is an integer and c_f is positive.
     """
-    m = len(columns)
-    d = len(columns[0])
-    rows = [[col[i] for col in columns] for i in range(d)]
-    pivots = _rref(rows, m)
+    rows, pivots, m = reduced
     scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
-    free = [c for c in range(m) if c not in pivots]
     basis = []
-    for f in free:
+    for f in (c for c in range(m) if c not in pivots):
         vec = [0] * m
         vec[f] = scale
         for r, c in enumerate(pivots):
@@ -214,7 +220,7 @@ def nullspace_columns(columns: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
 
 # -- lattice index ------------------------------------------------------------
 
-def saturation_index(columns: Sequence[Sequence[int]]) -> int:
+def saturation_index(columns) -> int:
     """Index of the lattice spanned by integer columns inside its saturation.
 
     Equals the product of the Smith invariant factors, which is the product

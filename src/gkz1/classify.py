@@ -40,13 +40,13 @@ def singularity_type(config: LatticeConfig) -> SingularityType:
 class Classification(Record):
     """Classification verdicts; None means outside the supported regime.
 
-    mum is the witness's "singleton" entry, which only a classification
-    inside the regime has."""
+    Both read off the witness: nonresonant, that it has no "resonance_witness"
+    entry, and mum, its "singleton" entry, which only the regime's witness has."""
 
-    def __init__(self, regular, nonresonant, mum_holomorphic, witness):
+    def __init__(self, regular, mum_holomorphic, witness):
         self._set(
-            regular=regular, nonresonant=nonresonant, mum=witness.get("singleton"),
-            mum_holomorphic=mum_holomorphic, witness=witness,
+            regular=regular, nonresonant="resonance_witness" not in witness,
+            mum=witness.get("singleton"), mum_holomorphic=mum_holomorphic, witness=witness,
         )
 
 
@@ -91,12 +91,7 @@ def _classification(config: LatticeConfig, beta) -> Classification:
         "negative_span": holomorphic_a,
         "exponent": [str(x) for x in exponent.vector] if exponent else None,
     }
-    return Classification(
-        regular=True,
-        nonresonant=True,
-        mum_holomorphic=holomorphic,
-        witness=witness,
-    )
+    return Classification(regular=True, mum_holomorphic=holomorphic, witness=witness)
 
 
 def is_mum(config: LatticeConfig, beta) -> Classification:
@@ -124,10 +119,5 @@ def classify(config: LatticeConfig, beta) -> Classification:
     resonance = is_nonresonant(config, beta)
     if not (regular and resonance):
         witness = {} if resonance else {"resonance_witness": resonance.witness}
-        return Classification(
-            regular=regular,
-            nonresonant=bool(resonance),
-            mum_holomorphic=None,
-            witness=witness,
-        )
+        return Classification(regular=regular, mum_holomorphic=None, witness=witness)
     return _classification(config, beta)

@@ -6,7 +6,7 @@ cross the boundary as exact "p/q" strings; no floats enter anywhere.  Each
 number of the file passes the library's one check (gkz1._linalg), named by
 its field, such as beta[1]; the file adds only that a vector is a list.  A
 plain command line is read by _plain; any other, help and usage errors among
-them, goes to build_parser, which alone imports argparse.
+them, goes to build_parser, whose module, gkz1._usage, alone imports argparse.
 
 Exit codes: 0 success, else the exit_code of the error class, printed with its
 label on one stderr line: 1 internal invariant failure, 2 invalid input,
@@ -43,7 +43,6 @@ import os
 import sys
 from itertools import chain, islice
 from math import gcd
-from pathlib import Path
 from types import SimpleNamespace
 
 from ._linalg import integer, pair, rational, window_bounds
@@ -73,6 +72,8 @@ def _list(value, field: str) -> list:
 
 def _numbers(value, field: str, check) -> list:
     values = _list(value, field)
+    if check is integer and all(type(x) is int for x in values):
+        return values  # a type test first: a list of ints needs no check
     try:
         return [check(x, field) for x in values]
     except InputError:  # as in _linalg.fracs, an entry is named once refused
@@ -81,12 +82,11 @@ def _numbers(value, field: str, check) -> list:
 
 def load_problem(path: str) -> dict:
     """The problem file's fields, each checked, by their ProblemSpec names;
-    _apply_overrides builds the spec from them."""
-    file_path = Path(path)
+    _apply_overrides builds the spec from them.  A .toml suffix, any case, is TOML."""
     try:
-        with open(file_path) as file:
+        with open(path) as file:
             text = file.read()
-        if file_path.suffix.lower() == ".toml":
+        if os.path.splitext(path)[1].lower() == ".toml":
             try:
                 import tomllib  # Python >= 3.11
             except ModuleNotFoundError:
@@ -96,7 +96,7 @@ def load_problem(path: str) -> dict:
             data = json.loads(text)
     except Exception as exc:
         # asked only once a read or parse fails, so a good file costs no stat
-        if not file_path.exists():
+        if not os.path.exists(path):
             raise InputError(f"input file not found: {path}") from None
         raise InputError(f"cannot parse {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -105,12 +105,10 @@ def load_problem(path: str) -> dict:
         raise InputError("A: missing (list of integer points)")
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
-    fields = {
-        "columns": [
-            _numbers(col, f"A[{i}]", integer) for i, col in enumerate(_list(data["A"], "A"))
-        ],
-        "beta": _numbers(data["beta"], "beta", rational),
-    }
+    columns = _list(data["A"], "A")
+    if not all(type(col) is list and all(type(x) is int for x in col) for col in columns):
+        columns = [_numbers(col, f"A[{i}]", integer) for i, col in enumerate(columns)]
+    fields = {"columns": columns, "beta": _numbers(data["beta"], "beta", rational)}
     for field, check in (("u", rational), ("lift", integer), ("window", integer)):
         if field in data:
             fields[field] = _numbers(data[field], field, check)
@@ -549,31 +547,8 @@ _COMMANDS = {
 
 
 def build_parser():
-    import argparse  # here, not with the module: only help and usage errors need it
-
-    parser = argparse.ArgumentParser(
-        prog="gkz1",
-        description="Exact series solutions of codimension-one GKZ systems",
-    )
-    # the options every command takes, declared once and copied into each
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="problem file (.json or .toml)")
-    common.add_argument("--window", help="z window as LO:HI")
-    common.add_argument("--u", help="parameter shift u as comma-separated rationals")
-    common.add_argument("--lift", help="integer lift as comma-separated integers")
-    common.add_argument("--r", type=int, help="requested log degree")
-    common.add_argument("--no-verify", action="store_true", dest="no_verify")
-    common.add_argument("--format", choices=["json", "text"], default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("analyze", "configuration summary: relation, volume, resonance"),
-        ("exponents", "fake and normalized exponents with multiplicities"),
-        ("solve", "construct the log series solutions"),
-        ("verify", "construct solutions and report operator certification"),
-        ("classify", "regularity and maximal-unipotent-monodromy test"),
-    ]:
-        sub.add_parser(name, help=help_text, parents=[common])
-    return parser
+    from ._usage import build_parser  # only help and usage errors need argparse
+    return build_parser()
 
 
 _parser = functools.cache(build_parser)  # the process's one parser, built when first needed

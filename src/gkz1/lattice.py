@@ -7,10 +7,10 @@ vector, which fixes the distinguished monomial
 
     x0 = prod_{rel[mu] > 0} x_mu^rel[mu] / prod_{rel[mu] < 0} x_mu^(-rel[mu]).
 
-One type, ``LatticeConfig``, holds it: it stores the columns and the
-relation, found while validating the columns, and derives the rest (the
-sides of the relation, their sums, ``perm``, ``k`` and the volume) from the
-relation once, on construction.
+One type, ``LatticeConfig``, holds it: the columns, their one integer
+reduction, which every solve on them reads, and the relation, found while
+validating the columns; the rest (the sides of the relation, their sums,
+``perm``, ``k`` and the volume) is derived from the relation on construction.
 
 The solutions of sum_mu c_mu a_mu = target form one line, w + t*relation,
 held by ``RelationLine`` in integers: a coordinate is an integer only at
@@ -43,11 +43,13 @@ class LatticeConfig(Record):
 
     Validates on construction that the points span exactly an
     (n-1)-dimensional space and that every subset of n-1 points is
-    linearly independent, with one kernel computation: once the kernel is
-    the line through ``relation``, the columns without mu are independent
-    exactly when relation[mu] != 0.  The columns are the one field; the
-    rest is derived from the relation once, on construction:
+    linearly independent, with one elimination: once the kernel is the line
+    through ``relation``, the columns without mu are independent exactly
+    when relation[mu] != 0.  The columns are the one field; the rest is
+    derived on construction:
 
+    reduction -- the columns' integer reduction (_linalg.reduction), which
+                 gives the kernel here and every RelationLine.of solve;
     relation  -- the kernel's coprime integer generator, in the caller's
                  column order, signed so that relation[0] > 0;
     positive, negative -- the columns with relation[mu] > 0, and < 0;
@@ -66,11 +68,10 @@ class LatticeConfig(Record):
         d = len(cols[0])
         if d < 1 or any(len(c) != d for c in cols):
             raise KernelRankNotOne("points must be nonempty and equal length")
-        kernel = _linalg.nullspace_columns(cols)
+        reduction = _linalg.reduction(cols, d)
+        kernel = _linalg.nullspace(reduction)
         if len(kernel) != 1:
-            raise KernelRankNotOne(
-                f"points span rank {n - len(kernel)}, expected {n - 1}"
-            )
+            raise KernelRankNotOne(f"points span rank {n - len(kernel)}, expected {n - 1}")
         content = gcd(*kernel[0])
         relation = tuple(x // content for x in kernel[0])
         if 0 in relation:
@@ -82,9 +83,10 @@ class LatticeConfig(Record):
         positive_sum = sum(e for e in relation if e > 0)
         negative_sum = -sum(e for e in relation if e < 0)
         self._set(
-            columns=cols, relation=relation, positive=positive, negative=negative,
-            perm=positive + negative, k=len(positive), positive_sum=positive_sum,
-            negative_sum=negative_sum, volume=max(positive_sum, negative_sum),
+            columns=cols, reduction=reduction, relation=relation, positive=positive,
+            negative=negative, perm=positive + negative, k=len(positive),
+            positive_sum=positive_sum, negative_sum=negative_sum,
+            volume=max(positive_sum, negative_sum),
         )
 
     @property
@@ -130,13 +132,13 @@ class RelationLine(Record):
     def of(cls, config: LatticeConfig, target) -> RelationLine | None:
         """The line of solutions for the target, or None outside the span.
 
-        The last column is the one left out: the others are independent and
-        span the same space, so the solve is unique.
+        Its point is read off the configuration's reduction by
+        back-substitution: the last column is its one free coordinate, as
+        the others are independent, so the point is the unique solution
+        with last coordinate 0.
         """
-        partial = _linalg.solve_columns(config.columns[:-1], target)
-        if partial is None:
-            return None
-        return cls(partial + (Fraction(0),), config.relation)
+        point = _linalg.solve(config.reduction, target)
+        return None if point is None else cls(point, config.relation)
 
     def at(self, t) -> Vector:
         """The point at parameter t: point + t*relation."""

@@ -41,7 +41,8 @@ T's certificate; certify runs on T alone.  The weights come from the log
 degrees of the terms and the solutions' places in the bundle.
 
 This module reads series through _linalg.grid_fields, as LogSeries.make does,
-and imports no builder, so a certificate does not depend on what it checks.
+and imports no builder, so a certificate does not depend on what it checks: a
+series argument is a LogSeries, or anything with its four fields, unannotated.
 """
 
 from __future__ import annotations
@@ -49,14 +50,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm, perm, prod
-from typing import TYPE_CHECKING
 
 from ._linalg import fracs, grid_fields, integer
 from ._record import Record
 from .lattice import LatticeConfig
-
-if TYPE_CHECKING:
-    from .series import LogSeries
 
 
 class OperatorReport(Record):
@@ -87,7 +84,7 @@ class OperatorReport(Record):
         }
 
 
-def _check_grid(config, series) -> LogSeries:
+def _check_grid(config, series):
     """The series read by _linalg.grid_fields, as LogSeries.make reads it, or
     itself when nothing was re-read.  A series on another grid x^(w0 + z*relation)
     than the operator's, or with a term off its own grid (z outside its window or
@@ -149,7 +146,7 @@ def _image(factors, den, weights, z, column) -> tuple[list[int], int]:
     return out, common * den
 
 
-def apply_box(config: LatticeConfig, series: LogSeries) -> OperatorReport:
+def apply_box(config: LatticeConfig, series) -> OperatorReport:
     """Apply the box operator of the relation and report the residual.
 
     At each shift z of the safe window [lo, hi-1] with a column at z or z+1,
@@ -196,7 +193,7 @@ def _box(config, series) -> OperatorReport:
     return OperatorReport("box", (lo, hi - 1), residual)
 
 
-def apply_euler_row(config: LatticeConfig, param, series: LogSeries, row: int) -> OperatorReport:
+def apply_euler_row(config: LatticeConfig, param, series, row: int) -> OperatorReport:
     """Apply one homogeneity operator row; the residual must vanish termwise.
 
     x_j d/dx_j scales a grid term by w_j(z) and drops a log degree with
@@ -242,7 +239,7 @@ def _euler(config, param, series):
     return tuple(_euler_row(config, param, series, row) for row in range(config.dim))
 
 
-def apply_euler(config: LatticeConfig, param, series: LogSeries):
+def apply_euler(config: LatticeConfig, param, series):
     """Reports for all homogeneity operator rows; the series and the parameter
     are checked once, as apply_euler_row checks them."""
     return _euler(config, param, _check_grid(config, series))
@@ -263,7 +260,7 @@ class Certificate(Record):
         }
 
 
-def certify(config: LatticeConfig, param, series: LogSeries) -> Certificate:
+def certify(config: LatticeConfig, param, series) -> Certificate:
     """Run all defining operators; passed means every residual is zero.
 
     The series and the parameter are checked once, for every operator.

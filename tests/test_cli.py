@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -118,6 +119,33 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith(f"input error: cannot parse {tmp_path}: ")
         assert err.count("\n") == 1
+
+    def test_suffix_picks_the_reader(self, capsys, tmp_path, triangle_file):
+        # a .toml suffix, in any case, is read as TOML; only the file's own
+        # suffix counts, so a JSON file in a .toml directory is JSON
+        expected = run(capsys, "analyze", "--input", triangle_file)
+        toml = 'A = [[1, 0], [1, 2], [1, 1]]\nbeta = ["10", "8"]\nwindow = [-5, 10]\n'
+        folder = tmp_path / "dir.toml"
+        folder.mkdir()
+        (folder / "p.json").write_text(json.dumps(TRIANGLE_PROBLEM))
+        for name, text in ("p.toml", toml), ("p.TOML", toml), ("dir.toml/p.json", None):
+            path = tmp_path / name
+            if text is not None:
+                path.write_text(text)
+            assert run(capsys, "analyze", "--input", str(path)) == expected
+        # a TOML file read as JSON fails as JSON does
+        (tmp_path / "p.txt").write_text(toml)
+        code, _, err = run(capsys, "analyze", "--input", str(tmp_path / "p.txt"))
+        assert code == 2 and "Expecting value" in err
+        # the refusals of a missing file and of a directory, byte for byte
+        missing = tmp_path / "missing.toml"
+        assert run(capsys, "analyze", "--input", str(missing)) == (
+            2, "", f"input error: input file not found: {missing}\n"
+        )
+        directory = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(folder))
+        assert run(capsys, "analyze", "--input", str(folder)) == (
+            2, "", f"input error: cannot parse {folder}: {directory}\n"
+        )
 
     def test_float_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"

@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction as F
-from math import lcm
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import LatticeConfig, _linalg, build_config, parameter
+import pytest
+
+from gkz1 import LatticeConfig, _linalg, build_config, integer_lift, parameter
+from gkz1.errors import BetaNotInSpan, InputError
+from gkz1.lattice import RelationLine
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
 from reference import (
@@ -60,6 +63,11 @@ def _bits(rows) -> int:
     return max((abs(x).bit_length() for row in rows for x in row), default=0)
 
 
+def _augmented(columns, d) -> list[list[int]]:
+    """The rows of [A | I] that _linalg.reduction eliminates."""
+    return [[col[i] for col in columns] + [int(i == j) for j in range(d)] for i in range(d)]
+
+
 def _within_minor_bound(rows, ncols) -> bool:
     """Whether the integer elimination of the rows keeps their entries small.
 
@@ -82,14 +90,15 @@ def test_integer_elimination_matches_the_fraction_oracle(system):
     columns, rhs = system
     m, d = len(columns), len(rhs)
     expected = solve_columns_reference(columns, rhs)
-    assert _linalg.solve_columns(columns, rhs) == expected
+    reduced = _linalg.reduction(columns, d)
+    assert _linalg.solve(reduced, rhs) == expected
     event("m == 0" if m == 0 else "d < m" if d < m else "d == m" if d == m else "d > m")
     event("inconsistent" if expected is None else "consistent")
     if m == 0:
         return
     # each integer basis vector is its reference vector times one positive
     # integer, the lcm of the pivots, shared by every vector
-    basis = _linalg.nullspace_columns(columns)
+    basis = _linalg.nullspace(reduced)
     reference = nullspace_columns_reference(columns)
     assert len(basis) == len(reference)
     scales = set()
@@ -103,6 +112,7 @@ def test_integer_elimination_matches_the_fraction_oracle(system):
     assert len(scales) <= 1
     event("rank-deficient" if basis else "full column rank")
     assert _within_minor_bound([[col[i] for col in columns] for i in range(d)], m)
+    assert _within_minor_bound(_augmented(columns, d), m)
 
 
 @st.composite
@@ -169,7 +179,89 @@ class TestLargeEntries:
         for points, _, beta in self.CASES:
             d = len(points[0])
             assert _within_minor_bound([[p[i] for p in points] for i in range(d)], len(points))
-            # the augmented solve, after clearing beta's denominators
-            den = lcm(*(x.denominator for x in beta))
-            rows = [[p[i] * den for p in points[:-1]] + [int(beta[i] * den)] for i in range(d)]
-            assert _within_minor_bound(rows, len(points) - 1)
+            # the reduction every solve back-substitutes through: [A | I]
+            assert _within_minor_bound(_augmented(points, d), len(points))
+            rows, _, _ = build_config(points).reduction
+            assert _bits(rows) <= len(points) * (_bits(_augmented(points, d)) + 2)
+
+
+@st.composite
+def configs_and_targets(draw):
+    """A configuration and a target of its length: a rational combination of
+    its columns, or drawn freely, then outside their span when d >= n."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        config = random_config(rng)
+    else:
+        config = random_relation_config(rng, max_relation=12, max_n=4)
+    if draw(st.booleans()):
+        target = config.column_combination(draw(st.lists(rationals, min_size=config.n,
+                                                         max_size=config.n)))
+    else:
+        target = draw(st.lists(rationals, min_size=config.dim, max_size=config.dim))
+    return config, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=configs_and_targets())
+def test_parameter_reads_the_fraction_solve_off_the_reduction(case):
+    # the line's point is the solve of the first n-1 columns, its last
+    # coordinate 0, read off the configuration's one reduction
+    config, beta = case
+    point = solve_columns_reference(config.columns[:-1], beta)
+    event("in the span" if point is not None else "outside the span")
+    if point is None:
+        with pytest.raises(BetaNotInSpan):
+            parameter(config, beta)
+    else:
+        assert parameter(config, beta).line == RelationLine(point + (F(0),), config.relation)
+
+
+def test_one_elimination_per_configuration(monkeypatch):
+    # build_config eliminates its columns once; every parameter and lift on
+    # the built configuration back-substitutes through that reduction
+    calls = []
+    rref = _linalg._rref
+    monkeypatch.setattr(_linalg, "_rref", lambda *args: calls.append(1) or rref(*args))
+    rng = random.Random(31)
+    for _ in range(20):
+        columns = random_config(rng).columns  # drawn with retries, each a build
+        calls.clear()
+        config = build_config(columns)
+        assert len(calls) == 1
+        for _ in range(5):
+            parameter(config, random_nonresonant_beta(rng, config))
+            integer_lift(config, config.column_combination([rng.randint(-3, 3)] * config.n))
+        with pytest.raises(BetaNotInSpan):
+            parameter(config, [F(1, 2)] * (config.dim + 1))
+        assert len(calls) == 1
+
+
+# a plain "p" or "p/q" is read past Fraction's regex; these strings sit at
+# the edge of that path, and each must come out as Fraction(s) or as its refusal
+RATIONAL_EDGES = [
+    "-0", "007/010", "1/0", "+1", " 1", "1_0", "--1", "1/-2", "1.5", "1e3", "\u0661",
+    "\u00b2", "", "-", "1/", "/2", "1/2/3", "0/0", "-5/10", "1 ", "0x10", "2" * 5000,
+    "3/" + "7" * 5000,
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(
+    st.sampled_from(RATIONAL_EDGES),
+    st.text(alphabet="-+/0123456789 ._e\u0661\u00b2", max_size=8),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+))
+def test_rational_string_is_read_as_fraction_reads_it(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InputError) as refused:
+            _linalg.rational(text, "beta[0]")
+        assert str(refused.value) == f"beta[0]: cannot parse rational {text!r}: {exc}"
+        event("refused")
+    else:
+        value = _linalg.rational(text, "beta[0]")
+        assert type(value) is F and value == expected
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+        event("read")

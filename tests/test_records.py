@@ -71,9 +71,7 @@ RECORDS = {
     "BundleReport": (REPORT, ("bundles", "expected_total")),
     "OperatorReport": (CERTIFICATE.box, ("operator", "safe_window", "residual")),
     "Certificate": (CERTIFICATE, ("box", "euler")),
-    "Classification": (classify(CONFIG, BETA), (
-        "regular", "nonresonant", "mum_holomorphic", "witness",
-    )),
+    "Classification": (classify(CONFIG, BETA), ("regular", "mum_holomorphic", "witness")),
 }
 # the fields left out of repr, equality and hashing
 LEFT_OUT = {"Parameter": {"line"}}
@@ -86,7 +84,7 @@ CHANGED = {
     "BundleReport": ((), object()),
     "OperatorReport": (object(), object(), {(0, 0): F(1)}),
     "Certificate": (CERTIFICATE.euler[0], CERTIFICATE.euler[:1]),
-    "Classification": (object(), object(), object(), {}),
+    "Classification": (object(), object(), {}),
 }
 
 
@@ -146,7 +144,7 @@ def test_lattice_config_fields():
     assert repr(twin) == f"LatticeConfig(columns={tuple(TRIANGLE)!r})"
     assert LatticeConfig(TRIANGLE[::-1]) != CONFIG
     assert (twin.perm, twin.k, twin.volume) == ((0, 1, 2), 2, 2)
-    assert {"perm", "k", "volume", "positive", "negative"} <= set(vars(twin))
+    assert {"perm", "k", "volume", "positive", "negative", "reduction"} <= set(vars(twin))
     with pytest.raises(TypeError):
         LatticeConfig(TRIANGLE, (1, 1, -2))
 
@@ -260,7 +258,10 @@ def test_verdicts_follow_their_witness():
     assert not resonant.nonresonant and not resonant
     inside = classify(CONFIG, (F(1, 3), F(1, 3)))
     assert inside.mum is True is inside.witness["singleton"]
-    assert Classification(True, True, False, {**inside.witness, "singleton": False}).mum is False
+    assert Classification(True, False, {**inside.witness, "singleton": False}).mum is False
+    # nonresonant is read off the witness too, so no record contradicts it
+    assert Classification(True, None, {"resonance_witness": (0, 2, 12)}).nonresonant is False
+    assert Classification(False, None, {}).nonresonant is True
     outside = classify(CONFIG, BETA)
     assert outside.witness == {"resonance_witness": (0, 2, 12)} and outside.mum is None
 

@@ -54,35 +54,41 @@ def test_package_sets_fields_one_way():
 BUILDER_MODULES = {"series", "coefficients", "exponents", "classify"}
 
 
-def _type_checking_block(node) -> bool:
-    return isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+def _imported(node) -> set[str]:
+    """The parts of every module name an import statement names, or none."""
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] + [alias.name for alias in node.names]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return set()
+    return {part for name in names for part in name.split(".")}
 
 
 def test_verify_imports_no_builder_code():
     # the certificate checks a series against the operators on its own, so
-    # it may not share code with what built the series; an import under
-    # `if TYPE_CHECKING:` only names a type and never runs
-    tree = ast.parse((PACKAGE / "verify.py").read_text())
-    skipped = {
-        id(inner)
-        for node in ast.walk(tree)
-        if _type_checking_block(node)
-        for inner in ast.walk(node)
-    }
-    found = []
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [alias.name for alias in node.names]
-        elif isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        else:
-            continue
-        parts = {part for name in names for part in name.split(".")}
-        if parts & BUILDER_MODULES:
-            found.append(f"verify.py:{node.lineno}")
+    # it may not share code with what built the series, not even to name a
+    # type (no module imports typing, so there is no TYPE_CHECKING block)
+    found = [
+        f"verify.py:{node.lineno}"
+        for node in ast.walk(ast.parse((PACKAGE / "verify.py").read_text()))
+        if _imported(node) & BUILDER_MODULES
+    ]
     assert not found, f"builder code imported by the certificate: {found}"
+
+
+def test_import_path_stays_lean():
+    # every fresh interpreter imports the package, so it loads no module it
+    # can do without: pathlib and typing are not imported at all (paths are
+    # os.path strings, annotations are builtins), and argparse only by
+    # _usage, which only help and usage errors reach
+    found = [
+        f"{name}:{node.lineno} {module}"
+        for name, node in _nodes()
+        for module in _imported(node) & {"pathlib", "typing", "argparse"}
+        if (name, module) != ("_usage.py", "argparse")
+    ]
+    assert not found, f"imports off the lean path: {found}"
 
 
 FROZEN = {"__setattr__", "__delattr__", "__hash__"}
