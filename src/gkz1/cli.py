@@ -26,9 +26,8 @@ a dict.  Each record kind, from the analyze report down to a series term and
 an operator report, has one JSON template and one text template in _FORMS,
 filled with %; the record's place in the report only shifts its lines, and
 every command returns its report as pieces for _run to write.  cmd_exponents
-makes one pass over the integer keys of the parameter's line and fills one
-exponent template per exponent, each coordinate a "p/q" string made from its
-numerator with one gcd; the pass checks the count law after its last key.
+fills one exponent template per key of the parameter's line, read in blocks a
+column at a time, each coordinate a "p/q" string made with one gcd.
 cmd_solve and cmd_verify build every bundle and check --r first; then solve
 certifies, writes and drops one bundle at a time, and verify, whose
 all_passed comes first, certifies every bundle and writes one piece per
@@ -41,7 +40,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 from math import gcd
 from types import SimpleNamespace
 
@@ -49,7 +48,7 @@ from ._linalg import integer, pair, rational, window_bounds
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
-from .exponents import exponent_rows
+from .exponents import exponent_blocks
 from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import DEFAULT_WINDOW, solution_bundle
 from .verify import certify_bundle
@@ -275,6 +274,22 @@ def _form(kind: str, pad: str, text: bool) -> str:
     return _FORMS[kind][text].replace("\n", "\n" + pad)
 
 
+@functools.cache
+def _entry_forms(text: bool) -> tuple:
+    """An exponents report entry's template, vector separator, label and label separator."""
+    form, *rest = (_form(k, _STEP[text], text) for k in ("exponent", "vector", "label", "labels"))
+    # JSON entries open with the comma after the entry before; text ones end
+    # with their "-" line
+    return (form + "\n  -" if text else ",\n    " + form, *rest)
+
+
+@functools.lru_cache(maxsize=256)
+def _support_text(mask: int, text: bool) -> str:
+    """An exponents entry's m_support (the bits of mask) and multiplicity, kept: masks recur."""
+    support = [mu for mu in range(mask.bit_length()) if mask >> mu & 1]
+    return _form("support", _STEP[text], text) % (_leaf(support, _STEP[text], text), len(support))
+
+
 def _leaf(value, pad: str, text: bool) -> str:
     """A field's value that holds no record, in a record at pad: None, or a
     list of ints, None and "p/q" strings, or of such lists.  In text, its
@@ -390,44 +405,33 @@ def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
     """The exponents report in pieces, in JSON or, when text is set, in
     --format text.
 
-    One pass over the fake keys of the parameter's line (exponent_rows)
-    fills one exponent template per exponent, each coordinate the "p/q"
-    string of its numerator over den, reduced by one gcd as str(Fraction)
-    writes it.  A normalized exponent is a fake one, so its entry is the
-    fake's text.  The pass checks the count law after its last key, so a
-    refusal comes before any piece.  The pieces are written one by one,
-    never joined.
+    One pass over the fake keys of the parameter's line (exponent_blocks)
+    fills one exponent template per exponent, a block of keys at a time: the
+    "p/q" strings of each column, made as str(Fraction) makes them with one
+    gcd, are joined key by key.  A normalized exponent's entry is its fake's
+    text.  The count law is checked after the last block, so a refusal comes
+    before any piece.  The pieces are written one by one, never joined.
     """
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
-    den = beta.line.den
-    pad = _STEP[text]  # the entries are items of a list field of the report
-    form, support_form, vector_sep, label, label_sep = (
-        _form(kind, pad, text) for kind in ("exponent", "support", "vector", "label", "labels")
-    )
-    # JSON entries open with the comma after the entry before; text ones end
-    # with their "-" line
-    form = form + "\n  -" if text else ",\n    " + form
-    supports: dict = {}  # m_support -> its text, and the multiplicity's
+    den, dens = beta.line.den, repeat(beta.line.den)
+    form, vector_sep, label, label_sep = _entry_forms(text)
     fakes, primes = [], []
-    for nums, labels, support, normalized in exponent_rows(beta.line):
-        shown = supports.get(support)
-        if shown is None:
-            shown = supports[support] = support_form % (
-                _leaf(sorted(support), pad, text), len(support)
-            )
-        piece = form % (
-            vector_sep.join([
-                str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
-                for x in nums
-            ]),
-            label_sep.join([label % pair for pair in labels]),
-            shown,
-        )
-        fakes.append(piece)
-        if normalized:
-            primes.append(piece)
-    # exponent_rows has checked that the multiplicities sum to the relation's,
+    for columns, labels, masks, normalized in exponent_blocks(beta.line):
+        shown = {mask: _support_text(mask, text) for mask in set(masks)}
+        texts = [[  # each column's "p/q" strings, one gcd per entry
+            str(x // g) if g == den else f"{x // g}/{den // g}"
+            for x, g in zip(c, map(gcd, c, dens))
+        ] for c in columns]
+        # most keys have one label, written with one %
+        entries = list(map(form.__mod__, zip(
+            map(vector_sep.join, zip(*texts)),
+            [label_sep.join(map(label.__mod__, p)) if p[1:] else label % p[0] for p in labels],
+            map(shown.__getitem__, masks),
+        )))
+        fakes += entries
+        primes += compress(entries, normalized)
+    # exponent_blocks has checked that the multiplicities sum to the relation's,
     # so neither list is empty; the first JSON entry drops its comma
     total, first = config.positive_sum, not text
     return chain(

@@ -13,18 +13,12 @@ line's ``den``.  Coordinate 0 of the point at t is w[0] + t*relation[0],
 and relation[0] > 0, so it strictly increases with t: ordering the vectors
 lexicographically is ordering them by t, and two vectors are equal exactly
 when their t are.  So the exponents are sorted, merged and normalized as
-integer keys, in one pass: exponent_rows walks the sorted fake keys and
-gives, per key, what ``RelationLine.parts`` reads off it (its numerators
-offsets[i] + k*relation[i] over den, its labels, its m_support and whether
-it is normalized), and it checks the count law after the last key.  A
-normalized key k + shift(k)*den is a fake key: the column that sets the
-shift ends at an entry b in [0, relation[mu]), a label.  So the normalized
-set is the fakes of shift 0, the same objects.  The library wraps each row
-into an ``Exponent``, each coordinate a Fraction built once from its
-numerator; the CLI's exponents report writes the numerators as "p/q"
+integer keys, in one pass: exponent_blocks reads the sorted fake keys a
+block at a time, each block a column at a time (``RelationLine.block``), and
+checks the count law after the last block.  The library wraps each key into
+an ``Exponent``; the CLI's exponents report writes the numerators as "p/q"
 strings and builds no Exponent.  Matching an exponent v of beta to beta + u
-builds no exponent set: the match is the normalization of v + (the lift of
-u).
+builds no exponent set: it is the normalization of v + (the lift of u).
 
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
@@ -37,6 +31,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from itertools import compress, repeat
 
 from ._linalg import Vector, fracs, integers, pair
 from ._record import Record
@@ -90,37 +85,41 @@ def lift_vector(config: LatticeConfig, lift) -> tuple[int, ...]:
 
 def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     vec = exponent_vector(vec, config.n)
-    return frozenset(
-        mu for mu in config.positive if vec[mu].denominator == 1 and vec[mu] >= 0
-    )
+    return frozenset(mu for mu in config.positive if vec[mu].denominator == 1 and vec[mu] >= 0)
 
 
-def _exponent(line: RelationLine, nums: list[int], labels: list, support) -> Exponent:
-    """The exponent of numerators nums over the line's den, one Fraction per coordinate."""
-    den = line.den
-    return Exponent(tuple([Fraction(x, den) for x in nums]), tuple(labels), support)
+def _exponents(den: int, blocks) -> list[Exponent]:
+    """The blocks' Exponents: a Fraction per numerator, one frozenset per m_support."""
+    supports, dens, out = {}, repeat(den), []
+    for columns, labels, masks, _ in blocks:
+        for mask in set(masks).difference(supports):
+            supports[mask] = frozenset(mu for mu in range(mask.bit_length()) if mask >> mu & 1)
+        vectors = zip(*[map(Fraction, column, dens) for column in columns])
+        out += map(Exponent, vectors, labels, map(supports.__getitem__, masks))
+    return out
 
 
-def exponent_rows(line: RelationLine):
-    """One pass over the sorted fake keys of the line.
+_BLOCK = 1024  # keys per block: the pass holds one block's columns at a time
 
-    Yields RelationLine.parts of each key: its numerators over den, its
-    labels, its m_support and whether it is normalized.  A normalized key
-    k + shift(k)*den is a fake key again: the column whose bound sets the
-    shift ends at an entry b in [0, relation[mu]), a label.  So the
-    normalized keys are the fake keys of shift 0, and the pass sums their
-    multiplicities as it goes.  After the last key it raises CountMismatch
-    unless they sum to the positive relation sum; a class of keys whose
-    normalization were no fake key would be missing from that sum.  A
-    caller that writes nothing before the pass ends writes nothing on a
-    refusal.
+
+def exponent_blocks(line: RelationLine):
+    """One pass over the sorted fake keys of the line, _BLOCK keys at a time.
+
+    Yields RelationLine.block of each block.  A normalized key k +
+    shift(k)*den is a fake key again: the column whose bound sets the shift
+    ends at an entry b in [0, relation[mu]), a label.  So the pass sums the
+    multiplicities of the keys of shift 0, and after the last block raises
+    CountMismatch unless they sum to the positive relation sum, which a
+    normalization off the fake keys would miss.  A caller that writes nothing
+    before the pass ends writes nothing on a refusal.
     """
-    parts, supports, total = line.parts, {}, 0
-    for k in sorted(line.keys()):
-        row = parts(k, supports)
-        if row[3]:
-            total += len(row[2])
-        yield row
+    # sorted backwards to cut each block off the end: no read key is held
+    keys, total = sorted(line.keys(), reverse=True), 0
+    while keys:
+        block = line.block(keys[:-_BLOCK - 1:-1])
+        del keys[-_BLOCK:]
+        total += sum(map(int.bit_count, compress(block[2], block[3])))
+        yield block
     expected = sum(line.relation[mu] for mu in line.positive)
     if total != expected:
         raise CountMismatch(f"multiplicities sum to {total}, relation demands {expected}")
@@ -130,11 +129,11 @@ def fake_exponents(config: LatticeConfig, beta) -> list[Exponent]:
     """All fake exponents for the parameter, duplicates merged by label.
 
     Sorted lexicographically by coordinates, so output order is stable: one
-    exponent per row of exponent_rows, in the order of its keys, and the
+    exponent per key of exponent_blocks, in the order of its keys, and the
     count law checked on the way.
     """
     line = parameter(config, beta).line
-    return [_exponent(line, *row[:3]) for row in exponent_rows(line)]
+    return _exponents(line.den, exponent_blocks(line))
 
 
 def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
@@ -148,7 +147,7 @@ def normalize_to_e_prime(config: LatticeConfig, v) -> tuple[Exponent, int]:
     z0 = line.shift(0)
     if z0 == 0 and isinstance(v, Exponent):
         return v, 0  # already normalized: same vector, labels and m_support
-    return _exponent(line, *line.parts(z0 * line.den, {})[:3]), z0
+    return _exponents(line.den, [line.block((z0 * line.den,))])[0], z0
 
 
 class PrimeExponents(Record):
@@ -175,7 +174,7 @@ def exponent_set_prime(config: LatticeConfig, beta) -> PrimeExponents:
         e for e in fake_exponents(config, beta)  # the module global, which tracing wraps
         if all(mu in e.m_support or e.vector[mu].denominator != 1 for mu in positive)
     )
-    # exponent_rows has checked that the multiplicities sum to the relation's
+    # exponent_blocks has checked that the multiplicities sum to the relation's
     return PrimeExponents(exponents, config.positive_sum)
 
 

@@ -25,17 +25,13 @@ through ``perm``/``ell`` but is never imposed on inputs or outputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from . import _linalg
 from ._linalg import Vector, fracs, integers, sequence
 from ._record import Record
-from .errors import (
-    BetaNotInSpan,
-    DependentSubset,
-    InternalInvariantError,
-    KernelRankNotOne,
-)
+from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
 
 class LatticeConfig(Record):
@@ -61,7 +57,11 @@ class LatticeConfig(Record):
     """
 
     def __init__(self, columns):
-        cols = tuple(integers(p, f"point {i}") for i, p in enumerate(sequence(columns, "points")))
+        # a type test first: a point is named only when integers() reads it
+        cols = tuple(
+            tuple(p) if type(p) in (tuple, list) and all(type(x) is int for x in p)
+            else integers(p, f"point {i}") for i, p in enumerate(sequence(columns, "points"))
+        )
         n = len(cols)
         if n < 2:
             raise KernelRankNotOne(f"need at least 2 points, got {n}")
@@ -152,34 +152,31 @@ class RelationLine(Record):
             out.update(range(-a // e, (e * den - a) // e, den // e))
         return out
 
-    def parts(self, k: int, supports: dict) -> tuple[list[int], list, frozenset[int], bool]:
-        """The numerators of the point at key k, its labels, its m_support and
-        whether it is normalized.
-
-        Coordinate mu is numerators[mu]/den.  The m_support holds the mu with
-        relation[mu] > 0 where it is an integer b >= 0, and the labels are the
-        pairs (mu, b) among them with b < relation[mu].  The point is
-        normalized, shift(k) == 0, when it has a label and no coordinate mu
-        with relation[mu] > 0 is a negative integer.  supports (bit mask ->
-        m_support) shares one frozenset per m_support among the calls given it.
+    def block(self, keys) -> tuple[list, list, list, list]:
+        """The points at the keys, a column at a time: (columns, labels, masks,
+        normalized), columns[mu] the numerators of coordinate mu over den, the
+        others one entry per key.  The m_support, the bits of a mask, holds the
+        mu with relation[mu] > 0 where the coordinate is an integer b >= 0; the
+        labels are its pairs (mu, b) with b < relation[mu].  A point is
+        normalized, shift(k) == 0, when it has a label and none of these
+        coordinates is a negative integer.
         """
-        den, rel, positive = self.den, self.relation, self.positive
-        nums = [a + k * e for a, e in zip(self.offsets, rel)]
-        labels, mask, normalized = [], 0, True
-        for mu in positive:
-            q, r = divmod(nums[mu], den)
-            if r:
-                continue
-            if q < 0:
-                normalized = False
-            else:
-                mask |= 1 << mu
-                if q < rel[mu]:
-                    labels.append((mu, q))
-        support = supports.get(mask)
-        if support is None:
-            support = supports[mask] = frozenset(mu for mu in positive if mask >> mu & 1)
-        return nums, labels, support, normalized and bool(labels)
+        rel, dens = self.relation, repeat(self.den)
+        columns = [[a + k * e for k in keys] for a, e in zip(self.offsets, rel)]
+        masks, labels, normalized = [0] * len(keys), [()] * len(keys), [True] * len(keys)
+        for mu in self.positive:
+            e, bit = rel[mu], 1 << mu
+            for i, (q, r) in enumerate(map(divmod, columns[mu], dens)):
+                if r:
+                    continue
+                if q < 0:
+                    normalized[i] = False
+                else:
+                    masks[i] |= bit
+                    if q < e:
+                        labels[i] += ((mu, q),)
+        normalized = [ok and bool(pairs) for ok, pairs in zip(normalized, labels)]
+        return columns, labels, masks, normalized
 
     def shift(self, k: int) -> int:
         """The least z making no positive-side coordinate at k + z*den a negative integer."""

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import _linalg, cli, series
+from gkz1 import _linalg, cli, exponents, series
 from gkz1.cli import main
 from gkz1._linalg import window_bounds
 from gkz1.errors import ExcludedCase, GkzError
@@ -175,8 +175,6 @@ class TestExponents:
     def test_builds_no_exponent(self, capsys, monkeypatch, tmp_path):
         # the report is written from the line's integer keys; the library's
         # Exponent records are not built on the way
-        from gkz1 import exponents
-
         def refuse(*args):
             raise AssertionError("an Exponent was built")
 
@@ -190,23 +188,25 @@ class TestExponents:
 
     @pytest.mark.parametrize("text", [False, True])
     def test_count_law_failure_prints_nothing(self, capsys, monkeypatch, triangle_file, text):
-        # the count law is checked after the last key, before the first byte
+        # the count law is checked after the last block, before the first byte
         from gkz1 import lattice
 
-        parts = lattice.RelationLine.parts
+        block = lattice.RelationLine.block
 
-        def never_normalized(self, k, supports):
-            return (*parts(self, k, supports)[:3], False)
+        def never_normalized(self, keys):
+            columns, labels, masks, normalized = block(self, keys)
+            return columns, labels, masks, [False] * len(normalized)
 
-        monkeypatch.setattr(lattice.RelationLine, "parts", never_normalized)
+        monkeypatch.setattr(lattice.RelationLine, "block", never_normalized)
         argv = ["exponents", "--input", triangle_file] + (["--format", "text"] if text else [])
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "internal invariant failure: multiplicities sum to 0, relation demands 2\n"
 
-    def test_peak_memory_stays_below_twice_the_output(self, monkeypatch, tmp_path):
-        # nothing is joined: the entries' texts and the line's keys are what
-        # is held when the writing starts, well under the output itself
+    def test_peak_memory_stays_below_the_output(self, monkeypatch, tmp_path):
+        # nothing is joined: the entries' texts, the line's keys and one
+        # block's columns are what is held when the writing starts, under the
+        # output itself; a table over the whole line would not be
         class Counted(io.TextIOBase):
             size = 0
 
@@ -225,7 +225,7 @@ class TestExponents:
         finally:
             tracemalloc.stop()
         assert code == 0 and sink.size > 40_000_000
-        assert peak < 2 * sink.size
+        assert peak < sink.size
 
 
 def _reference_exponents_report(config, beta) -> dict:
@@ -480,6 +480,26 @@ def test_exponents_report_matches_the_reference(tmp_path_factory, seed, kind):
         event("a fake is shifted")
     if any(len(entry["labels"]) > 1 for entry in fakes):
         event("a key with two labels")
+
+
+# Relation (2999, 1, -3000): 3,000 fake keys, more than two blocks of the pass,
+# with two positive columns.  At (1499, -3000) the key of the label (0, 1500),
+# in the second block, has coordinate 1 at -1: that fake is not normalized.
+LONG_LINE = [[1, 0], [1, 3000], [1, 1]]
+
+
+@pytest.mark.parametrize("beta", [["1/3", "-2/7"], ["1499", "-3000"]])
+@pytest.mark.parametrize("text", [False, True])
+def test_exponents_across_blocks_match_the_reference(tmp_path, beta, text):
+    config = build_config(LONG_LINE)
+    reference = _reference_exponents_report(config, [Fraction(b) for b in beta])
+    assert len(reference["fake_exponents"]) == 3000 > 2 * exponents._BLOCK
+    shifted = len(reference["fake_exponents"]) - len(reference["prime_exponents"])
+    assert shifted == (beta[0] == "1499")
+    out = render_text_reference(reference) if text else json.dumps(reference, indent=2)
+    argv = ["--format", "text"] if text else []
+    problem = {"A": LONG_LINE, "beta": beta}
+    assert _exponents_output(tmp_path / "problem.json", problem, *argv) == (0, out + "\n")
 
 
 # A fake with two labels, (1, 0) and (2, 0), whose coordinate 0 is the negative

@@ -128,6 +128,22 @@ def test_keyed_exponents_match_the_fraction_route(case):
         assert (normalized,) == normalized_set_reference(config, [fake])
 
 
+@pytest.mark.parametrize("beta", [(F(1, 3), F(-2, 7)), (F(1499), F(-3000))])
+def test_exponents_across_blocks_match_the_fraction_route(beta):
+    # relation (2999, 1, -3000): 3,000 fake keys in three blocks, with two
+    # positive columns; at the integral parameter the fake of label (0, 1500),
+    # in the second block, is not normalized
+    config = build_config([(1, 0), (1, 3000), (1, 1)])
+    fakes = fake_exponents(config, beta)
+    reference = fake_exponents_reference(config, beta)
+    assert fakes == reference and len(fakes) == 3000 > 2 * exponents._BLOCK
+    # one frozenset per m_support, across the blocks
+    assert len({id(e.m_support) for e in fakes}) == len({e.m_support for e in fakes}) > 1
+    primes = exponent_set_prime(config, beta).exponents
+    assert primes == normalized_set_reference(config, reference)
+    assert len(primes) == 3000 - (beta[0] == 1499)
+
+
 class TestNormalize:
     def test_shift_into_prime_set(self, triangle):
         normalized, z0 = normalize_to_e_prime(triangle, (F(0), F(-2), F(12)))

@@ -215,19 +215,18 @@ class TestRelationLine:
         # den = 6 * lcm(1, 1, 2); coordinate mu at key k is (offsets[mu] + k*rel[mu])/den
         assert (line.den, line.offsets) == (12, (4, 2, 0))
         assert line.keys() == {-4, -2}  # coordinate 0 is 0, coordinate 1 is 0
-        supports = {}
-        parts = [line.parts(k, supports) for k in (-4, 8, -16, -2)]
-        assert [nums for nums, _, _, _ in parts] == [
-            [x * 12 for x in line.at(F(k, 12))] for k in (-4, 8, -16, -2)
+        keys = (-4, 8, -16, -2)
+        columns, labels, masks, normalized = line.block(keys)
+        assert [list(nums) for nums in zip(*columns)] == [
+            [x * 12 for x in line.at(F(k, 12))] for k in keys
         ]
         # coordinate 0 is 0, 1 and -1 at keys -4, 8 and -16; at 8 it is no label
-        assert [labels for _, labels, _, _ in parts] == [[(0, 0)], [], [], [(1, 0)]]
-        assert [support for _, _, support, _ in parts] == [{0}, {0}, set(), {1}]
-        assert parts[0][2] is parts[1][2]  # one frozenset per m_support
-        assert [line.shift(k) for k in (-4, 8, -16, -2)] == [0, -1, 1, 0]
+        assert labels == [((0, 0),), (), (), ((1, 0),)]
+        assert masks == [0b1, 0b1, 0, 0b10]  # m_supports {0}, {0}, {} and {1}
+        assert [line.shift(k) for k in keys] == [0, -1, 1, 0]
         # normalized exactly where the shift is 0: key 8 has no label and
         # key -16 a negative integer
-        assert [normalized for _, _, _, normalized in parts] == [True, False, False, True]
+        assert normalized == [True, False, False, True]
         with pytest.raises(ValueError):
             line.shift(0)  # no integral positive coordinate
         assert line.integral_steps([0]) == (F(2, 3), 1)
