@@ -370,10 +370,9 @@ def _bundle(bundle, certificates, pad: str, text: bool) -> str:
     inner = pad + _STEP[text]
     verdict, solution = _form("verdict", inner, text), _form("solution", inner, text)
     verification = _form("verification", inner, text)
-    # the verdicts share their lift and most of their memberships: each
-    # distinct one is written once
+    # the verdicts carry the bundle's lift, and share most memberships: each once
     verdicts = bundle.certificates
-    lifts = {x: _leaf(list(x), inner, text) for x in {v.lift for v in verdicts}}
+    lift = _leaf(list(bundle.lift), inner, text)
     memberships = {
         x: _leaf(list(map(list, x)), inner, text)
         for x in {v.membership.intervals for v in verdicts}
@@ -385,7 +384,7 @@ def _bundle(bundle, certificates, pad: str, text: bool) -> str:
         _leaf(list(map(sorted, bundle.hypothesis_failures)), pad, text),
         _items([
             verdict % (
-                _leaf(sorted(v.indices), inner, text), lifts[v.lift],
+                _leaf(sorted(v.indices), inner, text), lift,
                 _BOOLS[text][v.minimal], memberships[v.membership.intervals],
             )
             for v in verdicts

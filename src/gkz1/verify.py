@@ -40,9 +40,9 @@ checked to be that truncation of T, term by term in integers, and then has
 T's certificate; certify runs on T alone.  The weights come from the log
 degrees of the terms and the solutions' places in the bundle.
 
-This module reads series through _linalg.grid_fields, as LogSeries.make does,
-and imports no builder, so a certificate does not depend on what it checks: a
-series argument is a LogSeries, or anything with its four fields, unannotated.
+A series argument is a LogSeries, or anything with its four fields: _check_grid
+reads them through _linalg.grid_fields, as LogSeries.make does, and the operators
+take what it read, so a certificate runs no builder code and imports none.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm, perm, prod
 
-from ._linalg import fracs, grid_fields, integer
+from ._linalg import fracs, grid_fields, integer, sequence
 from ._record import Record
+from .errors import InputError
 from .lattice import LatticeConfig
 
 
@@ -84,13 +85,24 @@ class OperatorReport(Record):
         }
 
 
+def _fields(series) -> tuple:
+    """A series' base_exponent, relation, window and terms; an object that
+    lacks one is refused with InputError, named as from_json_dict names it."""
+    try:
+        return series.base_exponent, series.relation, series.window, series.terms
+    except AttributeError:
+        for name in ("base_exponent", "relation", "window", "terms"):
+            if not hasattr(series, name):
+                raise InputError(f"series: missing field {name!r}") from None
+        raise
+
+
 def _check_grid(config, series):
-    """The series read by _linalg.grid_fields, as LogSeries.make reads it, or
-    itself when nothing was re-read.  A series on another grid x^(w0 + z*relation)
+    """(base, window, terms): a series' _fields read by _linalg.grid_fields, as
+    LogSeries.make reads them.  A series on another grid x^(w0 + z*relation)
     than the operator's, or with a term off its own grid (z outside its window or
     r < 0), is refused with ValueError."""
-    fields = series.base_exponent, series.relation, series.window, series.terms
-    base, relation, window, terms, off = grid_fields(*fields)
+    base, relation, window, terms, off = grid_fields(*_fields(series))
     if relation != config.relation:
         raise ValueError(
             f"series relation {relation} is not the configuration's {config.relation}"
@@ -102,9 +114,7 @@ def _check_grid(config, series):
         )
     if off is not None:
         raise ValueError(f"series term {off} is off its grid z in {list(window)}, r >= 0")
-    if terms is series.terms and base is series.base_exponent and window == series.window:
-        return series
-    return type(series)(base, relation, window, terms)
+    return base, window, terms
 
 
 def _factors(config, base, side) -> tuple[list[tuple[int, int, int]], int]:
@@ -156,27 +166,27 @@ def apply_box(config: LatticeConfig, series) -> OperatorReport:
     input shift has no partner and is left out of the safe window.  A series
     on another grid is refused with ValueError, an inexact entry with InputError.
     """
-    return _box(config, _check_grid(config, series))
+    return _box(config, *_check_grid(config, series))
 
 
-def _box(config, series) -> OperatorReport:
-    """apply_box on a checked series: columns with log terms through _image,
-    a log-free series straight from its Fractions."""
-    lo, hi = series.window
+def _box(config, base, window, terms) -> OperatorReport:
+    """apply_box on a checked series' fields: columns with log terms through
+    _image, a log-free series straight from its Fractions."""
+    lo, hi = window
     if hi - 1 < lo:
         return OperatorReport("box", None, {})
-    base, top = series.base_exponent, series.max_log_degree
+    top = max((r for _, r in terms), default=0)
     positive = _factors(config, base, config.positive)
     negative = _factors(config, base, config.negative)
     if top:
         columns = {}
-        for (z, r), c in series.terms.items():
+        for (z, r), c in terms.items():
             columns.setdefault(z, []).append((r, c))
         for z, column in columns.items():  # each column over one denominator
             d = lcm(*(c.denominator for _, c in column))
             columns[z] = [(r, c.numerator * (d // c.denominator)) for r, c in column], d
     else:  # log-free: one Fraction per shift
-        columns = {z: c for (z, _), c in series.terms.items()}
+        columns = {z: c for (z, _), c in terms.items()}
     residual = {}
     weights = [[perm(r, r - k) for k in range(r + 1)] for r in range(top + 1)]
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
@@ -204,9 +214,9 @@ def apply_euler_row(config: LatticeConfig, param, series, row: int) -> OperatorR
     number of entries than the configuration has rows, is refused with
     ValueError; an inexact entry of either, or a bad row, with InputError.
     """
-    series = _check_grid(config, series)
+    fields = _check_grid(config, series)
     param = _parameter(config, param)
-    return _euler_row(config, param, series, integer(row, "row", config.dim))
+    return _euler_row(config, param, *fields, integer(row, "row", config.dim))
 
 
 def _parameter(config, param) -> tuple[Fraction, ...]:
@@ -218,10 +228,10 @@ def _parameter(config, param) -> tuple[Fraction, ...]:
     return param
 
 
-def _euler_row(config, param, series, row: int) -> OperatorReport:
-    """apply_euler_row on a checked series, parameter and row."""
+def _euler_row(config, param, base, window, terms, row: int) -> OperatorReport:
+    """apply_euler_row on a checked parameter, series' fields and row."""
     a_row = [config.columns[j][row] for j in range(config.n)]
-    base, b = series.base_exponent, param[row]
+    b = param[row]
     den = lcm(b.denominator, *(w.denominator for w in base))
     offset = sum(
         a * w.numerator * (den // w.denominator) for a, w in zip(a_row, base)
@@ -229,20 +239,20 @@ def _euler_row(config, param, series, row: int) -> OperatorReport:
     residual = {}
     if offset:
         offset = Fraction(offset, den)
-        residual = {key: offset * c for key, c in series.terms.items()}
-    return OperatorReport(f"euler[{row}]", series.window, residual)
+        residual = {key: offset * c for key, c in terms.items()}
+    return OperatorReport(f"euler[{row}]", window, residual)
 
 
-def _euler(config, param, series):
-    """apply_euler on a checked series; the parameter is checked once."""
+def _euler(config, param, base, window, terms):
+    """apply_euler on a checked series' fields; the parameter is checked once."""
     param = _parameter(config, param)
-    return tuple(_euler_row(config, param, series, row) for row in range(config.dim))
+    return tuple(_euler_row(config, param, base, window, terms, row) for row in range(config.dim))
 
 
 def apply_euler(config: LatticeConfig, param, series):
     """Reports for all homogeneity operator rows; the series and the parameter
     are checked once, as apply_euler_row checks them."""
-    return _euler(config, param, _check_grid(config, series))
+    return _euler(config, param, *_check_grid(config, series))
 
 
 class Certificate(Record):
@@ -265,9 +275,9 @@ def certify(config: LatticeConfig, param, series) -> Certificate:
 
     The series and the parameter are checked once, for every operator.
     """
-    series = _check_grid(config, series)
-    euler = _euler(config, param, series)
-    return Certificate(_box(config, series), euler)
+    fields = _check_grid(config, series)
+    euler = _euler(config, param, *fields)
+    return Certificate(_box(config, *fields), euler)
 
 
 def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate, ...]:
@@ -282,29 +292,27 @@ def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate
     exponent, relation and window (_same), and exactly those terms
     (_truncation), passes with the same reports, and gets T's certificate.
     Any other solution, and every solution of a bundle whose top fails, goes
-    through certify itself, so a failure reads as certify reports it.  A
+    through certify itself, so a failure or a refusal reads as certify's.  A
     one-solution bundle is one certify call.
     """
-    if len(solutions) == 1:
-        return (certify(config, param, solutions[0]),)
+    solutions = sequence(solutions, "solutions")
     if not solutions:
         return ()
-    t, top = len(solutions) - 1, solutions[-1]
+    *lower, top = solutions
     certificate = certify(config, param, top)
-    passed = certificate.passed and type(top.terms) is dict
-    degrees = Counter(j for _, j in top.terms) if passed else {}
+    *head, top_terms = _fields(top)
+    t, passed = len(lower), lower and certificate.passed and type(top_terms) is dict
+    degrees = Counter(j for _, j in top_terms) if passed else {}
     certificates = []
-    for r, series in enumerate(solutions[:t]):
-        if passed and _same(series.base_exponent, top.base_exponent) and _same(
-            series.relation, top.relation
-        ) and _same(series.window, top.window) and _truncation(
-            top.terms, series.terms, t, r, sum(n for j, n in degrees.items() if j >= t - r)
+    for r, series in enumerate(lower):
+        *fields, terms = _fields(series)
+        if passed and all(map(_same, fields, head)) and _truncation(
+            top_terms, terms, t, r, sum(n for j, n in degrees.items() if j >= t - r)
         ):
             certificates.append(certificate)
         else:
             certificates.append(certify(config, param, series))
-    certificates.append(certificate)
-    return tuple(certificates)
+    return (*certificates, certificate)
 
 
 def _same(a, b) -> bool:

@@ -11,6 +11,7 @@ entry.  The CLI reads the same checks, with the file's field names.
 import json
 import re
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
@@ -57,6 +58,7 @@ NONRESONANT = [F(1, 2), F(1, 3)]
 V_NONRESONANT = fake_exponents(T, NONRESONANT)[0]
 SERIES = log_solution(T, V, (0, 0, 0), 0, (0, 2))
 BUNDLE = solution_bundle(T, [10, 8], window=(0, 2)).bundles[0]
+SERIES_1 = BUNDLE.solutions[1]  # the top of a bundle of two, over SERIES
 POINTS = [list(p) for p in TRIANGLE]
 MEMBERSHIP = support_verdict(T, V, [0, 1, 2], (0, 0, 0)).membership  # [[0, 4]]
 SERIES_JSON = SERIES.to_json_dict()
@@ -81,6 +83,12 @@ def _loose(**changes):
         "window": SERIES.window, "terms": SERIES.terms, **changes,
     }
     return LogSeries(**fields)
+
+
+def _lacking(name):
+    """SERIES's four fields in a SimpleNamespace, but for the one named."""
+    fields = ("base_exponent", "relation", "window", "terms")
+    return SimpleNamespace(**{f: getattr(SERIES, f) for f in fields if f != name})
 
 
 def _with(points, i, j, x):
@@ -275,6 +283,19 @@ REFUSALS = [
      "terms: expected a mapping of (z, r) keys, got [((0, 0), Fraction(1, 1))]"),
     ("certify", lambda: certify(T, [10, 8], _loose(terms=None)), InputError,
      "terms: expected a mapping of (z, r) keys, got None"),
+    # a series argument without the four fields of a series is named by the
+    # first one it lacks; a bundle's solutions must be a list
+    ("certify", lambda: certify(T, [10, 8], None), InputError,
+     "series: missing field 'base_exponent'"),
+    ("apply_box", lambda: apply_box(T, "x"), InputError, "series: missing field 'base_exponent'"),
+    ("apply_euler", lambda: apply_euler(T, [10, 8], _lacking("relation")), InputError,
+     "series: missing field 'relation'"),
+    ("apply_euler_row", lambda: apply_euler_row(T, [10, 8], _lacking("window"), 0),
+     InputError, "series: missing field 'window'"),
+    ("certify_bundle", lambda: certify_bundle(T, [10, 8], None), InputError,
+     "solutions: expected a list, got None"),
+    ("certify_bundle", lambda: certify_bundle(T, [10, 8], [_lacking("terms"), SERIES_1]),
+     InputError, "series: missing field 'terms'"),
     # a bool is a truth value, not a number, in the library as in the CLI
     ("build_config", lambda: build_config(_with(POINTS, 0, 0, True)), InputError,
      "point 0 entry 0: expected an integer, got True"),
@@ -407,6 +428,13 @@ SLOTS = {
     "certify coefficient": lambda x: certify(T, [10, 8], _loose(terms={(0, 0): x})),
     "certify key": lambda x: certify(T, [10, 8], _loose(terms={_key(x): F(1)})),
     "certify terms": lambda x: certify(T, [10, 8], _loose(terms=x)),
+    # junk in place of the series itself, or of a bundle or one of its solutions
+    "certify series": lambda x: certify(T, [10, 8], x),
+    "apply_box series": lambda x: apply_box(T, x),
+    "apply_euler series": lambda x: apply_euler(T, [10, 8], x),
+    "apply_euler_row series": lambda x: apply_euler_row(T, [10, 8], x, 0),
+    "certify_bundle solutions": lambda x: certify_bundle(T, [10, 8], x),
+    "certify_bundle solution": lambda x: certify_bundle(T, [10, 8], [x, SERIES_1]),
 }
 
 # The ValueErrors the entry points document, besides the InputErrors.

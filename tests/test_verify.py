@@ -1,13 +1,16 @@
 import random
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction as F
-from types import ModuleType
+from pathlib import Path
+from types import ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gkz1
 from gkz1 import (
     LogSeries,
     apply_box,
@@ -682,3 +685,70 @@ def test_certificate_imports_no_builder():
     names = {getattr(value, "__module__", None) for value in vars(verify).values()}
     names |= {value.__name__ for value in vars(verify).values() if isinstance(value, ModuleType)}
     assert not names & {"gkz1.series", "gkz1.coefficients", "gkz1.exponents"}
+
+
+def _bundles():
+    """(config, parameter, solutions) of each bundle of the triangle at
+    beta = (10, 8), of the quintic mirror at window (0, 6) and of the Gauss
+    log branch."""
+    problems = [
+        (TRIANGLE, [10, 8], (0, 10)),
+        (QUINTIC, (-1, 0, 0, 0, 0), (0, 6)),
+        (GAUSS, (F(-1, 2), F(-1, 3), F(1)), (-4, 8)),  # sigma = 2
+    ]
+    cases = []
+    for points, beta, window in problems:
+        config = build_config(points)
+        for bundle in solution_bundle(config, beta, window=window).bundles:
+            cases.append((config, bundle.parameter, bundle.solutions))
+    assert max(len(solutions) for _, _, solutions in cases) == 5
+    return cases
+
+
+def _reports(config, param, solutions):
+    """What the five certificate entry points report on a bundle's solutions."""
+    return [certify_bundle(config, param, solutions)] + [
+        (certify(config, param, s), apply_box(config, s), apply_euler(config, param, s),
+         *(apply_euler_row(config, param, s, row) for row in range(config.dim)))
+        for s in solutions
+    ]
+
+
+def test_certificate_runs_no_builder_code():
+    # every Python call the entry points make, traced: none runs code of a
+    # builder, so the certificate reads a series as its four fields only
+    package = Path(gkz1.__file__).parent
+    ran = set()
+
+    def profile(frame, event, arg):
+        path = Path(frame.f_code.co_filename)
+        if event == "call" and path.parent == package:
+            ran.add(f"{path.name}:{frame.f_code.co_name}")
+
+    for config, param, solutions in _bundles():
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _reports(config, param, solutions)
+        finally:
+            sys.setprofile(previous)
+    assert {"verify.py:certify_bundle", "verify.py:_box", "verify.py:_image"} <= ran
+    builders = {f"{name}.py" for name in ("series", "coefficients", "exponents", "classify")}
+    assert not {call for call in ran if call.split(":")[0] in builders}
+
+
+def test_four_field_copies_read_as_the_series():
+    # a certificate takes anything with a series' four fields: a namedtuple,
+    # or a SimpleNamespace with a list window, reports as the LogSeries does;
+    # certify_bundle reads its solutions from any iterable
+    Fields = namedtuple("Fields", "base_exponent relation window terms")
+    for config, param, solutions in _bundles():
+        expected = _reports(config, param, solutions)
+        assert certify_bundle(config, param, iter(solutions)) == expected[0]
+        copies = [
+            [Fields(s.base_exponent, s.relation, s.window, s.terms) for s in solutions],
+            [SimpleNamespace(base_exponent=s.base_exponent, relation=s.relation,
+                             window=list(s.window), terms=s.terms) for s in solutions],
+        ]
+        for copy in copies:
+            assert _reports(config, param, copy) == expected
