@@ -27,11 +27,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, perm
+from math import gcd, lcm, perm, prod
 
 from ._linalg import fracs, grid_fields, integer, integers, pair, sequence, window_bounds
 from ._record import Record
-from .coefficients import _is_excluded, _reciprocal, _times, _times_linear, coefficient_run
+from .coefficients import _is_excluded, _reciprocal, _times, _times_linear, coefficient_M
 from .errors import (
     ExcludedCase,
     HypothesisViolated,
@@ -128,7 +128,10 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) ->
 
     The sum runs over the shifts where the negative support away from q is
     preserved; the exponent must have minimal negative support there, or the
-    defining sum would depend on more than the multiset.
+    defining sum would depend on more than the multiset.  Each coefficient is
+    the product over the columns mu of coefficient_M(l, q's count of mu, v_mu)
+    at l = lift[mu] + z*rel[mu], after _refuse_excluded has checked the
+    columns as _epsilon_products checks them, so both refuse alike.
     """
     vec = exponent_vector(v, config.n)
     lift = lift_vector(config, u_lift)
@@ -140,31 +143,41 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) ->
         raise NotMinimalSupport(indices, lift)
     members = verdict.membership.clip(lo, hi)
     rel, terms = config.relation, {}
-    s_max = max(rho.values(), default=0)
-    runs = [
-        coefficient_run(vec[mu], [lift[mu] + z * rel[mu] for z in members], s_max)
-        for mu in range(config.n)
-    ]
+    _refuse_excluded(vec, lift, rel, members)
+    columns = [(v, l, e, rho[mu]) for mu, (v, l, e) in enumerate(zip(vec, lift, rel))]
     for z in members:
-        num = den = 1
-        for mu in range(config.n):
-            nums, d = runs[mu][lift[mu] + z * rel[mu]]
-            num *= nums[rho[mu]]
-            den *= d
-        if num:
-            terms[(z, 0)] = Fraction(num, den)
+        c = prod(coefficient_M(l + z * e, s, v) for v, l, e, s in columns)
+        if c:
+            terms[(z, 0)] = c
     base = tuple(x + l for x, l in zip(vec, lift))
     return LogSeries(base, rel, (lo, hi), terms)
 
 
+def _refuse_excluded(vec, lift, rel, members) -> None:
+    """Raise ExcludedCase(l, 0, v) at the first column, in index order, whose
+    largest l = lift[mu] + z*rel[mu] over the sorted members is excluded.
+
+    The strip of gkz1.coefficients is closed upward in l, so when this
+    passes, no column meets it at any member; both builders call it before
+    they build anything, so a refusal names the same column and l in each.
+    """
+    if not members:
+        return
+    for v, l0, e in zip(vec, lift, rel):
+        l = l0 + e * (members[-1] if e > 0 else members[0])
+        if _is_excluded(l, v):
+            raise ExcludedCase(l, 0, v)
+
+
 def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     """C(z, eps) as integer numerators over one denominator: one row per column,
-    each from coefficient_run at l = lift[mu] + z*rel[mu], multiplied once."""
+    coefficient_M at l = lift[mu] + z*rel[mu] and s <= top over the lcm of
+    their denominators, times rel[mu]^s in integers, multiplied once."""
     num, den = [1] + [0] * top, 1
     for v, l0, e in zip(vec, lift, rel):
-        l = l0 + z * e
-        row, d = coefficient_run(v, [l], top)[l]
-        _times(num, [c * e**s for s, c in enumerate(row)])
+        row = [coefficient_M(l0 + z * e, s, v) for s in range(top + 1)]
+        d = lcm(*[c.denominator for c in row])
+        _times(num, [c.numerator * (d // c.denominator) * e**s for s, c in enumerate(row)])
         den *= d
     return num, den
 
@@ -200,20 +213,17 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     running denominator.  Each entry meets one gcd, as its Fraction is built,
     and the row is divided by the common factor of those gcds, so it stays
     reduced with no gcd of its own; a zero entry is the int 0.  Before
-    anything is built, each column is checked, in index order, at its
-    largest l over the members, so ExcludedCase is raised exactly where a
-    run of that column over every member would raise it.
+    anything is built, _refuse_excluded checks each column, in index order,
+    at its largest l over the members, as phi_series does.
     """
     rel = config.relation
     if not members:
         return {}
+    _refuse_excluded(vec, lift, rel, members)
     # (b, q, e) per column, q_mu * w_mu(z) = b + z*q*e with v_mu = p/q and
     # b = p + q*lift[mu]; F+ = _linear_factors(plus) / scale, F- likewise
     plus, minus, scale, unscale = [], [], 1, 1
     for v, l0, e in zip(vec, lift, rel):
-        l = l0 + e * (members[-1] if e > 0 else members[0])
-        if _is_excluded(l, v):
-            raise ExcludedCase(l, 0, v)
         q = v.denominator
         if e > 0:
             plus.append((v.numerator + q * l0, q, e))

@@ -473,7 +473,7 @@ def log_solution_reference(config, vec, lift, r, window) -> LogSeries:
     log^(r-s) x0 at every shift z in the membership of its own verdict, the
     one for the index set missing S.  The M values come from
     ``coefficient_M_reference``, the defining sums, so nothing here shares
-    the coefficient run or the eps-products of gkz1.series.  Like the
+    the coefficient engine or the eps-products of gkz1.series.  Like the
     series route, it raises ExcludedCase when some column's l lies in the
     excluded strip at any member z, whether or not a multiset reads it.
     """

@@ -1,12 +1,11 @@
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkz1 import coefficient_M
-from gkz1.coefficients import _reciprocal, _times, _times_linear, coefficient_run
+from gkz1.coefficients import _reciprocal, _times, _times_linear
 from gkz1.errors import ExcludedCase, InputError
 
 from reference import (
@@ -17,7 +16,6 @@ from reference import (
     falling_factorial,
     pochhammer,
 )
-from test_verify import _fractions_built
 
 # sample values covering the regimes: nonnegative integers, positive and
 # negative rationals, and the sigma-1 style parameter from the worked cases
@@ -172,151 +170,6 @@ def test_falling_factorial():
     assert falling_factorial(3, 0) == 1
     assert falling_factorial(3, 2) == 6
     assert falling_factorial(2, 3) == 0
-
-
-@st.composite
-def runs(draw):
-    """A coefficient run along a relation line: v, the requested l, s_max.
-
-    The l are lift + z*e over a window of z with some members dropped, kept
-    within |l| <= 12 so the reference sums stay cheap.  For a negative
-    integer v the lift may put the top l right below the excluded strip.
-    """
-    v = draw(
-        st.one_of(
-            st.integers(min_value=-8, max_value=8).map(F),
-            st.fractions(max_denominator=7, min_value=-8, max_value=8),
-        )
-    )
-    e = draw(st.integers(min_value=1, max_value=6)) * draw(st.sampled_from((1, -1)))
-    lo = draw(st.integers(min_value=-2, max_value=1))
-    zs = range(lo, lo + draw(st.integers(min_value=1, max_value=24 // abs(e))) + 1)
-    steps = [z * e for z in zs]
-    low, high = -12 - min(steps), 12 - max(steps)
-    edge = -v.numerator - 1 - max(steps)  # top l = -v - 1, below the strip
-    if v.denominator == 1 and v < 0 and low <= edge <= high and draw(st.booleans()):
-        lift = edge
-    else:
-        lift = draw(st.integers(min_value=low, max_value=high))
-    kept = [lift + t for t in steps if draw(st.booleans())] or [lift + steps[0]]
-    return v, kept, draw(st.integers(min_value=0, max_value=3))
-
-
-@st.composite
-def long_runs(draw):
-    """A run along a relation line with an entry of either sign up to 150 in
-    absolute value: v, the requested l (|l| <= 300, one of them requested
-    twice), s_max in {0, 1}.  Each walk step then crosses up to 150 factors.
-    """
-    v = draw(
-        st.one_of(
-            st.integers(min_value=-200, max_value=200).map(F),
-            st.fractions(max_denominator=9, min_value=-200, max_value=200),
-        )
-    )
-    e = draw(st.integers(min_value=1, max_value=150)) * draw(st.sampled_from((1, -1)))
-    lift = draw(st.integers(min_value=-150, max_value=150))
-    zs = draw(st.lists(st.integers(min_value=-1, max_value=1), min_size=1, max_size=3))
-    ls = [lift + z * e for z in zs]
-    ls.append(draw(st.sampled_from(ls)))
-    return v, ls, draw(st.sampled_from((0, 1)))
-
-
-class TestCoefficientRun:
-    @settings(max_examples=100, deadline=None)
-    @given(case=long_runs())
-    def test_long_runs_match_defining_sums(self, case):
-        v, ls, s_max = case
-        top = max(ls)
-        if v.denominator == 1 and v < 0 and top + v >= 0 and top > 0:
-            with pytest.raises(ExcludedCase):
-                coefficient_run(v, ls, s_max)
-            return
-        run = coefficient_run(v, ls, s_max)
-        assert sorted(run) == sorted(set(ls))
-        for l, (nums, den) in run.items():
-            expected = tuple(coefficient_M_reference(l, s, v) for s in range(s_max + 1))
-            assert tuple(F(n, den) for n in nums) == expected, (l, v)
-
-    def test_float_refused(self):
-        with pytest.raises(InputError, match="0.1 is a float"):
-            coefficient_run(0.1, [1, 0], 0)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        v=st.one_of(
-            st.integers(min_value=-12, max_value=12).map(F),
-            st.fractions(max_denominator=9, min_value=-12, max_value=12),
-        ),
-        l=st.integers(min_value=-40, max_value=40),
-    )
-    @example(v=F(-7, 3), l=1)  # l > 0 and a negative progression product, -4
-    @example(v=F(-7, 3), l=4)  # -4 * -1 * 2 * 5: positive again
-    @example(v=F(5), l=-3)  # an integral v: 3 * 4 * 5 over 1
-    @example(v=F(2), l=-4)  # a zero product: -1 * 0 * 1 * 2
-    @example(v=F(-3), l=5)  # the excluded strip
-    def test_log_free_seed_builds_no_fraction(self, v, l):
-        # a log-free row is a progression product over a power of q, in
-        # lowest terms as it stands: the reduced Fraction's numerator and
-        # denominator, with no Fraction built on the way
-        if v.denominator == 1 and v < 0 and l > 0 and v + l >= 0:
-            with pytest.raises(ExcludedCase):
-                coefficient_run(v, [l], 0)
-            return
-        expected = coefficient_M_reference(l, 0, v)
-        run = {}
-        assert _fractions_built(lambda: run.update(coefficient_run(v, [l], 0))) == 0
-        assert run == {l: ((expected.numerator,), expected.denominator)}
-        assert type(run[l][0][0]) is int and type(run[l][1]) is int
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=runs())
-    def test_every_stored_value_matches_defining_sums(self, case):
-        v, ls, s_max = case
-        if v.denominator == 1 and v < 0 and max(ls) + v >= 0 and max(ls) > 0:
-            with pytest.raises(ExcludedCase):
-                coefficient_run(v, ls, s_max)
-            return
-        run = coefficient_run(v, ls, s_max)
-        assert sorted(run) == sorted(set(ls))
-        for l, (nums, den) in run.items():
-            assert len(nums) == s_max + 1
-            assert all(type(n) is int for n in nums) and type(den) is int
-            # one denominator per row, the lcm of the reduced ones
-            assert den > 0 and gcd(den, *nums) == 1, (l, v)
-            expected = tuple(coefficient_M_reference(l, s, v) for s in range(s_max + 1))
-            assert tuple(F(n, den) for n in nums) == expected, (l, v)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        m=st.integers(min_value=1, max_value=6),
-        above=st.integers(min_value=0, max_value=6),
-        below=st.integers(min_value=1, max_value=12),
-        s_max=st.integers(min_value=0, max_value=3),
-    )
-    def test_top_inside_excluded_strip_raises(self, m, above, below, s_max):
-        # v = -m excludes every l >= m; only the top of the run has to be there
-        top = m + above
-        with pytest.raises(ExcludedCase):
-            coefficient_run(-m, range(top - below, top + 1), s_max)
-
-    def test_zero_factor_and_gaps(self):
-        # v = 2: the factor v + k + x is x itself at k = -2, so M(l, 0, 2)
-        # vanishes for l <= -3; the walk crosses l = 0 and skips between stored l
-        run = coefficient_run(2, (4, 1, -2, -5), 2)
-        for l in (4, 1, -2, -5):
-            nums, den = run[l]
-            assert tuple(F(n, den) for n in nums) == tuple(
-                coefficient_M_reference(l, s, 2) for s in range(3)
-            )
-        assert run[-5][0][0] == 0 and run[-5][0][1] != 0
-        # the run starts above 0 with a denominator and walks down to integers
-        assert run[1][1] > 1 and run[-2][1] == 1
-
-    def test_empty_and_invalid(self):
-        assert coefficient_run(F(1, 3), [], 2) == {}
-        with pytest.raises(ValueError):
-            coefficient_run(F(1, 3), [0], -1)
 
 
 class TestKernel:

@@ -46,7 +46,6 @@ from gkz1 import (
     support_verdict,
 )
 from gkz1.cli import main
-from gkz1.coefficients import coefficient_run
 from gkz1.errors import BetaNotInSpan, EmptyWindow, GkzError, InputError, LiftMismatch
 
 from conftest import QUINTIC, TRIANGLE
@@ -155,17 +154,6 @@ REFUSALS = [
     ("coefficient_M", lambda: coefficient_M(1, 0, 0.5), InputError, "v"),
     ("coefficient_M", lambda: coefficient_M(1.5, 0, 1), InputError, "l"),
     ("coefficient_M", lambda: coefficient_M(1, F(1, 2), 1), InputError, "s"),
-    # every requested l and s_max, not only the largest l that seeds the run
-    ("coefficient_run", lambda: coefficient_run(F(1, 2), [3, 1.5], 0), InputError,
-     "ls[1]: expected an integer, got 1.5"),
-    ("coefficient_run", lambda: coefficient_run(F(1, 2), [3, "2"], 0), InputError,
-     "ls[1]: expected an integer, got '2'"),
-    ("coefficient_run", lambda: coefficient_run(F(1, 2), [3, True], 0), InputError,
-     "ls[1]: expected an integer, got True"),
-    ("coefficient_run", lambda: coefficient_run(F(1, 2), [3, 1], 1.5), InputError,
-     "s_max: expected an integer, got 1.5"),
-    ("coefficient_run", lambda: coefficient_run(F(1, 2), [3, 1], True), InputError,
-     "s_max: expected an integer, got True"),
     ("solution_bundle", lambda: solution_bundle(T, [10, 8], u_lift=[1.7, 0, 0]), InputError,
      "lift entry 0"),
     ("solution_bundle", lambda: solution_bundle(T, [10, 8], u_lift=[0, 0]), LiftMismatch,
@@ -340,15 +328,11 @@ def test_inexact_input_is_refused_by_name(call, error, names):
         call()
 
 
-# Functions of gkz1's modules, outside gkz1.__all__, that the table covers too.
-MODULE_LEVEL = {"coefficient_run"}
-
-
 def test_every_entry_point_is_in_the_table():
     callables = {name for name in gkz1.__all__ if callable(getattr(gkz1, name))}
     tabled = {case[0] for case in REFUSALS}
     assert not tabled & set(TAKES_NO_NUMBERS)
-    assert callables == (tabled - MODULE_LEVEL) | set(TAKES_NO_NUMBERS)
+    assert callables == tabled | set(TAKES_NO_NUMBERS)
 
 
 def _key(x):
@@ -386,9 +370,6 @@ SLOTS = {
     "coefficient_M l": lambda x: coefficient_M(x, 0, F(1, 2)),
     "coefficient_M s": lambda x: coefficient_M(1, x, F(1, 2)),
     "coefficient_M v": lambda x: coefficient_M(1, 0, x),
-    "coefficient_run ls": lambda x: coefficient_run(F(1, 2), x, 0),
-    "coefficient_run ls entry": lambda x: coefficient_run(F(1, 2), [3, x], 0),
-    "coefficient_run s_max": lambda x: coefficient_run(F(1, 2), [3, 1], x),
     "solution_bundle beta": lambda x: solution_bundle(T, x, window=(0, 2)),
     "solution_bundle u": lambda x: solution_bundle(T, [10, 8], u=x, window=(0, 2)),
     "solution_bundle lift": lambda x: solution_bundle(T, [10, 8], u_lift=x, window=(0, 2)),

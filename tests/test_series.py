@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
@@ -20,7 +21,6 @@ from gkz1 import (
     solution_bundle,
     support_verdict,
 )
-from gkz1.coefficients import coefficient_run
 from gkz1.errors import (
     ExcludedCase,
     HypothesisViolated,
@@ -41,6 +41,7 @@ from conftest import (
 from reference import (
     MismatchDetected,
     SigmaIntegral,
+    coefficient_M_reference,
     gauss_oracle,
     indicial_classes_reference,
     line_class,
@@ -59,6 +60,69 @@ def rising(a, m):
     for i in range(m):
         out *= a + i
     return out
+
+
+def _phi_reference(config, vec, lift, q, window) -> LogSeries:
+    """phi_series as the literal product over the columns of the defining sums.
+
+    The members are the reference verdict's, clipped to the window.  Before
+    any product, each column is read at its largest l over the members, in
+    index order, so the first column there in the excluded strip refuses.
+    """
+    rel, rho = config.relation, Counter(q)
+    indices = frozenset(range(config.n)) - frozenset(rho)
+    verdict = support_verdict_reference(config, vec, indices, lift)
+    if not verdict.minimal:
+        raise NotMinimalSupport(indices, lift)
+    members = verdict.membership.clip(*window)
+    if members:
+        for v, l, e in zip(vec, lift, rel):
+            coefficient_M_reference(max(l + z * e for z in members), 0, v)
+    terms = {}
+    for z in members:
+        c = F(1)
+        for mu in range(config.n):
+            c *= coefficient_M_reference(lift[mu] + z * rel[mu], rho[mu], vec[mu])
+        if c:
+            terms[(z, 0)] = c
+    return LogSeries(tuple(x + l for x, l in zip(vec, lift)), rel, tuple(window), terms)
+
+
+def _phi_outcome(build):
+    """A series' four fields, NotMinimalSupport's name, or ExcludedCase's message."""
+    try:
+        series = build()
+    except NotMinimalSupport:
+        return ("NotMinimalSupport",)
+    except ExcludedCase as exc:
+        return ("ExcludedCase", str(exc))
+    return series.base_exponent, series.relation, series.window, series.terms
+
+
+@st.composite
+def phi_cases(draw):
+    """phi_series' arguments: a configuration, an exponent, a lift in [-2, 2],
+    a multiset q of 0-3 columns and a window of width 6.
+
+    Half the configurations have relation entries up to 5.  Each exponent
+    entry is a small integer half the time, which puts columns in the
+    excluded strip and exponents off minimal support.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        config = random_relation_config(rng, max_relation=5)
+    else:
+        config = random_config(rng)
+    n = config.n
+    vec = tuple(
+        F(draw(st.integers(-4, 4))) if draw(st.booleans())
+        else F(draw(st.integers(-30, 30)), draw(st.sampled_from([2, 3, 5, 7])))
+        for _ in range(n)
+    )
+    lift = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    q = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    lo = draw(st.integers(-4, 4))
+    return config, vec, lift, q, (lo, lo + 6)
 
 
 class TestPhiSeries:
@@ -87,9 +151,19 @@ class TestPhiSeries:
 
     def test_excluded_case_propagates(self, corner):
         # negative integer on the positive side inside an index set that
-        # keeps the shift alive pushes a factor into the excluded regime
-        with pytest.raises(ExcludedCase):
+        # keeps the shift alive pushes a factor into the excluded regime;
+        # the refusal names the column at its largest l over the members,
+        # not the first l that a product would meet
+        with pytest.raises(ExcludedCase) as info:
             phi_series(corner, (F(-1), F(0), F(1, 2)), (0, 0, 0), (0,), (0, 6))
+        assert str(info.value) == "M_(6,0)(-1) has no closed form here"
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=phi_cases())
+    def test_matches_the_literal_product(self, case):
+        expected = _phi_outcome(lambda: _phi_reference(*case))
+        assert _phi_outcome(lambda: phi_series(*case)) == expected
+        event(f"outcome: {expected[0] if type(expected[0]) is str else 'series'}")
 
 
 class TestLogSolution:
@@ -530,9 +604,10 @@ class TestEpsilonProducts:
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), top=st.integers(0, 3))
     def test_refuses_as_the_column_runs_refuse(self, seed, top):
-        # a run of each column over every member, in index order, refuses at
-        # the first column whose l enters the excluded strip; the walk must
-        # raise that same ExcludedCase, or none where the runs raise none
+        # the defining sums of each column at its largest l over the members,
+        # in index order, refuse at the first column in the excluded strip;
+        # the walk must raise that same ExcludedCase, or none where they
+        # raise none
         rng = random.Random(seed)
         config = random_config(rng)
         vec = tuple(F(rng.randint(-4, 4)) for _ in range(config.n))
@@ -547,7 +622,7 @@ class TestEpsilonProducts:
                 return str(exc)
 
         expected = refusal(lambda: [
-            coefficient_run(v, [l + z * e for z in members], top)
+            coefficient_M_reference(max(l + z * e for z in members), 0, v)
             for v, l, e in zip(vec, lift, config.relation)
         ])
         assert refusal(

@@ -114,3 +114,37 @@ def test_only_record_guards_its_attributes():
                 continue
             found += [f"{name}:{statement.lineno} {node.name}.{n}" for n in names if n in FROZEN]
     assert not found, f"attribute guards past Record: {found}"
+
+
+def _exported(tree) -> set[str]:
+    """The names a module lists in its __all__."""
+    return {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in ast.walk(node.value)
+        if isinstance(element, ast.Constant) and isinstance(element.value, str)
+    }
+
+
+def test_every_imported_name_is_used():
+    # an import that nothing reads is dead code left behind by a deletion; a
+    # name the module exports through __all__ counts as read, and a
+    # __future__ import is a directive rather than a name
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= _exported(tree)
+        found += [
+            f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read
+        ]
+    assert not found, f"imported and never used: {found}"
