@@ -4,7 +4,7 @@ Every number entering the package passes rational() or integer(), or fracs() or
 integers() for a list: a float, a bool, what Fraction cannot parse or
 operator.index refuses, or a str for a list raises an InputError that names the
 entry.  window_bounds() reads a window, grid_fields() a series for LogSeries.make
-and the certificate alike.
+and the certificate alike; shown() writes a vector into a message.
 
 Matrices are small, so one Gauss-Jordan elimination per configuration, in
 Python ints only, is kept and serves its kernel and every solve: reduction()
@@ -95,6 +95,11 @@ def integers(values, where: str, bound: int | None = None) -> tuple[int, ...]:
     except TypeError:
         pass
     return tuple(integer(x, f"{where} entry {i}", bound) for i, x in enumerate(values))
+
+
+def shown(vector) -> str:
+    """A vector as a message writes it: its entries' "p/q" strings in parentheses."""
+    return "(" + ", ".join(map(str, vector)) + ")"
 
 
 def pair(values, where: str) -> tuple[int, int]:

@@ -20,18 +20,19 @@ is checked against every bundle before any certificate is made.  Each
 bundle is certified by one verify.certify_bundle call.
 
 Output: the JSON report is exactly ``json.dumps(report, indent=2)`` of the
-report as a dict, byte for byte, and --format text is one "key: value" line
-per field, a nested record's lines two spaces deeper.  No report is built as
-a dict.  Each record kind, from the analyze report down to a series term and
-an operator report, has one JSON template and one text template in _FORMS,
-filled with %; the record's place in the report only shifts its lines, and
-every command returns its report as pieces for _run to write.  cmd_exponents
-fills one exponent template per key of the parameter's line, read in blocks a
-column at a time, each coordinate a "p/q" string made with one gcd.
-cmd_solve and cmd_verify build every bundle and check --r first; then solve
-certifies, writes and drops one bundle at a time, and verify, whose
-all_passed comes first, certifies every bundle and writes one piece per
-bundle.  So a refusal prints nothing, and no report is held whole.
+report as a dict, byte for byte, but no report is built as a dict.  Each
+record kind, from the analyze report down to a series term and an operator
+report, has one JSON template in _FORMS, filled with %; the record's place in
+the report only shifts its lines, and every command returns its report as
+pieces for _run to write.  cmd_exponents fills one exponent template per key
+of the parameter's line, read in blocks a column at a time, each coordinate
+a "p/q" string made with one gcd.  cmd_solve and cmd_verify build every
+bundle and check --r first; then solve certifies, writes and drops one
+bundle at a time, and verify, whose all_passed comes first, certifies every
+bundle and writes one piece per bundle.  So a refusal prints nothing, and no
+JSON report is held whole.  --format text is rendered by _text from the
+parsed JSON report, which it holds whole: one "key: value" line per field, a
+nested record's lines two spaces deeper.
 """
 
 from __future__ import annotations
@@ -151,258 +152,211 @@ def _rat_list(values) -> list[str]:
     return [str(v) for v in values]
 
 
-def cmd_analyze(spec: ProblemSpec, text: bool) -> tuple:
+def cmd_analyze(spec: ProblemSpec) -> tuple:
     """The analyze report in one piece: the configuration's relation, volume
     and singularity type, and the parameter's resonance witness."""
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     resonance = is_nonresonant(config, beta)
-    return (_FORMS["analyze"][text] % (
-        config.n, config.dim, _leaf(list(map(list, config.columns)), "", text),
-        _leaf(list(config.relation), "", text), config.k, _leaf(list(config.perm), "", text),
+    return (_FORMS["analyze"] % (
+        config.n, config.dim, _leaf(list(map(list, config.columns)), ""),
+        _leaf(list(config.relation), ""), config.k, _leaf(list(config.perm), ""),
         config.volume, volume_crosscheck(config), config.positive_sum, config.negative_sum,
-        singularity_type(config).value, _leaf(_rat_list(beta.beta), "", text),
-        _BOOLS[text][bool(resonance)],
-        _form("resonance_witness", "  ", text) % resonance.witness if resonance.witness
-        else _FORMS["null"][text],
+        singularity_type(config).value, _leaf(_rat_list(beta.beta), ""),
+        _BOOLS[bool(resonance)],
+        _form("resonance_witness", "  ") % resonance.witness if resonance.witness else "null",
     ),)
 
 
-# Every report is written from its records, one template per record kind:
-# its JSON text at depth 0, then its --format text lines at indent 0, each
-# line after its newline.  _form moves a template to a record's place,
-# shifting each line by the record's pad; a record's pad grows by two spaces
-# for a field's value and by _STEP for a list's item.
+# Every report is written from its records, one JSON template per record
+# kind at depth 0.  _form moves a template to a record's place, shifting each
+# line after a newline by the record's pad; a record's pad grows by two
+# spaces for a field's value and by _STEP for a list's item.
 _FORMS = {
     "analyze": (
         '{\n  "n": %d,\n  "dim": %d,\n  "columns": %s,\n  "relation": %s,\n  "k": %d,'
         '\n  "perm": %s,\n  "vol": %d,\n  "vol_crosscheck": %d,\n  "positive_sum": %d,'
         '\n  "negative_sum": %d,\n  "singularity": "%s",\n  "beta": %s,\n  "nonresonant": %s,'
-        '\n  "resonance_witness": %s\n}',
-        "n: %d\ndim: %d\ncolumns: %s\nrelation: %s\nk: %d\nperm: %s\nvol: %d"
-        "\nvol_crosscheck: %d\npositive_sum: %d\nnegative_sum: %d\nsingularity: %s\nbeta: %s"
-        "\nnonresonant: %s\nresonance_witness:%s",
+        '\n  "resonance_witness": %s\n}'
     ),
-    "resonance_witness": (
-        '{\n  "i": %d,\n  "j": %d,\n  "value": %d\n}', "\ni: %d\nj: %d\nvalue: %d"
-    ),
+    "resonance_witness": '{\n  "i": %d,\n  "j": %d,\n  "value": %d\n}',
     "classify": (
         '{\n  "regular": %s,\n  "nonresonant": %s,\n  "mum": %s,\n  "mum_holomorphic": %s,'
-        '\n  "witness": %s\n}',
-        "regular: %s\nnonresonant: %s\nmum: %s\nmum_holomorphic: %s\nwitness:%s",
+        '\n  "witness": %s\n}'
     ),
     # the lattice conditions of a classification, and its one exponent
     "witness": (
         '{\n  "singleton": %s,\n  "integer_class_on_positive": %s,'
-        '\n  "unit_positive_entries": %s,\n  "negative_span": %s,\n  "exponent": %s\n}',
-        "\nsingleton: %s\ninteger_class_on_positive: %s\nunit_positive_entries: %s"
-        "\nnegative_span: %s\nexponent: %s",
+        '\n  "unit_positive_entries": %s,\n  "negative_span": %s,\n  "exponent": %s\n}'
     ),
     "solve": (
         '{\n  "beta": %s,\n  "parameter": %s,\n  "window": %s,\n  "expected_total": %d,'
-        '\n  "total_solutions": %d,\n  "complete": %s,\n  "bundles": ',
-        "beta: %s\nparameter: %s\nwindow: %s\nexpected_total: %d\ntotal_solutions: %d"
-        "\ncomplete: %s\nbundles:",
+        '\n  "total_solutions": %d,\n  "complete": %s,\n  "bundles": '
     ),
-    "requested": (
-        ',\n  "requested_degree": {\n    "r": %d,\n    "solutions": ',
-        "\nrequested_degree:\n  r: %d\n  solutions:",
-    ),
-    "verify": (
-        '{\n  "parameter": %s,\n  "window": %s,\n  "all_passed": %s,\n  "checks": ',
-        "parameter: %s\nwindow: %s\nall_passed: %s\nchecks:",
-    ),
+    "requested": ',\n  "requested_degree": {\n    "r": %d,\n    "solutions": ',
+    "verify": '{\n  "parameter": %s,\n  "window": %s,\n  "all_passed": %s,\n  "checks": ',
     "bundle": (
         '{\n  "exponent": %s,\n  "lift": %s,\n  "phi_empty": %s,\n  "hypothesis_failures": %s,'
-        '\n  "certificates": %s,\n  "solutions": %s\n}',
-        "\nexponent:%s\nlift: %s\nphi_empty: %s\nhypothesis_failures: %s\ncertificates:%s"
-        "\nsolutions:%s",
+        '\n  "certificates": %s,\n  "solutions": %s\n}'
     ),
     # an exponent's vector, labels, then its m_support and multiplicity
     # (support); the separator of the vector's "p/q" strings, one label and
     # the separator of labels
     "exponent": (
-        '{\n  "vector": [\n    "%s"\n  ],\n  "labels": [\n    %s\n  ],\n  "m_support": %s\n}',
-        "\nvector: ['%s']\nlabels: [%s]\nm_support: %s",
+        '{\n  "vector": [\n    "%s"\n  ],\n  "labels": [\n    %s\n  ],\n  "m_support": %s\n}'
     ),
-    "support": ('%s,\n  "multiplicity": %d', "%s\nmultiplicity: %d"),
-    "vector": ('",\n    "', "', '"),
-    "label": ("[\n      %d,\n      %d\n    ]", "[%d, %d]"),
-    "labels": (",\n    ", ", "),
-    "verdict": (
-        '{\n  "indices": %s,\n  "lift": %s,\n  "minimal": %s,\n  "membership": %s\n}',
-        "\nindices: %s\nlift: %s\nminimal: %s\nmembership: %s",
-    ),
+    "support": '%s,\n  "multiplicity": %d',
+    "vector": '",\n    "',
+    "label": "[\n      %d,\n      %d\n    ]",
+    "labels": ",\n    ",
+    "verdict": '{\n  "indices": %s,\n  "lift": %s,\n  "minimal": %s,\n  "membership": %s\n}',
     # a solution's degree and series, then its verification if it has one
-    "solution": ('{\n  "r": %d,\n  "series": %s%s\n}', "\nr: %d\nseries:%s%s"),
-    "verification": (',\n  "verification": %s', "\nverification:%s"),
-    "requested solution": ('{\n  "exponent": %s,\n  "series": %s\n}', "\nexponent:%s\nseries:%s"),
-    "check": (
-        '{\n  "exponent": %s,\n  "r": %d,\n  "verification": %s\n}',
-        "\nexponent: %s\nr: %d\nverification:%s",
-    ),
-    "series": (
-        '{\n  "base_exponent": %s,\n  "relation": %s,\n  "window": %s,\n  "terms": %s\n}',
-        "\nbase_exponent: %s\nrelation: %s\nwindow: %s\nterms:%s",
-    ),
-    "term": ('{\n  "z": %d,\n  "r": %d,\n  "coeff": "%s"\n}', "\nz: %d\nr: %d\ncoeff: %s"),
-    "certificate": (
-        '{\n  "passed": %s,\n  "box": %s,\n  "euler": %s\n}', "\npassed: %s\nbox:%s\neuler:%s"
-    ),
+    "solution": '{\n  "r": %d,\n  "series": %s%s\n}',
+    "verification": ',\n  "verification": %s',
+    "requested solution": '{\n  "exponent": %s,\n  "series": %s\n}',
+    "check": '{\n  "exponent": %s,\n  "r": %d,\n  "verification": %s\n}',
+    "series": '{\n  "base_exponent": %s,\n  "relation": %s,\n  "window": %s,\n  "terms": %s\n}',
+    "term": '{\n  "z": %d,\n  "r": %d,\n  "coeff": "%s"\n}',
+    "certificate": '{\n  "passed": %s,\n  "box": %s,\n  "euler": %s\n}',
     "operator": (
-        '{\n  "operator": "%s",\n  "safe_window": %s,\n  "passed": %s,\n  "first_failure": %s\n}',
-        "\noperator: %s\nsafe_window: %s\npassed: %s\nfirst_failure:%s",
+        '{\n  "operator": "%s",\n  "safe_window": %s,\n  "passed": %s,\n  "first_failure": %s\n}'
     ),
-    "failure": ('{\n  "z": %d,\n  "r": %d,\n  "residual": "%s"\n}', "\nz: %d\nr: %d\nresidual: %s"),
-    "null": ("null", " None"),
-    "end": ("\n}", ""),
-    "requested end": ("\n  }\n}", ""),
-    "exponents": ('{\n  "beta": %s,\n  "fake_exponents": [', "beta: %s\nfake_exponents:"),
-    "prime exponents": ('\n  ],\n  "prime_exponents": [', "\nprime_exponents:"),
-    "exponents end": (
-        '\n  ],\n  "multiplicity_sum": %d,\n  "relation_sum": %d\n}',
-        "\nmultiplicity_sum: %d\nrelation_sum: %d",
-    ),
+    "failure": '{\n  "z": %d,\n  "r": %d,\n  "residual": "%s"\n}',
+    "end": "\n}",
+    "requested end": "\n  }\n}",
+    "exponents": '{\n  "beta": %s,\n  "fake_exponents": [',
+    "prime exponents": '\n  ],\n  "prime_exponents": [',
+    "exponents end": '\n  ],\n  "multiplicity_sum": %d,\n  "relation_sum": %d\n}',
 }
 
 
-_STEP = ("    ", "  ")  # what a list's item adds to its record's pad: JSON nests it
-_BOOLS = (("false", "true"), ("False", "True"))
+_STEP = "    "  # what a list's item adds to its record's pad
+_BOOLS = ("false", "true")
 
 
-def _form(kind: str, pad: str, text: bool) -> str:
-    return _FORMS[kind][text].replace("\n", "\n" + pad)
+def _form(kind: str, pad: str) -> str:
+    return _FORMS[kind].replace("\n", "\n" + pad)
 
 
 @functools.cache
-def _entry_forms(text: bool) -> tuple:
+def _entry_forms() -> tuple:
     """An exponents report entry's template, vector separator, label and label separator."""
-    form, *rest = (_form(k, _STEP[text], text) for k in ("exponent", "vector", "label", "labels"))
-    # JSON entries open with the comma after the entry before; text ones end
-    # with their "-" line
-    return (form + "\n  -" if text else ",\n    " + form, *rest)
+    form, *rest = (_form(k, _STEP) for k in ("exponent", "vector", "label", "labels"))
+    return (",\n" + _STEP + form, *rest)  # an entry opens with the comma after the one before
 
 
 @functools.lru_cache(maxsize=256)
-def _support_text(mask: int, text: bool) -> str:
+def _support_text(mask: int) -> str:
     """An exponents entry's m_support (the bits of mask) and multiplicity, kept: masks recur."""
     support = [mu for mu in range(mask.bit_length()) if mask >> mu & 1]
-    return _form("support", _STEP[text], text) % (_leaf(support, _STEP[text], text), len(support))
+    return _form("support", _STEP) % (_leaf(support, _STEP), len(support))
 
 
-def _leaf(value, pad: str, text: bool) -> str:
+def _leaf(value, pad: str) -> str:
     """A field's value that holds no record, in a record at pad: None, or a
-    list of ints, None and "p/q" strings, or of such lists.  In text, its
-    repr; in JSON, a flat list is its repr with one entry per line, double
-    quotes and null, as no entry is a string holding a quote, ", " or None."""
-    if text:
-        return str(value)
+    list of ints, None and "p/q" strings, or of such lists.  A flat list is
+    its repr with one entry per line, double quotes and null, as no entry is
+    a string holding a quote, ", " or None."""
     if not value:
         return "null" if value is None else "[]"
     sep = "\n" + pad + "    "
     if type(value[0]) is list:
-        items = ("," + sep).join([_leaf(x, pad + "  ", text) for x in value])
+        items = ("," + sep).join([_leaf(x, pad + "  ") for x in value])
     else:
         items = str(value)[1:-1].replace(", ", "," + sep).replace("'", '"').replace("None", "null")
     return "[" + sep + items + "\n" + pad + "  ]"
 
 
-def _pieces(head: str, groups, pad: str, text: bool, tail: str):
+def _pieces(head: str, groups, pad: str, tail: str):
     """head, then the records' texts of each group as one piece, then tail:
-    the items of a list field of a record at pad, each at pad + _STEP[text],
-    in JSON brackets or each followed by a "-" line.  A group is made only
-    when its piece is asked for."""
-    inner = "\n" + pad + ("  -" if text else "    ")
-    if text:
-        first, sep, close = "", inner, inner
-    else:
-        first, sep, close = "[" + inner, "," + inner, "\n" + pad + "  ]"
+    the items of a list field of a record at pad, each at pad + _STEP, in
+    brackets.  A group is made only when its piece is asked for."""
+    inner = "\n" + pad + _STEP
+    sep = "," + inner
     yield head
-    lead = first
+    lead = "[" + inner
     for texts in groups:
         if texts:
             yield lead + sep.join(texts)
             lead = sep
-    yield (close if lead is sep else " []" if text else "[]") + tail
+    yield ("\n" + pad + "  ]" if lead is sep else "[]") + tail
 
 
-def _items(texts: list, pad: str, text: bool) -> str:
-    return "".join(_pieces("", (texts,), pad, text, ""))
+def _items(texts: list, pad: str) -> str:
+    return "".join(_pieces("", (texts,), pad, ""))
 
 
-def _exponent(exp, pad: str, text: bool) -> str:
-    return _form("exponent", pad, text) % (
-        _form("vector", pad, text).join(map(str, exp.vector)),
-        _form("labels", pad, text).join(map(_form("label", pad, text).__mod__, exp.labels)),
-        _form("support", pad, text) % (_leaf(sorted(exp.m_support), pad, text), len(exp.m_support)),
+def _exponent(exp, pad: str) -> str:
+    return _form("exponent", pad) % (
+        _form("vector", pad).join(map(str, exp.vector)),
+        _form("labels", pad).join(map(_form("label", pad).__mod__, exp.labels)),
+        _form("support", pad) % (_leaf(sorted(exp.m_support), pad), len(exp.m_support)),
     )
 
 
-def _series(series, pad: str, text: bool) -> str:
-    term = _form("term", pad + _STEP[text], text)
-    return _form("series", pad, text) % (
-        _leaf(_rat_list(series.base_exponent), pad, text),
-        _leaf(list(series.relation), pad, text),
-        _leaf(list(series.window), pad, text),
-        _items([term % (z, r, c) for (z, r), c in sorted(series.terms.items())], pad, text),
+def _series(series, pad: str) -> str:
+    term = _form("term", pad + _STEP)
+    return _form("series", pad) % (
+        _leaf(_rat_list(series.base_exponent), pad),
+        _leaf(list(series.relation), pad),
+        _leaf(list(series.window), pad),
+        _items([term % (z, r, c) for (z, r), c in sorted(series.terms.items())], pad),
     )
 
 
-def _certificate(certificate, pad: str, text: bool) -> str:
+def _certificate(certificate, pad: str) -> str:
     def operator(report, pad):
         failure = report.first_failure
-        return _form("operator", pad, text) % (
+        return _form("operator", pad) % (
             report.operator,
-            _leaf(list(report.safe_window) if report.safe_window else None, pad, text),
-            _BOOLS[text][report.passed],
-            _form("failure", pad + "  ", text) % failure if failure else _FORMS["null"][text],
+            _leaf(list(report.safe_window) if report.safe_window else None, pad),
+            _BOOLS[report.passed],
+            _form("failure", pad + "  ") % failure if failure else "null",
         )
 
-    return _form("certificate", pad, text) % (
-        _BOOLS[text][certificate.passed],
+    return _form("certificate", pad) % (
+        _BOOLS[certificate.passed],
         operator(certificate.box, pad + "  "),
-        _items([operator(row, pad + _STEP[text]) for row in certificate.euler], pad, text),
+        _items([operator(row, pad + _STEP) for row in certificate.euler], pad),
     )
 
 
-def _bundle(bundle, certificates, pad: str, text: bool) -> str:
+def _bundle(bundle, certificates, pad: str) -> str:
     """A bundle's entry; certificates is None where nothing is verified."""
-    inner = pad + _STEP[text]
-    verdict, solution = _form("verdict", inner, text), _form("solution", inner, text)
-    verification = _form("verification", inner, text)
+    inner = pad + _STEP
+    verdict, solution = _form("verdict", inner), _form("solution", inner)
+    verification = _form("verification", inner)
     # the verdicts carry the bundle's lift, and share most memberships: each once
     verdicts = bundle.certificates
-    lift = _leaf(list(bundle.lift), inner, text)
+    lift = _leaf(list(bundle.lift), inner)
     memberships = {
-        x: _leaf(list(map(list, x)), inner, text)
-        for x in {v.membership.intervals for v in verdicts}
+        x: _leaf(list(map(list, x)), inner) for x in {v.membership.intervals for v in verdicts}
     }
-    return _form("bundle", pad, text) % (
-        _exponent(bundle.exponent, pad + "  ", text),
-        _leaf(list(bundle.lift), pad, text),
-        _BOOLS[text][bundle.phi_empty],
-        _leaf(list(map(sorted, bundle.hypothesis_failures)), pad, text),
+    return _form("bundle", pad) % (
+        _exponent(bundle.exponent, pad + "  "),
+        _leaf(list(bundle.lift), pad),
+        _BOOLS[bundle.phi_empty],
+        _leaf(list(map(sorted, bundle.hypothesis_failures)), pad),
         _items([
             verdict % (
-                _leaf(sorted(v.indices), inner, text), lift,
-                _BOOLS[text][v.minimal], memberships[v.membership.intervals],
+                _leaf(sorted(v.indices), inner), lift,
+                _BOOLS[v.minimal], memberships[v.membership.intervals],
             )
             for v in verdicts
-        ], pad, text),
+        ], pad),
         _items([
             solution % (
-                r, _series(series, inner + "  ", text),
+                r, _series(series, inner + "  "),
                 "" if certificates is None
-                else verification % _certificate(certificates[r], inner + "  ", text),
+                else verification % _certificate(certificates[r], inner + "  "),
             )
             for r, series in enumerate(bundle.solutions)
-        ], pad, text),
+        ], pad),
     )
 
 
-def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
-    """The exponents report in pieces, in JSON or, when text is set, in
-    --format text.
+def cmd_exponents(spec: ProblemSpec) -> chain:
+    """The exponents report in pieces.
 
     One pass over the fake keys of the parameter's line (exponent_blocks)
     fills one exponent template per exponent, a block of keys at a time: the
@@ -414,10 +368,10 @@ def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     den, dens = beta.line.den, repeat(beta.line.den)
-    form, vector_sep, label, label_sep = _entry_forms(text)
+    form, vector_sep, label, label_sep = _entry_forms()
     fakes, primes = [], []
     for columns, labels, masks, normalized in exponent_blocks(beta.line):
-        shown = {mask: _support_text(mask, text) for mask in set(masks)}
+        shown = {mask: _support_text(mask) for mask in set(masks)}
         texts = [[  # each column's "p/q" strings, one gcd per entry
             str(x // g) if g == den else f"{x // g}/{den // g}"
             for x, g in zip(c, map(gcd, c, dens))
@@ -431,14 +385,14 @@ def cmd_exponents(spec: ProblemSpec, text: bool) -> chain:
         fakes += entries
         primes += compress(entries, normalized)
     # exponent_blocks has checked that the multiplicities sum to the relation's,
-    # so neither list is empty; the first JSON entry drops its comma
-    total, first = config.positive_sum, not text
+    # so neither list is empty; the first entry drops its comma
+    total = config.positive_sum
     return chain(
-        (_FORMS["exponents"][text] % _leaf(_rat_list(beta.beta), "", text), fakes[0][first:]),
+        (_FORMS["exponents"] % _leaf(_rat_list(beta.beta), ""), fakes[0][1:]),
         islice(fakes, 1, None),
-        (_FORMS["prime exponents"][text], primes[0][first:]),
+        (_FORMS["prime exponents"], primes[0][1:]),
         islice(primes, 1, None),
-        (_FORMS["exponents end"][text] % (total, total),),
+        (_FORMS["exponents end"] % (total, total),),
     )
 
 
@@ -466,39 +420,37 @@ def _requested(spec: ProblemSpec, report) -> list | None:
     return [bundle.solution(spec.r) for bundle in report.bundles]
 
 
-def cmd_solve(spec: ProblemSpec, text: bool):
+def cmd_solve(spec: ProblemSpec):
     """The solve report in pieces, one per bundle, each bundle certified as
     its piece is made.  Every bundle is built, and a requested degree read
     off each, before the first piece."""
     config, beta, shifted, report = _bundle_report(spec)
     requested = _requested(spec, report)
-    pad = _STEP[text]
-    head = _form("solve", "", text) % (
-        _leaf(_rat_list(beta.beta), "", text), _leaf(shifted, "", text),
-        _leaf(list(spec.window), "", text), report.expected_total, report.total_solutions,
-        _BOOLS[text][report.complete],
+    head = _FORMS["solve"] % (
+        _leaf(_rat_list(beta.beta), ""), _leaf(shifted, ""), _leaf(list(spec.window), ""),
+        report.expected_total, report.total_solutions, _BOOLS[report.complete],
     )
     bundles = (
         [_bundle(
-            b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None, pad, text
+            b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None, _STEP
         )]
         for b in report.bundles
     )
     if requested is None:
-        return _pieces(head, bundles, "", text, _FORMS["end"][text])
-    item = "  " + pad  # a requested solution, in the requested_degree record
-    solution = _form("requested solution", item, text)
-    return chain(_pieces(head, bundles, "", text, ""), _pieces(
-        _form("requested", "", text) % spec.r,
+        return _pieces(head, bundles, "", _FORMS["end"])
+    item = "  " + _STEP  # a requested solution, in the requested_degree record
+    solution = _form("requested solution", item)
+    return chain(_pieces(head, bundles, "", ""), _pieces(
+        _FORMS["requested"] % spec.r,
         (
-            [solution % (_exponent(b.exponent, item + "  ", text), _series(s, item + "  ", text))]
+            [solution % (_exponent(b.exponent, item + "  "), _series(s, item + "  "))]
             for b, s in zip(report.bundles, requested)
         ),
-        "  ", text, _FORMS["requested end"][text],
+        "  ", _FORMS["requested end"],
     ))
 
 
-def cmd_verify(spec: ProblemSpec, text: bool):
+def cmd_verify(spec: ProblemSpec):
     """The certificate of every solution of the bundles, in pieces, one per
     bundle; no series is written.  all_passed comes first, so every bundle is
     certified before the first piece.  A degree request (--r) fails here
@@ -509,44 +461,60 @@ def cmd_verify(spec: ProblemSpec, text: bool):
         (bundle, certify_bundle(config, bundle.parameter, bundle.solutions))
         for bundle in report.bundles
     ]
-    pad = _STEP[text]
-    check = _form("check", pad, text)
-    head = _form("verify", "", text) % (
-        _leaf(shifted, "", text), _leaf(list(spec.window), "", text),
-        _BOOLS[text][all(c.passed for _, certificates in certified for c in certificates)],
+    check = _form("check", _STEP)
+    head = _FORMS["verify"] % (
+        _leaf(shifted, ""), _leaf(list(spec.window), ""),
+        _BOOLS[all(c.passed for _, certificates in certified for c in certificates)],
     )
     return _pieces(head, (
         [
             check % (
-                _leaf(_rat_list(bundle.exponent.vector), pad, text), r,
-                _certificate(c, pad + "  ", text),
+                _leaf(_rat_list(bundle.exponent.vector), _STEP), r,
+                _certificate(c, _STEP + "  "),
             )
             for r, c in enumerate(certificates)
         ]
         for bundle, certificates in certified
-    ), "", text, _FORMS["end"][text])
+    ), "", _FORMS["end"])
 
 
-def cmd_classify(spec: ProblemSpec, text: bool) -> tuple:
+def cmd_classify(spec: ProblemSpec) -> tuple:
     """The classify report in one piece: the MUM verdicts and their witness."""
     result = is_mum_holomorphic(build_config(spec.columns), spec.beta)
-    bools, witness = _BOOLS[text], result.witness
-    return (_FORMS["classify"][text] % (
-        bools[result.regular], bools[result.nonresonant], bools[result.mum],
-        bools[result.mum_holomorphic],
-        _form("witness", "  ", text) % (
-            bools[witness["singleton"]], bools[witness["integer_class_on_positive"]],
-            bools[witness["unit_positive_entries"]], bools[witness["negative_span"]],
-            _leaf(witness["exponent"], "  ", text),
+    witness = result.witness
+    return (_FORMS["classify"] % (
+        _BOOLS[result.regular], _BOOLS[result.nonresonant], _BOOLS[result.mum],
+        _BOOLS[result.mum_holomorphic],
+        _form("witness", "  ") % (
+            _BOOLS[witness["singleton"]], _BOOLS[witness["integer_class_on_positive"]],
+            _BOOLS[witness["unit_positive_entries"]], _BOOLS[witness["negative_span"]],
+            _leaf(witness["exponent"], "  "),
         ),
     ),)
 
 
-# each command returns its report's pieces, in JSON or in --format text
+# each command returns its JSON report's pieces
 _COMMANDS = {
     "analyze": cmd_analyze, "exponents": cmd_exponents, "solve": cmd_solve,
     "verify": cmd_verify, "classify": cmd_classify,
 }
+
+
+def _text(report: dict, pad: str = "") -> str:
+    """A parsed report as --format text: one "key: value" line per field, the
+    value's repr; a nested record, and each record of a list followed by a
+    "-" line, two spaces deeper under its "key:" line."""
+    lines = []
+    for key, value in report.items():
+        if type(value) is dict:
+            lines += (f"{pad}{key}:", _text(value, pad + "  "))
+        elif type(value) is list and value and type(value[0]) is dict:
+            lines.append(f"{pad}{key}:")
+            for item in value:
+                lines += (_text(item, pad + "  "), pad + "  -")
+        else:
+            lines.append(f"{pad}{key}: {value}")
+    return "\n".join(lines)
 
 
 def build_parser():
@@ -630,10 +598,11 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    text = args.format == "text"
     try:
         spec = _apply_overrides(load_problem(args.input), args)
-        pieces = _COMMANDS[args.command](spec, text)
+        pieces = _COMMANDS[args.command](spec)
+        if args.format == "text":  # rendered from the whole JSON report
+            pieces = (_text(json.loads("".join(pieces))),)
     except GkzError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from itertools import compress, repeat
 
-from ._linalg import Vector, fracs, integers, pair
+from ._linalg import Vector, fracs, integers, pair, shown
 from ._record import Record
 from .errors import (
     CountMismatch,
@@ -328,15 +328,15 @@ def integer_lift(config: LatticeConfig, u) -> tuple[int, ...]:
         raise NotInLattice(f"u has length {len(u)}, expected {config.dim}")
     line = RelationLine.of(config, u)
     if line is None:
-        raise NotInLattice(f"{u} is not in the span of the columns")
+        raise NotInLattice(f"{shown(u)} is not in the span of the columns")
     steps = line.integral_steps(range(config.n))
     if steps is None:
-        raise NotInLattice(f"{u} is not an integer combination of the columns")
+        raise NotInLattice(f"{shown(u)} is not an integer combination of the columns")
     # the integral points are t0 + Z, 0 <= t0 < 1, and coordinate -1 is
     # t*relation[-1]: in range at t0, or at t0 - 1 if relation[-1] < 0 < t0
     lift = line.at(steps[0] - (config.relation[-1] < 0 < steps[0]))
     if any(x.denominator != 1 for x in lift):
-        raise InternalInvariantError(f"lift {lift} of {u} is not integral")
+        raise InternalInvariantError(f"lift {shown(lift)} of {shown(u)} is not integral")
     return tuple(int(x) for x in lift)
 
 
@@ -355,7 +355,7 @@ def match_exponent(config: LatticeConfig, beta, u, v) -> tuple[Exponent, tuple[i
     vec = exponent_vector(v, config.n)
     support = m_support(config, vec)
     if not support or config.column_combination(vec) != beta.beta:
-        raise InternalInvariantError(f"{vec} is not an exponent of {beta.beta}")
+        raise InternalInvariantError(f"{shown(vec)} is not an exponent of {shown(beta.beta)}")
     matched, z0 = normalize_to_e_prime(config, tuple(x + y for x, y in zip(vec, lift)))
     if matched.m_support != support:
         raise InternalInvariantError("integer support changed under matching")

@@ -29,7 +29,7 @@ from itertools import repeat
 from math import gcd, lcm
 
 from . import _linalg
-from ._linalg import Vector, fracs, integers, sequence
+from ._linalg import Vector, fracs, integers, sequence, shown
 from ._record import Record
 from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
@@ -297,14 +297,13 @@ def parameter(config: LatticeConfig, beta) -> Parameter:
             for row, b in zip(zip(*config.columns), beta.beta)
         ):
             return beta
-        shown = ", ".join(map(str, beta.beta))
-        raise BetaNotInSpan(f"beta: the parameter ({shown}) belongs to other points")
+        raise BetaNotInSpan(f"beta: the parameter {shown(beta.beta)} belongs to other points")
     vec = fracs(beta, "beta")
     if len(vec) != config.dim:
         raise BetaNotInSpan(f"parameter has length {len(vec)}, expected {config.dim}")
     line = RelationLine.of(config, vec)
     if line is None:
-        raise BetaNotInSpan(f"{vec} is not in the span of the columns")
+        raise BetaNotInSpan(f"{shown(vec)} is not in the span of the columns")
     return Parameter(beta=vec, line=line)
 
 

@@ -62,8 +62,8 @@ arithmetic with the route it checks:
   ``gkz1 analyze`` and ``gkz1 classify`` reports as dicts, from the
   library's calls and the classification's fields;
 - ``render_text_reference`` writes such a report dict as ``--format text``,
-  key by key and nested dict by nested dict, where the CLI fills the text
-  template of each record.
+  key by key and nested dict by nested dict, by the rule the CLI's one
+  renderer applies to its parsed JSON report.
 
 The scalar helpers ``pochhammer``, ``falling_factorial``,
 ``elementary_symmetric`` and ``f_coefficients`` evaluate the same constants

@@ -108,6 +108,17 @@ class TestAnalyze:
         path.write_text(json.dumps({**TRIANGLE_PROBLEM, **fields}))
         assert run(capsys, "analyze", "--input", str(path)) == (2, "", f"input error: {message}\n")
 
+    # a refused vector is written as its "p/q" entries, not as Fraction reprs
+    @pytest.mark.parametrize("command, fields, message", [
+        ("analyze", {"A": [[1, 0, 0], [0, 1, 0], [1, 1, 0]], "beta": [0, 0, 1]},
+         "(0, 0, 1) is not in the span of the columns"),
+        ("solve", {"u": ["1/2", 0]}, "(1/2, 0) is not an integer combination of the columns"),
+    ])
+    def test_refused_vector_written_as_rationals(self, capsys, tmp_path, command, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**TRIANGLE_PROBLEM, **fields}))
+        assert run(capsys, command, "--input", str(path)) == (2, "", f"input error: {message}\n")
+
     def test_unreadable_paths(self, capsys, tmp_path):
         # the file is opened once; whether it exists is asked only after that fails
         through_a_file = tmp_path / "file.json" / "x.json"
@@ -646,9 +657,10 @@ class TestClassify:
         assert "resonant" in err
 
 
-# The full --format text output on the triangle at window 0:1.  The text
-# renderer prints Python reprs, so a list in a report turned into a tuple
-# would change these lines though the JSON stays the same.
+# The full --format text output on the triangle at window 0:1.  The text is
+# rendered from the parsed JSON report, so these lines pin the renderer's
+# rule (a value's repr, a nested record two spaces deeper, a "-" line after
+# each record of a list) on the reports of exponents, solve and verify.
 TRIANGLE_TEXT = {
     "exponents": """\
 beta: ['10', '8']

@@ -362,6 +362,9 @@ class TestIntegerLift:
             integer_lift(config, [1])
         with pytest.raises(NotInLattice):
             integer_lift(config, [F(1, 2)])
+        plane = build_config([(1, 0, 0), (0, 1, 0), (1, 1, 0)])  # spans the plane z = 0
+        with pytest.raises(NotInLattice, match=r"^\(0, 0, 1\) is not in the span of the columns$"):
+            integer_lift(plane, [0, 0, 1])
 
 
 class TestMatchExponent:

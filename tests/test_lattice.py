@@ -428,6 +428,16 @@ class TestParameter:
         with pytest.raises(BetaNotInSpan):
             parameter(triangle, [1, 2, 3])
 
+    def test_parameter_of_a_separate_build_kept(self):
+        # a separate build of the same points has an equal relation, not the
+        # same object: the Parameter is checked against the columns and kept
+        points = [(1, 0), (1, 2), (1, 1)]
+        beta = parameter(build_config(points), [10, 8])
+        config = build_config(points)
+        assert config.relation == beta.line.relation
+        assert config.relation is not beta.line.relation
+        assert parameter(config, beta) is beta
+
     def test_length_is_the_dimension(self, triangle, gauss):
         for config, beta in [(triangle, [10, 8]), (gauss, [F(-1, 2), F(-1, 3), 1])]:
             assert len(parameter(config, beta)) == config.dim
