@@ -30,7 +30,11 @@ a "p/q" string made with one gcd.  cmd_solve and cmd_verify build every
 bundle and check --r first; then solve certifies, writes and drops one
 bundle at a time, and verify, whose all_passed comes first, certifies every
 bundle and writes one piece per bundle.  So a refusal prints nothing, and no
-JSON report is held whole.  --format text is rendered by _text from the
+JSON report is held whole.  Each distinct certificate is written once per
+report: solve and verify keep one dict from a certificate's printed fields
+and pad to its text (_certificate).  A bundle's lower solutions share their
+top's certificate, and the many log-free bundles of a relation with large
+entries print alike.  --format text is rendered by _text from the
 parsed JSON report, which it holds whole: one "key: value" line per field, a
 nested record's lines two spaces deeper.
 """
@@ -304,7 +308,10 @@ def _series(series, pad: str) -> str:
     )
 
 
-def _certificate(certificate, pad: str) -> str:
+def _certificate(certificate, pad: str, texts: dict) -> str:
+    """A certificate's text at pad, rendered once per report: texts maps its
+    printed fields and pad to it, passed and each operator's name, safe
+    window, passed and first failure."""
     def operator(report, pad):
         failure = report.first_failure
         return _form("operator", pad) % (
@@ -314,15 +321,23 @@ def _certificate(certificate, pad: str) -> str:
             _form("failure", pad + "  ") % failure if failure else "null",
         )
 
-    return _form("certificate", pad) % (
-        _BOOLS[certificate.passed],
-        operator(certificate.box, pad + "  "),
-        _items([operator(row, pad + _STEP) for row in certificate.euler], pad),
-    )
+    key = (pad, certificate.passed, *[
+        (r.operator, r.safe_window, r.passed, r.first_failure)
+        for r in (certificate.box, *certificate.euler)
+    ])
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = _form("certificate", pad) % (
+            _BOOLS[certificate.passed],
+            operator(certificate.box, pad + "  "),
+            _items([operator(row, pad + _STEP) for row in certificate.euler], pad),
+        )
+    return text
 
 
-def _bundle(bundle, certificates, pad: str) -> str:
-    """A bundle's entry; certificates is None where nothing is verified."""
+def _bundle(bundle, certificates, pad: str, texts: dict) -> str:
+    """A bundle's entry; certificates is None where nothing is verified, and
+    texts is the report's certificate texts (_certificate)."""
     inner = pad + _STEP
     verdict, solution = _form("verdict", inner), _form("solution", inner)
     verification = _form("verification", inner)
@@ -348,7 +363,7 @@ def _bundle(bundle, certificates, pad: str) -> str:
             solution % (
                 r, _series(series, inner + "  "),
                 "" if certificates is None
-                else verification % _certificate(certificates[r], inner + "  "),
+                else verification % _certificate(certificates[r], inner + "  ", texts),
             )
             for r, series in enumerate(bundle.solutions)
         ], pad),
@@ -430,9 +445,11 @@ def cmd_solve(spec: ProblemSpec):
         _leaf(_rat_list(beta.beta), ""), _leaf(shifted, ""), _leaf(list(spec.window), ""),
         report.expected_total, report.total_solutions, _BOOLS[report.complete],
     )
+    texts = {}  # the report's certificate texts, each rendered once
     bundles = (
         [_bundle(
-            b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None, _STEP
+            b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None,
+            _STEP, texts,
         )]
         for b in report.bundles
     )
@@ -461,7 +478,7 @@ def cmd_verify(spec: ProblemSpec):
         (bundle, certify_bundle(config, bundle.parameter, bundle.solutions))
         for bundle in report.bundles
     ]
-    check = _form("check", _STEP)
+    check, texts = _form("check", _STEP), {}  # texts: each distinct certificate once
     head = _FORMS["verify"] % (
         _leaf(shifted, ""), _leaf(list(spec.window), ""),
         _BOOLS[all(c.passed for _, certificates in certified for c in certificates)],
@@ -470,7 +487,7 @@ def cmd_verify(spec: ProblemSpec):
         [
             check % (
                 _leaf(_rat_list(bundle.exponent.vector), _STEP), r,
-                _certificate(c, _STEP + "  "),
+                _certificate(c, _STEP + "  ", texts),
             )
             for r, c in enumerate(certificates)
         ]

@@ -15,7 +15,10 @@ prod_{k=1}^{l} (v+k+x) (a reciprocal Pochhammer symbol times complete
 homogeneous sums).  coefficient_M, the one public function here, takes
 one such product for each value, in integers (v = p/q, y = q*x): a run of
 factors truncated at x^0 is the product of their constants, an arithmetic
-progression of integers multiplied in one math.prod over its range.
+progression of integers (_product).  A run of step +-1, from an integral v
+here or an integral column of a series step, is a falling factorial, one
+math.perm of its largest |factor|; a run of any other step is one math.prod
+over its range.
 
 The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 (the antiderivative then picks up an extra log); requesting that regime is
@@ -36,7 +39,7 @@ the same kernel; phi_series takes one coefficient_M per column and shift.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import perm, prod
 from operator import mul
 
 from ._linalg import integer, rational
@@ -48,12 +51,34 @@ def _is_excluded(l: int, v: Fraction) -> bool:
     return v.denominator == 1 and p < 0 and l > 0 and p + l >= 0
 
 
+def _product(cs: range) -> int:
+    """prod(cs).  A run lo..hi of step +-1 is a falling factorial, math.perm
+    of its largest |factor|: an all-negative run takes the sign of its
+    length, a run through 0 gives 0 and an empty run 1.  A run of any other
+    step is one math.prod.  The ends are read off start and stop, which
+    costs less than len and indexing on the short runs most calls get."""
+    if cs.step == 1:
+        lo, hi = cs.start, cs.stop - 1
+    elif cs.step == -1:
+        lo, hi = cs.stop + 1, cs.start
+    else:
+        return prod(cs)
+    n = hi - lo + 1
+    if n <= 0:
+        return 1
+    if lo > 0:
+        return perm(hi, n)
+    if hi < 0:
+        return -perm(-lo, n) if n & 1 else perm(-lo, n)
+    return 0
+
+
 def _times_linear(a: list[int], cs: range, slope: int) -> None:
     """a(x) <- a(x) * prod_{c in cs} (c + slope*x), truncated to len(a) terms;
-    one term is the product of the constants, one math.prod over cs."""
+    one term is the product of the constants, _product(cs)."""
     top = len(a) - 1
     if not top:
-        a[0] *= prod(cs)
+        a[0] *= _product(cs)
         return
     for c in cs:
         for s in range(top, 0, -1):

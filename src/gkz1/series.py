@@ -28,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, perm, prod
+from operator import mul
 
 from ._linalg import fracs, grid_fields, integer, integers, pair, sequence, window_bounds
 from ._record import Record
@@ -327,7 +328,8 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
     for membership in dict.fromkeys(v.membership for v in verdicts if n - len(v.indices) <= r_top):
         members.update(membership.clip(lo, hi))
     products = _epsilon_products(config, vec, lift, sorted(members), max(r_top, 0))
-    base = tuple(x + l for x, l in zip(vec, lift))
+    # only a nonzero lift entry is added: x + 0 would build an equal Fraction
+    base = tuple(x + l if l else x for x, l in zip(vec, lift))
     solutions = tuple(
         _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
     )
@@ -434,7 +436,8 @@ def solution_bundle(
     if u_lift is None:
         u_lift = (0,) * config.n if u is None else integer_lift(config, u)
     lift = lift_vector(config, u_lift)
-    u_vec = config.column_combination(lift)
+    # sum_mu lift[mu] * a_mu, in integers: the lift and the columns are ints
+    u_vec = tuple(sum(map(mul, lift, row)) for row in zip(*config.columns))
     if u is not None and fracs(u, "u") != u_vec:
         raise LiftMismatch("explicit lift does not produce the given u")
     gamma = tuple(b + x for b, x in zip(beta.beta, u_vec))

@@ -25,8 +25,11 @@ Each image is one integer numerator per log degree over one denominator:
 F_z in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), and the
 column over the lcm of its denominators.  For a log-free series F_z is
 F_z(0), whose scaled factors q_mu*(w_mu(z) - i), i < |rel[mu]|, form an
-arithmetic progression of integers, multiplied in one math.prod; each
-column is one Fraction, read as it is, with no grouping.
+arithmetic progression of integers of step -q_mu.  A run of step -1 (an
+integral w0_mu, as every positive-side m_support column has) is a falling
+factorial, one math.perm of its largest |factor|; any other is one
+math.prod.  _product does this on its own, not shared with the builder.
+Each column is one Fraction, read as it is, with no grouping.
 
 An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
@@ -123,10 +126,34 @@ def _factors(config, base, side) -> tuple[list[tuple[int, int, int]], int]:
     return factors, prod(q ** abs(e) for _, q, e in factors)
 
 
+def _product(cs: range) -> int:
+    """prod(cs).  A run lo..hi of step +-1 is a falling factorial, math.perm
+    of its largest |factor|: an all-negative run takes the sign of its
+    length, a run through 0 gives 0 and an empty run 1.  A run of any other
+    step is one math.prod.  The ends are read off start and stop, which
+    costs less than len and indexing on the short runs most calls get."""
+    if cs.step == 1:
+        lo, hi = cs.start, cs.stop - 1
+    elif cs.step == -1:
+        lo, hi = cs.stop + 1, cs.start
+    else:
+        return prod(cs)
+    n = hi - lo + 1
+    if n <= 0:
+        return 1
+    if lo > 0:
+        return perm(hi, n)
+    if hi < 0:
+        return -perm(-lo, n) if n & 1 else perm(-lo, n)
+    return 0
+
+
 def _constant(factors, z) -> int:
     """F_z(0) times prod_mu q_mu^|rel[mu]|: the scaled factors q*(w_mu(z) - i),
-    i < |rel[mu]|, of a column form an arithmetic progression, one math.prod."""
-    return prod(prod(range(p + q * z * e, p + q * (z * e - abs(e)), -q)) for p, q, e in factors)
+    i < |rel[mu]|, of a column form an arithmetic progression, one _product."""
+    return prod(
+        _product(range(p + q * z * e, p + q * (z * e - abs(e)), -q)) for p, q, e in factors
+    )
 
 
 def _image(factors, den, weights, z, column) -> tuple[list[int], int]:

@@ -22,6 +22,7 @@ from gkz1._linalg import window_bounds
 from gkz1.errors import ExcludedCase, GkzError
 from gkz1.lattice import build_config, is_nonresonant, parameter
 from gkz1.series import LogSeries
+from gkz1.verify import Certificate, OperatorReport
 
 from conftest import (
     QUINTIC,
@@ -415,6 +416,51 @@ def test_failing_certificate_matches_the_reference(monkeypatch, tmp_path, comman
     assert _cli_output(tmp_path / "problem.json", problem, *argv) == (0, out)
     assert code == 0 and ("first_failure:\n" if text else '"first_failure": {') in out
     assert ("passed: True" if text else '"passed": true') in out
+
+
+# Reports whose certificates print alike: the 150 log-free bundles of
+# [(1),(150)], and the five solutions of the quintic's one bundle, which share
+# their top's certificate.  Each distinct certificate text is rendered once.
+PENCIL_PROBLEM = {"A": [[1], [150]], "beta": ["1/7"], "window": [-2, 2]}
+QUINTIC_PROBLEM = {"A": [list(p) for p in QUINTIC], "beta": [-1, 0, 0, 0, 0], "window": [0, 6]}
+
+
+@pytest.mark.parametrize("problem, command", [
+    (PENCIL_PROBLEM, "verify"), (PENCIL_PROBLEM, "solve"), (QUINTIC_PROBLEM, "solve"),
+])
+def test_shared_certificate_texts_match_the_reference(tmp_path, problem, command):
+    code, out, report = _reference_output(problem, command)
+    assert code == 0 and len(report.bundles) == (150 if problem is PENCIL_PROBLEM else 1)
+    assert _cli_output(tmp_path / "problem.json", problem, command) == (0, out)
+
+
+def test_certificate_texts_keep_every_printed_field():
+    # one report's dict of certificate texts: certificates that differ only
+    # in one operator's safe window, or only in its first failure (its
+    # shift, or its residual), or only in their pad, get texts of their own,
+    # and each text is json.dumps of the certificate's dict at its pad
+    box, row = OperatorReport("box", (0, 3), {}), OperatorReport("euler[0]", (0, 4), {})
+
+    def failing(key, value):
+        return Certificate(OperatorReport("box", (0, 3), {key: value}), (row,))
+
+    certificates = [
+        Certificate(box, (row,)),
+        Certificate(box, (OperatorReport("euler[0]", (0, 5), {}),)),
+        Certificate(box, (OperatorReport("euler[0]", None, {}),)),
+        failing((1, 0), Fraction(1, 2)),
+        failing((2, 0), Fraction(1, 2)),
+        failing((1, 0), Fraction(1, 3)),
+    ]
+    texts, pad = {}, "      "
+    rendered = [cli._certificate(c, pad, texts) for c in certificates]
+    assert len(set(rendered)) == len(texts) == len(certificates)
+    for c, text in zip(certificates, rendered):
+        assert text == json.dumps(c.to_json_dict(), indent=2).replace("\n", "\n" + pad)
+    # equal printed fields read the kept text; another pad gets its own
+    assert cli._certificate(Certificate(box, (row,)), pad, texts) is rendered[0]
+    assert cli._certificate(certificates[0], "  ", texts) != rendered[0]
+    assert len(texts) == len(certificates) + 1
 
 
 def test_solve_peak_memory_is_bounded_by_a_bundle(monkeypatch, tmp_path):

@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction as F
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import coefficient_M
-from gkz1.coefficients import _reciprocal, _times, _times_linear
+from gkz1 import coefficient_M, verify
+from gkz1.coefficients import _product, _reciprocal, _times, _times_linear
 from gkz1.errors import ExcludedCase, InputError
 
 from reference import (
@@ -113,6 +115,29 @@ class TestCoefficientM:
                         continue
                     assert coefficient_M(l, s, v) == coefficient_M_reference(l, s, v), (l, s, v)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        l=st.integers(min_value=-400, max_value=400),
+        s=st.integers(min_value=0, max_value=1),
+        v=st.integers(min_value=-450, max_value=450),
+    )
+    # integral v: each one-term product is a run of step 1, taken as a falling
+    # factorial; a run through 0, and all-negative runs of even and odd length
+    @example(l=-400, s=0, v=399)
+    @example(l=-400, s=0, v=-3)
+    @example(l=-399, s=1, v=-1)
+    @example(l=400, s=0, v=-450)
+    @example(l=399, s=1, v=-450)
+    @example(l=400, s=0, v=-5)  # excluded
+    def test_integral_runs_match_defining_sums(self, l, s, v):
+        try:
+            expected = coefficient_M_reference(l, s, v)
+        except ExcludedCase as exc:
+            with pytest.raises(ExcludedCase, match=re.escape(str(exc))):
+                coefficient_M(l, s, v)
+        else:
+            assert coefficient_M(l, s, v) == expected
+
     def test_float_refused(self):
         with pytest.raises(InputError, match="0.1 is a float"):
             coefficient_M(1, 0, 0.1)
@@ -170,6 +195,41 @@ def test_falling_factorial():
     assert falling_factorial(3, 0) == 1
     assert falling_factorial(3, 2) == 6
     assert falling_factorial(2, 3) == 0
+
+
+# runs of integers of step +-1, which are falling factorials, and of step +-q
+RUNS = st.builds(
+    range, st.integers(-160, 160), st.integers(-160, 160), st.sampled_from([1, -1, 2, -2, 3, -7])
+)
+
+
+class TestRunProducts:
+    """The product of a run of integers: the builder's, and the certificate's own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cs=RUNS, c=st.integers(-9, 9), slope=st.integers(-6, 6))
+    @example(cs=range(5, 5), c=1, slope=0)  # empty
+    @example(cs=range(3, -4, -1), c=1, slope=0)  # through 0
+    @example(cs=range(-1, -8, -1), c=1, slope=0)  # all negative, odd length
+    @example(cs=range(-9, -1), c=1, slope=0)  # all negative, even length
+    @example(cs=range(150, 0, -1), c=1, slope=0)
+    def test_run_product_is_math_prod(self, cs, c, slope):
+        assert _product(cs) == verify._product(cs) == prod(cs)
+        row = [c]  # the one-term row of the kernel takes the same product
+        _times_linear(row, cs, slope)
+        assert row == [c * prod(cs)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(-400, 400),
+        q=st.sampled_from([1, 2, 3, 7]),
+        e=st.integers(-150, 150).filter(bool),
+        z=st.integers(-3, 3),
+    )
+    def test_certificate_constant_is_math_prod(self, p, q, e, z):
+        # the scaled factors p + q*(z*e - i), i < |e|, of one column
+        run = range(p + q * z * e, p + q * (z * e - abs(e)), -q)
+        assert verify._constant([(p, q, e)], z) == prod(run)
 
 
 class TestKernel:

@@ -516,6 +516,29 @@ class TestClosedFormBox:
                     assert apply_box(config, broken) == literal_box(config, broken)
 
 
+    @pytest.mark.parametrize("points, beta, window", [
+        ([(1,), (150,)], [F(1, 7)], (-3, 2)),
+        ([(1,), (79,)], [F(2, 9)], (-3, 2)),
+        ([(1, 0), (1, 80), (1, 1)], [F(1, 3), F(2, 5)], (-1, 3)),
+    ])
+    def test_long_integral_runs_match(self, points, beta, window):
+        # log-free series whose positive side holds an integral column of 150
+        # or 79 factors: the certificate takes each run as a falling
+        # factorial, all-negative (of even and odd length) at the negative
+        # shifts and through 0 where the series starts.  Each coefficient in
+        # turn is bumped, which puts a column at each of those shifts
+        config = build_config(points)
+        report = solution_bundle(config, beta, window=window)
+        lo, hi = window
+        for bundle in report.bundles[:6] + report.bundles[-2:]:  # a sample, for time
+            (series,) = bundle.solutions
+            box = apply_box(config, series)
+            assert box.passed and box == literal_box(config, series)
+            for z in range(lo, hi + 1):
+                broken = corrupt(series, (z, 0), series.coefficient(z) + F(1, 3))
+                assert apply_box(config, broken) == literal_box(config, broken)
+
+
 class TestEulerAgainstTermwise:
     """Each homogeneity row against the term-by-term reference, report for report."""
 
