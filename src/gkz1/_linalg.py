@@ -14,12 +14,18 @@ then divided by its content, so every row stays a primitive integer vector
 and its entries stay near the size of the input's minors.  A target is
 cleared of denominators once, and a solve builds one ``Fraction`` per pivot
 coordinate, at the end.  No floats anywhere.
+
+The one integer-run kernel lives here too, outside every builder module, so
+that the coefficient engine and the box operator's factor rows of
+gkz1.lattice, which the certificate reads as well, share one copy: _product
+multiplies a run of integers, an arithmetic progression, and _times_linear
+multiplies a truncated row by a run of linear factors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm, prod
 from operator import index, mul
 
 from .errors import EmptyWindow, InputError
@@ -221,6 +227,43 @@ def nullspace(reduced: tuple) -> list[tuple[int, ...]]:
             vec[c] = -rows[r][f] * (scale // rows[r][c])
         basis.append(tuple(vec))
     return basis
+
+
+# -- integer runs -------------------------------------------------------------
+
+def _product(cs: range) -> int:
+    """prod(cs).  A run lo..hi of step +-1 is a falling factorial, math.perm
+    of its largest |factor|: an all-negative run takes the sign of its
+    length, a run through 0 gives 0 and an empty run 1.  A run of any other
+    step is one math.prod.  The ends are read off start and stop, which
+    costs less than len and indexing on the short runs most calls get."""
+    if cs.step == 1:
+        lo, hi = cs.start, cs.stop - 1
+    elif cs.step == -1:
+        lo, hi = cs.stop + 1, cs.start
+    else:
+        return prod(cs)
+    n = hi - lo + 1
+    if n <= 0:
+        return 1
+    if lo > 0:
+        return perm(hi, n)
+    if hi < 0:
+        return -perm(-lo, n) if n & 1 else perm(-lo, n)
+    return 0
+
+
+def _times_linear(a: list[int], cs: range, slope: int) -> None:
+    """a(x) <- a(x) * prod_{c in cs} (c + slope*x), truncated to len(a) terms;
+    one term is the product of the constants, _product(cs)."""
+    top = len(a) - 1
+    if not top:
+        a[0] *= _product(cs)
+        return
+    for c in cs:
+        for s in range(top, 0, -1):
+            a[s] = a[s] * c + a[s - 1] * slope
+        a[0] *= c
 
 
 # -- lattice index ------------------------------------------------------------

@@ -15,75 +15,41 @@ prod_{k=1}^{l} (v+k+x) (a reciprocal Pochhammer symbol times complete
 homogeneous sums).  coefficient_M, the one public function here, takes
 one such product for each value, in integers (v = p/q, y = q*x): a run of
 factors truncated at x^0 is the product of their constants, an arithmetic
-progression of integers (_product).  A run of step +-1, from an integral v
-here or an integral column of a series step, is a falling factorial, one
-math.perm of its largest |factor|; a run of any other step is one math.prod
-over its range.
+progression of integers, one _product of gkz1._linalg: a falling
+factorial for step +-1 (an integral v), one math.prod over its range
+otherwise.
 
 The family is undefined when v is a negative integer, l > 0 and v + l >= 0
 (the antiderivative then picks up an extra log); requesting that regime is
 always a caller bug and raises ExcludedCase.  This strip is closed upward in
 l, so a column whose largest l is outside it has every smaller l outside it.
 
-The truncated-row arithmetic is one kernel, kept here and imported by
-gkz1.series: _times_linear multiplies a row by a range of linear factors
-c + slope*x, _reciprocal gives the reciprocal series of a row in integers
-over powers of its constant term, and _times multiplies two rows.
+The rows are multiplied by runs of linear factors c + slope*x with
+_times_linear, the integer-run kernel of gkz1._linalg, which the box
+operator's factors in gkz1.lattice read too.  The rest of the truncated-row
+arithmetic is kept here for gkz1.series: _reciprocal gives the reciprocal
+series of a row in integers over powers of its constant term, and _times
+multiplies two rows.
 
 Nothing here is cached across calls.  The series builder seeds one row per
 column from coefficient_M at the first shift of each run of member shifts,
-and steps from there by the two-term recurrence of gkz1.series, built with
-the same kernel; phi_series takes one coefficient_M per column and shift.
+and steps from there by the two-term recurrence of gkz1.series, whose
+factors are gkz1.lattice's; phi_series takes one coefficient_M per column
+and shift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm, prod
 from operator import mul
 
-from ._linalg import integer, rational
+from ._linalg import _times_linear, integer, rational
 from .errors import ExcludedCase
 
 
 def _is_excluded(l: int, v: Fraction) -> bool:
     p = v.numerator  # in integers: v + l would build a Fraction
     return v.denominator == 1 and p < 0 and l > 0 and p + l >= 0
-
-
-def _product(cs: range) -> int:
-    """prod(cs).  A run lo..hi of step +-1 is a falling factorial, math.perm
-    of its largest |factor|: an all-negative run takes the sign of its
-    length, a run through 0 gives 0 and an empty run 1.  A run of any other
-    step is one math.prod.  The ends are read off start and stop, which
-    costs less than len and indexing on the short runs most calls get."""
-    if cs.step == 1:
-        lo, hi = cs.start, cs.stop - 1
-    elif cs.step == -1:
-        lo, hi = cs.stop + 1, cs.start
-    else:
-        return prod(cs)
-    n = hi - lo + 1
-    if n <= 0:
-        return 1
-    if lo > 0:
-        return perm(hi, n)
-    if hi < 0:
-        return -perm(-lo, n) if n & 1 else perm(-lo, n)
-    return 0
-
-
-def _times_linear(a: list[int], cs: range, slope: int) -> None:
-    """a(x) <- a(x) * prod_{c in cs} (c + slope*x), truncated to len(a) terms;
-    one term is the product of the constants, _product(cs)."""
-    top = len(a) - 1
-    if not top:
-        a[0] *= _product(cs)
-        return
-    for c in cs:
-        for s in range(top, 0, -1):
-            a[s] = a[s] * c + a[s - 1] * slope
-        a[0] *= c
 
 
 def _reciprocal(a: list[int]) -> list[int]:

@@ -17,6 +17,17 @@ held by ``RelationLine`` in integers: a coordinate is an integer only at
 t = k/den for an integer key k, so exponents, normalization shifts, lifts,
 resonance and the negative-span test are integer congruences on keys.
 
+Along that line the box operator is the two-term recurrence
+C(z) F+_z = C(z-1) F-_{z-1}, with one side's factor
+
+    F_z(eps) = prod_{mu on the side} prod_{i < |rel[mu]|} (w_mu(z) - i + eps*rel[mu])
+
+at w(z) = w0 + z*relation.  Its factors are read here, once, for the series
+builder and for the certificate alike: ``_box_sides`` lists each side's
+columns as (p, q, rel[mu]), w0_mu = p/q, with the scale prod_mu q^|rel[mu]|,
+and ``_box_row`` gives F_z truncated at eps^top, times that scale, as an
+integer row.
+
 All column indices in this package are 0-based and refer to the caller's
 original column order; the canonical positives-first ordering is available
 through ``perm``/``ell`` but is never imposed on inputs or outputs.
@@ -26,10 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import _linalg
-from ._linalg import Vector, fracs, integers, sequence, shown
+from ._linalg import Vector, _times_linear, fracs, integers, sequence, shown
 from ._record import Record
 from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
@@ -210,6 +221,27 @@ class RelationLine(Record):
             k0 += m * (c // g * pow(e * m // g, -1, mod) % mod)
             m *= mod
         return Fraction(k0, den), Fraction(m, den)
+
+
+def _box_sides(base, relation) -> tuple[tuple[list, int], tuple[list, int]]:
+    """((factors, scale) of the positive side, and of the negative side): the
+    factors (p, q, rel[mu]) for each column mu on the side, in index order,
+    with base[mu] = p/q, and scale = prod_mu q^|rel[mu]|."""
+    sides = [], []
+    for w, e in zip(base, relation):
+        sides[e < 0].append((w.numerator, w.denominator, e))
+    return tuple((factors, prod(q ** abs(e) for _, q, e in factors)) for factors in sides)
+
+
+def _box_row(factors, z: int, top: int) -> list[int]:
+    """scale * F_z(eps), truncated at eps^top, for one side's factors.  The
+    scaled factors q*(w_mu(z) - i + eps*rel[mu]), i < |rel[mu]|, are the run
+    (p + q*z*rel[mu] - q*i) + eps*q*rel[mu], of step -q in i."""
+    f = [1] + [0] * top
+    for p, q, e in factors:
+        start = p + q * z * e
+        _times_linear(f, range(start, start - q * abs(e), -q), q * e)
+    return f
 
 
 class Parameter(Record):

@@ -13,8 +13,10 @@ one reduced ratio per step: it stays apart from the integer-row walk, which
 is slower on log-free bundles.  A longer one stays integers over one running
 denominator, stepped with the truncated-row kernel of gkz1.coefficients,
 and becomes one Fraction per nonzero (shift, eps degree), whose gcd also
-gives the row's common factor.  The assembly stores those, times r!/(r-s)!
-where that weight is not 1, in a LogSeries it builds directly.
+gives the row's common factor.  The step's factors F+ and F- are the box
+operator's rows of gkz1.lattice, which the certificate reads too.  The
+assembly stores those Fractions, times r!/(r-s)! where that weight is not 1,
+in a LogSeries it builds directly.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -32,7 +34,7 @@ from operator import mul
 
 from ._linalg import fracs, grid_fields, integer, integers, pair, sequence, window_bounds
 from ._record import Record
-from .coefficients import _is_excluded, _reciprocal, _times, _times_linear, coefficient_M
+from .coefficients import _is_excluded, _reciprocal, _times, coefficient_M
 from .errors import (
     ExcludedCase,
     HypothesisViolated,
@@ -51,7 +53,7 @@ from .exponents import (
     m_support,
     support_verdict,
 )
-from .lattice import LatticeConfig, parameter
+from .lattice import LatticeConfig, _box_row, _box_sides, parameter
 
 # the shifts z that a series keeps when no window is given, ends included
 DEFAULT_WINDOW = (-10, 20)
@@ -183,17 +185,7 @@ def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     return num, den
 
 
-def _linear_factors(factors, z: int, top: int) -> list[int]:
-    """prod over (b, q, e) in factors and i < |e| of (b + z*q*e - q*i) + q*e*eps,
-    truncated at eps^top: q_mu times each factor w_mu(z) - i + e*eps of F_z."""
-    f = [1] + [0] * top
-    for b, q, e in factors:
-        start = b + z * q * e
-        _times_linear(f, range(start, start - q * abs(e), -q), q * e)
-    return f
-
-
-def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
+def _epsilon_products(config, vec, lift, base, members, top) -> dict[int, tuple]:
     """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
@@ -203,7 +195,10 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
 
         C(z) * F+_z = C(z-1) * F-_{z-1},
         F+_z = prod_{rel[mu] > 0} prod_{i < rel[mu]} (w_mu(z) - i + rel[mu]*eps),
-        F-_z = prod_{rel[mu] < 0} prod_{i < |rel[mu]|} (w_mu(z) - i + rel[mu]*eps).
+        F-_z = prod_{rel[mu] < 0} prod_{i < |rel[mu]|} (w_mu(z) - i + rel[mu]*eps),
+
+    each an integer row over its scale, from gkz1.lattice's _box_sides and
+    _box_row at the base exponent w(0) = base.
 
     C is seeded by _seed at the first shift of each run of consecutive
     members, where F+_z is not built, and again at a root, a shift where
@@ -221,32 +216,23 @@ def _epsilon_products(config, vec, lift, members, top) -> dict[int, tuple]:
     if not members:
         return {}
     _refuse_excluded(vec, lift, rel, members)
-    # (b, q, e) per column, q_mu * w_mu(z) = b + z*q*e with v_mu = p/q and
-    # b = p + q*lift[mu]; F+ = _linear_factors(plus) / scale, F- likewise
-    plus, minus, scale, unscale = [], [], 1, 1
-    for v, l0, e in zip(vec, lift, rel):
-        q = v.denominator
-        if e > 0:
-            plus.append((v.numerator + q * l0, q, e))
-            scale *= q**e
-        elif e < 0:
-            minus.append((v.numerator + q * l0, q, e))
-            unscale *= q**-e
+    # F+ = _box_row(plus) / scale and F- = _box_row(minus) / unscale
+    (plus, scale), (minus, unscale) = _box_sides(base, rel)
     out = {}
     for z in members:
         # scale * F+_z, wanted only after a built z - 1; [0] asks for a seed
-        a = _linear_factors(plus, z, top) if z - 1 in out else [0]
+        a = _box_row(plus, z, top) if z - 1 in out else [0]
         if not a[0]:
             num, den = _seed(vec, lift, rel, z, top)
             if not top:
                 c = Fraction(num[0], den)
         elif not top:
-            c *= Fraction(_linear_factors(minus, z - 1, 0)[0] * scale, a[0] * unscale)
+            c *= Fraction(_box_row(minus, z - 1, 0)[0] * scale, a[0] * unscale)
         else:
             # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
             # with r'[n] = scale * a0^(top-n) * r[n]
             a0 = a[0]
-            f = _linear_factors(minus, z - 1, top)  # unscale * F-_{z-1}
+            f = _box_row(minus, z - 1, top)  # unscale * F-_{z-1}
             _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))])
             _times(num, f)
             den *= unscale * a0 ** (top + 1)
@@ -327,9 +313,9 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
     # certificate order, so that clip names the first one too wide for a list
     for membership in dict.fromkeys(v.membership for v in verdicts if n - len(v.indices) <= r_top):
         members.update(membership.clip(lo, hi))
-    products = _epsilon_products(config, vec, lift, sorted(members), max(r_top, 0))
     # only a nonzero lift entry is added: x + 0 would build an equal Fraction
     base = tuple(x + l if l else x for x, l in zip(vec, lift))
+    products = _epsilon_products(config, vec, lift, base, sorted(members), max(r_top, 0))
     solutions = tuple(
         _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
     )

@@ -23,13 +23,14 @@ of column z+1 lands on the negative side's image of column z, so the box
 residual at shift z is C(z+1)F+_{z+1} - C(z)F-_z, log degree by log degree.
 Each image is one integer numerator per log degree over one denominator:
 F_z in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), and the
-column over the lcm of its denominators.  For a log-free series F_z is
-F_z(0), whose scaled factors q_mu*(w_mu(z) - i), i < |rel[mu]|, form an
-arithmetic progression of integers of step -q_mu.  A run of step -1 (an
-integral w0_mu, as every positive-side m_support column has) is a falling
-factorial, one math.perm of its largest |factor|; any other is one
-math.prod.  _product does this on its own, not shared with the builder.
-Each column is one Fraction, read as it is, with no grouping.
+column over the lcm of its denominators.  F_z and its scale come from
+gkz1.lattice (_box_sides, _box_row), whose integer runs are multiplied by
+the kernel of gkz1._linalg.  The builder reads the same factors, but neither
+module is builder code; the tests check the rows against a literal
+expansion, and the whole box against literal derivatives, neither of which
+shares code with the package.  For a log-free series F_z is F_z(0), one
+product of integer runs, and each column is one Fraction, read as it is,
+with no grouping.
 
 An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
@@ -52,12 +53,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm, perm, prod
+from math import lcm, perm
 
 from ._linalg import fracs, grid_fields, integer, sequence
 from ._record import Record
 from .errors import InputError
-from .lattice import LatticeConfig
+from .lattice import LatticeConfig, _box_row, _box_sides
 
 
 class OperatorReport(Record):
@@ -120,42 +121,6 @@ def _check_grid(config, series):
     return base, window, terms
 
 
-def _factors(config, base, side) -> tuple[list[tuple[int, int, int]], int]:
-    """(p, q, rel[mu]) for each mu on the side, w0_mu = p/q, and prod_mu q_mu^|rel[mu]|."""
-    factors = [(base[mu].numerator, base[mu].denominator, config.relation[mu]) for mu in side]
-    return factors, prod(q ** abs(e) for _, q, e in factors)
-
-
-def _product(cs: range) -> int:
-    """prod(cs).  A run lo..hi of step +-1 is a falling factorial, math.perm
-    of its largest |factor|: an all-negative run takes the sign of its
-    length, a run through 0 gives 0 and an empty run 1.  A run of any other
-    step is one math.prod.  The ends are read off start and stop, which
-    costs less than len and indexing on the short runs most calls get."""
-    if cs.step == 1:
-        lo, hi = cs.start, cs.stop - 1
-    elif cs.step == -1:
-        lo, hi = cs.stop + 1, cs.start
-    else:
-        return prod(cs)
-    n = hi - lo + 1
-    if n <= 0:
-        return 1
-    if lo > 0:
-        return perm(hi, n)
-    if hi < 0:
-        return -perm(-lo, n) if n & 1 else perm(-lo, n)
-    return 0
-
-
-def _constant(factors, z) -> int:
-    """F_z(0) times prod_mu q_mu^|rel[mu]|: the scaled factors q*(w_mu(z) - i),
-    i < |rel[mu]|, of a column form an arithmetic progression, one _product."""
-    return prod(
-        _product(range(p + q * z * e, p + q * (z * e - abs(e)), -q)) for p, q, e in factors
-    )
-
-
 def _image(factors, den, weights, z, column) -> tuple[list[int], int]:
     """d^ell_side of column z of a series with log terms, given as
     ([(r, n_r)], common) for C(z)[r] = n_r/common: ([m_0, ..., m_top], d) for
@@ -166,16 +131,7 @@ def _image(factors, den, weights, z, column) -> tuple[list[int], int]:
     if column is None:
         return [0] * (top + 1), 1
     nums, common = column
-    # q * (w_mu(z) - i + eps*rel[mu]) = (p + q*(z*rel[mu] - i)) + eps*q*rel[mu]
-    f = [1] + [0] * top
-    for p, q, e in factors:
-        start = p + q * z * e  # the factor's constant at i = 0
-        slope = q * e
-        for i in range(abs(e)):
-            c = start - q * i
-            for s in range(top, 0, -1):
-                f[s] = f[s] * c + f[s - 1] * slope
-            f[0] *= c
+    f = _box_row(factors, z, top)
     out = [0] * (top + 1)
     for r, a in nums:
         for k, w in enumerate(weights[r]):
@@ -203,8 +159,7 @@ def _box(config, base, window, terms) -> OperatorReport:
     if hi - 1 < lo:
         return OperatorReport("box", None, {})
     top = max((r for _, r in terms), default=0)
-    positive = _factors(config, base, config.positive)
-    negative = _factors(config, base, config.negative)
+    (plus, plus_scale), (minus, minus_scale) = _box_sides(base, config.relation)
     if top:
         columns = {}
         for (z, r), c in terms.items():
@@ -218,12 +173,12 @@ def _box(config, base, window, terms) -> OperatorReport:
     weights = [[perm(r, r - k) for k in range(r + 1)] for r in range(top + 1)]
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
         if top:
-            a, da = _image(*positive, weights, z + 1, columns.get(z + 1))
-            b, db = _image(*negative, weights, z, columns.get(z))
+            a, da = _image(plus, plus_scale, weights, z + 1, columns.get(z + 1))
+            b, db = _image(minus, minus_scale, weights, z, columns.get(z))
         else:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0); a missing column is 0/1
             c1, c0 = columns.get(z + 1, 0), columns.get(z, 0)
-            a, da = [c1.numerator * _constant(positive[0], z + 1)], c1.denominator * positive[1]
-            b, db = [c0.numerator * _constant(negative[0], z)], c0.denominator * negative[1]
+            a, da = [c1.numerator * _box_row(plus, z + 1, 0)[0]], c1.denominator * plus_scale
+            b, db = [c0.numerator * _box_row(minus, z, 0)[0]], c0.denominator * minus_scale
         for k, (n, m) in enumerate(zip(a, b)):
             if n * db != m * da:
                 residual[(z, k)] = Fraction(n * db - m * da, da * db)

@@ -5,6 +5,10 @@ arithmetic with the route it checks:
 
 - ``literal_box`` applies the box operator as |relation|_1 single
   derivative passes d/dx_mu over the coefficient grid;
+- ``box_side_reference`` expands one side's factor F_z(eps) of the box
+  operator's two-term recurrence as a product of ``Fraction`` polynomials,
+  one linear factor at a time, straight from the base exponent and the
+  relation, where ``lattice._box_row`` multiplies scaled integer runs;
 - ``coefficient_M_reference`` evaluates M(l, s, v) by its multi-index and
   subset sums;
 - ``gauss_oracle`` evaluates the two classical Gauss series by rising
@@ -213,6 +217,22 @@ def literal_box(config, series: LogSeries) -> OperatorReport:
             if lo <= z <= hi - 1:
                 residual[(z, r)] -= c
     return OperatorReport("box", safe, residual)
+
+
+def box_side_reference(base, relation, positive: bool, z: int, top: int) -> list[Fraction]:
+    """[eps^0] F_z, ..., [eps^top] F_z for one side of the relation:
+
+        F_z(eps) = prod_{mu on the side} prod_{i < |rel[mu]|} (w_mu(z) - i + eps*rel[mu]),
+
+    w(z) = base + z*relation, the positive side where relation[mu] > 0."""
+    f = [Fraction(1)] + [Fraction(0)] * top
+    for w0, e in zip(base, relation):
+        if (e > 0) != positive:
+            continue
+        for i in range(abs(e)):
+            c = Fraction(w0) + z * e - i
+            f = [c * f[s] + (e * f[s - 1] if s else 0) for s in range(top + 1)]
+    return f
 
 
 def apply_euler_row_reference(config, param, series: LogSeries, row: int) -> OperatorReport:

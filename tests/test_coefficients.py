@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import coefficient_M, verify
-from gkz1.coefficients import _product, _reciprocal, _times, _times_linear
+from gkz1 import coefficient_M
+from gkz1._linalg import _product, _times_linear
+from gkz1.coefficients import _reciprocal, _times
+from gkz1.lattice import _box_row
 from gkz1.errors import ExcludedCase, InputError
 
 from reference import (
@@ -204,7 +206,7 @@ RUNS = st.builds(
 
 
 class TestRunProducts:
-    """The product of a run of integers: the builder's, and the certificate's own."""
+    """The product of a run of integers, which the builder and the certificate share."""
 
     @settings(max_examples=300, deadline=None)
     @given(cs=RUNS, c=st.integers(-9, 9), slope=st.integers(-6, 6))
@@ -214,7 +216,7 @@ class TestRunProducts:
     @example(cs=range(-9, -1), c=1, slope=0)  # all negative, even length
     @example(cs=range(150, 0, -1), c=1, slope=0)
     def test_run_product_is_math_prod(self, cs, c, slope):
-        assert _product(cs) == verify._product(cs) == prod(cs)
+        assert _product(cs) == prod(cs)
         row = [c]  # the one-term row of the kernel takes the same product
         _times_linear(row, cs, slope)
         assert row == [c * prod(cs)]
@@ -227,13 +229,14 @@ class TestRunProducts:
         z=st.integers(-3, 3),
     )
     def test_certificate_constant_is_math_prod(self, p, q, e, z):
-        # the scaled factors p + q*(z*e - i), i < |e|, of one column
+        # the scaled factors p + q*(z*e - i), i < |e|, of one column: the
+        # box row truncated at eps^0
         run = range(p + q * z * e, p + q * (z * e - abs(e)), -q)
-        assert verify._constant([(p, q, e)], z) == prod(run)
+        assert _box_row([(p, q, e)], z, 0) == [prod(run)]
 
 
 class TestKernel:
-    """The truncated-row arithmetic that coefficients and series share."""
+    """The truncated-row arithmetic of the coefficient engine and the series step."""
 
     @settings(max_examples=150, deadline=None)
     @given(

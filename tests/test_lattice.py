@@ -22,11 +22,12 @@ from gkz1.errors import (
     KernelRankNotOne,
 )
 from gkz1.classify import _parameter_in_negative_span
-from gkz1.lattice import RelationLine, facet_pairs
+from gkz1.lattice import RelationLine, _box_row, _box_sides, facet_pairs
 
 from conftest import random_config, random_nonresonant_beta, random_relation_config
 from reference import (
     IndexOutOfRange,
+    box_side_reference,
     config_reference,
     facet_functional,
     integral_steps_reference,
@@ -445,3 +446,35 @@ class TestParameter:
     def test_float_entry_refused(self, triangle):
         with pytest.raises(InputError, match="entry 0: 0.1 is a float"):
             parameter(triangle, [0.1, 8])
+
+
+# one column of a relation: rel[mu], with |rel[mu]| <= 30, and w_mu(z) = w + r/q
+BOX_COLUMNS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(1, 30), st.integers(-30, -1)),
+        st.sampled_from([1, 2, 3, 7]),
+        st.integers(-40, 40),
+        st.integers(0, 6),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=BOX_COLUMNS, z=st.integers(-4, 4), top=st.integers(0, 4))
+# w_mu(z) = 2 and 5 with q = 1: runs through 0 (a zero factor) on both sides
+@example(columns=[(5, 1, 2, 0), (-7, 1, 5, 0)], z=1, top=2)
+# w_mu(z) = -1/3 and -4/7: all-negative runs of steps -3 and -7
+@example(columns=[(30, 3, -1, 2), (-30, 7, -1, 3)], z=-2, top=4)
+def test_box_row_is_the_literal_side_product(columns, z, top):
+    # the shared row of each side, over its scale, is F_z expanded factor by
+    # factor in Fractions, from the base exponent and the relation alone
+    relation = tuple(e for e, *_ in columns)
+    base = tuple(F(w * q + r % q, q) - z * e for e, q, w, r in columns)
+    for positive, (factors, scale) in zip((True, False), _box_sides(base, relation)):
+        row = _box_row(factors, z, top)
+        assert [F(x, scale) for x in row] == box_side_reference(base, relation, positive, z, top)
+    for e, q, w, r in columns:
+        # the run w_mu(z) - i, i < |rel[mu]|, and where it lies
+        low = F(w * q + r % q, q) - abs(e) + 1
+        event("all negative" if w < 0 else "through 0" if low <= 0 else "all positive")

@@ -612,6 +612,7 @@ class TestEpsilonProducts:
         config = random_config(rng)
         vec = tuple(F(rng.randint(-4, 4)) for _ in range(config.n))
         lift = tuple(rng.randint(-3, 3) for _ in range(config.n))
+        base = tuple(v + l for v, l in zip(vec, lift))
         lo = rng.randint(-4, 4)
         members = sorted(rng.sample(range(lo, lo + 9), rng.randint(1, 9)))
 
@@ -626,7 +627,7 @@ class TestEpsilonProducts:
             for v, l, e in zip(vec, lift, config.relation)
         ])
         assert refusal(
-            lambda: gkz1.series._epsilon_products(config, vec, lift, members, top)
+            lambda: gkz1.series._epsilon_products(config, vec, lift, base, members, top)
         ) == expected
         event(f"refused: {expected is not None}")
 

@@ -51,6 +51,32 @@ def test_package_sets_fields_one_way():
     assert not found, f"fields written past Record._set: {found}"
 
 
+def _body(function) -> list:
+    """A function's statements after its docstring, if it has one."""
+    body = function.body
+    first = body[0]
+    if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(
+        first.value.value, str
+    ):
+        body = body[1:]
+    return body
+
+
+def test_no_function_body_defined_twice():
+    # one decision sits behind one function: two functions whose bodies,
+    # after the docstring, are the same statements (two or more of them)
+    # are a copy that can drift from its original
+    found = {}
+    for name, node in _nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = _body(node)
+            if len(body) >= 2:
+                key = ast.dump(ast.Module(body=body, type_ignores=[]))
+                found.setdefault(key, []).append(f"{name}:{node.lineno} {node.name}")
+    copies = [where for where in found.values() if len(where) > 1]
+    assert not copies, f"functions defined twice: {copies}"
+
+
 BUILDER_MODULES = {"series", "coefficients", "exponents", "classify"}
 
 
