@@ -31,11 +31,11 @@ arithmetic is kept here for gkz1.series: _reciprocal gives the reciprocal
 series of a row in integers over powers of its constant term, and _times
 multiplies two rows.
 
-Nothing here is cached across calls.  The series builder seeds one row per
-column from coefficient_M at the first shift of each run of member shifts,
-and steps from there by the two-term recurrence of gkz1.series, whose
-factors are gkz1.lattice's; phi_series takes one coefficient_M per column
-and shift.
+Nothing here is cached across calls.  The one walk of gkz1.series seeds
+one row per column from coefficient_M at the first shift of each run of
+member shifts, and steps from there by its two-term recurrence, whose
+factors are gkz1.lattice's; its seed, series._seed, is the one caller of
+coefficient_M in the package.
 """
 
 from __future__ import annotations

@@ -22,6 +22,9 @@ One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
 a degree is read off the bundle by SolutionBundle.solution; log_solution
 builds up to the degree it is asked for and reads it off by the same rule.
+phi_series, the log-free series of one multiset q, runs the same walk on
+each column alone, truncated at q's count of it, so every coefficient here
+comes from that one walk.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .exponents import (
     integer_lift,
     lift_vector,
     m_support,
-    support_verdict,
 )
 from .lattice import LatticeConfig, _box_row, _box_sides, parameter
 
@@ -132,44 +134,33 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) ->
     The sum runs over the shifts where the negative support away from q is
     preserved; the exponent must have minimal negative support there, or the
     defining sum would depend on more than the multiset.  Each coefficient is
-    the product over the columns mu of coefficient_M(l, q's count of mu, v_mu)
-    at l = lift[mu] + z*rel[mu], after _refuse_excluded has checked the
-    columns as _epsilon_products checks them, so both refuse alike.
+    the product over the columns mu of M(l, rho[mu], v_mu) at
+    l = lift[mu] + z*rel[mu], rho being q's counts: the last entry of
+    _epsilon_products on column mu alone, truncated at eps^rho[mu], over
+    rel[mu]^rho[mu].  Each walk first checks its column, so in index order
+    a refusal names the column and l that _build's walk names.
     """
     vec = exponent_vector(v, config.n)
     lift = lift_vector(config, u_lift)
     rho = Counter(integers(q, "q", config.n))
     lo, hi = window_bounds(window)
     indices = frozenset(range(config.n)) - frozenset(rho)
-    verdict = support_verdict(config, vec, indices, lift)
+    verdict = _support_verdicts(config, vec, lift, (indices,))[0]
     if not verdict.minimal:
         raise NotMinimalSupport(indices, lift)
     members = verdict.membership.clip(lo, hi)
     rel, terms = config.relation, {}
-    _refuse_excluded(vec, lift, rel, members)
-    columns = [(v, l, e, rho[mu]) for mu, (v, l, e) in enumerate(zip(vec, lift, rel))]
+    base = tuple(x + l if l else x for x, l in zip(vec, lift))
+    walks = [
+        _epsilon_products((e,), (v,), (l,), (w,), members, rho[mu])
+        for mu, (v, l, e, w) in enumerate(zip(vec, lift, rel, base))
+    ]
+    scale = prod(e ** rho[mu] for mu, e in enumerate(rel))
     for z in members:
-        c = prod(coefficient_M(l + z * e, s, v) for v, l, e, s in columns)
+        c = prod(walk[z][-1] for walk in walks)
         if c:
-            terms[(z, 0)] = c
-    base = tuple(x + l for x, l in zip(vec, lift))
+            terms[(z, 0)] = c / scale
     return LogSeries(base, rel, (lo, hi), terms)
-
-
-def _refuse_excluded(vec, lift, rel, members) -> None:
-    """Raise ExcludedCase(l, 0, v) at the first column, in index order, whose
-    largest l = lift[mu] + z*rel[mu] over the sorted members is excluded.
-
-    The strip of gkz1.coefficients is closed upward in l, so when this
-    passes, no column meets it at any member; both builders call it before
-    they build anything, so a refusal names the same column and l in each.
-    """
-    if not members:
-        return
-    for v, l0, e in zip(vec, lift, rel):
-        l = l0 + e * (members[-1] if e > 0 else members[0])
-        if _is_excluded(l, v):
-            raise ExcludedCase(l, 0, v)
 
 
 def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
@@ -185,12 +176,13 @@ def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     return num, den
 
 
-def _epsilon_products(config, vec, lift, base, members, top) -> dict[int, tuple]:
+def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
     """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
     with l_mu(z) = lift[mu] + z*rel[mu], the product of the Gamma ratios of
-    gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top.  With
+    gkz1.coefficients at x = rel[mu]*eps, truncated at eps^top; rel is a
+    bundle's relation, or one entry of it for phi_series.  With
     w_mu(z) = v_mu + l_mu(z), the Gamma ratios give the two-term recurrence
 
         C(z) * F+_z = C(z-1) * F-_{z-1},
@@ -208,14 +200,19 @@ def _epsilon_products(config, vec, lift, base, members, top) -> dict[int, tuple]
     times one reduced ratio per step; otherwise it is one integer row over a
     running denominator.  Each entry meets one gcd, as its Fraction is built,
     and the row is divided by the common factor of those gcds, so it stays
-    reduced with no gcd of its own; a zero entry is the int 0.  Before
-    anything is built, _refuse_excluded checks each column, in index order,
-    at its largest l over the members, as phi_series does.
+    reduced with no gcd of its own; a zero entry is the int 0.
+
+    Before anything is built, each column is checked, in index order, at
+    its largest l over the sorted members: the first in the excluded strip
+    of gkz1.coefficients raises ExcludedCase(l, 0, v).  The strip is closed
+    upward in l, so when the check passes no column meets it at any member.
     """
-    rel = config.relation
     if not members:
         return {}
-    _refuse_excluded(vec, lift, rel, members)
+    for v, l0, e in zip(vec, lift, rel):
+        l = l0 + e * (members[-1] if e > 0 else members[0])
+        if _is_excluded(l, v):
+            raise ExcludedCase(l, 0, v)
     # F+ = _box_row(plus) / scale and F- = _box_row(minus) / unscale
     (plus, scale), (minus, unscale) = _box_sides(base, rel)
     out = {}
@@ -315,7 +312,7 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
         members.update(membership.clip(lo, hi))
     # only a nonzero lift entry is added: x + 0 would build an equal Fraction
     base = tuple(x + l if l else x for x, l in zip(vec, lift))
-    products = _epsilon_products(config, vec, lift, base, sorted(members), max(r_top, 0))
+    products = _epsilon_products(config.relation, vec, lift, base, sorted(members), max(r_top, 0))
     solutions = tuple(
         _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
     )

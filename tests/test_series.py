@@ -102,11 +102,13 @@ def _phi_outcome(build):
 @st.composite
 def phi_cases(draw):
     """phi_series' arguments: a configuration, an exponent, a lift in [-2, 2],
-    a multiset q of 0-3 columns and a window of width 6.
+    a multiset q of 0-3 columns and a window of width 6 or 40.
 
     Half the configurations have relation entries up to 5.  Each exponent
     entry is a small integer half the time, which puts columns in the
-    excluded strip and exponents off minimal support.
+    excluded strip and exponents off minimal support.  On a window of
+    width 40 a column's walk takes long runs, and an integral column with
+    rel[mu] > 0 can cross a root of its recurrence, where the walk seeds again.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if draw(st.booleans()):
@@ -122,7 +124,7 @@ def phi_cases(draw):
     lift = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
     q = draw(st.lists(st.integers(0, n - 1), max_size=3))
     lo = draw(st.integers(-4, 4))
-    return config, vec, lift, q, (lo, lo + 6)
+    return config, vec, lift, q, (lo, lo + draw(st.sampled_from([6, 40])))
 
 
 class TestPhiSeries:
@@ -157,6 +159,18 @@ class TestPhiSeries:
         with pytest.raises(ExcludedCase) as info:
             phi_series(corner, (F(-1), F(0), F(1, 2)), (0, 0, 0), (0,), (0, 6))
         assert str(info.value) == "M_(6,0)(-1) has no closed form here"
+
+    @pytest.mark.parametrize("q", [(), (0,), (0, 0, 5)])
+    def test_coefficient_calls_do_not_grow_with_the_window(self, monkeypatch, q):
+        # each column is seeded at its first member and walked from there,
+        # so the quintic mirror's 401 shifts take one coefficient_M per
+        # column and eps degree, not one per column and shift (2,406)
+        calls = []
+        real = gkz1.series.coefficient_M
+        monkeypatch.setattr(gkz1.series, "coefficient_M", lambda *a: calls.append(a) or real(*a))
+        phi = phi_series(build_config(QUINTIC), (0, 0, 0, 0, 0, -1), (0,) * 6, q, (0, 400))
+        assert not phi.is_zero
+        assert len(calls) <= 9
 
     @settings(max_examples=200, deadline=None)
     @given(case=phi_cases())
@@ -627,7 +641,7 @@ class TestEpsilonProducts:
             for v, l, e in zip(vec, lift, config.relation)
         ])
         assert refusal(
-            lambda: gkz1.series._epsilon_products(config, vec, lift, base, members, top)
+            lambda: gkz1.series._epsilon_products(config.relation, vec, lift, base, members, top)
         ) == expected
         event(f"refused: {expected is not None}")
 

@@ -174,3 +174,25 @@ def test_every_imported_name_is_used():
             f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read
         ]
     assert not found, f"imported and never used: {found}"
+
+
+def test_coefficient_m_has_one_caller():
+    # every coefficient in the package comes from one walk, which seeds its
+    # rows from coefficient_M in series._seed; any other function naming it
+    # would be a second coefficient route, free to drift from the walk
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # ast.walk visits an outer function before the functions inside it,
+        # so each node ends up owned by its innermost function
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    owner[node] = f"{path.stem}.{function.name}"
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "coefficient_M") or (
+                isinstance(node, ast.Attribute) and node.attr == "coefficient_M"
+            ):
+                callers.add(owner.get(node, f"{path.stem} (module level)"))
+    assert callers == {"series._seed"}, f"coefficient_M named outside series._seed: {callers}"
