@@ -32,6 +32,21 @@ shares code with the package.  For a log-free series F_z is F_z(0), one
 product of integer runs, and each column is one Fraction, read as it is,
 with no grouping.
 
+A shift is decided by one exact division, not by cross-multiplying the two
+images' denominators.  With P the positive row at z+1, D1 and D0 the
+denominators of columns z+1 and z, and X = P[0]^(top+1), a passing series
+has D1 dividing D0 * minus_scale * X wherever P[0] != 0: column z+1 is
+column z's image divided by F+, whose inverse truncated at eps^top has
+denominators dividing P[0]^(top+1).  The quotient w is the size of a box
+row, and the shift passes when a_k * w = b_k * plus_scale * X for the
+images' numerators a and b, which, times D1 and over X, is the
+cross-multiplied identity.  A log-free series has its own form of the
+test, which holds for P[0] = 0 too (_box).  A shift that this does not pass
+(a remainder, P[0] = 0 in a series with logs, or an unequal pair) is
+cross-multiplied, which decides it and gives its residual.  So the check of
+a passing shift multiplies no two coefficients; putting a column over the
+lcm of its denominators still multiplies each numerator by a cofactor.
+
 An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
 a passing certificate has none of.
@@ -121,22 +136,22 @@ def _check_grid(config, series):
     return base, window, terms
 
 
-def _image(factors, den, weights, z, column) -> tuple[list[int], int]:
+def _image(weights, f, column) -> tuple[list[int], int]:
     """d^ell_side of column z of a series with log terms, given as
-    ([(r, n_r)], common) for C(z)[r] = n_r/common: ([m_0, ..., m_top], d) for
-    sum_k (m_k/d) x^(w(z) - ell_side) log^k x0, top > 0 the series' top log
-    degree and weights[r][k] = r!/k! for k <= r <= top.  No column (None)
-    maps to zeros."""
-    top = len(weights) - 1
+    ([(r, n_r)], common) for C(z)[r] = n_r/common, f the side's row
+    scale * F_z(eps) truncated at eps^top, top > 0 the series' top log degree:
+    ([m_0, ..., m_top], common) for sum_k (m_k/(common * scale))
+    x^(w(z) - ell_side) log^k x0, with weights[r][k] = r!/k! for each log
+    degree r of the series and k <= r.  No column (None) maps to zeros
+    over 1."""
+    out = [0] * len(f)
     if column is None:
-        return [0] * (top + 1), 1
+        return out, 1
     nums, common = column
-    f = _box_row(factors, z, top)
-    out = [0] * (top + 1)
     for r, a in nums:
         for k, w in enumerate(weights[r]):
             out[k] += a * w * f[r - k]
-    return out, common * den
+    return out, common
 
 
 def apply_box(config: LatticeConfig, series) -> OperatorReport:
@@ -145,7 +160,11 @@ def apply_box(config: LatticeConfig, series) -> OperatorReport:
     At each shift z of the safe window [lo, hi-1] with a column at z or z+1,
     the positive side's image of column z+1 must equal the negative side's
     image of column z: the two-term recurrence C(z+1)F+_{z+1} = C(z)F-_z,
-    checked log degree by log degree by cross-multiplying integers.  The top
+    checked log degree by log degree in integers.  Where F+_{z+1}(0) is not
+    0, and at every shift of a log-free series, the shift passes by one
+    exact division of column z's denominator, scaled, by column z+1's, whose
+    quotient is the size of a box row; a shift that this does not pass is
+    decided by cross-multiplying, which also gives its residual.  The top
     input shift has no partner and is left out of the safe window.  A series
     on another grid is refused with ValueError, an inexact entry with InputError.
     """
@@ -154,7 +173,12 @@ def apply_box(config: LatticeConfig, series) -> OperatorReport:
 
 def _box(config, base, window, terms) -> OperatorReport:
     """apply_box on a checked series' fields: columns with log terms through
-    _image, a log-free series straight from its Fractions."""
+    _image, a log-free series straight from its Fractions.  At each shift,
+    f and g are the rows P at z+1 and Q at z, and w is the quotient of the
+    division that the module docstring describes.  For a log-free series,
+    C(z+1) = n1/D1 and C(z) = n0/D0, the test is n1 * w = n0 * Q[0] *
+    plus_scale with w = D0 * minus_scale * P[0] / D1, which times D1 is the
+    cross-multiplied identity for any P[0], 0 included."""
     lo, hi = window
     if hi - 1 < lo:
         return OperatorReport("box", None, {})
@@ -167,20 +191,35 @@ def _box(config, base, window, terms) -> OperatorReport:
         for z, column in columns.items():  # each column over one denominator
             d = lcm(*(c.denominator for _, c in column))
             columns[z] = [(r, c.numerator * (d // c.denominator)) for r, c in column], d
+        # rows r!/k! only for the log degrees held: a table for every degree
+        # up to the top would be (top+1)^2 perms
+        weights = {r: [perm(r, r - k) for k in range(r + 1)] for r in {r for _, r in terms}}
     else:  # log-free: one Fraction per shift
         columns = {z: c for (z, _), c in terms.items()}
     residual = {}
-    weights = [[perm(r, r - k) for k in range(r + 1)] for r in range(top + 1)]
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
+        f, g = _box_row(plus, z + 1, top), _box_row(minus, z, top)
         if top:
-            a, da = _image(plus, plus_scale, weights, z + 1, columns.get(z + 1))
-            b, db = _image(minus, minus_scale, weights, z, columns.get(z))
+            a, d1 = _image(weights, f, columns.get(z + 1))
+            b, d0 = _image(weights, g, columns.get(z))
         else:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0); a missing column is 0/1
             c1, c0 = columns.get(z + 1, 0), columns.get(z, 0)
-            a, da = [c1.numerator * _box_row(plus, z + 1, 0)[0]], c1.denominator * plus_scale
-            b, db = [c0.numerator * _box_row(minus, z, 0)[0]], c0.denominator * minus_scale
+            w, rem = divmod(c0.denominator * minus_scale * f[0], c1.denominator)
+            if not rem and c1.numerator * w == c0.numerator * g[0] * plus_scale:
+                continue
+            a, d1 = [c1.numerator * f[0]], c1.denominator
+            b, d0 = [c0.numerator * g[0]], c0.denominator
+        # each k must have a_k * u == b_k * v: cross-multiplied, or, where D1
+        # divides D0 * minus_scale * X, both sides times X over D1
+        da, db = d1 * plus_scale, d0 * minus_scale
+        u, v = db, da
+        if top and f[0]:
+            x = f[0] ** (top + 1)
+            w, rem = divmod(db * x, d1)
+            if not rem:
+                u, v = w, plus_scale * x
         for k, (n, m) in enumerate(zip(a, b)):
-            if n * db != m * da:
+            if n * u != m * v:
                 residual[(z, k)] = Fraction(n * db - m * da, da * db)
     return OperatorReport("box", (lo, hi - 1), residual)
 
@@ -310,8 +349,13 @@ def _truncation(top, terms, t, r, size) -> bool:
     """Whether terms, those of solution r, are c[(z, k)] = top[(z, t-r+k)] *
     r!(t-r+k)!/(k! t!) on int keys with 0 <= k <= r, with Fraction values,
     and no others: size is how many terms of top have log degree >= t - r.
-    The weight is perm(t-r+k, t-r)/perm(t, t-r), cross-multiplied in
-    integers, its numerator read from one table of the r + 1 degrees k.
+    The weight is perm(t-r+k, t-r)/perm(t, t-r), its numerator read from one
+    table of the r + 1 degrees k.  For reduced c = n/d and a, c equals a
+    times the weight exactly when d divides a's denominator times perm(t,
+    t-r), with a quotient q of the weights' size, and n * q equals a's
+    numerator times the weight's numerator: one division and two products of
+    a coefficient by a small integer, where cross-multiplying took two of two
+    coefficients.
     """
     if type(terms) is not dict or len(terms) != size:
         return False
@@ -327,8 +371,9 @@ def _truncation(top, terms, t, r, size) -> bool:
         if not 0 <= k <= r:
             return False
         a = top.get((z, d + k))
-        if type(a) is not Fraction or (
-            c.numerator * a.denominator * scale != a.numerator * c.denominator * weights[k]
-        ):
+        if type(a) is not Fraction:
+            return False
+        t, rem = divmod(a.denominator * scale, c.denominator)
+        if rem or c.numerator * t != a.numerator * weights[k]:
             return False
     return True

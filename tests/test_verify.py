@@ -3,6 +3,7 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -27,7 +28,7 @@ from gkz1 import (
 from gkz1.errors import InputError
 
 from conftest import GAUSS, QUINTIC, TRIANGLE, random_config, random_nonresonant_beta
-from reference import apply_euler_row_reference, literal_box
+from reference import apply_euler_row_reference, box_side_reference, literal_box
 
 
 def corrupt(series: LogSeries, key, value) -> LogSeries:
@@ -345,6 +346,15 @@ class TestCertifyBundle:
             with pytest.raises(ValueError, match="off its grid"):
                 call(quintic, bundle.parameter, off)
 
+    def test_truncation_divides_exactly(self):
+        import gkz1.verify as verify
+
+        # solution 0 under a top of degree 1 is the top's degree-1 terms, of
+        # weight 1: 1/2 is not 1/3, though 1 * (3 // 2) equals 1 * 1
+        top = {(0, 0): F(5), (0, 1): F(1, 3)}
+        assert verify._truncation(top, {(0, 0): F(1, 3)}, 1, 0, 1)
+        assert not verify._truncation(top, {(0, 0): F(1, 2)}, 1, 0, 1)
+
     def test_box_runs_once_on_a_passing_bundle(self, monkeypatch):
         import gkz1.verify as verify
 
@@ -537,6 +547,170 @@ class TestClosedFormBox:
             for z in range(lo, hi + 1):
                 broken = corrupt(series, (z, 0), series.coefficient(z) + F(1, 3))
                 assert apply_box(config, broken) == literal_box(config, broken)
+
+
+    def test_one_term_of_high_log_degree(self, triangle):
+        # rows r!/k! are built for the log degrees the series holds only:
+        # one term at degree 2,000 is one row, not 2,001^2 / 2 perms
+        base = (F(1, 2), F(-1, 3), F(5, 2))
+        for degree in (40, 2000):
+            series = LogSeries.make(base, triangle.relation, (0, 1), {(0, degree): F(1)})
+            report = apply_box(triangle, series)
+            assert not report.passed and report.safe_window == (0, 0)
+            # F-_0 has degree 2 in eps: the image of the term starts at degree - 2
+            assert report.first_failure[:2] == (0, degree - 2)
+            if degree == 40:
+                assert report == literal_box(triangle, series)
+
+
+def _bumped(solutions, r, key, delta):
+    """The bundle with the numerator of solution r's term at key moved by delta."""
+    s = solutions[r]
+    c = s.terms[key]
+    changed = corrupt(s, key, F(c.numerator + delta, c.denominator))
+    return solutions[:r] + (changed,) + solutions[r + 1:]
+
+
+def _scales(base, relation):
+    """prod_mu q_mu^|rel[mu]| over the positive side, and over the negative
+    side, for base[mu] = p_mu/q_mu: the scales of the integer box rows."""
+    plus = minus = 1
+    for w, e in zip(base, relation):
+        if e > 0:
+            plus *= F(w).denominator ** e
+        else:
+            minus *= F(w).denominator ** -e
+    return plus, minus
+
+
+def _division_lemma_holds(config, series) -> bool:
+    """Whether, at every shift z of the safe window where the scaled constant
+    term P0 of F+_{z+1} is not 0, the lcm of column z+1's denominators divides
+    column z's lcm times minus_scale times P0^(top+1), top the series' top log
+    degree and an empty column over 1.  Read with box_side_reference only."""
+    base, rel, (lo, hi) = series.base_exponent, series.relation, series.window
+    top = series.max_log_degree
+    plus, minus = _scales(base, rel)
+    dens = {}
+    for (z, _), c in series.terms.items():
+        dens[z] = lcm(dens.get(z, 1), c.denominator)
+    for z in range(lo, hi):
+        p0 = plus * box_side_reference(base, rel, True, z + 1, 0)[0]
+        assert p0.denominator == 1
+        if p0 and dens.get(z, 1) * minus * int(p0) ** (top + 1) % dens.get(z + 1, 1):
+            return False
+    return True
+
+
+class TestDivisionCheck:
+    """Each shift passes by one exact division or is cross-multiplied: both
+    ways out give literal_box's residual and first failure."""
+
+    @staticmethod
+    def cases():
+        """(config, parameter, solutions, solution indices to bump): the quintic
+        mirror at (0, 200), of top log degree 4 and coefficients of thousands
+        of bits, its top and one lower solution; the log-free bundles of
+        [(1), (15)] at beta = 1/7 on (-2, 2), each of which starts at a root
+        of F+, where P0 = 0; and the three bundles of relation (2, 1, -2, 1)
+        at (0, 40), one of two solutions on base (1, 12/7, -4/7, 1), whose
+        positive side has scale 7."""
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 200)).bundles
+        cases = [(quintic, bundle.parameter, bundle.solutions, (4, 1))]
+        problems = [
+            ([(1,), (15,)], [F(1, 7)], (-2, 2)),
+            ([(2, 0, -1, 1), (-2, 0, 1, 0), (1, 2, -1, 2), (0, 4, -1, 2)],
+             [-2, F(20, 7), F(2, 7), F(13, 7)], (0, 40)),
+        ]
+        for points, beta, window in problems:
+            config = build_config(points)
+            for bundle in solution_bundle(config, beta, window=window).bundles:
+                top = len(bundle.solutions) - 1
+                cases.append((config, bundle.parameter, bundle.solutions, (top, 0)[:top + 1]))
+        return cases
+
+    def test_bumped_numerator_reads_as_literal_box(self):
+        # one numerator moved by +-1 at each edge of the series' z range and
+        # in between, in the top solution and in a lower one
+        for config, param, solutions, indices in self.cases():
+            for r in indices:
+                keys = sorted(solutions[r].terms)
+                for key, delta in zip((keys[0], keys[len(keys) // 2], keys[-1]), (1, -1, 1)):
+                    broken = _bumped(solutions, r, key, delta if r else -delta)
+                    expected = literal_box(config, broken[r])
+                    assert not expected.passed
+                    got = certify_bundle(config, param, broken)
+                    assert [c.passed for c in got] == [i != r for i in range(len(got))]
+                    for box in (got[r].box, certify(config, param, broken[r]).box):
+                        assert box == expected
+                        assert box.residual == expected.residual
+                        assert box.first_failure == expected.first_failure
+
+    def test_terms_at_each_edge_of_the_window(self, triangle):
+        # a column at lo and one at hi only: the shifts next to them meet an
+        # empty column, for a log series and a log-free one, both bumped.  A
+        # column over 10^30 alone, past D0 * minus_scale * X, divides with
+        # quotient 0 and a remainder, which must not read as a pass
+        base = (F(1, 2), F(-1, 3), F(5, 2))
+        for terms in ({(-1, 0): F(3, 4), (-1, 1): F(-1, 2), (2, 0): F(5, 7), (2, 2): F(1, 3)},
+                      {(-1, 0): F(3, 4), (2, 0): F(5, 7)},
+                      {(2, 0): F(3, 10**30), (2, 1): F(1, 7)}, {(2, 0): F(3, 10**30)}):
+            series = LogSeries.make(base, triangle.relation, (-1, 2), terms)
+            for key, delta in [(None, 0), (min(terms), 1), (max(terms), -1)]:
+                s = series if key is None else _bumped((series,), 0, key, delta)[0]
+                expected = literal_box(triangle, s)
+                assert expected.residual and apply_box(triangle, s) == expected
+                (got,) = certify_bundle(triangle, [0, 0], (s,))
+                assert got.box == expected and got.box.first_failure == expected.first_failure
+
+    def test_passing_shifts_divide_exactly(self, monkeypatch):
+        # a passing series leaves the box at every shift by the division's
+        # quotient, and builds no Fraction: wherever P0 != 0 in a series with
+        # logs, and at every shift, roots included, in a log-free one
+        import gkz1.verify as verify
+
+        divisions = []  # [remainder, products the quotient took part in]
+
+        class Quotient(int):
+            def __mul__(self, other):
+                divisions[self.index][1] += 1
+                return int(self) * other
+
+            __rmul__ = __mul__
+
+        def counted(a, b):
+            quotient, rem = divmod(a, b)
+            quotient = Quotient(quotient)
+            quotient.index = len(divisions)
+            divisions.append([rem, 0])
+            return quotient, rem
+
+        monkeypatch.setattr(verify, "divmod", counted, raising=False)
+        for config, param, solutions, _ in self.cases():
+            series = solutions[-1]
+            base, (lo, hi), top = series.base_exponent, series.window, series.max_log_degree
+            divisions.clear()
+            assert _fractions_built(lambda: apply_box(config, series)) == 0
+            shifts = {z for z, _ in series.terms if z < hi} | {z - 1 for z, _ in series.terms if z > lo}
+            if top:
+                shifts = {z for z in shifts
+                          if box_side_reference(base, series.relation, True, z + 1, 0)[0]}
+            assert len(divisions) == len(shifts) > 0
+            assert all(rem == 0 and used for rem, used in divisions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bundle_cases())
+    def test_division_lemma(self, case):
+        # the claim the division rests on, read from the built series with no
+        # gkz1.verify code: a correct series never needs the cross-multiplication
+        # where F+'s constant term is nonzero
+        config, _, solutions = case
+        assert all(_division_lemma_holds(config, s) for s in solutions)
+
+    def test_division_lemma_on_wide_windows(self):
+        for config, _, solutions, _ in self.cases():
+            assert all(_division_lemma_holds(config, s) for s in solutions)
 
 
 class TestEulerAgainstTermwise:
