@@ -61,43 +61,12 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BundleReport",
-    "Certificate",
-    "Classification",
-    "Exponent",
-    "IntervalSet",
-    "LatticeConfig",
-    "LogSeries",
-    "Nonresonance",
-    "OperatorReport",
-    "Parameter",
-    "PrimeExponents",
-    "SingularityType",
-    "SolutionBundle",
-    "SupportVerdict",
-    "apply_box",
-    "apply_euler",
-    "apply_euler_row",
-    "build_config",
-    "certify",
-    "certify_bundle",
-    "classify",
-    "coefficient_M",
-    "exponent_set_prime",
-    "fake_exponents",
-    "integer_lift",
-    "is_mum",
-    "is_mum_holomorphic",
-    "is_nonresonant",
-    "log_solution",
-    "m_support",
-    "match_exponent",
-    "negative_support",
-    "normalize_to_e_prime",
-    "parameter",
-    "phi_series",
-    "singularity_type",
-    "solution_bundle",
-    "support_verdict",
-    "volume_crosscheck",
+    "BundleReport", "Certificate", "Classification", "Exponent", "IntervalSet", "LatticeConfig",
+    "LogSeries", "Nonresonance", "OperatorReport", "Parameter", "PrimeExponents",
+    "SingularityType", "SolutionBundle", "SupportVerdict", "apply_box", "apply_euler",
+    "apply_euler_row", "build_config", "certify", "certify_bundle", "classify", "coefficient_M",
+    "exponent_set_prime", "fake_exponents", "integer_lift", "is_mum", "is_mum_holomorphic",
+    "is_nonresonant", "log_solution", "m_support", "match_exponent", "negative_support",
+    "normalize_to_e_prime", "parameter", "phi_series", "singularity_type", "solution_bundle",
+    "support_verdict", "volume_crosscheck",
 ]

@@ -12,8 +12,8 @@ takes [A | I] to [R | E], E*A = R, and solve() back-substitutes a target
 through E.  A row is eliminated by cross-multiplying it with the pivot row,
 then divided by its content, so every row stays a primitive integer vector
 and its entries stay near the size of the input's minors.  A target is
-cleared of denominators once, and a solve builds one ``Fraction`` per pivot
-coordinate, at the end.  No floats anywhere.
+cleared of denominators once, and a solve gives integers over the solution's
+least common denominator, with one gcd and no ``Fraction``.  No floats.
 
 The one integer-run kernel lives here too, outside every builder module, so
 that the coefficient engine and the box operator's factor rows of
@@ -183,7 +183,8 @@ def _rref(rows: list[list[int]], ncols: int) -> list[int]:
 
 
 def reduction(columns, d: int) -> tuple:
-    """(rows, pivots, m): the m columns of length d reduced, [A | I] to [R | E].
+    """(rows, pivots, m, scale): the m columns of length d reduced, [A | I]
+    to [R | E], and scale, the lcm of the pivots.
 
     Row operations keep E*A = R, so the target b reduces to E*b: R's pivot
     rows fix the pivot coordinates and the other rows of E*b must vanish.
@@ -191,23 +192,27 @@ def reduction(columns, d: int) -> tuple:
     m = len(columns)
     rows = [[col[i] for col in columns] + [0] * i + [1] + [0] * (d - 1 - i) for i in range(d)]
     pivots = _rref(rows, m)
-    return tuple(map(tuple, rows)), tuple(pivots), m
+    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    return tuple(map(tuple, rows)), tuple(pivots), m, scale
 
 
-def solve(reduced: tuple, rhs) -> Vector | None:
-    """The solution c of  sum_t c_t * columns[t] = rhs  whose free coordinates
-    are zero, or None: rhs, of ints or Fractions, back-substituted through
-    the reduction's E, cleared of its denominators first."""
-    rows, pivots, m = reduced
+def solve(reduced: tuple, rhs) -> tuple[tuple[int, ...], int] | None:
+    """(numerators, den): the solution c of  sum_t c_t * columns[t] = rhs
+    whose free coordinates are zero, c_t = numerators[t]/den with den the
+    least common denominator, or None.  rhs, of ints or Fractions, is
+    back-substituted through the reduction's E, cleared of its denominators
+    first."""
+    rows, pivots, m, scale = reduced
     den = lcm(*(x.denominator for x in rhs))
     b = [x.numerator * (den // x.denominator) for x in rhs]
     eb = [sum(map(mul, row[m:], b)) for row in rows]
     if any(eb[len(pivots):]):
         return None
-    solution = [Fraction(0)] * m
+    numerators = [0] * m
     for r, c in enumerate(pivots):
-        solution[c] = Fraction(eb[r], rows[r][c] * den)
-    return tuple(solution)
+        numerators[c] = eb[r] * (scale // rows[r][c])
+    g = gcd(den * scale, *numerators)
+    return tuple(x // g for x in numerators), den * scale // g
 
 
 def nullspace(reduced: tuple) -> list[tuple[int, ...]]:
@@ -217,8 +222,7 @@ def nullspace(reduced: tuple) -> list[tuple[int, ...]]:
     the other free coordinates 0, times the lcm of the pivots, so every
     entry is an integer and c_f is positive.
     """
-    rows, pivots, m = reduced
-    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    rows, pivots, m, scale = reduced
     basis = []
     for f in (c for c in range(m) if c not in pivots):
         vec = [0] * m

@@ -23,6 +23,8 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = cls.__dict__.get("_fields", code.co_varnames[1:code.co_argcount])
         cls._key = attrgetter(*cls._fields)
+        if not cls.__dictoffset__:  # slotted: each field through its slot's descriptor
+            cls._set = Record._set_slots
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -37,9 +39,10 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
     def _set(self, **fields):
-        """Set each attribute with object.__setattr__, past the guard below:
-        through a slot's descriptor where there is one, and never through
-        ``__dict__``, which would make a real instance dict."""
+        """Set every attribute at once, past the guard below, as the instance's ``__dict__``."""
+        object.__setattr__(self, "__dict__", fields)
+
+    def _set_slots(self, **fields):
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 

@@ -1,11 +1,12 @@
 """File-driven command line interface.
 
-Reads a problem description (JSON, or TOML by extension), runs the requested
-stage of the pipeline and prints a machine-readable report.  All rationals
-cross the boundary as exact "p/q" strings; no floats enter anywhere.  Each
-number of the file passes the library's one check (gkz1._linalg), named by
-its field, such as beta[1]; the file adds only that a vector is a list.  A
-plain command line is read by _plain; any other, help and usage errors among
+Reads a problem file (JSON, or TOML by extension) as bytes, in one unbuffered
+read decoded as UTF-8, which both formats require, runs the requested stage
+of the pipeline and prints a machine-readable report.  All rationals cross
+the boundary as exact "p/q" strings; no floats enter anywhere.  Each number
+of the file passes the library's one check (gkz1._linalg), named by its
+field, such as beta[1]; the file adds only that a vector is a list.  A plain
+command line is read by _plain; any other, help and usage errors among
 them, goes to build_parser, whose module, gkz1._usage, alone imports argparse.
 
 Exit codes: 0 success, else the exit_code of the error class, printed with its
@@ -14,29 +15,19 @@ label on one stderr line: 1 internal invariant failure, 2 invalid input,
 stdout closed by its reader (gkz1 ... | head) ends the output with exit 0
 and no traceback: the reader stopped it, and gkz1 did not fail.
 
-solve and verify build one bundle per exponent; a requested degree (--r) is
-read off those bundles by SolutionBundle.solution, never built again, and
-is checked against every bundle before any certificate is made.  Each
-bundle is certified by one verify.certify_bundle call.
-
 Output: the JSON report is exactly ``json.dumps(report, indent=2)`` of the
 report as a dict, byte for byte, but no report is built as a dict.  Each
-record kind, from the analyze report down to a series term and an operator
-report, has one JSON template in _FORMS, filled with %; the record's place in
-the report only shifts its lines, and every command returns its report as
-pieces for _run to write.  cmd_exponents fills one exponent template per key
-of the parameter's line, read in blocks a column at a time, each coordinate
-a "p/q" string made with one gcd.  cmd_solve and cmd_verify build every
-bundle and check --r first; then solve certifies, writes and drops one
-bundle at a time, and verify, whose all_passed comes first, certifies every
-bundle and writes one piece per bundle.  So a refusal prints nothing, and no
-JSON report is held whole.  Each distinct certificate is written once per
-report: solve and verify keep one dict from a certificate's printed fields
-and pad to its text (_certificate).  A bundle's lower solutions share their
-top's certificate, and the many log-free bundles of a relation with large
-entries print alike.  --format text is rendered by _text from the
-parsed JSON report, which it holds whole: one "key: value" line per field, a
-nested record's lines two spaces deeper.
+record kind has one JSON template in _FORMS, filled with %; the record's
+place in the report only shifts its lines, and every command returns its
+report as pieces for _run to write.  cmd_exponents fills one exponent
+template per key of the parameter's line, read in blocks a column at a time.
+solve and verify build every bundle, one per exponent, and check --r
+(SolutionBundle.solution, never built again) first, so a refusal prints
+nothing; then solve certifies, writes and drops one bundle at a time, and
+verify, whose all_passed comes first, certifies every bundle (one
+verify.certify_bundle call each) and writes one piece per bundle.  Each
+distinct certificate is written once per report (_certificate).  --format
+text is rendered by _text from the parsed JSON report, which it holds whole.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
 from .exponents import exponent_blocks
-from .lattice import build_config, is_nonresonant, parameter, volume_crosscheck
+from .lattice import _Points, build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import DEFAULT_WINDOW, solution_bundle
 from .verify import certify_bundle
 
@@ -88,8 +79,10 @@ def load_problem(path: str) -> dict:
     """The problem file's fields, each checked, by their ProblemSpec names;
     _apply_overrides builds the spec from them.  A .toml suffix, any case, is TOML."""
     try:
-        with open(path) as file:
-            text = file.read()
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode()
+        if "\r" in text:  # newlines as text mode reads them, for a parse error's position
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         if os.path.splitext(path)[1].lower() == ".toml":
             try:
                 import tomllib  # Python >= 3.11
@@ -110,9 +103,11 @@ def load_problem(path: str) -> dict:
     if "beta" not in data:
         raise InputError("beta: missing (list of rationals)")
     columns = _list(data["A"], "A")
-    if not all(type(col) is list and all(type(x) is int for x in col) for col in columns):
+    # one type test, which LatticeConfig trusts: a _Points is not tested again
+    if not {*map(type, columns)} <= {list} or {*map(type, chain.from_iterable(columns))} - {int}:
         columns = [_numbers(col, f"A[{i}]", integer) for i, col in enumerate(columns)]
-    fields = {"columns": columns, "beta": _numbers(data["beta"], "beta", rational)}
+    beta = _numbers(data["beta"], "beta", rational)
+    fields = {"columns": _Points(map(tuple, columns)), "beta": beta}
     for field, check in (("u", rational), ("lift", integer), ("window", integer)):
         if field in data:
             fields[field] = _numbers(data[field], field, check)

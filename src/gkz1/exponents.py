@@ -23,12 +23,13 @@ builds no exponent set: it is the normalization of v + (the lift of u).
 A parameter has one exponent per unit of the positive relation sum, so the
 per-exponent objects are kept few: ``Exponent`` is a slotted record, with no
 ``__dict__`` (``Record._set`` writes its fields through the slots'
-descriptors), and the exponents of one line that share an m_support share
-one frozenset.
+descriptors), and the exponents that share an m_support share one
+frozenset, kept per mask (_support) for up to 1024 masks.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
@@ -88,14 +89,17 @@ def m_support(config: LatticeConfig, vec) -> frozenset[int]:
     return frozenset(mu for mu in config.positive if vec[mu].denominator == 1 and vec[mu] >= 0)
 
 
+@functools.lru_cache(maxsize=1024)  # masks recur, within a line and across lines
+def _support(mask: int) -> frozenset[int]:
+    return frozenset(mu for mu in range(mask.bit_length()) if mask >> mu & 1)
+
+
 def _exponents(den: int, blocks) -> list[Exponent]:
     """The blocks' Exponents: a Fraction per numerator, one frozenset per m_support."""
-    supports, dens, out = {}, repeat(den), []
+    dens, out = repeat(den), []
     for columns, labels, masks, _ in blocks:
-        for mask in set(masks).difference(supports):
-            supports[mask] = frozenset(mu for mu in range(mask.bit_length()) if mask >> mu & 1)
         vectors = zip(*[map(Fraction, column, dens) for column in columns])
-        out += map(Exponent, vectors, labels, map(supports.__getitem__, masks))
+        out += map(Exponent, vectors, labels, map(_support, masks))
     return out
 
 

@@ -45,6 +45,10 @@ from ._record import Record
 from .errors import BetaNotInSpan, DependentSubset, InternalInvariantError, KernelRankNotOne
 
 
+class _Points(tuple):
+    """Points that cli.load_problem type-tested, tuples of ints: LatticeConfig trusts them."""
+
+
 class LatticeConfig(Record):
     """n integer points (columns) in Z^d with a rank-one relation lattice.
 
@@ -69,7 +73,7 @@ class LatticeConfig(Record):
 
     def __init__(self, columns):
         # a type test first: a point is named only when integers() reads it
-        cols = tuple(
+        cols = tuple(columns) if type(columns) is _Points else tuple(
             tuple(p) if type(p) in (tuple, list) and all(type(x) is int for x in p)
             else integers(p, f"point {i}") for i, p in enumerate(sequence(columns, "points"))
         )
@@ -83,16 +87,15 @@ class LatticeConfig(Record):
         kernel = _linalg.nullspace(reduction)
         if len(kernel) != 1:
             raise KernelRankNotOne(f"points span rank {n - len(kernel)}, expected {n - 1}")
-        content = gcd(*kernel[0])
-        relation = tuple(x // content for x in kernel[0])
+        kernel = kernel[0]  # divided by its content, signed so that relation[0] > 0
+        content = gcd(*kernel) if kernel[0] > 0 else -gcd(*kernel)
+        relation = tuple(x // content for x in kernel)
         if 0 in relation:
             raise DependentSubset(relation.index(0))
-        if relation[0] < 0:
-            relation = tuple(-e for e in relation)
         positive = tuple(mu for mu, e in enumerate(relation) if e > 0)
         negative = tuple(mu for mu, e in enumerate(relation) if e < 0)
-        positive_sum = sum(e for e in relation if e > 0)
-        negative_sum = -sum(e for e in relation if e < 0)
+        positive_sum = sum(relation[mu] for mu in positive)
+        negative_sum = positive_sum - sum(relation)
         self._set(
             columns=cols, reduction=reduction, relation=relation, positive=positive,
             negative=negative, perm=positive + negative, k=len(positive),
@@ -130,14 +133,22 @@ class RelationLine(Record):
     Coordinate mu is an integer b only at t = (b - point[mu])/relation[mu],
     which is k/den for an integer key k, where offsets[mu] + k*relation[mu]
     = 0 mod den; positive lists the mu with relation[mu] > 0.  Only point and
-    relation are fields; the rest is derived from them once, on construction.
+    relation are fields, and the point is read off the offsets; the rest is
+    derived once, on construction.
     """
 
     def __init__(self, point, relation):
-        den = lcm(*(x.denominator for x in point)) * lcm(*relation)
-        offsets = tuple(x.numerator * (den // x.denominator) for x in point)
-        positive = tuple(mu for mu, e in enumerate(relation) if e > 0)
-        self._set(point=point, relation=relation, den=den, offsets=offsets, positive=positive)
+        d = lcm(*(x.denominator for x in point))
+        self._line([x.numerator * (d // x.denominator) for x in point], d, relation)
+
+    def _line(self, numerators, d: int, relation) -> RelationLine:
+        """Set the line through the point numerators/d, d their least common denominator."""
+        scale, positive = lcm(*relation), tuple(mu for mu, e in enumerate(relation) if e > 0)
+        offsets = tuple(x * scale for x in numerators)
+        self._set(relation=relation, den=d * scale, offsets=offsets, positive=positive)
+        return self
+
+    point = property(lambda self: tuple(Fraction(a, self.den) for a in self.offsets))
 
     @classmethod
     def of(cls, config: LatticeConfig, target) -> RelationLine | None:
@@ -148,8 +159,8 @@ class RelationLine(Record):
         the others are independent, so the point is the unique solution
         with last coordinate 0.
         """
-        point = _linalg.solve(config.reduction, target)
-        return None if point is None else cls(point, config.relation)
+        solved = _linalg.solve(config.reduction, target)
+        return None if solved is None else cls.__new__(cls)._line(*solved, config.relation)
 
     def at(self, t) -> Vector:
         """The point at parameter t: point + t*relation."""

@@ -46,6 +46,7 @@ TRIANGLE_PROBLEM = {
     "beta": ["10", "8"],
     "window": [-5, 10],
 }
+TRIANGLE_BYTES = json.dumps(TRIANGLE_PROBLEM).encode()
 
 
 @pytest.fixture
@@ -131,6 +132,34 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith(f"input error: cannot parse {tmp_path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xef\xbb\xbf" + TRIANGLE_BYTES,
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (TRIANGLE_BYTES[:42] + b"\xff" + TRIANGLE_BYTES[43:],
+         "'utf-8' codec can't decode byte 0xff in position 42: invalid start byte"),
+        # a parse error after CRLF newlines is placed as a text-mode read places it
+        (b'{\r\n  "A": [[1, 0], [1, 2], [1, 1]],\r\n  "beta": [1/2]\r\n}',
+         "Expecting ',' delimiter: line 3 column 13 (char 47)"),
+    ], ids=["bom", "byte-0xff", "crlf"])
+    def test_bytes_are_refused_as_a_text_read_refuses_them(self, capsys, tmp_path, data, message):
+        # the file is read as bytes and decoded as UTF-8: json.loads on the
+        # raw bytes would accept the BOM
+        path = tmp_path / "p.json"
+        path.write_bytes(data)
+        assert run(capsys, "analyze", "--input", str(path)) == (
+            2, "", f"input error: cannot parse {path}: {message}\n"
+        )
+
+    def test_newlines_are_read_as_text_mode_reads_them(self, capsys, tmp_path, triangle_file):
+        # CRLF and a lone CR are newlines, in JSON and in TOML alike
+        expected = run(capsys, "analyze", "--input", triangle_file)
+        toml = 'A = [[1, 0], [1, 2], [1, 1]]\nbeta = ["10", "8"]\nwindow = [-5, 10]\n'
+        for name, text in ("p.json", json.dumps(TRIANGLE_PROBLEM, indent=1)), ("p.toml", toml):
+            for newline in "\r\n", "\r":
+                path = tmp_path / name
+                path.write_bytes(text.replace("\n", newline).encode())
+                assert run(capsys, "analyze", "--input", str(path)) == expected
 
     def test_suffix_picks_the_reader(self, capsys, tmp_path, triangle_file):
         # a .toml suffix, in any case, is read as TOML; only the file's own
@@ -1181,6 +1210,28 @@ class TestClosedStdout:
         err = process.stderr.read()
         process.stderr.close()
         assert (process.wait(timeout=120), err) == (0, b"")
+
+
+# a configuration of the benchmark's corpus size: four points in Z^4
+CORPUS_PROBLEM = {
+    "A": [[0, 1, -1, -1], [0, 1, -1, 1], [1, 0, 1, 0], [1, -3, 4, 1]],
+    "beta": ["-14/5", "8/5", "-22/5", "-16/5"], "window": [-3, 5],
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "exponents", "solve", "verify", "classify"])
+def test_one_read_and_one_elimination_per_call(capsys, monkeypatch, tmp_path, command):
+    # every command opens its problem file once and eliminates its
+    # configuration once: each parameter and lift reads that one reduction
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(CORPUS_PROBLEM))
+    opened, reduced = [], []
+    real_open, real_reduction = open, _linalg.reduction
+    monkeypatch.setattr("builtins.open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    monkeypatch.setattr(_linalg, "reduction", lambda *a: reduced.append(1) or real_reduction(*a))
+    code, out, err = run(capsys, command, "--input", str(path))
+    assert (code, err) == (0, "") and out
+    assert opened == [str(path)] and reduced == [1]
 
 
 class TestMalformedProblemFiles:

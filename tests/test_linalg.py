@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -90,7 +91,13 @@ def test_integer_elimination_matches_the_fraction_oracle(system):
     m, d = len(columns), len(rhs)
     expected = solve_columns_reference(columns, rhs)
     reduced = _linalg.reduction(columns, d)
-    assert _linalg.solve(reduced, rhs) == expected
+    solved = _linalg.solve(reduced, rhs)
+    if expected is None:
+        assert solved is None
+    else:  # integers over the least common denominator of the solution
+        numerators, den = solved
+        assert tuple(F(x, den) for x in numerators) == expected
+        assert den == lcm(*(x.denominator for x in expected))
     event("m == 0" if m == 0 else "d < m" if d < m else "d == m" if d == m else "d > m")
     event("inconsistent" if expected is None else "consistent")
     if m == 0:
