@@ -3,8 +3,10 @@
 Every number entering the package passes rational() or integer(), or fracs() or
 integers() for a list: a float, a bool, what Fraction cannot parse or
 operator.index refuses, or a str for a list raises an InputError that names the
-entry.  window_bounds() reads a window, grid_fields() a series for LogSeries.make
-and the certificate alike; shown() writes a vector into a message.
+entry.  window_bounds() reads a window, and nonempty() alone tests one already
+read; grid_fields() reads a series for LogSeries.make and the certificate alike,
+and grid_rows() gives the certificate its rows; shown() writes a vector into a
+message.
 
 Matrices are small, so one Gauss-Jordan elimination per configuration, in
 Python ints only, is kept and serves its kernel and every solve: reduction()
@@ -25,7 +27,7 @@ multiplies a truncated row by a run of linear factors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm, prod
+from math import factorial, gcd, lcm, perm, prod
 from operator import index, mul
 
 from .errors import EmptyWindow, InputError
@@ -119,10 +121,15 @@ def pair(values, where: str) -> tuple[int, int]:
 def window_bounds(window) -> tuple[int, int]:
     """(lo, hi) as two ints; InputError for another shape, EmptyWindow (also a
     ValueError) if lo > hi."""
-    lo, hi = pair(window, "window")
+    return nonempty(pair(window, "window"))
+
+
+def nonempty(window: tuple[int, int]) -> tuple[int, int]:
+    """A window (lo, hi) of two ints, as it is; EmptyWindow if lo > hi."""
+    lo, hi = window
     if lo > hi:
         raise EmptyWindow(f"window: empty window [{lo}, {hi}]")
-    return lo, hi
+    return window
 
 
 def grid_fields(base_exponent, relation, window, terms) -> tuple:
@@ -142,6 +149,28 @@ def grid_fields(base_exponent, relation, window, terms) -> tuple:
         terms = {pair(k, f"term {k!r}"): rational(c, f"term {k!r}") for k, c in terms.items()}
     off = next((key for key in terms if key[1] < 0 or not lo <= key[0] <= hi), None)
     return fracs(base_exponent, "base_exponent"), integers(relation, "relation"), window, terms, off
+
+
+def grid_rows(base_exponent, relation, window, terms, rows=None) -> tuple:
+    """grid_fields of a series, with its terms as rows = (columns, top),
+    columns[z] = (N, den), c[(z, top-s)] = top!/(top-s)! * N[s]/den.  A
+    builder's rows are taken as they are, reading no term (off None); terms
+    on the grid are put over each column's lcm of denominators times top!,
+    with top their largest log degree (rows stay None where off is not)."""
+    base, relation, window, terms, off = grid_fields(
+        base_exponent, relation, window, {} if rows else terms
+    )
+    if rows is None and off is None:
+        top, columns = max((r for _, r in terms), default=0), {}
+        for (z, r), c in terms.items():
+            columns.setdefault(z, []).append((r, c))
+        for z, column in columns.items():
+            d, num = lcm(*(c.denominator for _, c in column)), [0] * (top + 1)
+            for r, c in column:
+                num[top - r] = c.numerator * (d // c.denominator) * factorial(r)
+            columns[z] = num, d * factorial(top)
+        rows = columns, top
+    return base, relation, window, rows, off
 
 
 def _rref(rows: list[list[int]], ncols: int) -> list[int]:

@@ -25,7 +25,8 @@ solve and verify build every bundle, one per exponent, and check --r
 (SolutionBundle.solution, never built again) first, so a refusal prints
 nothing; then solve certifies, writes and drops one bundle at a time, and
 verify, whose all_passed comes first, certifies every bundle (one
-verify.certify_bundle call each) and writes one piece per bundle.  Each
+verify.certify_bundle call each) and writes one piece per bundle; a built
+series is written from its integer rows (_series), with no Fraction.  Each
 distinct certificate is written once per report (_certificate).  --format
 text is rendered by _text from the parsed JSON report, which it holds whole.
 """
@@ -37,10 +38,10 @@ import json
 import os
 import sys
 from itertools import chain, compress, islice, repeat
-from math import gcd
+from math import gcd, perm
 from types import SimpleNamespace
 
-from ._linalg import integer, pair, rational, window_bounds
+from ._linalg import integer, nonempty, pair, rational
 from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
@@ -112,7 +113,7 @@ def load_problem(path: str) -> dict:
         if field in data:
             fields[field] = _numbers(data[field], field, check)
     if "window" in data:  # two bounds, even where --window replaces them
-        pair(fields["window"], "window")
+        fields["window"] = pair(fields["window"], "window")
     if "r" in data:
         fields["r"] = integer(data["r"], "r")
     if "verify" in data:
@@ -124,7 +125,8 @@ def load_problem(path: str) -> dict:
 
 def _apply_overrides(fields: dict, args) -> ProblemSpec:
     """The spec of one command line: load_problem's fields, each replaced
-    by its option where the line gives one."""
+    by its option where the line gives one.  The window, the file's pair,
+    --window's or the default, is only tested for emptiness here."""
     fields = dict(fields)
     if args.window is not None:
         try:
@@ -143,7 +145,7 @@ def _apply_overrides(fields: dict, args) -> ProblemSpec:
         fields["r"] = args.r
     if args.no_verify:
         fields["verify"] = False
-    fields["window"] = window_bounds(fields.get("window", DEFAULT_WINDOW))
+    fields["window"] = nonempty(fields.get("window", DEFAULT_WINDOW))
     return ProblemSpec(**fields)
 
 
@@ -293,13 +295,35 @@ def _exponent(exp, pad: str) -> str:
     )
 
 
-def _series(series, pad: str) -> str:
+def _series(series, pad: str, reduced: dict) -> str:
+    """A series' text at pad; one that holds rows (LogSeries.rows) is written
+    from them as str(Fraction) writes its terms: N_s/den in lowest terms by
+    one gcd, kept in reduced for the bundle's other solutions (a one-entry
+    row is reduced), times r!/(r-s)! over a gcd with that small weight."""
     term = _form("term", pad + _STEP)
+    if series.rows is None:
+        terms = [term % (z, r, c) for (z, r), c in sorted(series.terms.items())]
+    else:
+        products, r = series.rows
+        weights, terms = [perm(r, s) for s in range(r + 1)], []
+        for z in sorted(products):
+            row = reduced.get(z)
+            if row is None:
+                num, den = products[z]
+                row = reduced[z] = list(zip(num, repeat(den))) if len(num) == 1 else [
+                    (x // g, den // g) for x, g in zip(num, map(gcd, num, repeat(den)))
+                ]
+            for s in range(r, -1, -1):
+                n, d = row[s]
+                if n:
+                    g = gcd(weights[s], d)
+                    n, d = n * (weights[s] // g), d // g
+                    terms.append(term % (z, r - s, n if d == 1 else f"{n}/{d}"))
     return _form("series", pad) % (
         _leaf(_rat_list(series.base_exponent), pad),
         _leaf(list(series.relation), pad),
         _leaf(list(series.window), pad),
-        _items([term % (z, r, c) for (z, r), c in sorted(series.terms.items())], pad),
+        _items(terms, pad),
     )
 
 
@@ -335,7 +359,7 @@ def _bundle(bundle, certificates, pad: str, texts: dict) -> str:
     texts is the report's certificate texts (_certificate)."""
     inner = pad + _STEP
     verdict, solution = _form("verdict", inner), _form("solution", inner)
-    verification = _form("verification", inner)
+    verification, reduced = _form("verification", inner), {}  # reduced: _series
     # the verdicts carry the bundle's lift, and share most memberships: each once
     verdicts = bundle.certificates
     lift = _leaf(list(bundle.lift), inner)
@@ -356,7 +380,7 @@ def _bundle(bundle, certificates, pad: str, texts: dict) -> str:
         ], pad),
         _items([
             solution % (
-                r, _series(series, inner + "  "),
+                r, _series(series, inner + "  ", reduced),
                 "" if certificates is None
                 else verification % _certificate(certificates[r], inner + "  ", texts),
             )
@@ -455,7 +479,7 @@ def cmd_solve(spec: ProblemSpec):
     return chain(_pieces(head, bundles, "", ""), _pieces(
         _FORMS["requested"] % spec.r,
         (
-            [solution % (_exponent(b.exponent, item + "  "), _series(s, item + "  "))]
+            [solution % (_exponent(b.exponent, item + "  "), _series(s, item + "  ", {}))]
             for b, s in zip(report.bundles, requested)
         ),
         "  ", _FORMS["requested end"],

@@ -8,15 +8,12 @@ coefficient is the exact value of the full series at that grid point, so a
 A bundle's eps-products C(z, eps) follow the two-term recurrence of the box
 operator, C(z) * F+_z = C(z-1) * F-_{z-1}: each run of consecutive shifts is
 seeded once, from one coefficient row per column, and every later shift is
-one step by small integer factors.  A log-free product is a Fraction, times
-one reduced ratio per step: it stays apart from the integer-row walk, which
-is slower on log-free bundles.  A longer one stays integers over one running
-denominator, stepped with the truncated-row kernel of gkz1.coefficients,
-and becomes one Fraction per nonzero (shift, eps degree), whose gcd also
-gives the row's common factor.  The step's factors F+ and F- are the box
-operator's rows of gkz1.lattice, which the certificate reads too.  The
-assembly stores those Fractions, times r!/(r-s)! where that weight is not 1,
-in a LogSeries it builds directly.
+one step by the box operator's rows of gkz1.lattice, which the certificate
+reads too.  Each C(z) is kept as its row, integer numerators over one
+denominator, with no Fraction; the rows are a bundle's one data format.
+Each solution holds them at its degree (LogSeries.rows), the certificate
+reads them as they are, and gkz1.cli writes each coefficient from them, so
+a Fraction is made only where a caller reads a series' terms.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -72,10 +69,27 @@ def _fields(data, where: str, names: tuple) -> list:
 
 
 class LogSeries(Record):
-    """Exact coefficients c[(z, r)] of x^(base + z*relation) * log^r x0."""
+    """Exact coefficients c[(z, r)] of x^(base + z*relation) * log^r x0.
+
+    A series that _assemble builds holds rows = (products, r), its bundle's
+    rows z -> ((N_0, ..., N_top), den) and its degree r <= top, and its terms
+    c[(z, r-s)] = r!/(r-s)! * N_s/den are made as Fractions on each read (so
+    keep them to read them often); any other series has rows None.
+    """
+
+    rows = None
 
     def __init__(self, base_exponent, relation, window, terms):
         self._set(base_exponent=base_exponent, relation=relation, window=window, terms=terms)
+
+    def __getattr__(self, name):
+        if name != "terms" or self.rows is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        products, r = self.rows
+        return {
+            (z, r - s): Fraction(perm(r, s) * x, den)
+            for s in range(r + 1) for z, (num, den) in products.items() if (x := num[s])
+        }
 
     @classmethod
     def make(cls, base_exponent, relation, window, terms) -> "LogSeries":
@@ -109,8 +123,7 @@ class LogSeries(Record):
             "relation": list(self.relation),
             "window": list(self.window),
             "terms": [
-                {"z": z, "r": r, "coeff": str(self.terms[(z, r)])}
-                for z, r in sorted(self.terms)
+                {"z": z, "r": r, "coeff": str(c)} for (z, r), c in sorted(self.terms.items())
             ],
         }
 
@@ -157,9 +170,9 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) ->
     ]
     scale = prod(e ** rho[mu] for mu, e in enumerate(rel))
     for z in members:
-        c = prod(walk[z][-1] for walk in walks)
+        c = prod(walk[z][0][-1] for walk in walks)
         if c:
-            terms[(z, 0)] = c / scale
+            terms[(z, 0)] = Fraction(c, prod(walk[z][1] for walk in walks) * scale)
     return LogSeries(base, rel, (lo, hi), terms)
 
 
@@ -177,7 +190,7 @@ def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
 
 
 def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
-    """z -> ([eps^0] C(z), ..., [eps^top] C(z)) for every member z.
+    """z -> ((N_0, ..., N_top), den), [eps^s] C(z) = N_s/den, for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
     with l_mu(z) = lift[mu] + z*rel[mu], the product of the Gamma ratios of
@@ -196,11 +209,13 @@ def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
     members, where F+_z is not built, and again at a root, a shift where
     F+_z(0) = 0 and the recurrence does not fix C(z).  Every other shift is
     one step from the last, dividing by F+_z through its reciprocal series
-    (_reciprocal of gkz1.coefficients).  A log-free C (top = 0) is a Fraction
-    times one reduced ratio per step; otherwise it is one integer row over a
-    running denominator.  Each entry meets one gcd, as its Fraction is built,
-    and the row is divided by the common factor of those gcds, so it stays
-    reduced with no gcd of its own; a zero entry is the int 0.
+    (_reciprocal of gkz1.coefficients).  C is kept as its row: integer
+    numerators over one positive denominator, divided by their content
+    gcd(den, *num) at each seed and step, so den is the lcm of the entries'
+    reduced denominators.  A log-free C (top = 0) is stepped as Fraction
+    multiplies, by one ratio p/q with gcds of p and q only, which is faster
+    there than the content gcd of the product; its one entry stays in
+    lowest terms.  No Fraction is built.
 
     Before anything is built, each column is checked, in index order, at
     its largest l over the sorted members: the first in the excluded strip
@@ -221,10 +236,14 @@ def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
         a = _box_row(plus, z, top) if z - 1 in out else [0]
         if not a[0]:
             num, den = _seed(vec, lift, rel, z, top)
-            if not top:
-                c = Fraction(num[0], den)
+            g = 0  # the content may hold any prime
         elif not top:
-            c *= Fraction(_box_row(minus, z - 1, 0)[0] * scale, a[0] * unscale)
+            # n/den times p/q in lowest terms, by gcds with p or q, as Fraction does
+            p, q = _box_row(minus, z - 1, 0)[0] * scale, a[0] * unscale
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            g, h = gcd(num[0], q), gcd(p, den)
+            num, den, g = [num[0] // g * (p // h)], den // h * (q // g), 1
         else:
             # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
             # with r'[n] = scale * a0^(top-n) * r[n]
@@ -232,18 +251,17 @@ def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
             f = _box_row(minus, z - 1, top)  # unscale * F-_{z-1}
             _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))])
             _times(num, f)
-            den *= unscale * a0 ** (top + 1)
-        if not top:
-            out[z] = (c,)
-            continue
-        row = [Fraction(x, den) if x else 0 for x in num]
-        # gcd(x, den) is den // denominator (den for a zero entry), so the
-        # row's common factor comes from the entries' own gcds
-        k = gcd(*[den // f.denominator for f in row])
-        if k > 1:
-            num = [x // k for x in num]
-            den //= k
-        out[z] = tuple(row)
+            m = unscale * a0 ** (top + 1)
+            den *= m
+            # the row had content 1, and f is a unit mod any prime not
+            # dividing f[0], so every prime of the new content divides m * f[0]
+            g = m * f[0]
+        # the content gcd(den, *num), taken by gcds with g, which is small
+        while (g := gcd(g, den, *num)) > 1:
+            num, den = [x // g for x in num], den // g
+        if den < 0:
+            num, den = [-x for x in num], -den
+        out[z] = (tuple(num), den)
     return out
 
 
@@ -260,29 +278,16 @@ def _assemble(config, base, r, window, products) -> LogSeries:
 
     the Frobenius eps-derivative of the Gamma series: the solution is
     r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), and x^(eps*rel) carries
-    log^k x0 / k! at eps^k.  products needs entries up to eps^r at the
-    members z of the bundle's verdicts; base is v + l and window the pair
-    of ints that _build has checked.
-
-    The paper restricts each multiset rho, supported on S, to the shifts in
-    membership(S); the product here runs over every member z of the bundle
-    instead, and that changes no value.  Let w = v + l.  For z outside
-    membership(S) some column mu not in S, where rho[mu] = 0, either
-    (i) has v_mu a nonnegative integer and w_mu(z) < 0, so
-    M(l, 0, v) = prod_{k=l+1}^{0} (v+k) holds the factor k = -v_mu and
-    vanishes; or (ii) has v_mu a negative integer and w_mu(z) >= 0, so
-    l > 0 lies in the excluded strip, and _epsilon_products, which checks
-    column mu at its largest l over every member z before it builds
-    anything, has already raised ExcludedCase.
+    log^k x0 / k! at eps^k.  So the series holds the rows, products, at
+    degree r (LogSeries.rows), with entries up to eps^r at the members z of
+    the bundle's verdicts; base is v + l and window the pair of ints that
+    _build has checked.  The paper restricts each multiset, supported on S,
+    to the shifts in membership(S); running over every member instead
+    changes no value (README, Series assembly).
     """
-    terms = {}
-    for s in range(r + 1):
-        weight = perm(r, s)
-        for z, column in products.items():
-            c = column[s]
-            if c:
-                terms[(z, r - s)] = c if weight == 1 else c * weight
-    return LogSeries(base, config.relation, window, terms)
+    series = LogSeries.__new__(LogSeries)
+    series._set(base_exponent=base, relation=config.relation, window=window, rows=(products, r))
+    return series
 
 
 def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:

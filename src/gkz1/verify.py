@@ -6,62 +6,58 @@ contains a shift z only when every source term the operator maps into z was
 present in the input window, so "passed" is meaningful despite truncation.
 Residual coefficients are exact rationals and "passed" means literal zero.
 
-The box operator d^ell+ - d^ell- is checked in closed form, as the two-term
-recurrence it is.  Since log x0 = sum_mu rel[mu] log x_mu,
+A series is read as rows, through one reader, _linalg.grid_rows: column z
+of a series of degree top is C(z, eps) = sum_s N_s eps^s / den, its term at
+(z, top-s) being top!/(top-s)! * N_s/den.  A builder's series holds its
+bundle's rows (LogSeries.rows) and is read as it is; any other, such as a
+printed report read back, has each column's terms put over the lcm of their
+denominators.  Since log x0 = sum_mu rel[mu] log x_mu,
 
     x^w log^r x0 = r! [eps^r] x^(w + eps*rel),
 
-and d/dx_mu lowers x_mu's exponent by one with the factor w_mu + eps*rel[mu].
-So one side's derivative product maps column z of the series, the terms
-C(z)[r] x^w(z) log^r x0 with w(z) = w0 + z*rel, to
+and d/dx_mu lowers x_mu's exponent by one with the factor w_mu + eps*rel[mu],
+one side's derivative product maps column z to C(z) F_z x^(w(z) - ell_side),
+truncated at eps^top, with w(z) = w0 + z*rel and
 
-    sum_{k <= r} (r!/k!) C(z)[r] F_z[r-k] x^(w(z) - ell_side) log^k x0,
-    F_z(eps) = prod_{mu on the side} prod_{i < |rel[mu]|} (w_mu(z) - i + eps*rel[mu]),
+    F_z(eps) = prod_{mu on the side} prod_{i < |rel[mu]|} (w_mu(z) - i + eps*rel[mu]).
 
-with F_z truncated at the series' top log degree.  The positive side's image
-of column z+1 lands on the negative side's image of column z, so the box
-residual at shift z is C(z+1)F+_{z+1} - C(z)F-_z, log degree by log degree.
-Each image is one integer numerator per log degree over one denominator:
-F_z in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), and the
-column over the lcm of its denominators.  F_z and its scale come from
-gkz1.lattice (_box_sides, _box_row), whose integer runs are multiplied by
-the kernel of gkz1._linalg.  The builder reads the same factors, but neither
-module is builder code; the tests check the rows against a literal
-expansion, and the whole box against literal derivatives, neither of which
-shares code with the package.  For a log-free series F_z is F_z(0), one
-product of integer runs, and each column is one Fraction, read as it is,
-with no grouping.
+The positive side's image of column z+1 lands on the negative side's image
+of column z, so the box operator d^ell+ - d^ell- is the two-term recurrence
+C(z+1)F+_{z+1} = C(z)F-_z, checked in integers, eps degree by eps degree; a
+residual at eps^n is reported at log degree top-n, times top!/(top-n)!.  F_z,
+in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), comes from
+gkz1.lattice (_box_sides, _box_row), whose runs the kernel of gkz1._linalg
+multiplies.  The builder reads the same factors, but neither module is
+builder code, and the tests check both against literal routes that share no
+code with the package.
 
-A shift is decided by one exact division, not by cross-multiplying the two
-images' denominators.  With P the positive row at z+1, D1 and D0 the
-denominators of columns z+1 and z, and X = P[0]^(top+1), a passing series
-has D1 dividing D0 * minus_scale * X wherever P[0] != 0: column z+1 is
-column z's image divided by F+, whose inverse truncated at eps^top has
-denominators dividing P[0]^(top+1).  The quotient w is the size of a box
-row, and the shift passes when a_k * w = b_k * plus_scale * X for the
-images' numerators a and b, which, times D1 and over X, is the
-cross-multiplied identity.  A log-free series has its own form of the
-test, which holds for P[0] = 0 too (_box).  A shift that this does not pass
-(a remainder, P[0] = 0 in a series with logs, or an unequal pair) is
-cross-multiplied, which decides it and gives its residual.  So the check of
-a passing shift multiplies no two coefficients; putting a column over the
-lcm of its denominators still multiplies each numerator by a cofactor.
+A shift is decided by one exact division, not by cross-multiplying.  With P
+the positive row at z+1, D1 and D0 the denominators of columns z+1 and z,
+and X = P[0]^(top+1), a passing series has D1 dividing D0 * minus_scale * X
+wherever P[0] != 0: column z+1 is column z's image divided by F+, whose
+inverse truncated at eps^top has denominators dividing P[0]^(top+1).  The
+quotient w is the size of a box row, and the shift passes when
+a_n * w = b_n * plus_scale * X for the images' numerators a and b, which,
+times D1 and over X, is the cross-multiplied identity.  A log-free series
+has its own form of the test, which holds for P[0] = 0 too (_box).  A shift
+that this does not pass is cross-multiplied, which decides it and gives its
+residual, so a passing shift multiplies no two coefficients.
 
 An Euler row scales every term by one offset, row.w0 - beta_row, since
 row.relation is zero.  A Fraction is built only for a residual entry, which
 a passing certificate has none of.
 
 certify_bundle certifies a bundle's solutions together.  Solution r is
-r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its term at (z, k) is the
-top solution T's at (z, T-r+k) times r!(T-r+k)!/(k! T!), and so is its box
-residual; its Euler offsets are T's.  Where T passes, each lower solution is
-checked to be that truncation of T, term by term in integers, and then has
-T's certificate; certify runs on T alone.  The weights come from the log
-degrees of the terms and the solutions' places in the bundle.
+r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its box residual is the
+top solution T's taken mod eps^(r+1), and its Euler offsets are T's.  Where
+T passes, a lower solution that holds T's rows at its degree has T's
+certificate, and its terms are never read; one that has terms only is
+checked to be T's weighted truncation, term by term in integers.  certify
+runs on T alone.
 
-A series argument is a LogSeries, or anything with its four fields: _check_grid
-reads them through _linalg.grid_fields, as LogSeries.make does, and the operators
-take what it read, so a certificate runs no builder code and imports none.
+A series argument is a LogSeries, or anything with its four fields; the
+operators take what _check_grid read, so a certificate runs no builder code
+and imports none.
 """
 
 from __future__ import annotations
@@ -69,8 +65,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm, perm
+from operator import mul
 
-from ._linalg import fracs, grid_fields, integer, sequence
+from ._linalg import fracs, grid_rows, integer, sequence
 from ._record import Record
 from .errors import InputError
 from .lattice import LatticeConfig, _box_row, _box_sides
@@ -105,10 +102,14 @@ class OperatorReport(Record):
 
 
 def _fields(series) -> tuple:
-    """A series' base_exponent, relation, window and terms; an object that
-    lacks one is refused with InputError, named as from_json_dict names it."""
+    """A series' base_exponent, relation, window, terms and rows; the terms
+    of one that holds rows (LogSeries.rows) are None, not read.  An object
+    that lacks one of the four fields is refused with InputError, named as
+    from_json_dict names it."""
+    rows = getattr(series, "rows", None)
     try:
-        return series.base_exponent, series.relation, series.window, series.terms
+        return (series.base_exponent, series.relation, series.window,
+                series.terms if rows is None else None, rows)
     except AttributeError:
         for name in ("base_exponent", "relation", "window", "terms"):
             if not hasattr(series, name):
@@ -117,11 +118,11 @@ def _fields(series) -> tuple:
 
 
 def _check_grid(config, series):
-    """(base, window, terms): a series' _fields read by _linalg.grid_fields, as
+    """(base, window, rows): a series' _fields read by _linalg.grid_rows, as
     LogSeries.make reads them.  A series on another grid x^(w0 + z*relation)
-    than the operator's, or with a term off its own grid (z outside its window or
-    r < 0), is refused with ValueError."""
-    base, relation, window, terms, off = grid_fields(*_fields(series))
+    than the operator's, or with a term off its own grid (z outside its
+    window or r < 0), is refused with ValueError."""
+    base, relation, window, rows, off = grid_rows(*_fields(series))
     if relation != config.relation:
         raise ValueError(
             f"series relation {relation} is not the configuration's {config.relation}"
@@ -133,25 +134,14 @@ def _check_grid(config, series):
         )
     if off is not None:
         raise ValueError(f"series term {off} is off its grid z in {list(window)}, r >= 0")
-    return base, window, terms
+    return base, window, rows
 
 
-def _image(weights, f, column) -> tuple[list[int], int]:
-    """d^ell_side of column z of a series with log terms, given as
-    ([(r, n_r)], common) for C(z)[r] = n_r/common, f the side's row
-    scale * F_z(eps) truncated at eps^top, top > 0 the series' top log degree:
-    ([m_0, ..., m_top], common) for sum_k (m_k/(common * scale))
-    x^(w(z) - ell_side) log^k x0, with weights[r][k] = r!/k! for each log
-    degree r of the series and k <= r.  No column (None) maps to zeros
-    over 1."""
-    out = [0] * len(f)
-    if column is None:
-        return out, 1
-    nums, common = column
-    for r, a in nums:
-        for k, w in enumerate(weights[r]):
-            out[k] += a * w * f[r - k]
-    return out, common
+def _image(f, num) -> list[int]:
+    """[eps^n] of f(eps) * N(eps), n < len(f): d^ell_side of a column N/den
+    of a series of degree top > 0, f the side's row scale * F_z(eps)
+    truncated at eps^top, over den * scale and in the eps-form."""
+    return [sum(map(mul, num[:n + 1], f[n::-1])) for n in range(len(f))]
 
 
 def apply_box(config: LatticeConfig, series) -> OperatorReport:
@@ -171,56 +161,43 @@ def apply_box(config: LatticeConfig, series) -> OperatorReport:
     return _box(config, *_check_grid(config, series))
 
 
-def _box(config, base, window, terms) -> OperatorReport:
-    """apply_box on a checked series' fields: columns with log terms through
-    _image, a log-free series straight from its Fractions.  At each shift,
-    f and g are the rows P at z+1 and Q at z, and w is the quotient of the
-    division that the module docstring describes.  For a log-free series,
-    C(z+1) = n1/D1 and C(z) = n0/D0, the test is n1 * w = n0 * Q[0] *
-    plus_scale with w = D0 * minus_scale * P[0] / D1, which times D1 is the
-    cross-multiplied identity for any P[0], 0 included."""
+def _box(config, base, window, rows) -> OperatorReport:
+    """apply_box on a checked series' base, window and rows.  At each shift,
+    f and g are the rows P at z+1 and Q at z, column z+1 is N1/D1 and
+    column z N0/D0 (a missing one is (0,)/1), and w is the quotient of the
+    division that the module docstring describes, with X = P[0]^len(N1): a
+    row of a degree below its bundle's top keeps the top's denominator.  For
+    a log-free series the test is N1 * w = N0 * Q[0] * plus_scale with
+    w = D0 * minus_scale * P[0] / D1, which times D1 is the cross-multiplied
+    identity for any P[0], 0 included."""
+    columns, top = rows
     lo, hi = window
     if hi - 1 < lo:
         return OperatorReport("box", None, {})
-    top = max((r for _, r in terms), default=0)
     (plus, plus_scale), (minus, minus_scale) = _box_sides(base, config.relation)
-    if top:
-        columns = {}
-        for (z, r), c in terms.items():
-            columns.setdefault(z, []).append((r, c))
-        for z, column in columns.items():  # each column over one denominator
-            d = lcm(*(c.denominator for _, c in column))
-            columns[z] = [(r, c.numerator * (d // c.denominator)) for r, c in column], d
-        # rows r!/k! only for the log degrees held: a table for every degree
-        # up to the top would be (top+1)^2 perms
-        weights = {r: [perm(r, r - k) for k in range(r + 1)] for r in {r for _, r in terms}}
-    else:  # log-free: one Fraction per shift
-        columns = {z: c for (z, _), c in terms.items()}
     residual = {}
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
         f, g = _box_row(plus, z + 1, top), _box_row(minus, z, top)
-        if top:
-            a, d1 = _image(weights, f, columns.get(z + 1))
-            b, d0 = _image(weights, g, columns.get(z))
-        else:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0); a missing column is 0/1
-            c1, c0 = columns.get(z + 1, 0), columns.get(z, 0)
-            w, rem = divmod(c0.denominator * minus_scale * f[0], c1.denominator)
-            if not rem and c1.numerator * w == c0.numerator * g[0] * plus_scale:
-                continue
-            a, d1 = [c1.numerator * f[0]], c1.denominator
-            b, d0 = [c0.numerator * g[0]], c0.denominator
-        # each k must have a_k * u == b_k * v: cross-multiplied, or, where D1
+        (n1, d1), (n0, d0) = columns.get(z + 1, ((0,), 1)), columns.get(z, ((0,), 1))
+        # each n must have a_n * u == b_n * v: cross-multiplied, or, where D1
         # divides D0 * minus_scale * X, both sides times X over D1
         da, db = d1 * plus_scale, d0 * minus_scale
         u, v = db, da
-        if top and f[0]:
-            x = f[0] ** (top + 1)
-            w, rem = divmod(db * x, d1)
-            if not rem:
-                u, v = w, plus_scale * x
-        for k, (n, m) in enumerate(zip(a, b)):
-            if n * u != m * v:
-                residual[(z, k)] = Fraction(n * db - m * da, da * db)
+        if not top:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0)
+            w, rem = divmod(db * f[0], d1)
+            if not rem and n1[0] * w == n0[0] * g[0] * plus_scale:
+                continue
+            a, b = [n1[0] * f[0]], [n0[0] * g[0]]
+        else:
+            a, b = _image(f, n1), _image(g, n0)
+            if f[0]:
+                x = f[0] ** len(n1)
+                w, rem = divmod(db * x, d1)
+                if not rem:
+                    u, v = w, plus_scale * x
+        for n, (p, q) in enumerate(zip(a, b)):
+            if p * u != q * v:
+                residual[(z, top - n)] = Fraction(perm(top, n) * (p * db - q * da), da * db)
     return OperatorReport("box", (lo, hi - 1), residual)
 
 
@@ -249,7 +226,7 @@ def _parameter(config, param) -> tuple[Fraction, ...]:
     return param
 
 
-def _euler_row(config, param, base, window, terms, row: int) -> OperatorReport:
+def _euler_row(config, param, base, window, rows, row: int) -> OperatorReport:
     """apply_euler_row on a checked parameter, series' fields and row."""
     a_row = [config.columns[j][row] for j in range(config.n)]
     b = param[row]
@@ -259,15 +236,18 @@ def _euler_row(config, param, base, window, terms, row: int) -> OperatorReport:
     ) - b.numerator * (den // b.denominator)
     residual = {}
     if offset:
-        offset = Fraction(offset, den)
-        residual = {key: offset * c for key, c in terms.items()}
+        columns, top = rows
+        residual = {
+            (z, top - s): Fraction(offset * perm(top, s) * x, den * d)
+            for z, (num, d) in columns.items() for s, x in enumerate(num[:top + 1])
+        }
     return OperatorReport(f"euler[{row}]", window, residual)
 
 
-def _euler(config, param, base, window, terms):
+def _euler(config, param, base, window, rows):
     """apply_euler on a checked series' fields; the parameter is checked once."""
     param = _parameter(config, param)
-    return tuple(_euler_row(config, param, base, window, terms, row) for row in range(config.dim))
+    return tuple(_euler_row(config, param, base, window, rows, row) for row in range(config.dim))
 
 
 def apply_euler(config: LatticeConfig, param, series):
@@ -306,29 +286,31 @@ def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate
     equal to certify on each, but where the top solution T passes, certify
     runs on it alone.
 
-    Solution r is r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its term
-    at (z, k) is T's at (z, T-r+k) times r!(T-r+k)!/(k! T!), and its box
-    residual at (z, k) is T's at (z, T-r+k) times the same weight; its Euler
-    offsets are T's.  Where T passes, a solution r < T that has T's base
-    exponent, relation and window (_same), and exactly those terms
-    (_truncation), passes with the same reports, and gets T's certificate.
-    Any other solution, and every solution of a bundle whose top fails, goes
-    through certify itself, so a failure or a refusal reads as certify's.  A
-    one-solution bundle is one certify call.
+    Solution r's box residual is T's taken mod eps^(r+1), with the weight
+    r!(T-r+k)!/(k! T!) at (z, k), and its Euler offsets are T's.  Where T
+    passes, a solution r < T with T's base exponent, relation and window
+    (_same) passes with the same reports, and gets T's certificate, if it
+    holds T's rows at a degree up to T's, or if its terms are exactly that
+    truncation of T's terms (_truncation).  Any other solution, and every
+    solution of a bundle whose top fails, goes through certify itself, so a
+    failure or a refusal reads as certify's.  A one-solution bundle is one
+    certify call.
     """
     solutions = sequence(solutions, "solutions")
     if not solutions:
         return ()
     *lower, top = solutions
     certificate = certify(config, param, top)
-    *head, top_terms = _fields(top)
-    t, passed = len(lower), lower and certificate.passed and type(top_terms) is dict
-    degrees = Counter(j for _, j in top_terms) if passed else {}
+    *head, top_terms, top_rows = _fields(top)
+    t, passed = len(lower), lower and certificate.passed
+    degrees = Counter(j for _, j in top_terms) if passed and type(top_terms) is dict else {}
     certificates = []
     for r, series in enumerate(lower):
-        *fields, terms = _fields(series)
-        if passed and all(map(_same, fields, head)) and _truncation(
-            top_terms, terms, t, r, sum(n for j, n in degrees.items() if j >= t - r)
+        *fields, terms, rows = _fields(series)
+        if passed and all(map(_same, fields, head)) and (
+            rows[0] is top_rows[0] and rows[1] <= top_rows[1] if rows and top_rows
+            else type(top_terms) is dict
+            and _truncation(top_terms, terms, t, r, sum(n for j, n in degrees.items() if j >= t - r))
         ):
             certificates.append(certificate)
         else:

@@ -1595,3 +1595,86 @@ def test_writer_matches_json_dumps_with_exponent_entries(tmp_path):
                 code, out
             )
     assert shifted >= 2 and two_labels >= 1
+
+
+def test_integer_writer_prints_what_to_json_dict_prints():
+    # a series that holds its bundle's rows is written from them with no
+    # Fraction; each degree r of these rows must print as json.dumps of
+    # to_json_dict, whose terms are the Fractions r!/(r-s)! * N_s/den: zero
+    # entries, negative numerators, a weight that cancels all of the
+    # denominator (1/6 * 3!), or part of it (3/4 * 3!/1!), terms whose
+    # reduced denominator is 1 (-4/4, 12/12), and a log-free row
+    config = build_config([(1, 0), (1, 2), (1, 1)])
+    base = (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
+    products = {
+        -1: ((3, 0, -5, 7), 6),
+        0: ((0, 0, 0, 1), 6),
+        1: ((-4, 2, 3, 0), 4),
+        2: ((12, -8, 6, 5), 12),
+    }
+    reduced = {}  # one per bundle, as _bundle keeps it across the solutions
+    for r in range(4):
+        built = series._assemble(config, base, r, (-1, 2), products)
+        expected = json.dumps(built.to_json_dict(), indent=2)
+        assert built.terms and cli._series(built, "", reduced) == expected
+        assert cli._series(built, "", {}) == expected
+    assert {z: len(row) for z, row in reduced.items()} == {z: 4 for z in products}
+    terms = series._assemble(config, base, 3, (-1, 2), products).terms
+    assert (terms[(0, 0)], terms[(1, 1)], terms[(1, 3)], terms[(2, 3)]) == (1, Fraction(9, 2), -1, 1)
+    log_free = series._assemble(config, base, 0, (-1, 2), {0: ((-3,), 7), 1: ((5,), 1)})
+    assert cli._series(log_free, "", {}) == json.dumps(log_free.to_json_dict(), indent=2)
+    # a series made from its terms takes the Fraction route, to the same text
+    for built in (log_free, series._assemble(config, base, 2, (-1, 2), products)):
+        copy = LogSeries(*(getattr(built, name) for name in LogSeries._fields))
+        assert copy.rows is None and cli._series(copy, "", {}) == cli._series(built, "", {})
+
+
+def test_verify_builds_no_fraction_per_stored_entry(tmp_path):
+    # gkz1 verify certifies each bundle from its rows.  gkz1.series may build
+    # a Fraction where it sets up (the parameter's shift) and in a seed, whose
+    # coefficient_M rows are Fractions of gkz1.coefficients; no row of the
+    # walk may be one, and no solution's terms may be read.  Each Fraction is
+    # booked to the innermost function of gkz1 that built it, directly or
+    # through Fraction arithmetic
+    package = Path(cli.__file__).parent
+    codes = {Fraction.__new__.__code__,
+             getattr(Fraction, "_from_coprime_ints", Fraction.__new__).__code__}
+    series_file = str(package / "series.py")
+    # one bundle of five log solutions, and 150 log-free bundles
+    problems = [({"A": QUINTIC, "beta": [-1, 0, 0, 0, 0]}, "0:200", 5),
+                ({"A": [[1], [150]], "beta": ["1/7"]}, "-2:2", 150)]
+    for problem, window, solutions in problems:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        spec = cli._apply_overrides(
+            cli.load_problem(str(path)), cli._plain(["verify", "--input", "x", f"--window={window}"])
+        )
+        built, reads = {}, []
+
+        def profile(frame, event, arg):
+            if event != "call":
+                return
+            if frame.f_code in codes:
+                # a comprehension's frame is booked to the function it runs in
+                while frame is not None and (
+                    Path(frame.f_code.co_filename).parent != package
+                    or frame.f_code.co_name.startswith("<")
+                ):
+                    frame = frame.f_back
+                if frame is not None and frame.f_code.co_filename == series_file:
+                    built[frame.f_code.co_name] = built.get(frame.f_code.co_name, 0) + 1
+            elif frame.f_code.co_filename == series_file and frame.f_code.co_name == "__getattr__":
+                reads.append(frame.f_locals.get("name"))
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            report = json.loads("".join(cli.cmd_verify(spec)))
+        finally:
+            sys.setprofile(previous)
+        assert report["all_passed"] and len(report["checks"]) == solutions
+        assert set(built) <= {"solution_bundle", "_seed"}, built
+        # beta's shift, one sum per entry; from Python 3.12 a Fraction plus an
+        # int builds two, as the int is made a Fraction first
+        assert built.get("solution_bundle", 0) <= 2 * len(problem["beta"])
+        assert reads == []

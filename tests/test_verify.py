@@ -402,6 +402,74 @@ class TestCertifyBundle:
             assert _fractions_built(lambda: certify_bundle(config, param, solutions)) == 0
 
 
+def _printed(series):
+    """A SimpleNamespace of a series as solve prints it: its four fields, its
+    terms as the printed "p/q" strings, and no rows."""
+    data = series.to_json_dict()
+    return SimpleNamespace(**{**data, "terms": {(t["z"], t["r"]): t["coeff"] for t in data["terms"]}})
+
+
+def _quintic_at_200():
+    quintic = build_config(QUINTIC)
+    (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 200)).bundles
+    return quintic, bundle.parameter, bundle.solutions
+
+
+def _assert_routes_agree(config, param, solutions):
+    """certify and certify_bundle report on a bundle's solutions, read as
+    their rows, what they report on the printed terms; certify's reports."""
+    assert all(s.rows is not None for s in solutions)
+    printed = [_printed(s) for s in solutions]
+    got = [certify(config, param, s) for s in solutions]
+    assert got == [certify(config, param, p) for p in printed]
+    assert certify_bundle(config, param, solutions) == certify_bundle(config, param, printed)
+    return got
+
+
+class TestTwoRoutes:
+    """A builder's series enters the certificate as its rows, and a printed
+    one as its terms, through one reader (_linalg.grid_rows): the reports
+    must not tell the two apart."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bundle_cases())
+    def test_rows_read_as_printed_terms(self, case):
+        assert all(c.passed for c in _assert_routes_agree(*case))
+
+    def test_quintic_at_200(self):
+        config, param, solutions = _quintic_at_200()
+        got = _assert_routes_agree(config, param, solutions)
+        assert all(c.passed for c in got) and certify_bundle(config, param, solutions) == tuple(got)
+
+    def test_moved_row_numerator_fails_alike(self, gauss):
+        # one numerator N_s of the bundle's rows moved by +-1, read at the top
+        # degree and at a lower degree r >= s: that solution fails, alone in
+        # its bundle, on both routes, with one first failure
+        gauss_beta = (F(-1, 2), F(-1, 3), F(1))  # sigma = 2: two solutions
+        (pair,) = [b for b in solution_bundle(gauss, gauss_beta, window=(-4, 8)).bundles
+                   if len(b.solutions) == 2]
+        cases = [(*_quintic_at_200(), [(4, 4, 1), (4, 0, -1), (1, 1, -1)]),
+                 (gauss, pair.parameter, pair.solutions, [(1, 1, 1), (0, 0, -1)])]
+        for config, param, solutions, moves in cases:
+            top = solutions[-1]
+            products = top.rows[0]
+            zs = sorted(z for z, (num, _) in products.items() if any(num))
+            for r, s, delta in moves:
+                z = zs[len(zs) // 2]
+                num, den = products[z]
+                moved = {**products, z: (num[:s] + (num[s] + delta,) + num[s + 1:], den)}
+                series = gkz1.series._assemble(config, top.base_exponent, r, top.window, moved)
+                got, printed = certify(config, param, series), certify(config, param, _printed(series))
+                assert not got.passed and got == printed
+                assert got.box.first_failure == printed.box.first_failure
+                assert got.box == literal_box(config, series)
+                bundle = solutions[:r] + (series,) + solutions[r + 1:]
+                reports = certify_bundle(config, param, bundle)
+                assert [c.passed for c in reports] == [i != r for i in range(len(bundle))]
+                assert reports[r] == got
+                assert reports == certify_bundle(config, param, [_printed(x) for x in bundle])
+
+
 class TestSafeWindowSoundness:
     def test_shrinking_never_flips_to_failed(self, triangle, corner):
         cases = [
