@@ -25,8 +25,9 @@ solve and verify build every bundle, one per exponent, and check --r
 (SolutionBundle.solution, never built again) first, so a refusal prints
 nothing; then solve certifies, writes and drops one bundle at a time, and
 verify, whose all_passed comes first, certifies every bundle (one
-verify.certify_bundle call each) and writes one piece per bundle; a built
-series is written from its integer rows (_series), with no Fraction.  Each
+verify.certify_bundle call each) and writes one piece per bundle.  A built
+series is written from its integer rows (_series), with no Fraction, so
+verify, which writes none, builds its rows without lowest terms.  Each
 distinct certificate is written once per report (_certificate).  --format
 text is rendered by _text from the parsed JSON report, which it holds whole.
 """
@@ -298,8 +299,9 @@ def _exponent(exp, pad: str) -> str:
 def _series(series, pad: str, reduced: dict) -> str:
     """A series' text at pad; one that holds rows (LogSeries.rows) is written
     from them as str(Fraction) writes its terms: N_s/den in lowest terms by
-    one gcd, kept in reduced for the bundle's other solutions (a one-entry
-    row is reduced), times r!/(r-s)! over a gcd with that small weight."""
+    one gcd, kept in reduced for the bundle's other solutions and its
+    requested one (a one-entry row is reduced), times r!/(r-s)! over a gcd
+    with that small weight."""
     term = _form("term", pad + _STEP)
     if series.rows is None:
         terms = [term % (z, r, c) for (z, r), c in sorted(series.terms.items())]
@@ -354,12 +356,13 @@ def _certificate(certificate, pad: str, texts: dict) -> str:
     return text
 
 
-def _bundle(bundle, certificates, pad: str, texts: dict) -> str:
-    """A bundle's entry; certificates is None where nothing is verified, and
-    texts is the report's certificate texts (_certificate)."""
+def _bundle(bundle, certificates, pad: str, texts: dict, reduced: dict) -> str:
+    """A bundle's entry; certificates is None where nothing is verified,
+    texts is the report's certificate texts (_certificate) and reduced the
+    bundle's rows in lowest terms, filled as _series writes them."""
     inner = pad + _STEP
     verdict, solution = _form("verdict", inner), _form("solution", inner)
-    verification, reduced = _form("verification", inner), {}  # reduced: _series
+    verification = _form("verification", inner)
     # the verdicts carry the bundle's lift, and share most memberships: each once
     verdicts = bundle.certificates
     lift = _leaf(list(bundle.lift), inner)
@@ -430,16 +433,18 @@ def cmd_exponents(spec: ProblemSpec) -> chain:
     )
 
 
-def _bundle_report(spec: ProblemSpec):
+def _bundle_report(spec: ProblemSpec, lowest_terms=True):
     """The configuration, the parameter, the reported parameter and the bundles.
 
     The reported parameter is the first bundle's, shifted by u, as "p/q"
-    strings; with no bundle it is the parameter itself.
+    strings; with no bundle it is the parameter itself.  The bundles are
+    built under lowest_terms (solution_bundle), which only a command that
+    writes coefficients needs.
     """
     config = build_config(spec.columns)
     beta = parameter(config, spec.beta)
     report = solution_bundle(
-        config, beta, u=spec.u, u_lift=spec.lift, window=spec.window
+        config, beta, u=spec.u, u_lift=spec.lift, window=spec.window, lowest_terms=lowest_terms
     )
     shifted = report.bundles[0].parameter if report.bundles else beta.beta
     return config, beta, _rat_list(shifted), report
@@ -465,12 +470,14 @@ def cmd_solve(spec: ProblemSpec):
         report.expected_total, report.total_solutions, _BOOLS[report.complete],
     )
     texts = {}  # the report's certificate texts, each rendered once
+    # each bundle's reduced rows (_series), kept for the requested block if any
+    reduced = None if requested is None else [{} for _ in report.bundles]
     bundles = (
         [_bundle(
             b, certify_bundle(config, b.parameter, b.solutions) if spec.verify else None,
-            _STEP, texts,
+            _STEP, texts, {} if reduced is None else reduced[i],
         )]
-        for b in report.bundles
+        for i, b in enumerate(report.bundles)
     )
     if requested is None:
         return _pieces(head, bundles, "", _FORMS["end"])
@@ -479,8 +486,8 @@ def cmd_solve(spec: ProblemSpec):
     return chain(_pieces(head, bundles, "", ""), _pieces(
         _FORMS["requested"] % spec.r,
         (
-            [solution % (_exponent(b.exponent, item + "  "), _series(s, item + "  ", {}))]
-            for b, s in zip(report.bundles, requested)
+            [solution % (_exponent(b.exponent, item + "  "), _series(s, item + "  ", rows))]
+            for b, s, rows in zip(report.bundles, requested, reduced)
         ),
         "  ", _FORMS["requested end"],
     ))
@@ -490,8 +497,9 @@ def cmd_verify(spec: ProblemSpec):
     """The certificate of every solution of the bundles, in pieces, one per
     bundle; no series is written.  all_passed comes first, so every bundle is
     certified before the first piece.  A degree request (--r) fails here
-    exactly as it fails in solve."""
-    config, _, shifted, report = _bundle_report(spec)
+    exactly as it fails in solve.  As it writes no coefficient, its bundles'
+    log-free rows need not be in lowest terms (solution_bundle)."""
+    config, _, shifted, report = _bundle_report(spec, lowest_terms=False)
     _requested(spec, report)
     certified = [
         (bundle, certify_bundle(config, bundle.parameter, bundle.solutions))

@@ -13,7 +13,11 @@ reads too.  Each C(z) is kept as its row, integer numerators over one
 denominator, with no Fraction; the rows are a bundle's one data format.
 Each solution holds them at its degree (LogSeries.rows), the certificate
 reads them as they are, and gkz1.cli writes each coefficient from them, so
-a Fraction is made only where a caller reads a series' terms.
+a Fraction is made only where a caller reads a series' terms.  A row's
+content gcd(den, *num) is 1, so a log-free row's one entry is in lowest
+terms, which the writer relies on; under lowest_terms=False, which gkz1
+verify passes as it prints no coefficient, a log-free row stepped by a
+ratio wider than one int digit is left unreduced instead.
 
 One builder, _build, makes the certificates and the solutions of an
 exponent.  solution_bundle builds each exponent up to its multiplicity, and
@@ -31,6 +35,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, perm, prod
 from operator import mul
+from sys import int_info
 
 from ._linalg import fracs, grid_fields, integer, integers, pair, sequence, window_bounds
 from ._record import Record
@@ -56,6 +61,8 @@ from .lattice import LatticeConfig, _box_row, _box_sides, parameter
 
 # the shifts z that a series keeps when no window is given, ends included
 DEFAULT_WINDOW = (-10, 20)
+# one digit of a CPython int: an unreduced log-free step is one wider than this
+_DIGIT = 1 << int_info.bits_per_digit
 
 
 def _fields(data, where: str, names: tuple) -> list:
@@ -74,7 +81,9 @@ class LogSeries(Record):
     A series that _assemble builds holds rows = (products, r), its bundle's
     rows z -> ((N_0, ..., N_top), den) and its degree r <= top, and its terms
     c[(z, r-s)] = r!/(r-s)! * N_s/den are made as Fractions on each read (so
-    keep them to read them often); any other series has rows None.
+    keep them to read them often); coefficient, log_part, is_zero and
+    max_log_degree read the rows instead, and make a Fraction only for an
+    entry they return.  Any other series has rows None.
     """
 
     rows = None
@@ -103,19 +112,43 @@ class LogSeries(Record):
         return cls(base, relation, window, {k: c for k, c in terms.items() if c})
 
     def coefficient(self, z: int, r: int = 0) -> Fraction:
-        return self.terms.get((z, r), Fraction(0))
+        """c[(z, r)], one Fraction made; of a series with rows, read from its row."""
+        if self.rows is None:
+            return self.terms.get((z, r), Fraction(0))
+        products, degree = self.rows
+        s, row = degree - r, products.get(z)
+        if row is None or not 0 <= s <= degree:
+            return Fraction(0)
+        return Fraction(perm(degree, s) * row[0][s], row[1])
 
     @property
     def max_log_degree(self) -> int:
-        return max((r for _, r in self.terms), default=0)
+        if self.rows is None:
+            return max((r for _, r in self.terms), default=0)
+        products, degree = self.rows
+        return next((degree - s for s in range(degree + 1) if any(
+            num[s] for num, _ in products.values()
+        )), 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        if self.rows is None:
+            return not self.terms
+        products, degree = self.rows
+        return not any(any(num[:degree + 1]) for num, _ in products.values())
 
     def log_part(self, r: int) -> dict[int, Fraction]:
-        """Coefficients {z: c} of log^r x0."""
-        return {z: c for (z, rr), c in self.terms.items() if rr == r}
+        """Coefficients {z: c} of log^r x0; of a series with rows, one Fraction each."""
+        if self.rows is None:
+            return {z: c for (z, rr), c in self.terms.items() if rr == r}
+        products, degree = self.rows
+        s = degree - r
+        if not 0 <= s <= degree:
+            return {}
+        weight = perm(degree, s)
+        return {
+            z: Fraction(weight * num[s], den) for z, (num, den) in products.items() if num[s]
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,7 +222,7 @@ def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     return num, den
 
 
-def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
+def _epsilon_products(rel, vec, lift, base, members, top, lowest_terms=True) -> dict[int, tuple]:
     """z -> ((N_0, ..., N_top), den), [eps^s] C(z) = N_s/den, for every member z.
 
     C(z, eps) = prod_mu sum_{s <= top} M(l_mu(z), s, v_mu) * (rel[mu]*eps)^s
@@ -214,8 +247,12 @@ def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
     gcd(den, *num) at each seed and step, so den is the lcm of the entries'
     reduced denominators.  A log-free C (top = 0) is stepped as Fraction
     multiplies, by one ratio p/q with gcds of p and q only, which is faster
-    there than the content gcd of the product; its one entry stays in
-    lowest terms.  No Fraction is built.
+    there than the content gcd of the product; under lowest_terms its one
+    entry stays in lowest terms.  Without it, a step whose p or q is wider
+    than one CPython digit (_DIGIT) multiplies num by p and den by q and
+    takes no gcd: den stays positive and the entry's value is the same, but
+    it may be left unreduced, which only a printed coefficient would see.
+    No Fraction is built.
 
     Before anything is built, each column is checked, in index order, at
     its largest l over the sorted members: the first in the excluded strip
@@ -238,12 +275,17 @@ def _epsilon_products(rel, vec, lift, base, members, top) -> dict[int, tuple]:
             num, den = _seed(vec, lift, rel, z, top)
             g = 0  # the content may hold any prime
         elif not top:
-            # n/den times p/q in lowest terms, by gcds with p or q, as Fraction does
             p, q = _box_row(minus, z - 1, 0)[0] * scale, a[0] * unscale
-            g = gcd(p, q)
-            p, q = p // g, q // g
-            g, h = gcd(num[0], q), gcd(p, den)
-            num, den, g = [num[0] // g * (p // h)], den // h * (q // g), 1
+            if lowest_terms or (abs(p) | abs(q)) < _DIGIT:
+                # n/den times p/q in lowest terms, by gcds with p or q, as Fraction does
+                g = gcd(p, q)
+                p, q = p // g, q // g
+                g, h = gcd(num[0], q), gcd(p, den)
+                num, den = [num[0] // g * (p // h)], den // h * (q // g)
+            else:
+                # a ratio wider than one digit: its gcds would cost more than they save
+                num, den = [num[0] * p], den * q
+            g = 1
         else:
             # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
             # with r'[n] = scale * a0^(top-n) * r[n]
@@ -290,7 +332,7 @@ def _assemble(config, base, r, window, products) -> LogSeries:
     return series
 
 
-def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
+def _build(config, vec, lift, cap, window, lowest_terms=True) -> tuple[tuple, tuple]:
     """The certificates and the solutions of one exponent, for degrees below cap.
 
     The certificates are the support verdicts of every index set missing
@@ -300,7 +342,8 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
     to the last degree r for which every index set missing at most r
     columns keeps minimal negative support; all of them read one
     eps-product per shift in the memberships of those sets, each distinct
-    membership clipped to the window once.
+    membership clipped to the window once, and stepped under lowest_terms
+    (_epsilon_products).
     """
     lo, hi = window_bounds(window)
     n = config.n
@@ -317,7 +360,9 @@ def _build(config, vec, lift, cap, window) -> tuple[tuple, tuple]:
         members.update(membership.clip(lo, hi))
     # only a nonzero lift entry is added: x + 0 would build an equal Fraction
     base = tuple(x + l if l else x for x, l in zip(vec, lift))
-    products = _epsilon_products(config.relation, vec, lift, base, sorted(members), max(r_top, 0))
+    products = _epsilon_products(
+        config.relation, vec, lift, base, sorted(members), max(r_top, 0), lowest_terms
+    )
     solutions = tuple(
         _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
     )
@@ -412,13 +457,18 @@ class BundleReport(Record):
 
 
 def solution_bundle(
-    config: LatticeConfig, beta, u=None, u_lift=None, window=DEFAULT_WINDOW
+    config: LatticeConfig, beta, u=None, u_lift=None, window=DEFAULT_WINDOW, *,
+    lowest_terms=True,
 ) -> BundleReport:
     """Construct every available log solution for the parameter beta + u.
 
     Works through the normalized exponents of beta; for each, builds the
     solutions of all degrees the minimal-support hypothesis allows, and
-    collects diagnostics instead of failing when it caps out early.
+    collects diagnostics instead of failing when it caps out early.  With
+    lowest_terms=False a log-free row may be left unreduced where its walk
+    steps by a wide ratio (_epsilon_products): its terms, the bundles'
+    equality and their certificates are unchanged, and only a reader of
+    the rows themselves, such as a writer of coefficients, would see it.
     """
     beta = parameter(config, beta)
     if u_lift is None:
@@ -432,6 +482,8 @@ def solution_bundle(
     primes = exponent_set_prime(config, beta)
     bundles = []
     for exp in primes.exponents:
-        certificates, solutions = _build(config, exp.vector, lift, exp.multiplicity, window)
+        certificates, solutions = _build(
+            config, exp.vector, lift, exp.multiplicity, window, lowest_terms
+        )
         bundles.append(SolutionBundle(gamma, exp, lift, solutions, certificates))
     return BundleReport(tuple(bundles), config.positive_sum)

@@ -529,13 +529,15 @@ def test_solve_peak_memory_is_bounded_by_a_bundle(monkeypatch, tmp_path):
 def test_excluded_case_prints_nothing(capsys, monkeypatch, tmp_path, command, text):
     # ExcludedCase is raised while a bundle is built, and every bundle is
     # built before the first byte: here the last of five bundles raises it
+    # built in lowest terms only where coefficients are written
     builds = []
 
-    def excluded(config, vec, lift, cap, window):
+    def excluded(config, vec, lift, cap, window, lowest_terms):
+        assert lowest_terms is (command == "solve")
         builds.append(vec)
         if len(builds) == 5:
             raise ExcludedCase(1, 0, vec[0])
-        return build(config, vec, lift, cap, window)
+        return build(config, vec, lift, cap, window, lowest_terms)
 
     build = series._build
     monkeypatch.setattr(series, "_build", excluded)
@@ -690,6 +692,31 @@ class TestSolve:
         assert [s["series"] for s in requested] == [
             b["solutions"][1]["series"] for b in report["bundles"]
         ]
+
+    def test_requested_block_reads_each_bundles_reduced_rows(self, capsys, monkeypatch, tmp_path):
+        # each requested solution is written from the rows in lowest terms
+        # that writing its bundle kept, so no row is reduced twice; relation
+        # (2, 2, -1) at this beta has two bundles of two solutions each
+        path = tmp_path / "towers.json"
+        path.write_text(json.dumps({
+            "A": [[0, -2, -1], [-1, 2, 0], [-2, 0, -2]], "beta": [-4, 2, -3], "window": [-2, 6],
+        }))
+        calls = []
+
+        def recorded(series, pad, reduced):
+            calls.append((series.rows[0], reduced, len(reduced)))
+            return write(series, pad, reduced)
+
+        write = cli._series
+        monkeypatch.setattr(cli, "_series", recorded)
+        code, out, _ = run(capsys, "solve", "--input", str(path), "--r", "1")
+        assert code == 0
+        requested = len(json.loads(out)["requested_degree"]["solutions"])
+        written, asked = calls[:-requested], calls[-requested:]
+        assert requested > 1 and len({id(reduced) for _, reduced, _ in written}) == requested
+        for products, reduced, size in asked:
+            assert size == len(products)
+            assert any(r is reduced for p, r, _ in written if p is products)
 
     def test_requested_degree_too_big(self, capsys, triangle_file):
         code, _, err = run(capsys, "solve", "--input", triangle_file, "--r", "5")

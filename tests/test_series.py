@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -15,6 +15,7 @@ from gkz1 import (
     LogSeries,
     build_config,
     certify,
+    certify_bundle,
     exponent_set_prime,
     log_solution,
     phi_series,
@@ -523,6 +524,114 @@ class TestDeepWindows:
         assert bundle.solutions[0].terms == {(z, 0): c for z, c in GOLDEN.items()}
         for series in bundle.solutions:
             assert certify(triangle, bundle.parameter, series).passed
+
+
+class TestRowReads:
+    """A built series answers coefficient, log_part, is_zero and
+    max_log_degree from its rows, as its terms would answer them."""
+
+    def test_coefficient_makes_one_fraction(self, monkeypatch):
+        config = build_config(QUINTIC)
+        (bundle,) = solution_bundle(config, (-1, 0, 0, 0, 0), window=(0, 200)).bundles
+        terms = [series.terms for series in bundle.solutions]
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return F(*args)
+
+        monkeypatch.setattr(gkz1.series, "Fraction", counted)
+        for series, kept in zip(bundle.solutions, terms):
+            for z in range(-1, 202):
+                for r in range(-1, 6):
+                    made.clear()
+                    assert series.coefficient(z, r) == kept.get((z, r), 0)
+                    assert len(made) == 1, (z, r)
+
+    def test_row_readers_agree_with_the_terms(self, triangle):
+        reports = [
+            solution_bundle(build_config(QUINTIC), (-1, 0, 0, 0, 0), window=(0, 12)),
+            solution_bundle(triangle, [10, 8], window=(-3, 8)),
+            # past the polynomial: every N_0 is 0, so solution 0 is zero and
+            # solution 1 has no log term
+            solution_bundle(triangle, [10, 8], window=(5, 8)),
+        ]
+        for bundle in (b for report in reports for b in report.bundles):
+            for built in bundle.solutions:
+                copy = LogSeries(*(getattr(built, name) for name in LogSeries._fields))
+                assert built.rows is not None and copy.rows is None
+                assert built.is_zero == copy.is_zero
+                assert built.max_log_degree == copy.max_log_degree
+                for r in range(-1, 6):
+                    assert built.log_part(r) == copy.log_part(r)
+        zero, one = reports[2].bundles[0].solutions
+        assert zero.is_zero and not one.is_zero and one.max_log_degree == 0
+
+
+TRIANGLE_80 = [(1, 0), (1, 80), (1, 1)]  # (79, 1, -80)
+
+
+def _certified(config, report):
+    return [certify_bundle(config, b.parameter, b.solutions) for b in report.bundles]
+
+
+def _log_free_rows(report):
+    return [row for b in report.bundles for s in b.solutions[:1] for row in s.rows[0].values()
+            if len(row[0]) == 1]
+
+
+def _assert_unreduced_walk_certifies_alike(config, beta, window) -> int:
+    """The default bundles keep every log-free row in lowest terms, and the
+    bundles built with lowest_terms=False are equal to them and certify
+    alike; returns the number of log-free rows left unreduced."""
+    reduced = solution_bundle(config, beta, window=window)
+    unreduced = solution_bundle(config, beta, window=window, lowest_terms=False)
+    assert all(gcd(num[0], den) == 1 and den > 0 for num, den in _log_free_rows(reduced))
+    assert unreduced == reduced
+    assert all(den > 0 for _, den in _log_free_rows(unreduced))
+    certificates = _certified(config, unreduced)
+    assert certificates == _certified(config, reduced)
+    assert all(c.passed for bundle in certificates for c in bundle)
+    return sum(gcd(num[0], den) > 1 for num, den in _log_free_rows(unreduced))
+
+
+class TestLowestTerms:
+    """solution_bundle(lowest_terms=False) leaves a log-free row unreduced
+    only where its walk steps by a ratio wider than one int digit."""
+
+    @pytest.mark.parametrize("points, beta, window", [
+        (TRIANGLE_80, (F(1, 3), F(2, 5)), (-10, 20)),
+        ([(1,), (150,)], (F(1, 7),), (-10, 20)),
+        (QUINTIC, (F(-1, 2), F(1, 3), F(1, 5), F(1, 7), F(1, 11)), (-10, 20)),
+    ])
+    def test_named_cases(self, points, beta, window):
+        assert _assert_unreduced_walk_certifies_alike(build_config(points), beta, window) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(0, 30))
+    def test_random_relations(self, seed, width):
+        rng = random.Random(seed)
+        config = random_relation_config(rng, 30) if seed % 2 else random_config(rng)
+        beta = random_nonresonant_beta(rng, config)
+        lo = rng.randint(-5, 5)
+        try:
+            unreduced = _assert_unreduced_walk_certifies_alike(config, beta, (lo, lo + width))
+        except ExcludedCase:
+            event("refused: ExcludedCase")
+            return
+        event(f"a row left unreduced: {unreduced > 0}")
+
+    def test_narrow_steps_are_reduced(self, triangle):
+        # at beta = (1/3, 1/5) every ratio of the walk on (0, 100) fits one
+        # digit: the rows are the default's, entry for entry
+        beta, window = (F(1, 3), F(1, 5)), (0, 100)
+        rows = [
+            [b.solutions[0].rows[0] for b in solution_bundle(
+                triangle, beta, window=window, lowest_terms=terms
+            ).bundles]
+            for terms in (True, False)
+        ]
+        assert rows[0] == rows[1]
 
 
 def _assert_matches_multiset_sum(config, beta, window, u_lift=None) -> int:
