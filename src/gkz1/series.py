@@ -345,7 +345,7 @@ def _build(config, vec, lift, cap, window, lowest_terms=True) -> tuple[tuple, tu
     membership clipped to the window once, and stepped under lowest_terms
     (_epsilon_products).
     """
-    lo, hi = window_bounds(window)
+    lo, hi = window = window_bounds(window)
     n = config.n
     everything = frozenset(range(n))
     verdicts = _support_verdicts(config, vec, lift, [
@@ -363,9 +363,9 @@ def _build(config, vec, lift, cap, window, lowest_terms=True) -> tuple[tuple, tu
     products = _epsilon_products(
         config.relation, vec, lift, base, sorted(members), max(r_top, 0), lowest_terms
     )
-    solutions = tuple(
-        _assemble(config, base, r, (lo, hi), products) for r in range(r_top + 1)
-    )
+    # one base and one window object for the bundle, which certify_bundle
+    # then need not read for each solution
+    solutions = tuple(_assemble(config, base, r, window, products) for r in range(r_top + 1))
     return tuple(verdicts), solutions
 
 

@@ -49,11 +49,11 @@ a passing certificate has none of.
 
 certify_bundle certifies a bundle's solutions together.  Solution r is
 r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its box residual is the
-top solution T's taken mod eps^(r+1), and its Euler offsets are T's.  Where
-T passes, a lower solution that holds T's rows at its degree has T's
-certificate, and its terms are never read; one that has terms only is
-checked to be T's weighted truncation, term by term in integers.  certify
-runs on T alone.
+top solution T's taken mod eps^(r+1), and its Euler offsets are T's.  certify
+runs on T; where T passes, a lower solution that holds T's rows at its
+degree, on T's base exponent, relation and window as grid_rows reads them,
+has T's certificate, and its terms are never read.  Every other solution
+goes through certify itself.
 
 A series argument is a LogSeries, or anything with its four fields; the
 operators take what _check_grid read, so a certificate runs no builder code
@@ -62,10 +62,9 @@ and imports none.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm, perm
-from operator import mul
+from operator import is_, mul
 
 from ._linalg import fracs, grid_rows, integer, sequence
 from ._record import Record
@@ -287,75 +286,30 @@ def certify_bundle(config: LatticeConfig, param, solutions) -> tuple[Certificate
     runs on it alone.
 
     Solution r's box residual is T's taken mod eps^(r+1), with the weight
-    r!(T-r+k)!/(k! T!) at (z, k), and its Euler offsets are T's.  Where T
-    passes, a solution r < T with T's base exponent, relation and window
-    (_same) passes with the same reports, and gets T's certificate, if it
-    holds T's rows at a degree up to T's, or if its terms are exactly that
-    truncation of T's terms (_truncation).  Any other solution, and every
-    solution of a bundle whose top fails, goes through certify itself, so a
-    failure or a refusal reads as certify's.  A one-solution bundle is one
-    certify call.
+    r!(T-r+k)!/(k! T!) at (z, k), and its Euler offsets are T's.  So where T
+    passes, a solution r < T that holds T's rows at a degree up to T's, with
+    T's base exponent, relation and window as grid_rows reads them, passes
+    with the same reports and gets T's certificate.  Any other solution, and
+    every solution of a bundle whose top fails, goes through certify itself,
+    so a failure or a refusal reads as certify's.  A one-solution bundle is
+    one certify call.
     """
     solutions = sequence(solutions, "solutions")
     if not solutions:
         return ()
     *lower, top = solutions
     certificate = certify(config, param, top)
-    *head, top_terms, top_rows = _fields(top)
-    t, passed = len(lower), lower and certificate.passed
-    degrees = Counter(j for _, j in top_terms) if passed and type(top_terms) is dict else {}
+    top_fields = _fields(top)
+    shared = certificate.passed and top_fields[4]  # the rows a lower solution must hold
     certificates = []
-    for r, series in enumerate(lower):
-        *fields, terms, rows = _fields(series)
-        if passed and all(map(_same, fields, head)) and (
-            rows[0] is top_rows[0] and rows[1] <= top_rows[1] if rows and top_rows
-            else type(top_terms) is dict
-            and _truncation(top_terms, terms, t, r, sum(n for j, n in degrees.items() if j >= t - r))
+    for series in lower:
+        fields = _fields(series)
+        rows = fields[4]
+        if rows and shared and rows[0] is shared[0] and rows[1] <= shared[1] and (
+            all(map(is_, fields[:3], top_fields[:3]))  # the same objects read alike
+            or grid_rows(*fields)[:3] == grid_rows(*top_fields)[:3]
         ):
             certificates.append(certificate)
         else:
             certificates.append(certify(config, param, series))
     return (*certificates, certificate)
-
-
-def _same(a, b) -> bool:
-    """Whether a field of a series reads as another, certified, one does: the
-    same object, or an equal tuple with entries of the same types (so that
-    an entry 1.0, which the reader refuses, is not taken for 1)."""
-    return a is b or (
-        type(a) is type(b) is tuple and a == b and [*map(type, a)] == [*map(type, b)]
-    )
-
-
-def _truncation(top, terms, t, r, size) -> bool:
-    """Whether terms, those of solution r, are c[(z, k)] = top[(z, t-r+k)] *
-    r!(t-r+k)!/(k! t!) on int keys with 0 <= k <= r, with Fraction values,
-    and no others: size is how many terms of top have log degree >= t - r.
-    The weight is perm(t-r+k, t-r)/perm(t, t-r), its numerator read from one
-    table of the r + 1 degrees k.  For reduced c = n/d and a, c equals a
-    times the weight exactly when d divides a's denominator times perm(t,
-    t-r), with a quotient q of the weights' size, and n * q equals a's
-    numerator times the weight's numerator: one division and two products of
-    a coefficient by a small integer, where cross-multiplying took two of two
-    coefficients.
-    """
-    if type(terms) is not dict or len(terms) != size:
-        return False
-    d = t - r
-    scale = perm(t, d)
-    weights = [perm(d + k, d) for k in range(r + 1)]
-    for key, c in terms.items():
-        if type(key) is not tuple or len(key) != 2:
-            return False
-        z, k = key
-        if type(z) is not int or type(k) is not int or type(c) is not Fraction:
-            return False
-        if not 0 <= k <= r:
-            return False
-        a = top.get((z, d + k))
-        if type(a) is not Fraction:
-            return False
-        t, rem = divmod(a.denominator * scale, c.denominator)
-        if rem or c.numerator * t != a.numerator * weights[k]:
-            return False
-    return True

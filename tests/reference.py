@@ -5,6 +5,9 @@ arithmetic with the route it checks:
 
 - ``literal_box`` applies the box operator as |relation|_1 single
   derivative passes d/dx_mu over the coefficient grid;
+- ``derivative_reference`` applies d/dx_mu to a series term by term, so
+  the solutions at beta give solutions at beta - a_mu, which no route of
+  the package builds from them;
 - ``box_side_reference`` expands one side's factor F_z(eps) of the box
   operator's two-term recurrence as a product of ``Fraction`` polynomials,
   one linear factor at a time, straight from the base exponent and the
@@ -190,6 +193,19 @@ def _derivative_step(terms, base, mu, relation):
         x - 1 if idx == mu else x for idx, x in enumerate(base)
     )
     return {k: v for k, v in out.items() if v}, new_base
+
+
+def derivative_reference(series: LogSeries, mu: int) -> LogSeries:
+    """d/dx_mu of a series, one _derivative_step on its grid: the base b
+    becomes b - e_mu, the relation and the window stay, and
+
+        c'(z, r) = (b_mu + z*rel[mu]) * c(z, r) + (r+1) * rel[mu] * c(z, r+1).
+
+    d/dx_mu commutes with the box operator and carries the Euler system at
+    beta to the one at beta - a_mu, so it maps solutions at beta to
+    solutions at beta - a_mu (contiguity)."""
+    terms, base = _derivative_step(series.terms, series.base_exponent, mu, series.relation)
+    return LogSeries.make(base, series.relation, series.window, terms)
 
 
 def literal_box(config, series: LogSeries) -> OperatorReport:

@@ -42,7 +42,9 @@ from conftest import (
 from reference import (
     MismatchDetected,
     SigmaIntegral,
+    _rref_reference,
     coefficient_M_reference,
+    derivative_reference,
     gauss_oracle,
     indicial_classes_reference,
     line_class,
@@ -1027,3 +1029,59 @@ class TestIndicialPolynomial:
     ])
     def test_mirror_families(self, relation, sizes):
         assert _indicial_bundle_sizes(*_family(relation)) == sizes
+
+
+def _steps(relation, base, other):
+    """The integer k with other = base + k*relation, or None."""
+    k = next((y - x) / e for x, y, e in zip(base, other, relation) if e)
+    if k.denominator != 1 or any(y != x + k * e for x, y, e in zip(base, other, relation)):
+        return None
+    return int(k)
+
+
+def _rank(rows, ncols) -> int:
+    return len(_rref_reference([list(row) for row in rows], ncols))
+
+
+class TestContiguity:
+    """d/dx_mu (derivative_reference) maps a solution at beta to one at
+    beta - a_mu: for nonresonant beta it is an isomorphism, so each derived
+    series certifies there and lies in the span of gkz1's bundle of its
+    class, which a build at another parameter makes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lo=st.integers(-4, 2), width=st.integers(0, 8),
+           data=st.data())
+    def test_derived_bundles_certify_in_gkz1s_span(self, seed, lo, width, data):
+        rng = random.Random(seed)
+        config = random_config(rng)
+        beta = random_nonresonant_beta(rng, config)
+        mu = data.draw(st.integers(0, config.n - 1), label="mu")
+        shifted = tuple(b - a for b, a in zip(beta, config.columns[mu]))
+        window = (lo, lo + width)
+        there = solution_bundle(config, shifted, window=window).bundles
+        for bundle in solution_bundle(config, beta, window=window).bundles:
+            derived = [derivative_reference(s, mu) for s in bundle.solutions]
+            got = certify_bundle(config, shifted, derived)
+            assert all(c.passed for c in got)
+            assert list(got) == [certify(config, shifted, s) for s in derived]
+            # gkz1's bundle of the class: base b'' = b' + k*rel, so the
+            # derived term at (z, r) is gkz1's at (z - k, r)
+            base = derived[0].base_exponent
+            steps = [(b, _steps(config.relation, base, b.solutions[0].base_exponent)) for b in there]
+            ((target, k),) = [(b, k) for b, k in steps if k is not None]
+            shifts = range(max(lo, lo + k), min(lo + width, lo + width + k) + 1)
+            keys = [(z, r) for z in shifts for r in range(len(target.solutions))]
+            basis = []
+            for s in target.solutions:
+                terms = s.terms
+                basis.append([terms.get((z - k, r), F(0)) for z, r in keys])
+            rank = _rank(basis, len(keys))
+            for s in derived:
+                assert max((r for _, r in s.terms), default=0) < len(target.solutions)
+                vector = [s.terms.get(key, F(0)) for key in keys]
+                assert _rank(basis + [vector], len(keys)) == rank
+            if len(bundle.solutions) > 1:
+                event("a bundle with logarithms")
+            if k:
+                event("grids aligned by a nonzero shift")

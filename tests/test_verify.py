@@ -318,26 +318,35 @@ class TestCertifyBundle:
                 got = _assert_as_certify(quintic, bundle.parameter, broken)
                 assert sum(not c.passed for c in got) == 1
 
-    def test_lower_solution_read_otherwise(self):
-        # a lower solution whose fields equal the top's but read otherwise,
-        # or are no longer Fractions on int keys, goes through certify
+    def test_lower_solution_read_otherwise(self, monkeypatch):
+        # a lower solution with terms only, whose fields equal the top's but
+        # read otherwise or are no longer Fractions on int keys, is certified
+        # by itself: certify runs on the top and on it
+        import gkz1.verify as verify
+
         quintic = build_config(QUINTIC)
         (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 4)).bundles
-        s = bundle.solutions[0]
+        s, top = bundle.solutions[0], bundle.solutions[-1]
+        certified = []
+        certify_ = verify.certify
+        monkeypatch.setattr(verify, "certify", lambda *a: certified.append(a[2]) or certify_(*a))
         variants = [
             LogSeries(s.base_exponent, list(s.relation), list(s.window), s.terms),
             LogSeries(s.base_exponent, s.relation, s.window,
                       {key: str(c) for key, c in s.terms.items()}),
             LogSeries(s.base_exponent, s.relation, s.window,
                       {key: int(c) if c.denominator == 1 else c for key, c in s.terms.items()}),
+            LogSeries(s.base_exponent, s.relation, s.window, s.terms),
         ]
         for variant in variants:
+            certified.clear()
             _assert_as_certify(quintic, bundle.parameter, (variant, *bundle.solutions[1:]))
+            assert certified == [top, variant]
         floats = LogSeries(s.base_exponent, s.relation, (0.0, 4.0), s.terms)
         with pytest.raises(InputError):
             certify_bundle(quintic, bundle.parameter, (floats, *bundle.solutions[1:]))
-        # a zero off the grid, at log degree -1, in place of a term: the top's
-        # term at (1, 3) times the weight there, 0, would match it
+        # a zero off the grid, at log degree -1, in place of a term, is
+        # refused alike
         terms = dict(s.terms)
         del terms[(1, 0)]
         terms[(1, -1)] = F(0)
@@ -346,21 +355,41 @@ class TestCertifyBundle:
             with pytest.raises(ValueError, match="off its grid"):
                 call(quintic, bundle.parameter, off)
 
-    def test_truncation_divides_exactly(self):
-        import gkz1.verify as verify
+    def test_top_rows_on_fields_read_otherwise(self):
+        # a lower solution that holds the top's rows shares its certificate
+        # only where its fields read as the top's: a list window does, a
+        # float window is refused as certify refuses it, and another window
+        # goes through certify
+        from gkz1.series import _assemble
 
-        # solution 0 under a top of degree 1 is the top's degree-1 terms, of
-        # weight 1: 1/2 is not 1/3, though 1 * (3 // 2) equals 1 * 1
-        top = {(0, 0): F(5), (0, 1): F(1, 3)}
-        assert verify._truncation(top, {(0, 0): F(1, 3)}, 1, 0, 1)
-        assert not verify._truncation(top, {(0, 0): F(1, 2)}, 1, 0, 1)
+        quintic = build_config(QUINTIC)
+        (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 4)).bundles
+        s, rest, top = bundle.solutions[0], bundle.solutions[1:], bundle.solutions[-1]
+        products, degree = s.rows
+        assert degree == 0 and products is top.rows[0]
+        listed = _assemble(quintic, s.base_exponent, 0, [0, 4], products)
+        shared = SimpleNamespace(base_exponent=list(s.base_exponent), relation=list(s.relation),
+                                 window=[0, 4], rows=s.rows)
+        for series in (listed, shared):
+            got = _assert_as_certify(quintic, bundle.parameter, (series, *rest))
+            assert got[0] is got[-1] and got[0].passed
+        wider = SimpleNamespace(base_exponent=s.base_exponent, relation=s.relation,
+                                window=(0, 5), rows=s.rows)
+        got = _assert_as_certify(quintic, bundle.parameter, (wider, *rest))
+        assert not got[0].passed and got[-1].passed
+        floats = _assemble(quintic, s.base_exponent, 0, [0.0, 4], products)
+        with pytest.raises(InputError) as refused:
+            certify(quintic, bundle.parameter, floats)
+        with pytest.raises(InputError) as refused_in_bundle:
+            certify_bundle(quintic, bundle.parameter, (floats, *rest))
+        assert str(refused_in_bundle.value) == str(refused.value)
 
     def test_box_runs_once_on_a_passing_bundle(self, monkeypatch):
         import gkz1.verify as verify
 
         quintic = build_config(QUINTIC)
         (bundle,) = solution_bundle(quintic, (-1, 0, 0, 0, 0), window=(0, 30)).bundles
-        calls = {"_box": 0, "_check_grid": 0}
+        calls = {"_box": 0, "_check_grid": 0, "grid_rows": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(verify, name)):
                 calls[_name] += 1
@@ -368,12 +397,13 @@ class TestCertifyBundle:
             monkeypatch.setattr(verify, name, counted)
         certificates = certify_bundle(quintic, bundle.parameter, bundle.solutions)
         assert len(certificates) == 5 and all(c.passed for c in certificates)
-        assert calls == {"_box": 1, "_check_grid": 1}
-        # series read back from JSON share no field with each other, but
-        # their fields are equal tuples of the same types
+        # the built solutions share the top's field objects: none is read
+        assert calls == {"_box": 1, "_check_grid": 1, "grid_rows": 1}
+        # series read back from JSON hold terms, not rows, so each is
+        # certified by itself, with the built bundle's certificates
         read = tuple(LogSeries.from_json_dict(s.to_json_dict()) for s in bundle.solutions)
         assert certify_bundle(quintic, bundle.parameter, read) == certificates
-        assert calls == {"_box": 2, "_check_grid": 2}
+        assert calls == {"_box": 1 + 5, "_check_grid": 1 + 5, "grid_rows": 1 + 5}
 
     def test_one_solution_bundle_is_one_certify(self, monkeypatch):
         import gkz1.verify as verify
