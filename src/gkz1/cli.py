@@ -47,7 +47,7 @@ from ._record import Record
 from .classify import is_mum_holomorphic, singularity_type
 from .errors import GkzError, InputError
 from .exponents import exponent_blocks
-from .lattice import _Points, build_config, is_nonresonant, parameter, volume_crosscheck
+from .lattice import _Points, _box_row, build_config, is_nonresonant, parameter, volume_crosscheck
 from .series import DEFAULT_WINDOW, solution_bundle
 from .verify import certify_bundle
 
@@ -626,19 +626,22 @@ def main(argv=None) -> int:
     Exact coefficients can have more digits than Python's limit on int-to-str
     conversion allows.  Where that limit exists (sys.set_int_max_str_digits),
     it is lifted while the command runs and writes its report, and restored
-    afterwards, so the output never depends on it.
+    afterwards, so the output never depends on it.  The box rows that the
+    command's walks and certificates shared (gkz1.lattice._box_row) are
+    dropped when it ends, so every command starts with none kept.
     """
     argv = sys.argv[1:] if argv is None else argv
     args = _plain(argv) or _parser().parse_args(argv)
     set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return _run(args)
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
+    limit = set_limit and sys.get_int_max_str_digits()
+    if set_limit:
+        set_limit(0)
     try:
         return _run(args)
     finally:
-        set_limit(limit)
+        if set_limit:
+            set_limit(limit)
+        _box_row.cache_clear()
 
 
 def _run(args) -> int:

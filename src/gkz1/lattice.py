@@ -24,9 +24,14 @@ C(z) F+_z = C(z-1) F-_{z-1}, with one side's factor
 
 at w(z) = w0 + z*relation.  Its factors are read here, once, for the series
 builder and for the certificate alike: ``_box_sides`` lists each side's
-columns as (p, q, rel[mu]), w0_mu = p/q, with the scale prod_mu q^|rel[mu]|,
-and ``_box_row`` gives F_z truncated at eps^top, times that scale, as an
-integer row.
+columns as a tuple of (p, q, rel[mu]), w0_mu = p/q, with the scale
+prod_mu q^|rel[mu]|, and ``_box_row`` gives F_z truncated at eps^top, times
+that scale, as a tuple of integers.  A row is a pure function of its
+factors, z and top, so ``_box_row`` keeps the last _ROWS rows it computed in
+one lru_cache: the certificate's shifts ask for the rows the builder's walk
+stepped with, and get them without computing them again.  A row is a tuple,
+so no caller can change a shared one; gkz1.cli empties the cache when a
+command ends.
 
 All column indices in this package are 0-based and refer to the caller's
 original column order; the canonical positives-first ordering is available
@@ -35,6 +40,7 @@ through ``perm``/``ell`` but is never imposed on inputs or outputs.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
@@ -234,25 +240,31 @@ class RelationLine(Record):
         return Fraction(k0, den), Fraction(m, den)
 
 
-def _box_sides(base, relation) -> tuple[tuple[list, int], tuple[list, int]]:
+# the most box rows _box_row keeps; every benchmark report's rows fit
+_ROWS = 4096
+
+
+def _box_sides(base, relation) -> tuple[tuple[tuple, int], tuple[tuple, int]]:
     """((factors, scale) of the positive side, and of the negative side): the
-    factors (p, q, rel[mu]) for each column mu on the side, in index order,
-    with base[mu] = p/q, and scale = prod_mu q^|rel[mu]|."""
+    factors, a tuple of (p, q, rel[mu]) for each column mu on the side, in
+    index order, with base[mu] = p/q, and scale = prod_mu q^|rel[mu]|."""
     sides = [], []
     for w, e in zip(base, relation):
         sides[e < 0].append((w.numerator, w.denominator, e))
-    return tuple((factors, prod(q ** abs(e) for _, q, e in factors)) for factors in sides)
+    return tuple((tuple(f), prod(q ** abs(e) for _, q, e in f)) for f in sides)
 
 
-def _box_row(factors, z: int, top: int) -> list[int]:
+@functools.lru_cache(maxsize=_ROWS)  # the walk's rows, read again by the certificate
+def _box_row(factors: tuple, z: int, top: int) -> tuple[int, ...]:
     """scale * F_z(eps), truncated at eps^top, for one side's factors.  The
     scaled factors q*(w_mu(z) - i + eps*rel[mu]), i < |rel[mu]|, are the run
-    (p + q*z*rel[mu] - q*i) + eps*q*rel[mu], of step -q in i."""
+    (p + q*z*rel[mu] - q*i) + eps*q*rel[mu], of step -q in i.  The last
+    _ROWS rows are kept, and a row asked for again is the kept one."""
     f = [1] + [0] * top
     for p, q, e in factors:
         start = p + q * z * e
         _times_linear(f, range(start, start - q * abs(e), -q), q * e)
-    return f
+    return tuple(f)
 
 
 class Parameter(Record):

@@ -8,9 +8,10 @@ coefficient is the exact value of the full series at that grid point, so a
 A bundle's eps-products C(z, eps) follow the two-term recurrence of the box
 operator, C(z) * F+_z = C(z-1) * F-_{z-1}: each run of consecutive shifts is
 seeded once, from one coefficient row per column, and every later shift is
-one step by the box operator's rows of gkz1.lattice, which the certificate
-reads too.  Each C(z) is kept as its row, integer numerators over one
-denominator, with no Fraction; the rows are a bundle's one data format.
+one step by the box operator's rows of gkz1.lattice, whose cache keeps them
+for the certificate, which asks for the same rows.  Each C(z) is kept as its
+row, integer numerators over one denominator, with no Fraction; these rows
+are a bundle's one data format.
 Each solution holds them at its degree (LogSeries.rows), the certificate
 reads them as they are, and gkz1.cli writes each coefficient from them, so
 a Fraction is made only where a caller reads a series' terms.  A row's
@@ -236,7 +237,10 @@ def _epsilon_products(rel, vec, lift, base, members, top, lowest_terms=True) -> 
         F-_z = prod_{rel[mu] < 0} prod_{i < |rel[mu]|} (w_mu(z) - i + rel[mu]*eps),
 
     each an integer row over its scale, from gkz1.lattice's _box_sides and
-    _box_row at the base exponent w(0) = base.
+    _box_row at the base exponent w(0) = base.  The rows are tuples that
+    _box_row keeps for its next caller, the certificate: a log step
+    multiplies F-_{z-1} into the reciprocal of F+_z, which it builds, and
+    writes no row.
 
     C is seeded by _seed at the first shift of each run of consecutive
     members, where F+_z is not built, and again at a root, a shift where
@@ -269,8 +273,8 @@ def _epsilon_products(rel, vec, lift, base, members, top, lowest_terms=True) -> 
     (plus, scale), (minus, unscale) = _box_sides(base, rel)
     out = {}
     for z in members:
-        # scale * F+_z, wanted only after a built z - 1; [0] asks for a seed
-        a = _box_row(plus, z, top) if z - 1 in out else [0]
+        # scale * F+_z, wanted only after a built z - 1; (0,) asks for a seed
+        a = _box_row(plus, z, top) if z - 1 in out else (0,)
         if not a[0]:
             num, den = _seed(vec, lift, rel, z, top)
             g = 0  # the content may hold any prime
@@ -290,8 +294,8 @@ def _epsilon_products(rel, vec, lift, base, members, top, lowest_terms=True) -> 
             # [eps^n] 1/a = r[n] / a0^(n+1), so 1/F+ = sum_n r'[n] eps^n / a0^(top+1)
             # with r'[n] = scale * a0^(top-n) * r[n]
             a0 = a[0]
-            f = _box_row(minus, z - 1, top)  # unscale * F-_{z-1}
-            _times(f, [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))])
+            f = [x * a0 ** (top - n) * scale for n, x in enumerate(_reciprocal(a))]
+            _times(f, _box_row(minus, z - 1, top))  # times unscale * F-_{z-1}, read only
             _times(num, f)
             m = unscale * a0 ** (top + 1)
             den *= m

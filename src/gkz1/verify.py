@@ -29,7 +29,12 @@ in integers over prod_mu q_mu^|rel[mu]| (w0_mu = p_mu/q_mu), comes from
 gkz1.lattice (_box_sides, _box_row), whose runs the kernel of gkz1._linalg
 multiplies.  The builder reads the same factors, but neither module is
 builder code, and the tests check both against literal routes that share no
-code with the package.
+code with the package.  _box_row keeps the rows it computed, so on a built
+bundle the certificate reads the rows the builder's walk stepped with.  It
+still asks for them by its own keys, the sides of the series' base exponent
+and the configuration's relation, and a kept row is what _box_row computes
+for those keys, a tuple no caller can change: no report depends on what
+the cache holds.
 
 A shift is decided by one exact division, not by cross-multiplying.  With P
 the positive row at z+1, D1 and D0 the denominators of columns z+1 and z,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import _linalg, cli, exponents, series
+from gkz1 import _linalg, cli, exponents, lattice, series
 from gkz1.cli import main
 from gkz1._linalg import window_bounds
 from gkz1.errors import ExcludedCase, GkzError
@@ -1259,6 +1259,35 @@ def test_one_read_and_one_elimination_per_call(capsys, monkeypatch, tmp_path, co
     code, out, err = run(capsys, command, "--input", str(path))
     assert (code, err) == (0, "") and out
     assert opened == [str(path)] and reduced == [1]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("problem, window", [
+    ({"A": QUINTIC, "beta": [-1, 0, 0, 0, 0]}, "0:30"),
+    ({"A": [[1, 0], [1, 80], [1, 1]], "beta": ["1/3", "2/5"]}, "0:3"),
+])
+def test_each_box_row_is_computed_once_per_call(capsys, tmp_path, command, problem, window):
+    # the certificate's shifts ask for the rows that the builder's walk
+    # stepped with, and get the kept ones: no row is computed twice in one
+    # command, and none is kept when the command ends
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    computed, kernel = [], lattice._box_row.__wrapped__.__code__
+
+    def profile(frame, event, arg):  # the arguments of each computed row
+        if event == "call" and frame.f_code is kernel:
+            computed.append(tuple(frame.f_locals[name] for name in ("factors", "z", "top")))
+
+    lattice._box_row.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code, out, err = run(capsys, command, "--window", window, "--input", str(path))
+    finally:
+        sys.setprofile(previous)
+    assert (code, err) == (0, "") and out
+    assert computed and len(set(computed)) == len(computed)
+    assert lattice._box_row.cache_info().currsize == 0
 
 
 class TestMalformedProblemFiles:

@@ -232,7 +232,7 @@ class TestRunProducts:
         # the scaled factors p + q*(z*e - i), i < |e|, of one column: the
         # box row truncated at eps^0
         run = range(p + q * z * e, p + q * (z * e - abs(e)), -q)
-        assert _box_row([(p, q, e)], z, 0) == [prod(run)]
+        assert _box_row(((p, q, e),), z, 0) == (prod(run),)
 
 
 class TestKernel:

@@ -26,6 +26,7 @@ from gkz1 import (
     solution_bundle,
 )
 from gkz1.errors import InputError
+from gkz1.lattice import _ROWS, _box_row, _box_sides
 
 from conftest import GAUSS, QUINTIC, TRIANGLE, random_config, random_nonresonant_beta
 from reference import apply_euler_row_reference, box_side_reference, literal_box
@@ -498,6 +499,97 @@ class TestTwoRoutes:
                 assert [c.passed for c in reports] == [i != r for i in range(len(bundle))]
                 assert reports[r] == got
                 assert reports == certify_bundle(config, param, [_printed(x) for x in bundle])
+
+
+def _cold(call):
+    """call() with no box row kept."""
+    _box_row.cache_clear()
+    return call()
+
+
+def _assert_kept_rows_change_nothing(config, param, window, bundles):
+    """certify on each series of the bundles, and certify_bundle on each
+    bundle, report after solution_bundle has built the bundles on window,
+    whose walks leave their rows kept, what they report with no row kept,
+    call by call, first failures included; the reports and the cache hits of
+    the first reading."""
+    calls = [lambda s=s: (certify(config, param, s),) for bundle in bundles for s in bundle]
+    calls += [lambda bundle=bundle: certify_bundle(config, param, bundle) for bundle in bundles]
+    _box_row.cache_clear()
+    solution_bundle(config, param, window=window)
+    warm = [c for call in calls for c in call()]
+    hits = _box_row.cache_info().hits
+    cold = [c for call in calls for c in _cold(call)]
+    assert warm == cold
+    assert [c.box.first_failure for c in warm] == [c.box.first_failure for c in cold]
+    assert [c.to_json_dict() for c in warm] == [c.to_json_dict() for c in cold]
+    return warm, hits
+
+
+class TestRowCache:
+    """The certificate reads the box rows that the builder's walk left in
+    lattice._box_row's cache: a kept row is what the same arguments give, so
+    no report may depend on what the cache holds."""
+
+    def test_moved_rows_and_base_fail_as_with_no_row_kept(self, gauss):
+        # TestTwoRoutes' variants: a numerator N_s of the bundle's rows moved
+        # by +-1, read at the top degree and at a lower degree r >= s, and
+        # the printed copies; and the top's base exponent moved, on its rows
+        # and printed, which asks for other rows than the walk kept
+        gauss_beta = (F(-1, 2), F(-1, 3), F(1))  # sigma = 2: two solutions
+        (pair,) = [b for b in solution_bundle(gauss, gauss_beta, window=(-4, 8)).bundles
+                   if len(b.solutions) == 2]
+        cases = [(*_quintic_at_200(), (0, 200), [(4, 4, 1), (4, 0, -1), (1, 1, -1)]),
+                 (gauss, pair.parameter, pair.solutions, (-4, 8), [(1, 1, 1), (0, 0, -1)])]
+        for config, param, solutions, window, moves in cases:
+            top = solutions[-1]
+            products, degree = top.rows
+            zs = sorted(z for z, (num, _) in products.items() if any(num))
+            z = zs[len(zs) // 2]
+            num, den = products[z]
+            bundles = [solutions, tuple(map(_printed, solutions))]
+            for r, s, delta in moves:
+                moved = {**products, z: (num[:s] + (num[s] + delta,) + num[s + 1:], den)}
+                series = gkz1.series._assemble(config, top.base_exponent, r, top.window, moved)
+                bundles += [solutions[:r] + (series,) + solutions[r + 1:]]
+            base = (top.base_exponent[0] + 1, *top.base_exponent[1:])
+            series = gkz1.series._assemble(config, base, degree, top.window, products)
+            bundles += [solutions[:-1] + (series,), solutions[:-1] + (_printed(series),)]
+            warm, hits = _assert_kept_rows_change_nothing(config, param, window, bundles)
+            assert hits
+            n = len(solutions)
+            passed = [True] * 2 * n + [i != r for r, _, _ in moves for i in range(n)]
+            passed += [i != n - 1 for _ in range(2) for i in range(n)]
+            assert [c.passed for c in warm[:len(passed)]] == passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bundle_cases())
+    def test_bundles_report_as_with_no_row_kept(self, case):
+        config, param, solutions = case
+        top = solutions[-1]
+        products, degree = top.rows
+        base = (top.base_exponent[0] + 1, *top.base_exponent[1:])
+        moved = gkz1.series._assemble(config, base, degree, top.window, products)
+        bundles = [solutions, tuple(map(_printed, solutions)), solutions[:-1] + (moved,)]
+        warm, _ = _assert_kept_rows_change_nothing(config, param, top.window, bundles)
+        assert all(c.passed for c in warm[:2 * len(solutions)])
+
+    def test_rows_are_tuples_and_the_cache_is_bounded(self):
+        # the sides and rows are tuples, which no caller can change, and a
+        # loop over distinct problems keeps at most _ROWS rows
+        (plus, _), (minus, _) = _box_sides((F(1, 3), F(-2, 5), F(7)), (2, -3, 1))
+        assert (plus, minus) == (((1, 3, 2), (7, 1, 1)), ((-2, 5, -3),))
+        assert all(type(row) is tuple for row in (_box_row(plus, 2, 3), _box_row(minus, -1, 0)))
+        _box_row.cache_clear()
+        for e in (20, 30, 40):
+            pencil = build_config([(1,), (e,)])
+            for k in (1, 2, 3):
+                for bundle in solution_bundle(pencil, [F(k, 7)], window=(-10, 20)).bundles:
+                    assert all(c.passed for c in certify_bundle(
+                        pencil, bundle.parameter, bundle.solutions
+                    ))
+        info = _box_row.cache_info()
+        assert info.maxsize == _ROWS and info.currsize == _ROWS < info.misses
 
 
 class TestSafeWindowSoundness:
