@@ -498,13 +498,16 @@ def cmd_verify(spec: ProblemSpec):
     bundle; no series is written.  all_passed comes first, so every bundle is
     certified before the first piece.  A degree request (--r) fails here
     exactly as it fails in solve.  As it writes no coefficient, its bundles'
-    log-free rows need not be in lowest terms (solution_bundle)."""
+    log-free rows need not be in lowest terms (solution_bundle).  The
+    bundles are certified newest first, so the box rows that the last walks
+    left kept (gkz1.lattice._box_row) are read before newer rows push them
+    out, and written in bundle order."""
     config, _, shifted, report = _bundle_report(spec, lowest_terms=False)
     _requested(spec, report)
     certified = [
         (bundle, certify_bundle(config, bundle.parameter, bundle.solutions))
-        for bundle in report.bundles
-    ]
+        for bundle in reversed(report.bundles)
+    ][::-1]
     check, texts = _form("check", _STEP), {}  # texts: each distinct certificate once
     head = _FORMS["verify"] % (
         _leaf(shifted, ""), _leaf(list(spec.window), ""),

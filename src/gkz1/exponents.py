@@ -213,6 +213,11 @@ class IntervalSet(Record):
         (sys.maxsize).
         """
         lo, hi = pair((lo, hi), "clip bounds")
+        return sorted(set(self._members(lo, hi)))
+
+    def _members(self, lo: int, hi: int) -> list[int]:
+        """clip on two checked ints, each interval's members in turn: neither
+        sorted nor made distinct, which one interval needs neither of."""
         out = []
         for a, b in self.intervals:
             start = lo if a is None else max(lo, a)
@@ -223,7 +228,7 @@ class IntervalSet(Record):
                     f" more than a list can index (at most {sys.maxsize})"
                 )
             out.extend(range(start, stop + 1))
-        return sorted(set(out))
+        return out
 
 
 def _interval(lo: int | None, hi: int | None) -> tuple | None:

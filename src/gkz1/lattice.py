@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import _linalg
 from ._linalg import Vector, _times_linear, fracs, integers, sequence, shown
@@ -248,10 +248,16 @@ def _box_sides(base, relation) -> tuple[tuple[tuple, int], tuple[tuple, int]]:
     """((factors, scale) of the positive side, and of the negative side): the
     factors, a tuple of (p, q, rel[mu]) for each column mu on the side, in
     index order, with base[mu] = p/q, and scale = prod_mu q^|rel[mu]|."""
-    sides = [], []
+    plus, minus, plus_scale, minus_scale = [], [], 1, 1
     for w, e in zip(base, relation):
-        sides[e < 0].append((w.numerator, w.denominator, e))
-    return tuple((tuple(f), prod(q ** abs(e) for _, q, e in f)) for f in sides)
+        q = w.denominator
+        if e < 0:
+            minus.append((w.numerator, q, e))
+            minus_scale *= q ** -e
+        else:
+            plus.append((w.numerator, q, e))
+            plus_scale *= q ** e
+    return (tuple(plus), plus_scale), (tuple(minus), minus_scale)
 
 
 @functools.lru_cache(maxsize=_ROWS)  # the walk's rows, read again by the certificate

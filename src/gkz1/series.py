@@ -7,11 +7,12 @@ coefficient is the exact value of the full series at that grid point, so a
 
 A bundle's eps-products C(z, eps) follow the two-term recurrence of the box
 operator, C(z) * F+_z = C(z-1) * F-_{z-1}: each run of consecutive shifts is
-seeded once, from one coefficient row per column, and every later shift is
-one step by the box operator's rows of gkz1.lattice, whose cache keeps them
-for the certificate, which asks for the same rows.  Each C(z) is kept as its
-row, integer numerators over one denominator, with no Fraction; these rows
-are a bundle's one data format.
+seeded once, from one coefficient row per column (log-free, one value per
+column, its numerator and denominator multiplied in), and every later shift
+is one step by the box operator's rows of gkz1.lattice, whose cache keeps
+them for the certificate, which asks for the same rows.  Each C(z) is kept
+as its row, integer numerators over one denominator, with no Fraction;
+these rows are a bundle's one data format.
 Each solution holds them at its degree (LogSeries.rows), the certificate
 reads them as they are, and gkz1.cli writes each coefficient from them, so
 a Fraction is made only where a caller reads a series' terms.  A row's
@@ -21,7 +22,9 @@ verify passes as it prints no coefficient, a log-free row stepped by a
 ratio wider than one int digit is left unreduced instead.
 
 One builder, _build, makes the certificates and the solutions of an
-exponent.  solution_bundle builds each exponent up to its multiplicity, and
+exponent, from the members of its distinct memberships; one membership, as
+every bundle of multiplicity 1 has, gives them ascending with no set and no
+sort.  solution_bundle builds each exponent up to its multiplicity, and
 a degree is read off the bundle by SolutionBundle.solution; log_solution
 builds up to the degree it is asked for and reads it off by the same rule.
 phi_series, the log-free series of one multiset q, runs the same walk on
@@ -213,7 +216,16 @@ def phi_series(config: LatticeConfig, v, u_lift, q=(), window=DEFAULT_WINDOW) ->
 def _seed(vec, lift, rel, z, top) -> tuple[list[int], int]:
     """C(z, eps) as integer numerators over one denominator: one row per column,
     coefficient_M at l = lift[mu] + z*rel[mu] and s <= top over the lcm of
-    their denominators, times rel[mu]^s in integers, multiplied once."""
+    their denominators, times rel[mu]^s in integers, multiplied once.  A
+    log-free C (top = 0) is the product of one value per column, taken as
+    numerators and denominators."""
+    if not top:
+        num = den = 1
+        for v, l0, e in zip(vec, lift, rel):
+            c = coefficient_M(l0 + z * e, 0, v)
+            num *= c.numerator
+            den *= c.denominator
+        return [num], den
     num, den = [1] + [0] * top, 1
     for v, l0, e in zip(vec, lift, rel):
         row = [coefficient_M(l0 + z * e, s, v) for s in range(top + 1)]
@@ -357,15 +369,17 @@ def _build(config, vec, lift, cap, window, lowest_terms=True) -> tuple[tuple, tu
         for size in range(cap) for missing in combinations(range(n), size)
     ])
     r_top = next((n - len(v.indices) for v in verdicts if not v.minimal), cap) - 1
-    members = set()
     # each distinct membership once (equal ones are one IntervalSet), in
     # certificate order, so that clip names the first one too wide for a list
-    for membership in dict.fromkeys(v.membership for v in verdicts if n - len(v.indices) <= r_top):
-        members.update(membership.clip(lo, hi))
+    memberships = [*dict.fromkeys(v.membership for v in verdicts if n - len(v.indices) <= r_top)]
+    if len(memberships) == 1:  # one interval at most (_support_verdicts), so ascending
+        members = memberships[0]._members(lo, hi)
+    else:
+        members = sorted({z for membership in memberships for z in membership._members(lo, hi)})
     # only a nonzero lift entry is added: x + 0 would build an equal Fraction
     base = tuple(x + l if l else x for x, l in zip(vec, lift))
     products = _epsilon_products(
-        config.relation, vec, lift, base, sorted(members), max(r_top, 0), lowest_terms
+        config.relation, vec, lift, base, members, max(r_top, 0), lowest_terms
     )
     # one base and one window object for the bundle, which certify_bundle
     # then need not read for each solution

@@ -46,11 +46,15 @@ a_n * w = b_n * plus_scale * X for the images' numerators a and b, which,
 times D1 and over X, is the cross-multiplied identity.  A log-free series
 has its own form of the test, which holds for P[0] = 0 too (_box).  A shift
 that this does not pass is cross-multiplied, which decides it and gives its
-residual, so a passing shift multiplies no two coefficients.
+residual, so a passing shift multiplies no two coefficients, and a passing
+log-free shift forms no cross-multiplier either.
 
 An Euler row scales every term by one offset, row.w0 - beta_row, since
-row.relation is zero.  A Fraction is built only for a residual entry, which
-a passing certificate has none of.
+row.relation is zero.  Every row's offset is summed in integers over one
+common denominator of w0 and beta, taken once per series (_euler); a
+residual is a Fraction, which reduces itself, so it reads as each row's own
+denominator would give it.  A Fraction is built only for a residual entry,
+which a passing certificate has none of.
 
 certify_bundle certifies a bundle's solutions together.  Solution r is
 r! [eps^r] sum_z C(z, eps) x^(w(z) + eps*rel), so its box residual is the
@@ -183,10 +187,7 @@ def _box(config, base, window, rows) -> OperatorReport:
     for z in {z for z in columns if z < hi} | {z - 1 for z in columns if z > lo}:
         f, g = _box_row(plus, z + 1, top), _box_row(minus, z, top)
         (n1, d1), (n0, d0) = columns.get(z + 1, ((0,), 1)), columns.get(z, ((0,), 1))
-        # each n must have a_n * u == b_n * v: cross-multiplied, or, where D1
-        # divides D0 * minus_scale * X, both sides times X over D1
-        da, db = d1 * plus_scale, d0 * minus_scale
-        u, v = db, da
+        db = d0 * minus_scale
         if not top:  # C(z+1)F+_{z+1}(0) against C(z)F-_z(0)
             w, rem = divmod(db * f[0], d1)
             if not rem and n1[0] * w == n0[0] * g[0] * plus_scale:
@@ -194,11 +195,15 @@ def _box(config, base, window, rows) -> OperatorReport:
             a, b = [n1[0] * f[0]], [n0[0] * g[0]]
         else:
             a, b = _image(f, n1), _image(g, n0)
-            if f[0]:
-                x = f[0] ** len(n1)
-                w, rem = divmod(db * x, d1)
-                if not rem:
-                    u, v = w, plus_scale * x
+        # each n must have a_n * u == b_n * v: cross-multiplied, or, where D1
+        # divides D0 * minus_scale * X, both sides times X over D1
+        da = d1 * plus_scale
+        u, v = db, da
+        if top and f[0]:
+            x = f[0] ** len(n1)
+            w, rem = divmod(db * x, d1)
+            if not rem:
+                u, v = w, plus_scale * x
         for n, (p, q) in enumerate(zip(a, b)):
             if p * u != q * v:
                 residual[(z, top - n)] = Fraction(perm(top, n) * (p * db - q * da), da * db)
@@ -218,7 +223,7 @@ def apply_euler_row(config: LatticeConfig, param, series, row: int) -> OperatorR
     """
     fields = _check_grid(config, series)
     param = _parameter(config, param)
-    return _euler_row(config, param, *fields, integer(row, "row", config.dim))
+    return _euler(config, param, *fields, (integer(row, "row", config.dim),))[0]
 
 
 def _parameter(config, param) -> tuple[Fraction, ...]:
@@ -230,34 +235,34 @@ def _parameter(config, param) -> tuple[Fraction, ...]:
     return param
 
 
-def _euler_row(config, param, base, window, rows, row: int) -> OperatorReport:
-    """apply_euler_row on a checked parameter, series' fields and row."""
-    a_row = [config.columns[j][row] for j in range(config.n)]
-    b = param[row]
-    den = lcm(b.denominator, *(w.denominator for w in base))
-    offset = sum(
-        a * w.numerator * (den // w.denominator) for a, w in zip(a_row, base)
-    ) - b.numerator * (den // b.denominator)
-    residual = {}
-    if offset:
-        columns, top = rows
-        residual = {
-            (z, top - s): Fraction(offset * perm(top, s) * x, den * d)
-            for z, (num, d) in columns.items() for s, x in enumerate(num[:top + 1])
-        }
-    return OperatorReport(f"euler[{row}]", window, residual)
-
-
-def _euler(config, param, base, window, rows):
-    """apply_euler on a checked series' fields; the parameter is checked once."""
-    param = _parameter(config, param)
-    return tuple(_euler_row(config, param, base, window, rows, row) for row in range(config.dim))
+def _euler(config, param, base, window, rows, which) -> tuple[OperatorReport, ...]:
+    """The reports of the Euler rows listed in which, for a checked parameter
+    and series' fields.  Each row's offset sum_mu a_row[mu] * base[mu] -
+    param[row] is read in integers, over one common denominator of the base
+    exponent and the parameter, taken once for all the rows."""
+    den = lcm(*[w.denominator for w in base], *[b.denominator for b in param])
+    nums = [w.numerator * (den // w.denominator) for w in base]
+    a_rows = list(zip(*config.columns))
+    columns, top = rows
+    reports = []
+    for row in which:
+        b = param[row]
+        offset = sum(map(mul, a_rows[row], nums)) - b.numerator * (den // b.denominator)
+        residual = {}
+        if offset:
+            residual = {
+                (z, top - s): Fraction(offset * perm(top, s) * x, den * d)
+                for z, (num, d) in columns.items() for s, x in enumerate(num[:top + 1])
+            }
+        reports.append(OperatorReport(f"euler[{row}]", window, residual))
+    return tuple(reports)
 
 
 def apply_euler(config: LatticeConfig, param, series):
     """Reports for all homogeneity operator rows; the series and the parameter
     are checked once, as apply_euler_row checks them."""
-    return _euler(config, param, *_check_grid(config, series))
+    fields = _check_grid(config, series)
+    return _euler(config, _parameter(config, param), *fields, range(config.dim))
 
 
 class Certificate(Record):
@@ -281,7 +286,7 @@ def certify(config: LatticeConfig, param, series) -> Certificate:
     The series and the parameter are checked once, for every operator.
     """
     fields = _check_grid(config, series)
-    euler = _euler(config, param, *fields)
+    euler = _euler(config, _parameter(config, param), *fields, range(config.dim))
     return Certificate(_box(config, *fields), euler)
 
 

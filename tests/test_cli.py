@@ -11,12 +11,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from gkz1 import _linalg, cli, exponents, lattice, series
+from gkz1 import _linalg, cli, exponents, lattice, series, verify
 from gkz1.cli import main
 from gkz1._linalg import window_bounds
 from gkz1.errors import ExcludedCase, GkzError
@@ -1287,6 +1288,43 @@ def test_each_box_row_is_computed_once_per_call(capsys, tmp_path, command, probl
         sys.setprofile(previous)
     assert (code, err) == (0, "") and out
     assert computed and len(set(computed)) == len(computed)
+    assert lattice._box_row.cache_info().currsize == 0
+
+
+def test_verify_reads_the_last_walks_rows_first(capsys, tmp_path, monkeypatch):
+    # [(1),(150)] at (-10, 20) has 150 bundles whose walks compute 12,300 box
+    # rows, more than _box_row keeps (_ROWS), so the first walks' rows are
+    # gone when the certificate starts.  verify certifies the bundles newest
+    # first, which reads the rows the last walks kept before newer rows push
+    # them out: fewer rows are computed than read, and the report is the one
+    # printed when no row is kept at all
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"A": [[1], [150]], "beta": ["1/7"]}))
+    argv = ("verify", "--window=-10:20", "--input", str(path))
+    computed, kernel = 0, lattice._box_row.__wrapped__.__code__
+
+    def profile(frame, event, arg):
+        nonlocal computed
+        computed += event == "call" and frame.f_code is kernel
+
+    ended = []  # the cache's counts when main empties it, at the command's end
+    monkeypatch.setattr(cli, "_box_row", SimpleNamespace(
+        cache_clear=lambda: ended.append(lattice._box_row.cache_info())
+    ))
+    lattice._box_row.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        sys.setprofile(previous)
+        lattice._box_row.cache_clear()
+    (info,) = ended
+    assert (code, err) == (0, "") and json.loads(out)["all_passed"]
+    assert computed == info.misses < info.hits + info.misses
+    for module in (series, verify):
+        monkeypatch.setattr(module, "_box_row", lattice._box_row.__wrapped__)
+    assert run(capsys, *argv) == (0, out, "")
     assert lattice._box_row.cache_info().currsize == 0
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -755,6 +756,43 @@ class TestEpsilonProducts:
             lambda: gkz1.series._epsilon_products(config.relation, vec, lift, base, members, top)
         ) == expected
         event(f"refused: {expected is not None}")
+
+
+class TestSeed:
+    """_seed, the row each run of the walk starts from, against the defining sums."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), z=st.integers(-3, 3), top=st.integers(0, 2))
+    @example(seed=0, z=0, top=0)
+    def test_is_the_product_of_the_column_sums(self, seed, z, top):
+        # [eps^s] prod_mu sum_t M(l_mu, t, v_mu) * (rel[mu]*eps)^t, with
+        # l_mu = lift[mu] + z*rel[mu]: at top = 0 the product of one value
+        # per column, which _seed multiplies as numerators and denominators,
+        # and at top >= 1 the truncated product of the rows
+        rng = random.Random(seed)
+        config = random_relation_config(rng, max_relation=5) if seed % 2 else random_config(rng)
+        rel = config.relation
+        vec = tuple(F(rng.randint(-12, 12), rng.choice([1, 2, 3, 5, 7])) for _ in rel)
+        lift = tuple(rng.randint(-2, 2) if seed % 3 else 0 for _ in rel)
+        ls = [l + z * e for l, e in zip(lift, rel)]
+        try:
+            columns = [
+                [coefficient_M_reference(l, t, v) * e**t for t in range(top + 1)]
+                for v, l, e in zip(vec, ls, rel)
+            ]
+        except ExcludedCase as exc:
+            with pytest.raises(ExcludedCase, match=re.escape(str(exc))):
+                gkz1.series._seed(vec, lift, rel, z, top)
+            return
+        expected = [F(1)] + [F(0)] * top
+        for column in columns:
+            expected = [sum(expected[t] * column[s - t] for t in range(s + 1)) for s in range(top + 1)]
+        num, den = gkz1.series._seed(vec, lift, rel, z, top)
+        assert len(num) == top + 1 and type(den) is int and den > 0
+        assert all(type(x) is int for x in num)
+        assert [F(x, den) for x in num] == expected
+        event(f"top {min(top, 1)}: l < 0, l = 0, l > 0 among columns: "
+              f"{[any(l < 0 for l in ls), 0 in ls, any(l > 0 for l in ls)]}")
 
 
 def _outcome(build):

@@ -918,9 +918,14 @@ class TestEulerAgainstTermwise:
         base[mu] += data.draw(small.filter(bool))
         moved = LogSeries.make(base, series.relation, series.window, series.terms)
         for param, s in [(beta, series), (wrong, series), (beta, moved)]:
+            expected = tuple(
+                apply_euler_row_reference(config, param, s, row) for row in range(config.dim)
+            )
             for row in range(config.dim):
-                report = apply_euler_row(config, param, s, row)
-                assert report == apply_euler_row_reference(config, param, s, row)
+                assert apply_euler_row(config, param, s, row) == expected[row]
+            # every row at once, over one common denominator, reads alike
+            assert apply_euler(config, param, s) == expected
+            assert certify(config, param, s).euler == expected
         assert all(apply_euler_row(config, beta, series, row).passed for row in range(config.dim))
 
 
